@@ -35,7 +35,7 @@ from .ism import (
 from .metrics import (
     ErrorSummary,
     MetricReport,
-    error_summary,
+    error_summary_paired,
     iacc,
     iacc_e3_l3,
     ild_avg,
@@ -47,6 +47,7 @@ from .pipelines import (
     AnalysisInput,
     ComparisonResult,
     ComparisonRun,
+    ConditionResult,
     SceneRendering,
     SystemCondition,
     run_comparison,

@@ -33,11 +33,11 @@ from .errors import ConfigurationError
 from .grids import fibonacci_grid, load_grid_csv, save_grid_csv
 from .hrir import load_hrir_set, spherical_head_hrir_set
 from .ism import Scene, scene_from_json, scene_to_json_dict
-from .metrics import JND, MetricReport, error_summary_paired, measure_brir
+from .metrics import MetricReport, error_summary_paired, measure_brir
 from .pipelines import (
     AnalysisInput,
     SystemCondition,
-    render_intermediates,
+    ordered_map,
     run_condition,
     simulate,
     validate_condition_inputs,
@@ -210,7 +210,6 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     if "input" in cfg:
         inputs = _load_analysis_input(cfg["input"], "render.input")
         rate = inputs.sample_rate
-        length = len(inputs.srir) if inputs.srir is not None else len(inputs.foa)
     else:
         geometry = builtin_array(cfg.get("array", "om6"))
         sc, rate, length = _load_scene(cfg, "render", geometry)
@@ -228,41 +227,28 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
         validate_condition_inputs(inputs, cond)
 
     def render_one(cond):
+        """Names of the files written for ``cond``, or the exception it raised."""
         try:
-            return run_condition(inputs, cond, sample_rate=rate, length=length)
+            result = run_condition(inputs, cond)
         except Exception as exc:  # noqa: BLE001 - enumerated below
             return exc
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            brirs = list(pool.map(render_one, conditions))
-    else:
-        brirs = [render_one(c) for c in conditions]
+        names = [f"{cond.id}.wav"]
+        wavio.write_wav(out_dir / names[0], result.brir.as_matrix(), int(rate))
+        if args.dump_intermediates:
+            kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
+            names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]
+            result.analysis.to_csv(out_dir / names[1])
+            wavio.write_wav(out_dir / names[2], result.vls.samples, int(rate))
+            save_grid_csv(result.vls.grid, out_dir / names[3])
+        return names
 
     files = []
     failures = []
-    for cond, brir in zip(conditions, brirs):
-        if isinstance(brir, Exception):
-            failures.append(f"{cond.id}: {brir}")
-            continue
-        name = f"{cond.id}.wav"
-        wavio.write_wav(out_dir / name, brir.as_matrix(), int(rate))
-        files.append(name)
-        if args.dump_intermediates:
-            meta, vls = render_intermediates(inputs, cond)
-            meta_name = (
-                f"{cond.id}_trajectory.csv"
-                if isinstance(meta, DoaTrajectory)
-                else f"{cond.id}_tf_field.csv"
-            )
-            meta.to_csv(out_dir / meta_name)
-            vls_name = f"{cond.id}_vls.wav"
-            wavio.write_wav(out_dir / vls_name, vls.samples, int(rate))
-            grid_name = f"{cond.id}_grid.csv"
-            save_grid_csv(vls.grid, out_dir / grid_name)
-            files += [meta_name, vls_name, grid_name]
+    for cond, outcome in zip(conditions, ordered_map(render_one, conditions, args.threads)):
+        if isinstance(outcome, Exception):
+            failures.append(f"{cond.id}: {outcome}")
+        else:
+            files += outcome
     _write_manifest(out_dir, "render", args.seed, files)
     if failures:
         print("render: failed conditions:", file=sys.stderr)
@@ -314,16 +300,13 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
         by_condition.setdefault(cond_id, []).append(i)
 
     report = {"rows": [], "pooled": {}}
-    csv_rows = []
     for i, (cond_id, scene_id) in enumerate(names):
-        row = {
+        report["rows"].append({
             "condition": cond_id,
             "scene": scene_id,
             "metrics": sys_reports[i].to_dict(),
             "reference": ref_reports[i].to_dict(),
-        }
-        report["rows"].append(row)
-        csv_rows.append(row)
+        })
     for cond_id, idxs in sorted(by_condition.items()):
         summary = error_summary_paired(
             [sys_reports[i] for i in idxs], [ref_reports[i] for i in idxs]
@@ -342,19 +325,14 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
             + [f"err_{m}" for m in metric_names]
             + [f"jnd_pass_{m}" for m in metric_names]
         )
-        for row in csv_rows:
-            errs = {
-                m: row["metrics"][m] - row["reference"][m] for m in metric_names
-            }
-            flags = []
-            for m in metric_names:
-                threshold = JND[m] * row["reference"][m] if m == "t30_mid_s" else JND[m]
-                flags.append(int(abs(errs[m]) <= threshold))
+        for row, sys_report, ref_report in zip(report["rows"], sys_reports, ref_reports):
+            # A one-pair summary: its MSD is the signed error, its flags the row's.
+            pair = error_summary_paired([sys_report], [ref_report])
             writer.writerow(
                 [row["condition"], row["scene"]]
                 + [f"{row['metrics'][m]:.9g}" for m in metric_names]
-                + [f"{errs[m]:.9g}" for m in metric_names]
-                + flags
+                + [f"{pair.msd[m]:.9g}" for m in metric_names]
+                + [int(pair.jnd_pass[m]) for m in metric_names]
             )
     _write_manifest(out_dir, "compare", args.seed, ["report.json", "report.csv"])
     print(f"compare: wrote report.json and report.csv to {out_dir}")
@@ -367,10 +345,9 @@ def cmd_metrics(cfg: dict, out_dir: Path, args) -> int:
     report = measure_brir(brir)
     payload = json.loads(report.to_json())
     if cfg.get("include_full_itd"):
-        from .dsp import normalize_direct_energy
         from .metrics import itd as itd_metric
 
-        payload["itd_full_us"] = itd_metric(normalize_direct_energy(brir), segment_s=None)
+        payload["itd_full_us"] = itd_metric(brir, segment_s=None)
     text = json.dumps(payload, indent=2, sort_keys=True)
     (out_dir / "metrics.json").write_text(text + "\n")
     _write_manifest(out_dir, "metrics", args.seed, ["metrics.json"])

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .arrays import FoaSignal, MicArrayGeometry
+from .dsp import refine_peaks
 from .errors import UnsupportedGeometryError
 from .signals import MultichannelIr, StftFrames
 
@@ -133,22 +134,6 @@ class TfDoaField:
                     )
 
 
-def _refine_peaks(corr: np.ndarray) -> np.ndarray:
-    """Vectorized 3-point parabolic peak refinement along the last axis."""
-    peaks = np.argmax(corr, axis=-1)
-    idx = np.indices(peaks.shape)
-    interior = (peaks > 0) & (peaks < corr.shape[-1] - 1)
-    safe = np.where(interior, peaks, 1)
-    y0 = corr[(*idx, safe - 1)]
-    y1 = corr[(*idx, safe)]
-    y2 = corr[(*idx, safe + 1)]
-    denom = y0 - 2.0 * y1 + y2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(np.abs(denom) > 0.0, 0.5 * (y0 - y2) / denom, 0.0)
-    delta = np.clip(np.nan_to_num(delta), -1.0, 1.0)
-    return peaks + np.where(interior, delta, 0.0)
-
-
 def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
                 config: DoaConfig | None = None) -> DoaTrajectory:
     """Per-sample DOA from pairwise TDOAs solved in least squares.
@@ -223,7 +208,7 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
             corr = np.fft.irfft(cross, n=nfft, axis=1)
             ml = max_lags[p]
             lags = np.concatenate([corr[:, nfft - ml :], corr[:, : ml + 1]], axis=1)
-            tdoas[start:stop, p] = (_refine_peaks(lags) - ml) / rate
+            tdoas[start:stop, p] = (refine_peaks(lags) - ml) / rate
 
     slowness = (solver @ (c * tdoas.T)).T  # (n, 3)
     norms = np.linalg.norm(slowness, axis=1)

@@ -116,29 +116,22 @@ def cross_correlate(a: MonoIr, b: MonoIr, max_lag: int) -> np.ndarray:
     return full[center - max_lag : center + max_lag + 1]
 
 
-def parabolic_peak(values: np.ndarray, index: int) -> float:
-    """Refine a discrete peak position by 3-point parabolic interpolation.
-
-    Returns a float index; falls back to the integer position at the array
-    boundary or when the neighborhood is flat.
-    """
-    if index <= 0 or index >= len(values) - 1:
-        return float(index)
-    y0, y1, y2 = values[index - 1], values[index], values[index + 1]
+def refine_peaks(corr: np.ndarray) -> np.ndarray:
+    """Peak positions along the last axis, refined by 3-point parabolic
+    interpolation; a peak at either end or on a flat neighborhood keeps its
+    integer position."""
+    peaks = np.argmax(corr, axis=-1)
+    idx = np.indices(peaks.shape)
+    interior = (peaks > 0) & (peaks < corr.shape[-1] - 1)
+    safe = np.where(interior, peaks, 1)
+    y0 = corr[(*idx, safe - 1)]
+    y1 = corr[(*idx, safe)]
+    y2 = corr[(*idx, safe + 1)]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(index)
-    delta = 0.5 * (y0 - y2) / denom
-    return float(index) + float(np.clip(delta, -1.0, 1.0))
-
-
-def correlation_peak_lag(corr: np.ndarray, max_lag: int, refine: bool = True) -> float:
-    """Lag of the correlation maximum, optionally sub-sample refined."""
-    if len(corr) != 2 * max_lag + 1:
-        raise ValueError("corr length does not match max_lag")
-    peak = int(np.argmax(corr))
-    pos = parabolic_peak(corr, peak) if refine else float(peak)
-    return pos - max_lag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(np.abs(denom) > 0.0, 0.5 * (y0 - y2) / denom, 0.0)
+    delta = np.clip(np.nan_to_num(delta), -1.0, 1.0)
+    return peaks + np.where(interior, delta, 0.0)
 
 
 #: Half-width of the windowed-sinc interpolator used for fractional delays

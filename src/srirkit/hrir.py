@@ -61,11 +61,6 @@ class HrirSet:
             MonoIr(self.right[index], self.sample_rate),
         )
 
-    def nearest_index(self, direction) -> int:
-        u = np.asarray(direction, dtype=np.float64)
-        u = u / np.linalg.norm(u)
-        return int(np.argmax(self.directions @ u))
-
     def nearest_indices(self, directions: np.ndarray) -> np.ndarray:
         dirs = np.asarray(directions, dtype=np.float64)
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -30,6 +30,15 @@ JND = {
     "one_minus_iacc_l3": 0.075,
 }
 
+
+def jnd_threshold(metric: str, reference_value: float) -> float:
+    """Largest error in ``metric`` that passes its JND; the T30 JND is a
+    fraction of the reference value."""
+    if metric == "t30_mid_s":
+        return JND[metric] * reference_value
+    return JND[metric]
+
+
 ILD_SPLIT_HZ = 1500.0
 IACC_MAX_LAG_S = 1e-3
 EARLY_WINDOW_S = 80e-3
@@ -156,7 +165,7 @@ def _iacf_peak(left: np.ndarray, right: np.ndarray, rate: float,
     r_ir = MonoIr(right, rate)
     corr = np.abs(dsp.cross_correlate(l_ir, r_ir, max_lag)) / energy
     peak = int(np.argmax(corr))
-    lag = (dsp.parabolic_peak(corr, peak) if refine else float(peak)) - max_lag
+    lag = (float(dsp.refine_peaks(corr)) if refine else float(peak)) - max_lag
     return float(min(corr[peak], 1.0)), lag / rate
 
 
@@ -271,15 +280,15 @@ def t30_mid(ir: MonoIr | BinauralIr, bands_hz: tuple = T30_BANDS_HZ) -> float:
 
 
 def measure_brir(brir: BinauralIr) -> MetricReport:
-    """Normalize a BRIR and compute the full metric set."""
-    normalized = dsp.normalize_direct_energy(brir)
-    low, high = ild_avg(normalized)
-    e3, l3 = iacc_e3_l3(normalized)
+    """The full metric set of a BRIR. Every metric is invariant to a gain
+    common to both channels, so the BRIR needs no normalization first."""
+    low, high = ild_avg(brir)
+    e3, l3 = iacc_e3_l3(brir)
     return MetricReport(
         ild_low_db=low,
         ild_high_db=high,
-        itd_us=itd(normalized),
-        t30_mid_s=t30_mid(normalized),
+        itd_us=itd(brir),
+        t30_mid_s=t30_mid(brir),
         one_minus_iacc_e3=e3,
         one_minus_iacc_l3=l3,
     )
@@ -299,17 +308,7 @@ def error_summary_paired(systems: list[MetricReport],
         )
         mae[name] = float(np.mean(np.abs(diffs)))
         msd[name] = float(np.mean(diffs))
-        if name == "t30_mid_s":
-            ref_mean = float(np.mean([getattr(r, name) for r in references]))
-            threshold = JND[name] * ref_mean
-        else:
-            threshold = JND[name]
-        jnd_pass[name] = bool(mae[name] <= threshold)
+        ref_mean = float(np.mean([getattr(r, name) for r in references]))
+        jnd_pass[name] = bool(mae[name] <= jnd_threshold(name, ref_mean))
     return ErrorSummary(mae=mae, msd=msd, system_count=len(systems), jnd_pass=jnd_pass)
 
-
-def error_summary(systems: list[MetricReport], reference: MetricReport) -> ErrorSummary:
-    """MAE/MSD of each metric across systems, against one reference."""
-    if not systems:
-        raise ValueError("at least one system report required")
-    return error_summary_paired(systems, [reference] * len(systems))

@@ -158,51 +158,53 @@ class SystemCondition:
             raise ConfigurationError("psi_override must lie in [0, 1]")
 
 
+#: What each pressure source and each analysis reads from an AnalysisInput.
+_NEEDS = {
+    "center-mic": ("srir", "geometry", "center"),
+    "zeroth-order": ("foa",),
+    "channel-average": ("srir",),
+    "tdoa": ("srir", "geometry"),
+    "piv-broadband": ("foa",),
+    "tf-piv": ("foa",),
+}
+_NEED_NAMES = {"srir": "an SRIR", "geometry": "an array geometry",
+               "foa": "a FOA signal", "center": "a center capsule"}
+
+
+def _require(inputs: AnalysisInput, condition: SystemCondition, stage: str) -> None:
+    """Raise ConfigurationError naming the condition when ``stage`` (its
+    pressure source or analysis) lacks an input it reads."""
+    for need in _NEEDS[stage]:
+        if need == "center":
+            missing = inputs.geometry.center_index is None
+        else:
+            missing = getattr(inputs, need) is None
+        if missing:
+            raise ConfigurationError(f"{condition.id}: {stage} needs {_NEED_NAMES[need]}")
+
+
 def _pressure_signal(inputs: AnalysisInput, condition: SystemCondition) -> MonoIr:
     source = condition.pressure_source
+    _require(inputs, condition, source)
     if source == "center-mic":
-        if inputs.srir is None or inputs.geometry is None:
-            raise ConfigurationError(
-                f"{condition.id}: center-mic pressure needs an SRIR with geometry"
-            )
-        if inputs.geometry.center_index is None:
-            raise ConfigurationError(
-                f"{condition.id}: geometry {inputs.geometry.name!r} has no center capsule"
-            )
         return inputs.srir.channels[inputs.geometry.center_index]
     if source == "zeroth-order":
-        if inputs.foa is None:
-            raise ConfigurationError(
-                f"{condition.id}: zeroth-order pressure needs a FOA signal"
-            )
         return inputs.foa.w
-    if inputs.srir is None:
-        raise ConfigurationError(
-            f"{condition.id}: channel-average pressure needs an SRIR"
-        )
     return MonoIr(inputs.srir.as_matrix().mean(axis=0), inputs.srir.sample_rate)
 
 
 def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> DoaTrajectory:
     """Per-sample DOA trajectory for sdm-style synthesis."""
+    _require(inputs, condition, condition.analysis)
     if condition.analysis == "tdoa":
-        if inputs.srir is None or inputs.geometry is None:
-            raise ConfigurationError(
-                f"{condition.id}: tdoa analysis needs an SRIR bound to a geometry"
-            )
         return tdoa_ls_doa(inputs.srir, inputs.geometry, condition.doa_config)
     if condition.analysis == "piv-broadband":
-        if inputs.foa is None:
-            raise ConfigurationError(
-                f"{condition.id}: piv-broadband analysis needs a FOA signal"
-            )
         return piv_broadband_doa(inputs.foa, condition.doa_config)
     raise ConfigurationError(f"{condition.id}: {condition.analysis} has no trajectory")
 
 
 def _tf_field(inputs: AnalysisInput, condition: SystemCondition) -> TfDoaField:
-    if inputs.foa is None:
-        raise ConfigurationError(f"{condition.id}: tf-piv analysis needs a FOA signal")
+    _require(inputs, condition, condition.analysis)
     window = condition.doa_config.window_size
     hop = window // 2
     frames = [stft(ch, window, hop) for ch in
@@ -220,27 +222,23 @@ def validate_condition_inputs(inputs: AnalysisInput, condition: SystemCondition)
     """Raise ConfigurationError (naming the condition and the gap) when the
     inputs lack a channel the condition requires. Cheap; used for pre-flight
     validation before any rendering work starts."""
-    _pressure_signal(inputs, condition)
-    if condition.analysis == "tdoa":
-        if inputs.srir is None or inputs.geometry is None:
-            raise ConfigurationError(
-                f"{condition.id}: tdoa analysis needs an SRIR bound to a geometry"
-            )
-    elif inputs.foa is None:
-        raise ConfigurationError(
-            f"{condition.id}: {condition.analysis} analysis needs a FOA signal"
-        )
+    _require(inputs, condition, condition.pressure_source)
+    _require(inputs, condition, condition.analysis)
 
 
-def run_condition(inputs, condition: SystemCondition,
-                  sample_rate: float = 48000.0, length: int = 14400) -> BinauralIr:
-    """Run one condition end to end, returning the normalized BRIR.
+@dataclass(frozen=True)
+class ConditionResult:
+    """One condition run end to end on one input."""
 
-    ``inputs`` may be a :class:`Scene` (simulated on the fly), a
-    :class:`SceneRendering`, or an :class:`AnalysisInput`.
-    """
-    if isinstance(inputs, Scene):
-        inputs = simulate(inputs, sample_rate, length, hrirs=condition.hrirs)
+    analysis: DoaTrajectory | TfDoaField
+    vls: VirtualLoudspeakerSignals
+    brir: BinauralIr  # direct-energy normalized
+
+
+def run_condition(inputs: AnalysisInput | SceneRendering,
+                  condition: SystemCondition) -> ConditionResult:
+    """Run one condition end to end: analysis, synthesis, binaural rendering
+    and direct-energy normalization."""
     if isinstance(inputs, SceneRendering):
         inputs = inputs.analysis_input
     if not isinstance(inputs, AnalysisInput):
@@ -248,30 +246,26 @@ def run_condition(inputs, condition: SystemCondition,
 
     pressure = _pressure_signal(inputs, condition)
     if condition.synthesis == "sdm":
-        trajectory = analyze_trajectory(inputs, condition)
-        vls = sdm_synthesize(pressure, trajectory, condition.grid, condition.knn)
+        analysis = analyze_trajectory(inputs, condition)
+        vls = sdm_synthesize(pressure, analysis, condition.grid, condition.knn)
     else:
-        field_tf = _tf_field(inputs, condition)
+        analysis = _tf_field(inputs, condition)
         window = condition.doa_config.window_size
         pressure_frames = stft(pressure, window, window // 2)
-        vls = sirr_synthesize(pressure_frames, field_tf, condition.grid, condition.seed)
-    brir = binaural_render(vls, condition.hrirs)
-    return normalize_direct_energy(brir)
+        vls = sirr_synthesize(pressure_frames, analysis, condition.grid, condition.seed)
+    brir = normalize_direct_energy(binaural_render(vls, condition.hrirs))
+    return ConditionResult(analysis, vls, brir)
 
 
-def render_intermediates(inputs, condition: SystemCondition
-                         ) -> tuple[DoaTrajectory | TfDoaField, VirtualLoudspeakerSignals]:
-    """Analysis metadata and loudspeaker signals, for --dump-intermediates."""
-    if isinstance(inputs, SceneRendering):
-        inputs = inputs.analysis_input
-    pressure = _pressure_signal(inputs, condition)
-    if condition.synthesis == "sdm":
-        trajectory = analyze_trajectory(inputs, condition)
-        return trajectory, sdm_synthesize(pressure, trajectory, condition.grid, condition.knn)
-    field_tf = _tf_field(inputs, condition)
-    window = condition.doa_config.window_size
-    pressure_frames = stft(pressure, window, window // 2)
-    return field_tf, sirr_synthesize(pressure_frames, field_tf, condition.grid, condition.seed)
+def ordered_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` workers when above 1.
+
+    Results keep the order of ``items`` whatever the thread count.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -371,7 +365,7 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
     def render(task):
         cond, name = task
         try:
-            return run_condition(run.inputs[name], cond, sample_rate=run.sample_rate)
+            return run_condition(run.inputs[name], cond).brir
         except ConfigurationError:
             raise  # already names the condition
         except Exception as exc:
@@ -379,11 +373,7 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
                 f"condition {cond.id!r} on scene {name!r} failed: {exc}"
             ) from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rendered = list(pool.map(render, tasks))
-    else:
-        rendered = [render(t) for t in tasks]
+    rendered = ordered_map(render, tasks, threads)
 
     reference_reports = {
         name: measure_brir(run.reference_for(name)) for name in scene_names

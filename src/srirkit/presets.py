@@ -66,19 +66,11 @@ def scene(name: str, receiver="ideal-foa", max_order: int = 30) -> Scene:
     )
 
 
-def scene_batch(receiver="ideal-foa", max_order: int = 30) -> dict:
-    return {name: scene(name, receiver, max_order) for name in SCENE_POSITIONS}
-
-
-def default_grid(size: int = DEFAULT_GRID_SIZE) -> LoudspeakerGrid:
-    return fibonacci_grid(size)
-
-
 def default_hrirs(grid: LoudspeakerGrid | None = None,
                   sample_rate: float = DEFAULT_SAMPLE_RATE) -> HrirSet:
     """Synthetic spherical-head HRIRs on the default grid directions."""
     if grid is None:
-        grid = default_grid()
+        grid = fibonacci_grid(DEFAULT_GRID_SIZE)
     return spherical_head_hrir_set(grid.directions, sample_rate=sample_rate)
 
 

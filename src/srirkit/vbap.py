@@ -59,6 +59,13 @@ def _best_triangles(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.n
     return best_idx, best_gains
 
 
+def _clip_normalize(raw: np.ndarray) -> np.ndarray:
+    """Gains clipped at zero and unit-normalized per row (all-zero rows stay zero)."""
+    gains = np.clip(raw, 0.0, None)
+    gnorm = np.linalg.norm(gains, axis=1, keepdims=True)
+    return np.divide(gains, gnorm, out=np.zeros_like(gains), where=gnorm > 0)
+
+
 def vbap_gains(direction, grid: LoudspeakerGrid) -> VbapGains:
     """Gains of the triplet enclosing ``direction``, clipped and unit-normalized."""
     u = np.asarray(direction, dtype=np.float64)
@@ -73,16 +80,14 @@ def vbap_gains(direction, grid: LoudspeakerGrid) -> VbapGains:
         raise NumericalDegeneracyError(
             f"triangle {t} {tuple(grid.triangles[t])} is numerically degenerate"
         )
-    g = raw[0]
-    if g.min() < _NEGATIVE_GAIN_TOL:
+    if raw.min() < _NEGATIVE_GAIN_TOL:
         raise ValueError(
-            f"no triangle encloses direction {u} (best gains {g}); grid does not cover the sphere"
+            f"no triangle encloses direction {u} (best gains {raw[0]}); "
+            "grid does not cover the sphere"
         )
-    g = np.clip(g, 0.0, None)
-    g /= np.linalg.norm(g)
-    speakers = grid.triangles[t]
+    gains = _clip_normalize(raw)[0]
     # Drop numerically-zero entries so vertex hits stay single-speaker.
-    return VbapGains({int(s): float(v) for s, v in zip(speakers, g) if v > 1e-12})
+    return VbapGains({int(s): float(v) for s, v in zip(grid.triangles[t], gains) if v > 1e-12})
 
 
 def vbap_gain_table(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +100,4 @@ def vbap_gain_table(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.n
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
     tri_idx, raw = _best_triangles(dirs, grid)
-    gains = np.clip(raw, 0.0, None)
-    gnorm = np.linalg.norm(gains, axis=1, keepdims=True)
-    gains = np.divide(gains, gnorm, out=np.zeros_like(gains), where=gnorm > 0)
-    return grid.triangles[tri_idx], gains
+    return grid.triangles[tri_idx], _clip_normalize(raw)

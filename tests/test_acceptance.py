@@ -15,7 +15,7 @@ from srirkit.errors import TruncatedResponseWarning
 from srirkit.grids import direction_from_azel, fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.ism import enumerate_images, render_array_srir, render_foa_srir
-from srirkit.metrics import MetricReport, error_summary, iacc, ild_avg, itd, measure_brir, t30_mid
+from srirkit.metrics import MetricReport, error_summary_paired, iacc, ild_avg, itd, measure_brir, t30_mid
 from srirkit.pipelines import (
     ComparisonRun,
     SystemCondition,
@@ -220,8 +220,8 @@ def test_criterion_7_dedicated_pressure_contrast(scene_bundle):
     identical = np.array_equal(traj_a.directions, traj_b.directions) and np.array_equal(
         traj_a.valid, traj_b.valid
     )
-    brir_a = run_condition(rendering, base)
-    brir_b = run_condition(rendering, other)
+    brir_a = run_condition(rendering, base).brir
+    brir_b = run_condition(rendering, other).brir
     spec_a = np.abs(np.fft.rfft(brir_a.left.samples))
     spec_b = np.abs(np.fft.rfft(brir_b.left.samples))
     rel_spec_diff = np.abs(spec_a - spec_b).max() / spec_a.max()
@@ -276,7 +276,7 @@ def test_criterion_8_metric_identities():
             )
             for _ in range(int(gen.integers(1, 9)))
         ]
-        summary = error_summary(systems, ref)
+        summary = error_summary_paired(systems, [ref] * len(systems))
         for name in summary.mae:
             if summary.mae[name] < abs(summary.msd[name]) - 1e-12:
                 violations += 1

@@ -94,7 +94,7 @@ class TestSimulate:
         hrirs = spherical_head_hrir_set(
             fibonacci_grid(64).directions, sample_rate=float(FS)
         )
-        idx = hrirs.nearest_index(np.array([1.0, 0.0, 0.0]))
+        idx = hrirs.nearest_indices(np.array([[1.0, 0.0, 0.0]]))[0]
         dist = 2.5
         expected = np.zeros(data.shape[1])
         from srirkit.dsp import place_fractional_impulses
@@ -140,6 +140,34 @@ class TestRender:
         assert len(rows) - 1 == int(length_s * FS)
         assert (out / "sdm-tdoa_vls.wav").exists()
         assert (out / "sdm-tdoa_grid.csv").exists()
+
+    def test_dump_intermediates_renders_each_condition_once(self, tmp_path, monkeypatch):
+        from srirkit import pipelines
+
+        calls = {"sdm": 0, "sirr": 0}
+        for kind in calls:
+            original = getattr(pipelines, f"{kind}_synthesize")
+
+            def counted(*args, _kind=kind, _original=original, **kwargs):
+                calls[_kind] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipelines, f"{kind}_synthesize", counted)
+        cfg = _write_config(tmp_path, "render.json", {
+            **_sim_config(),
+            "conditions": [
+                {"id": "sdm-tdoa", "analysis": "tdoa",
+                 "pressure_source": "channel-average", "synthesis": "sdm"},
+                {"id": "sirr", "analysis": "tf-piv",
+                 "pressure_source": "zeroth-order", "synthesis": "sirr"},
+            ],
+        })
+        out = tmp_path / "r"
+        assert main(["render", "--config", cfg, "--output", str(out),
+                     "--dump-intermediates"]) == 0
+        assert calls == {"sdm": 1, "sirr": 1}
+        assert (out / "sdm-tdoa_trajectory.csv").exists()
+        assert (out / "sirr_tf_field.csv").exists()
 
     def test_piv_without_foa_exits_2_naming_condition(self, tmp_path, sim_dir, capsys):
         cfg = _write_config(tmp_path, "render.json", {

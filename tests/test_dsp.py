@@ -146,7 +146,7 @@ class TestCrossCorrelate:
         a = MonoIr(_sinc_delay(512, 100.0), FS)
         b = MonoIr(_sinc_delay(512, 100.5), FS)
         corr = dsp.cross_correlate(a, b, 10)
-        lag = dsp.correlation_peak_lag(corr, 10, refine=True)
+        lag = dsp.refine_peaks(corr) - 10
         assert lag == pytest.approx(0.5, abs=0.05)
 
     def test_invalid_arguments(self):

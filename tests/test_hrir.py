@@ -39,8 +39,8 @@ class TestSphericalHeadModel:
     def test_nearest_index(self):
         dirs = fibonacci_grid(32).directions
         hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
-        for i in (0, 7, 31):
-            assert hrirs.nearest_index(dirs[i]) == i
+        picks = [0, 7, 31]
+        assert list(hrirs.nearest_indices(dirs[picks])) == picks
 
 
 class TestHrirSetValidation:

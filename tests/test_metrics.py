@@ -231,7 +231,7 @@ class TestErrorSummary:
 
     def test_identical_systems_zero_errors(self):
         ref = self._report()
-        summary = metrics.error_summary([ref, ref, ref], ref)
+        summary = metrics.error_summary_paired([ref, ref, ref], [ref] * 3)
         assert all(v == 0.0 for v in summary.mae.values())
         assert all(v == 0.0 for v in summary.msd.values())
         assert all(summary.jnd_pass.values())
@@ -239,7 +239,7 @@ class TestErrorSummary:
     def test_constant_offset(self):
         ref = self._report()
         systems = [self._report(itd_us=100.0 + 25.0) for _ in range(4)]
-        summary = metrics.error_summary(systems, ref)
+        summary = metrics.error_summary_paired(systems, [ref] * len(systems))
         assert summary.mae["itd_us"] == pytest.approx(25.0)
         assert summary.msd["itd_us"] == pytest.approx(25.0)
         assert summary.jnd_pass["itd_us"]  # 25 < 40 us JND
@@ -247,13 +247,13 @@ class TestErrorSummary:
     def test_positive_t30_bias_detected(self):
         ref = self._report()
         systems = [self._report(t30_mid_s=0.25 + d) for d in (0.01, 0.03, 0.05)]
-        summary = metrics.error_summary(systems, ref)
+        summary = metrics.error_summary_paired(systems, [ref] * len(systems))
         assert summary.msd["t30_mid_s"] > 0.0
         assert not summary.jnd_pass["t30_mid_s"]  # mean 30 ms > 5% of 0.25 s
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            metrics.error_summary([], self._report())
+            metrics.error_summary_paired([], [])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31), count=st.integers(1, 8))
@@ -268,13 +268,13 @@ class TestErrorSummary:
             )
             for _ in range(count)
         ]
-        summary = metrics.error_summary(systems, ref)
+        summary = metrics.error_summary_paired(systems, [ref] * len(systems))
         for name in summary.mae:
             assert summary.mae[name] >= abs(summary.msd[name]) - 1e-12
 
     def test_json_and_csv(self, tmp_path):
         ref = self._report()
-        summary = metrics.error_summary([self._report(itd_us=90.0)], ref)
+        summary = metrics.error_summary_paired([self._report(itd_us=90.0)], [ref])
         data = json.loads(summary.to_json())
         assert set(data) == {"system_count", "mae", "msd", "jnd_pass"}
         path = tmp_path / "summary.csv"
@@ -287,11 +287,12 @@ class TestErrorSummary:
 class TestMeasureBrir:
     def test_common_gain_invariance(self, rng):
         brir = _impulse_brir(rng, right_gain=0.7, itd_samples=4)
-        scaled = BinauralIr(brir.left.scaled(12.0), brir.right.scaled(12.0))
         a = metrics.measure_brir(brir)
-        b = metrics.measure_brir(scaled)
-        for name in metrics.MetricReport.metric_names():
-            assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
+        for gain in (12.0, 1e-3, 1e3):
+            scaled = BinauralIr(brir.left.scaled(gain), brir.right.scaled(gain))
+            b = metrics.measure_brir(scaled)
+            for name in metrics.MetricReport.metric_names():
+                assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
 
     def test_normalization_does_not_alter_ild_itd(self, rng):
         brir = _impulse_brir(rng, right_gain=0.5, itd_samples=6)
