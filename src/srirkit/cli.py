@@ -94,10 +94,12 @@ def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
         length = int(round(float(cfg.get("length_s", 0.4)) * rate))
         return sc, rate, length
     if "scene_json" in cfg:
-        sc, rate, length = scene_from_json(_existing(cfg["scene_json"], where), receiver)
-        rate = float(cfg.get("sample_rate", rate))
+        sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where), receiver)
+        rate = float(cfg.get("sample_rate", file_rate))
         if "length_s" in cfg:
             length = int(round(float(cfg["length_s"]) * rate))
+        else:  # keep the file's duration at the new rate
+            length = int(round(length * rate / file_rate))
         return sc, rate, length
     raise ConfigurationError(f"{where}: need scene_preset or scene_json")
 
@@ -260,10 +262,12 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
 
 
 def _compare_rows(batch: list, where: str) -> tuple[list, list, list]:
+    """Per system: its (condition, scene) name, its BRIR and the resolved
+    path of its reference WAV."""
     names, systems, references = [], [], []
     for i, entry in enumerate(batch):
         _check_keys(entry, f"{where}[{i}]", {"reference_wav", "systems"}, {"scene"})
-        ref = _read_brir(entry["reference_wav"], where)
+        ref = _existing(entry["reference_wav"], where).resolve()
         for sys_entry in entry["systems"]:
             _check_keys(sys_entry, f"{where}[{i}].systems", {"id", "brir_wav"})
             names.append((str(sys_entry["id"]), str(entry.get("scene", i))))
@@ -282,18 +286,17 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
     if not batch:
         raise ConfigurationError("compare: nothing to compare")
 
-    names, system_brirs, reference_brirs = _compare_rows(batch, "compare.batch")
+    names, system_brirs, reference_paths = _compare_rows(batch, "compare.batch")
     if not names:
         raise ConfigurationError("compare: at least one system is required")
 
-    ref_cache: dict[int, MetricReport] = {}
-    sys_reports, ref_reports = [], []
-    for brir, ref in zip(system_brirs, reference_brirs):
-        sys_reports.append(measure_brir(brir))
-        key = id(ref)
-        if key not in ref_cache:
-            ref_cache[key] = measure_brir(ref)
-        ref_reports.append(ref_cache[key])
+    # Each distinct reference file is read and measured once.
+    ref_cache = {
+        path: measure_brir(_read_brir(path, "compare.batch"))
+        for path in dict.fromkeys(reference_paths)
+    }
+    sys_reports = [measure_brir(brir) for brir in system_brirs]
+    ref_reports = [ref_cache[path] for path in reference_paths]
 
     by_condition: dict[str, list[int]] = {}
     for i, (cond_id, _) in enumerate(names):

@@ -146,29 +146,30 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
 
     Each impulse is a Kaiser-windowed sinc with the window tracking the sinc
     peak, so arrival times stay sub-sample exact and an integer delay
-    reduces to an exact unit impulse. Impulses whose support does not fit
-    inside ``out`` are dropped; the return value counts how many were
-    truncated.
+    reduces to an exact unit impulse. ``out`` is (n,) with ``amplitudes``
+    (k,), or (channels, n) with ``amplitudes`` (channels, k): the channels
+    share the k arrival times and each arrival's kernel is built once.
+    Arrivals whose support does not fit inside ``out`` are dropped before
+    any kernel is built; the return value counts them.
     """
     delays = np.asarray(delays_samples, dtype=np.float64)
-    amps = np.asarray(amplitudes, dtype=np.float64)
     half = FRACTIONAL_DELAY_HALF
     base = np.floor(delays).astype(np.int64)
-    frac = delays - base
+    fits = (base >= half) & (base + half < out.shape[-1])
+    base = base[fits]
+    frac = delays[fits] - base
     offsets = np.arange(-half, half + 1)
-    idx = base[:, None] + offsets[None, :]
     v = offsets[None, :] - frac[:, None]
     arg = 1.0 - (v / half) ** 2
     window = np.where(
         arg > 0.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(arg, 0.0))), 0.0
     ) / np.i0(_KAISER_BETA)
-    values = np.sinc(v) * window * amps[:, None]
-
-    inside = (idx >= 0) & (idx < out.size)
-    complete = inside.all(axis=1)
-    keep = inside & complete[:, None]
-    np.add.at(out, idx[keep], values[keep])
-    return int(np.count_nonzero(~complete))
+    kernels = np.sinc(v) * window
+    idx = (base[:, None] + offsets[None, :]).ravel()
+    amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64)[..., fits])
+    for channel, channel_amps in zip(np.atleast_2d(out), amps):
+        np.add.at(channel, idx, (kernels * channel_amps[:, None]).ravel())
+    return int(fits.size - np.count_nonzero(fits))
 
 
 def detect_onset(brir: BinauralIr, threshold_db: float = ONSET_THRESHOLD_DB) -> int:

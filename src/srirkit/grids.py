@@ -11,14 +11,21 @@ from scipy.spatial import ConvexHull
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
+#: Dot products per block in :func:`nearest_directions` (8 MB). Blocks near
+#: 32 MiB would raise glibc's mmap threshold when freed, keeping later arrays
+#: on the heap (about 38 MB more peak RSS on the canonical scene).
+_NEAREST_BLOCK_ENTRIES = 1_000_000
 
-def _check_unit(directions: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+
+def _check_unit(directions, tol: float = 1e-9) -> np.ndarray:
+    """``directions`` as a float (n, 3) array; raises unless every row has a
+    finite norm within ``tol`` of 1."""
     dirs = np.asarray(directions, dtype=np.float64)
     if dirs.ndim != 2 or dirs.shape[1] != 3:
         raise ValueError(f"directions must be (n, 3), got {dirs.shape}")
     norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > tol):
-        raise ValueError("all grid directions must be unit vectors")
+    if not np.all(np.abs(norms - 1.0) <= tol):  # also false for NaN and inf
+        raise ValueError("directions must be unit vectors")
     return dirs
 
 
@@ -91,21 +98,47 @@ def fibonacci_grid(n: int) -> LoudspeakerGrid:
     return grid_from_directions(dirs)
 
 
-def nearest_direction(direction, grid: LoudspeakerGrid, k: int = 1) -> list[int]:
-    """Indices of the k grid directions closest in angle, nearest first.
+def nearest_directions(queries: np.ndarray, table: np.ndarray,
+                       k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The k ``table`` directions closest in angle to each query.
 
-    Ties break deterministically toward the lower index.
+    Returns ``(indices, angles)``, both (n, k), nearest first, angles in
+    radians. Closeness is the largest dot product; ties go to the lower
+    table index, so symmetric layouts resolve deterministically. Inputs are
+    taken as unit vectors unchecked; dot products are formed in row blocks,
+    so memory stays bounded for dense tables.
     """
-    if not 1 <= k <= len(grid):
-        raise ValueError(f"k must be in [1, {len(grid)}], got {k}")
-    u = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(u)
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-        raise ValueError("direction must be a unit vector")
-    u = u / norm
-    angles = np.arccos(np.clip(grid.directions @ u, -1.0, 1.0))
-    order = np.argsort(angles, kind="stable")
-    return [int(j) for j in order[:k]]
+    queries = np.asarray(queries, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
+    if not 1 <= k <= table.shape[0]:
+        raise ValueError(f"k must be in [1, {table.shape[0]}], got {k}")
+    indices = np.empty((queries.shape[0], k), dtype=np.intp)
+    dots = np.empty((queries.shape[0], k))
+    rows = max(1, _NEAREST_BLOCK_ENTRIES // table.shape[0])
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start : start + rows] @ table.T
+        if k == 1:
+            idx = np.argmax(block, axis=1)[:, None]
+        else:
+            idx = np.argpartition(block, -k, axis=1)[:, -k:]
+            # argpartition splits a tie at the k-th largest dot arbitrarily;
+            # rows with such a tie are redone by a stable sort.
+            kth = np.take_along_axis(block, idx, axis=1).min(axis=1, keepdims=True)
+            tied = np.count_nonzero(block >= kth, axis=1) > k
+            idx[tied] = np.argsort(-block[tied], axis=1, kind="stable")[:, :k]
+            top = np.take_along_axis(block, idx, axis=1)
+            idx = np.take_along_axis(idx, np.lexsort((idx, -top)), axis=1)
+        indices[start : start + rows] = idx
+        dots[start : start + rows] = np.take_along_axis(block, idx, axis=1)
+    return indices, np.arccos(np.clip(dots, -1.0, 1.0))
+
+
+def nearest_direction(direction, grid: LoudspeakerGrid, k: int = 1) -> list[int]:
+    """Indices of the k grid directions closest in angle to one unit
+    ``direction``, nearest first, ties toward the lower index."""
+    u = _check_unit([direction], tol=1e-6)
+    u = u / np.linalg.norm(u)
+    return nearest_directions(u, grid.directions, k)[0][0].tolist()
 
 
 def angular_distance(a, b) -> float:

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import place_fractional_impulses
-from .grids import direction_from_azel
-from .signals import BinauralIr, MonoIr
+from .dsp import FRACTIONAL_DELAY_HALF, place_fractional_impulses
+from .grids import _check_unit, direction_from_azel, nearest_directions
 from . import wavio
+
+#: Directions closer than this (dot product above 1 - 1e-12) count as duplicates.
+_DISTINCT_ANGLE = np.arccos(1.0 - 1e-12)
 
 
 @dataclass(frozen=True)
@@ -26,24 +28,18 @@ class HrirSet:
     sample_rate: float
 
     def __post_init__(self):
-        dirs = np.asarray(self.directions, dtype=np.float64)
+        dirs = _check_unit(self.directions, tol=1e-6)
         left = np.asarray(self.left, dtype=np.float64)
         right = np.asarray(self.right, dtype=np.float64)
-        if dirs.ndim != 2 or dirs.shape[1] != 3:
-            raise ValueError(f"directions must be (n, 3), got {dirs.shape}")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError("HRIR directions must be unit vectors")
         if left.shape != right.shape or left.shape[0] != dirs.shape[0]:
             raise ValueError("left/right arrays must be (n, taps) matching directions")
         if not self.sample_rate > 0:
             raise ValueError("sample_rate must be > 0")
-        # Duplicate directions would make nearest-direction lookups ambiguous.
-        gram = np.clip(dirs @ dirs.T, -1.0, 1.0)
-        np.fill_diagonal(gram, -1.0)
-        if gram.max() > 1.0 - 1e-12:
+        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        # Duplicate directions would make nearest-direction lookups ambiguous;
+        # each direction's second-nearest is its closest other direction.
+        if len(dirs) > 1 and nearest_directions(dirs, dirs, k=2)[1][:, 1].min() < _DISTINCT_ANGLE:
             raise ValueError("HRIR directions must be distinct")
-        dirs = dirs / norms[:, None]
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
@@ -54,17 +50,6 @@ class HrirSet:
     @property
     def length(self) -> int:
         return int(self.left.shape[1])
-
-    def pair(self, index: int) -> BinauralIr:
-        return BinauralIr(
-            MonoIr(self.left[index], self.sample_rate),
-            MonoIr(self.right[index], self.sample_rate),
-        )
-
-    def nearest_indices(self, directions: np.ndarray) -> np.ndarray:
-        dirs = np.asarray(directions, dtype=np.float64)
-        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        return np.argmax(dirs @ self.directions.T, axis=1)
 
 
 _EAR_AXIS_LEFT = np.array([0.0, 1.0, 0.0])
@@ -95,17 +80,23 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     base_delay_s = 0.8e-3
     c = 343.0
 
-    out = {}
-    for side, axis in (("left", _EAR_AXIS_LEFT), ("right", -_EAR_AXIS_LEFT)):
+    delays, gains = [], []
+    for axis in (_EAR_AXIS_LEFT, -_EAR_AXIS_LEFT):
         cos_theta = dirs @ axis
-        delays = (base_delay_s + _woodworth_delay(cos_theta, head_radius, c)) * sample_rate
-        gains = shadow_floor + (1.0 - shadow_floor) * 0.5 * (1.0 + cos_theta)
-        bank = np.zeros((dirs.shape[0], length))
+        delays.append((base_delay_s + _woodworth_delay(cos_theta, head_radius, c)) * sample_rate)
+        gains.append(shadow_floor + (1.0 - shadow_floor) * 0.5 * (1.0 + cos_theta))
+    need = int(np.floor(max(d.max() for d in delays))) + FRACTIONAL_DELAY_HALF + 1
+    if length < need:
+        raise ValueError(
+            f"length {length} cuts off HRIR impulses; the shortest length "
+            f"that holds every impulse is {need}"
+        )
+    banks = np.zeros((2, dirs.shape[0], length))
+    for bank, ear_delays, ear_gains in zip(banks, delays, gains):
         for i in range(dirs.shape[0]):
-            place_fractional_impulses(bank[i], delays[i : i + 1], gains[i : i + 1])
-        out[side] = bank
+            place_fractional_impulses(bank[i], ear_delays[i : i + 1], ear_gains[i : i + 1])
 
-    return HrirSet(dirs, out["left"], out["right"], sample_rate)
+    return HrirSet(dirs, banks[0], banks[1], sample_rate)
 
 
 def load_hrir_set(index_path, wav_path=None) -> HrirSet:

@@ -21,6 +21,7 @@ from scipy import signal as sps
 from .arrays import FoaSignal, MicArrayGeometry
 from .dsp import place_fractional_impulses
 from .errors import TruncatedResponseWarning
+from .grids import nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, MonoIr, MultichannelIr
 
@@ -211,23 +212,12 @@ def render_foa_srir(images: ImageSourceList, sample_rate: float, length: int) ->
     w collects each image's pressure impulse; x, y, z weight it by the
     toward-image direction components.
     """
-    delays = images.delays * sample_rate
-    w = np.zeros(length)
-    truncated = place_fractional_impulses(w, delays, images.amplitudes)
-    dipoles = []
-    for axis in range(3):
-        ch = np.zeros(length)
-        place_fractional_impulses(
-            ch, delays, images.amplitudes * images.directions[:, axis]
-        )
-        dipoles.append(ch)
+    # One (4, k) amplitude matrix, so each arrival's kernel is built once.
+    amps = images.amplitudes * np.vstack([np.ones(len(images)), images.directions.T])
+    out = np.zeros((4, length))
+    truncated = place_fractional_impulses(out, images.delays * sample_rate, amps)
     _warn_truncated(truncated, "FOA SRIR")
-    return FoaSignal(
-        w=MonoIr(w, sample_rate),
-        x=MonoIr(dipoles[0], sample_rate),
-        y=MonoIr(dipoles[1], sample_rate),
-        z=MonoIr(dipoles[2], sample_rate),
-    )
+    return FoaSignal(*(MonoIr(ch, sample_rate) for ch in out))
 
 
 def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
@@ -242,7 +232,7 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
         raise ValueError(
             f"HRIR sample rate {hrirs.sample_rate} != render rate {sample_rate}"
         )
-    matches = hrirs.nearest_indices(images.directions)
+    matches = nearest_directions(images.directions, hrirs.directions)[0][:, 0]
     delays = images.delays * sample_rate
     out_len = length + hrirs.length - 1
     left = np.zeros(out_len)

@@ -146,9 +146,6 @@ class StftFrames:
     def bin_count(self) -> int:
         return int(self.values.shape[1])
 
-    def bin_frequencies(self) -> np.ndarray:
-        return np.fft.rfftfreq(self.window_size, d=1.0 / self.sample_rate)
-
     def same_layout(self, other: "StftFrames") -> bool:
         return (
             self.values.shape == other.values.shape

@@ -12,12 +12,14 @@ from scipy import signal as sps
 from .doa import DoaTrajectory, TfDoaField
 from .dsp import istft
 from .errors import MissingHrirError
-from .grids import LoudspeakerGrid
+from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, MonoIr, StftFrames
 from .vbap import vbap_gain_table
 
 DECORRELATOR_TAPS = 1024
+#: Largest angle between a loudspeaker and the HRIR that renders it.
+MAX_HRIR_ANGLE_DEG = 1.0
 _FRONTAL = np.array([1.0, 0.0, 0.0])
 
 
@@ -41,9 +43,6 @@ class VirtualLoudspeakerSignals:
             raise ValueError("sample_rate must be > 0")
         object.__setattr__(self, "samples", samples)
 
-    def signal(self, index: int) -> MonoIr:
-        return MonoIr(self.samples[index], self.sample_rate)
-
 
 def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
                    grid: LoudspeakerGrid, k: int = 1) -> VirtualLoudspeakerSignals:
@@ -61,42 +60,24 @@ def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
         raise ValueError(
             f"trajectory length {len(trajectory)} does not match pressure ({n})"
         )
-    if not 1 <= k <= len(grid):
-        raise ValueError(f"k must be in [1, {len(grid)}], got {k}")
 
-    speakers = grid.directions  # (L, 3)
-    frontal_idx = int(np.argmax(speakers @ _FRONTAL))
-
-    dots = trajectory.directions @ speakers.T  # (n, L); zeros rows where invalid
-    if k == 1:
-        assign = np.argmax(dots, axis=1)
-        assign[~trajectory.valid] = -1
-        assign = _forward_fill(assign, frontal_idx)
-        out = np.zeros((len(grid), n))
-        out[assign, np.arange(n)] = pressure.samples
-        return VirtualLoudspeakerSignals(grid, out, pressure.sample_rate)
-
-    top = np.argpartition(-dots, k - 1, axis=1)[:, :k]  # (n, k), unordered
-    angles = np.arccos(np.clip(np.take_along_axis(dots, top, axis=1), -1.0, 1.0))
+    frontal_idx = int(nearest_directions(_FRONTAL[None, :], grid.directions)[0][0, 0])
+    top, angles = nearest_directions(trajectory.directions, grid.directions, k)
     with np.errstate(divide="ignore"):
         weights = 1.0 / angles
     exact = ~np.isfinite(weights)
     has_exact = exact.any(axis=1)
     weights[has_exact] = exact[has_exact].astype(float)
-    weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+    weights /= np.linalg.norm(weights, axis=1, keepdims=True)  # exactly 1 for k=1
 
-    fill_from = _forward_fill(
-        np.where(trajectory.valid, np.arange(n), -1), -1
-    )
+    # Invalid samples take the picks of the most recent valid one, or the
+    # frontal loudspeaker alone before the first.
+    fill_from = _forward_fill(np.where(trajectory.valid, np.arange(n), -1), -1)
+    top, weights = top[fill_from], weights[fill_from]
+    top[fill_from < 0] = frontal_idx
+    weights[fill_from < 0] = np.eye(1, k)
     out = np.zeros((len(grid), n))
-    for slot in range(k):
-        idx = np.where(fill_from >= 0, top[np.clip(fill_from, 0, None), slot], frontal_idx)
-        w = np.where(
-            fill_from >= 0,
-            weights[np.clip(fill_from, 0, None), slot],
-            1.0 if slot == 0 else 0.0,
-        )
-        np.add.at(out, (idx, np.arange(n)), w * pressure.samples)
+    np.add.at(out, (top, np.arange(n)[:, None]), weights * pressure.samples[:, None])
     return VirtualLoudspeakerSignals(grid, out, pressure.sample_rate)
 
 
@@ -195,11 +176,10 @@ def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
     return VirtualLoudspeakerSignals(grid, out, field.sample_rate)
 
 
-def binaural_render(vls: VirtualLoudspeakerSignals, hrirs: HrirSet,
-                    max_angle_deg: float = 1.0) -> BinauralIr:
+def binaural_render(vls: VirtualLoudspeakerSignals, hrirs: HrirSet) -> BinauralIr:
     """Convolve every loudspeaker signal with its matching HRIR pair and sum.
 
-    Every grid direction must have an HRIR within ``max_angle_deg``;
+    Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
     offenders are reported together. Summation runs in ascending
     loudspeaker order for bit-exact reproducibility.
     """
@@ -207,10 +187,9 @@ def binaural_render(vls: VirtualLoudspeakerSignals, hrirs: HrirSet,
         raise ValueError(
             f"sample-rate mismatch: signals {vls.sample_rate}, HRIRs {hrirs.sample_rate}"
         )
-    matches = hrirs.nearest_indices(vls.grid.directions)
-    cosines = np.einsum("ij,ij->i", vls.grid.directions, hrirs.directions[matches])
-    angles = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
-    offenders = np.nonzero(angles > max_angle_deg)[0]
+    matches, angles = nearest_directions(vls.grid.directions, hrirs.directions)
+    matches = matches[:, 0]
+    offenders = np.nonzero(np.degrees(angles[:, 0]) > MAX_HRIR_ANGLE_DEG)[0]
     if offenders.size:
         raise MissingHrirError(offenders.tolist())
 

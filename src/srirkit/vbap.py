@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .grids import LoudspeakerGrid
+from .grids import LoudspeakerGrid, _check_unit
 
 _NEGATIVE_GAIN_TOL = -1e-6
 _DEGENERATE_DET = 1e-9
@@ -29,12 +29,6 @@ class VbapGains:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"gain vector norm {norm} != 1")
         object.__setattr__(self, "gains", g)
-
-    def as_vector(self, size: int) -> np.ndarray:
-        out = np.zeros(size)
-        for i, v in self.gains.items():
-            out[i] = v
-        return out
 
 
 def _best_triangles(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -68,11 +62,8 @@ def _clip_normalize(raw: np.ndarray) -> np.ndarray:
 
 def vbap_gains(direction, grid: LoudspeakerGrid) -> VbapGains:
     """Gains of the triplet enclosing ``direction``, clipped and unit-normalized."""
-    u = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(u)
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-        raise ValueError("direction must be a unit vector")
-    u = u / norm
+    u = _check_unit([direction], tol=1e-6)[0]
+    u = u / np.linalg.norm(u)
 
     tri_idx, raw = _best_triangles(u[None, :], grid)
     t = int(tri_idx[0])

@@ -88,13 +88,13 @@ class TestSimulate:
         data, rate = wavio.read_wav(out / "reference_brir.wav")
         assert rate == FS
         # direct path: 2.5 m -> 349.85 samples, 1/r scale
-        from srirkit.grids import fibonacci_grid
+        from srirkit.grids import fibonacci_grid, nearest_directions
         from srirkit.hrir import spherical_head_hrir_set
 
         hrirs = spherical_head_hrir_set(
             fibonacci_grid(64).directions, sample_rate=float(FS)
         )
-        idx = hrirs.nearest_indices(np.array([[1.0, 0.0, 0.0]]))[0]
+        idx = nearest_directions(np.array([[1.0, 0.0, 0.0]]), hrirs.directions)[0][0, 0]
         dist = 2.5
         expected = np.zeros(data.shape[1])
         from srirkit.dsp import place_fractional_impulses
@@ -107,6 +107,27 @@ class TestSimulate:
         expected[: full.size] = full
         # float32 storage quantizes around 1e-7 absolute
         assert np.abs(data[0] - expected).max() < 1e-5
+
+    def test_scene_json_rate_override_keeps_duration(self, tmp_path):
+        scene = {
+            "room": {"dimensions": [6.0, 5.0, 3.2], "reflection_coefficients": [0.8] * 6,
+                     "max_order": 0},
+            "source": [5.0, 2.5, 1.5],
+            "receiver_origin": [2.5, 2.5, 1.5],
+            "receiver": {"kind": "array", "name": "om6"},
+            "sample_rate": 48000.0,
+            "length": 19200,
+        }
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        cfg = _write_config(tmp_path, "sim.json", {
+            "scene_json": str(scene_path), "sample_rate": 24000, "grid_size": 32,
+        })
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        data, rate = wavio.read_wav(out / "srir.wav")
+        assert rate == 24000
+        assert data.shape[1] == 9600  # still 0.4 s
 
 
 class TestRender:
@@ -255,6 +276,29 @@ class TestCompare:
                 for r in report["rows"]
             ]
             assert value == pytest.approx(np.mean(per_row), abs=1e-12)
+
+    def test_shared_reference_is_measured_once(self, tmp_path, sim_dir, monkeypatch):
+        from srirkit import cli
+
+        calls = []
+        original = cli.measure_brir
+
+        def counted(brir):
+            calls.append(brir)
+            return original(brir)
+
+        monkeypatch.setattr(cli, "measure_brir", counted)
+        ref = sim_dir / "reference_brir.wav"
+        # The same file under two spellings of its path.
+        spellings = [str(ref), str(sim_dir / ".." / sim_dir.name / ref.name), str(ref)]
+        batch = [
+            {"scene": f"s{i}", "reference_wav": path,
+             "systems": [{"id": "sys", "brir_wav": str(ref)}]}
+            for i, path in enumerate(spellings)
+        ]
+        cfg = _write_config(tmp_path, "cmp.json", {"batch": batch})
+        assert main(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 0
+        assert len(calls) == 4  # three systems and one reference
 
     def test_unreadable_wav_exits_nonzero_with_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"

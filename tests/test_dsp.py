@@ -239,3 +239,17 @@ def test_place_fractional_impulses_counts_truncated():
     out = np.zeros(64)
     n = dsp.place_fractional_impulses(out, np.array([30.0, 500.0]), np.ones(2))
     assert n == 1
+
+
+def test_place_fractional_impulses_channels_match_single_calls(rng):
+    delays = np.array([3.0, 20.25, 40.7, 60.0])  # the first and last do not fit
+    amps = rng.normal(size=(3, 4))
+    out = np.zeros((3, 64))
+    assert dsp.place_fractional_impulses(out, delays, amps) == 2
+    for channel, channel_amps in zip(out, amps):
+        single = np.zeros(64)
+        dsp.place_fractional_impulses(single, delays, channel_amps)
+        np.testing.assert_array_equal(channel, single)
+    untouched = np.full((2, 16), 7.0)
+    assert dsp.place_fractional_impulses(untouched, delays, amps[:2]) == 4
+    assert np.all(untouched == 7.0)

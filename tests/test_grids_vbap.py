@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srirkit import grids
 from srirkit.errors import NumericalDegeneracyError
 from srirkit.grids import (
     LoudspeakerGrid,
@@ -11,6 +14,7 @@ from srirkit.grids import (
     grid_from_directions,
     load_grid_csv,
     nearest_direction,
+    nearest_directions,
     save_grid_csv,
 )
 from srirkit.vbap import VbapGains, vbap_gain_table, vbap_gains
@@ -66,6 +70,13 @@ class TestFibonacciGrid:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fibonacci_grid(3)
+
+    def test_nan_direction_rejected(self):
+        grid = fibonacci_grid(8)
+        dirs = grid.directions.copy()
+        dirs[2] = np.nan
+        with pytest.raises(ValueError, match="unit vectors"):
+            LoudspeakerGrid(dirs, grid.triangles)
 
 
 class TestVbap:
@@ -206,6 +217,49 @@ class TestNearestDirection:
             nearest_direction(grid.directions[0], grid, k=0)
         with pytest.raises(ValueError):
             nearest_direction(grid.directions[0], grid, k=11)
+
+
+class TestNearestDirections:
+    # A ring at azimuth +-45 and +-135 degrees, then the two poles.
+    C = np.sqrt(0.5)
+    RING = np.array([[C, C, 0.0], [C, -C, 0.0], [-C, C, 0.0], [-C, -C, 0.0],
+                     [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        front = np.array([[1.0, 0.0, 0.0]])
+        idx, angles = nearest_directions(front, self.RING, k=1)
+        assert idx.tolist() == [[0]]
+        assert angles[0, 0] == pytest.approx(np.pi / 4, abs=1e-12)
+        idx, _ = nearest_directions(front, self.RING, k=2)
+        assert idx.tolist() == [[0, 1]]
+        idx, _ = nearest_directions(front, self.RING, k=4)
+        assert idx.tolist() == [[0, 1, 4, 5]]  # poles (dot 0) before the back pair
+        # Four ring entries tie for second place; the lower two are taken.
+        idx, _ = nearest_directions(np.array([[0.0, 0.0, 1.0]]), self.RING, k=3)
+        assert idx.tolist() == [[4, 0, 1]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 9),
+        n=st.integers(1, 12),
+        block=st.integers(1, 30),
+    )
+    def test_matches_stable_argsort_across_blocks(self, data, m, n, block):
+        # Integer components make every dot product exact, so ties are
+        # exact (and frequent) whatever order the product is summed in.
+        vec = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+        table = np.array(data.draw(st.lists(vec, min_size=m, max_size=m)), dtype=float)
+        queries = np.array(data.draw(st.lists(vec, min_size=n, max_size=n)), dtype=float)
+        k = data.draw(st.integers(1, m))
+        with mock.patch.object(grids, "_NEAREST_BLOCK_ENTRIES", block):
+            idx, angles = nearest_directions(queries, table, k)
+        dots = queries @ table.T
+        expected = np.argsort(-dots, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(idx, expected)
+        np.testing.assert_array_equal(
+            angles, np.arccos(np.clip(np.take_along_axis(dots, expected, 1), -1.0, 1.0))
+        )
 
 
 class TestGridIo:

@@ -1,8 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from srirkit import wavio
-from srirkit.grids import fibonacci_grid
+from srirkit.grids import fibonacci_grid, nearest_directions
 from srirkit.hrir import HrirSet, load_hrir_set, spherical_head_hrir_set
 
 FS = 48000.0
@@ -40,13 +43,43 @@ class TestSphericalHeadModel:
         dirs = fibonacci_grid(32).directions
         hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         picks = [0, 7, 31]
-        assert list(hrirs.nearest_indices(dirs[picks])) == picks
+        idx, _ = nearest_directions(dirs[picks], hrirs.directions)
+        assert idx[:, 0].tolist() == picks
+
+    def test_too_short_length_names_the_shortest_that_fits(self):
+        az = np.radians([0.0, 60.0, 120.0, 180.0, -120.0, -60.0])
+        dirs = np.stack([np.cos(az), np.sin(az), np.zeros(6)], axis=1)
+        with pytest.raises(ValueError, match="shortest length") as info:
+            spherical_head_hrir_set(dirs, sample_rate=FS, length=64)
+        need = int(re.search(r"is (\d+)", str(info.value)).group(1))
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=need)
+        assert np.all(np.abs(hrirs.left).max(axis=1) > 0)
+        assert np.all(np.abs(hrirs.right).max(axis=1) > 0)
+        with pytest.raises(ValueError):
+            spherical_head_hrir_set(dirs, sample_rate=FS, length=need - 1)
 
 
 class TestHrirSetValidation:
     def test_duplicate_directions_rejected(self):
         dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
+            HrirSet(dirs, np.zeros((2, 8)), np.zeros((2, 8)), FS)
+
+    def test_dense_set_builds_in_bounded_memory(self):
+        # A duplicate check through the full n x n Gram matrix needs 2.3 GB here.
+        dirs = fibonacci_grid(12000).directions
+        taps = np.zeros((len(dirs), 128))
+        tracemalloc.start()
+        try:
+            HrirSet(dirs, taps, taps, FS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300e6
+
+    def test_nan_direction_rejected(self):
+        dirs = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="unit vectors"):
             HrirSet(dirs, np.zeros((2, 8)), np.zeros((2, 8)), FS)
 
     def test_shape_mismatch_rejected(self):
@@ -64,7 +97,7 @@ class TestLoaders:
         dirs = np.array([
             [np.cos(np.radians(a)), np.sin(np.radians(a)), 0.0] for a, _ in rows
         ])
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=64)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
         return rows, hrirs
 
     def test_per_file_layout(self, tmp_path):
