@@ -20,7 +20,7 @@ from .dsp import (
     normalize_direct_energy,
     stft,
 )
-from .filterbanks import FilterbankSpec, erb_filterbank, erb_spec, octave_filter
+from .filterbanks import ERB_CENTERS_HZ, bandpass_sos, erb_bands, octave_band
 from .grids import LoudspeakerGrid, fibonacci_grid, load_grid_csv, nearest_direction
 from .hrir import HrirSet, load_hrir_set, spherical_head_hrir_set
 from .ism import (

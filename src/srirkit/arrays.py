@@ -141,10 +141,6 @@ class FoaSignal:
     def sample_rate(self) -> float:
         return self.w.sample_rate
 
-    def velocity_matrix(self) -> np.ndarray:
-        """(3, n) particle-velocity-proportional components (negated x,y,z)."""
-        return -np.stack([self.x.samples, self.y.samples, self.z.samples])
-
     def as_matrix(self) -> np.ndarray:
         return np.stack(
             [self.w.samples, self.x.samples, self.y.samples, self.z.samples]

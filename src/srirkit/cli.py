@@ -81,6 +81,13 @@ def _read_brir(path, where: str) -> BinauralIr:
     return BinauralIr(MonoIr(data[0], rate), MonoIr(data[1], rate))
 
 
+def _config_rate(value, where: str) -> float:
+    try:
+        return float(wavio.check_sample_rate(value))
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
     if "scene_preset" in cfg:
         name = cfg["scene_preset"]
@@ -90,12 +97,12 @@ def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
                 f"(available: {', '.join(SCENE_POSITIONS)})"
             )
         sc = preset_scene(name, receiver=receiver, max_order=int(cfg.get("max_order", 30)))
-        rate = float(cfg.get("sample_rate", 48000.0))
+        rate = _config_rate(cfg.get("sample_rate", 48000.0), where)
         length = int(round(float(cfg.get("length_s", 0.4)) * rate))
         return sc, rate, length
     if "scene_json" in cfg:
         sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where), receiver)
-        rate = float(cfg.get("sample_rate", file_rate))
+        rate = _config_rate(cfg.get("sample_rate", file_rate), where)
         if "length_s" in cfg:
             length = int(round(float(cfg["length_s"]) * rate))
         else:  # keep the file's duration at the new rate
@@ -133,9 +140,9 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     grid, hrirs = _grid_and_hrirs(cfg, "simulate", rate)
 
     rendering = simulate(sc, rate, length, geometry=geometry, hrirs=hrirs)
-    wavio.write_wav(out_dir / "srir.wav", rendering.analysis_input.srir.as_matrix(), int(rate))
-    wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.as_matrix(), int(rate))
-    wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.as_matrix(), int(rate))
+    wavio.write_wav(out_dir / "srir.wav", rendering.analysis_input.srir.as_matrix(), rate)
+    wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.as_matrix(), rate)
+    wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.as_matrix(), rate)
     rendering.images.to_csv(out_dir / "images.csv")
     (out_dir / "scene.json").write_text(
         json.dumps(scene_to_json_dict(sc, rate, length), indent=2, sort_keys=True) + "\n"
@@ -146,24 +153,22 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-_CONDITION_KEYS = {
-    "id", "analysis", "pressure_source", "synthesis", "knn",
-    "window_size", "band_low", "band_high", "smoothing_window",
-    "tf_averaging_frames", "psi_override",
-}
+#: Optional condition keys with their casts; an absent key keeps the
+#: ``DoaConfig`` / ``SystemCondition`` default.
+_DOA_CASTS = {"window_size": int, "band_low": float, "band_high": float,
+              "smoothing_window": int}
+_CONDITION_CASTS = {"knn": int, "tf_averaging_frames": int,
+                    "psi_override": lambda v: None if v is None else float(v)}
 
 
 def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
     _check_keys(entry, f"condition {entry.get('id', '?')!r}",
                 {"id", "analysis", "pressure_source", "synthesis"},
-                _CONDITION_KEYS)
-    doa_cfg = DoaConfig(
-        window_size=int(entry.get("window_size", 64)),
-        band_low=float(entry.get("band_low", 200.0)),
-        band_high=float(entry.get("band_high", 2400.0)),
-        smoothing_window=int(entry.get("smoothing_window", 64)),
-    )
-    psi = entry.get("psi_override")
+                set(_DOA_CASTS) | set(_CONDITION_CASTS))
+
+    def given(casts):
+        return {key: cast(entry[key]) for key, cast in casts.items() if key in entry}
+
     return SystemCondition(
         id=str(entry["id"]),
         analysis=entry["analysis"],
@@ -171,11 +176,9 @@ def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
         synthesis=entry["synthesis"],
         grid=grid,
         hrirs=hrirs,
-        doa_config=doa_cfg,
-        knn=int(entry.get("knn", 1)),
+        doa_config=DoaConfig(**given(_DOA_CASTS)),
         seed=seed,
-        tf_averaging_frames=int(entry.get("tf_averaging_frames", 8)),
-        psi_override=None if psi is None else float(psi),
+        **given(_CONDITION_CASTS),
     )
 
 
@@ -235,12 +238,12 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
         except Exception as exc:  # noqa: BLE001 - enumerated below
             return exc
         names = [f"{cond.id}.wav"]
-        wavio.write_wav(out_dir / names[0], result.brir.as_matrix(), int(rate))
+        wavio.write_wav(out_dir / names[0], result.brir.as_matrix(), rate)
         if args.dump_intermediates:
             kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
             names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]
             result.analysis.to_csv(out_dir / names[1])
-            wavio.write_wav(out_dir / names[2], result.vls.samples, int(rate))
+            wavio.write_wav(out_dir / names[2], result.vls.samples, rate)
             save_grid_csv(result.vls.grid, out_dir / names[3])
         return names
 
@@ -364,7 +367,7 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
                  "recorded_wav", "inverse_wav", "trim_distortion"})
     mode = cfg["mode"]
     if mode == "generate":
-        rate = float(cfg.get("sample_rate", 48000.0))
+        rate = _config_rate(cfg.get("sample_rate", 48000.0), "ess")
         sweep, inverse = generate_ess(
             rate,
             float(cfg.get("f_start", 20.0)),
@@ -372,8 +375,8 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
             float(cfg.get("duration_s", 20.0)),
             float(cfg.get("fade_s", 0.01)),
         )
-        wavio.write_wav(out_dir / "sweep.wav", sweep.samples[None, :], int(rate))
-        wavio.write_wav(out_dir / "inverse.wav", inverse.samples[None, :], int(rate))
+        wavio.write_wav(out_dir / "sweep.wav", sweep.samples[None, :], rate)
+        wavio.write_wav(out_dir / "inverse.wav", inverse.samples[None, :], rate)
         _write_manifest(out_dir, "ess", args.seed, ["sweep.wav", "inverse.wav"])
         print(f"ess: wrote sweep.wav and inverse.wav to {out_dir}")
         return 0
@@ -390,7 +393,7 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
         channels = [
             deconvolve_ess(MonoIr(ch, rate), inverse, trim).samples for ch in rec_data
         ]
-        wavio.write_wav(out_dir / "ir.wav", np.stack(channels), int(rate))
+        wavio.write_wav(out_dir / "ir.wav", np.stack(channels), rate)
         _write_manifest(out_dir, "ess", args.seed, ["ir.wav"])
         print(f"ess: wrote ir.wav to {out_dir}")
         return 0

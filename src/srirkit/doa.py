@@ -21,6 +21,7 @@ from scipy import signal as sps
 from .arrays import FoaSignal, MicArrayGeometry
 from .dsp import refine_peaks
 from .errors import UnsupportedGeometryError
+from .filterbanks import bandpass_sos
 from .signals import MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
@@ -218,14 +219,6 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     return DoaTrajectory(directions, valid)
 
 
-def _band_limit(samples: np.ndarray, rate: float, low: float, high: float) -> np.ndarray:
-    nyquist = rate / 2.0
-    if high >= nyquist:
-        raise ValueError(f"band_high {high} Hz must be below Nyquist {nyquist} Hz")
-    sos = sps.butter(2, [low / nyquist, high / nyquist], btype="bandpass", output="sos")
-    return sps.sosfiltfilt(sos, samples, axis=-1)
-
-
 def _smooth(values: np.ndarray, window: int) -> np.ndarray:
     """Centered Hann-weighted moving average along the last axis."""
     if window <= 1:
@@ -249,11 +242,11 @@ def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTra
     """
     if config is None:
         config = DoaConfig()
-    rate = foa.sample_rate
-    pressure = _band_limit(foa.w.samples, rate, config.band_low, config.band_high)
-    velocity = _band_limit(foa.velocity_matrix(), rate, config.band_low, config.band_high)
+    sos = bandpass_sos(config.band_low, config.band_high, foa.sample_rate)
+    filtered = sps.sosfiltfilt(sos, foa.as_matrix(), axis=-1)
+    velocity = -filtered[1:]  # particle velocity is the negated x, y, z
 
-    intensity = pressure[None, :] * velocity  # (3, n), points away from source
+    intensity = filtered[0] * velocity  # (3, n), points away from source
     intensity = _smooth(intensity, config.smoothing_window)
 
     norms = np.linalg.norm(intensity, axis=0)

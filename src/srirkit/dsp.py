@@ -140,6 +140,13 @@ FRACTIONAL_DELAY_HALF = 16
 _KAISER_BETA = 8.6
 
 
+def impulse_fits(delays_samples, length: int) -> np.ndarray:
+    """True where a fractional impulse's whole interpolator support lies
+    inside a buffer of ``length`` samples."""
+    base = np.floor(np.asarray(delays_samples, dtype=np.float64))
+    return (base >= FRACTIONAL_DELAY_HALF) & (base + FRACTIONAL_DELAY_HALF < length)
+
+
 def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
                               amplitudes: np.ndarray) -> int:
     """Accumulate band-limited impulses at fractional sample positions.
@@ -147,16 +154,16 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     Each impulse is a Kaiser-windowed sinc with the window tracking the sinc
     peak, so arrival times stay sub-sample exact and an integer delay
     reduces to an exact unit impulse. ``out`` is (n,) with ``amplitudes``
-    (k,), or (channels, n) with ``amplitudes`` (channels, k): the channels
-    share the k arrival times and each arrival's kernel is built once.
-    Arrivals whose support does not fit inside ``out`` are dropped before
-    any kernel is built; the return value counts them.
+    (k,), or (channels, n) with ``amplitudes`` (channels, k). ``delays``
+    is (k,), shared by every channel so each arrival's kernel is built
+    once, or (channels, k), one set of arrival times per channel.
+    Arrivals that do not fit (:func:`impulse_fits`) are dropped before any
+    kernel is built; the return value counts them.
     """
     delays = np.asarray(delays_samples, dtype=np.float64)
     half = FRACTIONAL_DELAY_HALF
-    base = np.floor(delays).astype(np.int64)
-    fits = (base >= half) & (base + half < out.shape[-1])
-    base = base[fits]
+    fits = impulse_fits(delays, out.shape[-1])
+    base = np.floor(delays[fits]).astype(np.int64)
     frac = delays[fits] - base
     offsets = np.arange(-half, half + 1)
     v = offsets[None, :] - frac[:, None]
@@ -165,10 +172,13 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
         arg > 0.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(arg, 0.0))), 0.0
     ) / np.i0(_KAISER_BETA)
     kernels = np.sinc(v) * window
-    idx = (base[:, None] + offsets[None, :]).ravel()
-    amps = np.atleast_2d(np.asarray(amplitudes, dtype=np.float64)[..., fits])
-    for channel, channel_amps in zip(np.atleast_2d(out), amps):
-        np.add.at(channel, idx, (kernels * channel_amps[:, None]).ravel())
+    idx = base[:, None] + offsets[None, :]
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    if delays.ndim == 2:
+        np.add.at(out, (np.nonzero(fits)[0][:, None], idx), kernels * amps[fits][:, None])
+    else:
+        for channel, channel_amps in zip(np.atleast_2d(out), np.atleast_2d(amps[..., fits])):
+            np.add.at(channel, idx.ravel(), (kernels * channel_amps[:, None]).ravel())
     return int(fits.size - np.count_nonzero(fits))
 
 

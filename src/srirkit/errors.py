@@ -30,6 +30,11 @@ class DegenerateBandError(DegenerateInputError):
         )
 
 
+class LostDirectPathError(DegenerateInputError):
+    """The direct (order-0) arrival does not fit in a rendered response, as
+    when the source sits within a kernel half-width of a receiver."""
+
+
 class NumericalDegeneracyError(ValueError):
     """A linear system is too ill-conditioned to solve reliably."""
 

@@ -1,21 +1,16 @@
 """Auditory (ERB) and octave band-pass filterbanks.
 
 ERB bands sit at integer points 1..39 of the Glasberg-Moore ERB-rate scale
-(roughly 26 Hz to 15 kHz), each one ERB wide and realised as a 4th-order
-Butterworth band-pass. Octave filters are 4th-order Butterworth applied
-forward-backward, so decay fits see no group-delay bias.
+(roughly 26 Hz to 15 kHz), each one ERB wide. Octave filters are applied
+forward-backward, so decay fits see no group-delay bias. Every band is the
+4th-order Butterworth band-pass of :func:`bandpass_sos`, and every filter
+works along the last axis, so stacked channels share one call per band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal as sps
-
-from .signals import MonoIr
-
-DEFAULT_ERB_BAND_COUNT = 39
 
 
 def hz_to_erb_number(freq_hz) -> np.ndarray:
@@ -27,70 +22,37 @@ def erb_number_to_hz(erb) -> np.ndarray:
     return (10.0 ** (np.asarray(erb, dtype=float) / 21.4) - 1.0) / 4.37e-3
 
 
-@dataclass(frozen=True)
-class FilterbankSpec:
-    kind: str  # "erb" | "octave"
-    center_frequencies: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("erb", "octave"):
-            raise ValueError(f"unknown filterbank kind {self.kind!r}")
-        centers = tuple(float(c) for c in self.center_frequencies)
-        if not centers:
-            raise ValueError("at least one center frequency required")
-        if any(c2 <= c1 for c1, c2 in zip(centers, centers[1:])):
-            raise ValueError("center frequencies must be strictly increasing")
-        if centers[0] <= 0:
-            raise ValueError("center frequencies must be positive")
-        object.__setattr__(self, "center_frequencies", centers)
-
-    @property
-    def band_count(self) -> int:
-        return len(self.center_frequencies)
+#: Centres of the 39 ERB bands, at ERB numbers 1..39.
+ERB_CENTERS_HZ = erb_number_to_hz(np.arange(1, 40))
+ERB_CENTERS_HZ.flags.writeable = False
 
 
-def erb_spec(band_count: int = DEFAULT_ERB_BAND_COUNT) -> FilterbankSpec:
-    """Centers at integer ERB numbers 1..band_count."""
-    if band_count < 1:
-        raise ValueError("band_count must be >= 1")
-    centers = erb_number_to_hz(np.arange(1, band_count + 1))
-    return FilterbankSpec("erb", tuple(centers))
-
-
-def _erb_band_sos(center_hz: float, sample_rate: float) -> np.ndarray:
+def bandpass_sos(low_hz: float, high_hz: float, sample_rate: float) -> np.ndarray:
+    """4th-order Butterworth band-pass ``[low_hz, high_hz]`` as SOS sections."""
     nyquist = sample_rate / 2.0
-    n = float(hz_to_erb_number(center_hz))
-    lo = float(erb_number_to_hz(n - 0.5))
-    hi = float(erb_number_to_hz(n + 0.5))
-    if center_hz >= nyquist or hi >= nyquist:
+    if not 0.0 < low_hz < high_hz < nyquist:
         raise ValueError(
-            f"ERB band at {center_hz:.1f} Hz (upper edge {hi:.1f} Hz) "
-            f"exceeds Nyquist {nyquist:.1f} Hz"
+            f"band {low_hz:.1f}..{high_hz:.1f} Hz must satisfy "
+            f"0 < low < high < Nyquist {nyquist:.1f} Hz"
         )
-    return sps.butter(2, [lo / nyquist, hi / nyquist], btype="bandpass", output="sos")
+    return sps.butter(2, [low_hz / nyquist, high_hz / nyquist], btype="bandpass", output="sos")
 
 
-def erb_filterbank(ir: MonoIr, spec: FilterbankSpec | None = None) -> list[MonoIr]:
-    """Split a signal into ERB bands; one output per center, same length."""
-    if spec is None:
-        spec = erb_spec()
-    if spec.kind != "erb":
-        raise ValueError(f"expected an erb spec, got kind {spec.kind!r}")
-    out = []
-    for center in spec.center_frequencies:
-        sos = _erb_band_sos(center, ir.sample_rate)
-        out.append(MonoIr(sps.sosfilt(sos, ir.samples), ir.sample_rate))
-    return out
+def erb_bands(samples: np.ndarray, sample_rate: float) -> np.ndarray:
+    """ERB band signals, shape ``(39, *samples.shape)``; causal filtering.
+
+    Each band spans half an ERB either side of its centre.
+    """
+    bands = []
+    for center in ERB_CENTERS_HZ:
+        n = float(hz_to_erb_number(center))
+        sos = bandpass_sos(float(erb_number_to_hz(n - 0.5)), float(erb_number_to_hz(n + 0.5)),
+                           sample_rate)
+        bands.append(sps.sosfilt(sos, samples, axis=-1))
+    return np.stack(bands)
 
 
-def octave_filter(ir: MonoIr, center_hz: float) -> MonoIr:
+def octave_band(samples: np.ndarray, sample_rate: float, center_hz: float) -> np.ndarray:
     """Octave band-pass (center/sqrt(2) .. center*sqrt(2)), zero phase."""
-    nyquist = ir.sample_rate / 2.0
-    lo = center_hz / np.sqrt(2.0)
-    hi = center_hz * np.sqrt(2.0)
-    if center_hz <= 0 or hi >= nyquist:
-        raise ValueError(
-            f"octave band at {center_hz} Hz does not fit below Nyquist {nyquist:.1f} Hz"
-        )
-    sos = sps.butter(2, [lo / nyquist, hi / nyquist], btype="bandpass", output="sos")
-    return MonoIr(sps.sosfiltfilt(sos, ir.samples), ir.sample_rate)
+    sos = bandpass_sos(center_hz / np.sqrt(2.0), center_hz * np.sqrt(2.0), sample_rate)
+    return sps.sosfiltfilt(sos, samples, axis=-1)

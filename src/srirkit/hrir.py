@@ -77,26 +77,27 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     """
     dirs = np.asarray(directions, dtype=np.float64)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    base_delay_s = 0.8e-3
     c = 343.0
+    # The ipsilateral ear leads the head centre by up to head_radius / c;
+    # at low rates the base delay grows so that arrival stays a sample clear
+    # of the interpolator's half-width instead of being dropped.
+    base_delay_s = max(0.8e-3, (FRACTIONAL_DELAY_HALF + 1) / sample_rate + head_radius / c)
 
-    delays, gains = [], []
-    for axis in (_EAR_AXIS_LEFT, -_EAR_AXIS_LEFT):
-        cos_theta = dirs @ axis
-        delays.append((base_delay_s + _woodworth_delay(cos_theta, head_radius, c)) * sample_rate)
-        gains.append(shadow_floor + (1.0 - shadow_floor) * 0.5 * (1.0 + cos_theta))
-    need = int(np.floor(max(d.max() for d in delays))) + FRACTIONAL_DELAY_HALF + 1
+    cos_theta = np.stack([dirs @ _EAR_AXIS_LEFT, dirs @ -_EAR_AXIS_LEFT])  # (ears, n)
+    delays = (base_delay_s + _woodworth_delay(cos_theta, head_radius, c)) * sample_rate
+    gains = shadow_floor + (1.0 - shadow_floor) * 0.5 * (1.0 + cos_theta)
+    need = int(np.floor(delays.max())) + FRACTIONAL_DELAY_HALF + 1
     if length < need:
         raise ValueError(
             f"length {length} cuts off HRIR impulses; the shortest length "
             f"that holds every impulse is {need}"
         )
-    banks = np.zeros((2, dirs.shape[0], length))
-    for bank, ear_delays, ear_gains in zip(banks, delays, gains):
-        for i in range(dirs.shape[0]):
-            place_fractional_impulses(bank[i], ear_delays[i : i + 1], ear_gains[i : i + 1])
-
-    return HrirSet(dirs, banks[0], banks[1], sample_rate)
+    banks = np.zeros((delays.size, length))
+    dropped = place_fractional_impulses(banks, delays.reshape(-1, 1), gains.reshape(-1, 1))
+    if dropped:
+        raise ValueError(f"{dropped} HRIR impulses do not fit in {length} samples")
+    left, right = banks.reshape(2, -1, length)
+    return HrirSet(dirs, left, right, sample_rate)
 
 
 def load_hrir_set(index_path, wav_path=None) -> HrirSet:

@@ -4,7 +4,9 @@ Reflections are frequency- and angle-independent (one coefficient per wall),
 with no air absorption: the simulator exists to give the analysis and
 synthesis stages scenes with exactly known geometry, not to be a room
 acoustics product. Arrival times are sub-sample exact via windowed-sinc
-fractional delays.
+fractional delays. A render whose direct (order-0) arrival does not fit
+raises :class:`~srirkit.errors.LostDirectPathError`; later arrivals that do
+not fit are dropped and counted in a ``TruncatedResponseWarning``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from scipy import signal as sps
 
 from .arrays import FoaSignal, MicArrayGeometry
-from .dsp import place_fractional_impulses
-from .errors import TruncatedResponseWarning
+from .dsp import impulse_fits, place_fractional_impulses
+from .errors import LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, MonoIr, MultichannelIr
@@ -179,6 +181,16 @@ def enumerate_images(scene: Scene) -> ImageSourceList:
     )
 
 
+def _require_direct(images: ImageSourceList, delays_samples: np.ndarray,
+                    length: int, where: str) -> None:
+    direct = delays_samples[images.orders == 0]
+    if not impulse_fits(direct, length).all():
+        raise LostDirectPathError(
+            f"direct path lost while rendering {where}: it arrives at sample "
+            f"{direct[0]:.1f}, too close to an end of the {length}-sample buffer"
+        )
+
+
 def _warn_truncated(count: int, where: str) -> None:
     if count:
         warnings.warn(
@@ -196,11 +208,13 @@ def render_array_srir(images: ImageSourceList, geometry: MicArrayGeometry,
     wall = images.wall_products
     channels = []
     truncated = 0
-    for cap in geometry.positions:
+    for i, cap in enumerate(geometry.positions):
         capsule_pos = images.receiver_origin + cap
         dist = np.linalg.norm(images.positions - capsule_pos, axis=1)
+        delays = dist / c * sample_rate
+        _require_direct(images, delays, length, f"array SRIR capsule {i}")
         out = np.zeros(length)
-        truncated += place_fractional_impulses(out, dist / c * sample_rate, wall / dist)
+        truncated += place_fractional_impulses(out, delays, wall / dist)
         channels.append(MonoIr(out, sample_rate))
     _warn_truncated(truncated, "array SRIR")
     return MultichannelIr(tuple(channels), geometry_id=geometry.name)
@@ -212,10 +226,12 @@ def render_foa_srir(images: ImageSourceList, sample_rate: float, length: int) ->
     w collects each image's pressure impulse; x, y, z weight it by the
     toward-image direction components.
     """
+    delays = images.delays * sample_rate
+    _require_direct(images, delays, length, "FOA SRIR")
     # One (4, k) amplitude matrix, so each arrival's kernel is built once.
     amps = images.amplitudes * np.vstack([np.ones(len(images)), images.directions.T])
     out = np.zeros((4, length))
-    truncated = place_fractional_impulses(out, images.delays * sample_rate, amps)
+    truncated = place_fractional_impulses(out, delays, amps)
     _warn_truncated(truncated, "FOA SRIR")
     return FoaSignal(*(MonoIr(ch, sample_rate) for ch in out))
 
@@ -234,18 +250,16 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
         )
     matches = nearest_directions(images.directions, hrirs.directions)[0][:, 0]
     delays = images.delays * sample_rate
-    out_len = length + hrirs.length - 1
-    left = np.zeros(out_len)
-    right = np.zeros(out_len)
+    _require_direct(images, delays, length, "reference BRIR")
+    ears = np.zeros((2, length + hrirs.length - 1))
     truncated = 0
     for h in np.unique(matches):
         sel = matches == h
         train = np.zeros(length)
         truncated += place_fractional_impulses(train, delays[sel], images.amplitudes[sel])
-        left += sps.fftconvolve(train, hrirs.left[h], mode="full")
-        right += sps.fftconvolve(train, hrirs.right[h], mode="full")
+        ears += sps.fftconvolve(train[None, :], np.stack([hrirs.left[h], hrirs.right[h]]), axes=-1)
     _warn_truncated(truncated, "reference BRIR")
-    return BinauralIr(MonoIr(left, sample_rate), MonoIr(right, sample_rate))
+    return BinauralIr(MonoIr(ears[0], sample_rate), MonoIr(ears[1], sample_rate))
 
 
 def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:

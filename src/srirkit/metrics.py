@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp
 from .errors import DegenerateBandError, DegenerateInputError, InsufficientDecayError
-from .filterbanks import FilterbankSpec, erb_filterbank, erb_spec, octave_filter
+from .filterbanks import ERB_CENTERS_HZ, erb_bands, octave_band
 from .signals import BinauralIr, MonoIr
 
 #: Just-noticeable differences used for pass/fail flags in reports.
@@ -115,42 +115,24 @@ class ErrorSummary:
                 )
 
 
-def _band_rms_ratio_db(left_seg: MonoIr, right_seg: MonoIr,
-                       spec: FilterbankSpec) -> np.ndarray:
-    left_bands = erb_filterbank(left_seg, spec)
-    right_bands = erb_filterbank(right_seg, spec)
-    out = np.empty(spec.band_count)
-    for i, (lb, rb) in enumerate(zip(left_bands, right_bands)):
-        rms_l = float(np.sqrt(np.mean(lb.samples**2)))
-        rms_r = float(np.sqrt(np.mean(rb.samples**2)))
-        if rms_l <= 0.0:
-            raise DegenerateBandError(i, spec.center_frequencies[i], "left")
-        if rms_r <= 0.0:
-            raise DegenerateBandError(i, spec.center_frequencies[i], "right")
-        # Difference of logs (not log of ratio) so a channel swap negates
-        # the ILD bit-exactly.
-        out[i] = 20.0 * (np.log10(rms_l) - np.log10(rms_r))
-    return out
-
-
-def ild_avg(brir: BinauralIr, spec: FilterbankSpec | None = None,
-            segment_s: float = 2.5e-3) -> tuple[float, float]:
+def ild_avg(brir: BinauralIr, segment_s: float = 2.5e-3) -> tuple[float, float]:
     """ERB-band-averaged level difference of the direct-sound segment.
 
     Returns (low, high): band averages below and at-or-above 1.5 kHz, in dB,
     positive when the left channel is louder.
     """
-    if spec is None:
-        spec = erb_spec()
     start, stop = dsp.direct_segment(brir, segment_s)
-    left = MonoIr(brir.left.samples[start:stop], brir.sample_rate)
-    right = MonoIr(brir.right.samples[start:stop], brir.sample_rate)
-    ratios = _band_rms_ratio_db(left, right, spec)
-    centers = np.asarray(spec.center_frequencies)
-    low = ratios[centers < ILD_SPLIT_HZ]
-    high = ratios[centers >= ILD_SPLIT_HZ]
-    if low.size == 0 or high.size == 0:
-        raise ValueError("filterbank must span bands on both sides of 1.5 kHz")
+    bands = erb_bands(brir.as_matrix()[:, start:stop], brir.sample_rate)  # (39, 2, m)
+    rms = np.sqrt(np.mean(bands**2, axis=-1))
+    silent = np.argwhere(rms <= 0.0)  # band-major, so the left ear is checked first
+    if silent.size:
+        band, ear = silent[0]
+        raise DegenerateBandError(int(band), float(ERB_CENTERS_HZ[band]), ("left", "right")[ear])
+    # Difference of logs (not log of ratio) so a channel swap negates the
+    # ILD bit-exactly.
+    ratios = 20.0 * (np.log10(rms[:, 0]) - np.log10(rms[:, 1]))
+    low = ratios[ERB_CENTERS_HZ < ILD_SPLIT_HZ]
+    high = ratios[ERB_CENTERS_HZ >= ILD_SPLIT_HZ]
     return float(low.mean()), float(high.mean())
 
 
@@ -161,9 +143,7 @@ def _iacf_peak(left: np.ndarray, right: np.ndarray, rate: float,
     if energy <= 0.0:
         raise DegenerateInputError("zero-energy channel in IACF analysis")
     max_lag = int(round(IACC_MAX_LAG_S * rate))
-    l_ir = MonoIr(left, rate)
-    r_ir = MonoIr(right, rate)
-    corr = np.abs(dsp.cross_correlate(l_ir, r_ir, max_lag)) / energy
+    corr = np.abs(dsp.cross_correlate(MonoIr(left, rate), MonoIr(right, rate), max_lag)) / energy
     peak = int(np.argmax(corr))
     lag = (float(dsp.refine_peaks(corr)) if refine else float(peak)) - max_lag
     return float(min(corr[peak], 1.0)), lag / rate
@@ -179,12 +159,8 @@ def itd(brir: BinauralIr, segment_s: float | None = 2.5e-3) -> float:
     """
     if len(brir) <= int(2e-3 * brir.sample_rate):
         raise ValueError("BRIR must be longer than 2 ms")
-    if segment_s is None:
-        left, right = brir.left.samples, brir.right.samples
-    else:
-        start, stop = dsp.direct_segment(brir, segment_s)
-        left = brir.left.samples[start:stop]
-        right = brir.right.samples[start:stop]
+    start, stop = (0, len(brir)) if segment_s is None else dsp.direct_segment(brir, segment_s)
+    left, right = brir.as_matrix()[:, start:stop]
     _, lag_s = _iacf_peak(left, right, brir.sample_rate, refine=True)
     return float(np.clip(lag_s * 1e6, -1000.0, 1000.0))
 
@@ -197,8 +173,7 @@ def iacc(left: MonoIr, right: MonoIr) -> float:
         raise ValueError("segments must have equal length")
     if len(left) <= int(2e-3 * left.sample_rate):
         raise ValueError("segments must be longer than 2 ms")
-    coeff, _ = _iacf_peak(left.samples, right.samples, left.sample_rate, refine=False)
-    return coeff
+    return _iacf_peak(left.samples, right.samples, left.sample_rate, refine=False)[0]
 
 
 def iacc_e3_l3(brir: BinauralIr, early_s: float = EARLY_WINDOW_S) -> tuple[float, float]:
@@ -218,23 +193,18 @@ def iacc_e3_l3(brir: BinauralIr, early_s: float = EARLY_WINDOW_S) -> tuple[float
     if len(brir) - split < min_window:
         raise ValueError("late window shorter than 2 ms")
 
+    ears = brir.as_matrix()
     early_vals, late_vals = [], []
     for band in IACC_BANDS_HZ:
-        left = octave_filter(brir.left, band).samples
-        right = octave_filter(brir.right, band).samples
-        early_vals.append(
-            iacc(MonoIr(left[onset:split], rate), MonoIr(right[onset:split], rate))
-        )
-        late_vals.append(
-            iacc(MonoIr(left[split:], rate), MonoIr(right[split:], rate))
-        )
+        left, right = octave_band(ears, rate, band)
+        early_vals.append(_iacf_peak(left[onset:split], right[onset:split], rate, refine=False)[0])
+        late_vals.append(_iacf_peak(left[split:], right[split:], rate, refine=False)[0])
     e3 = float(np.clip(1.0 - np.mean(early_vals), 0.0, 1.0))
     l3 = float(np.clip(1.0 - np.mean(late_vals), 0.0, 1.0))
     return e3, l3
 
 
-def _t30_one_band(samples: np.ndarray, rate: float, band_hz: float) -> float:
-    filtered = octave_filter(MonoIr(samples, rate), band_hz).samples
+def _t30_one_band(filtered: np.ndarray, rate: float, band_hz: float) -> float:
     energy = filtered**2
     onset = int(np.argmax(energy))
     edc = np.cumsum(energy[::-1])[::-1][onset:]
@@ -267,14 +237,11 @@ def t30_mid(ir: MonoIr | BinauralIr, bands_hz: tuple = T30_BANDS_HZ) -> float:
     60 dB and averaged over the 500 Hz and 1 kHz octave bands (and both
     channels for a BRIR).
     """
-    if isinstance(ir, BinauralIr):
-        channels = [ir.left.samples, ir.right.samples]
-        rate = ir.sample_rate
-    else:
-        channels = [ir.samples]
-        rate = ir.sample_rate
+    channels = ir.as_matrix() if isinstance(ir, BinauralIr) else ir.samples[None, :]
+    per_band = [octave_band(channels, ir.sample_rate, band) for band in bands_hz]
     values = [
-        _t30_one_band(ch, rate, band) for ch in channels for band in bands_hz
+        _t30_one_band(per_band[b][ch], ir.sample_rate, band)
+        for ch in range(len(channels)) for b, band in enumerate(bands_hz)
     ]
     return float(np.mean(values))
 

@@ -211,10 +211,7 @@ def _tf_field(inputs: AnalysisInput, condition: SystemCondition) -> TfDoaField:
               (inputs.foa.w, inputs.foa.x, inputs.foa.y, inputs.foa.z)]
     f = tf_piv_analysis(*frames, averaging_frames=condition.tf_averaging_frames)
     if condition.psi_override is not None:
-        f = TfDoaField(
-            f.directions, np.full_like(f.psi, condition.psi_override),
-            f.window_size, f.hop, f.sample_rate,
-        )
+        f = replace(f, psi=np.full_like(f.psi, condition.psi_override))
     return f
 
 

@@ -71,12 +71,22 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return flat[: frames * n_channels].reshape(frames, n_channels).T.copy(), int(sample_rate)
 
 
-def write_wav(path, data: np.ndarray, sample_rate: int, encoding: str = "float32") -> None:
+def check_sample_rate(sample_rate) -> int:
+    """The rate as the whole number of hertz a WAV header stores; a rate that
+    is not positive and integral raises ``ValueError``."""
+    rate = float(sample_rate)
+    if not (rate > 0.0 and rate.is_integer()):
+        raise ValueError(f"sample rate must be a positive whole number of Hz, got {sample_rate}")
+    return int(rate)
+
+
+def write_wav(path, data: np.ndarray, sample_rate: float, encoding: str = "float32") -> None:
     """Write channel-major ``data`` (n_channels, n_samples) to a WAV file.
 
     encoding: one of ``float32`` (default), ``pcm16``, ``pcm24``. PCM output
-    clips to [-1, 1).
+    clips to [-1, 1). ``sample_rate`` must pass :func:`check_sample_rate`.
     """
+    sample_rate = check_sample_rate(sample_rate)
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n_channels, n_samples = data.shape
     interleaved = data.T.reshape(-1)
@@ -102,10 +112,10 @@ def write_wav(path, data: np.ndarray, sample_rate: int, encoding: str = "float32
         raise ValueError(f"unknown encoding {encoding!r}")
 
     block_align = n_channels * bits // 8
-    byte_rate = int(sample_rate) * block_align
+    byte_rate = sample_rate * block_align
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, fmt_code, n_channels, int(sample_rate), byte_rate, block_align, bits
+        "<IHHIIHH", 16, fmt_code, n_channels, sample_rate, byte_rate, block_align, bits
     )
     header += b"data" + struct.pack("<I", len(payload))
     Path(path).write_bytes(header + payload)

@@ -4,8 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from srirkit import wavio
+from srirkit import cli, wavio
 from srirkit.cli import main
+from srirkit.doa import DoaConfig
+from srirkit.grids import fibonacci_grid
+from srirkit.hrir import spherical_head_hrir_set
+from srirkit.pipelines import SystemCondition
 
 FS = 48000
 
@@ -128,6 +132,18 @@ class TestSimulate:
         data, rate = wavio.read_wav(out / "srir.wav")
         assert rate == 24000
         assert data.shape[1] == 9600  # still 0.4 s
+
+
+    def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_render(*args, **kwargs):
+            raise AssertionError("rendered despite an invalid sample rate")
+
+        monkeypatch.setattr(cli, "simulate", no_render)
+        monkeypatch.setattr(cli, "spherical_head_hrir_set", no_render)
+        cfg = _write_config(tmp_path, "sim.json", _sim_config(sample_rate=44100.5))
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "44100.5" in capsys.readouterr().err
 
 
 class TestRender:
@@ -417,3 +433,22 @@ def test_invalid_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad), "--output", str(tmp_path)]) == 2
+
+
+def test_condition_entry_defaults_come_from_the_dataclasses():
+    grid = fibonacci_grid(8)
+    hrirs = spherical_head_hrir_set(grid.directions)
+    entry = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
+             "synthesis": "sdm"}
+    assert cli._build_condition(entry, grid, hrirs, 3) == SystemCondition(
+        id="a", analysis="tdoa", pressure_source="channel-average", synthesis="sdm",
+        grid=grid, hrirs=hrirs, seed=3,
+    )
+    entry = {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order",
+             "synthesis": "sirr", "window_size": 32.0, "band_high": 2000,
+             "tf_averaging_frames": "4", "psi_override": "0.5"}
+    assert cli._build_condition(entry, grid, hrirs, 0) == SystemCondition(
+        id="b", analysis="tf-piv", pressure_source="zeroth-order", synthesis="sirr",
+        grid=grid, hrirs=hrirs, doa_config=DoaConfig(window_size=32, band_high=2000.0),
+        tf_averaging_frames=4, psi_override=0.5,
+    )

@@ -253,3 +253,19 @@ def test_place_fractional_impulses_channels_match_single_calls(rng):
     untouched = np.full((2, 16), 7.0)
     assert dsp.place_fractional_impulses(untouched, delays, amps[:2]) == 4
     assert np.all(untouched == 7.0)
+
+
+def test_impulse_fits_needs_the_whole_kernel_inside():
+    delays = np.array([15.9, 16.0, 47.0, 47.99, 48.0])
+    assert dsp.impulse_fits(delays, 64).tolist() == [False, True, True, True, False]
+
+
+def test_place_fractional_impulses_per_row_delays_match_single_calls(rng):
+    delays = np.array([[3.0, 20.25, 40.7], [30.5, 60.0, 17.0]])  # 3.0 and 60.0 do not fit
+    amps = rng.normal(size=(2, 3))
+    out = np.zeros((2, 64))
+    assert dsp.place_fractional_impulses(out, delays, amps) == 2
+    for channel, channel_delays, channel_amps in zip(out, delays, amps):
+        single = np.zeros(64)
+        dsp.place_fractional_impulses(single, channel_delays, channel_amps)
+        np.testing.assert_array_equal(channel, single)

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from srirkit import hrir as hrir_module
 from srirkit import wavio
+from srirkit.dsp import place_fractional_impulses
 from srirkit.grids import fibonacci_grid, nearest_directions
 from srirkit.hrir import HrirSet, load_hrir_set, spherical_head_hrir_set
 
@@ -45,6 +47,32 @@ class TestSphericalHeadModel:
         picks = [0, 7, 31]
         idx, _ = nearest_directions(dirs[picks], hrirs.directions)
         assert idx[:, 0].tolist() == picks
+
+    @pytest.mark.parametrize("rate", [16000.0, 24000.0, 44100.0])
+    def test_every_ear_row_carries_its_impulse(self, rate):
+        # below about 31 kHz the ipsilateral arrival used to fall before the
+        # interpolator's half-width and was dropped, leaving a silent ear
+        hrirs = spherical_head_hrir_set(fibonacci_grid(240).directions, sample_rate=rate)
+        assert np.all(np.abs(hrirs.left).max(axis=1) > 0)
+        assert np.all(np.abs(hrirs.right).max(axis=1) > 0)
+
+    def test_bank_is_one_placement_equal_to_per_row_placement(self, monkeypatch):
+        calls = []
+
+        def recording(out, delays, amplitudes):
+            calls.append((np.copy(delays), np.copy(amplitudes)))
+            return place_fractional_impulses(out, delays, amplitudes)
+
+        monkeypatch.setattr(hrir_module, "place_fractional_impulses", recording)
+        hrirs = spherical_head_hrir_set(fibonacci_grid(240).directions, sample_rate=24000.0)
+        assert len(calls) == 1
+        delays, amplitudes = calls[0]
+        rows = np.concatenate([hrirs.left, hrirs.right])
+        assert delays.shape == amplitudes.shape == (rows.shape[0], 1)
+        for row, row_delays, row_amps in zip(rows, delays, amplitudes):
+            single = np.zeros(hrirs.length)
+            assert place_fractional_impulses(single, row_delays, row_amps) == 0
+            np.testing.assert_array_equal(row, single)
 
     def test_too_short_length_names_the_shortest_that_fits(self):
         az = np.radians([0.0, 60.0, 120.0, 180.0, -120.0, -60.0])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from srirkit.arrays import builtin_array
-from srirkit.errors import TruncatedResponseWarning
+from srirkit import presets
+from srirkit.errors import DegenerateInputError, LostDirectPathError, TruncatedResponseWarning
 from srirkit.grids import fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.ism import (
@@ -179,6 +180,31 @@ class TestRenderArraySrir:
         images = enumerate_images(scene)
         with pytest.warns(TruncatedResponseWarning):
             render_array_srir(images, geom, FS, 300)  # too short for reflections
+
+
+class TestLostDirectPath:
+    """A source 8 cm in front of the om6 origin arrives 11.2 samples in at
+    the origin (4.2 at the front capsule), inside the interpolator's
+    16-sample half-width."""
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        origin = np.array(presets.APL_RECEIVER_ORIGIN)
+        scene = Scene(room=presets.apl_room(max_order=2), source=origin + [0.08, 0.0, 0.0],
+                      receiver_origin=origin, receiver=presets.om6())
+        return enumerate_images(scene)
+
+    @pytest.mark.parametrize("render", ["array", "foa", "reference"])
+    def test_each_renderer_raises(self, images, render):
+        hrirs = spherical_head_hrir_set(fibonacci_grid(16).directions, sample_rate=FS)
+        calls = {
+            "array": lambda: render_array_srir(images, builtin_array("om6"), FS, 4800),
+            "foa": lambda: render_foa_srir(images, FS, 4800),
+            "reference": lambda: render_reference_brir(images, hrirs, FS, 4800),
+        }
+        with pytest.raises(LostDirectPathError, match="direct path lost") as info:
+            calls[render]()
+        assert isinstance(info.value, DegenerateInputError)
 
 
 class TestRenderReferenceBrir:

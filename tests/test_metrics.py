@@ -12,6 +12,7 @@ from srirkit.errors import (
     DegenerateInputError,
     InsufficientDecayError,
 )
+from srirkit.dsp import place_fractional_impulses
 from srirkit.signals import BinauralIr, MonoIr
 
 FS = 48000.0
@@ -60,6 +61,25 @@ class TestIld:
         with pytest.raises(DegenerateBandError) as info:
             metrics.ild_avg(brir)
         assert info.value.channel == "right"
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31))
+def test_channel_swap_negates_ild_exactly_and_itd_within_2us(seed):
+    """Random direct sound (per-ear fractional delay and gain) plus three
+    weaker early arrivals per ear."""
+    gen = np.random.default_rng(seed)
+    delays = np.column_stack([400.0 + gen.uniform(0.0, 40.0, size=2),
+                              500.0 + gen.uniform(0.0, 400.0, size=(2, 3))])
+    gains = np.column_stack([gen.uniform(0.2, 1.0, size=2),
+                             gen.uniform(-0.1, 0.1, size=(2, 3))])
+    ears = np.zeros((2, 2400))
+    place_fractional_impulses(ears, delays, gains)
+    brir = BinauralIr(MonoIr(ears[0], FS), MonoIr(ears[1], FS))
+    low, high = metrics.ild_avg(brir)
+    low_s, high_s = metrics.ild_avg(_swap(brir))
+    assert (low_s, high_s) == (-low, -high)
+    assert abs(metrics.itd(_swap(brir)) + metrics.itd(brir)) <= 2.0
 
 
 class TestItd:

@@ -79,3 +79,16 @@ def test_wav_rejects_garbage(tmp_path):
     bad.write_bytes(b"not a wav file at all")
     with pytest.raises(ValueError):
         wavio.read_wav(bad)
+
+
+@pytest.mark.parametrize("rate", [44100.5, 0, -48000, float("nan"), float("inf")])
+def test_wav_write_rejects_rate_that_is_not_a_positive_integer(tmp_path, rate):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match="sample rate"):
+        wavio.write_wav(path, np.zeros((1, 8)), rate)
+    assert not path.exists()
+
+
+def test_wav_write_takes_an_integral_float_rate(tmp_path):
+    wavio.write_wav(tmp_path / "x.wav", np.zeros((1, 8)), 44100.0)
+    assert wavio.read_wav(tmp_path / "x.wav")[1] == 44100
