@@ -15,7 +15,6 @@ from .doa import (
 from .dsp import (
     cross_correlate,
     detect_onset,
-    fft_convolve,
     istft,
     normalize_direct_energy,
     stft,
@@ -59,7 +58,6 @@ from .sweep import deconvolve_ess, generate_ess
 from .synthesis import (
     VirtualLoudspeakerSignals,
     binaural_render,
-    decorrelate,
     sdm_synthesize,
     sirr_synthesize,
     sirr_tf_streams,

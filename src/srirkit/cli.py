@@ -81,11 +81,13 @@ def _read_brir(path, where: str) -> BinauralIr:
     return BinauralIr(MonoIr(data[0], rate), MonoIr(data[1], rate))
 
 
-def _config_rate(value, where: str) -> float:
+def _config_value(cfg: dict, key: str, cast, where: str, default=None):
+    """``cast`` of ``cfg[key]``, or of ``default`` when the key is absent; a
+    value the cast rejects is a ConfigurationError naming the key."""
     try:
-        return float(wavio.check_sample_rate(value))
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from exc
+        return cast(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: {key}: {exc}") from exc
 
 
 def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
@@ -96,15 +98,16 @@ def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
                 f"{where}: unknown scene preset {name!r} "
                 f"(available: {', '.join(SCENE_POSITIONS)})"
             )
-        sc = preset_scene(name, receiver=receiver, max_order=int(cfg.get("max_order", 30)))
-        rate = _config_rate(cfg.get("sample_rate", 48000.0), where)
-        length = int(round(float(cfg.get("length_s", 0.4)) * rate))
+        max_order = _config_value(cfg, "max_order", int, where, 30)
+        sc = preset_scene(name, receiver=receiver, max_order=max_order)
+        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, 48000.0))
+        length = int(round(_config_value(cfg, "length_s", float, where, 0.4) * rate))
         return sc, rate, length
     if "scene_json" in cfg:
         sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where), receiver)
-        rate = _config_rate(cfg.get("sample_rate", file_rate), where)
+        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, file_rate))
         if "length_s" in cfg:
-            length = int(round(float(cfg["length_s"]) * rate))
+            length = int(round(_config_value(cfg, "length_s", float, where) * rate))
         else:  # keep the file's duration at the new rate
             length = int(round(length * rate / file_rate))
         return sc, rate, length
@@ -115,7 +118,7 @@ def _grid_and_hrirs(cfg: dict, where: str, sample_rate: float):
     if "grid_csv" in cfg:
         grid = load_grid_csv(_existing(cfg["grid_csv"], where))
     else:
-        grid = fibonacci_grid(int(cfg.get("grid_size", DEFAULT_GRID_SIZE)))
+        grid = fibonacci_grid(_config_value(cfg, "grid_size", int, where, DEFAULT_GRID_SIZE))
     if "hrir_index" in cfg:
         hrirs = load_hrir_set(
             _existing(cfg["hrir_index"], where), cfg.get("hrir_wav")
@@ -162,12 +165,13 @@ _CONDITION_CASTS = {"knn": int, "tf_averaging_frames": int,
 
 
 def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
-    _check_keys(entry, f"condition {entry.get('id', '?')!r}",
-                {"id", "analysis", "pressure_source", "synthesis"},
+    where = f"condition {entry.get('id', '?')!r}"
+    _check_keys(entry, where, {"id", "analysis", "pressure_source", "synthesis"},
                 set(_DOA_CASTS) | set(_CONDITION_CASTS))
 
     def given(casts):
-        return {key: cast(entry[key]) for key, cast in casts.items() if key in entry}
+        return {key: _config_value(entry, key, cast, where)
+                for key, cast in casts.items() if key in entry}
 
     return SystemCondition(
         id=str(entry["id"]),
@@ -367,13 +371,13 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
                  "recorded_wav", "inverse_wav", "trim_distortion"})
     mode = cfg["mode"]
     if mode == "generate":
-        rate = _config_rate(cfg.get("sample_rate", 48000.0), "ess")
+        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, "ess", 48000.0))
         sweep, inverse = generate_ess(
             rate,
-            float(cfg.get("f_start", 20.0)),
-            float(cfg.get("f_end", 20000.0)),
-            float(cfg.get("duration_s", 20.0)),
-            float(cfg.get("fade_s", 0.01)),
+            _config_value(cfg, "f_start", float, "ess", 20.0),
+            _config_value(cfg, "f_end", float, "ess", 20000.0),
+            _config_value(cfg, "duration_s", float, "ess", 20.0),
+            _config_value(cfg, "fade_s", float, "ess", 0.01),
         )
         wavio.write_wav(out_dir / "sweep.wav", sweep.samples[None, :], rate)
         wavio.write_wav(out_dir / "inverse.wav", inverse.samples[None, :], rate)

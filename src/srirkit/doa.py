@@ -257,10 +257,10 @@ def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTra
     return DoaTrajectory(directions, valid)
 
 
-def tf_piv_analysis(w: StftFrames, x: StftFrames, y: StftFrames, z: StftFrames,
-                    averaging_frames: int = 8) -> TfDoaField:
+def tf_piv_analysis(frames: StftFrames, averaging_frames: int = 8) -> TfDoaField:
     """Per-bin direction and diffuseness from time-frequency intensity.
 
+    ``frames`` holds the w, x, y, z transforms, shape (4, frames, bins).
     Intensity and energy density are averaged over time with an exponential
     moving average of effective length ``averaging_frames``. Diffuseness is
     ``1 - |<I>| / <E>`` with channel scaling such that a single plane wave
@@ -268,14 +268,13 @@ def tf_piv_analysis(w: StftFrames, x: StftFrames, y: StftFrames, z: StftFrames,
     clamped to [0, 1]. Bins with no usable intensity keep a frontal
     placeholder direction.
     """
-    for other in (x, y, z):
-        if not w.same_layout(other):
-            raise ValueError("FOA frame sets must share an identical STFT layout")
+    if frames.values.shape[:-2] != (4,):
+        raise ValueError(f"need (4, frames, bins) w, x, y, z frames, got {frames.values.shape}")
     if averaging_frames < 1:
         raise ValueError("averaging_frames must be >= 1")
 
-    wv = w.values
-    xyz = np.stack([x.values, y.values, z.values], axis=2)  # (t, f, 3)
+    wv = frames.values[0]
+    xyz = np.stack(frames.values[1:], axis=2)  # (t, f, 3)
     # Mic-convention product; physical intensity is its negation, and the
     # toward-source DOA negates that again.
     intensity = np.real(np.conj(wv)[:, :, None] * xyz)
@@ -299,7 +298,7 @@ def tf_piv_analysis(w: StftFrames, x: StftFrames, y: StftFrames, z: StftFrames,
     directions[..., 0] = 1.0  # frontal placeholder for degenerate bins
     usable = norms > 0.0
     directions[usable] = avg_i[usable] / norms[usable, None]
-    return TfDoaField(directions, psi, w.window_size, w.hop, w.sample_rate)
+    return TfDoaField(directions, psi, frames.window_size, frames.hop, frames.sample_rate)
 
 
 def smooth_doa(trajectory: DoaTrajectory, window: int) -> DoaTrajectory:

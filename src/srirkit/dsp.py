@@ -1,5 +1,5 @@
-"""Foundational DSP primitives: STFT/ISTFT, convolution, cross-correlation,
-onset detection, and direct-sound energy normalization.
+"""Foundational DSP primitives: STFT/ISTFT, cross-correlation, onset
+detection, fractional-delay impulses and direct-sound energy normalization.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import DegenerateInputError, NoOnsetError
-from .signals import BinauralIr, MonoIr, StftFrames
+from .signals import BinauralIr, StftFrames
 
 #: Default onset threshold relative to the global peak, in dB. A common
 #: room-acoustics convention that tolerates measurement noise floors.
@@ -20,21 +20,24 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(ir: MonoIr, window_size: int, hop: int) -> StftFrames:
-    """Hann-windowed short-time Fourier transform.
+def stft(samples: np.ndarray, sample_rate: float, window_size: int, hop: int) -> StftFrames:
+    """Hann-windowed short-time Fourier transform along the last axis.
 
     Frame i covers samples ``[i*hop, i*hop + window_size)``; no padding is
     applied, so every frame lies fully inside the signal.
 
     Parameters
     ----------
-    ir : MonoIr
+    samples : ndarray, shape (..., n)
+        Gives frames of shape (..., n_frames, n_bins).
+    sample_rate : float
     window_size : int
         Power of two, <= signal length.
     hop : int
         Must divide window_size with window_size // hop >= 2 (COLA for Hann).
     """
-    n = len(ir)
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[-1]
     if window_size < 2 or (window_size & (window_size - 1)) != 0:
         raise ValueError(f"window_size must be a power of two, got {window_size}")
     if window_size > n:
@@ -48,37 +51,39 @@ def stft(ir: MonoIr, window_size: int, hop: int) -> StftFrames:
     window = _hann_periodic(window_size)
     n_frames = 1 + (n - window_size) // hop
     starts = np.arange(n_frames) * hop
-    frames = ir.samples[starts[:, None] + np.arange(window_size)] * window
-    values = np.fft.rfft(frames, axis=1)
-    return StftFrames(values, window_size, hop, ir.sample_rate)
+    frames = samples[..., starts[:, None] + np.arange(window_size)] * window
+    values = np.fft.rfft(frames, axis=-1)
+    return StftFrames(values, window_size, hop, sample_rate)
 
 
-def istft(frames: StftFrames) -> MonoIr:
-    """Weighted overlap-add inverse of :func:`stft`.
+def istft(frames: StftFrames) -> np.ndarray:
+    """Weighted overlap-add inverse of :func:`stft`, shape ``(..., n)``.
 
     Applies the Hann window a second time on synthesis and divides by the
     accumulated squared window, which reconstructs the input exactly
     wherever window coverage is complete (the COLA-valid interior) and
-    behaves gracefully when the frames were modified.
+    behaves gracefully when the frames were modified. Every output sample
+    sums its frames in ascending frame order.
     """
     window_size, hop = frames.window_size, frames.hop
     if hop <= 0 or window_size % hop != 0 or window_size // hop < 2:
         raise ValueError("frames carry a non-COLA window/hop combination")
 
     window = _hann_periodic(window_size)
-    n_frames = frames.frame_count
-    out_len = (n_frames - 1) * hop + window_size
-    acc = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-
-    chunks = np.fft.irfft(frames.values, n=window_size, axis=1) * window
-    for i in range(n_frames):
-        acc[i * hop : i * hop + window_size] += chunks[i]
-        wsum[i * hop : i * hop + window_size] += window * window
-
-    nonzero = wsum > 1e-12
-    acc[nonzero] /= wsum[nonzero]
-    return MonoIr(acc, frames.sample_rate)
+    n_frames, overlap = frames.frame_count, window_size // hop
+    chunks = np.fft.irfft(frames.values, n=window_size, axis=-1)
+    chunks *= window
+    # Frame i's sub-block j lands on output block i + j; running j downwards
+    # adds each output block's frames in ascending order.
+    sub_blocks = chunks.reshape(*chunks.shape[:-1], overlap, hop)
+    acc = np.zeros((*chunks.shape[:-2], n_frames + overlap - 1, hop))
+    wsum = np.zeros(acc.shape[-2:])
+    window_sq = (window * window).reshape(overlap, hop)
+    for j in range(overlap - 1, -1, -1):
+        acc[..., j : j + n_frames, :] += sub_blocks[..., j, :]
+        wsum[j : j + n_frames] += window_sq[j]
+    np.divide(acc, wsum, out=acc, where=wsum > 1e-12)
+    return acc.reshape(*acc.shape[:-2], -1)
 
 
 def cola_interior(frames: StftFrames) -> slice:
@@ -88,31 +93,20 @@ def cola_interior(frames: StftFrames) -> slice:
     return slice(start, stop)
 
 
-def fft_convolve(a: MonoIr, b: MonoIr) -> MonoIr:
-    """Full linear convolution, length ``len(a) + len(b) - 1``."""
-    if a.sample_rate != b.sample_rate:
-        raise ValueError(
-            f"sample-rate mismatch: {a.sample_rate} vs {b.sample_rate}"
-        )
-    return MonoIr(sps.fftconvolve(a.samples, b.samples, mode="full"), a.sample_rate)
-
-
-def cross_correlate(a: MonoIr, b: MonoIr, max_lag: int) -> np.ndarray:
+def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
     """Raw (unnormalized) cross-correlation over lags ``-max_lag..+max_lag``.
 
-    The value at lag tau is ``sum_n a[n] * b[n + tau]``: if ``b`` is ``a``
-    delayed by d samples, the peak sits at lag +d. Raw values are returned
-    because peak location is normalization-invariant; the coefficient form
-    lives in the IACC metric.
+    ``a`` and ``b`` are 1-D arrays of one length. The value at lag tau is
+    ``sum_n a[n] * b[n + tau]``: if ``b`` is ``a`` delayed by d samples, the
+    peak sits at lag +d. Raw values are returned because peak location is
+    normalization-invariant; the coefficient form lives in the IACC metric.
     """
-    if a.sample_rate != b.sample_rate:
-        raise ValueError("sample-rate mismatch")
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if not 0 <= max_lag < len(a):
-        raise ValueError(f"max_lag must be in [0, {len(a) - 1}], got {max_lag}")
-    full = sps.correlate(b.samples, a.samples, mode="full", method="auto")
-    center = len(a) - 1
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"need two 1-D arrays of one length, got {a.shape} and {b.shape}")
+    if not 0 <= max_lag < a.size:
+        raise ValueError(f"max_lag must be in [0, {a.size - 1}], got {max_lag}")
+    full = sps.correlate(b, a, mode="full", method="auto")
+    center = a.size - 1
     return full[center - max_lag : center + max_lag + 1]
 
 

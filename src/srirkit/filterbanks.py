@@ -38,18 +38,33 @@ def bandpass_sos(low_hz: float, high_hz: float, sample_rate: float) -> np.ndarra
     return sps.butter(2, [low_hz / nyquist, high_hz / nyquist], btype="bandpass", output="sos")
 
 
+#: (low, high) edges of the ERB bands, half an ERB either side of each centre.
+_ERB_EDGES_HZ = tuple(
+    (float(erb_number_to_hz(n - 0.5)), float(erb_number_to_hz(n + 0.5)))
+    for n in (float(hz_to_erb_number(center)) for center in ERB_CENTERS_HZ)
+)
+
+
 def erb_bands(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     """ERB band signals, shape ``(39, *samples.shape)``; causal filtering.
 
-    Each band spans half an ERB either side of its centre.
+    Below 32 kHz the top bands reach past Nyquist and :func:`bandpass_sos`
+    raises; :func:`erb_bands_below_nyquist` keeps only the bands that fit.
     """
-    bands = []
-    for center in ERB_CENTERS_HZ:
-        n = float(hz_to_erb_number(center))
-        sos = bandpass_sos(float(erb_number_to_hz(n - 0.5)), float(erb_number_to_hz(n + 0.5)),
-                           sample_rate)
-        bands.append(sps.sosfilt(sos, samples, axis=-1))
-    return np.stack(bands)
+    bandpass_sos(*_ERB_EDGES_HZ[-1], sample_rate)  # every band fits if the top one does
+    return erb_bands_below_nyquist(samples, sample_rate)
+
+
+def erb_bands_below_nyquist(samples: np.ndarray, sample_rate: float) -> np.ndarray:
+    """The ERB bands, lowest first, whose upper edge lies below Nyquist.
+
+    Shape ``(k, *samples.shape)``, band i centred on ``ERB_CENTERS_HZ[i]``:
+    k is 36 at 24 kHz, 35 at 22.05 kHz and all 39 from 32 kHz up.
+    """
+    return np.stack([
+        sps.sosfilt(bandpass_sos(low, high, sample_rate), samples, axis=-1)
+        for low, high in _ERB_EDGES_HZ if high < sample_rate / 2.0
+    ])
 
 
 def octave_band(samples: np.ndarray, sample_rate: float, center_hz: float) -> np.ndarray:

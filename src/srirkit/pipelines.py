@@ -206,10 +206,8 @@ def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> Doa
 def _tf_field(inputs: AnalysisInput, condition: SystemCondition) -> TfDoaField:
     _require(inputs, condition, condition.analysis)
     window = condition.doa_config.window_size
-    hop = window // 2
-    frames = [stft(ch, window, hop) for ch in
-              (inputs.foa.w, inputs.foa.x, inputs.foa.y, inputs.foa.z)]
-    f = tf_piv_analysis(*frames, averaging_frames=condition.tf_averaging_frames)
+    frames = stft(inputs.foa.as_matrix(), inputs.foa.sample_rate, window, window // 2)
+    f = tf_piv_analysis(frames, averaging_frames=condition.tf_averaging_frames)
     if condition.psi_override is not None:
         f = replace(f, psi=np.full_like(f.psi, condition.psi_override))
     return f
@@ -248,7 +246,7 @@ def run_condition(inputs: AnalysisInput | SceneRendering,
     else:
         analysis = _tf_field(inputs, condition)
         window = condition.doa_config.window_size
-        pressure_frames = stft(pressure, window, window // 2)
+        pressure_frames = stft(pressure.samples, pressure.sample_rate, window, window // 2)
         vls = sirr_synthesize(pressure_frames, analysis, condition.grid, condition.seed)
     brir = normalize_direct_energy(binaural_render(vls, condition.hrirs))
     return ConditionResult(analysis, vls, brir)

@@ -112,10 +112,11 @@ class BinauralIr:
 
 @dataclass(frozen=True)
 class StftFrames:
-    """Complex STFT frames, shape (n_frames, n_bins).
+    """Complex STFT frames, shape (..., n_frames, n_bins).
 
-    ``n_bins`` equals ``window_size // 2 + 1`` (one-sided spectrum); frame i
-    covers samples ``[i * hop, i * hop + window_size)`` of the source signal.
+    Leading axes index channels that share one layout. ``n_bins`` equals
+    ``window_size // 2 + 1`` (one-sided spectrum); frame i covers samples
+    ``[i * hop, i * hop + window_size)`` of the source signal.
     """
 
     values: np.ndarray
@@ -125,11 +126,11 @@ class StftFrames:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 2:
-            raise ValueError(f"frames must be 2-D, got shape {vals.shape}")
-        if vals.shape[1] != self.window_size // 2 + 1:
+        if vals.ndim < 2:
+            raise ValueError(f"frames must be at least 2-D, got shape {vals.shape}")
+        if vals.shape[-1] != self.window_size // 2 + 1:
             raise ValueError(
-                f"bin count {vals.shape[1]} does not match window size "
+                f"bin count {vals.shape[-1]} does not match window size "
                 f"{self.window_size} (expected {self.window_size // 2 + 1})"
             )
         if not (0 < self.hop <= self.window_size):
@@ -140,16 +141,8 @@ class StftFrames:
 
     @property
     def frame_count(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.values.shape[-2])
 
     @property
     def bin_count(self) -> int:
-        return int(self.values.shape[1])
-
-    def same_layout(self, other: "StftFrames") -> bool:
-        return (
-            self.values.shape == other.values.shape
-            and self.window_size == other.window_size
-            and self.hop == other.hop
-            and self.sample_rate == other.sample_rate
-        )
+        return int(self.values.shape[-1])

@@ -31,8 +31,9 @@ def generate_ess(sample_rate: float, f_start: float, f_end: float,
     Returns
     -------
     (sweep, inverse) : tuple of MonoIr
-        ``fft_convolve(sweep, inverse)`` approximates a band-limited unit
-        impulse centered at index ``len(sweep) - 1``.
+        ``scipy.signal.fftconvolve(sweep.samples, inverse.samples)``
+        approximates a band-limited unit impulse centered at index
+        ``len(sweep) - 1``.
     """
     nyquist = sample_rate / 2.0
     if not (0.0 < f_start < f_end <= nyquist):

@@ -104,16 +104,6 @@ def decorrelation_kernel(seed: int, channel_index: int,
     return np.fft.irfft(np.exp(1j * phases), n=taps)
 
 
-def decorrelate(ir: MonoIr, seed: int, channel_index: int) -> MonoIr:
-    """All-pass (random-phase) filtering, deterministic in (seed, channel).
-
-    The kernel's DFT magnitude is exactly 1 in every bin, so broadband
-    energy is preserved; output length grows by the kernel tail.
-    """
-    kernel = decorrelation_kernel(seed, channel_index)
-    return MonoIr(sps.fftconvolve(ir.samples, kernel, mode="full"), ir.sample_rate)
-
-
 def sirr_tf_streams(pressure_frames: StftFrames, field: TfDoaField,
                     grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray]:
     """Pre-decorrelation direct and diffuse streams in the TF domain.
@@ -156,23 +146,14 @@ def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
     equals the input bin energy exactly before decorrelation.
     """
     direct_tf, diffuse_tf = sirr_tf_streams(pressure_frames, field, grid)
-    n_speakers = len(grid)
-    n_frames = pressure_frames.frame_count
-
-    diffuse_td = istft(
-        StftFrames(diffuse_tf, field.window_size, field.hop, field.sample_rate)
-    ).samples
-
-    time_len = (n_frames - 1) * field.hop + field.window_size
-    out = np.zeros((n_speakers, time_len + DECORRELATOR_TAPS - 1))
-    for ls in range(n_speakers):
-        direct_td = istft(
-            StftFrames(direct_tf[ls], field.window_size, field.hop, field.sample_rate)
-        ).samples
-        out[ls, :time_len] += direct_td
-        if np.any(diffuse_td):
-            kernel = decorrelation_kernel(seed, ls)
-            out[ls] += sps.fftconvolve(diffuse_td, kernel, mode="full")
+    layout = (field.window_size, field.hop, field.sample_rate)
+    diffuse_td = istft(StftFrames(diffuse_tf, *layout))
+    direct_td = istft(StftFrames(direct_tf, *layout))  # (speakers, time)
+    del direct_tf  # free the complex stream before the convolution
+    out = np.pad(direct_td, ((0, 0), (0, DECORRELATOR_TAPS - 1)))
+    if np.any(diffuse_td):
+        kernels = np.stack([decorrelation_kernel(seed, ls) for ls in range(len(grid))])
+        out += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
     return VirtualLoudspeakerSignals(grid, out, field.sample_rate)
 
 

@@ -127,7 +127,7 @@ def test_criterion_3_sirr_energy_split():
     sig = gen.normal(size=8192)
     sig[:256] = 0.0
     sig[-256:] = 0.0
-    frames = stft(MonoIr(sig, FS), 256, 128)
+    frames = stft(sig, FS, 256, 128)
     t, f = frames.values.shape
     dirs = gen.normal(size=(t, f, 3))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
@@ -150,9 +150,9 @@ def test_criterion_3_sirr_energy_split():
             hrirs=spherical_head_hrir_set(grid.directions, sample_rate=FS),
         )
     foa = rendering.analysis_input.foa
-    foa_frames = [stft(ch, 64, 32) for ch in (foa.w, foa.x, foa.y, foa.z)]
-    scene_field = tf_piv_analysis(*foa_frames)
-    vls = sirr_synthesize(foa_frames[0], scene_field, grid, seed=4)
+    foa_frames = stft(foa.as_matrix(), FS, 64, 32)
+    scene_field = tf_piv_analysis(foa_frames)
+    vls = sirr_synthesize(stft(foa.w.samples, FS, 64, 32), scene_field, grid, seed=4)
     ratio_db = abs(10 * np.log10(
         np.sum(vls.samples**2) / np.sum(foa.w.samples**2)
     ))

@@ -452,3 +452,21 @@ def test_condition_entry_defaults_come_from_the_dataclasses():
         grid=grid, hrirs=hrirs, doa_config=DoaConfig(window_size=32, band_high=2000.0),
         tf_averaging_frames=4, psi_override=0.5,
     )
+
+
+_SDM = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
+        "synthesis": "sdm"}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("simulate", _sim_config(length_s="abc"), "length_s"),
+    ("simulate", _sim_config(max_order="x"), "max_order"),
+    ("simulate", _sim_config(grid_size=[32]), "grid_size"),
+    ("render", {**_sim_config(), "conditions": [{**_SDM, "knn": "two"}]}, "knn"),
+    ("ess", {"mode": "generate", "f_start": "low"}, "f_start"),
+])
+def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
+                                                        key):
+    path = _write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err

@@ -202,19 +202,17 @@ class TestPivBroadbandDoa:
 
 def _stationary_plane_wave_frames(direction, rng, n=8192, window=256):
     sig = rng.normal(size=n)
-    frames = [
-        stft(MonoIr(scale * sig, FS), window, window // 2)
-        for scale in (1.0, direction[0], direction[1], direction[2])
-    ]
-    return frames
+    scales = np.array([1.0, direction[0], direction[1], direction[2]])
+    return stft(scales[:, None] * sig, FS, window, window // 2)
 
 
 class TestTfPivAnalysis:
     def test_plane_wave_low_diffuseness(self, rng):
         u = direction_from_azel(140.0, 20.0)
-        w, x, y, z = _stationary_plane_wave_frames(u, rng)
-        field = tf_piv_analysis(w, x, y, z, averaging_frames=1)
-        occupied = np.abs(w.values) >= 0.01 * np.abs(w.values).max()
+        frames = _stationary_plane_wave_frames(u, rng)
+        field = tf_piv_analysis(frames, averaging_frames=1)
+        w = frames.values[0]
+        occupied = np.abs(w) >= 0.01 * np.abs(w).max()
         assert field.psi[occupied].max() < 0.05
         dirs = field.directions[occupied]
         worst = np.degrees(
@@ -224,16 +222,19 @@ class TestTfPivAnalysis:
 
     def test_default_averaging_plane_wave(self, rng):
         u = direction_from_azel(-45.0, 0.0)
-        w, x, y, z = _stationary_plane_wave_frames(u, rng)
-        field = tf_piv_analysis(w, x, y, z, averaging_frames=8)
-        occupied = np.abs(w.values[16:]) >= 0.01 * np.abs(w.values).max()
+        frames = _stationary_plane_wave_frames(u, rng)
+        field = tf_piv_analysis(frames, averaging_frames=8)
+        w = frames.values[0]
+        occupied = np.abs(w[16:]) >= 0.01 * np.abs(w).max()
         assert np.median(field.psi[16:][occupied]) < 0.05
 
     def test_w_only_fully_diffuse(self, rng):
-        w = stft(MonoIr(rng.normal(size=4096), FS), 256, 128)
-        zero = stft(MonoIr(np.zeros(4096), FS), 256, 128)
-        field = tf_piv_analysis(w, zero, zero, zero)
-        occupied = np.abs(w.values) >= 0.01 * np.abs(w.values).max()
+        foa = np.zeros((4, 4096))
+        foa[0] = rng.normal(size=4096)
+        frames = stft(foa, FS, 256, 128)
+        field = tf_piv_analysis(frames)
+        w = frames.values[0]
+        occupied = np.abs(w) >= 0.01 * np.abs(w).max()
         assert np.all(field.psi[occupied] == 1.0)
 
     def test_diffuse_superposition_high_psi(self, rng):
@@ -252,11 +253,10 @@ class TestTfPivAnalysis:
             sig = rng.normal(size=burst) * taper
             w_sig[start : start + burst] += sig
             xyz_sig[:, start : start + burst] += u[:, None] * sig
-        frames = [stft(MonoIr(s, FS), window, window // 2)
-                  for s in (w_sig, *xyz_sig)]
-        field8 = tf_piv_analysis(*frames, averaging_frames=8)
+        frames = stft(np.vstack([w_sig, xyz_sig]), FS, window, window // 2)
+        field8 = tf_piv_analysis(frames, averaging_frames=8)
         assert np.median(field8.psi[16:]) > 0.8
-        field32 = tf_piv_analysis(*frames, averaging_frames=32)
+        field32 = tf_piv_analysis(frames, averaging_frames=32)
         assert np.median(field32.psi[64:]) > 0.9
 
     def test_mixed_field_diffuseness_tracks_power_ratio(self):
@@ -285,16 +285,13 @@ class TestTfPivAnalysis:
         for ratio in (1.0, 3.0):  # diffuse-to-direct power
             s = rng.normal(size=n)
             w_f, xyz_f = diffuse_field(np.sqrt(ratio))
-            frames = [stft(MonoIr(s + w_f, FS), window, window // 2)] + [
-                stft(MonoIr(u_dir[k] * s + xyz_f[k], FS), window, window // 2)
-                for k in range(3)
-            ]
-            field = tf_piv_analysis(*frames, averaging_frames=32)
+            foa = np.vstack([s + w_f, u_dir[:, None] * s + xyz_f])
+            field = tf_piv_analysis(stft(foa, FS, window, window // 2), averaging_frames=32)
             e_direct = np.mean(
-                np.abs(stft(MonoIr(s, FS), window, window // 2).values[64:]) ** 2, axis=0
+                np.abs(stft(s, FS, window, window // 2).values[64:]) ** 2, axis=0
             )
             e_diffuse = np.mean(
-                np.abs(stft(MonoIr(w_f, FS), window, window // 2).values[64:]) ** 2, axis=0
+                np.abs(stft(w_f, FS, window, window // 2).values[64:]) ** 2, axis=0
             )
             psi_theory = e_diffuse / (e_direct + e_diffuse)
             psi_est = np.median(field.psi[64:], axis=0)
@@ -302,15 +299,12 @@ class TestTfPivAnalysis:
             assert abs(np.median(psi_est) - np.median(psi_theory)) < 0.03
 
     def test_metadata_mismatch_rejected(self, rng):
-        w = stft(MonoIr(rng.normal(size=4096), FS), 256, 128)
-        bad = stft(MonoIr(rng.normal(size=4096), FS), 512, 256)
-        with pytest.raises(ValueError):
-            tf_piv_analysis(w, bad, bad, bad)
+        for shape in ((4096,), (3, 4096), (5, 4096), (2, 4, 4096)):
+            with pytest.raises(ValueError):
+                tf_piv_analysis(stft(rng.normal(size=shape), FS, 256, 128))
 
     def test_psi_bounds_and_unit_directions(self, rng):
-        frames = [stft(MonoIr(rng.normal(size=4096), FS), 256, 128)
-                  for _ in range(4)]
-        field = tf_piv_analysis(*frames)
+        field = tf_piv_analysis(stft(rng.normal(size=(4, 4096)), FS, 256, 128))
         assert field.psi.min() >= 0.0 and field.psi.max() <= 1.0
         norms = np.linalg.norm(field.directions, axis=2)
         assert np.abs(norms - 1.0).max() < 1e-9

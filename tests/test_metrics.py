@@ -324,6 +324,19 @@ class TestMeasureBrir:
             metrics.itd(normalized), abs=1e-9
         )
 
+    @pytest.mark.parametrize("rate", [16000.0, 24000.0])
+    def test_rates_below_32_khz_are_scored(self, rng, rate):
+        # The top ERB bands reach past Nyquist here; the ILD averages the rest.
+        n, onset = int(0.4 * rate), 100
+        t = np.arange(n) / rate
+        left = rng.normal(size=n) * np.exp(-6.91 * t / 0.15) * 0.05 * (t > onset / rate)
+        left[onset] = 1.0
+        report = metrics.measure_brir(BinauralIr(MonoIr(left, rate), MonoIr(0.5 * left, rate)))
+        assert all(np.isfinite(v) for v in report.to_dict().values())
+        assert report.ild_low_db == pytest.approx(20 * np.log10(2.0), abs=1e-9)
+        assert report.ild_high_db == pytest.approx(20 * np.log10(2.0), abs=1e-9)
+        assert report.itd_us == pytest.approx(0.0, abs=1.0)
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             metrics.MetricReport(0.0, 0.0, 2000.0, 0.25, 0.1, 0.1)  # itd too big

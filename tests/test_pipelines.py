@@ -131,7 +131,7 @@ class TestRunCondition:
 
         field = _tf_field(rendering.analysis_input, cond)
         pressure_frames = stft(
-            rendering.analysis_input.foa.w,
+            rendering.analysis_input.foa.w.samples, FS,
             cond.doa_config.window_size, cond.doa_config.window_size // 2,
         )
         vls = sirr_synthesize(pressure_frames, field, grid, seed=cond.seed)

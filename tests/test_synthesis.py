@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
@@ -11,7 +13,7 @@ from srirkit.synthesis import (
     DECORRELATOR_TAPS,
     VirtualLoudspeakerSignals,
     binaural_render,
-    decorrelate,
+    decorrelation_kernel,
     sdm_synthesize,
     sirr_synthesize,
     sirr_tf_streams,
@@ -113,7 +115,7 @@ class TestSirrSynthesize:
         sig = rng.normal(size=n)
         sig[: window] = 0.0
         sig[-window:] = 0.0
-        return sig, stft(MonoIr(sig, FS), window, window // 2)
+        return sig, stft(sig, FS, window, window // 2)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -135,7 +137,7 @@ class TestSirrSynthesize:
                 for s, g in vbap_gains(dirs[ti, fi], grid).gains.items():
                     expected_tf[s, ti, fi] = g * frames.values[ti, fi]
         for s in range(len(grid)):
-            expected = istft(StftFrames(expected_tf[s], 128, 64, FS)).samples
+            expected = istft(StftFrames(expected_tf[s], 128, 64, FS))
             assert np.abs(vls.samples[s, :time_len] - expected).max() < 1e-6
 
     def test_psi_one_output_ignores_directions(self, rng):
@@ -193,35 +195,60 @@ class TestSirrSynthesize:
         assert not np.array_equal(a.samples, c.samples)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), speakers=st.integers(8, 40))
+def test_sirr_per_bin_energy_split_property(seed, speakers):
+    """sum |direct|^2 + L |diffuse|^2 == |P|^2 in every bin, for random
+    directions and psi (exact 0 and 1 included)."""
+    gen = np.random.default_rng(seed)
+    frames = stft(gen.normal(size=1024), FS, 64, 32)
+    t, f = frames.values.shape
+    dirs = gen.normal(size=(t, f, 3))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    psi = gen.uniform(size=(t, f))
+    psi[gen.uniform(size=(t, f)) < 0.2] = 0.0
+    psi[gen.uniform(size=(t, f)) < 0.2] = 1.0
+    grid = fibonacci_grid(speakers)
+    direct_tf, diffuse_tf = sirr_tf_streams(frames, TfDoaField(dirs, psi, 64, 32, FS), grid)
+    total = np.sum(np.abs(direct_tf) ** 2, axis=0) + len(grid) * np.abs(diffuse_tf) ** 2
+    reference = np.abs(frames.values) ** 2
+    assert np.abs(total - reference).max() <= 1e-12 * reference.max()
+
+
 class TestDecorrelate:
-    def test_zero_in_zero_out(self):
-        out = decorrelate(MonoIr(np.zeros(1000), FS), seed=0, channel_index=0)
-        assert np.all(out.samples == 0.0)
+    def test_zero_in_zero_out(self, rng):
+        frames = stft(np.zeros(2048), FS, 128, 64)
+        t, f = frames.values.shape
+        field = _smooth_field(rng, t, f, 128, 64)
+        vls = sirr_synthesize(frames, field, fibonacci_grid(8), seed=0)
+        assert np.all(vls.samples == 0.0)
 
     def test_energy_preserved_on_white_noise(self, rng):
-        x = MonoIr(rng.normal(size=24000), FS)
-        out = decorrelate(x, seed=1, channel_index=4)
-        ratio_db = 10 * np.log10(
-            np.sum(out.samples**2) / np.sum(x.samples**2)
-        )
+        from scipy import signal as sps
+
+        x = rng.normal(size=24000)
+        kernel = decorrelation_kernel(seed=1, channel_index=4)
+        out = sps.fftconvolve(x, kernel, mode="full")
+        ratio_db = 10 * np.log10(np.sum(out**2) / np.sum(x**2))
         assert abs(ratio_db) < 0.1
-        assert len(out) == len(x) + DECORRELATOR_TAPS - 1
+        assert kernel.shape == (DECORRELATOR_TAPS,)
 
     def test_channels_decorrelated(self, rng):
         from scipy import signal as sps
 
-        x = MonoIr(rng.normal(size=24000), FS)
-        a = decorrelate(x, seed=5, channel_index=0)
-        b = decorrelate(x, seed=5, channel_index=1)
-        energy = np.sqrt(np.sum(a.samples**2) * np.sum(b.samples**2))
-        peak = np.abs(sps.correlate(a.samples, b.samples, mode="full")).max()
+        x = rng.normal(size=24000)
+        a = sps.fftconvolve(x, decorrelation_kernel(seed=5, channel_index=0), mode="full")
+        b = sps.fftconvolve(x, decorrelation_kernel(seed=5, channel_index=1), mode="full")
+        energy = np.sqrt(np.sum(a**2) * np.sum(b**2))
+        peak = np.abs(sps.correlate(a, b, mode="full")).max()
         assert peak / energy < 0.3
 
-    def test_deterministic_in_seed_and_channel(self, rng):
-        x = MonoIr(rng.normal(size=512), FS)
-        a = decorrelate(x, seed=7, channel_index=2)
-        b = decorrelate(x, seed=7, channel_index=2)
-        assert np.array_equal(a.samples, b.samples)
+    def test_deterministic_in_seed_and_channel(self):
+        a = decorrelation_kernel(seed=7, channel_index=2)
+        b = decorrelation_kernel(seed=7, channel_index=2)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, decorrelation_kernel(seed=7, channel_index=3))
+        assert not np.array_equal(a, decorrelation_kernel(seed=8, channel_index=2))
 
 
 class TestBinauralRender:
