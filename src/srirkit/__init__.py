@@ -2,7 +2,7 @@
 resynthesis, and objective evaluation against an image-source oracle.
 """
 
-from .arrays import FoaSignal, MicArrayGeometry, builtin_array, encode_foa_open_array
+from .arrays import MicArrayGeometry, builtin_array, encode_foa_open_array
 from .doa import (
     DoaConfig,
     DoaTrajectory,
@@ -53,7 +53,7 @@ from .pipelines import (
     run_condition,
     simulate,
 )
-from .signals import BinauralIr, MonoIr, MultichannelIr, StftFrames
+from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr, StftFrames
 from .sweep import deconvolve_ess, generate_ess
 from .synthesis import (
     VirtualLoudspeakerSignals,

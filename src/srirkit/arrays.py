@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedGeometryError
-from .signals import MonoIr, MultichannelIr
-
-FOA_CONVENTION = "sn3d-mic"
+from .signals import FoaSignal, MultichannelIr
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -115,38 +113,6 @@ def builtin_array(name: str) -> MicArrayGeometry:
     raise KeyError(f"unknown built-in array {name!r} (available: om6, sphere32)")
 
 
-@dataclass(frozen=True)
-class FoaSignal:
-    """First-order (W, X, Y, Z) signal set; see module docstring for signs."""
-
-    w: MonoIr
-    x: MonoIr
-    y: MonoIr
-    z: MonoIr
-    convention: str = FOA_CONVENTION
-
-    def __post_init__(self):
-        if not self.convention:
-            raise ValueError("convention tag must be present")
-        rate = self.w.sample_rate
-        length = len(self.w)
-        for ch in (self.x, self.y, self.z):
-            if ch.sample_rate != rate or len(ch) != length:
-                raise ValueError("all FOA channels must share rate and length")
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-    @property
-    def sample_rate(self) -> float:
-        return self.w.sample_rate
-
-    def as_matrix(self) -> np.ndarray:
-        return np.stack(
-            [self.w.samples, self.x.samples, self.y.samples, self.z.samples]
-        )
-
-
 def _axis_pairs(geometry: MicArrayGeometry) -> list[tuple[int, int, float]]:
     """(plus, minus, spacing) per axis for arrays with opposing capsules."""
     pos = geometry.positions
@@ -190,12 +156,12 @@ def encode_foa_open_array(srir: MultichannelIr, geometry: MicArrayGeometry,
             f"{geometry.capsule_count} capsules"
         )
     pairs = _axis_pairs(geometry)
-    data = srir.as_matrix()
+    data = srir.samples
     rate = srir.sample_rate
     n = data.shape[1]
 
     if geometry.center_index is not None:
-        w = data[geometry.center_index].copy()
+        w = data[geometry.center_index]
     else:
         w = data.mean(axis=0)
 
@@ -211,9 +177,4 @@ def encode_foa_open_array(srir: MultichannelIr, geometry: MicArrayGeometry,
         gain[1:] = speed_of_sound / (2j * np.pi * freqs[1:] * spacing) * taper[1:]
         dipoles.append(np.fft.irfft(spectrum * gain, n=nfft)[:n])
 
-    return FoaSignal(
-        w=MonoIr(w, rate),
-        x=MonoIr(dipoles[0], rate),
-        y=MonoIr(dipoles[1], rate),
-        z=MonoIr(dipoles[2], rate),
-    )
+    return FoaSignal(np.stack([w, *dipoles]), rate)

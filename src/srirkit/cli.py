@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .pipelines import (
     validate_condition_inputs,
 )
 from .presets import DEFAULT_GRID_SIZE, SCENE_POSITIONS, scene as preset_scene
-from .signals import BinauralIr, MonoIr, MultichannelIr
+from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .sweep import deconvolve_ess, generate_ess
 
 
@@ -78,7 +79,7 @@ def _read_brir(path, where: str) -> BinauralIr:
     data, rate = wavio.read_wav(_existing(path, where))
     if data.shape[0] != 2:
         raise ConfigurationError(f"{where}: {path} must be a stereo WAV")
-    return BinauralIr(MonoIr(data[0], rate), MonoIr(data[1], rate))
+    return BinauralIr(data, rate)
 
 
 def _config_value(cfg: dict, key: str, cast, where: str, default=None):
@@ -88,6 +89,17 @@ def _config_value(cfg: dict, key: str, cast, where: str, default=None):
         return cast(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{where}: {key}: {exc}") from exc
+
+
+def _length_samples(cfg: dict, where: str, rate: float, default=None) -> int:
+    """``length_s`` in samples; it must be finite and give at least one."""
+    seconds = _config_value(cfg, "length_s", float, where, default)
+    samples = seconds * rate
+    if not (math.isfinite(samples) and round(samples) >= 1):
+        raise ConfigurationError(
+            f"{where}: length_s must be finite and give at least one sample, got {seconds}"
+        )
+    return int(round(samples))
 
 
 def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
@@ -101,13 +113,12 @@ def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
         max_order = _config_value(cfg, "max_order", int, where, 30)
         sc = preset_scene(name, receiver=receiver, max_order=max_order)
         rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, 48000.0))
-        length = int(round(_config_value(cfg, "length_s", float, where, 0.4) * rate))
-        return sc, rate, length
+        return sc, rate, _length_samples(cfg, where, rate, 0.4)
     if "scene_json" in cfg:
         sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where), receiver)
         rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, file_rate))
         if "length_s" in cfg:
-            length = int(round(_config_value(cfg, "length_s", float, where) * rate))
+            length = _length_samples(cfg, where, rate)
         else:  # keep the file's duration at the new rate
             length = int(round(length * rate / file_rate))
         return sc, rate, length
@@ -143,9 +154,9 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     grid, hrirs = _grid_and_hrirs(cfg, "simulate", rate)
 
     rendering = simulate(sc, rate, length, geometry=geometry, hrirs=hrirs)
-    wavio.write_wav(out_dir / "srir.wav", rendering.analysis_input.srir.as_matrix(), rate)
-    wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.as_matrix(), rate)
-    wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.as_matrix(), rate)
+    wavio.write_wav(out_dir / "srir.wav", rendering.analysis_input.srir.samples, rate)
+    wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.samples, rate)
+    wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.samples, rate)
     rendering.images.to_csv(out_dir / "images.csv")
     (out_dir / "scene.json").write_text(
         json.dumps(scene_to_json_dict(sc, rate, length), indent=2, sort_keys=True) + "\n"
@@ -197,16 +208,12 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
                 f"{where}: SRIR has {data.shape[0]} channels, array "
                 f"{geometry.name!r} expects {geometry.capsule_count}"
             )
-        srir = MultichannelIr(
-            tuple(MonoIr(ch, rate) for ch in data), geometry_id=geometry.name
-        )
+        srir = MultichannelIr(data, rate)
     if "foa_wav" in cfg:
         data, rate = wavio.read_wav(_existing(cfg["foa_wav"], where))
         if data.shape[0] != 4:
             raise ConfigurationError(f"{where}: FOA WAV must have 4 channels (w,x,y,z)")
-        from .arrays import FoaSignal
-
-        foa = FoaSignal(*(MonoIr(ch, rate) for ch in data))
+        foa = FoaSignal(data, rate)
     return AnalysisInput(srir=srir, geometry=geometry, foa=foa)
 
 
@@ -222,16 +229,15 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     else:
         geometry = builtin_array(cfg.get("array", "om6"))
         sc, rate, length = _load_scene(cfg, "render", geometry)
-        inputs = None  # simulated below once grid/hrirs exist
+        inputs = None  # simulated below, once the conditions are checked
 
     grid, hrirs = _grid_and_hrirs(cfg, "render", rate)
-    if inputs is None:
-        inputs = simulate(sc, rate, length, hrirs=hrirs).analysis_input
-
     conditions = [_build_condition(e, grid, hrirs, args.seed) for e in cfg["conditions"]]
     ids = [c.id for c in conditions]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"render: condition ids must be unique, got {ids}")
+    if inputs is None:
+        inputs = simulate(sc, rate, length, hrirs=hrirs).analysis_input
     for cond in conditions:
         validate_condition_inputs(inputs, cond)
 
@@ -242,7 +248,7 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
         except Exception as exc:  # noqa: BLE001 - enumerated below
             return exc
         names = [f"{cond.id}.wav"]
-        wavio.write_wav(out_dir / names[0], result.brir.as_matrix(), rate)
+        wavio.write_wav(out_dir / names[0], result.brir.samples, rate)
         if args.dump_intermediates:
             kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
             names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sps
 
-from .arrays import FoaSignal, MicArrayGeometry
+from .arrays import MicArrayGeometry
 from .dsp import refine_peaks
 from .errors import UnsupportedGeometryError
 from .filterbanks import bandpass_sos
-from .signals import MultichannelIr, StftFrames
+from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
 
@@ -161,7 +161,7 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
 
     rate = srir.sample_rate
     c = config.speed_of_sound
-    data = srir.as_matrix()
+    data = srir.samples
     peak = np.abs(data).max()
     if peak > 0:
         # Gain-normalize so the degenerate-solution threshold below is
@@ -243,7 +243,7 @@ def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTra
     if config is None:
         config = DoaConfig()
     sos = bandpass_sos(config.band_low, config.band_high, foa.sample_rate)
-    filtered = sps.sosfiltfilt(sos, foa.as_matrix(), axis=-1)
+    filtered = sps.sosfiltfilt(sos, foa.samples, axis=-1)
     velocity = -filtered[1:]  # particle velocity is the negated x, y, z
 
     intensity = filtered[0] * velocity  # (3, n), points away from source

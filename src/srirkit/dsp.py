@@ -182,7 +182,7 @@ def detect_onset(brir: BinauralIr, threshold_db: float = ONSET_THRESHOLD_DB) -> 
     First sample whose magnitude exceeds ``threshold_db`` relative to the
     global peak magnitude across both channels.
     """
-    mags = np.abs(brir.as_matrix())
+    mags = np.abs(brir.samples)
     peak = mags.max()
     if peak <= 0.0:
         raise NoOnsetError("all-zero input has no onset")
@@ -212,8 +212,8 @@ def normalize_direct_energy(brir: BinauralIr, duration_s: float = 2.5e-3,
     starting at the onset; per-channel normalization would destroy the ILD.
     """
     start, stop = direct_segment(brir, duration_s, threshold_db)
-    seg = brir.as_matrix()[:, start:stop]
+    seg = brir.samples[:, start:stop]
     rms = float(np.sqrt(np.mean(seg * seg)))
     if rms <= 0.0:
         raise DegenerateInputError("direct segment carries no energy")
-    return BinauralIr(brir.left.scaled(1.0 / rms), brir.right.scaled(1.0 / rms))
+    return brir.scaled(1.0 / rms)

@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sps
 
-from .arrays import FoaSignal, MicArrayGeometry
+from .arrays import MicArrayGeometry
 from .dsp import impulse_fits, place_fractional_impulses
 from .errors import LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
 from .hrir import HrirSet
-from .signals import BinauralIr, MonoIr, MultichannelIr
+from .signals import BinauralIr, FoaSignal, MultichannelIr
 
 
 @dataclass(frozen=True)
@@ -206,18 +206,16 @@ def render_array_srir(images: ImageSourceList, geometry: MicArrayGeometry,
     distance-derived fractional delay with a 1/r amplitude."""
     c = images.speed_of_sound
     wall = images.wall_products
-    channels = []
+    out = np.zeros((geometry.capsule_count, length))
     truncated = 0
     for i, cap in enumerate(geometry.positions):
         capsule_pos = images.receiver_origin + cap
         dist = np.linalg.norm(images.positions - capsule_pos, axis=1)
         delays = dist / c * sample_rate
         _require_direct(images, delays, length, f"array SRIR capsule {i}")
-        out = np.zeros(length)
-        truncated += place_fractional_impulses(out, delays, wall / dist)
-        channels.append(MonoIr(out, sample_rate))
+        truncated += place_fractional_impulses(out[i], delays, wall / dist)
     _warn_truncated(truncated, "array SRIR")
-    return MultichannelIr(tuple(channels), geometry_id=geometry.name)
+    return MultichannelIr(out, sample_rate)
 
 
 def render_foa_srir(images: ImageSourceList, sample_rate: float, length: int) -> FoaSignal:
@@ -233,7 +231,7 @@ def render_foa_srir(images: ImageSourceList, sample_rate: float, length: int) ->
     out = np.zeros((4, length))
     truncated = place_fractional_impulses(out, delays, amps)
     _warn_truncated(truncated, "FOA SRIR")
-    return FoaSignal(*(MonoIr(ch, sample_rate) for ch in out))
+    return FoaSignal(out, sample_rate)
 
 
 def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
@@ -259,7 +257,7 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
         truncated += place_fractional_impulses(train, delays[sel], images.amplitudes[sel])
         ears += sps.fftconvolve(train[None, :], np.stack([hrirs.left[h], hrirs.right[h]]), axes=-1)
     _warn_truncated(truncated, "reference BRIR")
-    return BinauralIr(MonoIr(ears[0], sample_rate), MonoIr(ears[1], sample_rate))
+    return BinauralIr(ears, sample_rate)
 
 
 def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:

@@ -123,7 +123,7 @@ def ild_avg(brir: BinauralIr, segment_s: float = 2.5e-3) -> tuple[float, float]:
     Nyquist count: 36 of the 39 at 24 kHz, all from 32 kHz up.
     """
     start, stop = dsp.direct_segment(brir, segment_s)
-    bands = erb_bands_below_nyquist(brir.as_matrix()[:, start:stop], brir.sample_rate)
+    bands = erb_bands_below_nyquist(brir.samples[:, start:stop], brir.sample_rate)
     rms = np.sqrt(np.mean(bands**2, axis=-1))
     silent = np.argwhere(rms <= 0.0)  # band-major, so the left ear is checked first
     if silent.size:
@@ -162,7 +162,7 @@ def itd(brir: BinauralIr, segment_s: float | None = 2.5e-3) -> float:
     if len(brir) <= int(2e-3 * brir.sample_rate):
         raise ValueError("BRIR must be longer than 2 ms")
     start, stop = (0, len(brir)) if segment_s is None else dsp.direct_segment(brir, segment_s)
-    left, right = brir.as_matrix()[:, start:stop]
+    left, right = brir.samples[:, start:stop]
     _, lag_s = _iacf_peak(left, right, brir.sample_rate, refine=True)
     return float(np.clip(lag_s * 1e6, -1000.0, 1000.0))
 
@@ -193,7 +193,7 @@ def iacc_e3_l3(brir: BinauralIr, early_s: float = EARLY_WINDOW_S) -> tuple[float
     if len(brir) - split < min_window:
         raise ValueError("late window shorter than 2 ms")
 
-    ears = brir.as_matrix()
+    ears = brir.samples
     early_vals, late_vals = [], []
     for band in IACC_BANDS_HZ:
         left, right = octave_band(ears, rate, band)
@@ -237,7 +237,7 @@ def t30_mid(ir: MonoIr | BinauralIr, bands_hz: tuple = T30_BANDS_HZ) -> float:
     60 dB and averaged over the 500 Hz and 1 kHz octave bands (and both
     channels for a BRIR).
     """
-    channels = ir.as_matrix() if isinstance(ir, BinauralIr) else ir.samples[None, :]
+    channels = np.atleast_2d(ir.samples)
     per_band = [octave_band(channels, ir.sample_rate, band) for band in bands_hz]
     values = [
         _t30_one_band(per_band[b][ch], ir.sample_rate, band)

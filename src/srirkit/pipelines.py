@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrays import FoaSignal, MicArrayGeometry
+from .arrays import MicArrayGeometry
 from .doa import (
     DoaConfig,
     DoaTrajectory,
@@ -38,7 +38,7 @@ from .ism import (
     render_reference_brir,
 )
 from .metrics import error_summary_paired, measure_brir
-from .signals import BinauralIr, MonoIr, MultichannelIr
+from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .synthesis import (
     VirtualLoudspeakerSignals,
     binaural_render,
@@ -187,10 +187,10 @@ def _pressure_signal(inputs: AnalysisInput, condition: SystemCondition) -> MonoI
     source = condition.pressure_source
     _require(inputs, condition, source)
     if source == "center-mic":
-        return inputs.srir.channels[inputs.geometry.center_index]
+        return MonoIr(inputs.srir.samples[inputs.geometry.center_index], inputs.srir.sample_rate)
     if source == "zeroth-order":
         return inputs.foa.w
-    return MonoIr(inputs.srir.as_matrix().mean(axis=0), inputs.srir.sample_rate)
+    return MonoIr(inputs.srir.samples.mean(axis=0), inputs.srir.sample_rate)
 
 
 def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> DoaTrajectory:
@@ -206,7 +206,7 @@ def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> Doa
 def _tf_field(inputs: AnalysisInput, condition: SystemCondition) -> TfDoaField:
     _require(inputs, condition, condition.analysis)
     window = condition.doa_config.window_size
-    frames = stft(inputs.foa.as_matrix(), inputs.foa.sample_rate, window, window // 2)
+    frames = stft(inputs.foa.samples, inputs.foa.sample_rate, window, window // 2)
     f = tf_piv_analysis(frames, averaging_frames=condition.tf_averaging_frames)
     if condition.psi_override is not None:
         f = replace(f, psi=np.full_like(f.psi, condition.psi_override))

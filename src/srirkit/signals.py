@@ -1,8 +1,10 @@
 """Core signal containers.
 
-All containers are immutable after construction and hold float64 sample
-data; operations elsewhere in the package treat them as values and never
-mutate the underlying arrays.
+Every container holds one validated float64 ``samples`` array and one
+``sample_rate``: (n,) for :class:`MonoIr`, (channels, n) for the
+multichannel ones. They are immutable after construction; operations
+elsewhere in the package treat them as values and never mutate the
+underlying arrays.
 """
 
 from __future__ import annotations
@@ -12,102 +14,72 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_samples(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D sample array, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ValueError("signal must contain at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("signal contains non-finite samples")
-    return arr
-
-
 @dataclass(frozen=True)
-class MonoIr:
-    """Single-channel impulse response (or any sampled signal)."""
+class _Signal:
+    """Validation and the operations every container shares."""
 
     samples: np.ndarray
     sample_rate: float
 
+    _NDIM = 1  # dimensions of ``samples``
+    _CHANNELS = None  # fixed channel count, if the class has one
+
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_samples(self.samples))
+        arr = np.require(self.samples, np.float64, "C")  # no copy for C-ordered float64
+        name = type(self).__name__
+        if arr.ndim != self._NDIM:
+            raise ValueError(f"{name} needs a {self._NDIM}-D sample array, got shape {arr.shape}")
+        if self._CHANNELS is not None and arr.shape[0] != self._CHANNELS:
+            raise ValueError(f"{name} needs {self._CHANNELS} channels, got {arr.shape[0]}")
+        if arr.size < 1:
+            raise ValueError("signal must contain at least one sample")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("signal contains non-finite samples")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
-        return int(self.samples.size)
+        return int(self.samples.shape[-1])
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    def scaled(self, gain: float) -> "MonoIr":
-        return MonoIr(self.samples * float(gain), self.sample_rate)
+    def scaled(self, gain: float):
+        """The same signal times ``gain``, of the caller's own type."""
+        return type(self)(self.samples * float(gain), self.sample_rate)
 
 
-@dataclass(frozen=True)
-class MultichannelIr:
-    """One impulse response per microphone capsule, sharing rate and length.
+class MonoIr(_Signal):
+    """Single-channel impulse response (or any sampled signal), shape (n,)."""
 
-    ``geometry_id`` optionally names the :class:`~srirkit.arrays.MicArrayGeometry`
-    the channels were captured with; when set, ``capsule_count`` must match.
-    """
 
-    channels: tuple
-    geometry_id: str | None = None
+class MultichannelIr(_Signal):
+    """One impulse response per channel (e.g. per microphone capsule),
+    shape (channels, n): every channel shares one rate and one length."""
 
-    def __post_init__(self):
-        chans = tuple(self.channels)
-        if not chans:
-            raise ValueError("MultichannelIr needs at least one channel")
-        rate = chans[0].sample_rate
-        length = len(chans[0])
-        for ch in chans[1:]:
-            if ch.sample_rate != rate:
-                raise ValueError("all channels must share one sample rate")
-            if len(ch) != length:
-                raise ValueError("all channels must share one length")
-        object.__setattr__(self, "channels", chans)
-
-    def __len__(self) -> int:
-        return len(self.channels[0])
-
-    @property
-    def sample_rate(self) -> float:
-        return self.channels[0].sample_rate
+    _NDIM = 2
 
     @property
     def channel_count(self) -> int:
-        return len(self.channels)
-
-    def as_matrix(self) -> np.ndarray:
-        """Channel-major (n_channels, n_samples) copy of the sample data."""
-        return np.stack([ch.samples for ch in self.channels])
+        return int(self.samples.shape[0])
 
 
-@dataclass(frozen=True)
-class BinauralIr:
-    """Left/right impulse response pair (a BRIR once rendered)."""
+def _row(index: int) -> property:
+    """Channel ``index`` as a read-only MonoIr view of that row (no copy)."""
+    return property(lambda self: MonoIr(self.samples[index], self.sample_rate))
 
-    left: MonoIr
-    right: MonoIr
 
-    def __post_init__(self):
-        if self.left.sample_rate != self.right.sample_rate:
-            raise ValueError("left/right sample rates differ")
-        if len(self.left) != len(self.right):
-            raise ValueError("left/right lengths differ")
+class BinauralIr(MultichannelIr):
+    """Left/right impulse response pair (a BRIR once rendered), shape (2, n)."""
 
-    def __len__(self) -> int:
-        return len(self.left)
+    _CHANNELS = 2
+    left, right = _row(0), _row(1)
 
-    @property
-    def sample_rate(self) -> float:
-        return self.left.sample_rate
 
-    def as_matrix(self) -> np.ndarray:
-        return np.stack([self.left.samples, self.right.samples])
+class FoaSignal(MultichannelIr):
+    """First-order (W, X, Y, Z) signal set, shape (4, n); see
+    :mod:`srirkit.arrays` for the sign convention."""
+
+    _CHANNELS = 4
+    w, x, y, z = _row(0), _row(1), _row(2), _row(3)
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,4 @@ def binaural_render(vls: VirtualLoudspeakerSignals, hrirs: HrirSet) -> BinauralI
 
     left = sps.fftconvolve(vls.samples, hrirs.left[matches], mode="full", axes=1)
     right = sps.fftconvolve(vls.samples, hrirs.right[matches], mode="full", axes=1)
-    rate = vls.sample_rate
-    return BinauralIr(
-        MonoIr(np.sum(left, axis=0), rate), MonoIr(np.sum(right, axis=0), rate)
-    )
+    return BinauralIr(np.stack([np.sum(left, axis=0), np.sum(right, axis=0)]), vls.sample_rate)

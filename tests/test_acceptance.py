@@ -150,7 +150,7 @@ def test_criterion_3_sirr_energy_split():
             hrirs=spherical_head_hrir_set(grid.directions, sample_rate=FS),
         )
     foa = rendering.analysis_input.foa
-    foa_frames = stft(foa.as_matrix(), FS, 64, 32)
+    foa_frames = stft(foa.samples, FS, 64, 32)
     scene_field = tf_piv_analysis(foa_frames)
     vls = sirr_synthesize(stft(foa.w.samples, FS, 64, 32), scene_field, grid, seed=4)
     ratio_db = abs(10 * np.log10(
@@ -249,8 +249,8 @@ def test_criterion_8_metric_identities():
     right = 0.6 * tail
     left[200] += 1.0
     right[207] += 0.6
-    brir = BinauralIr(MonoIr(left, FS), MonoIr(right, FS))
-    swapped = BinauralIr(brir.right, brir.left)
+    brir = BinauralIr(np.stack([left, right]), FS)
+    swapped = BinauralIr(brir.samples[::-1], brir.sample_rate)
     itd_anti = abs(itd(swapped) + itd(brir)) <= 2.0
     low, high = ild_avg(brir)
     low_s, high_s = ild_avg(swapped)

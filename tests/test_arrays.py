@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from srirkit.arrays import (
-    FOA_CONVENTION,
-    FoaSignal,
-    MicArrayGeometry,
-    builtin_array,
-    encode_foa_open_array,
-)
+from srirkit.arrays import MicArrayGeometry, builtin_array, encode_foa_open_array
 from srirkit.doa import DoaConfig, piv_broadband_doa
 from srirkit.errors import UnsupportedGeometryError
-from srirkit.signals import MonoIr, MultichannelIr
+from srirkit.signals import FoaSignal, MultichannelIr
 
 FS = 48000.0
 C = 343.0
@@ -25,8 +19,8 @@ def _plane_wave_srir(geometry, direction, waveform, n, base_delay_s=0.02):
     channels = []
     for pos in geometry.positions:
         delay = base_delay_s - float(pos @ direction) / C
-        channels.append(MonoIr(waveform(t - delay), FS))
-    return MultichannelIr(tuple(channels), geometry_id=geometry.name)
+        channels.append(waveform(t - delay))
+    return MultichannelIr(np.stack(channels), FS)
 
 
 class TestBuiltinArrays:
@@ -76,9 +70,8 @@ class TestBuiltinArrays:
 class TestFoaEncoding:
     def test_silence_encodes_to_silence(self):
         geom = builtin_array("om6")
-        srir = MultichannelIr(tuple(MonoIr(np.zeros(512), FS) for _ in range(6)))
+        srir = MultichannelIr(np.zeros((6, 512)), FS)
         foa = encode_foa_open_array(srir, geom)
-        assert foa.convention == FOA_CONVENTION
         for ch in (foa.w, foa.x, foa.y, foa.z):
             assert np.abs(ch.samples).max() < 1e-12
 
@@ -112,12 +105,9 @@ class TestFoaEncoding:
 
     def test_encoding_is_linear(self, rng):
         geom = builtin_array("om6")
-        a = MultichannelIr(tuple(MonoIr(rng.normal(size=512), FS) for _ in range(6)))
-        b = MultichannelIr(tuple(MonoIr(rng.normal(size=512), FS) for _ in range(6)))
-        ab = MultichannelIr(
-            tuple(MonoIr(ca.samples + cb.samples, FS)
-                  for ca, cb in zip(a.channels, b.channels))
-        )
+        a = MultichannelIr(rng.normal(size=(6, 512)), FS)
+        b = MultichannelIr(rng.normal(size=(6, 512)), FS)
+        ab = MultichannelIr(a.samples + b.samples, FS)
         fa, fb, fab = (encode_foa_open_array(m, geom) for m in (a, b, ab))
         for ch in "wxyz":
             lhs = getattr(fab, ch).samples
@@ -126,20 +116,24 @@ class TestFoaEncoding:
 
     def test_sphere_geometry_unsupported(self):
         geom = builtin_array("sphere32")
-        srir = MultichannelIr(tuple(MonoIr(np.zeros(64), FS) for _ in range(32)))
+        srir = MultichannelIr(np.zeros((32, 64)), FS)
         with pytest.raises(UnsupportedGeometryError):
             encode_foa_open_array(srir, geom)
 
     def test_channel_count_checked(self):
         geom = builtin_array("om6")
-        srir = MultichannelIr(tuple(MonoIr(np.zeros(64), FS) for _ in range(4)))
+        srir = MultichannelIr(np.zeros((4, 64)), FS)
         with pytest.raises(ValueError):
             encode_foa_open_array(srir, geom)
 
 
 def test_foa_signal_validation():
-    w = MonoIr(np.zeros(16), FS)
-    with pytest.raises(ValueError):
-        FoaSignal(w, w, w, MonoIr(np.zeros(8), FS))
-    with pytest.raises(ValueError):
-        FoaSignal(w, w, w, w, convention="")
+    data = np.arange(64.0).reshape(4, 16)
+    foa = FoaSignal(data, FS)
+    for i, ch in enumerate((foa.w, foa.x, foa.y, foa.z)):
+        assert np.shares_memory(ch.samples, foa.samples)
+        assert np.array_equal(ch.samples, data[i])
+        assert ch.sample_rate == FS
+    for shape in [(3, 16), (5, 16), (16,), (4, 0), (1, 4, 16)]:
+        with pytest.raises(ValueError):
+            FoaSignal(np.zeros(shape), FS)

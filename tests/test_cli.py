@@ -14,6 +14,10 @@ from srirkit.pipelines import SystemCondition
 FS = 48000
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated despite an invalid config")
+
+
 def _write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -112,7 +116,8 @@ class TestSimulate:
         # float32 storage quantizes around 1e-7 absolute
         assert np.abs(data[0] - expected).max() < 1e-5
 
-    def test_scene_json_rate_override_keeps_duration(self, tmp_path):
+    @staticmethod
+    def _scene_json(tmp_path):
         scene = {
             "room": {"dimensions": [6.0, 5.0, 3.2], "reflection_coefficients": [0.8] * 6,
                      "max_order": 0},
@@ -124,8 +129,11 @@ class TestSimulate:
         }
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(json.dumps(scene))
+        return str(scene_path)
+
+    def test_scene_json_rate_override_keeps_duration(self, tmp_path):
         cfg = _write_config(tmp_path, "sim.json", {
-            "scene_json": str(scene_path), "sample_rate": 24000, "grid_size": 32,
+            "scene_json": self._scene_json(tmp_path), "sample_rate": 24000, "grid_size": 32,
         })
         out = tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
@@ -133,6 +141,16 @@ class TestSimulate:
         assert rate == 24000
         assert data.shape[1] == 9600  # still 0.4 s
 
+
+    @pytest.mark.parametrize("length_s", ["nan", -1, 0, 1e-6])
+    def test_scene_json_length_must_give_a_sample(self, tmp_path, capsys, monkeypatch,
+                                                  length_s):
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
+        cfg = _write_config(tmp_path, "sim.json", {
+            "scene_json": self._scene_json(tmp_path), "length_s": length_s, "grid_size": 32,
+        })
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert "length_s" in capsys.readouterr().err
 
     def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -464,9 +482,24 @@ _SDM = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
     ("simulate", _sim_config(grid_size=[32]), "grid_size"),
     ("render", {**_sim_config(), "conditions": [{**_SDM, "knn": "two"}]}, "knn"),
     ("ess", {"mode": "generate", "f_start": "low"}, "f_start"),
+    # a length_s that is not finite or gives no sample
+    ("simulate", _sim_config(length_s="nan"), "length_s"),
+    ("simulate", _sim_config(length_s=-1), "length_s"),
+    ("simulate", _sim_config(length_s=0), "length_s"),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
                                                         key):
     path = _write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", path, "--output", str(tmp_path / "o")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("conditions", [
+    [{**_SDM, "knn": "two"}],
+    [{**_SDM, "analysis": "music"}],
+    [_SDM, _SDM],
+])
+def test_render_checks_conditions_before_simulating(tmp_path, monkeypatch, conditions):
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": conditions})
+    assert main(["render", "--config", path, "--output", str(tmp_path / "o")]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srirkit.arrays import FoaSignal, builtin_array
+from srirkit.arrays import builtin_array
 from srirkit.doa import (
     DoaConfig,
     DoaTrajectory,
@@ -13,7 +13,7 @@ from srirkit.doa import (
 )
 from srirkit.dsp import stft
 from srirkit.grids import direction_from_azel
-from srirkit.signals import MonoIr, MultichannelIr
+from srirkit.signals import FoaSignal, MultichannelIr
 
 FS = 48000.0
 C = 343.0
@@ -28,19 +28,14 @@ def _plane_wave_srir(geometry, direction, n=4000, base_s=0.02, waveform=_sinc_pu
     channels = []
     for pos in geometry.positions:
         delay = base_s - float(pos @ direction) / C
-        channels.append(MonoIr(waveform(t - delay), FS))
-    return MultichannelIr(tuple(channels))
+        channels.append(waveform(t - delay))
+    return MultichannelIr(np.stack(channels), FS)
 
 
 def _plane_wave_foa(direction, n=4000, base_s=0.02, waveform=_sinc_pulse):
     t = np.arange(n) / FS
     p = waveform(t - base_s)
-    return FoaSignal(
-        w=MonoIr(p, FS),
-        x=MonoIr(direction[0] * p, FS),
-        y=MonoIr(direction[1] * p, FS),
-        z=MonoIr(direction[2] * p, FS),
-    )
+    return FoaSignal(np.stack([p, direction[0] * p, direction[1] * p, direction[2] * p]), FS)
 
 
 def _angle_deg(a, b):
@@ -50,7 +45,7 @@ def _angle_deg(a, b):
 class TestTdoaLsDoa:
     def test_identical_channels_masked_invalid(self, rng):
         sig = rng.normal(size=2000)
-        srir = MultichannelIr(tuple(MonoIr(sig, FS) for _ in range(6)))
+        srir = MultichannelIr(np.tile(sig, (6, 1)), FS)
         traj = tdoa_ls_doa(srir, builtin_array("om6"))
         assert not traj.valid.any()
 
@@ -64,7 +59,7 @@ class TestTdoaLsDoa:
         # Analytic oracle: at azimuth 0 the +X capsule leads -X by
         # 0.1 m / 343 m/s = 0.2915 ms.
         srir = _plane_wave_srir(geom, direction)
-        lead = (srir.channels[1].samples.argmax() - srir.channels[0].samples.argmax()) / FS
+        lead = (srir.samples[1].argmax() - srir.samples[0].argmax()) / FS
         if azimuth == 0.0:
             assert lead * 1e3 == pytest.approx(0.2915, abs=0.05)
         traj = tdoa_ls_doa(srir, geom)
@@ -75,7 +70,7 @@ class TestTdoaLsDoa:
     def test_scale_invariance(self, rng):
         geom = builtin_array("om6")
         srir = _plane_wave_srir(geom, direction_from_azel(40.0, 10.0))
-        scaled = MultichannelIr(tuple(ch.scaled(7.5) for ch in srir.channels))
+        scaled = srir.scaled(7.5)
         a = tdoa_ls_doa(srir, geom)
         b = tdoa_ls_doa(scaled, geom)
         assert np.array_equal(a.valid, b.valid)
@@ -85,9 +80,7 @@ class TestTdoaLsDoa:
         geom = builtin_array("om6")
         srir = _plane_wave_srir(geom, direction_from_azel(-30.0, 0.0))
         shift = 64
-        delayed = MultichannelIr(
-            tuple(MonoIr(np.roll(ch.samples, shift), FS) for ch in srir.channels)
-        )
+        delayed = MultichannelIr(np.roll(srir.samples, shift, axis=1), FS)
         a = tdoa_ls_doa(srir, geom)
         b = tdoa_ls_doa(delayed, geom)
         idx = int(0.02 * FS)
@@ -106,15 +99,13 @@ class TestTdoaLsDoa:
 
     def test_window_too_large_rejected(self):
         geom = builtin_array("om6")
-        srir = MultichannelIr(tuple(MonoIr(np.ones(32), FS) for _ in range(6)))
+        srir = MultichannelIr(np.ones((6, 32)), FS)
         with pytest.raises(ValueError):
             tdoa_ls_doa(srir, geom, DoaConfig(window_size=64))
 
     def test_all_valid_directions_unit_norm(self, rng):
         geom = builtin_array("om6")
-        srir = MultichannelIr(
-            tuple(MonoIr(rng.normal(size=1500), FS) for _ in range(6))
-        )
+        srir = MultichannelIr(rng.normal(size=(6, 1500)), FS)
         traj = tdoa_ls_doa(srir, geom)
         norms = np.linalg.norm(traj.directions[traj.valid], axis=1)
         assert np.abs(norms - 1.0).max() < 1e-9
@@ -143,12 +134,7 @@ class TestTdoaLsDoa:
 class TestPivBroadbandDoa:
     def test_w_only_masked_invalid(self, rng):
         n = 2000
-        foa = FoaSignal(
-            w=MonoIr(rng.normal(size=n), FS),
-            x=MonoIr(np.zeros(n), FS),
-            y=MonoIr(np.zeros(n), FS),
-            z=MonoIr(np.zeros(n), FS),
-        )
+        foa = FoaSignal(np.vstack([rng.normal(size=n), np.zeros((3, n))]), FS)
         traj = piv_broadband_doa(foa)
         assert not traj.valid.any()
 
@@ -171,12 +157,12 @@ class TestPivBroadbandDoa:
             -0.5 * ((t - 0.02) / 2e-3) ** 2
         )
         tone = 0.8 * np.sin(2 * np.pi * 8000.0 * t)  # above the 2400 Hz band
-        foa = FoaSignal(
-            w=MonoIr(pulse + tone, FS),
-            x=MonoIr(u_pulse[0] * pulse + u_tone[0] * tone, FS),
-            y=MonoIr(u_pulse[1] * pulse + u_tone[1] * tone, FS),
-            z=MonoIr(u_pulse[2] * pulse + u_tone[2] * tone, FS),
-        )
+        foa = FoaSignal(np.stack([
+            pulse + tone,
+            u_pulse[0] * pulse + u_tone[0] * tone,
+            u_pulse[1] * pulse + u_tone[1] * tone,
+            u_pulse[2] * pulse + u_tone[2] * tone,
+        ]), FS)
         traj = piv_broadband_doa(foa)
         idx = int(0.02 * FS)
         assert traj.valid[idx]
@@ -185,10 +171,7 @@ class TestPivBroadbandDoa:
     def test_scale_invariance(self):
         u = direction_from_azel(120.0, 30.0)
         foa = _plane_wave_foa(u)
-        scaled = FoaSignal(
-            w=foa.w.scaled(3.0), x=foa.x.scaled(3.0),
-            y=foa.y.scaled(3.0), z=foa.z.scaled(3.0),
-        )
+        scaled = foa.scaled(3.0)
         a = piv_broadband_doa(foa)
         b = piv_broadband_doa(scaled)
         assert np.array_equal(a.valid, b.valid)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from srirkit import dsp
 from srirkit.errors import NoOnsetError
-from srirkit.signals import BinauralIr, MonoIr, StftFrames
+from srirkit.signals import BinauralIr, StftFrames
 
 FS = 48000.0
 
@@ -142,7 +142,7 @@ class TestCrossCorrelate:
 
 class TestOnset:
     def _brir(self, left, right):
-        return BinauralIr(MonoIr(left, FS), MonoIr(right, FS))
+        return BinauralIr(np.stack([left, right]), FS)
 
     def test_unit_impulse_at_100(self):
         x = np.zeros(300)
@@ -180,18 +180,18 @@ class TestNormalizeDirectEnergy:
         left[50] += 2.0
         right = 0.7 * rng.normal(size=n) * np.exp(-np.arange(n) / 100.0)
         right[50] += 1.0
-        return BinauralIr(MonoIr(left, FS), MonoIr(right, FS))
+        return BinauralIr(np.stack([left, right]), FS)
 
     def test_segment_rms_becomes_one(self, rng):
         out = dsp.normalize_direct_energy(self._brir(rng))
         start, stop = dsp.direct_segment(out)
-        seg = out.as_matrix()[:, start:stop]
+        seg = out.samples[:, start:stop]
         assert np.sqrt(np.mean(seg**2)) == pytest.approx(1.0, abs=1e-9)
 
     def test_scale_invariance(self, rng):
         brir = self._brir(rng)
         out1 = dsp.normalize_direct_energy(brir)
-        scaled = BinauralIr(brir.left.scaled(10.0), brir.right.scaled(10.0))
+        scaled = brir.scaled(10.0)
         out2 = dsp.normalize_direct_energy(scaled)
         assert np.allclose(out1.left.samples, out2.left.samples, atol=1e-12)
         assert np.allclose(out1.right.samples, out2.right.samples, atol=1e-12)
@@ -205,7 +205,7 @@ class TestNormalizeDirectEnergy:
         x = np.zeros(80)
         x[70] = 1.0  # fewer than 2.5 ms after onset
         with pytest.raises(ValueError):
-            dsp.normalize_direct_energy(BinauralIr(MonoIr(x, FS), MonoIr(x, FS)))
+            dsp.normalize_direct_energy(BinauralIr(np.stack([x, x]), FS))
 
 
 def test_place_fractional_impulses_integer_delay_is_exact():

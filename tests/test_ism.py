@@ -147,7 +147,7 @@ class TestRenderArraySrir:
             receiver_origin=np.array([1.5, 1.7, 1.2]),
         )
         srir = render_array_srir(enumerate_images(scene), geom, FS, 2000)
-        mats = srir.as_matrix()
+        mats = srir.samples
         assert np.abs(mats[0] - mats[1]).max() < 1e-9  # +x vs -x
         assert np.abs(mats[2] - mats[3]).max() < 1e-9  # +y vs -y
         assert np.abs(mats[0] - mats[2]).max() < 1e-9
@@ -157,10 +157,10 @@ class TestRenderArraySrir:
         scene = _scene(max_order=0)
         images = enumerate_images(scene)
         srir = render_array_srir(images, geom, FS, 2000)
-        for cap, ch in zip(geom.positions, srir.channels):
+        for cap, ch in zip(geom.positions, srir.samples):
             dist = np.linalg.norm(scene.source - (scene.receiver_origin + cap))
             expected = dist / 343.0 * FS
-            peak = int(np.argmax(np.abs(ch.samples)))
+            peak = int(np.argmax(np.abs(ch)))
             assert abs(peak - expected) <= 0.5
 
     def test_direct_energy_follows_inverse_square_law(self):
@@ -170,8 +170,8 @@ class TestRenderArraySrir:
         srir = render_array_srir(images, geom, FS, 2000)
         d_plus = np.linalg.norm(scene.source - (scene.receiver_origin + geom.positions[0]))
         d_minus = np.linalg.norm(scene.source - (scene.receiver_origin + geom.positions[1]))
-        e_plus = np.sum(srir.channels[0].samples ** 2)
-        e_minus = np.sum(srir.channels[1].samples ** 2)
+        e_plus = np.sum(srir.samples[0] ** 2)
+        e_minus = np.sum(srir.samples[1] ** 2)
         assert e_plus / e_minus == pytest.approx((d_minus / d_plus) ** 2, rel=0.01)
 
     def test_truncation_warns(self):

@@ -27,11 +27,11 @@ def _impulse_brir(rng, n=16000, onset=200, itd_samples=0, right_gain=1.0,
     right = tail * right_gain
     left[onset] += 1.0
     right[onset + itd_samples] += right_gain
-    return BinauralIr(MonoIr(left, FS), MonoIr(right, FS))
+    return BinauralIr(np.stack([left, right]), FS)
 
 
 def _swap(brir):
-    return BinauralIr(brir.right, brir.left)
+    return BinauralIr(brir.samples[::-1], brir.sample_rate)
 
 
 class TestIld:
@@ -57,7 +57,7 @@ class TestIld:
     def test_zero_channel_names_band(self, rng):
         left = rng.normal(size=4000)
         left[100] += 2.0
-        brir = BinauralIr(MonoIr(left, FS), MonoIr(np.zeros(4000), FS))
+        brir = BinauralIr(np.stack([left, np.zeros(4000)]), FS)
         with pytest.raises(DegenerateBandError) as info:
             metrics.ild_avg(brir)
         assert info.value.channel == "right"
@@ -75,7 +75,7 @@ def test_channel_swap_negates_ild_exactly_and_itd_within_2us(seed):
                              gen.uniform(-0.1, 0.1, size=(2, 3))])
     ears = np.zeros((2, 2400))
     place_fractional_impulses(ears, delays, gains)
-    brir = BinauralIr(MonoIr(ears[0], FS), MonoIr(ears[1], FS))
+    brir = BinauralIr(ears, FS)
     low, high = metrics.ild_avg(brir)
     low_s, high_s = metrics.ild_avg(_swap(brir))
     assert (low_s, high_s) == (-low, -high)
@@ -101,7 +101,7 @@ class TestItd:
         assert metrics.itd(_swap(brir)) == pytest.approx(-metrics.itd(brir), abs=2.0)
 
     def test_silent_segment_degenerate(self):
-        silent = BinauralIr(MonoIr(np.zeros(4000), FS), MonoIr(np.zeros(4000), FS))
+        silent = BinauralIr(np.zeros((2, 4000)), FS)
         # all-zero input fails at onset detection, a DegenerateInputError kind
         with pytest.raises(DegenerateInputError):
             metrics.itd(silent)
@@ -155,7 +155,7 @@ class TestIaccE3L3:
         right[split:] = rng.normal(size=n - split) * env[split:] * 0.05
         left[200] += 1.0
         right[200] += 1.0
-        brir = BinauralIr(MonoIr(left, FS), MonoIr(right, FS))
+        brir = BinauralIr(np.stack([left, right]), FS)
         e3, l3 = metrics.iacc_e3_l3(brir)
         assert e3 < 0.15  # correlated early part
         assert l3 > 0.8  # independent late field
@@ -206,7 +206,7 @@ class TestT30:
         t = np.arange(n) / FS
         left = rng.normal(size=n) * np.exp(-6.91 * t / 0.3)
         right = rng.normal(size=n) * np.exp(-6.91 * t / 0.3)
-        brir = BinauralIr(MonoIr(left, FS), MonoIr(right, FS))
+        brir = BinauralIr(np.stack([left, right]), FS)
         mono_mean = 0.5 * (
             metrics.t30_mid(MonoIr(left, FS)) + metrics.t30_mid(MonoIr(right, FS))
         )
@@ -309,7 +309,7 @@ class TestMeasureBrir:
         brir = _impulse_brir(rng, right_gain=0.7, itd_samples=4)
         a = metrics.measure_brir(brir)
         for gain in (12.0, 1e-3, 1e3):
-            scaled = BinauralIr(brir.left.scaled(gain), brir.right.scaled(gain))
+            scaled = brir.scaled(gain)
             b = metrics.measure_brir(scaled)
             for name in metrics.MetricReport.metric_names():
                 assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
@@ -331,7 +331,7 @@ class TestMeasureBrir:
         t = np.arange(n) / rate
         left = rng.normal(size=n) * np.exp(-6.91 * t / 0.15) * 0.05 * (t > onset / rate)
         left[onset] = 1.0
-        report = metrics.measure_brir(BinauralIr(MonoIr(left, rate), MonoIr(0.5 * left, rate)))
+        report = metrics.measure_brir(BinauralIr(np.stack([left, 0.5 * left]), rate))
         assert all(np.isfinite(v) for v in report.to_dict().values())
         assert report.ild_low_db == pytest.approx(20 * np.log10(2.0), abs=1e-9)
         assert report.ild_high_db == pytest.approx(20 * np.log10(2.0), abs=1e-9)

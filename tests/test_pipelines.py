@@ -282,28 +282,33 @@ def test_standard_conditions_run(small_setup):
     assert set(result.summaries) == {"sdm-6om1", "sdm-piv", "sdm-piv-omni", "sirr"}
 
 
-def test_benchmark_layer_bindings_fire(small_setup):
-    """Every layer the benchmark traces (perfbench/spans.py) is still bound in
-    srirkit.pipelines, and simulate + run_comparison call it through that
-    binding."""
+def _import_perfbench(name):
+    """A module of the benchmark in perfbench/, imported without writing
+    anything there and without staying in ``sys.modules``."""
     import importlib
     import sys
     from pathlib import Path
-
-    import srirkit
-    from srirkit import pipelines
 
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave the benchmark directory untouched
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.remove(perfbench)
-        sys.modules.pop("spans", None)
+        sys.modules.pop(name, None)
 
+
+def test_benchmark_layer_bindings_fire(small_setup):
+    """Every layer the benchmark traces (perfbench/spans.py) is still bound in
+    srirkit.pipelines, and simulate + run_comparison call it through that
+    binding."""
+    import srirkit
+    from srirkit import pipelines
+
+    spans = _import_perfbench("spans")
     targets = spans.layer_targets(srirkit)
     for module, attr, _, _ in targets:
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
@@ -334,3 +339,19 @@ def test_benchmark_layer_bindings_fire(small_setup):
     expected = {name for module, _, name, _ in targets if module is pipelines}
     assert expected
     assert expected <= {span[0] for span in tracer.spans}
+
+
+def test_canonical_benchmark_pass_matches_the_golden():
+    """One pass of the benchmark's canonical workload at seed 0 (front_left,
+    48 kHz, 0.4 s, max_order 30, the four standard conditions) reproduces
+    every MetricReport and MAE/MSD in perfbench/golden.json within its
+    stated tolerance."""
+    import srirkit
+    import srirkit.presets  # noqa: F401  (set_up reads srirkit.presets)
+
+    run = _import_perfbench("run")
+    setup = run.set_up(srirkit, "canonical", 0)
+    record, _, _ = run.run_pass(srirkit, setup)
+    assert record is not None, "the benchmark pass raised"
+    failed = run.failed_pairs(record, setup.pairs, run.load_golden("canonical", 0), None)
+    assert not failed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srirkit import wavio
-from srirkit.signals import BinauralIr, MonoIr, MultichannelIr, StftFrames
+from srirkit.signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr, StftFrames
 
 FS = 48000.0
 
@@ -10,9 +10,11 @@ FS = 48000.0
 def test_mono_ir_validation():
     ir = MonoIr([0.0, 1.0, 0.5], FS)
     assert len(ir) == 3
-    assert ir.duration == pytest.approx(3 / FS)
+    assert ir.samples.dtype == np.float64
     with pytest.raises(ValueError):
         MonoIr([], FS)
+    with pytest.raises(ValueError):
+        MonoIr(np.zeros((1, 3)), FS)
     with pytest.raises(ValueError):
         MonoIr([1.0, np.nan], FS)
     with pytest.raises(ValueError):
@@ -20,25 +22,48 @@ def test_mono_ir_validation():
 
 
 def test_multichannel_shared_rate_and_length():
-    a = MonoIr(np.zeros(10), FS)
-    b = MonoIr(np.zeros(10), FS)
-    m = MultichannelIr((a, b))
-    assert m.channel_count == 2
-    assert m.as_matrix().shape == (2, 10)
+    data = np.zeros((3, 10))
+    m = MultichannelIr(data, FS)
+    assert m.channel_count == 3
+    assert len(m) == 10
+    assert m.samples is data  # held as given, not copied
+    for shape in [(10,), (0, 10), (3, 0), (2, 3, 10)]:
+        with pytest.raises(ValueError):
+            MultichannelIr(np.zeros(shape), FS)
     with pytest.raises(ValueError):
-        MultichannelIr((a, MonoIr(np.zeros(9), FS)))
+        MultichannelIr([[0.0, np.inf]], FS)
     with pytest.raises(ValueError):
-        MultichannelIr((a, MonoIr(np.zeros(10), 44100.0)))
-    with pytest.raises(ValueError):
-        MultichannelIr(())
+        MultichannelIr(data, 0.0)
 
 
 def test_binaural_pairing():
-    left = MonoIr(np.zeros(8), FS)
-    with pytest.raises(ValueError):
-        BinauralIr(left, MonoIr(np.zeros(9), FS))
-    brir = BinauralIr(left, MonoIr(np.ones(8), FS))
-    assert brir.as_matrix().shape == (2, 8)
+    data = np.arange(16.0).reshape(2, 8)
+    brir = BinauralIr(data, FS)
+    assert len(brir) == 8 and brir.channel_count == 2
+    for ear, row in ((brir.left, data[0]), (brir.right, data[1])):
+        assert isinstance(ear, MonoIr) and ear.sample_rate == FS
+        assert np.shares_memory(ear.samples, data) and np.array_equal(ear.samples, row)
+    for shape in [(1, 8), (3, 8), (8,)]:
+        with pytest.raises(ValueError):
+            BinauralIr(np.zeros(shape), FS)
+
+
+@pytest.mark.parametrize("cls, channels", [(MonoIr, None), (MultichannelIr, 3),
+                                           (BinauralIr, 2), (FoaSignal, 4)])
+def test_scaled_keeps_the_type(cls, channels):
+    shape = (8,) if channels is None else (channels, 8)
+    data = np.arange(1.0, 9.0) * np.ones(shape)
+    scaled = cls(data, FS).scaled(-2.0)
+    assert type(scaled) is cls and scaled.sample_rate == FS
+    assert np.array_equal(scaled.samples, -2.0 * data)
+    assert np.array_equal(data, np.arange(1.0, 9.0) * np.ones(shape))  # input untouched
+
+
+def test_non_contiguous_input_is_held_in_c_order():
+    data = np.arange(16.0).reshape(8, 2).T  # a transposed (2, 8) view
+    brir = BinauralIr(data, FS)
+    assert brir.samples.flags["C_CONTIGUOUS"]
+    assert np.array_equal(brir.samples, data)
 
 
 def test_stft_frames_bin_count_checked():

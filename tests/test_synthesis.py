@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
 from srirkit.errors import MissingHrirError
-from srirkit.grids import fibonacci_grid
+from srirkit.grids import fibonacci_grid, grid_from_directions
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.signals import MonoIr, StftFrames
 from srirkit.synthesis import (
@@ -58,15 +58,6 @@ class TestSdmSynthesize:
         assert np.array_equal(
             np.sum(vls.samples**2, axis=0), pressure.samples**2
         )
-
-    def test_per_sample_energy_k3(self, rng):
-        grid = fibonacci_grid(32)
-        n = 300
-        pressure = MonoIr(rng.normal(size=n), FS)
-        traj = _random_trajectory(rng, n)
-        vls = sdm_synthesize(pressure, traj, grid, k=3)
-        energy = np.sum(vls.samples**2, axis=0)
-        assert np.abs(energy - pressure.samples**2).max() < 1e-12
 
     def test_invalid_samples_inherit_previous_assignment(self):
         grid = fibonacci_grid(16)
@@ -193,6 +184,27 @@ class TestSirrSynthesize:
         c = sirr_synthesize(frames, field, grid, seed=43)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), k=st.integers(1, 8), speakers=st.integers(8, 40))
+def test_sdm_per_sample_energy_property(seed, k, speakers):
+    """For any k, sum over loudspeakers of each sample's squared signal is
+    the squared pressure, on randomly rotated grids, with invalid samples
+    (leading ones included) and DOAs exactly on a grid direction."""
+    gen = np.random.default_rng(seed)
+    rotation = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+    grid = grid_from_directions(fibonacci_grid(speakers).directions @ rotation.T)
+    n = 200
+    traj = _random_trajectory(gen, n, invalid_fraction=gen.uniform(0.0, 0.5))
+    on_grid = gen.uniform(size=n) < 0.1
+    dirs = traj.directions.copy()
+    dirs[on_grid] = grid.directions[gen.integers(len(grid), size=on_grid.sum())]
+    traj = DoaTrajectory(dirs, traj.valid | on_grid)
+    pressure = MonoIr(gen.normal(size=n), FS)
+    vls = sdm_synthesize(pressure, traj, grid, k=k)
+    energy = np.sum(vls.samples**2, axis=0)
+    assert np.abs(energy - pressure.samples**2).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
