@@ -62,7 +62,7 @@ from .synthesis import (
     sirr_synthesize,
     sirr_tf_streams,
 )
-from .vbap import VbapGains, vbap_gains
+from .vbap import vbap_gain_table
 
 __version__ = "0.1.0"
 

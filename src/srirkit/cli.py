@@ -121,6 +121,8 @@ def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
             length = _length_samples(cfg, where, rate)
         else:  # keep the file's duration at the new rate
             length = int(round(length * rate / file_rate))
+            if length < 1:
+                raise ConfigurationError(f"{where}: length gives no sample at {rate} Hz")
         return sc, rate, length
     raise ConfigurationError(f"{where}: need scene_preset or scene_json")
 

@@ -35,10 +35,6 @@ class LostDirectPathError(DegenerateInputError):
     when the source sits within a kernel half-width of a receiver."""
 
 
-class NumericalDegeneracyError(ValueError):
-    """A linear system is too ill-conditioned to solve reliably."""
-
-
 class MissingHrirError(ValueError):
     """Grid directions without a close-enough HRIR."""
 

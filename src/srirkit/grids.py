@@ -10,6 +10,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+#: Smallest oriented plane offset, i.e. |det| of the VBAP basis, of a triangle.
+_DEGENERATE_DET = 1e-9
 
 #: Dot products per block in :func:`nearest_directions` (8 MB). Blocks near
 #: 32 MiB would raise glibc's mmap threshold when freed, keeping later arrays
@@ -48,15 +50,22 @@ class LoudspeakerGrid:
         # Origin strictly inside the hull <=> every ray hits a facet, i.e.
         # the triangulation covers the whole sphere. Facet winding is
         # arbitrary, so orient normals outward via the vertex centroid
-        # (inside the hull by convexity) before testing the origin.
+        # (inside the hull by convexity) before testing the origin. The
+        # oriented offset is also |det| of the triangle's VBAP basis, so the
+        # same bound rejects repeated vertices and slivers.
         corners = dirs[tris]
         normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         offsets = np.einsum("ij,ij->i", normals, corners[:, 0])
         centroid_side = normals @ dirs.mean(axis=0)
         flip = centroid_side > offsets
         offsets = np.where(flip, -offsets, offsets)
-        if np.any(offsets <= 1e-12):
-            raise ValueError("triangulation does not enclose the origin")
+        bad = np.nonzero(offsets < _DEGENERATE_DET)[0]
+        if bad.size:
+            t = bad[0]
+            raise ValueError(
+                f"triangle {t} {tris[t].tolist()} is degenerate or does not enclose the "
+                f"origin (oriented determinant {offsets[t]:.3g} < {_DEGENERATE_DET})"
+            )
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "triangles", tris)
 
@@ -71,11 +80,6 @@ class LoudspeakerGrid:
         """
         bases = self.directions[self.triangles].transpose(0, 2, 1)  # columns = speakers
         return np.linalg.inv(bases)
-
-    @cached_property
-    def triangle_determinants(self) -> np.ndarray:
-        bases = self.directions[self.triangles].transpose(0, 2, 1)
-        return np.linalg.det(bases)
 
 
 def grid_from_directions(directions: np.ndarray) -> LoudspeakerGrid:

@@ -22,7 +22,7 @@ from scipy import signal as sps
 
 from .arrays import MicArrayGeometry
 from .dsp import impulse_fits, place_fractional_impulses
-from .errors import LostDirectPathError, TruncatedResponseWarning
+from .errors import ConfigurationError, LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, FoaSignal, MultichannelIr
@@ -289,7 +289,8 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
     """Load a scene description written by :func:`scene_to_json_dict`.
 
     ``receiver`` overrides the declared receiver object (files can only
-    name built-in arrays). Returns (scene, sample_rate, length).
+    name built-in arrays). Returns (scene, sample_rate, length); a
+    ``length`` that is not a positive whole number is a ConfigurationError.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -319,4 +320,7 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
         receiver_origin=data["receiver_origin"],
         receiver=receiver,
     )
-    return scene, float(data.get("sample_rate", 48000.0)), int(data.get("length", 14400))
+    length = data.get("length", 14400)
+    if type(length) not in (int, float) or not (length >= 1 and float(length).is_integer()):
+        raise ConfigurationError(f"length must be a positive whole number, got {length!r}")
+    return scene, float(data.get("sample_rate", 48000.0)), int(length)

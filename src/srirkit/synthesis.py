@@ -125,9 +125,8 @@ def sirr_tf_streams(pressure_frames: StftFrames, field: TfDoaField,
 
     direct_amp = (np.sqrt(1.0 - field.psi) * values).reshape(-1)  # (tf,)
     direct_tf = np.zeros((n_speakers, n_frames * n_bins), dtype=np.complex128)
-    cells = np.arange(n_frames * n_bins)
-    for slot in range(3):
-        np.add.at(direct_tf, (speaker_idx[:, slot], cells), gains[:, slot] * direct_amp)
+    # A grid triangle has three distinct loudspeakers, so each cell is set once.
+    direct_tf[speaker_idx, np.arange(n_frames * n_bins)[:, None]] = gains * direct_amp[:, None]
     direct_tf = direct_tf.reshape(n_speakers, n_frames, n_bins)
 
     diffuse_tf = np.sqrt(field.psi) * values / np.sqrt(n_speakers)

@@ -2,33 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericalDegeneracyError
 from .grids import LoudspeakerGrid, _check_unit
 
 _NEGATIVE_GAIN_TOL = -1e-6
-_DEGENERATE_DET = 1e-9
-
-
-@dataclass(frozen=True)
-class VbapGains:
-    """Sparse loudspeaker gains (at most three entries, unit 2-norm)."""
-
-    gains: dict
-
-    def __post_init__(self):
-        g = {int(i): float(v) for i, v in self.gains.items()}
-        if not 1 <= len(g) <= 3:
-            raise ValueError("VBAP gains must touch 1..3 loudspeakers")
-        if any(v < 0 for v in g.values()):
-            raise ValueError("VBAP gains must be non-negative")
-        norm = float(np.sqrt(sum(v * v for v in g.values())))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"gain vector norm {norm} != 1")
-        object.__setattr__(self, "gains", g)
 
 
 def _best_triangles(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -53,42 +31,23 @@ def _best_triangles(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.n
     return best_idx, best_gains
 
 
-def _clip_normalize(raw: np.ndarray) -> np.ndarray:
-    """Gains clipped at zero and unit-normalized per row (all-zero rows stay zero)."""
-    gains = np.clip(raw, 0.0, None)
-    gnorm = np.linalg.norm(gains, axis=1, keepdims=True)
-    return np.divide(gains, gnorm, out=np.zeros_like(gains), where=gnorm > 0)
-
-
-def vbap_gains(direction, grid: LoudspeakerGrid) -> VbapGains:
-    """Gains of the triplet enclosing ``direction``, clipped and unit-normalized."""
-    u = _check_unit([direction], tol=1e-6)[0]
-    u = u / np.linalg.norm(u)
-
-    tri_idx, raw = _best_triangles(u[None, :], grid)
-    t = int(tri_idx[0])
-    if abs(grid.triangle_determinants[t]) < _DEGENERATE_DET:
-        raise NumericalDegeneracyError(
-            f"triangle {t} {tuple(grid.triangles[t])} is numerically degenerate"
-        )
-    if raw.min() < _NEGATIVE_GAIN_TOL:
-        raise ValueError(
-            f"no triangle encloses direction {u} (best gains {raw[0]}); "
-            "grid does not cover the sphere"
-        )
-    gains = _clip_normalize(raw)[0]
-    # Drop numerically-zero entries so vertex hits stay single-speaker.
-    return VbapGains({int(s): float(v) for s, v in zip(grid.triangles[t], gains) if v > 1e-12})
-
-
 def vbap_gain_table(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized panning for many directions.
+    """Pan each unit direction onto the grid triangle that encloses it.
 
     Returns (speaker_indices, gains), both shaped (n, 3); gains are clipped
-    at zero and unit-normalized per row.
+    at zero and unit-normalized per row. Raises ``ValueError`` for a row
+    that is not a unit vector, or that no triangle encloses (the grid does
+    not cover the sphere).
     """
-    dirs = np.asarray(directions, dtype=np.float64)
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs = np.divide(dirs, norms, out=np.zeros_like(dirs), where=norms > 0)
+    dirs = _check_unit(directions, tol=1e-6)
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     tri_idx, raw = _best_triangles(dirs, grid)
-    return grid.triangles[tri_idx], _clip_normalize(raw)
+    uncovered = np.nonzero(raw.min(axis=1) < _NEGATIVE_GAIN_TOL)[0]
+    if uncovered.size:
+        row = uncovered[0]
+        raise ValueError(
+            f"no triangle encloses direction {dirs[row]} (best gains {raw[row]}); "
+            "grid does not cover the sphere"
+        )
+    gains = np.clip(raw, 0.0, None)
+    return grid.triangles[tri_idx], gains / np.linalg.norm(gains, axis=1, keepdims=True)

@@ -117,7 +117,7 @@ class TestSimulate:
         assert np.abs(data[0] - expected).max() < 1e-5
 
     @staticmethod
-    def _scene_json(tmp_path):
+    def _scene_json(tmp_path, length=19200):
         scene = {
             "room": {"dimensions": [6.0, 5.0, 3.2], "reflection_coefficients": [0.8] * 6,
                      "max_order": 0},
@@ -125,7 +125,7 @@ class TestSimulate:
             "receiver_origin": [2.5, 2.5, 1.5],
             "receiver": {"kind": "array", "name": "om6"},
             "sample_rate": 48000.0,
-            "length": 19200,
+            "length": length,
         }
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(json.dumps(scene))
@@ -142,15 +142,34 @@ class TestSimulate:
         assert data.shape[1] == 9600  # still 0.4 s
 
 
-    @pytest.mark.parametrize("length_s", ["nan", -1, 0, 1e-6])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("length_s", "nan"), ("length_s", -1), ("length_s", 0), ("length_s", 1e-6),
+         ("length", 0), ("length", "abc"), ("length", -5), ("length", 2.5)],
+        ids=["nan", "-1", "0", "1e-06", "file-0", "file-abc", "file--5", "file-2.5"],
+    )
     def test_scene_json_length_must_give_a_sample(self, tmp_path, capsys, monkeypatch,
-                                                  length_s):
+                                                  key, value):
+        """A config ``length_s``, or the file's ``length`` when no ``length_s``
+        is given, must be a duration of at least one sample."""
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
+        if key == "length_s":
+            cfg = {"scene_json": self._scene_json(tmp_path), "length_s": value}
+        else:
+            cfg = {"scene_json": self._scene_json(tmp_path, length=value)}
+        cfg = _write_config(tmp_path, "sim.json", {**cfg, "grid_size": 32})
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_scene_json_rescaled_length_must_give_a_sample(self, tmp_path, capsys,
+                                                           monkeypatch):
         monkeypatch.setattr(cli, "simulate", _no_simulation)
         cfg = _write_config(tmp_path, "sim.json", {
-            "scene_json": self._scene_json(tmp_path), "length_s": length_s, "grid_size": 32,
+            "scene_json": self._scene_json(tmp_path, length=1), "sample_rate": 16000,
+            "grid_size": 32,
         })
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
-        assert "length_s" in capsys.readouterr().err
+        assert "length" in capsys.readouterr().err
 
     def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch):

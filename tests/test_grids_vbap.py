@@ -2,11 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from srirkit import grids
-from srirkit.errors import NumericalDegeneracyError
 from srirkit.grids import (
     LoudspeakerGrid,
     angular_distance,
@@ -17,7 +17,7 @@ from srirkit.grids import (
     nearest_directions,
     save_grid_csv,
 )
-from srirkit.vbap import VbapGains, vbap_gain_table, vbap_gains
+from srirkit.vbap import vbap_gain_table
 
 
 def _random_rotation(rng):
@@ -79,59 +79,76 @@ class TestFibonacciGrid:
             LoudspeakerGrid(dirs, grid.triangles)
 
 
+# +x, +y, +z, -x, -y, -z
+_OCTAHEDRON = np.vstack([np.eye(3), -np.eye(3)])
+_OCTAHEDRON_FACES = [[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2],
+                     [0, 5, 1], [1, 5, 3], [3, 5, 4], [4, 5, 0]]
+
+
+def _row_gains(idx, gains, row):
+    """One table row as {speaker: gain}, without numerically-zero entries."""
+    return {int(s): float(g) for s, g in zip(idx[row], gains[row]) if g > 1e-12}
+
+
 class TestVbap:
     def test_grid_vertex_gets_unit_gain(self):
         grid = fibonacci_grid(32)
-        g = vbap_gains(grid.directions[7], grid)
-        assert g.gains == {7: pytest.approx(1.0, abs=1e-9)}
+        idx, gains = vbap_gain_table(grid.directions[7:8], grid)
+        assert _row_gains(idx, gains, 0) == {7: pytest.approx(1.0, abs=1e-9)}
 
     def test_arc_midpoint_splits_equally(self):
         grid = fibonacci_grid(32)
         i, j = grid.triangles[0][:2]
         mid = grid.directions[i] + grid.directions[j]
         mid /= np.linalg.norm(mid)
-        g = vbap_gains(mid, grid)
-        assert set(g.gains) <= {int(i), int(j)}
-        assert g.gains[int(i)] == pytest.approx(g.gains[int(j)], abs=1e-9)
+        g = _row_gains(*vbap_gain_table(mid[None, :], grid), 0)
+        assert set(g) <= {int(i), int(j)}
+        assert g[int(i)] == pytest.approx(g[int(j)], abs=1e-9)
 
     def test_matches_direct_linear_solve(self, rng):
         grid = fibonacci_grid(48)
-        for _ in range(25):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            got = vbap_gains(u, grid)
-            speakers = sorted(got.gains)
-            basis = grid.directions[speakers].T
-            if len(speakers) < 3:
-                # boundary case: augment with the enclosing triangle
-                continue
-            raw = np.linalg.solve(basis, u)
+        dirs = rng.normal(size=(25, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        idx, gains = vbap_gain_table(dirs, grid)
+        for row, u in enumerate(dirs):
+            raw = np.linalg.solve(grid.directions[idx[row]].T, u)
             raw = np.clip(raw, 0.0, None)
             raw /= np.linalg.norm(raw)
-            for s, expected in zip(speakers, raw):
-                assert got.gains[s] == pytest.approx(expected, abs=1e-9)
+            np.testing.assert_allclose(gains[row], raw, rtol=0, atol=1e-9)
 
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**31))
-    def test_gains_nonnegative_unit_norm(self, seed):
-        grid = fibonacci_grid(24)
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))
+    def test_gains_on_random_hull_grids(self, n, seed):
         gen = np.random.default_rng(seed)
-        u = gen.normal(size=3)
-        u /= np.linalg.norm(u)
-        g = vbap_gains(u, grid)
-        vec = list(g.gains.values())
-        assert all(v >= 0 for v in vec)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+        dirs = gen.normal(size=(n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        hull = ConvexHull(dirs)
+        # The origin must lie inside the hull, clear of every face.
+        assume(np.all(hull.equations[:, 3] < 0))
+        assume(np.abs(np.linalg.det(dirs[hull.simplices])).min() > 1e-6)
+        grid = grid_from_directions(dirs)
+        edges = grid.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        mids = grid.directions[edges[:, 0]] + grid.directions[edges[:, 1]]
+        queries = np.vstack([gen.normal(size=(30, 3)), grid.directions, mids])
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+
+        idx, gains = vbap_gain_table(queries, grid)
+        assert np.all(gains >= 0.0)
+        np.testing.assert_allclose(np.linalg.norm(gains, axis=1), 1.0, rtol=0, atol=1e-12)
+        triangles = {tuple(sorted(t)) for t in grid.triangles.tolist()}
+        assert all(tuple(sorted(r)) in triangles for r in idx.tolist())
+        recon = np.einsum("ni,nij->nj", gains, grid.directions[idx])
+        angles = np.arctan2(np.linalg.norm(np.cross(recon, queries), axis=1),
+                            np.einsum("ij,ij->i", recon, queries))
+        assert angles.max() < 1e-6
 
     def test_reconstructed_direction_matches(self, rng):
         grid = fibonacci_grid(64)
-        for _ in range(50):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            g = vbap_gains(u, grid)
-            recon = np.zeros(3)
-            for s, v in g.gains.items():
-                recon += v * grid.directions[s]
+        dirs = rng.normal(size=(50, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        idx, gains = vbap_gain_table(dirs, grid)
+        for row, u in enumerate(dirs):
+            recon = gains[row] @ grid.directions[idx[row]]
             recon /= np.linalg.norm(recon)
             assert angular_distance(recon, u) < 1e-6
 
@@ -139,43 +156,40 @@ class TestVbap:
         grid = fibonacci_grid(48)
         rot = _random_rotation(rng)
         rotated = grid_from_directions(grid.directions @ rot.T)
-        for _ in range(20):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            g = vbap_gains(u, grid)
-            g_rot = vbap_gains(rot @ u, rotated)
-            assert set(g_rot.gains) == set(g.gains)
-            for s, v in g.gains.items():
-                assert g_rot.gains[s] == pytest.approx(v, abs=1e-9)
-
-    def test_gain_table_matches_single_queries(self, rng):
-        grid = fibonacci_grid(32)
-        dirs = rng.normal(size=(40, 3))
+        dirs = rng.normal(size=(20, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        idx, gains = vbap_gain_table(dirs, grid)
-        for row in range(40):
-            single = vbap_gains(dirs[row], grid)
-            table = {
-                int(s): g for s, g in zip(idx[row], gains[row]) if g > 0
-            }
-            assert set(table) == set(single.gains)
-            for s, v in single.gains.items():
-                assert table[s] == pytest.approx(v, abs=1e-9)
+        table = vbap_gain_table(dirs, grid)
+        table_rot = vbap_gain_table(dirs @ rot.T, rotated)
+        for row in range(20):
+            g = _row_gains(*table, row)
+            g_rot = _row_gains(*table_rot, row)
+            assert set(g_rot) == set(g)
+            for s, v in g.items():
+                assert g_rot[s] == pytest.approx(v, abs=1e-9)
+
+    def test_uncovered_direction_raises(self):
+        grid = LoudspeakerGrid(_OCTAHEDRON, _OCTAHEDRON_FACES[:4])  # upper faces only
+        vbap_gain_table([[0.0, 0.6, 0.8]], grid)
+        with pytest.raises(ValueError, match="does not cover the sphere"):
+            vbap_gain_table([[0.0, 0.6, 0.8], [0.0, 0.0, -1.0]], grid)
+
+    def test_non_unit_direction_rejected(self):
+        grid = fibonacci_grid(12)
+        for bad in ([[0.0, 0.0, 0.0]], [[2.0, 0.0, 0.0]], [[np.nan, 0.0, 1.0]]):
+            with pytest.raises(ValueError, match="unit vectors"):
+                vbap_gain_table(bad, grid)
 
     def test_degenerate_triangle_reported(self):
         dirs = fibonacci_grid(16).directions
         tris = fibonacci_grid(16).triangles.copy()
-        tris[0] = [0, 0, 1]  # degenerate triplet
-        with pytest.raises(ValueError):
+        tris[0] = [0, 0, 1]  # repeated vertex: determinant 0
+        with pytest.raises(ValueError, match="degenerate"):
             LoudspeakerGrid(dirs, tris)
-
-    def test_vbap_gains_validation(self):
-        with pytest.raises(ValueError):
-            VbapGains({0: 0.5, 1: 0.5})  # not unit norm
-        with pytest.raises(ValueError):
-            VbapGains({0: -1.0})
-        with pytest.raises(ValueError):
-            VbapGains({0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5})
+        # A sliver next to -x: determinant 3e-10, below the 1e-9 bound.
+        sliver = np.array([-1.0, 0.0, -3e-10])
+        dirs = np.vstack([_OCTAHEDRON, sliver / np.linalg.norm(sliver)])
+        with pytest.raises(ValueError, match=r"triangle 8 \[0, 1, 6\] is degenerate"):
+            LoudspeakerGrid(dirs, _OCTAHEDRON_FACES + [[0, 1, 6]])
 
 
 class TestNearestDirection:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
 from srirkit.errors import MissingHrirError
-from srirkit.grids import fibonacci_grid, grid_from_directions
+from srirkit.grids import LoudspeakerGrid, fibonacci_grid, grid_from_directions
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.signals import MonoIr, StftFrames
 from srirkit.synthesis import (
@@ -18,7 +18,7 @@ from srirkit.synthesis import (
     sirr_synthesize,
     sirr_tf_streams,
 )
-from srirkit.vbap import vbap_gains
+from srirkit.vbap import vbap_gain_table
 
 FS = 48000.0
 
@@ -121,15 +121,28 @@ class TestSirrSynthesize:
         time_len = (t - 1) * 64 + 128
         assert np.all(vls.samples[:, time_len:] == 0.0)
 
-        # expected: per-bin VBAP pan through the public single-query API
+        # expected: per-bin VBAP pan, one gain-table row per bin
+        idx, gains = vbap_gain_table(dirs.reshape(-1, 3), grid)
+        idx, gains = idx.reshape(t, f, 3), gains.reshape(t, f, 3)
         expected_tf = np.zeros((len(grid), t, f), dtype=complex)
         for ti in range(t):
             for fi in range(f):
-                for s, g in vbap_gains(dirs[ti, fi], grid).gains.items():
-                    expected_tf[s, ti, fi] = g * frames.values[ti, fi]
+                for s, g in zip(idx[ti, fi], gains[ti, fi]):
+                    expected_tf[s, ti, fi] += g * frames.values[ti, fi]
         for s in range(len(grid)):
             expected = istft(StftFrames(expected_tf[s], 128, 64, FS))
             assert np.abs(vls.samples[s, :time_len] - expected).max() < 1e-6
+
+    def test_uncovered_grid_raises_instead_of_silence(self, rng):
+        # An octahedron's four upper faces leave the lower hemisphere bare.
+        octahedron = np.vstack([np.eye(3), -np.eye(3)])
+        grid = LoudspeakerGrid(octahedron, [[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2]])
+        _, frames = self._framed_noise(rng, n=2048, window=128)
+        t, f = frames.values.shape
+        down = np.broadcast_to([0.0, 0.0, -1.0], (t, f, 3))
+        field = TfDoaField(down, np.zeros((t, f)), 128, 64, FS)
+        with pytest.raises(ValueError, match="does not cover the sphere"):
+            sirr_synthesize(frames, field, grid)
 
     def test_psi_one_output_ignores_directions(self, rng):
         grid = fibonacci_grid(12)
