@@ -56,6 +56,7 @@ from .pipelines import (
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr, StftFrames
 from .sweep import deconvolve_ess, generate_ess
 from .synthesis import (
+    SampleAssignment,
     VirtualLoudspeakerSignals,
     binaural_render,
     sdm_synthesize,

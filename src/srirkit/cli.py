@@ -46,6 +46,7 @@ from .pipelines import (
 from .presets import DEFAULT_GRID_SIZE, SCENE_POSITIONS, scene as preset_scene
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .sweep import deconvolve_ess, generate_ess
+from .synthesis import SampleAssignment
 
 
 def _check_keys(cfg: dict, where: str, required: set, optional: set = frozenset()) -> None:
@@ -255,8 +256,10 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
             kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
             names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]
             result.analysis.to_csv(out_dir / names[1])
-            wavio.write_wav(out_dir / names[2], result.vls.samples, rate)
-            save_grid_csv(result.vls.grid, out_dir / names[3])
+            vls = result.vls
+            signals = vls.dense() if isinstance(vls, SampleAssignment) else vls.samples
+            wavio.write_wav(out_dir / names[2], signals, rate)
+            save_grid_csv(vls.grid, out_dir / names[3])
         return names
 
     files = []

@@ -81,6 +81,17 @@ class LoudspeakerGrid:
         bases = self.directions[self.triangles].transpose(0, 2, 1)  # columns = speakers
         return np.linalg.inv(bases)
 
+    @cached_property
+    def vertex_triangles(self) -> np.ndarray:
+        """Triangles touching each vertex, (V, w): ascending per row, -1 padded."""
+        vertex = self.triangles.ravel()
+        order = np.argsort(vertex, kind="stable")  # triangles stay ascending per vertex
+        counts = np.bincount(vertex, minlength=len(self))
+        table = np.full((len(self), counts.max()), -1, dtype=np.intp)
+        slot = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        table[vertex[order], slot] = order // 3
+        return table
+
 
 def grid_from_directions(directions: np.ndarray) -> LoudspeakerGrid:
     """Triangulate arbitrary unit directions by their convex hull."""

@@ -289,8 +289,8 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
     """Load a scene description written by :func:`scene_to_json_dict`.
 
     ``receiver`` overrides the declared receiver object (files can only
-    name built-in arrays). Returns (scene, sample_rate, length); a
-    ``length`` that is not a positive whole number is a ConfigurationError.
+    name built-in arrays). Returns (scene, sample_rate, length); a ``length`` or
+    ``sample_rate`` that is not a positive whole number is a ConfigurationError.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
@@ -320,7 +320,8 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
         receiver_origin=data["receiver_origin"],
         receiver=receiver,
     )
-    length = data.get("length", 14400)
-    if type(length) not in (int, float) or not (length >= 1 and float(length).is_integer()):
-        raise ConfigurationError(f"length must be a positive whole number, got {length!r}")
-    return scene, float(data.get("sample_rate", 48000.0)), int(length)
+    length, rate = data.get("length", 14400), data.get("sample_rate", 48000.0)
+    for name, value in (("length", length), ("sample_rate", rate)):
+        if type(value) not in (int, float) or not (value >= 1 and float(value).is_integer()):
+            raise ConfigurationError(f"{name} must be a positive whole number, got {value!r}")
+    return scene, float(rate), int(length)

@@ -40,6 +40,7 @@ from .ism import (
 from .metrics import error_summary_paired, measure_brir
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .synthesis import (
+    SampleAssignment,
     VirtualLoudspeakerSignals,
     binaural_render,
     sdm_synthesize,
@@ -226,7 +227,7 @@ class ConditionResult:
     """One condition run end to end on one input."""
 
     analysis: DoaTrajectory | TfDoaField
-    vls: VirtualLoudspeakerSignals
+    vls: VirtualLoudspeakerSignals | SampleAssignment
     brir: BinauralIr  # direct-energy normalized
 
 

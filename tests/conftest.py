@@ -19,6 +19,17 @@ from srirkit.presets import DEFAULT_SAMPLE_RATE, SCENE_POSITIONS, om6, scene
 
 FS = DEFAULT_SAMPLE_RATE
 
+# On a failing @given test, hypothesis's pytest plugin imports its patch
+# writer, which pulls in libcst and a mypy_extensions DeprecationWarning.
+# Under filterwarnings = ["error"] that warning stops the whole run with
+# INTERNALERROR, so import the module once here with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
+
 
 @pytest.fixture(scope="session")
 def grid64():

@@ -109,11 +109,11 @@ def test_criterion_2_sdm_sample_model_bit_exact():
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         valid = gen.uniform(size=n) > 0.2
         dirs[~valid] = 0.0
-        vls = sdm_synthesize(pressure, DoaTrajectory(dirs, valid), grid, k=1)
-        if not np.array_equal(np.sum(vls.samples**2, axis=0), pressure.samples**2):
+        signals = sdm_synthesize(pressure, DoaTrajectory(dirs, valid), grid, k=1).dense()
+        if not np.array_equal(np.sum(signals**2, axis=0), pressure.samples**2):
             failures += 1
             continue
-        if np.any(np.count_nonzero(vls.samples, axis=0) > 1):
+        if np.any(np.count_nonzero(signals, axis=0) > 1):
             failures += 1
     _report(2, failures == 0, f"100 randomized cases, {failures} bit-level violations")
 

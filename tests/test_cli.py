@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from srirkit.cli import main
 from srirkit.doa import DoaConfig
 from srirkit.grids import fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
-from srirkit.pipelines import SystemCondition
+from srirkit.pipelines import SystemCondition, run_condition
 
 FS = 48000
 
@@ -171,6 +172,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert "length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", 0, -1, "nan", "48000", True],
+                             ids=["abc", "0", "-1", "nan", "str-48000", "true"])
+    def test_scene_json_sample_rate_checked(self, tmp_path, capsys, monkeypatch, value):
+        """The file's ``sample_rate`` must be a positive whole number of Hz,
+        with or without a config override."""
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
+        scene_json = self._scene_json(tmp_path)
+        scene = json.loads(Path(scene_json).read_text())
+        Path(scene_json).write_text(json.dumps({**scene, "sample_rate": value}))
+        for override in ({}, {"sample_rate": 24000}):
+            cfg = _write_config(tmp_path, "sim.json",
+                                {"scene_json": scene_json, "grid_size": 32, **override})
+            assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+            assert "sample_rate" in capsys.readouterr().err
+
     def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch):
         def no_render(*args, **kwargs):
@@ -214,6 +230,31 @@ class TestRender:
         assert len(rows) - 1 == int(length_s * FS)
         assert (out / "sdm-tdoa_vls.wav").exists()
         assert (out / "sdm-tdoa_grid.csv").exists()
+
+    def test_dump_intermediates_sdm_signals_are_dense(self, tmp_path, monkeypatch):
+        """The SDM dump holds one channel per grid direction, the dense
+        form of the assignment the render used."""
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(run_condition(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_condition", recorded)
+        cfg = _write_config(tmp_path, "render.json", {
+            **_sim_config(),
+            "conditions": [{
+                "id": "sdm-tdoa", "analysis": "tdoa",
+                "pressure_source": "channel-average", "synthesis": "sdm",
+            }],
+        })
+        out = tmp_path / "r"
+        assert main(["render", "--config", cfg, "--output", str(out),
+                     "--dump-intermediates"]) == 0
+        data, _ = wavio.read_wav(out / "sdm-tdoa_vls.wav")
+        (result,) = results
+        assert data.shape[0] == len(result.vls.grid) == 32
+        assert np.array_equal(data, result.vls.dense().astype(np.float32))
 
     def test_dump_intermediates_renders_each_condition_once(self, tmp_path, monkeypatch):
         from srirkit import pipelines

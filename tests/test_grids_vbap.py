@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from srirkit import grids
+from srirkit import grids, vbap
 from srirkit.grids import (
     LoudspeakerGrid,
     angular_distance,
+    direction_from_azel,
     fibonacci_grid,
     grid_from_directions,
     load_grid_csv,
@@ -17,7 +19,7 @@ from srirkit.grids import (
     nearest_directions,
     save_grid_csv,
 )
-from srirkit.vbap import vbap_gain_table
+from srirkit.vbap import _best_triangles, _enclosing_triangles, vbap_gain_table
 
 
 def _random_rotation(rng):
@@ -116,9 +118,10 @@ class TestVbap:
             raw /= np.linalg.norm(raw)
             np.testing.assert_allclose(gains[row], raw, rtol=0, atol=1e-9)
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))
-    def test_gains_on_random_hull_grids(self, n, seed):
+    @staticmethod
+    def _hull_grid_and_queries(n, seed, random_queries):
+        """A hull grid on n random directions, queried at random directions,
+        every vertex and every edge midpoint."""
         gen = np.random.default_rng(seed)
         dirs = gen.normal(size=(n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -129,9 +132,14 @@ class TestVbap:
         grid = grid_from_directions(dirs)
         edges = grid.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
         mids = grid.directions[edges[:, 0]] + grid.directions[edges[:, 1]]
-        queries = np.vstack([gen.normal(size=(30, 3)), grid.directions, mids])
+        queries = np.vstack([gen.normal(size=(random_queries, 3)), grid.directions, mids])
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        return grid, queries
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))
+    def test_gains_on_random_hull_grids(self, n, seed):
+        grid, queries = self._hull_grid_and_queries(n, seed, 30)
         idx, gains = vbap_gain_table(queries, grid)
         assert np.all(gains >= 0.0)
         np.testing.assert_allclose(np.linalg.norm(gains, axis=1), 1.0, rtol=0, atol=1e-12)
@@ -141,6 +149,70 @@ class TestVbap:
         angles = np.arctan2(np.linalg.norm(np.cross(recon, queries), axis=1),
                             np.einsum("ij,ij->i", recon, queries))
         assert angles.max() < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(6, 60), seed=st.integers(0, 2**32 - 1))
+    def test_nearest_vertex_search_matches_full_search(self, n, seed):
+        """Same triangles and raw gain bits as testing every triangle, also
+        at vertices and edge midpoints, where the nearest vertex's triangles
+        nearly tie."""
+        grid, queries = self._hull_grid_and_queries(n, seed, 300)
+        unit = queries / np.linalg.norm(queries, axis=1, keepdims=True)  # as the table does
+        tri, raw = _enclosing_triangles(unit, grid)
+        full_tri, full_raw = _best_triangles(unit, grid)
+        assert np.array_equal(tri, full_tri)
+        assert np.array_equal(raw, full_raw)
+        idx, gains = vbap_gain_table(queries, grid)
+        clipped = np.clip(full_raw, 0.0, None)
+        assert np.array_equal(idx, grid.triangles[full_tri])
+        assert np.array_equal(gains, clipped / np.linalg.norm(clipped, axis=1, keepdims=True))
+
+    def test_vertex_triangles_table(self):
+        grid = fibonacci_grid(40)
+        table = grid.vertex_triangles
+        assert table.shape[0] == len(grid)
+        for v, row in enumerate(table):
+            touching = np.nonzero((grid.triangles == v).any(axis=1))[0]
+            assert row[: touching.size].tolist() == touching.tolist()
+            assert np.all(row[touching.size :] == -1)
+
+    @staticmethod
+    def _ring_grid():
+        """Five 72-direction elevation rings plus both poles; each pole
+        touches 72 triangles, so every vertex-triangle row is 72 wide."""
+        az, el = np.meshgrid(np.arange(72) * 5.0, [-60.0, -30.0, 0.0, 30.0, 60.0])
+        dirs = [direction_from_azel(a, e) for a, e in zip(az.ravel(), el.ravel())]
+        poles = [direction_from_azel(0.0, 90.0), direction_from_azel(0.0, -90.0)]
+        return grid_from_directions(np.array(dirs + poles))
+
+    def test_nearest_vertex_search_on_high_valence_grid(self, rng, monkeypatch):
+        grid = self._ring_grid()
+        assert grid.vertex_triangles.shape[1] == 72
+        edges = grid.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        mids = grid.directions[edges[:, 0]] + grid.directions[edges[:, 1]]
+        queries = np.vstack([rng.normal(size=(2000, 3)), grid.directions, mids])
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        full_tri, full_raw = _best_triangles(queries, grid)
+        for entries in (vbap._BLOCK_ENTRIES, 9 * 72 * 7):  # default; seven rows a block
+            monkeypatch.setattr(vbap, "_BLOCK_ENTRIES", entries)
+            tri, raw = _enclosing_triangles(queries, grid)
+            assert np.array_equal(tri, full_tri)
+            assert np.array_equal(raw, full_raw)
+
+    def test_nearest_vertex_search_memory_bounded(self, rng):
+        """20,000 directions on the 72-wide ring grid; one (n, w, 3, 3) block
+        of triangle bases for all of them would hold about 100 MB."""
+        grid = self._ring_grid()
+        grid.triangle_basis_inverses, grid.vertex_triangles  # cached before measuring
+        queries = rng.normal(size=(20000, 3))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            _enclosing_triangles(queries, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_reconstructed_direction_matches(self, rng):
         grid = fibonacci_grid(64)

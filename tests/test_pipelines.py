@@ -258,13 +258,33 @@ def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
     cond = _condition(grid, hrirs, id="sdm")
     trajectory = analyze_trajectory(rendering.analysis_input, cond)
     pressure = rendering.analysis_input.foa.w
-    vls = sdm_synthesize(pressure, trajectory, grid, k=1)
+    signals = sdm_synthesize(pressure, trajectory, grid, k=1).dense()
 
     az, el, _ = SCENE_POSITIONS["front_left"]
     expected = nearest_direction(direction_from_azel(az, el), grid, k=1)[0]
     direct = int(round(rendering.images.delays[0] * FS))
-    active = np.nonzero(vls.samples[:, direct])[0]
+    active = np.nonzero(signals[:, direct])[0]
     assert list(active) == [expected]
+
+
+def test_rendering_never_densifies_an_assignment(small_setup, monkeypatch):
+    """On the canonical 240-direction grid with 128-tap HRIRs, the standard
+    (k=1) SDM conditions are scattered straight to the ears."""
+    from srirkit.presets import standard_conditions
+    from srirkit.synthesis import SampleAssignment
+
+    def refuse(self):
+        raise AssertionError("an SDM assignment was densified while rendering")
+
+    monkeypatch.setattr(SampleAssignment, "dense", refuse)
+    _, _, rendering = small_setup
+    grid = fibonacci_grid(240)
+    hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+    conditions = [c for c in standard_conditions(grid, hrirs) if c.synthesis == "sdm"]
+    result = run_comparison(
+        ComparisonRun(inputs={"front_left": rendering}, conditions=conditions, sample_rate=FS)
+    )
+    assert set(result.summaries) == {c.id for c in conditions}
 
 
 def test_standard_conditions_run(small_setup):

@@ -1,16 +1,21 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srirkit import synthesis
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
 from srirkit.errors import MissingHrirError
 from srirkit.grids import LoudspeakerGrid, fibonacci_grid, grid_from_directions
-from srirkit.hrir import spherical_head_hrir_set
+from srirkit.hrir import HrirSet, spherical_head_hrir_set
 from srirkit.signals import MonoIr, StftFrames
 from srirkit.synthesis import (
     DECORRELATOR_TAPS,
+    SampleAssignment,
     VirtualLoudspeakerSignals,
     binaural_render,
     decorrelation_kernel,
@@ -38,9 +43,9 @@ class TestSdmSynthesize:
         pressure = MonoIr(np.zeros(n) + np.eye(1, n, 10)[0], FS)
         dirs = np.tile(grid.directions[5], (n, 1))
         traj = DoaTrajectory(dirs, np.ones(n, bool))
-        vls = sdm_synthesize(pressure, traj, grid, k=1)
-        assert vls.samples[5, 10] == 1.0
-        total = vls.samples.copy()
+        signals = sdm_synthesize(pressure, traj, grid, k=1).dense()
+        assert signals[5, 10] == 1.0
+        total = signals.copy()
         total[5, 10] = 0.0
         assert np.all(total == 0.0)
 
@@ -49,14 +54,14 @@ class TestSdmSynthesize:
         n = 500
         pressure = MonoIr(rng.normal(size=n), FS)
         traj = _random_trajectory(rng, n, invalid_fraction=0.2)
-        vls = sdm_synthesize(pressure, traj, grid, k=1)
+        signals = sdm_synthesize(pressure, traj, grid, k=1).dense()
         # bit-level: each sample appears verbatim on exactly one speaker
-        nonzero_counts = np.count_nonzero(vls.samples, axis=0)
+        nonzero_counts = np.count_nonzero(signals, axis=0)
         assert np.all(nonzero_counts <= 1)
-        col_sum = vls.samples.sum(axis=0)
+        col_sum = signals.sum(axis=0)
         assert np.array_equal(col_sum, pressure.samples)
         assert np.array_equal(
-            np.sum(vls.samples**2, axis=0), pressure.samples**2
+            np.sum(signals**2, axis=0), pressure.samples**2
         )
 
     def test_invalid_samples_inherit_previous_assignment(self):
@@ -68,12 +73,12 @@ class TestSdmSynthesize:
         valid[4] = True
         traj = DoaTrajectory(dirs, valid)
         pressure = MonoIr(np.ones(n), FS)
-        vls = sdm_synthesize(pressure, traj, grid, k=1)
+        signals = sdm_synthesize(pressure, traj, grid, k=1).dense()
         # after sample 4 everything inherits speaker 9
-        assert np.all(vls.samples[9, 4:] == 1.0)
+        assert np.all(signals[9, 4:] == 1.0)
         # before the first valid sample, the frontal speaker carries it
         frontal = int(np.argmax(grid.directions @ np.array([1.0, 0.0, 0.0])))
-        assert np.all(vls.samples[frontal, :4] == 1.0)
+        assert np.all(signals[frontal, :4] == 1.0)
 
     def test_length_mismatch_rejected(self, rng):
         grid = fibonacci_grid(8)
@@ -82,6 +87,20 @@ class TestSdmSynthesize:
                 MonoIr(np.ones(10), FS), _random_trajectory(rng, 9), grid
             )
 
+    def test_assignment_validated(self):
+        grid = fibonacci_grid(8)
+        speakers = np.zeros((4, 2), dtype=np.intp)
+        with pytest.raises(ValueError, match="must be \\(n, k\\)"):
+            SampleAssignment(grid, speakers, np.zeros((4, 3)), FS)
+        with pytest.raises(ValueError, match="out of range"):
+            SampleAssignment(grid, speakers + 8, np.zeros((4, 2)), FS)
+        with pytest.raises(ValueError, match="out of range"):
+            SampleAssignment(grid, speakers - 1, np.zeros((4, 2)), FS)
+        with pytest.raises(ValueError, match="finite"):
+            SampleAssignment(grid, speakers, np.full((4, 2), np.nan), FS)
+        with pytest.raises(ValueError, match="sample_rate"):
+            SampleAssignment(grid, speakers, np.zeros((4, 2)), 0.0)
+
     def test_deterministic(self, rng):
         grid = fibonacci_grid(16)
         n = 200
@@ -89,7 +108,7 @@ class TestSdmSynthesize:
         traj = _random_trajectory(rng, n, invalid_fraction=0.1)
         a = sdm_synthesize(pressure, traj, grid, k=2)
         b = sdm_synthesize(pressure, traj, grid, k=2)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.dense(), b.dense())
 
 
 def _smooth_field(rng, frames, bins, window_size, hop):
@@ -215,9 +234,41 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
     dirs[on_grid] = grid.directions[gen.integers(len(grid), size=on_grid.sum())]
     traj = DoaTrajectory(dirs, traj.valid | on_grid)
     pressure = MonoIr(gen.normal(size=n), FS)
-    vls = sdm_synthesize(pressure, traj, grid, k=k)
-    energy = np.sum(vls.samples**2, axis=0)
+    signals = sdm_synthesize(pressure, traj, grid, k=k).dense()
+    energy = np.sum(signals**2, axis=0)
     assert np.abs(energy - pressure.samples**2).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), speakers=st.integers(8, 60), k=st.integers(1, 4),
+       taps=st.integers(8, 64))
+def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
+    """An SDM assignment, scattered or summed in the frequency domain over its
+    dense form, and the frequency-domain sum of its dense signals all equal a
+    per-loudspeaker np.convolve sum; HRIRs are listed in shuffled order, so
+    each loudspeaker must find its own pair."""
+    gen = np.random.default_rng(seed)
+    grid = fibonacci_grid(speakers)
+    n = int(gen.integers(1, 300))
+    assignment = sdm_synthesize(MonoIr(gen.normal(size=n), FS),
+                                _random_trajectory(gen, n, invalid_fraction=0.2), grid, k=k)
+    ears = gen.normal(size=(2, speakers, taps))
+    order = gen.permutation(speakers)
+    hrirs = HrirSet(grid.directions[order], ears[0, order], ears[1, order], FS)
+
+    signals = assignment.dense()
+    expected = np.zeros((2, n + taps - 1))
+    for s in range(speakers):
+        for e in range(2):
+            expected[e] += np.convolve(signals[s], ears[e, s])
+    renders = [binaural_render(VirtualLoudspeakerSignals(grid, signals, FS), hrirs).samples]
+    for ratio in (np.inf, 0.0):  # always scatter, never scatter
+        with mock.patch.object(synthesis, "_SCATTER_TAPS_PER_SPEAKER", ratio):
+            renders.append(binaural_render(assignment, hrirs).samples)
+    tol = 1e-12 * np.abs(expected).max()
+    for render in renders:
+        assert np.abs(render - expected).max() <= tol
+    assert np.abs(renders[1] - renders[2]).max() <= tol
 
 
 @settings(max_examples=30, deadline=None)
@@ -342,3 +393,40 @@ class TestBinauralRender:
         vls = VirtualLoudspeakerSignals(grid, np.zeros((len(grid), 16)), FS)
         with pytest.raises(ValueError):
             binaural_render(vls, hrirs44)
+
+    def test_scatter_memory_bounded(self, rng, monkeypatch):
+        """The k=8 scatter over 19,200 samples works tap by tap; a gathered
+        (2, n, k, taps) block of HRIR rows would need about 350 MB."""
+        monkeypatch.setattr(synthesis, "_SCATTER_TAPS_PER_SPEAKER", np.inf)  # scatter k=8
+        grid = fibonacci_grid(240)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        n, k = 19200, 8
+        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
+                                      rng.normal(size=(n, k)), FS)
+        tracemalloc.start()
+        try:
+            binaural_render(assignment, hrirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+    @pytest.mark.parametrize("speakers, k, densified", [(240, 1, False), (240, 3, True),
+                                                        (960, 8, False), (64, 1, True)])
+    def test_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers, k,
+                                                  densified):
+        """128-tap HRIRs: an assignment is scattered while k * 128 is at most
+        1.5 x the loudspeaker count, and summed over its dense form past it."""
+        grid = fibonacci_grid(speakers)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        n = 500
+        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
+                                      rng.normal(size=(n, k)), FS)
+        calls = []
+        dense = SampleAssignment.dense
+        monkeypatch.setattr(SampleAssignment, "dense", lambda a: calls.append(1) or dense(a))
+        brir = binaural_render(assignment, hrirs).samples
+        assert bool(calls) == densified
+        monkeypatch.setattr(SampleAssignment, "dense", dense)
+        other = binaural_render(VirtualLoudspeakerSignals(grid, assignment.dense(), FS), hrirs)
+        assert np.abs(brir - other.samples).max() <= 1e-12 * np.abs(brir).max()
