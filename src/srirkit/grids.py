@@ -47,12 +47,8 @@ class LoudspeakerGrid:
             raise ValueError(f"triangles must be (m, 3), got {tris.shape}")
         if tris.min() < 0 or tris.max() >= dirs.shape[0]:
             raise ValueError("triangle indices out of range")
-        # Origin strictly inside the hull <=> every ray hits a facet, i.e.
-        # the triangulation covers the whole sphere. Facet winding is
-        # arbitrary, so orient normals outward via the vertex centroid
-        # (inside the hull by convexity) before testing the origin. The
-        # oriented offset is also |det| of the triangle's VBAP basis, so the
-        # same bound rejects repeated vertices and slivers.
+        # Orient each facet outward by the vertex centroid; the origin must lie strictly inside.
+        # The oriented offset is |det| of the VBAP basis, so it also rejects repeats and slivers.
         corners = dirs[tris]
         normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         offsets = np.einsum("ij,ij->i", normals, corners[:, 0])
@@ -66,6 +62,12 @@ class LoudspeakerGrid:
                 f"triangle {t} {tris[t].tolist()} is degenerate or does not enclose the "
                 f"origin (oriented determinant {offsets[t]:.3g} < {_DEGENERATE_DET})"
             )
+        # A hole (which the origin test misses) or a fold leaves an edge in one or three triangles.
+        edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        pairs, counts = np.unique(edges, axis=0, return_counts=True)
+        if np.any(counts != 2):
+            raise ValueError(f"edge {pairs[counts != 2][0].tolist()} is not shared by exactly "
+                             "two triangles; the triangulation does not cover the sphere")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "triangles", tris)
 

@@ -33,8 +33,7 @@ class HrirSet:
         right = np.asarray(self.right, dtype=np.float64)
         if left.shape != right.shape or left.shape[0] != dirs.shape[0]:
             raise ValueError("left/right arrays must be (n, taps) matching directions")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
+        wavio.check_sample_rate(self.sample_rate)
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         # Duplicate directions would make nearest-direction lookups ambiguous;
         # each direction's second-nearest is its closest other direction.

@@ -183,11 +183,13 @@ def enumerate_images(scene: Scene) -> ImageSourceList:
 
 def _require_direct(images: ImageSourceList, delays_samples: np.ndarray,
                     length: int, where: str) -> None:
-    direct = delays_samples[images.orders == 0]
-    if not impulse_fits(direct, length).all():
+    """Raise unless the direct arrival fits in every row; ``{}`` in ``where`` names the row."""
+    direct = np.atleast_2d(delays_samples)[:, images.orders == 0]
+    lost = np.nonzero(~impulse_fits(direct, length).all(axis=1))[0]
+    if lost.size:
         raise LostDirectPathError(
-            f"direct path lost while rendering {where}: it arrives at sample "
-            f"{direct[0]:.1f}, too close to an end of the {length}-sample buffer"
+            f"direct path lost while rendering {where.format(lost[0])}: it arrives at "
+            f"sample {direct[lost[0], 0]:.1f}, too close to an end of the {length}-sample buffer"
         )
 
 
@@ -204,16 +206,12 @@ def render_array_srir(images: ImageSourceList, geometry: MicArrayGeometry,
                       sample_rate: float, length: int) -> MultichannelIr:
     """Open-array SRIR: per capsule, every image lands at its exact
     distance-derived fractional delay with a 1/r amplitude."""
-    c = images.speed_of_sound
-    wall = images.wall_products
+    capsules = (images.receiver_origin + geometry.positions)[:, None]
+    dist = np.linalg.norm(images.positions - capsules, axis=2)  # (capsules, k)
+    delays = dist / images.speed_of_sound * sample_rate
+    _require_direct(images, delays, length, "array SRIR capsule {}")
     out = np.zeros((geometry.capsule_count, length))
-    truncated = 0
-    for i, cap in enumerate(geometry.positions):
-        capsule_pos = images.receiver_origin + cap
-        dist = np.linalg.norm(images.positions - capsule_pos, axis=1)
-        delays = dist / c * sample_rate
-        _require_direct(images, delays, length, f"array SRIR capsule {i}")
-        truncated += place_fractional_impulses(out[i], delays, wall / dist)
+    truncated = place_fractional_impulses(out, delays, images.wall_products / dist)
     _warn_truncated(truncated, "array SRIR")
     return MultichannelIr(out, sample_rate)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wavio import check_sample_rate
+
 
 @dataclass(frozen=True)
 class _Signal:
@@ -35,8 +37,7 @@ class _Signal:
             raise ValueError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal contains non-finite samples")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        check_sample_rate(self.sample_rate)
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
@@ -107,8 +108,7 @@ class StftFrames:
             )
         if not (0 < self.hop <= self.window_size):
             raise ValueError("hop must satisfy 0 < hop <= window_size")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
+        check_sample_rate(self.sample_rate)
         object.__setattr__(self, "values", vals)
 
     @property

@@ -26,6 +26,8 @@ _FRONTAL = np.array([1.0, 0.0, 0.0])
 #: count. The scatter's cost grows with k * taps, the frequency-domain sum's with
 #: the count; on 60-960 directions they crossed at 1.1-2.1 x the count.
 _SCATTER_TAPS_PER_SPEAKER = 1.5
+#: Loudspeakers whose direct streams SIRR inverse-transforms at once.
+_SIRR_SPEAKER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -119,32 +121,21 @@ def decorrelation_kernel(seed: int, channel_index: int,
 
 
 def sirr_tf_streams(pressure_frames: StftFrames, field: TfDoaField,
-                    grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray]:
+                    grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-decorrelation direct and diffuse streams in the TF domain.
 
-    Returns ``(direct_tf, diffuse_tf)``: the VBAP-panned per-speaker direct
-    frames, shape (speakers, frames, bins), and the single diffuse stream
-    every speaker shares (already scaled by 1/sqrt(L)), shape
-    (frames, bins). Per bin,
-    ``sum_ls |direct_tf|^2 + L * |diffuse_tf|^2 == |P|^2``.
+    Returns ``(speakers, direct, diffuse_tf)``: each bin's VBAP triangle and
+    its complex direct amplitudes, both (frames, bins, 3), and the diffuse
+    stream every speaker shares (scaled by 1/sqrt(L)), shape (frames, bins).
+    Per bin, ``sum |direct|^2 + L * |diffuse_tf|^2 == |P|^2``.
     """
     if not field.matches(pressure_frames):
         raise ValueError("field metadata does not match the pressure frames")
-    n_speakers = len(grid)
     values = pressure_frames.values  # (t, f)
-    n_frames, n_bins = values.shape
-
-    flat_dirs = field.directions.reshape(-1, 3)
-    speaker_idx, gains = vbap_gain_table(flat_dirs, grid)  # (tf, 3) each
-
-    direct_amp = (np.sqrt(1.0 - field.psi) * values).reshape(-1)  # (tf,)
-    direct_tf = np.zeros((n_speakers, n_frames * n_bins), dtype=np.complex128)
-    # A grid triangle has three distinct loudspeakers, so each cell is set once.
-    direct_tf[speaker_idx, np.arange(n_frames * n_bins)[:, None]] = gains * direct_amp[:, None]
-    direct_tf = direct_tf.reshape(n_speakers, n_frames, n_bins)
-
-    diffuse_tf = np.sqrt(field.psi) * values / np.sqrt(n_speakers)
-    return direct_tf, diffuse_tf
+    speakers, gains = vbap_gain_table(field.directions.reshape(-1, 3), grid)  # (tf, 3) each
+    direct = gains.reshape(*values.shape, 3) * (np.sqrt(1.0 - field.psi) * values)[..., None]
+    diffuse_tf = np.sqrt(field.psi) * values / np.sqrt(len(grid))
+    return speakers.reshape(*values.shape, 3), direct, diffuse_tf
 
 
 def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
@@ -156,14 +147,19 @@ def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
     energy weights (1/sqrt(L)). Each loudspeaker's diffuse stream runs
     through its own energy-preserving decorrelator before the streams are
     summed and inverse-transformed; per-bin direct plus diffuse energy
-    equals the input bin energy exactly before decorrelation.
+    equals the input bin energy exactly before decorrelation. The direct
+    stream is rendered a block of loudspeakers at a time.
     """
-    direct_tf, diffuse_tf = sirr_tf_streams(pressure_frames, field, grid)
+    speakers, direct, diffuse_tf = sirr_tf_streams(pressure_frames, field, grid)
     layout = (field.window_size, field.hop, field.sample_rate)
     diffuse_td = istft(StftFrames(diffuse_tf, *layout))
-    direct_td = istft(StftFrames(direct_tf, *layout))  # (speakers, time)
-    del direct_tf  # free the complex stream before the convolution
-    out = np.pad(direct_td, ((0, 0), (0, DECORRELATOR_TAPS - 1)))
+    out = np.zeros((len(grid), diffuse_td.size + DECORRELATOR_TAPS - 1))
+    for start in range(0, len(grid), _SIRR_SPEAKER_BLOCK):
+        rows = np.zeros((min(_SIRR_SPEAKER_BLOCK, len(grid) - start), *diffuse_tf.shape), complex)
+        hit = (speakers >= start) & (speakers < start + len(rows))
+        # A grid triangle has three distinct loudspeakers, so each cell is set once.
+        rows[(speakers[hit] - start, *np.nonzero(hit)[:2])] = direct[hit]
+        out[start : start + len(rows), : diffuse_td.size] = istft(StftFrames(rows, *layout))
     if np.any(diffuse_td):
         kernels = np.stack([decorrelation_kernel(seed, ls) for ls in range(len(grid))])
         out += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)

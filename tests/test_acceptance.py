@@ -133,8 +133,8 @@ def test_criterion_3_sirr_energy_split():
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
     psi = np.clip(gen.uniform(size=(t, f)), 0.0, 1.0)
     field = TfDoaField(dirs, psi, 256, 128, FS)
-    direct_tf, diffuse_tf = sirr_tf_streams(frames, field, grid)
-    total = np.sum(np.abs(direct_tf) ** 2, axis=0) + len(grid) * np.abs(diffuse_tf) ** 2
+    _, direct, diffuse_tf = sirr_tf_streams(frames, field, grid)
+    total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
     per_bin_err = np.abs(total - np.abs(frames.values) ** 2).max() / (
         np.abs(frames.values) ** 2
     ).max()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,3 +252,37 @@ def test_place_fractional_impulses_per_row_delays_match_single_calls(rng):
         single = np.zeros(64)
         dsp.place_fractional_impulses(single, channel_delays, channel_amps)
         np.testing.assert_array_equal(channel, single)
+
+
+@pytest.mark.parametrize("form", ["(n,) out", "shared delays", "per-row delays"])
+def test_place_fractional_impulses_block_size_keeps_bits(rng, monkeypatch, form):
+    """Kernels built 7 arrivals at a time give the default block's bits and
+    truncation count; arrivals overlap, and some lie before the start or
+    past the end of the buffer."""
+    n, k = 256, 60
+    delays = rng.uniform(-20.0, n + 20.0, size=(3, k) if form == "per-row delays" else k)
+    amps = rng.normal(size=k if form == "(n,) out" else (3, k))
+    results = []
+    for block in (dsp._IMPULSE_BLOCK, 7):
+        monkeypatch.setattr(dsp, "_IMPULSE_BLOCK", block)
+        out = np.zeros(n if form == "(n,) out" else (3, n))
+        results.append((dsp.place_fractional_impulses(out, delays, amps), out))
+    (count, out), (count_7, out_7) = results
+    assert count == count_7 > 0
+    assert np.any(out) and np.array_equal(out, out_7)
+
+
+def test_place_fractional_impulses_memory_is_bounded(rng):
+    """6 x 200,000 arrivals peak below a quarter of one unbounded
+    (6 * 200,000, 33) float64 kernel array (317 MB)."""
+    delays = rng.uniform(0.0, 200_000.0, size=(6, 200_000))
+    amps = rng.normal(size=(6, 200_000))
+    out = np.zeros((6, 200_000))
+    tracemalloc.start()
+    try:
+        dsp.place_fractional_impulses(out, delays, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(out)
+    assert peak < 6 * 200_000 * 33 * 8 / 4

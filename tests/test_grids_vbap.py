@@ -240,7 +240,8 @@ class TestVbap:
                 assert g_rot[s] == pytest.approx(v, abs=1e-9)
 
     def test_uncovered_direction_raises(self):
-        grid = LoudspeakerGrid(_OCTAHEDRON, _OCTAHEDRON_FACES[:4])  # upper faces only
+        with mock.patch.object(LoudspeakerGrid, "__post_init__", lambda self: None):
+            grid = LoudspeakerGrid(_OCTAHEDRON, np.array(_OCTAHEDRON_FACES[:4]))  # upper faces only
         vbap_gain_table([[0.0, 0.6, 0.8]], grid)
         with pytest.raises(ValueError, match="does not cover the sphere"):
             vbap_gain_table([[0.0, 0.6, 0.8], [0.0, 0.0, -1.0]], grid)
@@ -250,6 +251,15 @@ class TestVbap:
         for bad in ([[0.0, 0.0, 0.0]], [[2.0, 0.0, 0.0]], [[np.nan, 0.0, 1.0]]):
             with pytest.raises(ValueError, match="unit vectors"):
                 vbap_gain_table(bad, grid)
+
+    def test_open_or_folded_triangulation_rejected(self):
+        """Every edge must border exactly two triangles: the octahedron's
+        upper faces pass the origin test but leave the lower hemisphere bare."""
+        with pytest.raises(ValueError, match=r"edge \[0, 1\] is not shared by exactly two"):
+            LoudspeakerGrid(_OCTAHEDRON, _OCTAHEDRON_FACES[:4])
+        with pytest.raises(ValueError, match="does not cover the sphere"):
+            LoudspeakerGrid(_OCTAHEDRON, _OCTAHEDRON_FACES + _OCTAHEDRON_FACES[:1])
+        LoudspeakerGrid(_OCTAHEDRON, _OCTAHEDRON_FACES)
 
     def test_degenerate_triangle_reported(self):
         dirs = fibonacci_grid(16).directions

@@ -115,6 +115,12 @@ class TestHrirSetValidation:
         with pytest.raises(ValueError):
             HrirSet(dirs, np.zeros((2, 8)), np.zeros((3, 8)), FS)
 
+    @pytest.mark.parametrize("rate", [44100.5, 0.0, float("nan")])
+    def test_rate_must_be_a_positive_whole_number(self, rate):
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="whole number"):
+            HrirSet(dirs, np.zeros((2, 8)), np.zeros((2, 8)), rate)
+
 
 class TestLoaders:
     def _reference_set(self, n=6):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srirkit.arrays import builtin_array
-from srirkit import presets
+from srirkit import dsp, presets
 from srirkit.errors import DegenerateInputError, LostDirectPathError, TruncatedResponseWarning
 from srirkit.grids import fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
@@ -173,6 +173,21 @@ class TestRenderArraySrir:
         e_plus = np.sum(srir.samples[0] ** 2)
         e_minus = np.sum(srir.samples[1] ** 2)
         assert e_plus / e_minus == pytest.approx((d_minus / d_plus) ** 2, rel=0.01)
+
+    def test_one_call_equals_per_capsule_placement(self):
+        """All capsules placed in one call (several kernel blocks, arrivals
+        past the end) equal one placement per capsule, bit for bit."""
+        geom = builtin_array("om6")
+        images = enumerate_images(_scene(max_order=12))
+        with pytest.warns(TruncatedResponseWarning):
+            srir = render_array_srir(images, geom, FS, 1500)
+        assert len(images) > 2 * dsp._IMPULSE_BLOCK
+        for cap, channel in zip(geom.positions, srir.samples):
+            dist = np.linalg.norm(images.positions - (images.receiver_origin + cap), axis=1)
+            single = np.zeros(1500)
+            delays = dist / images.speed_of_sound * FS
+            dsp.place_fractional_impulses(single, delays, images.wall_products / dist)
+            assert np.array_equal(channel, single)
 
     def test_truncation_warns(self):
         geom = builtin_array("om6")

@@ -19,6 +19,9 @@ def test_mono_ir_validation():
         MonoIr([1.0, np.nan], FS)
     with pytest.raises(ValueError):
         MonoIr([1.0], 0.0)
+    with pytest.raises(ValueError, match="whole number"):
+        MonoIr([1.0], 44100.5)
+    assert MonoIr([1.0], 44100).sample_rate == 44100.0
 
 
 def test_multichannel_shared_rate_and_length():

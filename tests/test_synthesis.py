@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from srirkit import synthesis
 from srirkit.doa import DoaTrajectory, TfDoaField
@@ -153,15 +154,38 @@ class TestSirrSynthesize:
             assert np.abs(vls.samples[s, :time_len] - expected).max() < 1e-6
 
     def test_uncovered_grid_raises_instead_of_silence(self, rng):
-        # An octahedron's four upper faces leave the lower hemisphere bare.
+        # An octahedron's four upper faces leave the lower hemisphere bare;
+        # the grid is built past the constructor, which refuses it.
         octahedron = np.vstack([np.eye(3), -np.eye(3)])
-        grid = LoudspeakerGrid(octahedron, [[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2]])
+        with mock.patch.object(LoudspeakerGrid, "__post_init__", lambda self: None):
+            upper = np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2]])
+            grid = LoudspeakerGrid(octahedron, upper)
         _, frames = self._framed_noise(rng, n=2048, window=128)
         t, f = frames.values.shape
         down = np.broadcast_to([0.0, 0.0, -1.0], (t, f, 3))
         field = TfDoaField(down, np.zeros((t, f)), 128, 64, FS)
         with pytest.raises(ValueError, match="does not cover the sphere"):
             sirr_synthesize(frames, field, grid)
+
+    def test_blocked_direct_stream_matches_dense_build(self, rng):
+        """37 loudspeakers, not a multiple of the block: the output equals one
+        dense (speakers, frames, bins) direct stream's render, bit for bit."""
+        grid = fibonacci_grid(37)
+        _, frames = self._framed_noise(rng, n=4096, window=128)
+        t, f = frames.values.shape
+        dirs = rng.normal(size=(t, f, 3))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        field = TfDoaField(dirs, rng.uniform(size=(t, f)), 128, 64, FS)
+        speakers, direct, diffuse_tf = sirr_tf_streams(frames, field, grid)
+        dense = np.zeros((len(grid), t, f), dtype=complex)
+        dense[speakers, np.arange(t)[:, None, None], np.arange(f)[:, None]] = direct
+        assert len(np.unique(speakers)) == len(grid)
+        expected = np.pad(istft(StftFrames(dense, 128, 64, FS)),
+                          ((0, 0), (0, DECORRELATOR_TAPS - 1)))
+        kernels = np.stack([decorrelation_kernel(5, ls) for ls in range(len(grid))])
+        diffuse_td = istft(StftFrames(diffuse_tf, 128, 64, FS))
+        expected += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
+        assert np.array_equal(sirr_synthesize(frames, field, grid, seed=5).samples, expected)
 
     def test_psi_one_output_ignores_directions(self, rng):
         grid = fibonacci_grid(12)
@@ -184,8 +208,8 @@ class TestSirrSynthesize:
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         psi = np.clip(rng.uniform(size=(t, f)), 0, 1)
         field = TfDoaField(dirs, psi, frames.window_size, frames.hop, FS)
-        direct_tf, diffuse_tf = sirr_tf_streams(frames, field, grid)
-        total = np.sum(np.abs(direct_tf) ** 2, axis=0) + len(grid) * np.abs(diffuse_tf) ** 2
+        _, direct, diffuse_tf = sirr_tf_streams(frames, field, grid)
+        total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
         reference = np.abs(frames.values) ** 2
         scale = reference.max()
         assert np.abs(total - reference).max() / scale < 1e-6
@@ -285,8 +309,8 @@ def test_sirr_per_bin_energy_split_property(seed, speakers):
     psi[gen.uniform(size=(t, f)) < 0.2] = 0.0
     psi[gen.uniform(size=(t, f)) < 0.2] = 1.0
     grid = fibonacci_grid(speakers)
-    direct_tf, diffuse_tf = sirr_tf_streams(frames, TfDoaField(dirs, psi, 64, 32, FS), grid)
-    total = np.sum(np.abs(direct_tf) ** 2, axis=0) + len(grid) * np.abs(diffuse_tf) ** 2
+    _, direct, diffuse_tf = sirr_tf_streams(frames, TfDoaField(dirs, psi, 64, 32, FS), grid)
+    total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
     reference = np.abs(frames.values) ** 2
     assert np.abs(total - reference).max() <= 1e-12 * reference.max()
 
