@@ -19,6 +19,8 @@ from .errors import UnsupportedGeometryError
 from .signals import FoaSignal, MultichannelIr
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+#: Corner of the roll-off that bounds the dipole integration's low-frequency gain.
+_ENCODER_HIGHPASS_HZ = 50.0
 
 
 @dataclass(frozen=True)
@@ -26,8 +28,6 @@ class MicArrayGeometry:
     """Capsule positions in meters, centered on the array origin."""
 
     positions: np.ndarray
-    labels: tuple
-    aliasing_frequency: float
     center_index: int | None = None
     name: str = "custom"
 
@@ -42,15 +42,9 @@ class MicArrayGeometry:
             raise ValueError("capsule positions are coplanar; 3-D DOA impossible")
         if np.linalg.norm(pos.mean(axis=0)) > 1e-3:
             raise ValueError("capsule centroid must lie within 1 mm of the origin")
-        if not self.aliasing_frequency > 0:
-            raise ValueError("aliasing_frequency must be > 0")
-        labels = tuple(self.labels)
-        if len(labels) != pos.shape[0]:
-            raise ValueError("one label per capsule required")
         if self.center_index is not None and not (0 <= self.center_index < pos.shape[0]):
             raise ValueError(f"center_index {self.center_index} out of range")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def capsule_count(self) -> int:
@@ -98,16 +92,12 @@ def builtin_array(name: str) -> MicArrayGeometry:
     if name == "om6":
         return MicArrayGeometry(
             positions=_om6_positions(),
-            labels=("+x", "-x", "+y", "-y", "+z", "-z"),
-            aliasing_frequency=2400.0,
             name="om6",
         )
     if name == "sphere32":
         pos = _pentakis_dodecahedron(0.042)
         return MicArrayGeometry(
             positions=pos,
-            labels=tuple(f"c{i:02d}" for i in range(32)),
-            aliasing_frequency=8000.0,
             name="sphere32",
         )
     raise KeyError(f"unknown built-in array {name!r} (available: om6, sphere32)")
@@ -137,16 +127,14 @@ def _axis_pairs(geometry: MicArrayGeometry) -> list[tuple[int, int, float]]:
     return pairs
 
 
-def encode_foa_open_array(srir: MultichannelIr, geometry: MicArrayGeometry,
-                          highpass_hz: float = 50.0,
-                          speed_of_sound: float = 343.0) -> FoaSignal:
+def encode_foa_open_array(srir: MultichannelIr, geometry: MicArrayGeometry) -> FoaSignal:
     """First-order encoding from an open array with opposing axis pairs.
 
     W is the center capsule when the geometry declares one, otherwise the
     average of all capsules. Each dipole is the difference of the opposing
     pair, integrated in the frequency domain (c / (j*omega*d)) so that a
     plane wave from +X yields an x channel in phase with w. A smooth
-    second-order roll-off below ``highpass_hz`` bounds the noise
+    second-order roll-off below ``_ENCODER_HIGHPASS_HZ`` bounds the noise
     amplification of the integration; the encoding is only meaningful below
     the array's aliasing frequency.
     """
@@ -167,14 +155,14 @@ def encode_foa_open_array(srir: MultichannelIr, geometry: MicArrayGeometry,
 
     nfft = 1 << int(np.ceil(np.log2(2 * n)))
     freqs = np.fft.rfftfreq(nfft, d=1.0 / rate)
-    taper = freqs**2 / (freqs**2 + highpass_hz**2)
+    taper = freqs**2 / (freqs**2 + _ENCODER_HIGHPASS_HZ**2)
 
     dipoles = []
     for i_plus, i_minus, spacing in pairs:
         diff = data[i_plus] - data[i_minus]
         spectrum = np.fft.rfft(diff, n=nfft)
         gain = np.zeros_like(spectrum)
-        gain[1:] = speed_of_sound / (2j * np.pi * freqs[1:] * spacing) * taper[1:]
+        gain[1:] = 343.0 / (2j * np.pi * freqs[1:] * spacing) * taper[1:]
         dipoles.append(np.fft.irfft(spectrum * gain, n=nfft)[:n])
 
     return FoaSignal(np.stack([w, *dipoles]), rate)

@@ -92,6 +92,13 @@ def _config_value(cfg: dict, key: str, cast, where: str, default=None):
         raise ConfigurationError(f"{where}: {key}: {exc}") from exc
 
 
+def _json_bool(value) -> bool:
+    """A JSON boolean as it is; anything else, such as the string "false", raises."""
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _length_samples(cfg: dict, where: str, rate: float, default=None) -> int:
     """``length_s`` in samples; it must be finite and give at least one."""
     seconds = _config_value(cfg, "length_s", float, where, default)
@@ -362,10 +369,11 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
 
 def cmd_metrics(cfg: dict, out_dir: Path, args) -> int:
     _check_keys(cfg, "metrics", {"brir_wav"}, {"include_full_itd"})
+    full_itd = _config_value(cfg, "include_full_itd", _json_bool, "metrics", False)
     brir = _read_brir(cfg["brir_wav"], "metrics")
     report = measure_brir(brir)
     payload = json.loads(report.to_json())
-    if cfg.get("include_full_itd"):
+    if full_itd:
         from .metrics import itd as itd_metric
 
         payload["itd_full_us"] = itd_metric(brir, segment_s=None)
@@ -396,6 +404,7 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
         print(f"ess: wrote sweep.wav and inverse.wav to {out_dir}")
         return 0
     if mode == "deconvolve":
+        trim = _config_value(cfg, "trim_distortion", _json_bool, "ess", True)
         for key in ("recorded_wav", "inverse_wav"):
             if key not in cfg:
                 raise ConfigurationError(f"ess deconvolve: missing {key}")
@@ -404,7 +413,6 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
         if inv_data.shape[0] != 1:
             raise ConfigurationError("ess: inverse_wav must be mono")
         inverse = MonoIr(inv_data[0], inv_rate)
-        trim = bool(cfg.get("trim_distortion", True))
         channels = [
             deconvolve_ess(MonoIr(ch, rate), inverse, trim).samples for ch in rec_data
         ]

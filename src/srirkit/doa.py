@@ -42,7 +42,6 @@ class DoaConfig:
     band_high: float = 2400.0
     speed_of_sound: float = 343.0
     smoothing_window: int = 64
-    gcc_weighting: str = "none"  # "none" (plain correlation) | "phat"
 
     def __post_init__(self):
         if self.window_size < 8:
@@ -53,8 +52,6 @@ class DoaConfig:
             raise ValueError("speed_of_sound must be > 0")
         if self.smoothing_window < 1:
             raise ValueError("smoothing_window must be >= 1")
-        if self.gcc_weighting not in ("none", "phat"):
-            raise ValueError(f"unknown gcc_weighting {self.gcc_weighting!r}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,8 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     """Per-sample DOA from pairwise TDOAs solved in least squares.
 
     A Hann window centered on each sample (zero-padded at the edges) feeds
-    cross-correlations for every capsule pair (unweighted by default;
-    ``config.gcc_weighting="phat"`` switches to phase-transform weighting);
-    the peak lags are parabolic-refined and the overdetermined system
+    plain (unweighted) cross-correlations for every capsule pair; the peak
+    lags are parabolic-refined and the overdetermined system
     ``(r_i - r_j) . u = c * tau_ij`` is solved for the direction ``u``.
     Samples whose solution norm is degenerate (all-zero TDOAs, silent
     windows) are masked invalid rather than fabricated.
@@ -198,14 +194,6 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
         spectra = np.fft.rfft(frames, n=nfft, axis=2)
         for p, (i, j) in enumerate(pairs):
             cross = np.conj(spectra[i]) * spectra[j]
-            if config.gcc_weighting == "phat":
-                mag = np.abs(cross)
-                # Relative floor with an absolute backstop keeps denormal
-                # bins from overflowing the division.
-                floor = max(float(mag.max()) * 1e-12, 1e-290)
-                cross = np.divide(
-                    cross, mag, out=np.zeros_like(cross), where=mag > floor
-                )
             corr = np.fft.irfft(cross, n=nfft, axis=1)
             ml = max_lags[p]
             lags = np.concatenate([corr[:, nfft - ml :], corr[:, : ml + 1]], axis=1)

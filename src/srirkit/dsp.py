@@ -10,7 +10,7 @@ from scipy import signal as sps
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames
 
-#: Default onset threshold relative to the global peak, in dB. A common
+#: Onset threshold relative to the global peak, in dB. A common
 #: room-acoustics convention that tolerates measurement noise floors.
 ONSET_THRESHOLD_DB = -20.0
 
@@ -181,25 +181,24 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     return int(fits.size - np.count_nonzero(fits))
 
 
-def detect_onset(brir: BinauralIr, threshold_db: float = ONSET_THRESHOLD_DB) -> int:
+def detect_onset(brir: BinauralIr) -> int:
     """Index of the earliest arrival in either channel.
 
-    First sample whose magnitude exceeds ``threshold_db`` relative to the
-    global peak magnitude across both channels.
+    First sample whose magnitude exceeds ``ONSET_THRESHOLD_DB`` relative to
+    the global peak magnitude across both channels.
     """
     mags = np.abs(brir.samples)
     peak = mags.max()
     if peak <= 0.0:
         raise NoOnsetError("all-zero input has no onset")
-    threshold = peak * 10.0 ** (threshold_db / 20.0)
+    threshold = peak * 10.0 ** (ONSET_THRESHOLD_DB / 20.0)
     hits = np.nonzero((mags >= threshold).any(axis=0))[0]
     return int(hits[0])
 
 
-def direct_segment(brir: BinauralIr, duration_s: float = 2.5e-3,
-                   threshold_db: float = ONSET_THRESHOLD_DB) -> tuple[int, int]:
+def direct_segment(brir: BinauralIr, duration_s: float = 2.5e-3) -> tuple[int, int]:
     """Onset index and exclusive end of the direct-sound segment."""
-    onset = detect_onset(brir, threshold_db)
+    onset = detect_onset(brir)
     seg_len = int(round(duration_s * brir.sample_rate))
     if onset + seg_len > len(brir):
         raise ValueError(
@@ -209,14 +208,13 @@ def direct_segment(brir: BinauralIr, duration_s: float = 2.5e-3,
     return onset, onset + seg_len
 
 
-def normalize_direct_energy(brir: BinauralIr, duration_s: float = 2.5e-3,
-                            threshold_db: float = ONSET_THRESHOLD_DB) -> BinauralIr:
-    """Scale both channels so the direct-sound segment has unit joint RMS.
+def normalize_direct_energy(brir: BinauralIr) -> BinauralIr:
+    """Scale both channels so the 2.5 ms direct-sound segment has unit joint RMS.
 
     The RMS is taken jointly over both channels' samples in the segment
     starting at the onset; per-channel normalization would destroy the ILD.
     """
-    start, stop = direct_segment(brir, duration_s, threshold_db)
+    start, stop = direct_segment(brir)
     seg = brir.samples[:, start:stop]
     rms = float(np.sqrt(np.mean(seg * seg)))
     if rms <= 0.0:

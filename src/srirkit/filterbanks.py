@@ -46,17 +46,8 @@ _ERB_EDGES_HZ = tuple(
 
 
 def erb_bands(samples: np.ndarray, sample_rate: float) -> np.ndarray:
-    """ERB band signals, shape ``(39, *samples.shape)``; causal filtering.
-
-    Below 32 kHz the top bands reach past Nyquist and :func:`bandpass_sos`
-    raises; :func:`erb_bands_below_nyquist` keeps only the bands that fit.
-    """
-    bandpass_sos(*_ERB_EDGES_HZ[-1], sample_rate)  # every band fits if the top one does
-    return erb_bands_below_nyquist(samples, sample_rate)
-
-
-def erb_bands_below_nyquist(samples: np.ndarray, sample_rate: float) -> np.ndarray:
-    """The ERB bands, lowest first, whose upper edge lies below Nyquist.
+    """The ERB bands, lowest first, whose upper edge lies below Nyquist;
+    causal filtering.
 
     Shape ``(k, *samples.shape)``, band i centred on ``ERB_CENTERS_HZ[i]``:
     k is 36 at 24 kHz, 35 at 22.05 kHz and all 39 from 32 kHz up.

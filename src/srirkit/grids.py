@@ -158,11 +158,6 @@ def nearest_direction(direction, grid: LoudspeakerGrid, k: int = 1) -> list[int]
     return nearest_directions(u, grid.directions, k)[0][0].tolist()
 
 
-def angular_distance(a, b) -> float:
-    """Angle in radians between two unit vectors."""
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
 def load_grid_csv(path) -> LoudspeakerGrid:
     """Grid from a CSV of unit vectors (x,y,z) or (azimuth_deg, elevation_deg).
 

@@ -52,39 +52,41 @@ class HrirSet:
 
 
 _EAR_AXIS_LEFT = np.array([0.0, 1.0, 0.0])
+#: Sound's transit time across the 87.5 mm radius of the spherical head (s),
+#: and the broadband gain of an ear facing away from the source.
+_HEAD_TRANSIT_S = 0.0875 / 343.0
+_SHADOW_FLOOR = 0.3
 
 
-def _woodworth_delay(cos_theta: np.ndarray, head_radius: float, c: float) -> np.ndarray:
+def _woodworth_delay(cos_theta: np.ndarray) -> np.ndarray:
     """Arrival-time offset of one ear relative to the head center (seconds)."""
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    ipsi = -head_radius / c * np.clip(cos_theta, 0.0, None)
-    contra = head_radius / c * (theta - np.pi / 2.0)
+    ipsi = -_HEAD_TRANSIT_S * np.clip(cos_theta, 0.0, None)
+    contra = _HEAD_TRANSIT_S * (theta - np.pi / 2.0)
     return np.where(cos_theta >= 0.0, ipsi, contra)
 
 
 def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0,
-                            length: int = 128, head_radius: float = 0.0875,
-                            shadow_floor: float = 0.3) -> HrirSet:
+                            length: int = 128) -> HrirSet:
     """Synthetic HRIRs from a rigid-sphere delay/shadow approximation.
 
     Each ear receives a band-limited impulse at the Woodworth arrival time
     with a broadband gain that falls smoothly from 1 (source at the ear)
-    to ``shadow_floor`` (source opposite the ear). Left/right symmetric, so
+    to ``_SHADOW_FLOOR`` (source opposite the ear). Left/right symmetric, so
     frontal sources produce near-zero ITD and ILD. This is deliberately a
     stand-in for a measured dataset: adequate for validating pipelines, not
     for listening.
     """
     dirs = np.asarray(directions, dtype=np.float64)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    c = 343.0
-    # The ipsilateral ear leads the head centre by up to head_radius / c;
+    # The ipsilateral ear leads the head centre by up to _HEAD_TRANSIT_S;
     # at low rates the base delay grows so that arrival stays a sample clear
     # of the interpolator's half-width instead of being dropped.
-    base_delay_s = max(0.8e-3, (FRACTIONAL_DELAY_HALF + 1) / sample_rate + head_radius / c)
+    base_delay_s = max(0.8e-3, (FRACTIONAL_DELAY_HALF + 1) / sample_rate + _HEAD_TRANSIT_S)
 
     cos_theta = np.stack([dirs @ _EAR_AXIS_LEFT, dirs @ -_EAR_AXIS_LEFT])  # (ears, n)
-    delays = (base_delay_s + _woodworth_delay(cos_theta, head_radius, c)) * sample_rate
-    gains = shadow_floor + (1.0 - shadow_floor) * 0.5 * (1.0 + cos_theta)
+    delays = (base_delay_s + _woodworth_delay(cos_theta)) * sample_rate
+    gains = _SHADOW_FLOOR + (1.0 - _SHADOW_FLOOR) * 0.5 * (1.0 + cos_theta)
     need = int(np.floor(delays.max())) + FRACTIONAL_DELAY_HALF + 1
     if length < need:
         raise ValueError(

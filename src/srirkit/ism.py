@@ -287,19 +287,27 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
     """Load a scene description written by :func:`scene_to_json_dict`.
 
     ``receiver`` overrides the declared receiver object (files can only
-    name built-in arrays). Returns (scene, sample_rate, length); a ``length`` or
-    ``sample_rate`` that is not a positive whole number is a ConfigurationError.
+    name built-in arrays). Returns (scene, sample_rate, length). A missing or
+    invalid ``room``, ``source`` or ``receiver_origin``, and a ``length`` or
+    ``sample_rate`` that is not a positive whole number, is a
+    ConfigurationError naming the field.
     """
     if isinstance(path_or_dict, dict):
         data = path_or_dict
     else:
         data = json.loads(Path(path_or_dict).read_text())
-    room = ShoeboxRoom(
-        dimensions=data["room"]["dimensions"],
-        reflection_coefficients=data["room"]["reflection_coefficients"],
-        speed_of_sound=data["room"].get("speed_of_sound", 343.0),
-        max_order=data["room"].get("max_order", 10),
-    )
+    missing = [key for key in ("room", "source", "receiver_origin") if key not in data]
+    if missing:
+        raise ConfigurationError(f"scene file lacks {', '.join(missing)}")
+    try:
+        room = ShoeboxRoom(
+            dimensions=data["room"]["dimensions"],
+            reflection_coefficients=data["room"]["reflection_coefficients"],
+            speed_of_sound=data["room"].get("speed_of_sound", 343.0),
+            max_order=data["room"].get("max_order", 10),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"room: {exc}") from exc
     if receiver is None:
         kind = data.get("receiver", {"kind": "ideal-foa"})["kind"]
         if kind == "array":
@@ -312,12 +320,15 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
             raise ValueError(
                 "HRIR receivers cannot be loaded from JSON; pass one explicitly"
             )
-    scene = Scene(
-        room=room,
-        source=data["source"],
-        receiver_origin=data["receiver_origin"],
-        receiver=receiver,
-    )
+    try:
+        scene = Scene(
+            room=room,
+            source=data["source"],
+            receiver_origin=data["receiver_origin"],
+            receiver=receiver,
+        )
+    except (TypeError, ValueError) as exc:  # the message names the field
+        raise ConfigurationError(str(exc)) from exc
     length, rate = data.get("length", 14400), data.get("sample_rate", 48000.0)
     for name, value in (("length", length), ("sample_rate", rate)):
         if type(value) not in (int, float) or not (value >= 1 and float(value).is_integer()):

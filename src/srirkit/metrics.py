@@ -8,16 +8,14 @@ window (first 80 ms after onset) and the remaining tail.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import dsp
 from .errors import DegenerateBandError, DegenerateInputError, InsufficientDecayError
-from .filterbanks import ERB_CENTERS_HZ, erb_bands_below_nyquist, octave_band
+from .filterbanks import ERB_CENTERS_HZ, erb_bands, octave_band
 from .signals import BinauralIr, MonoIr
 
 #: Just-noticeable differences used for pass/fail flags in reports.
@@ -104,26 +102,16 @@ class ErrorSummary:
             sort_keys=True,
         )
 
-    def write_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "mae", "msd", "jnd", "jnd_pass"])
-            for name in MetricReport.metric_names():
-                writer.writerow(
-                    [name, f"{self.mae[name]:.9g}", f"{self.msd[name]:.9g}",
-                     JND[name], int(self.jnd_pass[name])]
-                )
 
-
-def ild_avg(brir: BinauralIr, segment_s: float = 2.5e-3) -> tuple[float, float]:
+def ild_avg(brir: BinauralIr) -> tuple[float, float]:
     """ERB-band-averaged level difference of the direct-sound segment.
 
     Returns (low, high): band averages below and at-or-above 1.5 kHz, in dB,
     positive when the left channel is louder. Only the ERB bands below
     Nyquist count: 36 of the 39 at 24 kHz, all from 32 kHz up.
     """
-    start, stop = dsp.direct_segment(brir, segment_s)
-    bands = erb_bands_below_nyquist(brir.samples[:, start:stop], brir.sample_rate)
+    start, stop = dsp.direct_segment(brir)
+    bands = erb_bands(brir.samples[:, start:stop], brir.sample_rate)
     rms = np.sqrt(np.mean(bands**2, axis=-1))
     silent = np.argwhere(rms <= 0.0)  # band-major, so the left ear is checked first
     if silent.size:
@@ -176,7 +164,7 @@ def iacc(left: MonoIr, right: MonoIr) -> float:
     return _iacf_peak(left.samples, right.samples, left.sample_rate, refine=False)[0]
 
 
-def iacc_e3_l3(brir: BinauralIr, early_s: float = EARLY_WINDOW_S) -> tuple[float, float]:
+def iacc_e3_l3(brir: BinauralIr) -> tuple[float, float]:
     """(1 - IACC_E3, 1 - IACC_L3): octave-band-averaged early/late coherence.
 
     Early covers onset..onset+80 ms, late the remaining tail; the IACC of
@@ -184,7 +172,7 @@ def iacc_e3_l3(brir: BinauralIr, early_s: float = EARLY_WINDOW_S) -> tuple[float
     """
     onset = dsp.detect_onset(brir)
     rate = brir.sample_rate
-    split = onset + int(round(early_s * rate))
+    split = onset + int(round(EARLY_WINDOW_S * rate))
     min_window = int(2e-3 * rate) + 1
     if split > len(brir):
         raise ValueError(
@@ -232,16 +220,16 @@ def _t30_one_band(filtered: np.ndarray, rate: float, band_hz: float) -> float:
     return -60.0 / float(slope)
 
 
-def t30_mid(ir: MonoIr | BinauralIr, bands_hz: tuple = T30_BANDS_HZ) -> float:
+def t30_mid(ir: MonoIr | BinauralIr) -> float:
     """Reverberation time from a 30 dB Schroeder decay fit, extrapolated to
     60 dB and averaged over the 500 Hz and 1 kHz octave bands (and both
     channels for a BRIR).
     """
     channels = np.atleast_2d(ir.samples)
-    per_band = [octave_band(channels, ir.sample_rate, band) for band in bands_hz]
+    per_band = [octave_band(channels, ir.sample_rate, band) for band in T30_BANDS_HZ]
     values = [
         _t30_one_band(per_band[b][ch], ir.sample_rate, band)
-        for ch in range(len(channels)) for b, band in enumerate(bands_hz)
+        for ch in range(len(channels)) for b, band in enumerate(T30_BANDS_HZ)
     ]
     return float(np.mean(values))
 

@@ -231,15 +231,10 @@ class ConditionResult:
     brir: BinauralIr  # direct-energy normalized
 
 
-def run_condition(inputs: AnalysisInput | SceneRendering,
+def run_condition(inputs: AnalysisInput,
                   condition: SystemCondition) -> ConditionResult:
     """Run one condition end to end: analysis, synthesis, binaural rendering
     and direct-energy normalization."""
-    if isinstance(inputs, SceneRendering):
-        inputs = inputs.analysis_input
-    if not isinstance(inputs, AnalysisInput):
-        raise ConfigurationError(f"cannot run a condition on {type(inputs).__name__}")
-
     pressure = _pressure_signal(inputs, condition)
     if condition.synthesis == "sdm":
         analysis = analyze_trajectory(inputs, condition)
@@ -266,16 +261,14 @@ def ordered_map(fn, items, threads: int) -> list:
 
 @dataclass(frozen=True)
 class ComparisonRun:
-    """Scenes (or imported inputs) x conditions, scored against references.
+    """Simulated scenes x conditions, each scene scored against its own
+    reference BRIR.
 
-    ``inputs`` maps a scene id to a SceneRendering or AnalysisInput;
-    ``references`` maps the same ids to reference BRIRs. SceneRendering
-    entries may omit the explicit reference (their own is used).
+    ``inputs`` maps a scene id to a SceneRendering.
     """
 
     inputs: dict
     conditions: tuple
-    references: dict = field(default_factory=dict)
     sample_rate: float = 48000.0
 
     def __post_init__(self):
@@ -286,34 +279,18 @@ class ComparisonRun:
         ids = [c.id for c in self.conditions]
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"condition ids must be unique, got {ids}")
-        for name, inp in self.inputs.items():
-            if not isinstance(inp, SceneRendering) and name not in self.references:
-                raise ConfigurationError(
-                    f"scene {name!r} needs an explicit reference BRIR"
-                )
         for cond in self.conditions:
             if cond.hrirs.sample_rate != self.sample_rate:
                 raise ConfigurationError(
                     f"condition {cond.id!r}: HRIR rate {cond.hrirs.sample_rate} "
                     f"differs from the run rate {self.sample_rate}"
                 )
-        for name in self.inputs:
-            if self.reference_for(name).sample_rate != self.sample_rate:
+        for name, rendering in self.inputs.items():
+            if rendering.reference.sample_rate != self.sample_rate:
                 raise ConfigurationError(
                     f"scene {name!r}: reference rate differs from the run rate"
                 )
         object.__setattr__(self, "conditions", tuple(self.conditions))
-
-    def reference_for(self, name: str) -> BinauralIr:
-        if name in self.references:
-            return self.references[name]
-        return self.inputs[name].reference
-
-    def reference_source(self, name: str) -> str:
-        """Label of where the reference came from, carried into reports."""
-        if name in self.references:
-            return "external"
-        return "ism-nearest-hrir"
 
 
 @dataclass(frozen=True)
@@ -324,11 +301,9 @@ class ComparisonResult:
     reference_reports: dict  # scene id -> MetricReport
     summaries: dict  # condition id -> ErrorSummary
     brirs: dict  # (condition id, scene id) -> BinauralIr
-    reference_sources: dict = field(default_factory=dict)  # scene id -> label
 
     def to_json(self) -> str:
         payload = {
-            "reference_sources": dict(sorted(self.reference_sources.items())),
             "reference": {
                 scene: report.to_dict()
                 for scene, report in sorted(self.reference_reports.items())
@@ -347,7 +322,7 @@ class ComparisonResult:
 
 
 def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
-    """Evaluate every condition on every scene against the references.
+    """Evaluate every condition on every scene against the scene's reference.
 
     Work items are independent; with ``threads > 1`` they execute in a
     thread pool and are collected in a fixed order, so results are
@@ -361,7 +336,7 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
     def render(task):
         cond, name = task
         try:
-            return run_condition(run.inputs[name], cond).brir
+            return run_condition(run.inputs[name].analysis_input, cond).brir
         except ConfigurationError:
             raise  # already names the condition
         except Exception as exc:
@@ -372,7 +347,7 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
     rendered = ordered_map(render, tasks, threads)
 
     reference_reports = {
-        name: measure_brir(run.reference_for(name)) for name in scene_names
+        name: measure_brir(run.inputs[name].reference) for name in scene_names
     }
     brirs = {}
     condition_reports = {cond.id: {} for cond in run.conditions}
@@ -391,7 +366,6 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
         reference_reports=reference_reports,
         summaries=summaries,
         brirs=brirs,
-        reference_sources={name: run.reference_source(name) for name in scene_names},
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import builtin_array
-from .grids import direction_from_azel, fibonacci_grid, LoudspeakerGrid
+from .grids import direction_from_azel, fibonacci_grid
 from .hrir import HrirSet, spherical_head_hrir_set
 from .ism import Scene, ShoeboxRoom
 
@@ -39,17 +39,17 @@ DEFAULT_SAMPLE_RATE = 48000.0
 DEFAULT_GRID_SIZE = 240
 
 
-def apl_room(max_order: int = 30, reflection: float = APL_ROOM_REFLECTION) -> ShoeboxRoom:
+def apl_room(max_order: int = 30) -> ShoeboxRoom:
     return ShoeboxRoom(
         dimensions=np.array(APL_ROOM_DIMENSIONS),
-        reflection_coefficients=np.full(6, reflection),
+        reflection_coefficients=np.full(6, APL_ROOM_REFLECTION),
         max_order=max_order,
     )
 
 
-def source_position(name: str, origin=APL_RECEIVER_ORIGIN) -> np.ndarray:
+def source_position(name: str) -> np.ndarray:
     az, el, dist = SCENE_POSITIONS[name]
-    return np.asarray(origin) + dist * direction_from_azel(az, el)
+    return np.asarray(APL_RECEIVER_ORIGIN) + dist * direction_from_azel(az, el)
 
 
 def scene(name: str, receiver="ideal-foa", max_order: int = 30) -> Scene:
@@ -66,11 +66,9 @@ def scene(name: str, receiver="ideal-foa", max_order: int = 30) -> Scene:
     )
 
 
-def default_hrirs(grid: LoudspeakerGrid | None = None,
-                  sample_rate: float = DEFAULT_SAMPLE_RATE) -> HrirSet:
+def default_hrirs(sample_rate: float = DEFAULT_SAMPLE_RATE) -> HrirSet:
     """Synthetic spherical-head HRIRs on the default grid directions."""
-    if grid is None:
-        grid = fibonacci_grid(DEFAULT_GRID_SIZE)
+    grid = fibonacci_grid(DEFAULT_GRID_SIZE)
     return spherical_head_hrir_set(grid.directions, sample_rate=sample_rate)
 
 

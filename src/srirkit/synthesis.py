@@ -17,6 +17,7 @@ from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, MonoIr, StftFrames
 from .vbap import vbap_gain_table
+from .wavio import check_sample_rate
 
 DECORRELATOR_TAPS = 1024
 #: Largest angle between a loudspeaker and the HRIR that renders it.
@@ -42,8 +43,7 @@ class VirtualLoudspeakerSignals:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[0] != len(self.grid):
             raise ValueError(f"samples must be ({len(self.grid)}, n), got {samples.shape}")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be > 0")
+        check_sample_rate(self.sample_rate)
         object.__setattr__(self, "samples", samples)
 
 
@@ -64,8 +64,9 @@ class SampleAssignment:
             raise ValueError(f"speakers/samples must be (n, k): {speakers.shape}/{samples.shape}")
         if speakers.size and not 0 <= speakers.min() <= speakers.max() < len(self.grid):
             raise ValueError("speaker indices out of range")
-        if not (np.all(np.isfinite(samples)) and self.sample_rate > 0):
-            raise ValueError("samples must be finite and sample_rate > 0")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite")
+        check_sample_rate(self.sample_rate)
         object.__setattr__(self, "speakers", speakers)
         object.__setattr__(self, "samples", samples)
 
@@ -109,15 +110,15 @@ def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
     return SampleAssignment(grid, top, weights * pressure.samples[:, None], pressure.sample_rate)
 
 
-def decorrelation_kernel(seed: int, channel_index: int,
-                         taps: int = DECORRELATOR_TAPS) -> np.ndarray:
-    """Deterministic unit-magnitude random-phase FIR, unit tap energy."""
+def decorrelation_kernel(seed: int, channel_index: int) -> np.ndarray:
+    """Deterministic unit-magnitude random-phase FIR of ``DECORRELATOR_TAPS``
+    taps, unit tap energy."""
     rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(channel_index)])
-    bins = taps // 2 + 1
+    bins = DECORRELATOR_TAPS // 2 + 1
     phases = rng.uniform(0.0, 2.0 * np.pi, bins)
     phases[0] = 0.0  # DC and Nyquist must stay real
     phases[-1] = 0.0
-    return np.fft.irfft(np.exp(1j * phases), n=taps)
+    return np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
 
 
 def sirr_tf_streams(pressure_frames: StftFrames, field: TfDoaField,
@@ -147,22 +148,25 @@ def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
     energy weights (1/sqrt(L)). Each loudspeaker's diffuse stream runs
     through its own energy-preserving decorrelator before the streams are
     summed and inverse-transformed; per-bin direct plus diffuse energy
-    equals the input bin energy exactly before decorrelation. The direct
-    stream is rendered a block of loudspeakers at a time.
+    equals the input bin energy exactly before decorrelation. Both streams
+    are rendered a block of loudspeakers at a time.
     """
     speakers, direct, diffuse_tf = sirr_tf_streams(pressure_frames, field, grid)
     layout = (field.window_size, field.hop, field.sample_rate)
     diffuse_td = istft(StftFrames(diffuse_tf, *layout))
+    has_diffuse = np.any(diffuse_td)
     out = np.zeros((len(grid), diffuse_td.size + DECORRELATOR_TAPS - 1))
     for start in range(0, len(grid), _SIRR_SPEAKER_BLOCK):
         rows = np.zeros((min(_SIRR_SPEAKER_BLOCK, len(grid) - start), *diffuse_tf.shape), complex)
         hit = (speakers >= start) & (speakers < start + len(rows))
         # A grid triangle has three distinct loudspeakers, so each cell is set once.
         rows[(speakers[hit] - start, *np.nonzero(hit)[:2])] = direct[hit]
-        out[start : start + len(rows), : diffuse_td.size] = istft(StftFrames(rows, *layout))
-    if np.any(diffuse_td):
-        kernels = np.stack([decorrelation_kernel(seed, ls) for ls in range(len(grid))])
-        out += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
+        block = out[start : start + len(rows)]
+        block[:, : diffuse_td.size] = istft(StftFrames(rows, *layout))
+        if has_diffuse:
+            kernels = np.stack([decorrelation_kernel(seed, ls)
+                                for ls in range(start, start + len(rows))])
+            block += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
     return VirtualLoudspeakerSignals(grid, out, field.sample_rate)
 
 

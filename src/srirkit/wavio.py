@@ -1,6 +1,7 @@
-"""Minimal RIFF/WAVE codec: PCM 16/24-bit and IEEE float32, any channel count.
+"""Minimal RIFF/WAVE codec, any channel count: reads PCM 16/24/32-bit and
+IEEE float32, writes float32.
 
-The stdlib ``wave`` module cannot write float or 24-bit data, so the few
+The stdlib ``wave`` module cannot read or write float data, so the few
 chunk layouts this package needs are handled directly. Writing is fully
 deterministic (fixed 44-byte header, no metadata chunks), which the CLI
 relies on for byte-identical reruns.
@@ -80,42 +81,20 @@ def check_sample_rate(sample_rate) -> int:
     return int(rate)
 
 
-def write_wav(path, data: np.ndarray, sample_rate: float, encoding: str = "float32") -> None:
-    """Write channel-major ``data`` (n_channels, n_samples) to a WAV file.
-
-    encoding: one of ``float32`` (default), ``pcm16``, ``pcm24``. PCM output
-    clips to [-1, 1). ``sample_rate`` must pass :func:`check_sample_rate`.
+def write_wav(path, data: np.ndarray, sample_rate: float) -> None:
+    """Write channel-major ``data`` (n_channels, n_samples) to a float32 WAV
+    file. ``sample_rate`` must pass :func:`check_sample_rate`.
     """
     sample_rate = check_sample_rate(sample_rate)
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n_channels, n_samples = data.shape
-    interleaved = data.T.reshape(-1)
+    payload = data.T.reshape(-1).astype("<f4").tobytes()
 
-    if encoding == "float32":
-        payload = interleaved.astype("<f4").tobytes()
-        fmt_code, bits = _FMT_FLOAT, 32
-    elif encoding == "pcm16":
-        scaled = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-        payload = scaled.astype("<i2").tobytes()
-        fmt_code, bits = _FMT_PCM, 16
-    elif encoding == "pcm24":
-        scaled = np.clip(np.round(interleaved * float(1 << 23)), -(1 << 23), (1 << 23) - 1)
-        ints = scaled.astype(np.int64)
-        ints = np.where(ints < 0, ints + (1 << 24), ints)
-        out = np.empty((ints.size, 3), dtype=np.uint8)
-        out[:, 0] = ints & 0xFF
-        out[:, 1] = (ints >> 8) & 0xFF
-        out[:, 2] = (ints >> 16) & 0xFF
-        payload = out.tobytes()
-        fmt_code, bits = _FMT_PCM, 24
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-
-    block_align = n_channels * bits // 8
+    block_align = n_channels * 4
     byte_rate = sample_rate * block_align
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
     header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, fmt_code, n_channels, sample_rate, byte_rate, block_align, bits
+        "<IHHIIHH", 16, _FMT_FLOAT, n_channels, sample_rate, byte_rate, block_align, 32
     )
     header += b"data" + struct.pack("<I", len(payload))
     Path(path).write_bytes(header + payload)

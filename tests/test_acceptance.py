@@ -220,8 +220,8 @@ def test_criterion_7_dedicated_pressure_contrast(scene_bundle):
     identical = np.array_equal(traj_a.directions, traj_b.directions) and np.array_equal(
         traj_a.valid, traj_b.valid
     )
-    brir_a = run_condition(rendering, base).brir
-    brir_b = run_condition(rendering, other).brir
+    brir_a = run_condition(rendering.analysis_input, base).brir
+    brir_b = run_condition(rendering.analysis_input, other).brir
     spec_a = np.abs(np.fft.rfft(brir_a.left.samples))
     spec_b = np.abs(np.fft.rfft(brir_b.left.samples))
     rel_spec_diff = np.abs(spec_a - spec_b).max() / spec_a.max()

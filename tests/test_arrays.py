@@ -34,7 +34,6 @@ class TestBuiltinArrays:
         got = {tuple(np.round(p, 9)) for p in geom.positions}
         assert got == expected
         assert geom.center_index is None
-        assert geom.aliasing_frequency == pytest.approx(2400.0)
 
     def test_sphere32_radius(self):
         geom = builtin_array("sphere32")
@@ -55,15 +54,11 @@ class TestBuiltinArrays:
         with pytest.raises(ValueError):  # coplanar
             MicArrayGeometry(
                 positions=[[0.05, 0, 0], [-0.05, 0, 0], [0, 0.05, 0], [0, -0.05, 0]],
-                labels=("a", "b", "c", "d"),
-                aliasing_frequency=2400.0,
             )
         with pytest.raises(ValueError):  # off-center
             MicArrayGeometry(
                 positions=[[0.06, 0, 0], [-0.04, 0, 0], [0, 0.05, 0],
                            [0, -0.05, 0], [0, 0, 0.05], [0, 0, -0.05]],
-                labels=tuple("abcdef"),
-                aliasing_frequency=2400.0,
             )
 
 

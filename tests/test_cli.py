@@ -187,6 +187,30 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
             assert "sample_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("room", lambda s: s.pop("room")),
+        ("source", lambda s: s.pop("source")),
+        ("receiver_origin", lambda s: s.pop("receiver_origin")),
+        ("room", lambda s: s["room"].pop("dimensions")),
+        ("room", lambda s: s["room"].update(dimensions=[6.0, -5.0, 3.2])),
+        ("room", lambda s: s["room"].update(reflection_coefficients=[0.8] * 5)),
+        ("room", lambda s: s.update(room=[6.0, 5.0, 3.2])),
+        ("source", lambda s: s.update(source=[7.0, 2.5, 1.5])),
+        ("receiver_origin", lambda s: s.update(receiver_origin=[2.5, 2.5])),
+    ], ids=["no-room", "no-source", "no-receiver_origin", "no-dimensions",
+            "negative-dimension", "five-coefficients", "room-list", "source-outside",
+            "origin-2d"])
+    def test_invalid_scene_file_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                         monkeypatch, field, edit):
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
+        scene_json = self._scene_json(tmp_path)
+        scene = json.loads(Path(scene_json).read_text())
+        edit(scene)
+        Path(scene_json).write_text(json.dumps(scene))
+        cfg = _write_config(tmp_path, "sim.json", {"scene_json": scene_json, "grid_size": 32})
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch):
         def no_render(*args, **kwargs):
@@ -546,6 +570,9 @@ _SDM = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
     ("simulate", _sim_config(length_s="nan"), "length_s"),
     ("simulate", _sim_config(length_s=-1), "length_s"),
     ("simulate", _sim_config(length_s=0), "length_s"),
+    # flags are JSON booleans; the string "false" is not false
+    ("ess", {"mode": "deconvolve", "trim_distortion": "false"}, "trim_distortion"),
+    ("metrics", {"brir_wav": "absent.wav", "include_full_itd": "yes"}, "include_full_itd"),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
                                                         key):

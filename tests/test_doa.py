@@ -119,17 +119,6 @@ class TestTdoaLsDoa:
         assert traj.valid[idx]
         assert _angle_deg(traj.directions[idx], u) < 2.0
 
-    def test_phat_weighting_flag(self):
-        geom = builtin_array("om6")
-        u = direction_from_azel(0.0, 0.0)
-        srir = _plane_wave_srir(geom, u)
-        traj = tdoa_ls_doa(srir, geom, DoaConfig(gcc_weighting="phat"))
-        idx = int(0.02 * FS)
-        assert traj.valid[idx]
-        assert _angle_deg(traj.directions[idx], u) < 2.0
-        with pytest.raises(ValueError):
-            DoaConfig(gcc_weighting="scot")
-
 
 class TestPivBroadbandDoa:
     def test_w_only_masked_invalid(self, rng):

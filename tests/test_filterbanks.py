@@ -61,10 +61,12 @@ class TestErbFilterbank:
             gain_db = 20 * np.log10(gain)
             assert abs(gain_db) < 1.0, f"band {k} at {center:.1f} Hz: {gain_db:.2f} dB"
 
-    def test_center_above_nyquist_rejected(self):
-        # the top bands (up to about 15 kHz) do not fit below 8 kHz
-        with pytest.raises(ValueError):
-            fb.erb_bands(np.zeros(256), 16000.0)
+    def test_bands_past_nyquist_dropped(self):
+        # the top bands (up to about 15 kHz) do not fit below 8 kHz; the
+        # bands kept are those whose upper edge, half an ERB up, lies below it
+        bands = fb.erb_bands(np.zeros(256), 16000.0)
+        upper_edges = fb.erb_number_to_hz(np.arange(1, 40) + 0.5)
+        assert bands.shape == (np.count_nonzero(upper_edges < 8000.0), 256) == (32, 256)
 
 
 class TestOctaveFilter:

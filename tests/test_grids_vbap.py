@@ -10,7 +10,6 @@ from scipy.spatial import ConvexHull
 from srirkit import grids, vbap
 from srirkit.grids import (
     LoudspeakerGrid,
-    angular_distance,
     direction_from_azel,
     fibonacci_grid,
     grid_from_directions,
@@ -20,6 +19,11 @@ from srirkit.grids import (
     save_grid_csv,
 )
 from srirkit.vbap import _best_triangles, _enclosing_triangles, vbap_gain_table
+
+
+def angular_distance(a, b) -> float:
+    """Angle in radians between two unit vectors."""
+    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
 def _random_rotation(rng):

@@ -99,8 +99,9 @@ class TestSdmSynthesize:
             SampleAssignment(grid, speakers - 1, np.zeros((4, 2)), FS)
         with pytest.raises(ValueError, match="finite"):
             SampleAssignment(grid, speakers, np.full((4, 2), np.nan), FS)
-        with pytest.raises(ValueError, match="sample_rate"):
-            SampleAssignment(grid, speakers, np.zeros((4, 2)), 0.0)
+        for rate in (0.0, 44100.5):
+            with pytest.raises(ValueError, match="sample rate"):
+                SampleAssignment(grid, speakers, np.zeros((4, 2)), rate)
 
     def test_deterministic(self, rng):
         grid = fibonacci_grid(16)
@@ -127,6 +128,14 @@ class TestSirrSynthesize:
         sig[: window] = 0.0
         sig[-window:] = 0.0
         return sig, stft(sig, FS, window, window // 2)
+
+    def test_loudspeaker_signals_validated(self):
+        grid = fibonacci_grid(8)
+        with pytest.raises(ValueError, match="samples must be"):
+            VirtualLoudspeakerSignals(grid, np.zeros((7, 4)), FS)
+        for rate in (0.0, 44100.5):
+            with pytest.raises(ValueError, match="sample rate"):
+                VirtualLoudspeakerSignals(grid, np.zeros((8, 4)), rate)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -186,6 +195,24 @@ class TestSirrSynthesize:
         diffuse_td = istft(StftFrames(diffuse_tf, 128, 64, FS))
         expected += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
         assert np.array_equal(sirr_synthesize(frames, field, grid, seed=5).samples, expected)
+
+    def test_decorrelation_memory_is_bounded_by_the_output(self, rng):
+        """240 loudspeakers x 19,200 samples with a diffuse stream: the
+        decorrelators run one loudspeaker block at a time, so the peak stays
+        below twice the output (one (240, ~20k) spectrum alone is as large)."""
+        grid = fibonacci_grid(240)
+        frames = stft(rng.normal(size=19200), FS, 64, 32)
+        t, f = frames.values.shape
+        dirs = rng.normal(size=(t, f, 3))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        field = TfDoaField(dirs, rng.uniform(size=(t, f)), 64, 32, FS)
+        tracemalloc.start()
+        try:
+            vls = sirr_synthesize(frames, field, grid, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * vls.samples.nbytes
 
     def test_psi_one_output_ignores_directions(self, rng):
         grid = fibonacci_grid(12)
