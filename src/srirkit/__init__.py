@@ -8,7 +8,6 @@ from .doa import (
     DoaTrajectory,
     TfDoaField,
     piv_broadband_doa,
-    smooth_doa,
     tdoa_ls_doa,
     tf_piv_analysis,
 )
@@ -20,7 +19,7 @@ from .dsp import (
     stft,
 )
 from .filterbanks import ERB_CENTERS_HZ, bandpass_sos, erb_bands, octave_band
-from .grids import LoudspeakerGrid, fibonacci_grid, load_grid_csv, nearest_direction
+from .grids import LoudspeakerGrid, fibonacci_grid, load_grid_csv
 from .hrir import HrirSet, load_hrir_set, spherical_head_hrir_set
 from .ism import (
     ImageSourceList,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import SPEED_OF_SOUND
 from .errors import UnsupportedGeometryError
 from .signals import FoaSignal, MultichannelIr
 
@@ -162,7 +163,7 @@ def encode_foa_open_array(srir: MultichannelIr, geometry: MicArrayGeometry) -> F
         diff = data[i_plus] - data[i_minus]
         spectrum = np.fft.rfft(diff, n=nfft)
         gain = np.zeros_like(spectrum)
-        gain[1:] = 343.0 / (2j * np.pi * freqs[1:] * spacing) * taper[1:]
+        gain[1:] = SPEED_OF_SOUND / (2j * np.pi * freqs[1:] * spacing) * taper[1:]
         dipoles.append(np.fft.irfft(spectrum * gain, n=nfft)[:n])
 
     return FoaSignal(np.stack([w, *dipoles]), rate)

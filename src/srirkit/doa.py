@@ -19,8 +19,8 @@ import numpy as np
 from scipy import signal as sps
 
 from .arrays import MicArrayGeometry
-from .dsp import refine_peaks
-from .errors import UnsupportedGeometryError
+from .dsp import SPEED_OF_SOUND, refine_peaks
+from .errors import ConfigurationError, UnsupportedGeometryError
 from .filterbanks import bandpass_sos
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
@@ -40,18 +40,15 @@ class DoaConfig:
     window_size: int = 64
     band_low: float = 200.0
     band_high: float = 2400.0
-    speed_of_sound: float = 343.0
     smoothing_window: int = 64
 
     def __post_init__(self):
         if self.window_size < 8:
-            raise ValueError("window_size must be >= 8")
+            raise ConfigurationError(f"window_size must be >= 8, got {self.window_size}")
         if not (0.0 < self.band_low < self.band_high):
-            raise ValueError("need 0 < band_low < band_high")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be > 0")
+            raise ConfigurationError("need 0 < band_low < band_high")
         if self.smoothing_window < 1:
-            raise ValueError("smoothing_window must be >= 1")
+            raise ConfigurationError("smoothing_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
         raise ValueError(f"window_size {window} must be smaller than the SRIR ({n})")
 
     rate = srir.sample_rate
-    c = config.speed_of_sound
+    c = SPEED_OF_SOUND
     data = srir.samples
     peak = np.abs(data).max()
     if peak > 0:
@@ -288,48 +285,3 @@ def tf_piv_analysis(frames: StftFrames, averaging_frames: int = 8) -> TfDoaField
     directions[usable] = avg_i[usable] / norms[usable, None]
     return TfDoaField(directions, psi, frames.window_size, frames.hop, frames.sample_rate)
 
-
-def smooth_doa(trajectory: DoaTrajectory, window: int) -> DoaTrajectory:
-    """Sliding vector mean over valid entries, renormalized.
-
-    Invalid entries take the smoothed value of the nearest valid sample when
-    one lies inside the window; otherwise they stay invalid. ``window`` must
-    be odd (1 is the identity).
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
-    if window == 1 or len(trajectory) == 0:
-        return trajectory
-
-    dirs = np.where(trajectory.valid[:, None], trajectory.directions, 0.0)
-    kernel = np.ones(window)
-    sums = np.stack(
-        [np.convolve(dirs[:, k], kernel, mode="same") for k in range(3)], axis=1
-    )
-    counts = np.convolve(trajectory.valid.astype(float), kernel, mode="same")
-    norms = np.linalg.norm(sums, axis=1)
-    smoothed_ok = (counts > 0.5) & (norms > _DEGENERATE_NORM)
-    smoothed = np.zeros_like(sums)
-    smoothed[smoothed_ok] = sums[smoothed_ok] / norms[smoothed_ok, None]
-
-    out_dirs = np.zeros_like(smoothed)
-    out_valid = np.zeros(len(trajectory), dtype=bool)
-
-    ok = trajectory.valid & smoothed_ok
-    out_dirs[ok] = smoothed[ok]
-    out_valid[ok] = True
-
-    # Fill invalid samples from the nearest valid neighbor within the window.
-    valid_idx = np.nonzero(trajectory.valid)[0]
-    if valid_idx.size:
-        gaps = np.nonzero(~out_valid)[0]
-        pos = np.searchsorted(valid_idx, gaps)
-        left = valid_idx[np.clip(pos - 1, 0, valid_idx.size - 1)]
-        right = valid_idx[np.clip(pos, 0, valid_idx.size - 1)]
-        nearest = np.where(np.abs(gaps - left) <= np.abs(right - gaps), left, right)
-        reachable = (np.abs(gaps - nearest) <= window // 2) & smoothed_ok[nearest]
-        fill = gaps[reachable]
-        out_dirs[fill] = smoothed[nearest[reachable]]
-        out_valid[fill] = True
-
-    return DoaTrajectory(out_dirs, out_valid)

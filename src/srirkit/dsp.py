@@ -10,6 +10,9 @@ from scipy import signal as sps
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames
 
+#: Speed of sound in air (m/s), shared by the simulator, the DOA estimators,
+#: the open-array encoder and the spherical-head model.
+SPEED_OF_SOUND = 343.0
 #: Onset threshold relative to the global peak, in dB. A common
 #: room-acoustics convention that tolerates measurement noise floors.
 ONSET_THRESHOLD_DB = -20.0
@@ -84,13 +87,6 @@ def istft(frames: StftFrames) -> np.ndarray:
         wsum[j : j + n_frames] += window_sq[j]
     np.divide(acc, wsum, out=acc, where=wsum > 1e-12)
     return acc.reshape(*acc.shape[:-2], -1)
-
-
-def cola_interior(frames: StftFrames) -> slice:
-    """Sample range (into the istft output) with complete window coverage."""
-    start = frames.window_size - frames.hop
-    stop = frames.frame_count * frames.hop
-    return slice(start, stop)
 
 
 def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:

@@ -150,14 +150,6 @@ def nearest_directions(queries: np.ndarray, table: np.ndarray,
     return indices, np.arccos(np.clip(dots, -1.0, 1.0))
 
 
-def nearest_direction(direction, grid: LoudspeakerGrid, k: int = 1) -> list[int]:
-    """Indices of the k grid directions closest in angle to one unit
-    ``direction``, nearest first, ties toward the lower index."""
-    u = _check_unit([direction], tol=1e-6)
-    u = u / np.linalg.norm(u)
-    return nearest_directions(u, grid.directions, k)[0][0].tolist()
-
-
 def load_grid_csv(path) -> LoudspeakerGrid:
     """Grid from a CSV of unit vectors (x,y,z) or (azimuth_deg, elevation_deg).
 

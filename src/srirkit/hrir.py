@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import FRACTIONAL_DELAY_HALF, place_fractional_impulses
+from .dsp import FRACTIONAL_DELAY_HALF, SPEED_OF_SOUND, place_fractional_impulses
 from .grids import _check_unit, direction_from_azel, nearest_directions
 from . import wavio
 
@@ -54,7 +54,7 @@ class HrirSet:
 _EAR_AXIS_LEFT = np.array([0.0, 1.0, 0.0])
 #: Sound's transit time across the 87.5 mm radius of the spherical head (s),
 #: and the broadband gain of an ear facing away from the source.
-_HEAD_TRANSIT_S = 0.0875 / 343.0
+_HEAD_TRANSIT_S = 0.0875 / SPEED_OF_SOUND
 _SHADOW_FLOOR = 0.3
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .arrays import MicArrayGeometry
-from .dsp import impulse_fits, place_fractional_impulses
+from .dsp import SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
 from .errors import ConfigurationError, LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
 from .hrir import HrirSet
@@ -37,7 +37,7 @@ class ShoeboxRoom:
 
     dimensions: np.ndarray
     reflection_coefficients: np.ndarray
-    speed_of_sound: float = 343.0
+    speed_of_sound: float = SPEED_OF_SOUND
     max_order: int = 10
 
     def __post_init__(self):
@@ -60,8 +60,8 @@ class Scene:
     """A source and a receiver origin inside a shoebox room.
 
     ``receiver`` declares what sits at the origin: a microphone array
-    geometry, an HRIR set (dummy head), or the string ``"ideal-foa"`` for a
-    coincident first-order receiver.
+    geometry, or the string ``"ideal-foa"`` for a coincident first-order
+    receiver.
     """
 
     room: ShoeboxRoom
@@ -70,20 +70,22 @@ class Scene:
     receiver: object = "ideal-foa"
 
     def __post_init__(self):
-        src = np.asarray(self.source, dtype=np.float64)
-        origin = np.asarray(self.receiver_origin, dtype=np.float64)
-        if src.shape != (3,) or origin.shape != (3,):
-            raise ValueError("source and receiver_origin must be 3-vectors")
-        for name, p in (("source", src), ("receiver_origin", origin)):
+        points = []
+        for name in ("source", "receiver_origin"):
+            try:
+                p = np.asarray(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+            if p.shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector, got shape {p.shape}")
             if np.any(p <= 0) or np.any(p >= self.room.dimensions):
                 raise ValueError(f"{name} must lie strictly inside the room")
+            points.append(p)
+        src, origin = points
         if np.allclose(src, origin):
             raise ValueError("source must differ from receiver_origin")
-        if not (
-            isinstance(self.receiver, (MicArrayGeometry, HrirSet))
-            or self.receiver == "ideal-foa"
-        ):
-            raise ValueError("receiver must be a geometry, an HRIR set, or 'ideal-foa'")
+        if not (isinstance(self.receiver, MicArrayGeometry) or self.receiver == "ideal-foa"):
+            raise ValueError("receiver must be a geometry or 'ideal-foa'")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "receiver_origin", origin)
 
@@ -262,8 +264,6 @@ def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
     """JSON-serializable description of a scene plus render settings."""
     if isinstance(scene.receiver, MicArrayGeometry):
         receiver = {"kind": "array", "name": scene.receiver.name}
-    elif isinstance(scene.receiver, HrirSet):
-        receiver = {"kind": "hrir"}
     else:
         receiver = {"kind": "ideal-foa"}
     return {
@@ -303,7 +303,7 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
         room = ShoeboxRoom(
             dimensions=data["room"]["dimensions"],
             reflection_coefficients=data["room"]["reflection_coefficients"],
-            speed_of_sound=data["room"].get("speed_of_sound", 343.0),
+            speed_of_sound=data["room"].get("speed_of_sound", SPEED_OF_SOUND),
             max_order=data["room"].get("max_order", 10),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -317,9 +317,7 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
         elif kind == "ideal-foa":
             receiver = "ideal-foa"
         else:
-            raise ValueError(
-                "HRIR receivers cannot be loaded from JSON; pass one explicitly"
-            )
+            raise ConfigurationError(f"receiver: unknown kind {kind!r} (array | ideal-foa)")
     try:
         scene = Scene(
             room=room,

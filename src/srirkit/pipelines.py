@@ -84,31 +84,22 @@ class SceneRendering:
     images: ImageSourceList
     analysis_input: AnalysisInput
     reference: BinauralIr
-    sample_rate: float
-    length: int
 
 
-def simulate(scene: Scene, sample_rate: float, length: int,
-             geometry: MicArrayGeometry | None = None,
-             hrirs: HrirSet | None = None) -> SceneRendering:
+def simulate(scene: Scene, sample_rate: float, length: int, hrirs: HrirSet,
+             geometry: MicArrayGeometry | None = None) -> SceneRendering:
     """Render a scene for every receiver the pipelines consume.
 
-    The scene's own receiver is used where it applies; ``geometry`` and
-    ``hrirs`` fill the gaps (an array SRIR and a reference BRIR are always
-    produced, the ideal-FOA rendering likewise).
+    ``hrirs`` renders the reference BRIR. The array SRIR uses ``geometry``,
+    else the scene's own array receiver, else om6; the ideal-FOA rendering
+    is always produced.
     """
     if isinstance(scene.receiver, MicArrayGeometry) and geometry is None:
         geometry = scene.receiver
-    if isinstance(scene.receiver, HrirSet) and hrirs is None:
-        hrirs = scene.receiver
     if geometry is None:
         from .presets import om6
 
         geometry = om6()
-    if hrirs is None:
-        from .presets import default_hrirs
-
-        hrirs = default_hrirs(sample_rate=sample_rate)
 
     images = enumerate_images(scene)
     srir = render_array_srir(images, geometry, sample_rate, length)
@@ -118,8 +109,6 @@ def simulate(scene: Scene, sample_rate: float, length: int,
         images=images,
         analysis_input=AnalysisInput(srir=srir, geometry=geometry, foa=foa),
         reference=reference,
-        sample_rate=sample_rate,
-        length=length,
     )
 
 
@@ -157,6 +146,17 @@ class SystemCondition:
             )
         if self.psi_override is not None and not 0.0 <= self.psi_override <= 1.0:
             raise ConfigurationError("psi_override must lie in [0, 1]")
+        if not 1 <= self.knn <= len(self.grid):
+            raise ConfigurationError(
+                f"{self.id}: knn must be in [1, {len(self.grid)}], got {self.knn}"
+            )
+        if self.tf_averaging_frames < 1:
+            raise ConfigurationError(f"{self.id}: tf_averaging_frames must be >= 1")
+        window = self.doa_config.window_size
+        if self.analysis == "tf-piv" and window & (window - 1):
+            raise ConfigurationError(
+                f"{self.id}: tf-piv needs a power-of-two window_size, got {window}"
+            )
 
 
 #: What each pressure source and each analysis reads from an AnalysisInput.
@@ -368,11 +368,3 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
         brirs=brirs,
     )
 
-
-def with_pressure_source(condition: SystemCondition, pressure_source: str) -> SystemCondition:
-    """The same condition with only the pressure path changed."""
-    return replace(
-        condition,
-        id=f"{condition.id}-{pressure_source}",
-        pressure_source=pressure_source,
-    )

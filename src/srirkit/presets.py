@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arrays import builtin_array
-from .grids import direction_from_azel, fibonacci_grid
-from .hrir import HrirSet, spherical_head_hrir_set
+from .grids import direction_from_azel
 from .ism import Scene, ShoeboxRoom
 
 APL_ROOM_DIMENSIONS = (6.2, 5.6, 3.4)
@@ -64,12 +63,6 @@ def scene(name: str, receiver="ideal-foa", max_order: int = 30) -> Scene:
         receiver_origin=np.asarray(APL_RECEIVER_ORIGIN),
         receiver=receiver,
     )
-
-
-def default_hrirs(sample_rate: float = DEFAULT_SAMPLE_RATE) -> HrirSet:
-    """Synthetic spherical-head HRIRs on the default grid directions."""
-    grid = fibonacci_grid(DEFAULT_GRID_SIZE)
-    return spherical_head_hrir_set(grid.directions, sample_rate=sample_rate)
 
 
 def om6():

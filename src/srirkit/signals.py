@@ -114,7 +114,3 @@ class StftFrames:
     @property
     def frame_count(self) -> int:
         return int(self.values.shape[-2])
-
-    @property
-    def bin_count(self) -> int:
-        return int(self.values.shape[-1])

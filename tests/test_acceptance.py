@@ -4,6 +4,7 @@ PASS/FAIL line with its measured margins.
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from srirkit.pipelines import (
     analyze_trajectory,
     run_comparison,
     run_condition,
-    with_pressure_source,
 )
 from srirkit.presets import SCENE_POSITIONS, om6, scene
 from srirkit.signals import BinauralIr, MonoIr
@@ -214,7 +214,7 @@ def test_criterion_7_dedicated_pressure_contrast(scene_bundle):
         id="piv", analysis="piv-broadband", pressure_source="zeroth-order",
         synthesis="sdm", grid=grid, hrirs=hrirs,
     )
-    other = with_pressure_source(base, "channel-average")
+    other = replace(base, id="piv-channel-average", pressure_source="channel-average")
     traj_a = analyze_trajectory(rendering.analysis_input, base)
     traj_b = analyze_trajectory(rendering.analysis_input, other)
     identical = np.array_equal(traj_a.directions, traj_b.directions) and np.array_equal(

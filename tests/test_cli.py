@@ -197,9 +197,10 @@ class TestSimulate:
         ("room", lambda s: s.update(room=[6.0, 5.0, 3.2])),
         ("source", lambda s: s.update(source=[7.0, 2.5, 1.5])),
         ("receiver_origin", lambda s: s.update(receiver_origin=[2.5, 2.5])),
+        ("source", lambda s: s.update(source="abc")),
     ], ids=["no-room", "no-source", "no-receiver_origin", "no-dimensions",
             "negative-dimension", "five-coefficients", "room-list", "source-outside",
-            "origin-2d"])
+            "origin-2d", "source-text"])
     def test_invalid_scene_file_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          monkeypatch, field, edit):
         monkeypatch.setattr(cli, "simulate", _no_simulation)
@@ -558,6 +559,8 @@ def test_condition_entry_defaults_come_from_the_dataclasses():
 
 _SDM = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
         "synthesis": "sdm"}
+_SIRR = {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order",
+         "synthesis": "sirr"}
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -585,6 +588,12 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [{**_SDM, "knn": "two"}],
     [{**_SDM, "analysis": "music"}],
     [_SDM, _SDM],
+    # values out of range
+    [{**_SDM, "window_size": 4}],
+    [{**_SDM, "band_low": 500, "band_high": 100}],
+    [{**_SDM, "knn": 0}],
+    [{**_SIRR, "tf_averaging_frames": 0}],
+    [{**_SIRR, "window_size": 100}],
 ])
 def test_render_checks_conditions_before_simulating(tmp_path, monkeypatch, conditions):
     monkeypatch.setattr(cli, "simulate", _no_simulation)

@@ -7,7 +7,6 @@ from srirkit.doa import (
     DoaTrajectory,
     TfDoaField,
     piv_broadband_doa,
-    smooth_doa,
     tdoa_ls_doa,
     tf_piv_analysis,
 )
@@ -280,57 +279,6 @@ class TestTfPivAnalysis:
         assert field.psi.min() >= 0.0 and field.psi.max() <= 1.0
         norms = np.linalg.norm(field.directions, axis=2)
         assert np.abs(norms - 1.0).max() < 1e-9
-
-
-class TestSmoothDoa:
-    def _alternating(self, n=200, degrees=10.0):
-        dirs = np.zeros((n, 3))
-        for i in range(n):
-            sign = 1.0 if i % 2 == 0 else -1.0
-            dirs[i] = direction_from_azel(sign * degrees, 0.0)
-        return DoaTrajectory(dirs, np.ones(n, bool))
-
-    def test_window_one_is_identity(self):
-        traj = self._alternating()
-        out = smooth_doa(traj, 1)
-        assert np.array_equal(out.directions, traj.directions)
-        assert np.array_equal(out.valid, traj.valid)
-
-    def test_constant_trajectory_unchanged(self):
-        u = direction_from_azel(33.0, -12.0)
-        traj = DoaTrajectory(np.tile(u, (100, 1)), np.ones(100, bool))
-        out = smooth_doa(traj, 21)
-        assert np.allclose(out.directions, traj.directions, atol=1e-12)
-
-    def test_alternating_smooths_to_mean(self):
-        traj = self._alternating()
-        out = smooth_doa(traj, 15)
-        mean_dir = np.array([1.0, 0.0, 0.0])
-        for d in out.directions[20:-20]:
-            assert _angle_deg(d, mean_dir) < 1.0
-
-    def test_invalid_entries_filled_from_neighbors(self):
-        u = direction_from_azel(0.0, 0.0)
-        dirs = np.tile(u, (50, 1))
-        valid = np.ones(50, bool)
-        dirs[20] = 0.0
-        valid[20] = False
-        out = smooth_doa(DoaTrajectory(dirs, valid), 5)
-        assert out.valid[20]
-        assert _angle_deg(out.directions[20], u) < 1e-6
-
-    def test_isolated_invalid_region_stays_invalid(self):
-        dirs = np.zeros((50, 3))
-        valid = np.zeros(50, bool)
-        dirs[:5] = [1.0, 0.0, 0.0]
-        valid[:5] = True
-        out = smooth_doa(DoaTrajectory(dirs, valid), 5)
-        assert not out.valid[10:].any()
-
-    def test_even_window_rejected(self):
-        traj = self._alternating(10)
-        with pytest.raises(ValueError):
-            smooth_doa(traj, 4)
 
 
 def test_trajectory_csv_round_trip(tmp_path, rng):

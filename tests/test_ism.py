@@ -5,7 +5,12 @@ import pytest
 
 from srirkit.arrays import builtin_array
 from srirkit import dsp, presets
-from srirkit.errors import DegenerateInputError, LostDirectPathError, TruncatedResponseWarning
+from srirkit.errors import (
+    ConfigurationError,
+    DegenerateInputError,
+    LostDirectPathError,
+    TruncatedResponseWarning,
+)
 from srirkit.grids import fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.ism import (
@@ -345,6 +350,20 @@ def test_scene_json_round_trip(tmp_path):
     assert np.allclose(loaded.source, scene.source)
     assert np.allclose(loaded.room.dimensions, scene.room.dimensions)
     assert loaded.room.max_order == scene.room.max_order
+
+
+def test_receiver_is_an_array_or_ideal_foa():
+    hrirs = spherical_head_hrir_set(fibonacci_grid(16).directions, sample_rate=FS)
+    with pytest.raises(ValueError, match="receiver must be a geometry"):
+        Scene(room=_room(), source=np.array([3.0, 2.0, 1.5]),
+              receiver_origin=np.array([1.5, 1.7, 1.2]), receiver=hrirs)
+
+
+def test_unknown_receiver_kind_in_scene_file_names_it():
+    data = scene_to_json_dict(_scene(), FS, 4800)
+    data["receiver"] = {"kind": "hrir"}
+    with pytest.raises(ConfigurationError, match="'hrir'"):
+        scene_from_json(data)
 
 
 def test_images_csv_export(tmp_path):

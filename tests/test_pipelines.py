@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from srirkit.pipelines import (
     run_comparison,
     run_condition,
     simulate,
-    with_pressure_source,
 )
 from srirkit.presets import SCENE_POSITIONS, om6, scene
 
@@ -147,7 +147,7 @@ class TestPressureSourceIsolation:
             grid, hrirs, id="piv", analysis="piv-broadband",
             pressure_source="zeroth-order", synthesis="sdm",
         )
-        other = with_pressure_source(base, "channel-average")
+        other = replace(base, id="piv-channel-average", pressure_source="channel-average")
 
         traj_a = analyze_trajectory(rendering.analysis_input, base)
         traj_b = analyze_trajectory(rendering.analysis_input, other)
@@ -235,8 +235,13 @@ class TestRunComparison:
             )
 
 
+def test_simulate_needs_hrirs():
+    with pytest.raises(TypeError):
+        simulate(scene("front_left", receiver=om6(), max_order=0), FS, 4800)
+
+
 def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
-    from srirkit.grids import nearest_direction
+    from srirkit.grids import nearest_directions
     from srirkit.synthesis import sdm_synthesize
 
     grid, hrirs, rendering = small_setup
@@ -246,7 +251,7 @@ def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
     signals = sdm_synthesize(pressure, trajectory, grid, k=1).dense()
 
     az, el, _ = SCENE_POSITIONS["front_left"]
-    expected = nearest_direction(direction_from_azel(az, el), grid, k=1)[0]
+    expected = nearest_directions(direction_from_azel(az, el)[None, :], grid.directions)[0][0, 0]
     direct = int(round(rendering.images.delays[0] * FS))
     active = np.nonzero(signals[:, direct])[0]
     assert list(active) == [expected]

@@ -73,7 +73,6 @@ def test_non_contiguous_input_is_held_in_c_order():
 
 def test_stft_frames_bin_count_checked():
     good = StftFrames(np.zeros((4, 33), complex), 64, 32, FS)
-    assert good.bin_count == 33
     assert good.frame_count == 4
     with pytest.raises(ValueError):
         StftFrames(np.zeros((4, 32), complex), 64, 32, FS)
