@@ -2,7 +2,7 @@
 resynthesis, and objective evaluation against an image-source oracle.
 """
 
-from .arrays import MicArrayGeometry, builtin_array, encode_foa_open_array
+from .arrays import MicArrayGeometry, builtin_array
 from .doa import (
     DoaConfig,
     DoaTrajectory,

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .pipelines import (
     simulate,
     validate_condition_inputs,
 )
-from .presets import DEFAULT_GRID_SIZE, SCENE_POSITIONS, scene as preset_scene
+from .presets import DEFAULT_GRID_SIZE, DEFAULT_SAMPLE_RATE, SCENE_POSITIONS, scene as preset_scene
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .sweep import deconvolve_ess, generate_ess
 from .synthesis import SampleAssignment
@@ -88,8 +89,9 @@ def _config_value(cfg: dict, key: str, cast, where: str, default=None):
     value the cast rejects is a ConfigurationError naming the key."""
     try:
         return cast(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where}: {key}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
+        raise ConfigurationError(f"{where}: {key}: {detail}") from exc
 
 
 def _json_bool(value) -> bool:
@@ -110,7 +112,9 @@ def _length_samples(cfg: dict, where: str, rate: float, default=None) -> int:
     return int(round(samples))
 
 
-def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
+def _load_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
+    """The config's scene, rate and length; a config ``array`` names the
+    receiver, in place of a ``scene_json`` file's own."""
     if "scene_preset" in cfg:
         name = cfg["scene_preset"]
         if name not in SCENE_POSITIONS:
@@ -119,11 +123,15 @@ def _load_scene(cfg: dict, where: str, receiver) -> tuple[Scene, float, int]:
                 f"(available: {', '.join(SCENE_POSITIONS)})"
             )
         max_order = _config_value(cfg, "max_order", int, where, 30)
+        receiver = _config_value(cfg, "array", builtin_array, where, "om6")
         sc = preset_scene(name, receiver=receiver, max_order=max_order)
-        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, 48000.0))
+        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where,
+                                   DEFAULT_SAMPLE_RATE))
         return sc, rate, _length_samples(cfg, where, rate, 0.4)
     if "scene_json" in cfg:
-        sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where), receiver)
+        sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where))
+        if "array" in cfg:
+            sc = replace(sc, receiver=_config_value(cfg, "array", builtin_array, where))
         rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, file_rate))
         if "length_s" in cfg:
             length = _length_samples(cfg, where, rate)
@@ -153,17 +161,16 @@ def _grid_and_hrirs(cfg: dict, where: str, sample_rate: float):
     return grid, hrirs
 
 
-_SCENE_KEYS = {"scene_preset", "scene_json", "sample_rate", "length_s", "max_order"}
+_SCENE_KEYS = {"scene_preset", "scene_json", "sample_rate", "length_s", "max_order", "array"}
 _GRID_KEYS = {"grid_size", "grid_csv", "hrir_index", "hrir_wav"}
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
-    _check_keys(cfg, "simulate", set(), _SCENE_KEYS | _GRID_KEYS | {"array"})
-    geometry = builtin_array(cfg.get("array", "om6"))
-    sc, rate, length = _load_scene(cfg, "simulate", geometry)
+    _check_keys(cfg, "simulate", set(), _SCENE_KEYS | _GRID_KEYS)
+    sc, rate, length = _load_scene(cfg, "simulate")
     grid, hrirs = _grid_and_hrirs(cfg, "simulate", rate)
 
-    rendering = simulate(sc, rate, length, geometry=geometry, hrirs=hrirs)
+    rendering = simulate(sc, rate, length, hrirs=hrirs)
     wavio.write_wav(out_dir / "srir.wav", rendering.analysis_input.srir.samples, rate)
     wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.samples, rate)
     wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.samples, rate)
@@ -194,6 +201,11 @@ def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
         return {key: _config_value(entry, key, cast, where)
                 for key, cast in casts.items() if key in entry}
 
+    doa_values = given(_DOA_CASTS)
+    try:
+        doa_config = DoaConfig(**doa_values)
+    except ConfigurationError as exc:  # DoaConfig does not know the condition
+        raise ConfigurationError(f"{where}: {exc}") from exc
     return SystemCondition(
         id=str(entry["id"]),
         analysis=entry["analysis"],
@@ -201,7 +213,7 @@ def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
         synthesis=entry["synthesis"],
         grid=grid,
         hrirs=hrirs,
-        doa_config=DoaConfig(**given(_DOA_CASTS)),
+        doa_config=doa_config,
         seed=seed,
         **given(_CONDITION_CASTS),
     )
@@ -211,8 +223,8 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
     _check_keys(cfg, where, set(), {"srir_wav", "array", "foa_wav"})
     srir = geometry = foa = None
     if "srir_wav" in cfg:
+        geometry = _config_value(cfg, "array", builtin_array, where, "om6")
         data, rate = wavio.read_wav(_existing(cfg["srir_wav"], where))
-        geometry = builtin_array(cfg.get("array", "om6"))
         if data.shape[0] != geometry.capsule_count:
             raise ConfigurationError(
                 f"{where}: SRIR has {data.shape[0]} channels, array "
@@ -229,7 +241,7 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
 
 def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     _check_keys(cfg, "render", {"conditions"},
-                _SCENE_KEYS | _GRID_KEYS | {"array", "input"})
+                _SCENE_KEYS | _GRID_KEYS | {"input"})
     if not cfg["conditions"]:
         raise ConfigurationError("render: conditions list is empty")
 
@@ -237,8 +249,7 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
         inputs = _load_analysis_input(cfg["input"], "render.input")
         rate = inputs.sample_rate
     else:
-        geometry = builtin_array(cfg.get("array", "om6"))
-        sc, rate, length = _load_scene(cfg, "render", geometry)
+        sc, rate, length = _load_scene(cfg, "render")
         inputs = None  # simulated below, once the conditions are checked
 
     grid, hrirs = _grid_and_hrirs(cfg, "render", rate)
@@ -390,7 +401,8 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
                  "recorded_wav", "inverse_wav", "trim_distortion"})
     mode = cfg["mode"]
     if mode == "generate":
-        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, "ess", 48000.0))
+        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, "ess",
+                                   DEFAULT_SAMPLE_RATE))
         sweep, inverse = generate_ess(
             rate,
             _config_value(cfg, "f_start", float, "ess", 20.0),

@@ -10,8 +10,8 @@ from scipy import signal as sps
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames
 
-#: Speed of sound in air (m/s), shared by the simulator, the DOA estimators,
-#: the open-array encoder and the spherical-head model.
+#: Speed of sound in air (m/s), shared by the simulator, the DOA estimators
+#: and the spherical-head model.
 SPEED_OF_SOUND = 343.0
 #: Onset threshold relative to the global peak, in dB. A common
 #: room-acoustics convention that tolerates measurement noise floors.

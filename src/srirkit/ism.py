@@ -14,13 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import signal as sps
 
-from .arrays import MicArrayGeometry
+from .arrays import MicArrayGeometry, builtin_array
 from .dsp import SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
 from .errors import ConfigurationError, LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
@@ -57,17 +57,16 @@ class ShoeboxRoom:
 
 @dataclass(frozen=True)
 class Scene:
-    """A source and a receiver origin inside a shoebox room.
+    """A source and a receiver array inside a shoebox room.
 
-    ``receiver`` declares what sits at the origin: a microphone array
-    geometry, or the string ``"ideal-foa"`` for a coincident first-order
-    receiver.
+    ``receiver`` is the microphone array centred on ``receiver_origin``
+    (om6 unless given).
     """
 
     room: ShoeboxRoom
     source: np.ndarray
     receiver_origin: np.ndarray
-    receiver: object = "ideal-foa"
+    receiver: MicArrayGeometry = field(default_factory=lambda: builtin_array("om6"))
 
     def __post_init__(self):
         points = []
@@ -84,8 +83,10 @@ class Scene:
         src, origin = points
         if np.allclose(src, origin):
             raise ValueError("source must differ from receiver_origin")
-        if not (isinstance(self.receiver, MicArrayGeometry) or self.receiver == "ideal-foa"):
-            raise ValueError("receiver must be a geometry or 'ideal-foa'")
+        if not isinstance(self.receiver, MicArrayGeometry):
+            raise ValueError(
+                f"receiver must be a MicArrayGeometry, got {type(self.receiver).__name__}"
+            )
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "receiver_origin", origin)
 
@@ -262,10 +263,6 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
 
 def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
     """JSON-serializable description of a scene plus render settings."""
-    if isinstance(scene.receiver, MicArrayGeometry):
-        receiver = {"kind": "array", "name": scene.receiver.name}
-    else:
-        receiver = {"kind": "ideal-foa"}
     return {
         "room": {
             "dimensions": [float(v) for v in scene.room.dimensions],
@@ -277,19 +274,20 @@ def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
         },
         "source": [float(v) for v in scene.source],
         "receiver_origin": [float(v) for v in scene.receiver_origin],
-        "receiver": receiver,
+        "receiver": {"kind": "array", "name": scene.receiver.name},
         "sample_rate": float(sample_rate),
         "length": int(length),
     }
 
 
-def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
+def scene_from_json(path_or_dict) -> tuple[Scene, float, int]:
     """Load a scene description written by :func:`scene_to_json_dict`.
 
-    ``receiver`` overrides the declared receiver object (files can only
-    name built-in arrays). Returns (scene, sample_rate, length). A missing or
-    invalid ``room``, ``source`` or ``receiver_origin``, and a ``length`` or
-    ``sample_rate`` that is not a positive whole number, is a
+    The ``receiver`` block names a built-in array (``{"kind": "array",
+    "name": "om6"}``); a file without one gets om6. Returns (scene,
+    sample_rate, length). A missing or invalid ``room``, ``source`` or
+    ``receiver_origin``, a receiver that is not a built-in array, and a
+    ``length`` or ``sample_rate`` that is not a positive whole number, is a
     ConfigurationError naming the field.
     """
     if isinstance(path_or_dict, dict):
@@ -308,16 +306,14 @@ def scene_from_json(path_or_dict, receiver=None) -> tuple[Scene, float, int]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"room: {exc}") from exc
-    if receiver is None:
-        kind = data.get("receiver", {"kind": "ideal-foa"})["kind"]
-        if kind == "array":
-            from .arrays import builtin_array
-
-            receiver = builtin_array(data["receiver"].get("name", "om6"))
-        elif kind == "ideal-foa":
-            receiver = "ideal-foa"
-        else:
-            raise ConfigurationError(f"receiver: unknown kind {kind!r} (array | ideal-foa)")
+    block = data.get("receiver", {"kind": "array"})
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if kind != "array":
+        raise ConfigurationError(f"receiver: kind must be 'array', got {kind!r}")
+    try:
+        receiver = builtin_array(block.get("name", "om6"))
+    except KeyError as exc:
+        raise ConfigurationError(f"receiver: {exc.args[0]}") from exc
     try:
         scene = Scene(
             room=room,

@@ -48,7 +48,7 @@ from .synthesis import (
 )
 
 ANALYSES = ("tdoa", "piv-broadband", "tf-piv")
-PRESSURE_SOURCES = ("center-mic", "zeroth-order", "channel-average")
+PRESSURE_SOURCES = ("zeroth-order", "channel-average")
 SYNTHESES = ("sdm", "sirr")
 
 
@@ -86,28 +86,20 @@ class SceneRendering:
     reference: BinauralIr
 
 
-def simulate(scene: Scene, sample_rate: float, length: int, hrirs: HrirSet,
-             geometry: MicArrayGeometry | None = None) -> SceneRendering:
+def simulate(scene: Scene, sample_rate: float, length: int,
+             hrirs: HrirSet) -> SceneRendering:
     """Render a scene for every receiver the pipelines consume.
 
-    ``hrirs`` renders the reference BRIR. The array SRIR uses ``geometry``,
-    else the scene's own array receiver, else om6; the ideal-FOA rendering
-    is always produced.
+    The array SRIR uses the scene's receiver array, the ideal first-order
+    signal sits at the same origin, and ``hrirs`` renders the reference BRIR.
     """
-    if isinstance(scene.receiver, MicArrayGeometry) and geometry is None:
-        geometry = scene.receiver
-    if geometry is None:
-        from .presets import om6
-
-        geometry = om6()
-
     images = enumerate_images(scene)
-    srir = render_array_srir(images, geometry, sample_rate, length)
+    srir = render_array_srir(images, scene.receiver, sample_rate, length)
     foa = render_foa_srir(images, sample_rate, length)
     reference = render_reference_brir(images, hrirs, sample_rate, length)
     return SceneRendering(
         images=images,
-        analysis_input=AnalysisInput(srir=srir, geometry=geometry, foa=foa),
+        analysis_input=AnalysisInput(srir=srir, geometry=scene.receiver, foa=foa),
         reference=reference,
     )
 
@@ -130,11 +122,11 @@ class SystemCondition:
 
     def __post_init__(self):
         if self.analysis not in ANALYSES:
-            raise ConfigurationError(f"unknown analysis {self.analysis!r}")
+            raise ConfigurationError(f"{self.id}: unknown analysis {self.analysis!r}")
         if self.pressure_source not in PRESSURE_SOURCES:
-            raise ConfigurationError(f"unknown pressure_source {self.pressure_source!r}")
+            raise ConfigurationError(f"{self.id}: unknown pressure_source {self.pressure_source!r}")
         if self.synthesis not in SYNTHESES:
-            raise ConfigurationError(f"unknown synthesis {self.synthesis!r}")
+            raise ConfigurationError(f"{self.id}: unknown synthesis {self.synthesis!r}")
         if self.synthesis == "sirr" and self.analysis != "tf-piv":
             raise ConfigurationError(
                 f"{self.id}: sirr synthesis requires tf-piv analysis"
@@ -145,7 +137,7 @@ class SystemCondition:
                 "(tdoa or piv-broadband analysis)"
             )
         if self.psi_override is not None and not 0.0 <= self.psi_override <= 1.0:
-            raise ConfigurationError("psi_override must lie in [0, 1]")
+            raise ConfigurationError(f"{self.id}: psi_override must lie in [0, 1]")
         if not 1 <= self.knn <= len(self.grid):
             raise ConfigurationError(
                 f"{self.id}: knn must be in [1, {len(self.grid)}], got {self.knn}"
@@ -161,7 +153,6 @@ class SystemCondition:
 
 #: What each pressure source and each analysis reads from an AnalysisInput.
 _NEEDS = {
-    "center-mic": ("srir", "geometry", "center"),
     "zeroth-order": ("foa",),
     "channel-average": ("srir",),
     "tdoa": ("srir", "geometry"),
@@ -169,26 +160,20 @@ _NEEDS = {
     "tf-piv": ("foa",),
 }
 _NEED_NAMES = {"srir": "an SRIR", "geometry": "an array geometry",
-               "foa": "a FOA signal", "center": "a center capsule"}
+               "foa": "a FOA signal"}
 
 
 def _require(inputs: AnalysisInput, condition: SystemCondition, stage: str) -> None:
     """Raise ConfigurationError naming the condition when ``stage`` (its
     pressure source or analysis) lacks an input it reads."""
     for need in _NEEDS[stage]:
-        if need == "center":
-            missing = inputs.geometry.center_index is None
-        else:
-            missing = getattr(inputs, need) is None
-        if missing:
+        if getattr(inputs, need) is None:
             raise ConfigurationError(f"{condition.id}: {stage} needs {_NEED_NAMES[need]}")
 
 
 def _pressure_signal(inputs: AnalysisInput, condition: SystemCondition) -> MonoIr:
     source = condition.pressure_source
     _require(inputs, condition, source)
-    if source == "center-mic":
-        return MonoIr(inputs.srir.samples[inputs.geometry.center_index], inputs.srir.sample_rate)
     if source == "zeroth-order":
         return inputs.foa.w
     return MonoIr(inputs.srir.samples.mean(axis=0), inputs.srir.sample_rate)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import builtin_array
+from .arrays import MicArrayGeometry, builtin_array
 from .grids import direction_from_azel
 from .ism import Scene, ShoeboxRoom
 
@@ -51,8 +51,9 @@ def source_position(name: str) -> np.ndarray:
     return np.asarray(APL_RECEIVER_ORIGIN) + dist * direction_from_azel(az, el)
 
 
-def scene(name: str, receiver="ideal-foa", max_order: int = 30) -> Scene:
-    """One of the six preset source positions in the preset room."""
+def scene(name: str, receiver: MicArrayGeometry | None = None, max_order: int = 30) -> Scene:
+    """One of the six preset source positions in the preset room, heard by
+    ``receiver`` (om6 unless given)."""
     if name not in SCENE_POSITIONS:
         raise KeyError(
             f"unknown scene {name!r} (available: {', '.join(SCENE_POSITIONS)})"
@@ -61,7 +62,7 @@ def scene(name: str, receiver="ideal-foa", max_order: int = 30) -> Scene:
         room=apl_room(max_order=max_order),
         source=source_position(name),
         receiver_origin=np.asarray(APL_RECEIVER_ORIGIN),
-        receiver=receiver,
+        receiver=om6() if receiver is None else receiver,
     )
 
 

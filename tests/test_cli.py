@@ -198,9 +198,13 @@ class TestSimulate:
         ("source", lambda s: s.update(source=[7.0, 2.5, 1.5])),
         ("receiver_origin", lambda s: s.update(receiver_origin=[2.5, 2.5])),
         ("source", lambda s: s.update(source="abc")),
+        ("receiver", lambda s: s["receiver"].pop("kind")),
+        ("receiver", lambda s: s["receiver"].update(name="nosuch")),
+        ("receiver", lambda s: s.update(receiver={"kind": "ideal-foa"})),
     ], ids=["no-room", "no-source", "no-receiver_origin", "no-dimensions",
             "negative-dimension", "five-coefficients", "room-list", "source-outside",
-            "origin-2d", "source-text"])
+            "origin-2d", "source-text", "receiver-no-kind", "receiver-unknown-array",
+            "receiver-ideal-foa"])
     def test_invalid_scene_file_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          monkeypatch, field, edit):
         monkeypatch.setattr(cli, "simulate", _no_simulation)
@@ -211,6 +215,22 @@ class TestSimulate:
         cfg = _write_config(tmp_path, "sim.json", {"scene_json": scene_json, "grid_size": 32})
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, channels, name", [
+        ({}, 32, "sphere32"),
+        ({"array": "om6"}, 6, "om6"),
+    ], ids=["file-array", "config-array"])
+    def test_scene_json_names_its_array(self, tmp_path, override, channels, name):
+        scene_json = self._scene_json(tmp_path, length=4800)
+        scene = json.loads(Path(scene_json).read_text())
+        scene["receiver"]["name"] = "sphere32"
+        Path(scene_json).write_text(json.dumps(scene))
+        cfg = _write_config(tmp_path, "sim.json",
+                            {"scene_json": scene_json, "grid_size": 32, **override})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        assert wavio.read_wav(out / "srir.wav")[0].shape[0] == channels
+        assert json.loads((out / "scene.json").read_text())["receiver"]["name"] == name
 
     def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -557,9 +577,9 @@ def test_condition_entry_defaults_come_from_the_dataclasses():
     )
 
 
-_SDM = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
+_SDM = {"id": "sdm-under-test", "analysis": "tdoa", "pressure_source": "channel-average",
         "synthesis": "sdm"}
-_SIRR = {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order",
+_SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zeroth-order",
          "synthesis": "sirr"}
 
 
@@ -576,6 +596,10 @@ _SIRR = {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order",
     # flags are JSON booleans; the string "false" is not false
     ("ess", {"mode": "deconvolve", "trim_distortion": "false"}, "trim_distortion"),
     ("metrics", {"brir_wav": "absent.wav", "include_full_itd": "yes"}, "include_full_itd"),
+    # an unknown built-in array
+    ("simulate", _sim_config(array="om7"), "array"),
+    ("render", {"input": {"srir_wav": "absent.wav", "array": "om7"}, "conditions": [_SDM]},
+     "array"),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
                                                         key):
@@ -595,7 +619,9 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [{**_SIRR, "tf_averaging_frames": 0}],
     [{**_SIRR, "window_size": 100}],
 ])
-def test_render_checks_conditions_before_simulating(tmp_path, monkeypatch, conditions):
+def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatch,
+                                                    conditions):
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": conditions})
     assert main(["render", "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert conditions[0]["id"] in capsys.readouterr().err

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from srirkit.arrays import builtin_array
+from srirkit.arrays import MicArrayGeometry, builtin_array
 from srirkit import dsp, presets
 from srirkit.errors import (
     ConfigurationError,
@@ -350,13 +350,29 @@ def test_scene_json_round_trip(tmp_path):
     assert np.allclose(loaded.source, scene.source)
     assert np.allclose(loaded.room.dimensions, scene.room.dimensions)
     assert loaded.room.max_order == scene.room.max_order
+    assert loaded.receiver.name == scene.receiver.name
 
 
-def test_receiver_is_an_array_or_ideal_foa():
+def test_receiver_is_an_array():
+    assert _scene().receiver.name == "om6"
     hrirs = spherical_head_hrir_set(fibonacci_grid(16).directions, sample_rate=FS)
-    with pytest.raises(ValueError, match="receiver must be a geometry"):
-        Scene(room=_room(), source=np.array([3.0, 2.0, 1.5]),
-              receiver_origin=np.array([1.5, 1.7, 1.2]), receiver=hrirs)
+    for receiver in (hrirs, "ideal-foa"):
+        with pytest.raises(ValueError, match="receiver must be a MicArrayGeometry"):
+            Scene(room=_room(), source=np.array([3.0, 2.0, 1.5]),
+                  receiver_origin=np.array([1.5, 1.7, 1.2]), receiver=receiver)
+
+
+def test_center_capsule_is_the_ideal_w():
+    """A pressure capsule at the array origin hears what the ideal
+    first-order receiver's W does, so a dedicated centre microphone is the
+    ``zeroth-order`` pressure source."""
+    om6_and_center = MicArrayGeometry(np.vstack([presets.om6().positions, np.zeros(3)]))
+    images = enumerate_images(presets.scene("front_left", max_order=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedResponseWarning)
+        center = render_array_srir(images, om6_and_center, FS, 4800).samples[6]
+        w = render_foa_srir(images, FS, 4800).w.samples
+    assert np.abs(center - w).max() <= 1e-15 * np.abs(w).max()
 
 
 def test_unknown_receiver_kind_in_scene_file_names_it():
