@@ -44,7 +44,7 @@ from .pipelines import (
     simulate,
     validate_condition_inputs,
 )
-from .presets import DEFAULT_GRID_SIZE, DEFAULT_SAMPLE_RATE, SCENE_POSITIONS, scene as preset_scene
+from .presets import DEFAULT_GRID_SIZE, DEFAULT_SAMPLE_RATE, scene as preset_scene
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .sweep import deconvolve_ess, generate_ess
 from .synthesis import SampleAssignment
@@ -101,9 +101,17 @@ def _json_bool(value) -> bool:
     return value
 
 
-def _length_samples(cfg: dict, where: str, rate: float, default=None) -> int:
+def _json_int(value) -> int:
+    """A whole number, or its string, as an int; a boolean or a fractional
+    number, such as true or 2.7, raises."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _length_samples(cfg: dict, where: str, rate: float) -> int:
     """``length_s`` in samples; it must be finite and give at least one."""
-    seconds = _config_value(cfg, "length_s", float, where, default)
+    seconds = _config_value(cfg, "length_s", float, where)
     samples = seconds * rate
     if not (math.isfinite(samples) and round(samples) >= 1):
         raise ConfigurationError(
@@ -113,41 +121,36 @@ def _length_samples(cfg: dict, where: str, rate: float, default=None) -> int:
 
 
 def _load_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
-    """The config's scene, rate and length; a config ``array`` names the
-    receiver, in place of a ``scene_json`` file's own."""
+    """The config's scene, rate and length. A ``scene_preset`` is the preset
+    scene at 48 kHz and 0.4 s; on it or a ``scene_json`` file, the config's
+    ``array``, ``max_order``, ``sample_rate`` and ``length_s`` override the
+    scene's own values."""
+    if ("scene_preset" in cfg) == ("scene_json" in cfg):
+        raise ConfigurationError(f"{where}: need exactly one of scene_preset and scene_json")
     if "scene_preset" in cfg:
-        name = cfg["scene_preset"]
-        if name not in SCENE_POSITIONS:
-            raise ConfigurationError(
-                f"{where}: unknown scene preset {name!r} "
-                f"(available: {', '.join(SCENE_POSITIONS)})"
-            )
-        max_order = _config_value(cfg, "max_order", int, where, 30)
-        receiver = _config_value(cfg, "array", builtin_array, where, "om6")
-        sc = preset_scene(name, receiver=receiver, max_order=max_order)
-        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where,
-                                   DEFAULT_SAMPLE_RATE))
-        return sc, rate, _length_samples(cfg, where, rate, 0.4)
-    if "scene_json" in cfg:
-        sc, file_rate, length = scene_from_json(_existing(cfg["scene_json"], where))
-        if "array" in cfg:
-            sc = replace(sc, receiver=_config_value(cfg, "array", builtin_array, where))
-        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, file_rate))
-        if "length_s" in cfg:
-            length = _length_samples(cfg, where, rate)
-        else:  # keep the file's duration at the new rate
-            length = int(round(length * rate / file_rate))
-            if length < 1:
-                raise ConfigurationError(f"{where}: length gives no sample at {rate} Hz")
-        return sc, rate, length
-    raise ConfigurationError(f"{where}: need scene_preset or scene_json")
+        sc = _config_value(cfg, "scene_preset", preset_scene, where)
+        scene_rate, length = DEFAULT_SAMPLE_RATE, round(0.4 * DEFAULT_SAMPLE_RATE)
+    else:
+        sc, scene_rate, length = scene_from_json(_existing(cfg["scene_json"], where))
+    if "array" in cfg:
+        sc = replace(sc, receiver=_config_value(cfg, "array", builtin_array, where))
+    if "max_order" in cfg:
+        sc = replace(sc, room=_config_value(
+            cfg, "max_order", lambda v: replace(sc.room, max_order=_json_int(v)), where))
+    rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, scene_rate))
+    if "length_s" in cfg:
+        return sc, rate, _length_samples(cfg, where, rate)
+    length = int(round(length * rate / scene_rate))  # the scene's duration at the new rate
+    if length < 1:
+        raise ConfigurationError(f"{where}: length gives no sample at {rate} Hz")
+    return sc, rate, length
 
 
 def _grid_and_hrirs(cfg: dict, where: str, sample_rate: float):
     if "grid_csv" in cfg:
         grid = load_grid_csv(_existing(cfg["grid_csv"], where))
     else:
-        grid = fibonacci_grid(_config_value(cfg, "grid_size", int, where, DEFAULT_GRID_SIZE))
+        grid = fibonacci_grid(_config_value(cfg, "grid_size", _json_int, where, DEFAULT_GRID_SIZE))
     if "hrir_index" in cfg:
         hrirs = load_hrir_set(
             _existing(cfg["hrir_index"], where), cfg.get("hrir_wav")
@@ -186,9 +189,8 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
 
 #: Optional condition keys with their casts; an absent key keeps the
 #: ``DoaConfig`` / ``SystemCondition`` default.
-_DOA_CASTS = {"window_size": int, "band_low": float, "band_high": float,
-              "smoothing_window": int}
-_CONDITION_CASTS = {"knn": int, "tf_averaging_frames": int,
+_DOA_CASTS = {"window_size": _json_int, "band_low": float, "band_high": float}
+_CONDITION_CASTS = {"knn": _json_int, "tf_averaging_frames": _json_int,
                     "psi_override": lambda v: None if v is None else float(v)}
 
 
@@ -225,11 +227,6 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
     if "srir_wav" in cfg:
         geometry = _config_value(cfg, "array", builtin_array, where, "om6")
         data, rate = wavio.read_wav(_existing(cfg["srir_wav"], where))
-        if data.shape[0] != geometry.capsule_count:
-            raise ConfigurationError(
-                f"{where}: SRIR has {data.shape[0]} channels, array "
-                f"{geometry.name!r} expects {geometry.capsule_count}"
-            )
         srir = MultichannelIr(data, rate)
     if "foa_wav" in cfg:
         data, rate = wavio.read_wav(_existing(cfg["foa_wav"], where))
@@ -241,7 +238,7 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
 
 def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     _check_keys(cfg, "render", {"conditions"},
-                _SCENE_KEYS | _GRID_KEYS | {"input"})
+                _GRID_KEYS | ({"input"} if "input" in cfg else _SCENE_KEYS))
     if not cfg["conditions"]:
         raise ConfigurationError("render: conditions list is empty")
 

@@ -20,8 +20,9 @@ from scipy import signal as sps
 
 from .arrays import MicArrayGeometry
 from .dsp import SPEED_OF_SOUND, refine_peaks
-from .errors import ConfigurationError, UnsupportedGeometryError
+from .errors import ConfigurationError
 from .filterbanks import bandpass_sos
+from .grids import _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
@@ -31,7 +32,7 @@ _DEGENERATE_NORM = 1e-9
 class DoaConfig:
     """Analysis parameters shared by the DOA estimators.
 
-    ``window_size`` is both the TDOA sliding-window length and the default
+    ``window_size`` is both the TDOA sliding-window length and the broadband
     intensity smoothing length; 64 samples at 48 kHz suits arrays with
     100 mm spacing. The band limits bracket the usable range of first-order
     estimates for such arrays (200 Hz up to the spatial aliasing limit).
@@ -40,15 +41,12 @@ class DoaConfig:
     window_size: int = 64
     band_low: float = 200.0
     band_high: float = 2400.0
-    smoothing_window: int = 64
 
     def __post_init__(self):
         if self.window_size < 8:
             raise ConfigurationError(f"window_size must be >= 8, got {self.window_size}")
         if not (0.0 < self.band_low < self.band_high):
             raise ConfigurationError("need 0 < band_low < band_high")
-        if self.smoothing_window < 1:
-            raise ConfigurationError("smoothing_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,7 @@ class DoaTrajectory:
             raise ValueError(f"directions must be (n, 3), got {dirs.shape}")
         if valid.shape != (dirs.shape[0],):
             raise ValueError("validity mask must match direction count")
-        if valid.any():
-            norms = np.linalg.norm(dirs[valid], axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("valid directions must be unit vectors")
+        _check_unit(dirs[valid])
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "valid", valid)
 
@@ -101,11 +96,9 @@ class TfDoaField:
             raise ValueError(f"directions must be (frames, bins, 3), got {dirs.shape}")
         if psi.shape != dirs.shape[:2]:
             raise ValueError("psi shape must match directions")
-        if psi.min() < 0.0 or psi.max() > 1.0:
+        if not np.all((psi >= 0) & (psi <= 1)):  # also false for NaN
             raise ValueError("psi must lie in [0, 1]")
-        norms = np.linalg.norm(dirs, axis=2)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("field directions must be unit vectors")
+        _check_unit(dirs.reshape(-1, 3))
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "psi", psi)
 
@@ -164,8 +157,6 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
 
     pairs = list(itertools.combinations(range(n_ch), 2))
     baselines = np.array([geometry.positions[i] - geometry.positions[j] for i, j in pairs])
-    if np.linalg.matrix_rank(baselines, tol=1e-12) < 3:
-        raise UnsupportedGeometryError("capsule pairs do not span 3-D space")
     solver = np.linalg.pinv(baselines)  # (3, n_pairs)
 
     # Per-pair lag bound: propagation across the baseline plus refinement slack.
@@ -206,8 +197,6 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
 
 def _smooth(values: np.ndarray, window: int) -> np.ndarray:
     """Centered Hann-weighted moving average along the last axis."""
-    if window <= 1:
-        return values
     kernel = np.hanning(window + 2)[1:-1]
     kernel /= kernel.sum()
     pad = [(0, 0)] * (values.ndim - 1) + [(window // 2, window - 1 - window // 2)]
@@ -221,7 +210,7 @@ def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTra
 
     All four channels are zero-phase band-passed to
     ``[band_low, band_high]``, the instantaneous intensity ``p * v`` is
-    smoothed over ``smoothing_window`` samples, and its negation is
+    smoothed over ``window_size`` samples, and its negation is
     normalized into a toward-source direction. Zero-intensity samples are
     masked invalid.
     """
@@ -232,7 +221,7 @@ def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTra
     velocity = -filtered[1:]  # particle velocity is the negated x, y, z
 
     intensity = filtered[0] * velocity  # (3, n), points away from source
-    intensity = _smooth(intensity, config.smoothing_window)
+    intensity = _smooth(intensity, config.window_size)
 
     norms = np.linalg.norm(intensity, axis=0)
     scale = norms.max()

@@ -6,10 +6,6 @@ caller may reasonably want to catch a specific failure mode.
 """
 
 
-class UnsupportedGeometryError(ValueError):
-    """Microphone array layout cannot support the requested operation."""
-
-
 class DegenerateInputError(ValueError):
     """Input is structurally valid but carries no usable signal."""
 

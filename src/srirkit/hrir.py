@@ -66,16 +66,16 @@ def _woodworth_delay(cos_theta: np.ndarray) -> np.ndarray:
     return np.where(cos_theta >= 0.0, ipsi, contra)
 
 
-def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0,
-                            length: int = 128) -> HrirSet:
+def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0) -> HrirSet:
     """Synthetic HRIRs from a rigid-sphere delay/shadow approximation.
 
     Each ear receives a band-limited impulse at the Woodworth arrival time
     with a broadband gain that falls smoothly from 1 (source at the ear)
     to ``_SHADOW_FLOOR`` (source opposite the ear). Left/right symmetric, so
-    frontal sources produce near-zero ITD and ILD. This is deliberately a
-    stand-in for a measured dataset: adequate for validating pipelines, not
-    for listening.
+    frontal sources produce near-zero ITD and ILD. The responses are 128
+    taps long, or as long as the latest impulse needs at high rates. This
+    is deliberately a stand-in for a measured dataset: adequate for
+    validating pipelines, not for listening.
     """
     dirs = np.asarray(directions, dtype=np.float64)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -87,12 +87,7 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     cos_theta = np.stack([dirs @ _EAR_AXIS_LEFT, dirs @ -_EAR_AXIS_LEFT])  # (ears, n)
     delays = (base_delay_s + _woodworth_delay(cos_theta)) * sample_rate
     gains = _SHADOW_FLOOR + (1.0 - _SHADOW_FLOOR) * 0.5 * (1.0 + cos_theta)
-    need = int(np.floor(delays.max())) + FRACTIONAL_DELAY_HALF + 1
-    if length < need:
-        raise ValueError(
-            f"length {length} cuts off HRIR impulses; the shortest length "
-            f"that holds every impulse is {need}"
-        )
+    length = max(128, int(np.floor(delays.max())) + FRACTIONAL_DELAY_HALF + 1)
     banks = np.zeros((delays.size, length))
     dropped = place_fractional_impulses(banks, delays.reshape(-1, 1), gains.reshape(-1, 1))
     if dropped:

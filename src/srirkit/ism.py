@@ -262,7 +262,16 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
 
 
 def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
-    """JSON-serializable description of a scene plus render settings."""
+    """JSON-serializable description of a scene plus render settings. A file
+    names its receiver, so a receiver that is not a built-in array raises
+    ``ValueError``."""
+    try:
+        builtin = np.array_equal(builtin_array(scene.receiver.name).positions,
+                                 scene.receiver.positions)
+    except KeyError:
+        builtin = False
+    if not builtin:
+        raise ValueError(f"receiver {scene.receiver.name!r} is not a built-in array")
     return {
         "room": {
             "dimensions": [float(v) for v in scene.room.dimensions],

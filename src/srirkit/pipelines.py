@@ -66,7 +66,8 @@ class AnalysisInput:
         if self.srir is not None and self.geometry is not None:
             if self.srir.channel_count != self.geometry.capsule_count:
                 raise ConfigurationError(
-                    "SRIR channel count does not match the geometry"
+                    f"SRIR has {self.srir.channel_count} channels, array "
+                    f"{self.geometry.name!r} expects {self.geometry.capsule_count}"
                 )
         if self.srir is not None and self.foa is not None:
             if len(self.srir) != len(self.foa) or self.srir.sample_rate != self.foa.sample_rate:
@@ -163,25 +164,25 @@ _NEED_NAMES = {"srir": "an SRIR", "geometry": "an array geometry",
                "foa": "a FOA signal"}
 
 
-def _require(inputs: AnalysisInput, condition: SystemCondition, stage: str) -> None:
-    """Raise ConfigurationError naming the condition when ``stage`` (its
-    pressure source or analysis) lacks an input it reads."""
-    for need in _NEEDS[stage]:
-        if getattr(inputs, need) is None:
-            raise ConfigurationError(f"{condition.id}: {stage} needs {_NEED_NAMES[need]}")
+def validate_condition_inputs(inputs: AnalysisInput, condition: SystemCondition) -> None:
+    """Raise ConfigurationError (naming the condition and the gap) when the
+    inputs lack one that the condition's pressure source or analysis reads.
+    Cheap; also used for pre-flight validation before any rendering starts."""
+    for stage in (condition.pressure_source, condition.analysis):
+        for need in _NEEDS[stage]:
+            if getattr(inputs, need) is None:
+                raise ConfigurationError(f"{condition.id}: {stage} needs {_NEED_NAMES[need]}")
 
 
 def _pressure_signal(inputs: AnalysisInput, condition: SystemCondition) -> MonoIr:
-    source = condition.pressure_source
-    _require(inputs, condition, source)
-    if source == "zeroth-order":
+    if condition.pressure_source == "zeroth-order":
         return inputs.foa.w
     return MonoIr(inputs.srir.samples.mean(axis=0), inputs.srir.sample_rate)
 
 
 def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> DoaTrajectory:
     """Per-sample DOA trajectory for sdm-style synthesis."""
-    _require(inputs, condition, condition.analysis)
+    validate_condition_inputs(inputs, condition)
     if condition.analysis == "tdoa":
         return tdoa_ls_doa(inputs.srir, inputs.geometry, condition.doa_config)
     if condition.analysis == "piv-broadband":
@@ -190,21 +191,12 @@ def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> Doa
 
 
 def _tf_field(inputs: AnalysisInput, condition: SystemCondition) -> TfDoaField:
-    _require(inputs, condition, condition.analysis)
     window = condition.doa_config.window_size
     frames = stft(inputs.foa.samples, inputs.foa.sample_rate, window, window // 2)
     f = tf_piv_analysis(frames, averaging_frames=condition.tf_averaging_frames)
     if condition.psi_override is not None:
         f = replace(f, psi=np.full_like(f.psi, condition.psi_override))
     return f
-
-
-def validate_condition_inputs(inputs: AnalysisInput, condition: SystemCondition) -> None:
-    """Raise ConfigurationError (naming the condition and the gap) when the
-    inputs lack a channel the condition requires. Cheap; used for pre-flight
-    validation before any rendering work starts."""
-    _require(inputs, condition, condition.pressure_source)
-    _require(inputs, condition, condition.analysis)
 
 
 @dataclass(frozen=True)
@@ -220,6 +212,7 @@ def run_condition(inputs: AnalysisInput,
                   condition: SystemCondition) -> ConditionResult:
     """Run one condition end to end: analysis, synthesis, binaural rendering
     and direct-energy normalization."""
+    validate_condition_inputs(inputs, condition)
     pressure = _pressure_signal(inputs, condition)
     if condition.synthesis == "sdm":
         analysis = analyze_trajectory(inputs, condition)

@@ -232,6 +232,35 @@ class TestSimulate:
         assert wavio.read_wav(out / "srir.wav")[0].shape[0] == channels
         assert json.loads((out / "scene.json").read_text())["receiver"]["name"] == name
 
+    def test_scene_json_max_order_override(self, tmp_path):
+        scene_json = self._scene_json(tmp_path, length=4800)
+        scene = json.loads(Path(scene_json).read_text())
+        scene["room"]["max_order"] = 3
+        Path(scene_json).write_text(json.dumps(scene))
+        cfg = _write_config(tmp_path, "sim.json",
+                            {"scene_json": scene_json, "grid_size": 32, "max_order": 0})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        assert len((out / "images.csv").read_text().splitlines()) == 2  # header, direct
+        assert json.loads((out / "scene.json").read_text())["room"]["max_order"] == 0
+
+    def test_scene_preset_and_scene_json_together_exit_2(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
+        cfg = _write_config(tmp_path, "sim.json",
+                            _sim_config(scene_json=self._scene_json(tmp_path)))
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "scene_preset" in err and "scene_json" in err
+
+    def test_high_sample_rate_simulates(self, tmp_path):
+        cfg = _write_config(tmp_path, "sim.json",
+                            _sim_config(sample_rate=192000, length_s=0.05, max_order=1))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        data, rate = wavio.read_wav(out / "srir.wav")
+        assert rate == 192000 and data.shape[1] == 9600
+
     def test_fractional_sample_rate_exits_2_before_rendering(self, tmp_path, capsys,
                                                              monkeypatch):
         def no_render(*args, **kwargs):
@@ -340,6 +369,15 @@ class TestRender:
         code = main(["render", "--config", cfg, "--output", str(tmp_path / "r")])
         assert code == 2
         assert "piv-needs-foa" in capsys.readouterr().err
+
+    def test_input_block_rejects_scene_keys(self, tmp_path, sim_dir, capsys):
+        cfg = _write_config(tmp_path, "render.json", {
+            "input": {"srir_wav": str(sim_dir / "srir.wav")},
+            "array": "sphere32", "scene_preset": "nowhere", "conditions": [_SDM],
+        })
+        assert main(["render", "--config", cfg, "--output", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "array" in err and "scene_preset" in err
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         conditions = [
@@ -600,6 +638,11 @@ _SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zero
     ("simulate", _sim_config(array="om7"), "array"),
     ("render", {"input": {"srir_wav": "absent.wav", "array": "om7"}, "conditions": [_SDM]},
      "array"),
+    # integer keys take whole numbers only, and an order cannot be negative
+    ("simulate", _sim_config(max_order=2.7), "max_order"),
+    ("simulate", _sim_config(max_order=True), "max_order"),
+    ("simulate", _sim_config(max_order=-1), "max_order"),
+    ("render", {**_sim_config(), "conditions": [{**_SDM, "knn": 1.5}]}, "knn"),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
                                                         key):

@@ -301,3 +301,20 @@ def test_field_validation():
     dirs[..., 0] = 1.0
     with pytest.raises(ValueError):
         TfDoaField(dirs, np.full((2, 3), 1.5), 64, 32, FS)  # psi out of range
+
+
+def test_nan_is_neither_a_unit_direction_nor_a_diffuseness():
+    dirs = np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="unit vectors"):
+        DoaTrajectory(dirs, np.array([True, True]))
+    DoaTrajectory(dirs, np.array([True, False]))  # an invalid row is not checked
+    field_dirs = np.zeros((2, 3, 3))
+    field_dirs[..., 0] = 1.0
+    psi = np.zeros((2, 3))
+    field_dirs[1, 2] = np.nan
+    with pytest.raises(ValueError, match="unit vectors"):
+        TfDoaField(field_dirs, psi, 64, 32, FS)
+    field_dirs[1, 2] = [1.0, 0.0, 0.0]
+    psi[0, 1] = np.nan
+    with pytest.raises(ValueError, match="psi"):
+        TfDoaField(field_dirs, psi, 64, 32, FS)

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -16,14 +15,14 @@ FS = 48000.0
 class TestSphericalHeadModel:
     def test_shape_and_rate(self):
         dirs = fibonacci_grid(16).directions
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         assert len(hrirs) == 16
         assert hrirs.length == 128
         assert hrirs.sample_rate == FS
 
     def test_left_source_leads_and_louder_left(self):
         dirs = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         left_peak = int(np.argmax(np.abs(hrirs.left[0])))
         right_peak = int(np.argmax(np.abs(hrirs.right[0])))
         assert left_peak < right_peak  # source at +Y reaches the left ear first
@@ -31,13 +30,13 @@ class TestSphericalHeadModel:
 
     def test_left_right_mirror_symmetry(self):
         dirs = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         assert np.allclose(hrirs.left[0], hrirs.right[1], atol=1e-12)
         assert np.allclose(hrirs.right[0], hrirs.left[1], atol=1e-12)
 
     def test_frontal_symmetric(self):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         for i in range(2):
             assert np.allclose(hrirs.left[i], hrirs.right[i], atol=1e-12)
 
@@ -74,17 +73,14 @@ class TestSphericalHeadModel:
             assert place_fractional_impulses(single, row_delays, row_amps) == 0
             np.testing.assert_array_equal(row, single)
 
-    def test_too_short_length_names_the_shortest_that_fits(self):
-        az = np.radians([0.0, 60.0, 120.0, 180.0, -120.0, -60.0])
-        dirs = np.stack([np.cos(az), np.sin(az), np.zeros(6)], axis=1)
-        with pytest.raises(ValueError, match="shortest length") as info:
-            spherical_head_hrir_set(dirs, sample_rate=FS, length=64)
-        need = int(re.search(r"is (\d+)", str(info.value)).group(1))
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=need)
+    @pytest.mark.parametrize("rate", [FS, 176400.0, 192000.0])
+    def test_length_holds_the_latest_impulse(self, rate):
+        # 128 taps at 48 kHz; at high rates the contralateral arrival lies past
+        # sample 128 and the set grows to hold it
+        hrirs = spherical_head_hrir_set(fibonacci_grid(240).directions, sample_rate=rate)
         assert np.all(np.abs(hrirs.left).max(axis=1) > 0)
         assert np.all(np.abs(hrirs.right).max(axis=1) > 0)
-        with pytest.raises(ValueError):
-            spherical_head_hrir_set(dirs, sample_rate=FS, length=need - 1)
+        assert (hrirs.length == 128) == (rate == FS)
 
 
 class TestHrirSetValidation:
@@ -131,7 +127,7 @@ class TestLoaders:
         dirs = np.array([
             [np.cos(np.radians(a)), np.sin(np.radians(a)), 0.0] for a, _ in rows
         ])
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         return rows, hrirs
 
     def test_per_file_layout(self, tmp_path):

@@ -230,7 +230,7 @@ class TestLostDirectPath:
 class TestRenderReferenceBrir:
     def test_single_direct_image_reproduces_hrir(self):
         grid = fibonacci_grid(64)
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         delay_samples = 320
         dist = delay_samples / FS * 343.0
         recv = np.array([2.5, 2.0, 1.5])
@@ -258,7 +258,7 @@ class TestRenderReferenceBrir:
         base = fibonacci_grid(32).directions
         mirrored = base[np.abs(base[:, 1]) > 1e-12] * np.array([1.0, -1.0, 1.0])
         dirs = np.concatenate([[[1.0, 0.0, 0.0]], base, mirrored])
-        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(dirs, sample_rate=FS)
         recv = np.array([2.0, 2.0, 1.5])
         scene = Scene(
             room=_room(max_order=0, dims=(6.0, 5.0, 3.2)),
@@ -270,7 +270,7 @@ class TestRenderReferenceBrir:
 
     def test_two_images_sum_exactly(self):
         grid = fibonacci_grid(32)
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         recv = np.array([2.5, 2.0, 1.5])
         scene = Scene(
             room=_room(max_order=1, dims=(6.0, 5.0, 3.2)),
@@ -316,7 +316,7 @@ class TestFoaRender:
 
 def test_decay_monotone_in_wall_reflection():
     grid = fibonacci_grid(48)
-    hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+    hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
     t30s = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncatedResponseWarning)
@@ -351,6 +351,18 @@ def test_scene_json_round_trip(tmp_path):
     assert np.allclose(loaded.room.dimensions, scene.room.dimensions)
     assert loaded.room.max_order == scene.room.max_order
     assert loaded.receiver.name == scene.receiver.name
+
+
+def test_scene_json_needs_a_builtin_receiver():
+    om6 = builtin_array("om6")
+    with_origin = np.vstack([om6.positions, np.zeros(3)])
+    for receiver in (MicArrayGeometry(with_origin),  # "custom"
+                     MicArrayGeometry(with_origin, name="om6"),
+                     MicArrayGeometry(1.5 * om6.positions, name="om6")):
+        scene = Scene(room=_room(), source=np.array([3.0, 2.0, 1.5]),
+                      receiver_origin=np.array([1.5, 1.7, 1.2]), receiver=receiver)
+        with pytest.raises(ValueError, match=f"receiver {receiver.name!r}"):
+            scene_to_json_dict(scene, FS, 4800)
 
 
 def test_receiver_is_an_array():

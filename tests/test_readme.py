@@ -1,9 +1,11 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and it names every
+scene, grid and condition key the CLI takes."""
 
 import re
 import warnings
 from pathlib import Path
 
+from srirkit import cli
 from srirkit.errors import TruncatedResponseWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -16,3 +18,10 @@ def test_quick_start_runs(capsys):
         warnings.simplefilter("ignore", TruncatedResponseWarning)
         exec(compile(block, str(README), "exec"), {})
     assert "MetricReport(" in capsys.readouterr().out
+
+
+def test_every_config_key_is_named():
+    text = README.read_text()
+    keys = {*cli._SCENE_KEYS, *cli._GRID_KEYS, *cli._DOA_CASTS, *cli._CONDITION_CASTS}
+    unnamed = sorted(key for key in keys if f"`{key}`" not in text and f'"{key}":' not in text)
+    assert not unnamed, f"config keys the README never names: {unnamed}"

@@ -381,7 +381,7 @@ class TestDecorrelate:
 class TestBinauralRender:
     def _setup(self, n_speakers=16, n=256):
         grid = fibonacci_grid(n_speakers)
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         return grid, hrirs
 
     def test_single_delta_channel_reproduces_hrir(self):
@@ -450,7 +450,7 @@ class TestBinauralRender:
         (2, n, k, taps) block of HRIR rows would need about 350 MB."""
         monkeypatch.setattr(synthesis, "_SCATTER_TAPS_PER_SPEAKER", np.inf)  # scatter k=8
         grid = fibonacci_grid(240)
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n, k = 19200, 8
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
@@ -469,7 +469,7 @@ class TestBinauralRender:
         """128-tap HRIRs: an assignment is scattered while k * 128 is at most
         1.5 x the loudspeaker count, and summed over its dense form past it."""
         grid = fibonacci_grid(speakers)
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS, length=128)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n = 500
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
