@@ -147,6 +147,10 @@ def _load_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
 
 
 def _grid_and_hrirs(cfg: dict, where: str, sample_rate: float):
+    if "grid_csv" in cfg and "grid_size" in cfg:
+        raise ConfigurationError(f"{where}: grid_size and grid_csv exclude each other")
+    if "hrir_wav" in cfg and "hrir_index" not in cfg:
+        raise ConfigurationError(f"{where}: hrir_wav needs hrir_index")
     if "grid_csv" in cfg:
         grid = load_grid_csv(_existing(cfg["grid_csv"], where))
     else:
@@ -196,7 +200,7 @@ _CONDITION_CASTS = {"knn": _json_int, "tf_averaging_frames": _json_int,
 
 def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
     where = f"condition {entry.get('id', '?')!r}"
-    _check_keys(entry, where, {"id", "analysis", "pressure_source", "synthesis"},
+    _check_keys(entry, where, {"id", "analysis", "pressure_source"},
                 set(_DOA_CASTS) | set(_CONDITION_CASTS))
 
     def given(casts):
@@ -212,7 +216,6 @@ def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
         id=str(entry["id"]),
         analysis=entry["analysis"],
         pressure_source=entry["pressure_source"],
-        synthesis=entry["synthesis"],
         grid=grid,
         hrirs=hrirs,
         doa_config=doa_config,

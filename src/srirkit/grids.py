@@ -31,6 +31,12 @@ def _check_unit(directions, tol: float = 1e-9) -> np.ndarray:
     return dirs
 
 
+def _unit_rows(directions) -> np.ndarray:
+    """``directions`` rescaled to unit length; each row must be within 1e-6 of it."""
+    dirs = _check_unit(directions, tol=1e-6)
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class LoudspeakerGrid:
     """Unit directions plus a convex-hull triangulation covering the sphere."""
@@ -97,8 +103,7 @@ class LoudspeakerGrid:
 
 def grid_from_directions(directions: np.ndarray) -> LoudspeakerGrid:
     """Triangulate arbitrary unit directions by their convex hull."""
-    dirs = _check_unit(np.asarray(directions, dtype=np.float64), tol=1e-6)
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _unit_rows(directions)
     hull = ConvexHull(dirs)
     return LoudspeakerGrid(dirs, hull.simplices)
 
@@ -169,11 +174,7 @@ def load_grid_csv(path) -> LoudspeakerGrid:
     if widths == {3}:
         dirs = np.asarray(rows)
     elif widths == {2}:
-        az = np.radians([r[0] for r in rows])
-        el = np.radians([r[1] for r in rows])
-        dirs = np.stack(
-            [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1
-        )
+        dirs = direction_from_azel([r[0] for r in rows], [r[1] for r in rows])
     else:
         raise ValueError(f"{path}: rows must have 2 or 3 columns, got widths {sorted(widths)}")
     return grid_from_directions(dirs)
@@ -186,7 +187,8 @@ def save_grid_csv(grid: LoudspeakerGrid, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def direction_from_azel(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
-    """Unit vector for azimuth (counterclockwise from +X toward +Y) and elevation."""
+def direction_from_azel(azimuth_deg, elevation_deg) -> np.ndarray:
+    """Unit vectors, shape (..., 3), for azimuths (counterclockwise from +X
+    toward +Y) and elevations in degrees, scalars or arrays alike."""
     az, el = np.radians(azimuth_deg), np.radians(elevation_deg)
-    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import FRACTIONAL_DELAY_HALF, SPEED_OF_SOUND, place_fractional_impulses
-from .grids import _check_unit, direction_from_azel, nearest_directions
+from .grids import _unit_rows, direction_from_azel, nearest_directions
 from . import wavio
 
 #: Directions closer than this (dot product above 1 - 1e-12) count as duplicates.
@@ -28,13 +28,12 @@ class HrirSet:
     sample_rate: float
 
     def __post_init__(self):
-        dirs = _check_unit(self.directions, tol=1e-6)
+        dirs = _unit_rows(self.directions)
         left = np.asarray(self.left, dtype=np.float64)
         right = np.asarray(self.right, dtype=np.float64)
         if left.shape != right.shape or left.shape[0] != dirs.shape[0]:
             raise ValueError("left/right arrays must be (n, taps) matching directions")
         wavio.check_sample_rate(self.sample_rate)
-        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         # Duplicate directions would make nearest-direction lookups ambiguous;
         # each direction's second-nearest is its closest other direction.
         if len(dirs) > 1 and nearest_directions(dirs, dirs, k=2)[1][:, 1].min() < _DISTINCT_ANGLE:
@@ -77,8 +76,7 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     is deliberately a stand-in for a measured dataset: adequate for
     validating pipelines, not for listening.
     """
-    dirs = np.asarray(directions, dtype=np.float64)
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _unit_rows(directions)
     # The ipsilateral ear leads the head centre by up to _HEAD_TRANSIT_S;
     # at low rates the base delay grows so that arrival stays a sample clear
     # of the interpolator's half-width instead of being dropped.
@@ -89,9 +87,7 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     gains = _SHADOW_FLOOR + (1.0 - _SHADOW_FLOOR) * 0.5 * (1.0 + cos_theta)
     length = max(128, int(np.floor(delays.max())) + FRACTIONAL_DELAY_HALF + 1)
     banks = np.zeros((delays.size, length))
-    dropped = place_fractional_impulses(banks, delays.reshape(-1, 1), gains.reshape(-1, 1))
-    if dropped:
-        raise ValueError(f"{dropped} HRIR impulses do not fit in {length} samples")
+    place_fractional_impulses(banks, delays.reshape(-1, 1), gains.reshape(-1, 1))
     left, right = banks.reshape(2, -1, length)
     return HrirSet(dirs, left, right, sample_rate)
 

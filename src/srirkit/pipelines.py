@@ -2,10 +2,11 @@
 and metric comparison against a reference.
 
 A condition names an analysis front end (TDOA, broadband intensity, or
-time-frequency intensity), a pressure-signal source, and a synthesis back
-end (per-sample loudspeaker mapping or direct/diffuse time-frequency
-synthesis). Conditions compose deterministically: the same inputs, seed,
-and thread count-independent scheduling give bit-identical BRIRs.
+time-frequency intensity) and a pressure-signal source; a per-sample
+trajectory then drives SDM loudspeaker mapping, a time-frequency field
+direct/diffuse SIRR synthesis. Conditions compose deterministically: the
+same inputs, seed, and thread count-independent scheduling give
+bit-identical BRIRs.
 """
 
 from __future__ import annotations
@@ -49,7 +50,16 @@ from .synthesis import (
 
 ANALYSES = ("tdoa", "piv-broadband", "tf-piv")
 PRESSURE_SOURCES = ("zeroth-order", "channel-average")
-SYNTHESES = ("sdm", "sirr")
+#: The analyses that read each condition setting (``band_*`` on its
+#: ``doa_config``); on any other analysis the setting keeps its default.
+#: ``seed`` is left out: every condition carries one.
+_READ_BY = {
+    "knn": ("tdoa", "piv-broadband"),
+    "band_low": ("piv-broadband",),
+    "band_high": ("piv-broadband",),
+    "tf_averaging_frames": ("tf-piv",),
+    "psi_override": ("tf-piv",),
+}
 
 
 @dataclass(frozen=True)
@@ -107,12 +117,12 @@ def simulate(scene: Scene, sample_rate: float, length: int,
 
 @dataclass(frozen=True)
 class SystemCondition:
-    """One rendering system under test."""
+    """One rendering system under test. Its analysis decides the synthesis:
+    ``tf-piv`` drives SIRR, ``tdoa`` and ``piv-broadband`` drive SDM."""
 
     id: str
     analysis: str
     pressure_source: str
-    synthesis: str
     grid: LoudspeakerGrid
     hrirs: HrirSet
     doa_config: DoaConfig = field(default_factory=DoaConfig)
@@ -126,17 +136,10 @@ class SystemCondition:
             raise ConfigurationError(f"{self.id}: unknown analysis {self.analysis!r}")
         if self.pressure_source not in PRESSURE_SOURCES:
             raise ConfigurationError(f"{self.id}: unknown pressure_source {self.pressure_source!r}")
-        if self.synthesis not in SYNTHESES:
-            raise ConfigurationError(f"{self.id}: unknown synthesis {self.synthesis!r}")
-        if self.synthesis == "sirr" and self.analysis != "tf-piv":
-            raise ConfigurationError(
-                f"{self.id}: sirr synthesis requires tf-piv analysis"
-            )
-        if self.synthesis == "sdm" and self.analysis == "tf-piv":
-            raise ConfigurationError(
-                f"{self.id}: sdm synthesis needs a per-sample trajectory "
-                "(tdoa or piv-broadband analysis)"
-            )
+        for name, readers in _READ_BY.items():
+            owner = self.doa_config if hasattr(self.doa_config, name) else self
+            if self.analysis not in readers and getattr(owner, name) != getattr(type(owner), name):
+                raise ConfigurationError(f"{self.id}: {self.analysis} does not read {name}")
         if self.psi_override is not None and not 0.0 <= self.psi_override <= 1.0:
             raise ConfigurationError(f"{self.id}: psi_override must lie in [0, 1]")
         if not 1 <= self.knn <= len(self.grid):
@@ -180,17 +183,15 @@ def _pressure_signal(inputs: AnalysisInput, condition: SystemCondition) -> MonoI
     return MonoIr(inputs.srir.samples.mean(axis=0), inputs.srir.sample_rate)
 
 
-def analyze_trajectory(inputs: AnalysisInput, condition: SystemCondition) -> DoaTrajectory:
-    """Per-sample DOA trajectory for sdm-style synthesis."""
+def analyze(inputs: AnalysisInput, condition: SystemCondition) -> DoaTrajectory | TfDoaField:
+    """The condition's analysis of ``inputs``: a per-sample DoaTrajectory
+    (``tdoa``, ``piv-broadband``) for SDM, or a TfDoaField (``tf-piv``) for
+    SIRR."""
     validate_condition_inputs(inputs, condition)
     if condition.analysis == "tdoa":
         return tdoa_ls_doa(inputs.srir, inputs.geometry, condition.doa_config)
     if condition.analysis == "piv-broadband":
         return piv_broadband_doa(inputs.foa, condition.doa_config)
-    raise ConfigurationError(f"{condition.id}: {condition.analysis} has no trajectory")
-
-
-def _tf_field(inputs: AnalysisInput, condition: SystemCondition) -> TfDoaField:
     window = condition.doa_config.window_size
     frames = stft(inputs.foa.samples, inputs.foa.sample_rate, window, window // 2)
     f = tf_piv_analysis(frames, averaging_frames=condition.tf_averaging_frames)
@@ -212,16 +213,13 @@ def run_condition(inputs: AnalysisInput,
                   condition: SystemCondition) -> ConditionResult:
     """Run one condition end to end: analysis, synthesis, binaural rendering
     and direct-energy normalization."""
-    validate_condition_inputs(inputs, condition)
+    analysis = analyze(inputs, condition)
     pressure = _pressure_signal(inputs, condition)
-    if condition.synthesis == "sdm":
-        analysis = analyze_trajectory(inputs, condition)
+    if isinstance(analysis, DoaTrajectory):
         vls = sdm_synthesize(pressure, analysis, condition.grid, condition.knn)
     else:
-        analysis = _tf_field(inputs, condition)
-        window = condition.doa_config.window_size
-        pressure_frames = stft(pressure.samples, pressure.sample_rate, window, window // 2)
-        vls = sirr_synthesize(pressure_frames, analysis, condition.grid, condition.seed)
+        frames = stft(pressure.samples, pressure.sample_rate, analysis.window_size, analysis.hop)
+        vls = sirr_synthesize(frames, analysis, condition.grid, condition.seed)
     brir = normalize_direct_energy(binaural_render(vls, condition.hrirs))
     return ConditionResult(analysis, vls, brir)
 

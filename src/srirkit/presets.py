@@ -84,11 +84,11 @@ def standard_conditions(grid, hrirs, seed: int = 0) -> tuple:
     common = dict(grid=grid, hrirs=hrirs, seed=seed)
     return (
         SystemCondition(id="sdm-6om1", analysis="tdoa",
-                        pressure_source="channel-average", synthesis="sdm", **common),
+                        pressure_source="channel-average", **common),
         SystemCondition(id="sdm-piv", analysis="piv-broadband",
-                        pressure_source="zeroth-order", synthesis="sdm", **common),
+                        pressure_source="zeroth-order", **common),
         SystemCondition(id="sdm-piv-omni", analysis="piv-broadband",
-                        pressure_source="channel-average", synthesis="sdm", **common),
+                        pressure_source="channel-average", **common),
         SystemCondition(id="sirr", analysis="tf-piv",
-                        pressure_source="zeroth-order", synthesis="sirr", **common),
+                        pressure_source="zeroth-order", **common),
     )

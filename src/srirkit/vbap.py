@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import LoudspeakerGrid, _check_unit, nearest_directions
+from .grids import LoudspeakerGrid, _unit_rows, nearest_directions
 
 _NEGATIVE_GAIN_TOL = -1e-6
 #: A nearest-vertex triangle with all raw gains at least this encloses its
@@ -56,8 +56,7 @@ def vbap_gain_table(directions: np.ndarray, grid: LoudspeakerGrid) -> tuple[np.n
     that is not a unit vector, or that no triangle encloses (the grid does
     not cover the sphere).
     """
-    dirs = _check_unit(directions, tol=1e-6)
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _unit_rows(directions)
     tri_idx, raw = _enclosing_triangles(dirs, grid)
     uncovered = np.nonzero(raw.min(axis=1) < _NEGATIVE_GAIN_TOL)[0]
     if uncovered.size:

@@ -20,7 +20,7 @@ from srirkit.metrics import MetricReport, error_summary_paired, iacc, ild_avg, i
 from srirkit.pipelines import (
     ComparisonRun,
     SystemCondition,
-    analyze_trajectory,
+    analyze,
     run_comparison,
     run_condition,
 )
@@ -45,10 +45,10 @@ def _six_scene_comparison(scene_bundle):
         grid, hrirs, renderings, build_seconds = scene_bundle
         conditions = (
             SystemCondition(id="sdm-tdoa", analysis="tdoa",
-                            pressure_source="channel-average", synthesis="sdm",
+                            pressure_source="channel-average",
                             grid=grid, hrirs=hrirs),
             SystemCondition(id="sdm-piv", analysis="piv-broadband",
-                            pressure_source="zeroth-order", synthesis="sdm",
+                            pressure_source="zeroth-order",
                             grid=grid, hrirs=hrirs),
         )
         start = time.perf_counter()
@@ -212,11 +212,11 @@ def test_criterion_7_dedicated_pressure_contrast(scene_bundle):
     rendering = renderings["front_left"]
     base = SystemCondition(
         id="piv", analysis="piv-broadband", pressure_source="zeroth-order",
-        synthesis="sdm", grid=grid, hrirs=hrirs,
+        grid=grid, hrirs=hrirs,
     )
     other = replace(base, id="piv-channel-average", pressure_source="channel-average")
-    traj_a = analyze_trajectory(rendering.analysis_input, base)
-    traj_b = analyze_trajectory(rendering.analysis_input, other)
+    traj_a = analyze(rendering.analysis_input, base)
+    traj_b = analyze(rendering.analysis_input, other)
     identical = np.array_equal(traj_a.directions, traj_b.directions) and np.array_equal(
         traj_a.valid, traj_b.valid
     )
@@ -294,10 +294,10 @@ def test_criterion_9_thread_determinism(scene_bundle):
     subset = {name: renderings[name] for name in ("front_center", "side_left")}
     conditions = (
         SystemCondition(id="sdm-tdoa", analysis="tdoa",
-                        pressure_source="channel-average", synthesis="sdm",
+                        pressure_source="channel-average",
                         grid=grid, hrirs=hrirs),
         SystemCondition(id="sirr", analysis="tf-piv",
-                        pressure_source="zeroth-order", synthesis="sirr",
+                        pressure_source="zeroth-order",
                         grid=grid, hrirs=hrirs, seed=21),
     )
     run = ComparisonRun(inputs=subset, conditions=conditions, sample_rate=FS)

@@ -279,7 +279,7 @@ class TestRender:
             **_sim_config(),
             "conditions": [{
                 "id": "sdm-tdoa", "analysis": "tdoa",
-                "pressure_source": "channel-average", "synthesis": "sdm",
+                "pressure_source": "channel-average",
             }],
         })
         out = tmp_path / "r"
@@ -294,7 +294,7 @@ class TestRender:
             **_sim_config(length_s=length_s),
             "conditions": [{
                 "id": "sdm-tdoa", "analysis": "tdoa",
-                "pressure_source": "channel-average", "synthesis": "sdm",
+                "pressure_source": "channel-average",
             }],
         })
         out = tmp_path / "r"
@@ -319,7 +319,7 @@ class TestRender:
             **_sim_config(),
             "conditions": [{
                 "id": "sdm-tdoa", "analysis": "tdoa",
-                "pressure_source": "channel-average", "synthesis": "sdm",
+                "pressure_source": "channel-average",
             }],
         })
         out = tmp_path / "r"
@@ -346,9 +346,9 @@ class TestRender:
             **_sim_config(),
             "conditions": [
                 {"id": "sdm-tdoa", "analysis": "tdoa",
-                 "pressure_source": "channel-average", "synthesis": "sdm"},
+                 "pressure_source": "channel-average"},
                 {"id": "sirr", "analysis": "tf-piv",
-                 "pressure_source": "zeroth-order", "synthesis": "sirr"},
+                 "pressure_source": "zeroth-order"},
             ],
         })
         out = tmp_path / "r"
@@ -363,7 +363,7 @@ class TestRender:
             "input": {"srir_wav": str(sim_dir / "srir.wav"), "array": "om6"},
             "conditions": [{
                 "id": "piv-needs-foa", "analysis": "piv-broadband",
-                "pressure_source": "zeroth-order", "synthesis": "sdm",
+                "pressure_source": "zeroth-order",
             }],
         })
         code = main(["render", "--config", cfg, "--output", str(tmp_path / "r")])
@@ -381,10 +381,8 @@ class TestRender:
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         conditions = [
-            {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
-             "synthesis": "sdm"},
-            {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order",
-             "synthesis": "sirr"},
+            {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average"},
+            {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order"},
         ]
         cfg = _write_config(
             tmp_path, "render.json", {**_sim_config(), "conditions": conditions}
@@ -556,9 +554,9 @@ def test_full_workflow_simulate_render_compare(tmp_path):
         **_sim_config(),
         "conditions": [
             {"id": "sdm-tdoa", "analysis": "tdoa",
-             "pressure_source": "channel-average", "synthesis": "sdm"},
+             "pressure_source": "channel-average"},
             {"id": "sirr", "analysis": "tf-piv",
-             "pressure_source": "zeroth-order", "synthesis": "sirr"},
+             "pressure_source": "zeroth-order"},
         ],
     })
     render_out = tmp_path / "render"
@@ -599,26 +597,22 @@ def test_invalid_json_exits_2(tmp_path):
 def test_condition_entry_defaults_come_from_the_dataclasses():
     grid = fibonacci_grid(8)
     hrirs = spherical_head_hrir_set(grid.directions)
-    entry = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average",
-             "synthesis": "sdm"}
+    entry = {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average"}
     assert cli._build_condition(entry, grid, hrirs, 3) == SystemCondition(
-        id="a", analysis="tdoa", pressure_source="channel-average", synthesis="sdm",
+        id="a", analysis="tdoa", pressure_source="channel-average",
         grid=grid, hrirs=hrirs, seed=3,
     )
     entry = {"id": "b", "analysis": "tf-piv", "pressure_source": "zeroth-order",
-             "synthesis": "sirr", "window_size": 32.0, "band_high": 2000,
-             "tf_averaging_frames": "4", "psi_override": "0.5"}
+             "window_size": 32.0, "tf_averaging_frames": "4", "psi_override": "0.5"}
     assert cli._build_condition(entry, grid, hrirs, 0) == SystemCondition(
-        id="b", analysis="tf-piv", pressure_source="zeroth-order", synthesis="sirr",
-        grid=grid, hrirs=hrirs, doa_config=DoaConfig(window_size=32, band_high=2000.0),
+        id="b", analysis="tf-piv", pressure_source="zeroth-order",
+        grid=grid, hrirs=hrirs, doa_config=DoaConfig(window_size=32),
         tf_averaging_frames=4, psi_override=0.5,
     )
 
 
-_SDM = {"id": "sdm-under-test", "analysis": "tdoa", "pressure_source": "channel-average",
-        "synthesis": "sdm"}
-_SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zeroth-order",
-         "synthesis": "sirr"}
+_SDM = {"id": "sdm-under-test", "analysis": "tdoa", "pressure_source": "channel-average"}
+_SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zeroth-order"}
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -643,6 +637,8 @@ _SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zero
     ("simulate", _sim_config(max_order=True), "max_order"),
     ("simulate", _sim_config(max_order=-1), "max_order"),
     ("render", {**_sim_config(), "conditions": [{**_SDM, "knn": 1.5}]}, "knn"),
+    # the analysis decides the synthesis, so naming it is an unknown key
+    ("render", {**_sim_config(), "conditions": [{**_SDM, "synthesis": "sdm"}]}, "synthesis"),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
                                                         key):
@@ -661,10 +657,36 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [{**_SDM, "knn": 0}],
     [{**_SIRR, "tf_averaging_frames": 0}],
     [{**_SIRR, "window_size": 100}],
+    # settings the analysis does not read
+    [{**_SIRR, "knn": 3}],
+    [{**_SIRR, "band_low": 100}],
+    [{**_SDM, "psi_override": 0.5}],
+    [{**_SDM, "band_low": 100}],
+    [{**_SDM, "band_high": 3000}],
+    [{**_SDM, "tf_averaging_frames": 4}],
 ])
 def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatch,
                                                     conditions):
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": conditions})
     assert main(["render", "--config", path, "--output", str(tmp_path / "o")]) == 2
-    assert conditions[0]["id"] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert conditions[0]["id"] in err
+    assert all(key in err for key in conditions[0].keys() - _SDM.keys())  # the key at fault
+
+
+@pytest.mark.parametrize("command", ["simulate", "render"])
+@pytest.mark.parametrize("keys, named", [
+    ({"grid_csv": "absent.csv"}, ("grid_size", "grid_csv")),  # beside _sim_config's grid_size
+    ({"hrir_wav": "absent.wav"}, ("hrir_wav", "hrir_index")),
+])
+def test_grid_and_hrir_keys_that_would_be_ignored_exit_2(tmp_path, capsys, monkeypatch,
+                                                         command, keys, named):
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    cfg = _sim_config(**keys)
+    if command == "render":
+        cfg["conditions"] = [_SDM]
+    path = _write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in named)

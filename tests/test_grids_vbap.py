@@ -383,6 +383,14 @@ class TestGridIo:
         assert np.allclose(grid.directions[1], [0, 1, 0], atol=1e-12)
         assert np.allclose(grid.directions[4], [0, 0, 1], atol=1e-12)
 
+    def test_azel_on_arrays_is_the_stacked_scalar_calls(self, rng):
+        az = rng.uniform(-180.0, 180.0, size=(4, 5))
+        el = rng.uniform(-90.0, 90.0, size=(4, 5))
+        stacked = np.array([[direction_from_azel(a, e) for a, e in zip(ra, re)]
+                            for ra, re in zip(az, el)])
+        assert np.array_equal(direction_from_azel(az, el), stacked)
+        assert direction_from_azel(30.0, 10.0).shape == (3,)
+
     def test_bad_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3,4\n")

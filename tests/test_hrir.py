@@ -73,6 +73,11 @@ class TestSphericalHeadModel:
             assert place_fractional_impulses(single, row_delays, row_amps) == 0
             np.testing.assert_array_equal(row, single)
 
+    @pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    def test_direction_that_is_not_a_unit_vector_rejected(self, bad_row):
+        with pytest.raises(ValueError, match="unit vectors"):
+            spherical_head_hrir_set(np.array([[1.0, 0.0, 0.0], bad_row]), sample_rate=FS)
+
     @pytest.mark.parametrize("rate", [FS, 176400.0, 192000.0])
     def test_length_holds_the_latest_impulse(self, rate):
         # 128 taps at 48 kHz; at high rates the contralateral arrival lies past

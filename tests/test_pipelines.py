@@ -14,7 +14,7 @@ from srirkit.pipelines import (
     ComparisonRun,
     SceneRendering,
     SystemCondition,
-    analyze_trajectory,
+    analyze,
     run_comparison,
     run_condition,
     simulate,
@@ -41,23 +41,13 @@ def small_setup():
 def _condition(grid, hrirs, **overrides):
     base = dict(
         id="cond", analysis="tdoa", pressure_source="channel-average",
-        synthesis="sdm", grid=grid, hrirs=hrirs,
+        grid=grid, hrirs=hrirs,
     )
     base.update(overrides)
     return SystemCondition(**base)
 
 
 class TestSystemCondition:
-    def test_sirr_requires_tf_piv(self, small_setup):
-        grid, hrirs, _ = small_setup
-        with pytest.raises(ConfigurationError):
-            _condition(grid, hrirs, analysis="tdoa", synthesis="sirr")
-
-    def test_sdm_requires_trajectory_analysis(self, small_setup):
-        grid, hrirs, _ = small_setup
-        with pytest.raises(ConfigurationError):
-            _condition(grid, hrirs, analysis="tf-piv", synthesis="sdm")
-
     def test_unknown_labels_rejected(self, small_setup):
         grid, hrirs, _ = small_setup
         with pytest.raises(ConfigurationError):
@@ -65,6 +55,29 @@ class TestSystemCondition:
         for source in ("laser", "center-mic"):
             with pytest.raises(ConfigurationError, match="cond: unknown pressure_source"):
                 _condition(grid, hrirs, pressure_source=source)
+
+    @pytest.mark.parametrize("analysis, name, setting", [
+        ("tf-piv", "knn", {"knn": 3}),
+        ("tdoa", "psi_override", {"psi_override": 0.5}),
+        ("piv-broadband", "psi_override", {"psi_override": 0.0}),
+        ("tdoa", "tf_averaging_frames", {"tf_averaging_frames": 4}),
+        ("tdoa", "band_low", {"doa_config": DoaConfig(band_low=100.0)}),
+        ("tf-piv", "band_high", {"doa_config": DoaConfig(band_high=3000.0)}),
+    ])
+    def test_setting_the_analysis_does_not_read_rejected(self, small_setup, analysis, name,
+                                                         setting):
+        grid, hrirs, _ = small_setup
+        with pytest.raises(ConfigurationError, match=f"cond: {analysis} does not read {name}"):
+            _condition(grid, hrirs, analysis=analysis, pressure_source="zeroth-order", **setting)
+
+    def test_each_setting_accepted_by_the_analyses_that_read_it(self, small_setup):
+        grid, hrirs, _ = small_setup
+        _condition(grid, hrirs, analysis="tdoa", knn=3)
+        _condition(grid, hrirs, analysis="piv-broadband", knn=3,
+                   doa_config=DoaConfig(band_low=100.0, band_high=3000.0))
+        _condition(grid, hrirs, analysis="tf-piv", tf_averaging_frames=4, psi_override=0.5)
+        # a setting given at its default is not a setting the analysis ignores
+        _condition(grid, hrirs, analysis="tf-piv", knn=1, doa_config=DoaConfig(band_low=200.0))
 
 
 class TestRunCondition:
@@ -74,7 +87,7 @@ class TestRunCondition:
         brir = run_condition(rendering.analysis_input, cond).brir
         assert len(brir) > 0
 
-        traj = analyze_trajectory(rendering.analysis_input, cond)
+        traj = analyze(rendering.analysis_input, cond)
         az, el, _ = SCENE_POSITIONS["front_left"]
         true_dir = direction_from_azel(az, el)
         direct = int(round(rendering.images.delays[0] * FS))
@@ -99,10 +112,10 @@ class TestRunCondition:
 
     def test_deterministic_repeat(self, small_setup):
         grid, hrirs, rendering = small_setup
-        for synth, analysis in (("sdm", "piv-broadband"), ("sirr", "tf-piv")):
+        for analysis in ("piv-broadband", "tf-piv"):
             cond = _condition(
-                grid, hrirs, id=f"det-{synth}", analysis=analysis,
-                pressure_source="zeroth-order", synthesis=synth, seed=11,
+                grid, hrirs, id=f"det-{analysis}", analysis=analysis,
+                pressure_source="zeroth-order", seed=11,
             )
             a = run_condition(rendering.analysis_input, cond).brir
             b = run_condition(rendering.analysis_input, cond).brir
@@ -113,17 +126,16 @@ class TestRunCondition:
         grid, hrirs, rendering = small_setup
         cond = _condition(
             grid, hrirs, id="sirr0", analysis="tf-piv",
-            pressure_source="zeroth-order", synthesis="sirr", psi_override=0.0,
+            pressure_source="zeroth-order", psi_override=0.0,
         )
         brir = run_condition(rendering.analysis_input, cond).brir
 
         # expected: same field directions, diffuse stream suppressed, panned
         # per-bin; rebuilt through the same public pieces minus decorrelation
         from srirkit.dsp import normalize_direct_energy, stft
-        from srirkit.pipelines import _tf_field
         from srirkit.synthesis import binaural_render, sirr_synthesize
 
-        field = _tf_field(rendering.analysis_input, cond)
+        field = analyze(rendering.analysis_input, cond)
         pressure_frames = stft(
             rendering.analysis_input.foa.w.samples, FS,
             cond.doa_config.window_size, cond.doa_config.window_size // 2,
@@ -139,12 +151,12 @@ class TestPressureSourceIsolation:
         grid, hrirs, rendering = small_setup
         base = _condition(
             grid, hrirs, id="piv", analysis="piv-broadband",
-            pressure_source="zeroth-order", synthesis="sdm",
+            pressure_source="zeroth-order",
         )
         other = replace(base, id="piv-channel-average", pressure_source="channel-average")
 
-        traj_a = analyze_trajectory(rendering.analysis_input, base)
-        traj_b = analyze_trajectory(rendering.analysis_input, other)
+        traj_a = analyze(rendering.analysis_input, base)
+        traj_b = analyze(rendering.analysis_input, other)
         assert np.array_equal(traj_a.directions, traj_b.directions)
         assert np.array_equal(traj_a.valid, traj_b.valid)
 
@@ -240,7 +252,7 @@ def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
 
     grid, hrirs, rendering = small_setup
     cond = _condition(grid, hrirs, id="sdm")
-    trajectory = analyze_trajectory(rendering.analysis_input, cond)
+    trajectory = analyze(rendering.analysis_input, cond)
     pressure = rendering.analysis_input.foa.w
     signals = sdm_synthesize(pressure, trajectory, grid, k=1).dense()
 
@@ -264,7 +276,7 @@ def test_rendering_never_densifies_an_assignment(small_setup, monkeypatch):
     _, _, rendering = small_setup
     grid = fibonacci_grid(240)
     hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-    conditions = [c for c in standard_conditions(grid, hrirs) if c.synthesis == "sdm"]
+    conditions = [c for c in standard_conditions(grid, hrirs) if c.analysis != "tf-piv"]
     result = run_comparison(
         ComparisonRun(inputs={"front_left": rendering}, conditions=conditions, sample_rate=FS)
     )
@@ -323,7 +335,7 @@ def test_benchmark_layer_bindings_fire(small_setup):
         _condition(grid, hrirs, id="piv-sdm", analysis="piv-broadband",
                    pressure_source="zeroth-order"),
         _condition(grid, hrirs, id="tf-piv-sirr", analysis="tf-piv",
-                   pressure_source="zeroth-order", synthesis="sirr"),
+                   pressure_source="zeroth-order"),
     )
     tracer = spans.Tracer()
     tracer.install(targets)

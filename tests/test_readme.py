@@ -1,12 +1,16 @@
-"""The README's library quick start runs as written, and it names every
-scene, grid and condition key the CLI takes."""
+"""The README's library quick start runs as written, its render example's
+conditions build, and it names every scene, grid and condition key the CLI
+takes."""
 
+import json
 import re
 import warnings
 from pathlib import Path
 
 from srirkit import cli
 from srirkit.errors import TruncatedResponseWarning
+from srirkit.grids import fibonacci_grid
+from srirkit.hrir import spherical_head_hrir_set
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +29,12 @@ def test_every_config_key_is_named():
     keys = {*cli._SCENE_KEYS, *cli._GRID_KEYS, *cli._DOA_CASTS, *cli._CONDITION_CASTS}
     unnamed = sorted(key for key in keys if f"`{key}`" not in text and f'"{key}":' not in text)
     assert not unnamed, f"config keys the README never names: {unnamed}"
+
+
+def test_render_example_conditions_build():
+    (block,) = [b for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+                if '"conditions"' in b]
+    grid = fibonacci_grid(8)
+    hrirs = spherical_head_hrir_set(grid.directions)
+    for entry in json.loads(block)["conditions"]:
+        cli._build_condition(entry, grid, hrirs, 0)
