@@ -4,7 +4,6 @@ resynthesis, and objective evaluation against an image-source oracle.
 
 from .arrays import MicArrayGeometry, builtin_array
 from .doa import (
-    DoaConfig,
     DoaTrajectory,
     TfDoaField,
     piv_broadband_doa,

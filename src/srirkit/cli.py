@@ -30,7 +30,7 @@ import numpy as np
 
 from . import wavio
 from .arrays import builtin_array
-from .doa import DoaConfig, DoaTrajectory
+from .doa import DoaTrajectory
 from .errors import ConfigurationError
 from .grids import fibonacci_grid, load_grid_csv, save_grid_csv
 from .hrir import load_hrir_set, spherical_head_hrir_set
@@ -192,35 +192,24 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
 
 
 #: Optional condition keys with their casts; an absent key keeps the
-#: ``DoaConfig`` / ``SystemCondition`` default.
-_DOA_CASTS = {"window_size": _json_int, "band_low": float, "band_high": float}
-_CONDITION_CASTS = {"knn": _json_int, "tf_averaging_frames": _json_int,
+#: ``SystemCondition`` default.
+_CONDITION_CASTS = {"window_size": _json_int, "band_low": float, "band_high": float,
+                    "knn": _json_int, "tf_averaging_frames": _json_int,
                     "psi_override": lambda v: None if v is None else float(v)}
 
 
 def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
     where = f"condition {entry.get('id', '?')!r}"
-    _check_keys(entry, where, {"id", "analysis", "pressure_source"},
-                set(_DOA_CASTS) | set(_CONDITION_CASTS))
-
-    def given(casts):
-        return {key: _config_value(entry, key, cast, where)
-                for key, cast in casts.items() if key in entry}
-
-    doa_values = given(_DOA_CASTS)
-    try:
-        doa_config = DoaConfig(**doa_values)
-    except ConfigurationError as exc:  # DoaConfig does not know the condition
-        raise ConfigurationError(f"{where}: {exc}") from exc
+    _check_keys(entry, where, {"id", "analysis", "pressure_source"}, set(_CONDITION_CASTS))
     return SystemCondition(
         id=str(entry["id"]),
         analysis=entry["analysis"],
         pressure_source=entry["pressure_source"],
         grid=grid,
         hrirs=hrirs,
-        doa_config=doa_config,
         seed=seed,
-        **given(_CONDITION_CASTS),
+        **{key: _config_value(entry, key, cast, where)
+           for key, cast in _CONDITION_CASTS.items() if key in entry},
     )
 
 

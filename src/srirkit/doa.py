@@ -20,33 +20,11 @@ from scipy import signal as sps
 
 from .arrays import MicArrayGeometry
 from .dsp import SPEED_OF_SOUND, refine_peaks
-from .errors import ConfigurationError
 from .filterbanks import bandpass_sos
 from .grids import _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
-
-
-@dataclass(frozen=True)
-class DoaConfig:
-    """Analysis parameters shared by the DOA estimators.
-
-    ``window_size`` is both the TDOA sliding-window length and the broadband
-    intensity smoothing length; 64 samples at 48 kHz suits arrays with
-    100 mm spacing. The band limits bracket the usable range of first-order
-    estimates for such arrays (200 Hz up to the spatial aliasing limit).
-    """
-
-    window_size: int = 64
-    band_low: float = 200.0
-    band_high: float = 2400.0
-
-    def __post_init__(self):
-        if self.window_size < 8:
-            raise ConfigurationError(f"window_size must be >= 8, got {self.window_size}")
-        if not (0.0 < self.band_low < self.band_high):
-            raise ConfigurationError("need 0 < band_low < band_high")
 
 
 @dataclass(frozen=True)
@@ -123,27 +101,25 @@ class TfDoaField:
 
 
 def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
-                config: DoaConfig | None = None) -> DoaTrajectory:
+                window_size: int) -> DoaTrajectory:
     """Per-sample DOA from pairwise TDOAs solved in least squares.
 
-    A Hann window centered on each sample (zero-padded at the edges) feeds
-    plain (unweighted) cross-correlations for every capsule pair; the peak
-    lags are parabolic-refined and the overdetermined system
-    ``(r_i - r_j) . u = c * tau_ij`` is solved for the direction ``u``.
+    A ``window_size``-sample Hann window centered on each sample
+    (zero-padded at the edges) feeds plain (unweighted) cross-correlations
+    for every capsule pair; the peak lags are parabolic-refined and the
+    overdetermined system ``(r_i - r_j) . u = c * tau_ij`` is solved for the
+    direction ``u``.
     Samples whose solution norm is degenerate (all-zero TDOAs, silent
     windows) are masked invalid rather than fabricated.
     """
-    if config is None:
-        config = DoaConfig()
     if srir.channel_count != geometry.capsule_count:
         raise ValueError(
             f"SRIR channel count {srir.channel_count} does not match geometry "
             f"({geometry.capsule_count} capsules)"
         )
-    window = config.window_size
     n = len(srir)
-    if window >= n:
-        raise ValueError(f"window_size {window} must be smaller than the SRIR ({n})")
+    if window_size >= n:
+        raise ValueError(f"window_size {window_size} must be smaller than the SRIR ({n})")
 
     rate = srir.sample_rate
     c = SPEED_OF_SOUND
@@ -161,21 +137,21 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
 
     # Per-pair lag bound: propagation across the baseline plus refinement slack.
     max_lags = np.ceil(np.linalg.norm(baselines, axis=1) / c * rate).astype(int) + 2
-    max_lags = np.minimum(max_lags, window - 1)
+    max_lags = np.minimum(max_lags, window_size - 1)
 
-    half = window // 2
-    padded = np.pad(data, ((0, 0), (half, window - half)), mode="constant")
-    taper = np.hanning(window)
-    nfft = 2 * window
+    half = window_size // 2
+    padded = np.pad(data, ((0, 0), (half, window_size - half)), mode="constant")
+    taper = np.hanning(window_size)
+    nfft = 2 * window_size
 
     tdoas = np.empty((n, len(pairs)))
     energies = np.empty(n)
-    chunk = max(1, int(2_000_000 / (n_ch * window)))
+    chunk = max(1, int(2_000_000 / (n_ch * window_size)))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         # frames[c, s] covers samples [s - half, s + half) of channel c
         frames = np.lib.stride_tricks.sliding_window_view(
-            padded[:, start : stop + window - 1], window, axis=1
+            padded[:, start : stop + window_size - 1], window_size, axis=1
         )
         frames = frames * taper
         energies[start:stop] = np.sum(frames * frames, axis=(0, 2))
@@ -205,7 +181,8 @@ def _smooth(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTrajectory:
+def piv_broadband_doa(foa: FoaSignal, window_size: int, band_low: float,
+                      band_high: float) -> DoaTrajectory:
     """Per-sample DOA from band-limited pseudo-intensity vectors.
 
     All four channels are zero-phase band-passed to
@@ -214,14 +191,12 @@ def piv_broadband_doa(foa: FoaSignal, config: DoaConfig | None = None) -> DoaTra
     normalized into a toward-source direction. Zero-intensity samples are
     masked invalid.
     """
-    if config is None:
-        config = DoaConfig()
-    sos = bandpass_sos(config.band_low, config.band_high, foa.sample_rate)
+    sos = bandpass_sos(band_low, band_high, foa.sample_rate)
     filtered = sps.sosfiltfilt(sos, foa.samples, axis=-1)
     velocity = -filtered[1:]  # particle velocity is the negated x, y, z
 
     intensity = filtered[0] * velocity  # (3, n), points away from source
-    intensity = _smooth(intensity, config.window_size)
+    intensity = _smooth(intensity, window_size)
 
     norms = np.linalg.norm(intensity, axis=0)
     scale = norms.max()

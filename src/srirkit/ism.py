@@ -37,7 +37,6 @@ class ShoeboxRoom:
 
     dimensions: np.ndarray
     reflection_coefficients: np.ndarray
-    speed_of_sound: float = SPEED_OF_SOUND
     max_order: int = 10
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class ShoeboxRoom:
             raise ValueError("dimensions must be three positive lengths")
         if coeffs.shape != (6,) or np.any(coeffs < 0) or np.any(coeffs > 1):
             raise ValueError("need six wall coefficients in [0, 1]")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be > 0")
         if self.max_order < 0:
             raise ValueError("max_order must be >= 0")
         object.__setattr__(self, "dimensions", dims)
@@ -101,7 +98,6 @@ class ImageSourceList:
     directions: np.ndarray  # (k, 3) unit, receiver -> image
     orders: np.ndarray  # (k,) reflection counts
     receiver_origin: np.ndarray
-    speed_of_sound: float
 
     def __len__(self) -> int:
         return int(self.delays.size)
@@ -109,7 +105,7 @@ class ImageSourceList:
     @property
     def wall_products(self) -> np.ndarray:
         """Accumulated wall coefficients (amplitude with the 1/r removed)."""
-        return self.amplitudes * self.delays * self.speed_of_sound
+        return self.amplitudes * self.delays * SPEED_OF_SOUND
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
@@ -167,7 +163,7 @@ def enumerate_images(scene: Scene) -> ImageSourceList:
     )
     offsets = positions - scene.receiver_origin
     distances = np.linalg.norm(offsets, axis=1)
-    delays = distances / room.speed_of_sound
+    delays = distances / SPEED_OF_SOUND
     amplitudes = wall_product / distances
     directions = offsets / distances[:, None]
     orders = order[keep]
@@ -180,7 +176,6 @@ def enumerate_images(scene: Scene) -> ImageSourceList:
         directions=directions[sorting],
         orders=orders[sorting],
         receiver_origin=scene.receiver_origin.copy(),
-        speed_of_sound=room.speed_of_sound,
     )
 
 
@@ -211,7 +206,7 @@ def render_array_srir(images: ImageSourceList, geometry: MicArrayGeometry,
     distance-derived fractional delay with a 1/r amplitude."""
     capsules = (images.receiver_origin + geometry.positions)[:, None]
     dist = np.linalg.norm(images.positions - capsules, axis=2)  # (capsules, k)
-    delays = dist / images.speed_of_sound * sample_rate
+    delays = dist / SPEED_OF_SOUND * sample_rate
     _require_direct(images, delays, length, "array SRIR capsule {}")
     out = np.zeros((geometry.capsule_count, length))
     truncated = place_fractional_impulses(out, delays, images.wall_products / dist)
@@ -278,7 +273,7 @@ def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
             "reflection_coefficients": [
                 float(v) for v in scene.room.reflection_coefficients
             ],
-            "speed_of_sound": float(scene.room.speed_of_sound),
+            "speed_of_sound": SPEED_OF_SOUND,
             "max_order": int(scene.room.max_order),
         },
         "source": [float(v) for v in scene.source],
@@ -289,20 +284,18 @@ def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
     }
 
 
-def scene_from_json(path_or_dict) -> tuple[Scene, float, int]:
-    """Load a scene description written by :func:`scene_to_json_dict`.
+def scene_from_json(path) -> tuple[Scene, float, int]:
+    """Load a scene description file in the form :func:`scene_to_json_dict` returns.
 
     The ``receiver`` block names a built-in array (``{"kind": "array",
     "name": "om6"}``); a file without one gets om6. Returns (scene,
     sample_rate, length). A missing or invalid ``room``, ``source`` or
-    ``receiver_origin``, a receiver that is not a built-in array, and a
+    ``receiver_origin``, a room ``speed_of_sound`` other than
+    ``SPEED_OF_SOUND``, a receiver that is not a built-in array, and a
     ``length`` or ``sample_rate`` that is not a positive whole number, is a
     ConfigurationError naming the field.
     """
-    if isinstance(path_or_dict, dict):
-        data = path_or_dict
-    else:
-        data = json.loads(Path(path_or_dict).read_text())
+    data = json.loads(Path(path).read_text())
     missing = [key for key in ("room", "source", "receiver_origin") if key not in data]
     if missing:
         raise ConfigurationError(f"scene file lacks {', '.join(missing)}")
@@ -310,11 +303,15 @@ def scene_from_json(path_or_dict) -> tuple[Scene, float, int]:
         room = ShoeboxRoom(
             dimensions=data["room"]["dimensions"],
             reflection_coefficients=data["room"]["reflection_coefficients"],
-            speed_of_sound=data["room"].get("speed_of_sound", SPEED_OF_SOUND),
             max_order=data["room"].get("max_order", 10),
         )
+        speed = data["room"].get("speed_of_sound", SPEED_OF_SOUND)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"room: {exc}") from exc
+    if speed != SPEED_OF_SOUND:
+        raise ConfigurationError(
+            f"room: speed_of_sound must be {SPEED_OF_SOUND} m/s, got {speed!r}"
+        )
     block = data.get("receiver", {"kind": "array"})
     kind = block.get("kind") if isinstance(block, dict) else None
     if kind != "array":

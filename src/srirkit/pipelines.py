@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arrays import MicArrayGeometry
 from .doa import (
-    DoaConfig,
     DoaTrajectory,
     TfDoaField,
     piv_broadband_doa,
@@ -28,6 +27,7 @@ from .doa import (
 )
 from .dsp import normalize_direct_energy, stft
 from .errors import ConfigurationError
+from .filterbanks import bandpass_sos
 from .grids import LoudspeakerGrid
 from .hrir import HrirSet
 from .ism import (
@@ -50,9 +50,8 @@ from .synthesis import (
 
 ANALYSES = ("tdoa", "piv-broadband", "tf-piv")
 PRESSURE_SOURCES = ("zeroth-order", "channel-average")
-#: The analyses that read each condition setting (``band_*`` on its
-#: ``doa_config``); on any other analysis the setting keeps its default.
-#: ``seed`` is left out: every condition carries one.
+#: The analyses that read each condition setting; on any other analysis the
+#: setting keeps its default. ``seed`` is left out: every condition carries one.
 _READ_BY = {
     "knn": ("tdoa", "piv-broadband"),
     "band_low": ("piv-broadband",),
@@ -118,14 +117,23 @@ def simulate(scene: Scene, sample_rate: float, length: int,
 @dataclass(frozen=True)
 class SystemCondition:
     """One rendering system under test. Its analysis decides the synthesis:
-    ``tf-piv`` drives SIRR, ``tdoa`` and ``piv-broadband`` drive SDM."""
+    ``tf-piv`` drives SIRR, ``tdoa`` and ``piv-broadband`` drive SDM.
+
+    ``window_size`` is the TDOA sliding-window length, the ``piv-broadband``
+    intensity smoothing length and the ``tf-piv`` STFT size; 64 samples at
+    48 kHz suits arrays with 100 mm spacing. The ``piv-broadband`` band limits
+    bracket the usable range of first-order estimates for such arrays (200 Hz
+    up to the spatial aliasing limit).
+    """
 
     id: str
     analysis: str
     pressure_source: str
     grid: LoudspeakerGrid
     hrirs: HrirSet
-    doa_config: DoaConfig = field(default_factory=DoaConfig)
+    window_size: int = 64
+    band_low: float = 200.0
+    band_high: float = 2400.0
     knn: int = 1
     seed: int = 0
     tf_averaging_frames: int = 8
@@ -137,8 +145,7 @@ class SystemCondition:
         if self.pressure_source not in PRESSURE_SOURCES:
             raise ConfigurationError(f"{self.id}: unknown pressure_source {self.pressure_source!r}")
         for name, readers in _READ_BY.items():
-            owner = self.doa_config if hasattr(self.doa_config, name) else self
-            if self.analysis not in readers and getattr(owner, name) != getattr(type(owner), name):
+            if self.analysis not in readers and getattr(self, name) != getattr(type(self), name):
                 raise ConfigurationError(f"{self.id}: {self.analysis} does not read {name}")
         if self.psi_override is not None and not 0.0 <= self.psi_override <= 1.0:
             raise ConfigurationError(f"{self.id}: psi_override must lie in [0, 1]")
@@ -148,11 +155,18 @@ class SystemCondition:
             )
         if self.tf_averaging_frames < 1:
             raise ConfigurationError(f"{self.id}: tf_averaging_frames must be >= 1")
-        window = self.doa_config.window_size
+        window = self.window_size
+        if window < 8:
+            raise ConfigurationError(f"{self.id}: window_size must be >= 8, got {window}")
         if self.analysis == "tf-piv" and window & (window - 1):
             raise ConfigurationError(
                 f"{self.id}: tf-piv needs a power-of-two window_size, got {window}"
             )
+        if self.analysis == "piv-broadband":
+            try:  # the HRIRs' rate is the rate the condition renders at
+                bandpass_sos(self.band_low, self.band_high, self.hrirs.sample_rate)
+            except ValueError as exc:
+                raise ConfigurationError(f"{self.id}: band_low, band_high: {exc}") from exc
 
 
 #: What each pressure source and each analysis reads from an AnalysisInput.
@@ -189,10 +203,11 @@ def analyze(inputs: AnalysisInput, condition: SystemCondition) -> DoaTrajectory 
     SIRR."""
     validate_condition_inputs(inputs, condition)
     if condition.analysis == "tdoa":
-        return tdoa_ls_doa(inputs.srir, inputs.geometry, condition.doa_config)
+        return tdoa_ls_doa(inputs.srir, inputs.geometry, condition.window_size)
     if condition.analysis == "piv-broadband":
-        return piv_broadband_doa(inputs.foa, condition.doa_config)
-    window = condition.doa_config.window_size
+        return piv_broadband_doa(inputs.foa, condition.window_size, condition.band_low,
+                                 condition.band_high)
+    window = condition.window_size
     frames = stft(inputs.foa.samples, inputs.foa.sample_rate, window, window // 2)
     f = tf_piv_analysis(frames, averaging_frames=condition.tf_averaging_frames)
     if condition.psi_override is not None:

@@ -77,13 +77,13 @@ def test_criterion_1_doa_oracle_accuracy():
             true_dir = direction_from_azel(az, el)
             direct = int(round(images.delays[0] * FS))
 
-            traj_tdoa = tdoa_ls_doa(srir, geometry)
+            traj_tdoa = tdoa_ls_doa(srir, geometry, window_size=64)
             assert traj_tdoa.valid[direct]
             err_tdoa = np.degrees(np.arccos(np.clip(
                 traj_tdoa.directions[direct] @ true_dir, -1.0, 1.0)))
             worst_tdoa = max(worst_tdoa, err_tdoa)
 
-            traj_piv = piv_broadband_doa(foa)
+            traj_piv = piv_broadband_doa(foa, window_size=64, band_low=200.0, band_high=2400.0)
             assert traj_piv.valid[direct]
             err_piv = np.degrees(np.arccos(np.clip(
                 traj_piv.directions[direct] @ true_dir, -1.0, 1.0)))

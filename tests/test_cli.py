@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,7 +8,6 @@ import pytest
 
 from srirkit import cli, wavio
 from srirkit.cli import main
-from srirkit.doa import DoaConfig
 from srirkit.grids import fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.pipelines import SystemCondition, run_condition
@@ -201,10 +201,12 @@ class TestSimulate:
         ("receiver", lambda s: s["receiver"].pop("kind")),
         ("receiver", lambda s: s["receiver"].update(name="nosuch")),
         ("receiver", lambda s: s.update(receiver={"kind": "ideal-foa"})),
+        # the image sources, the TDOA lag bound and the head model share one speed
+        ("speed_of_sound", lambda s: s["room"].update(speed_of_sound=300.0)),
     ], ids=["no-room", "no-source", "no-receiver_origin", "no-dimensions",
             "negative-dimension", "five-coefficients", "room-list", "source-outside",
             "origin-2d", "source-text", "receiver-no-kind", "receiver-unknown-array",
-            "receiver-ideal-foa"])
+            "receiver-ideal-foa", "speed-of-sound-300"])
     def test_invalid_scene_file_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          monkeypatch, field, edit):
         monkeypatch.setattr(cli, "simulate", _no_simulation)
@@ -606,9 +608,14 @@ def test_condition_entry_defaults_come_from_the_dataclasses():
              "window_size": 32.0, "tf_averaging_frames": "4", "psi_override": "0.5"}
     assert cli._build_condition(entry, grid, hrirs, 0) == SystemCondition(
         id="b", analysis="tf-piv", pressure_source="zeroth-order",
-        grid=grid, hrirs=hrirs, doa_config=DoaConfig(window_size=32),
-        tf_averaging_frames=4, psi_override=0.5,
+        grid=grid, hrirs=hrirs, window_size=32, tf_averaging_frames=4, psi_override=0.5,
     )
+
+
+def test_every_condition_setting_is_a_config_key():
+    fields = {f.name for f in dataclasses.fields(SystemCondition)}
+    set_elsewhere = {"id", "analysis", "pressure_source", "grid", "hrirs", "seed"}
+    assert set(cli._CONDITION_CASTS) == fields - set_elsewhere
 
 
 _SDM = {"id": "sdm-under-test", "analysis": "tdoa", "pressure_source": "channel-average"}
@@ -653,7 +660,7 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [_SDM, _SDM],
     # values out of range
     [{**_SDM, "window_size": 4}],
-    [{**_SDM, "band_low": 500, "band_high": 100}],
+    [{**_SDM, "analysis": "piv-broadband", "band_low": 500, "band_high": 100}],
     [{**_SDM, "knn": 0}],
     [{**_SIRR, "tf_averaging_frames": 0}],
     [{**_SIRR, "window_size": 100}],
@@ -664,6 +671,8 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [{**_SDM, "band_low": 100}],
     [{**_SDM, "band_high": 3000}],
     [{**_SDM, "tf_averaging_frames": 4}],
+    # a band above the 24 kHz Nyquist of the 48 kHz run
+    [{**_SDM, "analysis": "piv-broadband", "band_high": 30000}],
 ])
 def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatch,
                                                     conditions):

@@ -3,7 +3,6 @@ import pytest
 
 from srirkit.arrays import builtin_array
 from srirkit.doa import (
-    DoaConfig,
     DoaTrajectory,
     TfDoaField,
     piv_broadband_doa,
@@ -16,6 +15,8 @@ from srirkit.signals import FoaSignal, MultichannelIr
 
 FS = 48000.0
 C = 343.0
+WINDOW = 64  # samples; the TDOA window and the intensity smoothing length
+BAND = (200.0, 2400.0)  # Hz, the piv-broadband band
 
 
 def _sinc_pulse(t, width=2e-4):
@@ -45,7 +46,7 @@ class TestTdoaLsDoa:
     def test_identical_channels_masked_invalid(self, rng):
         sig = rng.normal(size=2000)
         srir = MultichannelIr(np.tile(sig, (6, 1)), FS)
-        traj = tdoa_ls_doa(srir, builtin_array("om6"))
+        traj = tdoa_ls_doa(srir, builtin_array("om6"), WINDOW)
         assert not traj.valid.any()
 
     @pytest.mark.parametrize("azimuth,expected", [
@@ -61,7 +62,7 @@ class TestTdoaLsDoa:
         lead = (srir.samples[1].argmax() - srir.samples[0].argmax()) / FS
         if azimuth == 0.0:
             assert lead * 1e3 == pytest.approx(0.2915, abs=0.05)
-        traj = tdoa_ls_doa(srir, geom)
+        traj = tdoa_ls_doa(srir, geom, WINDOW)
         idx = int(0.02 * FS)
         assert traj.valid[idx]
         assert _angle_deg(traj.directions[idx], np.asarray(expected)) < 2.0
@@ -70,8 +71,8 @@ class TestTdoaLsDoa:
         geom = builtin_array("om6")
         srir = _plane_wave_srir(geom, direction_from_azel(40.0, 10.0))
         scaled = srir.scaled(7.5)
-        a = tdoa_ls_doa(srir, geom)
-        b = tdoa_ls_doa(scaled, geom)
+        a = tdoa_ls_doa(srir, geom, WINDOW)
+        b = tdoa_ls_doa(scaled, geom, WINDOW)
         assert np.array_equal(a.valid, b.valid)
         assert np.allclose(a.directions[a.valid], b.directions[b.valid], atol=1e-9)
 
@@ -80,8 +81,8 @@ class TestTdoaLsDoa:
         srir = _plane_wave_srir(geom, direction_from_azel(-30.0, 0.0))
         shift = 64
         delayed = MultichannelIr(np.roll(srir.samples, shift, axis=1), FS)
-        a = tdoa_ls_doa(srir, geom)
-        b = tdoa_ls_doa(delayed, geom)
+        a = tdoa_ls_doa(srir, geom, WINDOW)
+        b = tdoa_ls_doa(delayed, geom, WINDOW)
         idx = int(0.02 * FS)
         assert np.allclose(
             a.directions[idx], b.directions[idx + shift], atol=1e-6
@@ -92,20 +93,20 @@ class TestTdoaLsDoa:
         u = direction_from_azel(25.0, 15.0)
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         idx = int(0.02 * FS)
-        a = tdoa_ls_doa(_plane_wave_srir(geom, u), geom)
-        b = tdoa_ls_doa(_plane_wave_srir(geom, rot @ u), geom)
+        a = tdoa_ls_doa(_plane_wave_srir(geom, u), geom, WINDOW)
+        b = tdoa_ls_doa(_plane_wave_srir(geom, rot @ u), geom, WINDOW)
         assert _angle_deg(rot @ a.directions[idx], b.directions[idx]) < 2.0
 
     def test_window_too_large_rejected(self):
         geom = builtin_array("om6")
         srir = MultichannelIr(np.ones((6, 32)), FS)
         with pytest.raises(ValueError):
-            tdoa_ls_doa(srir, geom, DoaConfig(window_size=64))
+            tdoa_ls_doa(srir, geom, WINDOW)
 
     def test_all_valid_directions_unit_norm(self, rng):
         geom = builtin_array("om6")
         srir = MultichannelIr(rng.normal(size=(6, 1500)), FS)
-        traj = tdoa_ls_doa(srir, geom)
+        traj = tdoa_ls_doa(srir, geom, WINDOW)
         norms = np.linalg.norm(traj.directions[traj.valid], axis=1)
         assert np.abs(norms - 1.0).max() < 1e-9
 
@@ -113,7 +114,7 @@ class TestTdoaLsDoa:
         geom = builtin_array("sphere32")
         u = direction_from_azel(30.0, 0.0)
         srir = _plane_wave_srir(geom, u, n=1600, base_s=0.01)
-        traj = tdoa_ls_doa(srir, geom, DoaConfig(window_size=32))
+        traj = tdoa_ls_doa(srir, geom, window_size=32)
         idx = int(0.01 * FS)
         assert traj.valid[idx]
         assert _angle_deg(traj.directions[idx], u) < 2.0
@@ -123,13 +124,13 @@ class TestPivBroadbandDoa:
     def test_w_only_masked_invalid(self, rng):
         n = 2000
         foa = FoaSignal(np.vstack([rng.normal(size=n), np.zeros((3, n))]), FS)
-        traj = piv_broadband_doa(foa)
+        traj = piv_broadband_doa(foa, WINDOW, *BAND)
         assert not traj.valid.any()
 
     def test_ideal_plane_wave_within_1_degree(self):
         u = direction_from_azel(65.0, -20.0)
         foa = _plane_wave_foa(u)
-        traj = piv_broadband_doa(foa)
+        traj = piv_broadband_doa(foa, WINDOW, *BAND)
         idx = int(0.02 * FS)
         window = slice(idx - 16, idx + 16)
         assert traj.valid[window].all()
@@ -151,7 +152,7 @@ class TestPivBroadbandDoa:
             u_pulse[1] * pulse + u_tone[1] * tone,
             u_pulse[2] * pulse + u_tone[2] * tone,
         ]), FS)
-        traj = piv_broadband_doa(foa)
+        traj = piv_broadband_doa(foa, WINDOW, *BAND)
         idx = int(0.02 * FS)
         assert traj.valid[idx]
         assert _angle_deg(traj.directions[idx], u_pulse) < 2.0
@@ -160,15 +161,15 @@ class TestPivBroadbandDoa:
         u = direction_from_azel(120.0, 30.0)
         foa = _plane_wave_foa(u)
         scaled = foa.scaled(3.0)
-        a = piv_broadband_doa(foa)
-        b = piv_broadband_doa(scaled)
+        a = piv_broadband_doa(foa, WINDOW, *BAND)
+        b = piv_broadband_doa(scaled, WINDOW, *BAND)
         assert np.array_equal(a.valid, b.valid)
         assert np.allclose(a.directions[a.valid], b.directions[b.valid], atol=1e-9)
 
     def test_band_above_nyquist_rejected(self):
         foa = _plane_wave_foa(direction_from_azel(0, 0))
         with pytest.raises(ValueError):
-            piv_broadband_doa(foa, DoaConfig(band_low=200.0, band_high=30000.0))
+            piv_broadband_doa(foa, WINDOW, 200.0, 30000.0)
 
 
 def _stationary_plane_wave_frames(direction, rng, n=8192, window=256):

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestRenderArraySrir:
         for cap, channel in zip(geom.positions, srir.samples):
             dist = np.linalg.norm(images.positions - (images.receiver_origin + cap), axis=1)
             single = np.zeros(1500)
-            delays = dist / images.speed_of_sound * FS
+            delays = dist / dsp.SPEED_OF_SOUND * FS
             dsp.place_fractional_impulses(single, delays, images.wall_products / dist)
             assert np.array_equal(channel, single)
 
@@ -282,7 +283,6 @@ class TestRenderReferenceBrir:
             positions=images.positions[:2], amplitudes=images.amplitudes[:2],
             delays=images.delays[:2], directions=images.directions[:2],
             orders=images.orders[:2], receiver_origin=images.receiver_origin,
-            speed_of_sound=images.speed_of_sound,
         )
         singles = []
         for i in range(2):
@@ -293,7 +293,6 @@ class TestRenderReferenceBrir:
                 directions=images.directions[i : i + 1],
                 orders=images.orders[i : i + 1],
                 receiver_origin=images.receiver_origin,
-                speed_of_sound=images.speed_of_sound,
             )
             singles.append(render_reference_brir(one, hrirs, FS, 2000))
         combined = render_reference_brir(two, hrirs, FS, 2000)
@@ -341,8 +340,6 @@ def test_scene_json_round_trip(tmp_path):
     scene = _scene(max_order=2)
     data = scene_to_json_dict(scene, FS, 4800)
     path = tmp_path / "scene.json"
-    import json
-
     path.write_text(json.dumps(data))
     loaded, rate, length = scene_from_json(path)
     assert rate == FS
@@ -387,11 +384,13 @@ def test_center_capsule_is_the_ideal_w():
     assert np.abs(center - w).max() <= 1e-15 * np.abs(w).max()
 
 
-def test_unknown_receiver_kind_in_scene_file_names_it():
+def test_unknown_receiver_kind_in_scene_file_names_it(tmp_path):
     data = scene_to_json_dict(_scene(), FS, 4800)
     data["receiver"] = {"kind": "hrir"}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
     with pytest.raises(ConfigurationError, match="'hrir'"):
-        scene_from_json(data)
+        scene_from_json(path)
 
 
 def test_images_csv_export(tmp_path):

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srirkit.doa import DoaConfig
 from srirkit.errors import ConfigurationError, TruncatedResponseWarning
 from srirkit.grids import direction_from_azel, fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
@@ -61,8 +60,8 @@ class TestSystemCondition:
         ("tdoa", "psi_override", {"psi_override": 0.5}),
         ("piv-broadband", "psi_override", {"psi_override": 0.0}),
         ("tdoa", "tf_averaging_frames", {"tf_averaging_frames": 4}),
-        ("tdoa", "band_low", {"doa_config": DoaConfig(band_low=100.0)}),
-        ("tf-piv", "band_high", {"doa_config": DoaConfig(band_high=3000.0)}),
+        ("tdoa", "band_low", {"band_low": 100.0}),
+        ("tf-piv", "band_high", {"band_high": 3000.0}),
     ])
     def test_setting_the_analysis_does_not_read_rejected(self, small_setup, analysis, name,
                                                          setting):
@@ -73,11 +72,29 @@ class TestSystemCondition:
     def test_each_setting_accepted_by_the_analyses_that_read_it(self, small_setup):
         grid, hrirs, _ = small_setup
         _condition(grid, hrirs, analysis="tdoa", knn=3)
-        _condition(grid, hrirs, analysis="piv-broadband", knn=3,
-                   doa_config=DoaConfig(band_low=100.0, band_high=3000.0))
+        _condition(grid, hrirs, analysis="piv-broadband", knn=3, band_low=100.0,
+                   band_high=3000.0)
         _condition(grid, hrirs, analysis="tf-piv", tf_averaging_frames=4, psi_override=0.5)
         # a setting given at its default is not a setting the analysis ignores
-        _condition(grid, hrirs, analysis="tf-piv", knn=1, doa_config=DoaConfig(band_low=200.0))
+        _condition(grid, hrirs, analysis="tf-piv", knn=1, band_low=200.0)
+
+
+    @pytest.mark.parametrize("analysis", ["tdoa", "piv-broadband", "tf-piv"])
+    def test_window_below_8_rejected(self, small_setup, analysis):
+        grid, hrirs, _ = small_setup
+        with pytest.raises(ConfigurationError, match="cond: window_size must be >= 8, got 4"):
+            _condition(grid, hrirs, analysis=analysis, window_size=4)
+
+    @pytest.mark.parametrize("band_low, band_high", [
+        (500.0, 100.0),  # not below band_high
+        (0.0, 2400.0),  # not above zero
+        (200.0, 30000.0),  # above the 24 kHz Nyquist of the 48 kHz HRIRs
+    ])
+    def test_piv_broadband_band_must_fit_below_nyquist(self, small_setup, band_low, band_high):
+        grid, hrirs, _ = small_setup
+        with pytest.raises(ConfigurationError, match="cond: band_low, band_high: .*Nyquist"):
+            _condition(grid, hrirs, analysis="piv-broadband", band_low=band_low,
+                       band_high=band_high)
 
 
 class TestRunCondition:
@@ -138,7 +155,7 @@ class TestRunCondition:
         field = analyze(rendering.analysis_input, cond)
         pressure_frames = stft(
             rendering.analysis_input.foa.w.samples, FS,
-            cond.doa_config.window_size, cond.doa_config.window_size // 2,
+            cond.window_size, cond.window_size // 2,
         )
         vls = sirr_synthesize(pressure_frames, field, grid, seed=cond.seed)
         expected = normalize_direct_energy(binaural_render(vls, hrirs))

@@ -26,7 +26,7 @@ def test_quick_start_runs(capsys):
 
 def test_every_config_key_is_named():
     text = README.read_text()
-    keys = {*cli._SCENE_KEYS, *cli._GRID_KEYS, *cli._DOA_CASTS, *cli._CONDITION_CASTS}
+    keys = {*cli._SCENE_KEYS, *cli._GRID_KEYS, *cli._CONDITION_CASTS}
     unnamed = sorted(key for key in keys if f"`{key}`" not in text and f'"{key}":' not in text)
     assert not unnamed, f"config keys the README never names: {unnamed}"
 
