@@ -49,6 +49,7 @@ from .pipelines import (
     SystemCondition,
     run_comparison,
     run_condition,
+    score,
     simulate,
 )
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr, StftFrames

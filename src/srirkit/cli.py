@@ -41,6 +41,7 @@ from .pipelines import (
     SystemCondition,
     ordered_map,
     run_condition,
+    score,
     simulate,
     validate_condition_inputs,
 )
@@ -247,6 +248,10 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     if len(set(ids)) != len(ids):
         raise ConfigurationError(f"render: condition ids must be unique, got {ids}")
     if inputs is None:
+        for cond in conditions:
+            if cond.analysis == "tdoa" and cond.window_size >= length:
+                raise ConfigurationError(f"{cond.id}: window_size {cond.window_size} must be "
+                                         f"smaller than the render ({length} samples)")
         inputs = simulate(sc, rate, length, hrirs=hrirs).analysis_input
     for cond in conditions:
         validate_condition_inputs(inputs, cond)
@@ -286,64 +291,41 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def _compare_rows(batch: list, where: str) -> tuple[list, list, list]:
-    """Per system: its (condition, scene) name, its BRIR and the resolved
-    path of its reference WAV."""
-    names, systems, references = [], [], []
-    for i, entry in enumerate(batch):
-        _check_keys(entry, f"{where}[{i}]", {"reference_wav", "systems"}, {"scene"})
-        ref = _existing(entry["reference_wav"], where).resolve()
-        for sys_entry in entry["systems"]:
-            _check_keys(sys_entry, f"{where}[{i}].systems", {"id", "brir_wav"})
-            names.append((str(sys_entry["id"]), str(entry.get("scene", i))))
-            systems.append(_read_brir(sys_entry["brir_wav"], where))
-            references.append(ref)
-    return names, systems, references
-
-
 def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
-    _check_keys(cfg, "compare", set(), {"reference_wav", "systems", "batch"})
     if "batch" in cfg:
+        _check_keys(cfg, "compare", {"batch"})
         batch = cfg["batch"]
     else:
-        _check_keys(cfg, "compare", {"reference_wav", "systems"}, {"batch"})
-        batch = [{"reference_wav": cfg["reference_wav"], "systems": cfg["systems"]}]
-    if not batch:
-        raise ConfigurationError("compare: nothing to compare")
+        _check_keys(cfg, "compare", {"reference_wav", "systems"})
+        batch = [cfg]
 
-    names, system_brirs, reference_paths = _compare_rows(batch, "compare.batch")
-    if not names:
+    system_wavs = {}  # (condition, scene) -> system WAV, in batch order
+    reference_paths = {}  # scene -> resolved reference WAV path
+    for i, entry in enumerate(batch):
+        where = f"compare.batch[{i}]"
+        _check_keys(entry, where, {"reference_wav", "systems"}, {"scene"})
+        scene = str(entry.get("scene", i))
+        path = _existing(entry["reference_wav"], where).resolve()
+        if reference_paths.setdefault(scene, path) != path:
+            raise ConfigurationError(f"{where}: scene {scene!r} has two reference_wav "
+                                     f"files, {reference_paths[scene]} and {path}")
+        for sys_entry in entry["systems"]:
+            _check_keys(sys_entry, f"{where}.systems", {"id", "brir_wav"})
+            pair = (str(sys_entry["id"]), scene)
+            if pair in system_wavs:
+                raise ConfigurationError(f"{where}: system {pair[0]!r} on scene {scene!r} "
+                                         "is given twice")
+            system_wavs[pair] = sys_entry["brir_wav"]
+    if not system_wavs:
         raise ConfigurationError("compare: at least one system is required")
 
-    # Each distinct reference file is read and measured once.
-    ref_cache = {
-        path: measure_brir(_read_brir(path, "compare.batch"))
-        for path in dict.fromkeys(reference_paths)
-    }
-    sys_reports = [measure_brir(brir) for brir in system_brirs]
-    ref_reports = [ref_cache[path] for path in reference_paths]
-
-    by_condition: dict[str, list[int]] = {}
-    for i, (cond_id, _) in enumerate(names):
-        by_condition.setdefault(cond_id, []).append(i)
-
-    report = {"rows": [], "pooled": {}}
-    for i, (cond_id, scene_id) in enumerate(names):
-        report["rows"].append({
-            "condition": cond_id,
-            "scene": scene_id,
-            "metrics": sys_reports[i].to_dict(),
-            "reference": ref_reports[i].to_dict(),
-        })
-    for cond_id, idxs in sorted(by_condition.items()):
-        summary = error_summary_paired(
-            [sys_reports[i] for i in idxs], [ref_reports[i] for i in idxs]
-        )
-        report["pooled"][cond_id] = json.loads(summary.to_json())
-
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+    read = {path: _read_brir(path, "compare.batch")  # each reference file once
+            for path in dict.fromkeys(reference_paths[scene] for _, scene in system_wavs)}
+    result = score(
+        {pair: _read_brir(wav, "compare.batch") for pair, wav in system_wavs.items()},
+        {scene: read[reference_paths[scene]] for _, scene in system_wavs},
     )
+    (out_dir / "report.json").write_text(result.to_json() + "\n")
     metric_names = MetricReport.metric_names()
     with (out_dir / "report.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -353,12 +335,13 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
             + [f"err_{m}" for m in metric_names]
             + [f"jnd_pass_{m}" for m in metric_names]
         )
-        for row, sys_report, ref_report in zip(report["rows"], sys_reports, ref_reports):
+        for cond_id, scene in system_wavs:
+            sys_report = result.condition_reports[cond_id][scene]
             # A one-pair summary: its MSD is the signed error, its flags the row's.
-            pair = error_summary_paired([sys_report], [ref_report])
+            pair = error_summary_paired([sys_report], [result.reference_reports[scene]])
             writer.writerow(
-                [row["condition"], row["scene"]]
-                + [f"{row['metrics'][m]:.9g}" for m in metric_names]
+                [cond_id, scene]
+                + [f"{getattr(sys_report, m):.9g}" for m in metric_names]
                 + [f"{pair.msd[m]:.9g}" for m in metric_names]
                 + [int(pair.jnd_pass[m]) for m in metric_names]
             )

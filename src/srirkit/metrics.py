@@ -42,6 +42,9 @@ IACC_MAX_LAG_S = 1e-3
 EARLY_WINDOW_S = 80e-3
 T30_BANDS_HZ = (500.0, 1000.0)
 IACC_BANDS_HZ = (500.0, 1000.0, 2000.0)
+#: An IACF window whose energy is at most this fraction of the whole BRIR's
+#: holds rounding noise only: an anechoic late window sits near 1e-33.
+IACF_ENERGY_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,13 @@ class ErrorSummary:
             if abs(self.msd[name]) > value + 1e-12:
                 raise ValueError(f"MAE < |MSD| for {name}; summary is inconsistent")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "system_count": self.system_count,
-                "mae": {k: float(v) for k, v in sorted(self.mae.items())},
-                "msd": {k: float(v) for k, v in sorted(self.msd.items())},
-                "jnd_pass": {k: bool(v) for k, v in sorted(self.jnd_pass.items())},
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "system_count": self.system_count,
+            "mae": {k: float(v) for k, v in self.mae.items()},
+            "msd": {k: float(v) for k, v in self.msd.items()},
+            "jnd_pass": {k: bool(v) for k, v in self.jnd_pass.items()},
+        }
 
 
 def ild_avg(brir: BinauralIr) -> tuple[float, float]:
@@ -126,12 +125,13 @@ def ild_avg(brir: BinauralIr) -> tuple[float, float]:
     return float(low.mean()), float(high.mean())
 
 
-def _iacf_peak(left: np.ndarray, right: np.ndarray, rate: float,
-               refine: bool) -> tuple[float, float]:
-    """(peak |IACF| coefficient, lag in seconds) over +/-1 ms."""
+def _iacf_peak(left: np.ndarray, right: np.ndarray, rate: float, refine: bool,
+               floor: float = 0.0) -> tuple[float, float]:
+    """(peak |IACF| coefficient, lag in seconds) over +/-1 ms; a window whose
+    energy is not above ``floor`` raises DegenerateInputError."""
     energy = float(np.sqrt(np.sum(left**2) * np.sum(right**2)))
-    if energy <= 0.0:
-        raise DegenerateInputError("zero-energy channel in IACF analysis")
+    if energy <= floor:
+        raise DegenerateInputError("IACF analysis window holds no energy above rounding noise")
     max_lag = int(round(IACC_MAX_LAG_S * rate))
     corr = np.abs(dsp.cross_correlate(left, right, max_lag)) / energy
     peak = int(np.argmax(corr))
@@ -182,11 +182,12 @@ def iacc_e3_l3(brir: BinauralIr) -> tuple[float, float]:
         raise ValueError("late window shorter than 2 ms")
 
     ears = brir.samples
+    floor = IACF_ENERGY_FLOOR * float(np.sqrt(np.prod(np.sum(ears**2, axis=-1))))
     early_vals, late_vals = [], []
     for band in IACC_BANDS_HZ:
         left, right = octave_band(ears, rate, band)
-        early_vals.append(_iacf_peak(left[onset:split], right[onset:split], rate, refine=False)[0])
-        late_vals.append(_iacf_peak(left[split:], right[split:], rate, refine=False)[0])
+        early_vals.append(_iacf_peak(left[onset:split], right[onset:split], rate, False, floor)[0])
+        late_vals.append(_iacf_peak(left[split:], right[split:], rate, False, floor)[0])
     e3 = float(np.clip(1.0 - np.mean(early_vals), 0.0, 1.0))
     l3 = float(np.clip(1.0 - np.mean(late_vals), 0.0, 1.0))
     return e3, l3

@@ -304,12 +304,53 @@ class ComparisonResult:
                     "reports": {
                         scene: report.to_dict() for scene, report in sorted(reports.items())
                     },
-                    "summary": json.loads(self.summaries[cond].to_json()),
+                    "summary": self.summaries[cond].to_dict(),
                 }
                 for cond, reports in sorted(self.condition_reports.items())
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _named(what: str, fn, *args):
+    """``fn(*args)``; an error other than a ConfigurationError (which names
+    its condition already) is re-raised as a RuntimeError naming ``what``."""
+    try:
+        return fn(*args)
+    except ConfigurationError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"{what} failed: {exc}") from exc
+
+
+def score(systems: dict, references: dict) -> ComparisonResult:
+    """Score system BRIRs against their scenes' reference BRIRs.
+
+    ``systems`` maps (condition id, scene id) to a system BRIR and
+    ``references`` maps a scene id to its reference BRIR. Each distinct
+    reference object is measured once and each system once; each condition
+    is pooled over the scenes it has, in scene order. A metric that fails
+    raises RuntimeError naming the pair, or the scene of the reference.
+    """
+    by_id = {}  # id of a BRIR -> its report, so a shared reference is measured once
+
+    def measured(brir, what):
+        if id(brir) not in by_id:
+            by_id[id(brir)] = _named(what, measure_brir, brir)
+        return by_id[id(brir)]
+
+    reference_reports = {name: measured(brir, f"reference of scene {name!r}")
+                         for name, brir in sorted(references.items())}
+    condition_reports = {}
+    for (cond, name), brir in systems.items():
+        condition_reports.setdefault(cond, {})[name] = measured(
+            brir, f"condition {cond!r} on scene {name!r}")
+    summaries = {}
+    for cond, reports in condition_reports.items():
+        names = sorted(reports)
+        summaries[cond] = error_summary_paired([reports[n] for n in names],
+                                               [reference_reports[n] for n in names])
+    return ComparisonResult(condition_reports, reference_reports, summaries, dict(systems))
 
 
 def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
@@ -320,42 +361,15 @@ def run_comparison(run: ComparisonRun, threads: int = 1) -> ComparisonResult:
     byte-identical for any thread count.
     """
     scene_names = sorted(run.inputs)
-    tasks = [
-        (cond, name) for cond in run.conditions for name in scene_names
-    ]
+    tasks = [(cond, name) for cond in run.conditions for name in scene_names]
 
     def render(task):
         cond, name = task
-        try:
-            return run_condition(run.inputs[name].analysis_input, cond).brir
-        except ConfigurationError:
-            raise  # already names the condition
-        except Exception as exc:
-            raise RuntimeError(
-                f"condition {cond.id!r} on scene {name!r} failed: {exc}"
-            ) from exc
+        return _named(f"condition {cond.id!r} on scene {name!r}", run_condition,
+                      run.inputs[name].analysis_input, cond).brir
 
     rendered = ordered_map(render, tasks, threads)
-
-    reference_reports = {
-        name: measure_brir(run.inputs[name].reference) for name in scene_names
-    }
-    brirs = {}
-    condition_reports = {cond.id: {} for cond in run.conditions}
-    for (cond, name), brir in zip(tasks, rendered):
-        brirs[(cond.id, name)] = brir
-        condition_reports[cond.id][name] = measure_brir(brir)
-
-    summaries = {}
-    for cond in run.conditions:
-        systems = [condition_reports[cond.id][name] for name in scene_names]
-        refs = [reference_reports[name] for name in scene_names]
-        summaries[cond.id] = error_summary_paired(systems, refs)
-
-    return ComparisonResult(
-        condition_reports=condition_reports,
-        reference_reports=reference_reports,
-        summaries=summaries,
-        brirs=brirs,
+    return score(
+        {(cond.id, name): brir for (cond, name), brir in zip(tasks, rendered)},
+        {name: run.inputs[name].reference for name in scene_names},
     )
-

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srirkit import cli, wavio
+from srirkit import cli, pipelines, wavio
 from srirkit.cli import main
 from srirkit.grids import fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
-from srirkit.pipelines import SystemCondition, run_condition
+from srirkit.pipelines import SystemCondition, run_condition, score
+from srirkit.signals import BinauralIr
 
 FS = 48000
 
@@ -408,9 +409,9 @@ class TestCompare:
         out = tmp_path / "c"
         assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        pooled = report["pooled"]["self"]
-        assert all(v == 0.0 for v in pooled["mae"].values())
-        assert all(pooled["jnd_pass"].values())
+        summary = report["conditions"]["self"]["summary"]
+        assert all(v == 0.0 for v in summary["mae"].values())
+        assert all(summary["jnd_pass"].values())
 
     def test_channel_swap_flips_itd_and_ild_signs(self, tmp_path, sim_dir):
         ref_path = sim_dir / "reference_brir.wav"
@@ -424,11 +425,9 @@ class TestCompare:
         out = tmp_path / "c"
         assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        row = report["rows"][0]
+        metrics = report["conditions"]["swap"]["reports"]["0"]
         for name in ("itd_us", "ild_low_db", "ild_high_db"):
-            assert row["metrics"][name] == pytest.approx(
-                -row["reference"][name], abs=2.0
-            )
+            assert metrics[name] == pytest.approx(-report["reference"]["0"][name], abs=2.0)
 
     def test_batch_pooled_rows_match_recomputed_mean(self, tmp_path, sim_dir):
         ref = str(sim_dir / "reference_brir.wav")
@@ -445,26 +444,24 @@ class TestCompare:
         out = tmp_path / "c"
         assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert len(report["rows"]) == 2
-        pooled = report["pooled"]["sys"]
-        for name, value in pooled["mae"].items():
+        reports = report["conditions"]["sys"]["reports"]
+        assert set(reports) == {"s1", "s2"}
+        for name, value in report["conditions"]["sys"]["summary"]["mae"].items():
             per_row = [
-                abs(r["metrics"][name] - r["reference"][name])
-                for r in report["rows"]
+                abs(reports[scene][name] - report["reference"][scene][name])
+                for scene in reports
             ]
             assert value == pytest.approx(np.mean(per_row), abs=1e-12)
 
     def test_shared_reference_is_measured_once(self, tmp_path, sim_dir, monkeypatch):
-        from srirkit import cli
-
         calls = []
-        original = cli.measure_brir
+        original = pipelines.measure_brir
 
         def counted(brir):
             calls.append(brir)
             return original(brir)
 
-        monkeypatch.setattr(cli, "measure_brir", counted)
+        monkeypatch.setattr(pipelines, "measure_brir", counted)
         ref = sim_dir / "reference_brir.wav"
         # The same file under two spellings of its path.
         spellings = [str(ref), str(sim_dir / ".." / sim_dir.name / ref.name), str(ref)]
@@ -476,6 +473,63 @@ class TestCompare:
         cfg = _write_config(tmp_path, "cmp.json", {"batch": batch})
         assert main(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 0
         assert len(calls) == 4  # three systems and one reference
+
+    def test_report_json_is_the_scored_record(self, tmp_path, sim_dir):
+        ref = sim_dir / "reference_brir.wav"
+        data, rate = wavio.read_wav(ref)
+        wavio.write_wav(sim_dir / "late.wav", np.roll(data, 3, axis=1), rate)
+        wavio.write_wav(sim_dir / "swapped.wav", data[::-1], rate)
+        batch = [
+            {"scene": "b", "reference_wav": str(ref),
+             "systems": [{"id": "late", "brir_wav": str(sim_dir / "late.wav")},
+                         {"id": "swap", "brir_wav": str(sim_dir / "swapped.wav")}]},
+            {"scene": "a", "reference_wav": str(ref),
+             "systems": [{"id": "late", "brir_wav": str(ref)}]},
+        ]
+        cfg = _write_config(tmp_path, "cmp.json", {"batch": batch})
+        out = tmp_path / "c"
+        assert main(["compare", "--config", cfg, "--output", str(out)]) == 0
+
+        def read(path):
+            return BinauralIr(*wavio.read_wav(path))
+
+        expected = score(
+            {("late", "b"): read(sim_dir / "late.wav"),
+             ("swap", "b"): read(sim_dir / "swapped.wav"), ("late", "a"): read(ref)},
+            {"a": read(ref), "b": read(ref)},
+        )
+        assert (out / "report.json").read_text() == expected.to_json() + "\n"
+
+    def test_duplicate_pair_exits_2_naming_it(self, tmp_path, sim_dir, capsys):
+        ref = str(sim_dir / "reference_brir.wav")
+        entry = {"scene": "s", "reference_wav": ref, "systems": [{"id": "sys", "brir_wav": ref}]}
+        cfg = _write_config(tmp_path, "cmp.json", {"batch": [entry, entry]})
+        assert main(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert "'sys'" in err and "scene 's'" in err
+
+    def test_scene_with_two_references_exits_2_naming_it(self, tmp_path, sim_dir, capsys):
+        ref = sim_dir / "reference_brir.wav"
+        copy = sim_dir / "copy.wav"
+        copy.write_bytes(ref.read_bytes())
+        batch = [{"scene": "s", "reference_wav": str(path),
+                  "systems": [{"id": cond, "brir_wav": str(ref)}]}
+                 for cond, path in (("a", ref), ("b", copy))]
+        cfg = _write_config(tmp_path, "cmp.json", {"batch": batch})
+        assert main(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert "scene 's'" in err and "reference_wav" in err
+
+    def test_scoring_failure_names_the_pair(self, tmp_path, sim_dir, capsys):
+        silent = sim_dir / "silent.wav"
+        wavio.write_wav(silent, np.zeros((2, 4800)), FS)
+        cfg = _write_config(tmp_path, "cmp.json", {"batch": [{
+            "scene": "hall", "reference_wav": str(sim_dir / "reference_brir.wav"),
+            "systems": [{"id": "mute-system", "brir_wav": str(silent)}],
+        }]})
+        assert main(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert "'mute-system'" in err and "'hall'" in err
 
     def test_unreadable_wav_exits_nonzero_with_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
@@ -577,10 +631,10 @@ def test_full_workflow_simulate_render_compare(tmp_path):
     cmp_out = tmp_path / "cmp"
     assert main(["compare", "--config", cmp_cfg, "--output", str(cmp_out)]) == 0
     report = json.loads((cmp_out / "report.json").read_text())
-    assert set(report["pooled"]) == {"sdm-tdoa", "sirr"}
+    assert set(report["conditions"]) == {"sdm-tdoa", "sirr"}
     # the rendered systems track the reference within loose sanity bounds
     for cond in ("sdm-tdoa", "sirr"):
-        assert report["pooled"][cond]["mae"]["itd_us"] < 200.0
+        assert report["conditions"][cond]["summary"]["mae"]["itd_us"] < 200.0
     rows = (cmp_out / "report.csv").read_text().strip().splitlines()
     assert len(rows) == 3  # header + one row per system
 
@@ -673,6 +727,8 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [{**_SDM, "tf_averaging_frames": 4}],
     # a band above the 24 kHz Nyquist of the 48 kHz run
     [{**_SDM, "analysis": "piv-broadband", "band_high": 30000}],
+    # a TDOA window no shorter than the 7,200-sample render
+    [{**_SDM, "window_size": 8192}],
 ])
 def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatch,
                                                     conditions):

@@ -295,7 +295,7 @@ class TestErrorSummary:
     def test_json(self):
         ref = self._report()
         summary = metrics.error_summary_paired([self._report(itd_us=90.0)], [ref])
-        data = json.loads(summary.to_json())
+        data = json.loads(json.dumps(summary.to_dict()))
         assert set(data) == {"system_count", "mae", "msd", "jnd_pass"}
 
 

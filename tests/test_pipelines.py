@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srirkit.errors import ConfigurationError, TruncatedResponseWarning
+from srirkit.errors import ConfigurationError, DegenerateInputError, TruncatedResponseWarning
 from srirkit.grids import direction_from_azel, fibonacci_grid
 from srirkit.hrir import spherical_head_hrir_set
 from srirkit.metrics import measure_brir
@@ -313,6 +313,21 @@ def test_standard_conditions_run(small_setup):
                       sample_rate=FS)
     )
     assert set(result.summaries) == {"sdm-6om1", "sdm-piv", "sdm-piv-omni", "sirr"}
+
+
+def test_anechoic_brirs_are_not_scored_from_rounding_noise(small_setup):
+    """At max_order 0 every late window holds exact zeros or rounding noise
+    only, so the reference and all four standard conditions raise alike."""
+    from srirkit.presets import standard_conditions
+
+    grid, hrirs, _ = small_setup
+    rendering = simulate(scene("front_left", receiver=om6(), max_order=0),
+                         FS, int(0.2 * FS), hrirs=hrirs)
+    conditions = standard_conditions(grid, hrirs)
+    brirs = [run_condition(rendering.analysis_input, c).brir for c in conditions]
+    for brir in [rendering.reference, *brirs]:
+        with pytest.raises(DegenerateInputError, match="rounding noise"):
+            measure_brir(brir)
 
 
 def _import_perfbench(name):
