@@ -304,6 +304,8 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
     for i, entry in enumerate(batch):
         where = f"compare.batch[{i}]"
         _check_keys(entry, where, {"reference_wav", "systems"}, {"scene"})
+        if not entry["systems"]:
+            raise ConfigurationError(f"{where}: at least one system is required")
         scene = str(entry.get("scene", i))
         path = _existing(entry["reference_wav"], where).resolve()
         if reference_paths.setdefault(scene, path) != path:

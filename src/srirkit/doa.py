@@ -105,10 +105,11 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     """Per-sample DOA from pairwise TDOAs solved in least squares.
 
     A ``window_size``-sample Hann window centered on each sample
-    (zero-padded at the edges) feeds plain (unweighted) cross-correlations
-    for every capsule pair; the peak lags are parabolic-refined and the
-    overdetermined system ``(r_i - r_j) . u = c * tau_ij`` is solved for the
-    direction ``u``.
+    (zero-padded at the edges) windows plain (unweighted) cross-correlations
+    for every capsule pair. Only the lags a pair can reach are computed, each
+    as a direct FIR over the product series ``x_i(t) x_j(t + tau)``; the peak
+    lags are parabolic-refined and the overdetermined system
+    ``(r_i - r_j) . u = c * tau_ij`` is solved for the direction ``u``.
     Samples whose solution norm is degenerate (all-zero TDOAs, silent
     windows) are masked invalid rather than fabricated.
     """
@@ -140,28 +141,33 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     max_lags = np.minimum(max_lags, window_size - 1)
 
     half = window_size // 2
-    padded = np.pad(data, ((0, 0), (half, window_size - half)), mode="constant")
+    # Sample s's window covers padded[:, s : s + window_size].
+    padded = np.pad(data, ((0, 0), (half, window_size - half - 1)), mode="constant")
     taper = np.hanning(window_size)
-    nfft = 2 * window_size
 
-    tdoas = np.empty((n, len(pairs)))
     energies = np.empty(n)
     chunk = max(1, int(2_000_000 / (n_ch * window_size)))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        # frames[c, s] covers samples [s - half, s + half) of channel c
         frames = np.lib.stride_tricks.sliding_window_view(
             padded[:, start : stop + window_size - 1], window_size, axis=1
-        )
-        frames = frames * taper
+        ) * taper
         energies[start:stop] = np.sum(frames * frames, axis=(0, 2))
-        spectra = np.fft.rfft(frames, n=nfft, axis=2)
-        for p, (i, j) in enumerate(pairs):
-            cross = np.conj(spectra[i]) * spectra[j]
-            corr = np.fft.irfft(cross, n=nfft, axis=1)
-            ml = max_lags[p]
-            lags = np.concatenate([corr[:, nfft - ml :], corr[:, : ml + 1]], axis=1)
-            tdoas[start:stop, p] = (refine_peaks(lags) - ml) / rate
+
+    # The windowed correlation at lag tau is the product series
+    # x_i(t) x_j(t + tau) through the FIR taper[m] * taper[m + |tau|].
+    width = padded.shape[1]
+    tdoas = np.empty((n, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        ml = max_lags[p]
+        lags = np.empty((n, 2 * ml + 1))
+        for lag in range(-ml, ml + 1):
+            k = abs(lag)
+            lo, hi = (k, 0) if lag < 0 else (0, k)
+            product = padded[i, lo : width - hi] * padded[j, hi : width - lo]
+            fir = (taper[: window_size - k] * taper[k:])[::-1]
+            lags[:, lag + ml] = np.convolve(product, fir, mode="valid")
+        tdoas[:, p] = (refine_peaks(lags) - ml) / rate
 
     slowness = (solver @ (c * tdoas.T)).T  # (n, 3)
     norms = np.linalg.norm(slowness, axis=1)

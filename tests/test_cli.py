@@ -520,6 +520,14 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "scene 's'" in err and "reference_wav" in err
 
+    def test_entry_without_systems_exits_2_naming_it(self, tmp_path, sim_dir, capsys):
+        ref = str(sim_dir / "reference_brir.wav")
+        batch = [{"scene": "a", "reference_wav": ref, "systems": [{"id": "sys", "brir_wav": ref}]},
+                 {"scene": "b", "reference_wav": ref, "systems": []}]
+        cfg = _write_config(tmp_path, "cmp.json", {"batch": batch})
+        assert main(["compare", "--config", cfg, "--output", str(tmp_path / "c")]) == 2
+        assert "compare.batch[1]" in capsys.readouterr().err
+
     def test_scoring_failure_names_the_pair(self, tmp_path, sim_dir, capsys):
         silent = sim_dir / "silent.wav"
         wavio.write_wav(silent, np.zeros((2, 4800)), FS)

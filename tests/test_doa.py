@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +13,11 @@ from srirkit.doa import (
     tdoa_ls_doa,
     tf_piv_analysis,
 )
-from srirkit.dsp import stft
+from srirkit.dsp import refine_peaks, stft
+from srirkit.errors import TruncatedResponseWarning
 from srirkit.grids import direction_from_azel
+from srirkit.ism import enumerate_images, render_array_srir
+from srirkit.presets import om6, scene
 from srirkit.signals import FoaSignal, MultichannelIr
 
 FS = 48000.0
@@ -42,7 +49,68 @@ def _angle_deg(a, b):
     return np.degrees(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
+@pytest.fixture(scope="module")
+def front_left_srir():
+    """The canonical om6 SRIR: front_left, 48 kHz, 0.4 s, max_order 30."""
+    sc = scene("front_left", receiver=om6(), max_order=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedResponseWarning)
+        return render_array_srir(enumerate_images(sc), sc.receiver, FS, int(0.4 * FS))
+
+
+def _frame_fft_tdoa_doa(srir, geometry, window_size):
+    """The earlier form of tdoa_ls_doa: a zero-padded FFT of every windowed
+    frame, all lags of every pair, then the kept lags cut out."""
+    n, rate = len(srir), srir.sample_rate
+    data = srir.samples / np.abs(srir.samples).max()
+    pairs = list(itertools.combinations(range(data.shape[0]), 2))
+    baselines = np.array([geometry.positions[i] - geometry.positions[j] for i, j in pairs])
+    max_lags = np.ceil(np.linalg.norm(baselines, axis=1) / C * rate).astype(int) + 2
+    half, nfft = window_size // 2, 2 * window_size
+    padded = np.pad(data, ((0, 0), (half, window_size - half)))
+    tdoas, energies = np.empty((n, len(pairs))), np.empty(n)
+    chunk = int(2_000_000 / (data.shape[0] * window_size))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        frames = np.lib.stride_tricks.sliding_window_view(
+            padded[:, start : stop + window_size - 1], window_size, axis=1
+        ) * np.hanning(window_size)
+        energies[start:stop] = np.sum(frames * frames, axis=(0, 2))
+        spectra = np.fft.rfft(frames, n=nfft, axis=2)
+        for p, (i, j) in enumerate(pairs):
+            corr = np.fft.irfft(np.conj(spectra[i]) * spectra[j], n=nfft, axis=1)
+            ml = max_lags[p]
+            lags = np.concatenate([corr[:, nfft - ml :], corr[:, : ml + 1]], axis=1)
+            tdoas[start:stop, p] = (refine_peaks(lags) - ml) / rate
+    slowness = (np.linalg.pinv(baselines) @ (C * tdoas.T)).T
+    norms = np.linalg.norm(slowness, axis=1)
+    valid = (norms > 1e-9) & (energies > 0.0)
+    directions = np.zeros((n, 3))
+    directions[valid] = slowness[valid] / norms[valid, None]
+    return directions, valid
+
+
 class TestTdoaLsDoa:
+    def test_matches_the_frame_fft_form(self, front_left_srir):
+        """Only the kept lags, each as a direct FIR, give the frame-FFT
+        result: the same valid mask, and the same directions wherever the
+        channel-average pressure that SDM plays them on is non-zero."""
+        traj = tdoa_ls_doa(front_left_srir, om6(), WINDOW)
+        directions, valid = _frame_fft_tdoa_doa(front_left_srir, om6(), WINDOW)
+        assert np.array_equal(traj.valid, valid)
+        heard = front_left_srir.samples.mean(axis=0) != 0.0
+        assert np.abs(traj.directions - directions)[heard].max() <= 1e-12
+
+    def test_memory_is_bounded(self, front_left_srir):
+        """6 x 19,200 samples: 97 MB when every frame was transformed."""
+        tracemalloc.start()
+        try:
+            tdoa_ls_doa(front_left_srir, om6(), WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_identical_channels_masked_invalid(self, rng):
         sig = rng.normal(size=2000)
         srir = MultichannelIr(np.tile(sig, (6, 1)), FS)

@@ -315,6 +315,31 @@ def test_standard_conditions_run(small_setup):
     assert set(result.summaries) == {"sdm-6om1", "sdm-piv", "sdm-piv-omni", "sirr"}
 
 
+def test_standard_conditions_at_44_1_khz():
+    """The canonical comparison (front_left, 0.4 s, max_order 30, 240
+    directions) at 44.1 kHz, where TDOA's lag bound and every window length
+    depend on the rate: each condition keeps the reference's ITD within
+    10 us and its low-band ILD within 1 dB."""
+    from srirkit.presets import standard_conditions
+
+    rate = 44100.0
+    grid = fibonacci_grid(240)
+    hrirs = spherical_head_hrir_set(grid.directions, sample_rate=rate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedResponseWarning)
+        rendering = simulate(scene("front_left", receiver=om6(), max_order=30),
+                             rate, int(0.4 * rate), hrirs=hrirs)
+    result = run_comparison(ComparisonRun(
+        inputs={"front_left": rendering}, conditions=standard_conditions(grid, hrirs),
+        sample_rate=rate,
+    ))
+    ref = result.reference_reports["front_left"]
+    assert len(result.condition_reports) == 4
+    for reports in result.condition_reports.values():
+        assert abs(reports["front_left"].itd_us - ref.itd_us) <= 10.0
+        assert abs(reports["front_left"].ild_low_db - ref.ild_low_db) <= 1.0
+
+
 def test_anechoic_brirs_are_not_scored_from_rounding_noise(small_setup):
     """At max_order 0 every late window holds exact zeros or rounding noise
     only, so the reference and all four standard conditions raise alike."""

@@ -445,6 +445,31 @@ class TestBinauralRender:
         with pytest.raises(ValueError):
             binaural_render(vls, hrirs44)
 
+    def test_blocked_sum_matches_one_sum_over_all_loudspeakers(self, rng):
+        """100 loudspeakers, so the last block is partial."""
+        grid, hrirs = self._setup(n_speakers=100)
+        signals = rng.normal(size=(100, 3000))
+        nfft = 3000 + 128 - 1
+        spectrum = np.einsum("sf,esf->ef", np.fft.rfft(signals, nfft),
+                             np.fft.rfft(np.stack([hrirs.left, hrirs.right]), nfft))
+        expected = np.fft.irfft(spectrum, nfft)
+        brir = binaural_render(VirtualLoudspeakerSignals(grid, signals, FS), hrirs).samples
+        assert np.abs(brir - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_dense_memory_bounded(self, rng):
+        """240 SIRR-length signals: 119 MB when every loudspeaker's spectrum
+        was live at once."""
+        grid = fibonacci_grid(240)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+        vls = VirtualLoudspeakerSignals(grid, rng.normal(size=(240, 20223)), FS)
+        tracemalloc.start()
+        try:
+            binaural_render(vls, hrirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     def test_scatter_memory_bounded(self, rng, monkeypatch):
         """The k=8 scatter over 19,200 samples works tap by tap; a gathered
         (2, n, k, taps) block of HRIR rows would need about 350 MB."""
