@@ -35,10 +35,11 @@ from .errors import ConfigurationError
 from .grids import fibonacci_grid, load_grid_csv, save_grid_csv
 from .hrir import load_hrir_set, spherical_head_hrir_set
 from .ism import Scene, scene_from_json, scene_to_json_dict
-from .metrics import MetricReport, error_summary_paired, measure_brir
+from .metrics import JND, MetricReport, error_summary_paired, itd, measure_brir
 from .pipelines import (
     AnalysisInput,
     SystemCondition,
+    check_condition_ids,
     ordered_map,
     run_condition,
     score,
@@ -48,7 +49,6 @@ from .pipelines import (
 from .presets import DEFAULT_GRID_SIZE, DEFAULT_SAMPLE_RATE, scene as preset_scene
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .sweep import deconvolve_ess, generate_ess
-from .synthesis import SampleAssignment
 
 
 def _check_keys(cfg: dict, where: str, required: set, optional: set = frozenset()) -> None:
@@ -87,10 +87,11 @@ def _read_brir(path, where: str) -> BinauralIr:
 
 def _config_value(cfg: dict, key: str, cast, where: str, default=None):
     """``cast`` of ``cfg[key]``, or of ``default`` when the key is absent; a
-    value the cast rejects is a ConfigurationError naming the key."""
+    value the cast rejects, or a file it cannot read, is a ConfigurationError
+    naming the key."""
     try:
         return cast(cfg.get(key, default))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         detail = exc.args[0] if isinstance(exc, KeyError) else exc  # str() quotes a KeyError
         raise ConfigurationError(f"{where}: {key}: {detail}") from exc
 
@@ -153,13 +154,12 @@ def _grid_and_hrirs(cfg: dict, where: str, sample_rate: float):
     if "hrir_wav" in cfg and "hrir_index" not in cfg:
         raise ConfigurationError(f"{where}: hrir_wav needs hrir_index")
     if "grid_csv" in cfg:
-        grid = load_grid_csv(_existing(cfg["grid_csv"], where))
+        grid = _config_value(cfg, "grid_csv", load_grid_csv, where)
     else:
         grid = fibonacci_grid(_config_value(cfg, "grid_size", _json_int, where, DEFAULT_GRID_SIZE))
     if "hrir_index" in cfg:
-        hrirs = load_hrir_set(
-            _existing(cfg["hrir_index"], where), cfg.get("hrir_wav")
-        )
+        hrirs = _config_value(cfg, "hrir_index",
+                              lambda path: load_hrir_set(path, cfg.get("hrir_wav")), where)
         if hrirs.sample_rate != sample_rate:
             raise ConfigurationError(
                 f"{where}: HRIR sample rate {hrirs.sample_rate} != {sample_rate}"
@@ -232,8 +232,6 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
 def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     _check_keys(cfg, "render", {"conditions"},
                 _GRID_KEYS | ({"input"} if "input" in cfg else _SCENE_KEYS))
-    if not cfg["conditions"]:
-        raise ConfigurationError("render: conditions list is empty")
 
     if "input" in cfg:
         inputs = _load_analysis_input(cfg["input"], "render.input")
@@ -244,9 +242,7 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
 
     grid, hrirs = _grid_and_hrirs(cfg, "render", rate)
     conditions = [_build_condition(e, grid, hrirs, args.seed) for e in cfg["conditions"]]
-    ids = [c.id for c in conditions]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError(f"render: condition ids must be unique, got {ids}")
+    check_condition_ids(conditions)
     if inputs is None:
         for cond in conditions:
             if cond.analysis == "tdoa" and cond.window_size >= length:
@@ -268,10 +264,8 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
             kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
             names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]
             result.analysis.to_csv(out_dir / names[1])
-            vls = result.vls
-            signals = vls.dense() if isinstance(vls, SampleAssignment) else vls.samples
-            wavio.write_wav(out_dir / names[2], signals, rate)
-            save_grid_csv(vls.grid, out_dir / names[3])
+            wavio.write_wav(out_dir / names[2], result.vls.rows(0, len(result.vls.grid)), rate)
+            save_grid_csv(result.vls.grid, out_dir / names[3])
         return names
 
     files = []
@@ -356,12 +350,9 @@ def cmd_metrics(cfg: dict, out_dir: Path, args) -> int:
     _check_keys(cfg, "metrics", {"brir_wav"}, {"include_full_itd"})
     full_itd = _config_value(cfg, "include_full_itd", _json_bool, "metrics", False)
     brir = _read_brir(cfg["brir_wav"], "metrics")
-    report = measure_brir(brir)
-    payload = json.loads(report.to_json())
+    payload = {"metrics": measure_brir(brir).to_dict(), "jnd": JND}
     if full_itd:
-        from .metrics import itd as itd_metric
-
-        payload["itd_full_us"] = itd_metric(brir, segment_s=None)
+        payload["itd_full_us"] = itd(brir, segment_s=None)
     text = json.dumps(payload, indent=2, sort_keys=True)
     (out_dir / "metrics.json").write_text(text + "\n")
     _write_manifest(out_dir, "metrics", args.seed, ["metrics.json"])

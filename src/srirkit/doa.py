@@ -80,14 +80,6 @@ class TfDoaField:
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "psi", psi)
 
-    def matches(self, frames: StftFrames) -> bool:
-        return (
-            self.directions.shape[:2] == frames.values.shape
-            and self.window_size == frames.window_size
-            and self.hop == frames.hop
-            and self.sample_rate == frames.sample_rate
-        )
-
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)

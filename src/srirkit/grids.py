@@ -7,7 +7,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 #: Smallest oriented plane offset, i.e. |det| of the VBAP basis, of a triangle.
@@ -74,6 +74,9 @@ class LoudspeakerGrid:
         if np.any(counts != 2):
             raise ValueError(f"edge {pairs[counts != 2][0].tolist()} is not shared by exactly "
                              "two triangles; the triangulation does not cover the sphere")
+        unused = np.setdiff1d(np.arange(len(dirs)), tris)
+        if unused.size:  # a repeated direction, say, which the hull leaves out
+            raise ValueError(f"direction {unused[0]} lies in no triangle")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "triangles", tris)
 
@@ -104,14 +107,15 @@ class LoudspeakerGrid:
 def grid_from_directions(directions: np.ndarray) -> LoudspeakerGrid:
     """Triangulate arbitrary unit directions by their convex hull."""
     dirs = _unit_rows(directions)
-    hull = ConvexHull(dirs)
+    try:
+        hull = ConvexHull(dirs)
+    except QhullError as exc:  # fewer than 4 directions, or all on one plane
+        raise ValueError(f"cannot triangulate: {str(exc).strip().splitlines()[0]}") from exc
     return LoudspeakerGrid(dirs, hull.simplices)
 
 
 def fibonacci_grid(n: int) -> LoudspeakerGrid:
     """Near-uniform grid of n directions on the golden-angle spiral."""
-    if n < 4:
-        raise ValueError(f"need at least 4 directions, got {n}")
     i = np.arange(n)
     z = (2.0 * i + 1.0) / n - 1.0
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

@@ -8,7 +8,6 @@ window (first 80 ms after onset) and the remaining tail.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -74,9 +73,6 @@ class MetricReport:
 
     def to_dict(self) -> dict:
         return {name: float(getattr(self, name)) for name in self.metric_names()}
-
-    def to_json(self) -> str:
-        return json.dumps({"metrics": self.to_dict(), "jnd": JND}, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,15 @@ _NEED_NAMES = {"srir": "an SRIR", "geometry": "an array geometry",
                "foa": "a FOA signal"}
 
 
+def check_condition_ids(conditions) -> None:
+    """Raise ConfigurationError unless there is a condition and no two share an id."""
+    if not conditions:
+        raise ConfigurationError("at least one condition is required")
+    ids = [c.id for c in conditions]
+    if len(set(ids)) != len(ids):
+        raise ConfigurationError(f"condition ids must be unique, got {ids}")
+
+
 def validate_condition_inputs(inputs: AnalysisInput, condition: SystemCondition) -> None:
     """Raise ConfigurationError (naming the condition and the gap) when the
     inputs lack one that the condition's pressure source or analysis reads.
@@ -233,8 +242,7 @@ def run_condition(inputs: AnalysisInput,
     if isinstance(analysis, DoaTrajectory):
         vls = sdm_synthesize(pressure, analysis, condition.grid, condition.knn)
     else:
-        frames = stft(pressure.samples, pressure.sample_rate, analysis.window_size, analysis.hop)
-        vls = sirr_synthesize(frames, analysis, condition.grid, condition.seed)
+        vls = sirr_synthesize(pressure, analysis, condition.grid, condition.seed)
     brir = normalize_direct_energy(binaural_render(vls, condition.hrirs))
     return ConditionResult(analysis, vls, brir)
 
@@ -265,11 +273,7 @@ class ComparisonRun:
     def __post_init__(self):
         if not self.inputs:
             raise ConfigurationError("at least one scene input is required")
-        if not self.conditions:
-            raise ConfigurationError("at least one condition is required")
-        ids = [c.id for c in self.conditions]
-        if len(set(ids)) != len(ids):
-            raise ConfigurationError(f"condition ids must be unique, got {ids}")
+        check_condition_ids(self.conditions)
         for cond in self.conditions:
             if cond.hrirs.sample_rate != self.sample_rate:
                 raise ConfigurationError(

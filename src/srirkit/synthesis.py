@@ -11,7 +11,7 @@ from scipy import fft as sp_fft
 from scipy import signal as sps
 
 from .doa import DoaTrajectory, TfDoaField
-from .dsp import istft
+from .dsp import istft, stft
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
@@ -46,6 +46,13 @@ class VirtualLoudspeakerSignals:
         check_sample_rate(self.sample_rate)
         object.__setattr__(self, "samples", samples)
 
+    def __len__(self) -> int:
+        return self.samples.shape[1]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The signals of loudspeakers ``start:stop``."""
+        return self.samples[start:stop]
+
 
 @dataclass(frozen=True)
 class SampleAssignment:
@@ -70,10 +77,14 @@ class SampleAssignment:
         object.__setattr__(self, "speakers", speakers)
         object.__setattr__(self, "samples", samples)
 
-    def dense(self) -> np.ndarray:
-        """The assignment as one signal per grid direction, (speakers, n)."""
-        out = np.zeros((len(self.grid), len(self.samples)))
-        np.add.at(out, (self.speakers, np.arange(len(self.samples))[:, None]), self.samples)
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The dense signals of loudspeakers ``start:stop``, (speakers, n)."""
+        hit = (self.speakers >= start) & (self.speakers < stop)
+        out = np.zeros((min(stop, len(self.grid)) - start, len(self)))
+        np.add.at(out, (self.speakers[hit] - start, np.nonzero(hit)[0]), self.samples[hit])
         return out
 
 
@@ -121,25 +132,29 @@ def decorrelation_kernel(seed: int, channel_index: int) -> np.ndarray:
     return np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
 
 
-def sirr_tf_streams(pressure_frames: StftFrames, field: TfDoaField,
+def sirr_tf_streams(pressure: MonoIr, field: TfDoaField,
                     grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-decorrelation direct and diffuse streams in the TF domain.
 
-    Returns ``(speakers, direct, diffuse_tf)``: each bin's VBAP triangle and
-    its complex direct amplitudes, both (frames, bins, 3), and the diffuse
-    stream every speaker shares (scaled by 1/sqrt(L)), shape (frames, bins).
-    Per bin, ``sum |direct|^2 + L * |diffuse_tf|^2 == |P|^2``.
+    ``pressure`` is transformed with the field's own STFT layout; its rate
+    and its (frames, bins) must match the field's. Returns ``(speakers,
+    direct, diffuse_tf)``: each bin's VBAP triangle and its complex direct
+    amplitudes, both (frames, bins, 3), and the diffuse stream every speaker
+    shares (scaled by 1/sqrt(L)), shape (frames, bins). Per bin,
+    ``sum |direct|^2 + L * |diffuse_tf|^2 == |P|^2``.
     """
-    if not field.matches(pressure_frames):
-        raise ValueError("field metadata does not match the pressure frames")
-    values = pressure_frames.values  # (t, f)
+    if pressure.sample_rate != field.sample_rate:
+        raise ValueError(f"sample-rate mismatch: {pressure.sample_rate} vs {field.sample_rate}")
+    values = stft(pressure.samples, pressure.sample_rate, field.window_size, field.hop).values
+    if values.shape != field.psi.shape:
+        raise ValueError(f"pressure frames {values.shape} do not match field {field.psi.shape}")
     speakers, gains = vbap_gain_table(field.directions.reshape(-1, 3), grid)  # (tf, 3) each
     direct = gains.reshape(*values.shape, 3) * (np.sqrt(1.0 - field.psi) * values)[..., None]
     diffuse_tf = np.sqrt(field.psi) * values / np.sqrt(len(grid))
     return speakers.reshape(*values.shape, 3), direct, diffuse_tf
 
 
-def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
+def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
                     grid: LoudspeakerGrid, seed: int = 0) -> VirtualLoudspeakerSignals:
     """Direct/diffuse time-frequency synthesis.
 
@@ -151,7 +166,7 @@ def sirr_synthesize(pressure_frames: StftFrames, field: TfDoaField,
     equals the input bin energy exactly before decorrelation. Both streams
     are rendered a block of loudspeakers at a time.
     """
-    speakers, direct, diffuse_tf = sirr_tf_streams(pressure_frames, field, grid)
+    speakers, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
     layout = (field.window_size, field.hop, field.sample_rate)
     diffuse_td = istft(StftFrames(diffuse_tf, *layout))
     has_diffuse = np.any(diffuse_td)
@@ -190,20 +205,18 @@ def binaural_render(vls: VirtualLoudspeakerSignals | SampleAssignment,
 
     ears = np.stack([hrirs.left[matches], hrirs.right[matches]])  # (2, speakers, taps)
     taps = ears.shape[2]
+    n = len(vls)
     if isinstance(vls, SampleAssignment) and (
             vls.samples.shape[1] * taps <= _SCATTER_TAPS_PER_SPEAKER * len(vls.grid)):
-        n = vls.samples.shape[0]
         by_tap = np.ascontiguousarray(ears.transpose(0, 2, 1))  # (2, taps, speakers)
         out = np.zeros((2, n + taps - 1))
         for j in range(taps):
             out[:, j : j + n] += np.einsum("nk,enk->en", vls.samples, by_tap[:, j][:, vls.speakers])
         return BinauralIr(out, vls.sample_rate)
-    signals = vls.dense() if isinstance(vls, SampleAssignment) else vls.samples
-    n = signals.shape[1]
     nfft = sp_fft.next_fast_len(n + taps - 1, real=True)
     spectrum = np.zeros((2, nfft // 2 + 1), complex)
-    for start in range(0, len(signals), _SPEAKER_BLOCK):
-        block = slice(start, start + _SPEAKER_BLOCK)
-        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(signals[block], nfft),
-                              sp_fft.rfft(ears[:, block], nfft))
+    for start in range(0, len(vls.grid), _SPEAKER_BLOCK):
+        stop = start + _SPEAKER_BLOCK
+        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(vls.rows(start, stop), nfft),
+                              sp_fft.rfft(ears[:, start:stop], nfft))
     return BinauralIr(sp_fft.irfft(spectrum, nfft)[:, : n + taps - 1], vls.sample_rate)

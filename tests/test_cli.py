@@ -331,7 +331,7 @@ class TestRender:
         data, _ = wavio.read_wav(out / "sdm-tdoa_vls.wav")
         (result,) = results
         assert data.shape[0] == len(result.vls.grid) == 32
-        assert np.array_equal(data, result.vls.dense().astype(np.float32))
+        assert np.array_equal(data, result.vls.rows(0, 32).astype(np.float32))
 
     def test_dump_intermediates_renders_each_condition_once(self, tmp_path, monkeypatch):
         from srirkit import pipelines
@@ -746,6 +746,34 @@ def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert conditions[0]["id"] in err
     assert all(key in err for key in conditions[0].keys() - _SDM.keys())  # the key at fault
+
+
+def test_render_without_conditions_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": []})
+    assert main(["render", "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert "at least one condition" in capsys.readouterr().err
+
+
+_FIBONACCI_8 = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in fibonacci_grid(8).directions.tolist())
+
+
+@pytest.mark.parametrize("key, text", [
+    ("grid_csv", "1,0,0\n0,1,0\n0,0,1\n"),
+    ("grid_csv", _FIBONACCI_8 + _FIBONACCI_8.splitlines(keepends=True)[3]),
+    ("grid_csv", _FIBONACCI_8 + "a,b,c\n"),
+    ("grid_csv", "0,10\n90,10\n180,10\n270,10\n45,60\n0,90\n"),
+    ("hrir_index", "0,0,missing.wav\n"),
+], ids=["three-rows", "repeated-row", "not-a-number", "upper-hemisphere", "missing-wav"])
+def test_bad_grid_or_hrir_file_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, text):
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    (tmp_path / "file.csv").write_text(text)
+    cfg = _sim_config(**{key: str(tmp_path / "file.csv")})
+    if key == "grid_csv":
+        del cfg["grid_size"]
+    path = _write_config(tmp_path, "cfg.json", cfg)
+    assert main(["simulate", "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "render"])

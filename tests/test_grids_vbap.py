@@ -76,6 +76,24 @@ class TestFibonacciGrid:
         with pytest.raises(ValueError):
             fibonacci_grid(3)
 
+    @pytest.mark.parametrize("dirs", [np.eye(3), np.vstack([np.eye(2, 3), -np.eye(2, 3)])],
+                             ids=["three", "one-plane"])
+    def test_directions_qhull_cannot_triangulate_rejected(self, dirs):
+        with pytest.raises(ValueError, match="cannot triangulate"):
+            grid_from_directions(dirs)
+
+    def test_repeated_direction_rejected(self):
+        """The hull leaves a repeat out of every triangle, where k > 1 SDM
+        would split samples between the two copies."""
+        dirs = fibonacci_grid(8).directions
+        with pytest.raises(ValueError, match="lies in no triangle"):
+            grid_from_directions(np.vstack([dirs, dirs[3]]))
+
+    def test_direction_in_no_triangle_rejected(self):
+        extra = np.full((1, 3), 1.0 / np.sqrt(3.0))
+        with pytest.raises(ValueError, match="direction 6 lies in no triangle"):
+            LoudspeakerGrid(np.vstack([_OCTAHEDRON, extra]), _OCTAHEDRON_FACES)
+
     def test_nan_direction_rejected(self):
         grid = fibonacci_grid(8)
         dirs = grid.directions.copy()

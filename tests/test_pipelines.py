@@ -149,15 +149,12 @@ class TestRunCondition:
 
         # expected: same field directions, diffuse stream suppressed, panned
         # per-bin; rebuilt through the same public pieces minus decorrelation
-        from srirkit.dsp import normalize_direct_energy, stft
+        from srirkit.dsp import normalize_direct_energy
         from srirkit.synthesis import binaural_render, sirr_synthesize
 
         field = analyze(rendering.analysis_input, cond)
-        pressure_frames = stft(
-            rendering.analysis_input.foa.w.samples, FS,
-            cond.window_size, cond.window_size // 2,
-        )
-        vls = sirr_synthesize(pressure_frames, field, grid, seed=cond.seed)
+        pressure = rendering.analysis_input.foa.w
+        vls = sirr_synthesize(pressure, field, grid, seed=cond.seed)
         expected = normalize_direct_energy(binaural_render(vls, hrirs))
         scale = np.abs(expected.left.samples).max()
         assert np.abs(brir.left.samples - expected.left.samples).max() / scale < 1e-6
@@ -239,7 +236,7 @@ class TestRunComparison:
 
     def test_duplicate_condition_ids_rejected(self, small_setup):
         grid, hrirs, rendering = small_setup
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unique, got \\['same', 'same'\\]"):
             ComparisonRun(
                 inputs={"front_left": rendering},
                 conditions=(
@@ -247,6 +244,11 @@ class TestRunComparison:
                     _condition(grid, hrirs, id="same"),
                 ),
             )
+
+    def test_no_condition_rejected(self, small_setup):
+        _, _, rendering = small_setup
+        with pytest.raises(ConfigurationError, match="at least one condition"):
+            ComparisonRun(inputs={"front_left": rendering}, conditions=())
 
     def test_rate_mismatch_with_reference_rejected(self, small_setup):
         grid, hrirs, rendering = small_setup
@@ -271,7 +273,7 @@ def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
     cond = _condition(grid, hrirs, id="sdm")
     trajectory = analyze(rendering.analysis_input, cond)
     pressure = rendering.analysis_input.foa.w
-    signals = sdm_synthesize(pressure, trajectory, grid, k=1).dense()
+    signals = sdm_synthesize(pressure, trajectory, grid, k=1).rows(0, len(grid))
 
     az, el, _ = SCENE_POSITIONS["front_left"]
     expected = nearest_directions(direction_from_azel(az, el)[None, :], grid.directions)[0][0, 0]
@@ -286,10 +288,10 @@ def test_rendering_never_densifies_an_assignment(small_setup, monkeypatch):
     from srirkit.presets import standard_conditions
     from srirkit.synthesis import SampleAssignment
 
-    def refuse(self):
+    def refuse(self, start, stop):
         raise AssertionError("an SDM assignment was densified while rendering")
 
-    monkeypatch.setattr(SampleAssignment, "dense", refuse)
+    monkeypatch.setattr(SampleAssignment, "rows", refuse)
     _, _, rendering = small_setup
     grid = fibonacci_grid(240)
     hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)

@@ -44,7 +44,7 @@ class TestSdmSynthesize:
         pressure = MonoIr(np.zeros(n) + np.eye(1, n, 10)[0], FS)
         dirs = np.tile(grid.directions[5], (n, 1))
         traj = DoaTrajectory(dirs, np.ones(n, bool))
-        signals = sdm_synthesize(pressure, traj, grid, k=1).dense()
+        signals = sdm_synthesize(pressure, traj, grid, k=1).rows(0, len(grid))
         assert signals[5, 10] == 1.0
         total = signals.copy()
         total[5, 10] = 0.0
@@ -55,7 +55,7 @@ class TestSdmSynthesize:
         n = 500
         pressure = MonoIr(rng.normal(size=n), FS)
         traj = _random_trajectory(rng, n, invalid_fraction=0.2)
-        signals = sdm_synthesize(pressure, traj, grid, k=1).dense()
+        signals = sdm_synthesize(pressure, traj, grid, k=1).rows(0, len(grid))
         # bit-level: each sample appears verbatim on exactly one speaker
         nonzero_counts = np.count_nonzero(signals, axis=0)
         assert np.all(nonzero_counts <= 1)
@@ -74,7 +74,7 @@ class TestSdmSynthesize:
         valid[4] = True
         traj = DoaTrajectory(dirs, valid)
         pressure = MonoIr(np.ones(n), FS)
-        signals = sdm_synthesize(pressure, traj, grid, k=1).dense()
+        signals = sdm_synthesize(pressure, traj, grid, k=1).rows(0, len(grid))
         # after sample 4 everything inherits speaker 9
         assert np.all(signals[9, 4:] == 1.0)
         # before the first valid sample, the frontal speaker carries it
@@ -110,7 +110,7 @@ class TestSdmSynthesize:
         traj = _random_trajectory(rng, n, invalid_fraction=0.1)
         a = sdm_synthesize(pressure, traj, grid, k=2)
         b = sdm_synthesize(pressure, traj, grid, k=2)
-        assert np.array_equal(a.dense(), b.dense())
+        assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))
 
 
 def _smooth_field(rng, frames, bins, window_size, hop):
@@ -127,7 +127,7 @@ class TestSirrSynthesize:
         sig = rng.normal(size=n)
         sig[: window] = 0.0
         sig[-window:] = 0.0
-        return sig, stft(sig, FS, window, window // 2)
+        return MonoIr(sig, FS), stft(sig, FS, window, window // 2)
 
     def test_loudspeaker_signals_validated(self):
         grid = fibonacci_grid(8)
@@ -139,12 +139,12 @@ class TestSirrSynthesize:
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
-        sig, frames = self._framed_noise(rng, n=2048, window=128)
+        pressure, frames = self._framed_noise(rng, n=2048, window=128)
         t, f = frames.values.shape
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, np.zeros((t, f)), 128, 64, FS)
-        vls = sirr_synthesize(frames, field, grid, seed=3)
+        vls = sirr_synthesize(pressure, field, grid, seed=3)
 
         # no diffuse tail beyond the istft length
         time_len = (t - 1) * 64 + 128
@@ -169,23 +169,23 @@ class TestSirrSynthesize:
         with mock.patch.object(LoudspeakerGrid, "__post_init__", lambda self: None):
             upper = np.array([[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2]])
             grid = LoudspeakerGrid(octahedron, upper)
-        _, frames = self._framed_noise(rng, n=2048, window=128)
+        pressure, frames = self._framed_noise(rng, n=2048, window=128)
         t, f = frames.values.shape
         down = np.broadcast_to([0.0, 0.0, -1.0], (t, f, 3))
         field = TfDoaField(down, np.zeros((t, f)), 128, 64, FS)
         with pytest.raises(ValueError, match="does not cover the sphere"):
-            sirr_synthesize(frames, field, grid)
+            sirr_synthesize(pressure, field, grid)
 
     def test_blocked_direct_stream_matches_dense_build(self, rng):
         """37 loudspeakers, not a multiple of the block: the output equals one
         dense (speakers, frames, bins) direct stream's render, bit for bit."""
         grid = fibonacci_grid(37)
-        _, frames = self._framed_noise(rng, n=4096, window=128)
+        pressure, frames = self._framed_noise(rng, n=4096, window=128)
         t, f = frames.values.shape
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, rng.uniform(size=(t, f)), 128, 64, FS)
-        speakers, direct, diffuse_tf = sirr_tf_streams(frames, field, grid)
+        speakers, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
         dense = np.zeros((len(grid), t, f), dtype=complex)
         dense[speakers, np.arange(t)[:, None, None], np.arange(f)[:, None]] = direct
         assert len(np.unique(speakers)) == len(grid)
@@ -194,21 +194,21 @@ class TestSirrSynthesize:
         kernels = np.stack([decorrelation_kernel(5, ls) for ls in range(len(grid))])
         diffuse_td = istft(StftFrames(diffuse_tf, 128, 64, FS))
         expected += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
-        assert np.array_equal(sirr_synthesize(frames, field, grid, seed=5).samples, expected)
+        assert np.array_equal(sirr_synthesize(pressure, field, grid, seed=5).samples, expected)
 
     def test_decorrelation_memory_is_bounded_by_the_output(self, rng):
         """240 loudspeakers x 19,200 samples with a diffuse stream: the
         decorrelators run one loudspeaker block at a time, so the peak stays
         below twice the output (one (240, ~20k) spectrum alone is as large)."""
         grid = fibonacci_grid(240)
-        frames = stft(rng.normal(size=19200), FS, 64, 32)
-        t, f = frames.values.shape
+        pressure = MonoIr(rng.normal(size=19200), FS)
+        t, f = stft(pressure.samples, FS, 64, 32).values.shape
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, rng.uniform(size=(t, f)), 64, 32, FS)
         tracemalloc.start()
         try:
-            vls = sirr_synthesize(frames, field, grid, seed=0)
+            vls = sirr_synthesize(pressure, field, grid, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -216,26 +216,26 @@ class TestSirrSynthesize:
 
     def test_psi_one_output_ignores_directions(self, rng):
         grid = fibonacci_grid(12)
-        _, frames = self._framed_noise(rng, n=2048, window=128)
+        pressure, frames = self._framed_noise(rng, n=2048, window=128)
         t, f = frames.values.shape
         ones = np.ones((t, f))
         dirs_a = rng.normal(size=(t, f, 3))
         dirs_a /= np.linalg.norm(dirs_a, axis=2, keepdims=True)
         dirs_b = rng.normal(size=(t, f, 3))
         dirs_b /= np.linalg.norm(dirs_b, axis=2, keepdims=True)
-        a = sirr_synthesize(frames, TfDoaField(dirs_a, ones, 128, 64, FS), grid, seed=1)
-        b = sirr_synthesize(frames, TfDoaField(dirs_b, ones, 128, 64, FS), grid, seed=1)
+        a = sirr_synthesize(pressure, TfDoaField(dirs_a, ones, 128, 64, FS), grid, seed=1)
+        b = sirr_synthesize(pressure, TfDoaField(dirs_b, ones, 128, 64, FS), grid, seed=1)
         assert np.array_equal(a.samples, b.samples)  # direct stream is zero
 
     def test_per_bin_energy_split_exact(self, rng):
         grid = fibonacci_grid(20)
-        _, frames = self._framed_noise(rng)
+        pressure, frames = self._framed_noise(rng)
         t, f = frames.values.shape
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         psi = np.clip(rng.uniform(size=(t, f)), 0, 1)
         field = TfDoaField(dirs, psi, frames.window_size, frames.hop, FS)
-        _, direct, diffuse_tf = sirr_tf_streams(frames, field, grid)
+        _, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
         total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
         reference = np.abs(frames.values) ** 2
         scale = reference.max()
@@ -243,28 +243,36 @@ class TestSirrSynthesize:
 
     def test_broadband_energy_preserved_smooth_field(self, rng):
         grid = fibonacci_grid(24)
-        sig, frames = self._framed_noise(rng)
+        pressure, frames = self._framed_noise(rng)
         t, f = frames.values.shape
         field = _smooth_field(rng, t, f, frames.window_size, frames.hop)
-        vls = sirr_synthesize(frames, field, grid, seed=9)
-        ratio_db = 10 * np.log10(np.sum(vls.samples**2) / np.sum(sig**2))
+        vls = sirr_synthesize(pressure, field, grid, seed=9)
+        ratio_db = 10 * np.log10(np.sum(vls.samples**2) / np.sum(pressure.samples**2))
         assert abs(ratio_db) < 0.5
 
     def test_metadata_mismatch_rejected(self, rng):
         grid = fibonacci_grid(8)
-        _, frames = self._framed_noise(rng, n=2048, window=128)
+        pressure, _ = self._framed_noise(rng, n=2048, window=128)
         bad = _smooth_field(rng, 3, 5, 64, 32)
-        with pytest.raises(ValueError):
-            sirr_synthesize(frames, bad, grid, seed=0)
+        with pytest.raises(ValueError, match="do not match field"):
+            sirr_synthesize(pressure, bad, grid, seed=0)
+
+    def test_rate_mismatch_rejected(self, rng):
+        grid = fibonacci_grid(8)
+        pressure, frames = self._framed_noise(rng, n=2048, window=128)
+        t, f = frames.values.shape
+        field = _smooth_field(rng, t, f, 128, 64)
+        with pytest.raises(ValueError, match="sample-rate mismatch"):
+            sirr_synthesize(MonoIr(pressure.samples, 44100.0), field, grid, seed=0)
 
     def test_seed_determinism(self, rng):
         grid = fibonacci_grid(8)
-        _, frames = self._framed_noise(rng, n=2048, window=128)
+        pressure, frames = self._framed_noise(rng, n=2048, window=128)
         t, f = frames.values.shape
         field = _smooth_field(rng, t, f, 128, 64)
-        a = sirr_synthesize(frames, field, grid, seed=42)
-        b = sirr_synthesize(frames, field, grid, seed=42)
-        c = sirr_synthesize(frames, field, grid, seed=43)
+        a = sirr_synthesize(pressure, field, grid, seed=42)
+        b = sirr_synthesize(pressure, field, grid, seed=42)
+        c = sirr_synthesize(pressure, field, grid, seed=43)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
@@ -285,7 +293,7 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
     dirs[on_grid] = grid.directions[gen.integers(len(grid), size=on_grid.sum())]
     traj = DoaTrajectory(dirs, traj.valid | on_grid)
     pressure = MonoIr(gen.normal(size=n), FS)
-    signals = sdm_synthesize(pressure, traj, grid, k=k).dense()
+    signals = sdm_synthesize(pressure, traj, grid, k=k).rows(0, len(grid))
     energy = np.sum(signals**2, axis=0)
     assert np.abs(energy - pressure.samples**2).max() <= 1e-12
 
@@ -295,7 +303,7 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
        taps=st.integers(8, 64))
 def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
     """An SDM assignment, scattered or summed in the frequency domain over its
-    dense form, and the frequency-domain sum of its dense signals all equal a
+    rows, and the frequency-domain sum of its dense signals all equal a
     per-loudspeaker np.convolve sum; HRIRs are listed in shuffled order, so
     each loudspeaker must find its own pair."""
     gen = np.random.default_rng(seed)
@@ -307,7 +315,7 @@ def test_binaural_render_forms_match_direct_convolution_property(seed, speakers,
     order = gen.permutation(speakers)
     hrirs = HrirSet(grid.directions[order], ears[0, order], ears[1, order], FS)
 
-    signals = assignment.dense()
+    signals = assignment.rows(0, len(grid))
     expected = np.zeros((2, n + taps - 1))
     for s in range(speakers):
         for e in range(2):
@@ -328,7 +336,8 @@ def test_sirr_per_bin_energy_split_property(seed, speakers):
     """sum |direct|^2 + L |diffuse|^2 == |P|^2 in every bin, for random
     directions and psi (exact 0 and 1 included)."""
     gen = np.random.default_rng(seed)
-    frames = stft(gen.normal(size=1024), FS, 64, 32)
+    pressure = MonoIr(gen.normal(size=1024), FS)
+    frames = stft(pressure.samples, FS, 64, 32)
     t, f = frames.values.shape
     dirs = gen.normal(size=(t, f, 3))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
@@ -336,7 +345,7 @@ def test_sirr_per_bin_energy_split_property(seed, speakers):
     psi[gen.uniform(size=(t, f)) < 0.2] = 0.0
     psi[gen.uniform(size=(t, f)) < 0.2] = 1.0
     grid = fibonacci_grid(speakers)
-    _, direct, diffuse_tf = sirr_tf_streams(frames, TfDoaField(dirs, psi, 64, 32, FS), grid)
+    _, direct, diffuse_tf = sirr_tf_streams(pressure, TfDoaField(dirs, psi, 64, 32, FS), grid)
     total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
     reference = np.abs(frames.values) ** 2
     assert np.abs(total - reference).max() <= 1e-12 * reference.max()
@@ -344,10 +353,10 @@ def test_sirr_per_bin_energy_split_property(seed, speakers):
 
 class TestDecorrelate:
     def test_zero_in_zero_out(self, rng):
-        frames = stft(np.zeros(2048), FS, 128, 64)
-        t, f = frames.values.shape
+        pressure = MonoIr(np.zeros(2048), FS)
+        t, f = stft(pressure.samples, FS, 128, 64).values.shape
         field = _smooth_field(rng, t, f, 128, 64)
-        vls = sirr_synthesize(frames, field, fibonacci_grid(8), seed=0)
+        vls = sirr_synthesize(pressure, field, fibonacci_grid(8), seed=0)
         assert np.all(vls.samples == 0.0)
 
     def test_energy_preserved_on_white_noise(self, rng):
@@ -458,17 +467,21 @@ class TestBinauralRender:
 
     def test_dense_memory_bounded(self, rng):
         """240 SIRR-length signals: 119 MB when every loudspeaker's spectrum
-        was live at once."""
+        was live at once. A k=3 assignment over 19,200 samples takes the same
+        blocked sum: 50 MB when it was densified whole first."""
         grid = fibonacci_grid(240)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-        vls = VirtualLoudspeakerSignals(grid, rng.normal(size=(240, 20223)), FS)
-        tracemalloc.start()
-        try:
-            binaural_render(vls, hrirs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        n, k = 19200, 3
+        for vls in (VirtualLoudspeakerSignals(grid, rng.normal(size=(240, 20223)), FS),
+                    SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
+                                     rng.normal(size=(n, k)), FS)):
+            tracemalloc.start()
+            try:
+                binaural_render(vls, hrirs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20e6, type(vls).__name__
 
     def test_scatter_memory_bounded(self, rng, monkeypatch):
         """The k=8 scatter over 19,200 samples works tap by tap; a gathered
@@ -492,17 +505,19 @@ class TestBinauralRender:
     def test_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers, k,
                                                   densified):
         """128-tap HRIRs: an assignment is scattered while k * 128 is at most
-        1.5 x the loudspeaker count, and summed over its dense form past it."""
+        1.5 x the loudspeaker count, and summed over its rows past it."""
         grid = fibonacci_grid(speakers)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n = 500
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
         calls = []
-        dense = SampleAssignment.dense
-        monkeypatch.setattr(SampleAssignment, "dense", lambda a: calls.append(1) or dense(a))
+        rows = SampleAssignment.rows
+        monkeypatch.setattr(SampleAssignment, "rows",
+                            lambda a, start, stop: calls.append(1) or rows(a, start, stop))
         brir = binaural_render(assignment, hrirs).samples
         assert bool(calls) == densified
-        monkeypatch.setattr(SampleAssignment, "dense", dense)
-        other = binaural_render(VirtualLoudspeakerSignals(grid, assignment.dense(), FS), hrirs)
+        monkeypatch.setattr(SampleAssignment, "rows", rows)
+        dense = assignment.rows(0, len(grid))
+        other = binaural_render(VirtualLoudspeakerSignals(grid, dense, FS), hrirs)
         assert np.abs(brir - other.samples).max() <= 1e-12 * np.abs(brir).max()
