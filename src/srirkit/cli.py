@@ -33,7 +33,7 @@ from .arrays import builtin_array
 from .doa import DoaTrajectory
 from .errors import ConfigurationError
 from .grids import fibonacci_grid, load_grid_csv, save_grid_csv
-from .hrir import load_hrir_set, spherical_head_hrir_set
+from .hrir import interleaved_hrir_set, load_hrir_set, spherical_head_hrir_set
 from .ism import Scene, scene_from_json, scene_to_json_dict
 from .metrics import JND, MetricReport, error_summary_paired, itd, measure_brir
 from .pipelines import (
@@ -157,15 +157,18 @@ def _grid_and_hrirs(cfg: dict, where: str, sample_rate: float):
         grid = _config_value(cfg, "grid_csv", load_grid_csv, where)
     else:
         grid = fibonacci_grid(_config_value(cfg, "grid_size", _json_int, where, DEFAULT_GRID_SIZE))
-    if "hrir_index" in cfg:
+    if "hrir_index" not in cfg:
+        return grid, spherical_head_hrir_set(grid.directions, sample_rate=sample_rate)
+    if "hrir_wav" in cfg:
+        data, rate = _config_value(cfg, "hrir_wav", wavio.read_wav, where)
         hrirs = _config_value(cfg, "hrir_index",
-                              lambda path: load_hrir_set(path, cfg.get("hrir_wav")), where)
-        if hrirs.sample_rate != sample_rate:
-            raise ConfigurationError(
-                f"{where}: HRIR sample rate {hrirs.sample_rate} != {sample_rate}"
-            )
+                              lambda path: interleaved_hrir_set(path, data, rate), where)
     else:
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=sample_rate)
+        hrirs = _config_value(cfg, "hrir_index", load_hrir_set, where)
+    if hrirs.sample_rate != sample_rate:
+        raise ConfigurationError(
+            f"{where}: HRIR sample rate {hrirs.sample_rate} != {sample_rate}"
+        )
     return grid, hrirs
 
 

@@ -141,7 +141,7 @@ def impulse_fits(delays_samples, length: int) -> np.ndarray:
 
 
 def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
-                              amplitudes: np.ndarray) -> int:
+                              amplitudes: np.ndarray, rows: np.ndarray | None = None) -> int:
     """Accumulate band-limited impulses at fractional sample positions.
 
     Each impulse is a Kaiser-windowed sinc with the window tracking the sinc
@@ -150,6 +150,9 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     ``amplitudes`` (k,), or (channels, n) with ``amplitudes`` (channels, k).
     ``delays`` is (k,), shared by every channel so each arrival's kernel is
     built once, or (channels, k), one set of arrival times per channel.
+    Given ``rows`` (k,), arrival i lands in row ``rows[i]`` of a (channels,
+    n) ``out`` alone, and ``delays`` and ``amplitudes`` are (k,); each row
+    then holds the bits that placing its own arrivals alone would give.
     Arrivals that do not fit (:func:`impulse_fits`) are dropped before any
     kernel is built; the return value counts them. Kernels are built in
     bounded blocks of arrivals; each output sample sums them in order.
@@ -161,7 +164,10 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     fits = impulse_fits(delays, n)
     amps = np.asarray(amplitudes, dtype=np.float64)
     # Where each amplitude's channel starts in the flattened buffer.
-    starts = np.broadcast_to(np.arange(0, out.size, n).reshape(*out.shape[:-1], 1), amps.shape)
+    if rows is None:
+        starts = np.broadcast_to(np.arange(0, out.size, n).reshape(*out.shape[:-1], 1), amps.shape)
+    else:
+        starts = np.asarray(rows, dtype=np.int64) * n
     delays, amps, starts = delays[fits], amps[..., fits], starts[..., fits]
     offsets = np.arange(-half, half + 1)
     for first in range(0, delays.size, _IMPULSE_BLOCK):

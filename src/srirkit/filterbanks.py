@@ -9,6 +9,8 @@ works along the last axis, so stacked channels share one call per band.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import signal as sps
 
@@ -28,14 +30,26 @@ ERB_CENTERS_HZ.flags.writeable = False
 
 
 def bandpass_sos(low_hz: float, high_hz: float, sample_rate: float) -> np.ndarray:
-    """4th-order Butterworth band-pass ``[low_hz, high_hz]`` as SOS sections."""
+    """4th-order Butterworth band-pass ``[low_hz, high_hz]`` as SOS sections.
+
+    Each band is designed once per ``(low_hz, high_hz, sample_rate)``; every
+    call returns a fresh copy of that design.
+    """
+    return _bandpass_design(low_hz, high_hz, sample_rate).copy()
+
+
+@functools.lru_cache(maxsize=256)
+def _bandpass_design(low_hz: float, high_hz: float, sample_rate: float) -> np.ndarray:
+    """:func:`bandpass_sos`'s shared, read-only design."""
     nyquist = sample_rate / 2.0
     if not 0.0 < low_hz < high_hz < nyquist:
         raise ValueError(
             f"band {low_hz:.1f}..{high_hz:.1f} Hz must satisfy "
             f"0 < low < high < Nyquist {nyquist:.1f} Hz"
         )
-    return sps.butter(2, [low_hz / nyquist, high_hz / nyquist], btype="bandpass", output="sos")
+    sos = sps.butter(2, [low_hz / nyquist, high_hz / nyquist], btype="bandpass", output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
 #: (low, high) edges of the ERB bands, half an ERB either side of each centre.

@@ -92,17 +92,9 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     return HrirSet(dirs, left, right, sample_rate)
 
 
-def load_hrir_set(index_path, wav_path=None) -> HrirSet:
-    """Load HRIRs described by an index CSV of (azimuth_deg, elevation_deg, ...).
-
-    Two layouts are supported:
-
-    - per-direction stereo WAVs: rows ``azimuth,elevation,filename`` with
-      filenames relative to the index file's directory;
-    - one interleaved multichannel WAV (``wav_path``): rows
-      ``azimuth,elevation`` in channel order, direction i occupying
-      channels 2i (left) and 2i+1 (right).
-    """
+def _read_index(index_path) -> tuple[Path, list[list[str]], np.ndarray]:
+    """The index CSV's path, its rows (comments and blank lines dropped) and
+    their unit directions."""
     index_path = Path(index_path)
     rows = []
     with index_path.open(newline="") as fh:
@@ -112,22 +104,39 @@ def load_hrir_set(index_path, wav_path=None) -> HrirSet:
             rows.append([cell.strip() for cell in row])
     if not rows:
         raise ValueError(f"{index_path}: empty HRIR index")
-
     directions = np.array(
         [direction_from_azel(float(r[0]), float(r[1])) for r in rows]
     )
+    return index_path, rows, directions
 
+
+def interleaved_hrir_set(index_path, data: np.ndarray, sample_rate: float) -> HrirSet:
+    """HRIRs from an index CSV of ``azimuth,elevation`` rows in channel order
+    and the (channels, taps) ``data`` of one interleaved multichannel WAV,
+    already read: direction i occupies channels 2i (left) and 2i+1 (right)."""
+    index_path, rows, directions = _read_index(index_path)
+    if data.shape[0] != 2 * len(rows):
+        raise ValueError(
+            f"{index_path}: expected {2 * len(rows)} WAV channels for "
+            f"{len(rows)} directions, found {data.shape[0]}"
+        )
+    return HrirSet(directions, data[0::2], data[1::2], sample_rate)
+
+
+def load_hrir_set(index_path, wav_path=None) -> HrirSet:
+    """Load HRIRs described by an index CSV of (azimuth_deg, elevation_deg, ...).
+
+    Two layouts are supported:
+
+    - per-direction stereo WAVs: rows ``azimuth,elevation,filename`` with
+      filenames relative to the index file's directory;
+    - one interleaved multichannel WAV (``wav_path``): rows
+      ``azimuth,elevation`` in channel order, direction i occupying
+      channels 2i (left) and 2i+1 (right); see :func:`interleaved_hrir_set`.
+    """
     if wav_path is not None:
-        data, rate = wavio.read_wav(wav_path)
-        if data.shape[0] != 2 * len(rows):
-            raise ValueError(
-                f"{wav_path}: expected {2 * len(rows)} channels for "
-                f"{len(rows)} directions, found {data.shape[0]}"
-            )
-        left = data[0::2]
-        right = data[1::2]
-        return HrirSet(directions, left, right, rate)
-
+        return interleaved_hrir_set(index_path, *wavio.read_wav(wav_path))
+    index_path, rows, directions = _read_index(index_path)
     lefts, rights, rate = [], [], None
     for r in rows:
         if len(r) < 3:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .arrays import MicArrayGeometry, builtin_array
 from .dsp import SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
@@ -26,6 +25,10 @@ from .errors import ConfigurationError, LostDirectPathError, TruncatedResponseWa
 from .grids import nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, FoaSignal, MultichannelIr
+from .synthesis import hrir_sum
+
+#: HRIR directions whose impulse trains the reference BRIR builds at once.
+_DIRECTION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,10 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
 
     Each image contributes its amplitude at its fractional delay through the
     HRIR pair closest to its direction; the result is the sum, with length
-    ``length + hrir_taps - 1``.
+    ``length + hrir_taps - 1``. The images of up to ``_DIRECTION_BLOCK``
+    HRIR directions are placed into one impulse train per direction at
+    once, and the trains summed through their HRIRs by
+    :func:`~srirkit.synthesis.hrir_sum`.
     """
     if hrirs.sample_rate != sample_rate:
         raise ValueError(
@@ -245,13 +251,16 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
     matches = nearest_directions(images.directions, hrirs.directions)[0][:, 0]
     delays = images.delays * sample_rate
     _require_direct(images, delays, length, "reference BRIR")
+    used, row = np.unique(matches, return_inverse=True)
     ears = np.zeros((2, length + hrirs.length - 1))
     truncated = 0
-    for h in np.unique(matches):
-        sel = matches == h
-        train = np.zeros(length)
-        truncated += place_fractional_impulses(train, delays[sel], images.amplitudes[sel])
-        ears += sps.fftconvolve(train[None, :], np.stack([hrirs.left[h], hrirs.right[h]]), axes=-1)
+    for start in range(0, used.size, _DIRECTION_BLOCK):
+        block = used[start : start + _DIRECTION_BLOCK]
+        sel = (row >= start) & (row < start + block.size)
+        trains = np.zeros((block.size, length))  # one impulse train per HRIR direction
+        truncated += place_fractional_impulses(trains, delays[sel], images.amplitudes[sel],
+                                               rows=row[sel] - start)
+        ears += hrir_sum(np.stack([hrirs.left[block], hrirs.right[block]]), trains)
     _warn_truncated(truncated, "reference BRIR")
     return BinauralIr(ears, sample_rate)
 

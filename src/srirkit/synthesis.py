@@ -23,10 +23,20 @@ DECORRELATOR_TAPS = 1024
 #: Largest angle between a loudspeaker and the HRIR that renders it.
 MAX_HRIR_ANGLE_DEG = 1.0
 _FRONTAL = np.array([1.0, 0.0, 0.0])
-#: An SDM assignment is scattered while k * taps <= this x its loudspeaker
-#: count. The scatter's cost grows with k * taps, the frequency-domain sum's with
-#: the count; on 60-960 directions they crossed at 1.1-2.1 x the count.
-_SCATTER_TAPS_PER_SPEAKER = 1.5
+#: Dense signals with HRIRs of up to this many taps are convolved in the time
+#: domain, longer ones in the frequency domain. On 240 dense loudspeaker
+#: signals of 20,223 samples the time-domain product took 0.14 s against
+#: 0.22 s at 256 taps, and 0.32 s against 0.22 s at 512.
+_TIME_DOMAIN_TAPS = 256
+#: An SDM assignment is convolved in the time domain while k * taps is at most
+#: this x its loudspeaker count, and in the frequency domain past it. The
+#: gather's cost grows with taps and k, the frequency-domain sum's with the
+#: count; over 128-512 taps, 30-960 loudspeakers and k = 1, 3, 8 (19,200
+#: samples) the gather was the faster side at every measured point up to 2.
+_GATHER_TAPS_PER_SPEAKER = 2.0
+#: Bytes of gathered HRIR rows, or of per-tap contributions, that one time
+#: block of the time-domain product holds.
+_TIME_BLOCK_BYTES = 4 * 2**20
 #: Loudspeakers that SIRR and the frequency-domain binaural sum transform at once.
 _SPEAKER_BLOCK = 16
 
@@ -190,10 +200,12 @@ def binaural_render(vls: VirtualLoudspeakerSignals | SampleAssignment,
     """Convolve every loudspeaker signal with its matching HRIR pair and sum.
 
     Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
-    offenders are reported together. A ``SampleAssignment`` with few k * taps
-    per loudspeaker is scattered straight to the ears, one HRIR tap at a time
-    (a time-varying FIR); dense signals, and the other assignments, are
-    summed over loudspeaker blocks in the frequency domain.
+    offenders are reported together. Dense signals go through
+    :func:`hrir_sum`. A ``SampleAssignment`` with k * taps of at most
+    ``_GATHER_TAPS_PER_SPEAKER`` x its loudspeaker count is convolved in the
+    time domain from its k samples and their gathered HRIR rows, whose cost
+    does not grow with the loudspeaker count; past that it is densified a
+    block of loudspeakers at a time into the frequency-domain sum.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -205,18 +217,60 @@ def binaural_render(vls: VirtualLoudspeakerSignals | SampleAssignment,
 
     ears = np.stack([hrirs.left[matches], hrirs.right[matches]])  # (2, speakers, taps)
     taps = ears.shape[2]
-    n = len(vls)
-    if isinstance(vls, SampleAssignment) and (
-            vls.samples.shape[1] * taps <= _SCATTER_TAPS_PER_SPEAKER * len(vls.grid)):
-        by_tap = np.ascontiguousarray(ears.transpose(0, 2, 1))  # (2, taps, speakers)
-        out = np.zeros((2, n + taps - 1))
+    if isinstance(vls, VirtualLoudspeakerSignals):
+        out = hrir_sum(ears, vls.samples)
+    elif vls.samples.shape[1] * taps <= _GATHER_TAPS_PER_SPEAKER * len(vls.grid):
+        pairs = ears.transpose(1, 0, 2).reshape(len(vls.grid), 2 * taps)  # (speakers, 2 * taps)
+        out = _overlap_add(
+            lambda t0, t1: np.einsum("nk,nkf->fn", vls.samples[t0:t1], pairs[vls.speakers[t0:t1]]),
+            len(vls), taps, vls.samples.shape[1])
+    else:
+        out = _frequency_sum(ears, vls.rows, len(vls))
+    return BinauralIr(out, vls.sample_rate)
+
+
+def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """Both ears' sum of every signal row convolved with its HRIR pair.
+
+    ``ears`` is (2, rows, taps) and ``signals`` (rows, n); the result is the
+    full convolution, (2, n + taps - 1). HRIRs of up to
+    ``_TIME_DOMAIN_TAPS`` taps are applied as one (2 * taps, rows) matrix
+    product per time block; longer ones are summed in the frequency domain.
+    """
+    taps, n = ears.shape[2], signals.shape[1]
+    if taps > _TIME_DOMAIN_TAPS:
+        return _frequency_sum(ears, lambda start, stop: signals[start:stop], n)
+    by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
+    return _overlap_add(lambda t0, t1: by_tap @ signals[:, t0:t1], n, taps, 1)
+
+
+def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:
+    """The (2, n + taps - 1) sum of per-tap contributions, one time block at a time.
+
+    ``contributions(t0, t1)`` is (2 * taps, t1 - t0): row ``e * taps + j``
+    holds what input samples t0:t1 add to ear e through tap j, and lands on
+    ``out[e, t0 + j : t1 + j]``, in ascending j. A block is sized so that
+    k gathered HRIR rows per sample fill about ``_TIME_BLOCK_BYTES``.
+    """
+    block = max(1, _TIME_BLOCK_BYTES // (16 * taps * k))
+    out = np.zeros((2, n + taps - 1))
+    for t0 in range(0, n, block):
+        t1 = min(t0 + block, n)
+        part = contributions(t0, t1).reshape(2, taps, t1 - t0)
         for j in range(taps):
-            out[:, j : j + n] += np.einsum("nk,enk->en", vls.samples, by_tap[:, j][:, vls.speakers])
-        return BinauralIr(out, vls.sample_rate)
+            out[:, t0 + j : t1 + j] += part[:, j]
+    return out
+
+
+def _frequency_sum(ears: np.ndarray, rows, n: int) -> np.ndarray:
+    """:func:`hrir_sum` in the frequency domain, ``_SPEAKER_BLOCK`` rows at a
+    time; ``rows(start, stop)`` gives the (stop - start, n) signals of rows
+    start:stop."""
+    taps = ears.shape[2]
     nfft = sp_fft.next_fast_len(n + taps - 1, real=True)
     spectrum = np.zeros((2, nfft // 2 + 1), complex)
-    for start in range(0, len(vls.grid), _SPEAKER_BLOCK):
+    for start in range(0, ears.shape[1], _SPEAKER_BLOCK):
         stop = start + _SPEAKER_BLOCK
-        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(vls.rows(start, stop), nfft),
+        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(rows(start, stop), nfft),
                               sp_fft.rfft(ears[:, start:stop], nfft))
-    return BinauralIr(sp_fft.irfft(spectrum, nfft)[:, : n + taps - 1], vls.sample_rate)
+    return sp_fft.irfft(spectrum, nfft)[:, : n + taps - 1]

@@ -764,16 +764,22 @@ _FIBONACCI_8 = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in fibonacci_grid(8).d
     ("grid_csv", _FIBONACCI_8 + "a,b,c\n"),
     ("grid_csv", "0,10\n90,10\n180,10\n270,10\n45,60\n0,90\n"),
     ("hrir_index", "0,0,missing.wav\n"),
-], ids=["three-rows", "repeated-row", "not-a-number", "upper-hemisphere", "missing-wav"])
+    ("hrir_wav", "0,0\n"),  # a valid index beside an interleaved WAV that is not there
+], ids=["three-rows", "repeated-row", "not-a-number", "upper-hemisphere", "missing-wav",
+        "missing-hrir-wav"])
 def test_bad_grid_or_hrir_file_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, text):
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     (tmp_path / "file.csv").write_text(text)
-    cfg = _sim_config(**{key: str(tmp_path / "file.csv")})
+    if key == "hrir_wav":
+        cfg = _sim_config(hrir_index=str(tmp_path / "file.csv"),
+                          hrir_wav=str(tmp_path / "absent.wav"))
+    else:
+        cfg = _sim_config(**{key: str(tmp_path / "file.csv")})
     if key == "grid_csv":
         del cfg["grid_size"]
     path = _write_config(tmp_path, "cfg.json", cfg)
     assert main(["simulate", "--config", path, "--output", str(tmp_path / "o")]) == 2
-    assert key in capsys.readouterr().err
+    assert f": {key}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "render"])

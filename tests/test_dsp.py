@@ -259,6 +259,23 @@ def test_place_fractional_impulses_per_row_delays_match_single_calls(rng):
         np.testing.assert_array_equal(channel, single)
 
 
+def test_place_fractional_impulses_given_rows_match_single_calls(rng, monkeypatch):
+    """Arrivals spread over rows, interleaved and over several kernel blocks,
+    give each row the bits of placing its own arrivals alone."""
+    monkeypatch.setattr(dsp, "_IMPULSE_BLOCK", 7)
+    delays = rng.uniform(-20.0, 276.0, size=60)
+    amps = rng.normal(size=60)
+    rows = rng.integers(4, size=60)
+    out = np.zeros((4, 256))
+    count = dsp.place_fractional_impulses(out, delays, amps, rows=rows)
+    singles = 0
+    for row in range(4):
+        single = np.zeros(256)
+        singles += dsp.place_fractional_impulses(single, delays[rows == row], amps[rows == row])
+        np.testing.assert_array_equal(out[row], single)
+    assert count == singles > 0
+
+
 @pytest.mark.parametrize("form", ["(n,) out", "shared delays", "per-row delays"])
 def test_place_fractional_impulses_block_size_keeps_bits(rng, monkeypatch, form):
     """Kernels built 7 arrivals at a time give the default block's bits and

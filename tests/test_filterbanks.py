@@ -26,6 +26,18 @@ class TestBandpassSos:
                               btype="bandpass", output="sos")
         np.testing.assert_array_equal(sos, expected)
 
+    def test_designed_once_and_copied_out(self):
+        """The design is cached read-only; each caller gets its own writable
+        copy, which scipy's filters accept."""
+        design = fb._bandpass_design(700.0, 1400.0, FS)
+        assert fb._bandpass_design(700.0, 1400.0, FS) is design
+        with pytest.raises(ValueError, match="read-only"):
+            design[0, 0] = 1.0
+        sos = fb.bandpass_sos(700.0, 1400.0, FS)
+        assert sos is not design and sos.flags.writeable
+        np.testing.assert_array_equal(sos, design)
+        sps.sosfiltfilt(sos, np.ones(64))
+
     @pytest.mark.parametrize("low, high", [(0.0, 100.0), (-10.0, 100.0), (200.0, 200.0),
                                            (300.0, 200.0), (1000.0, 24000.0)])
     def test_band_outside_zero_to_nyquist_rejected(self, low, high):

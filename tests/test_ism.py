@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from srirkit.errors import (
     TruncatedResponseWarning,
 )
 from srirkit.grids import fibonacci_grid
-from srirkit.hrir import spherical_head_hrir_set
+from srirkit.hrir import HrirSet, spherical_head_hrir_set
 from srirkit.ism import (
     ImageSourceList,
     Scene,
@@ -298,6 +299,48 @@ class TestRenderReferenceBrir:
         combined = render_reference_brir(two, hrirs, FS, 2000)
         total = singles[0].left.samples + singles[1].left.samples
         assert np.abs(combined.left.samples - total).max() < 1e-12
+
+    def test_matches_per_direction_convolution(self, rng):
+        """Over 64 used HRIR directions (more than one direction block) and a
+        length that no time block divides, the BRIR equals each direction's
+        impulse train convolved with its HRIR pair by np.convolve, and every
+        truncated arrival is counted."""
+        hrirs = HrirSet(fibonacci_grid(300).directions, rng.normal(size=(300, 128)),
+                        rng.normal(size=(300, 128)), FS)
+        images = enumerate_images(_scene(max_order=8))
+        length = 3001
+        with pytest.warns(TruncatedResponseWarning) as caught:
+            brir = render_reference_brir(images, hrirs, FS, length)
+        matches = np.argmax(images.directions @ hrirs.directions.T, axis=1)
+        assert np.unique(matches).size > 64
+        delays = images.delays * FS
+        expected = np.zeros((2, length + 127))
+        truncated = 0
+        for h in np.unique(matches):
+            train = np.zeros(length)
+            sel = matches == h
+            truncated += dsp.place_fractional_impulses(train, delays[sel], images.amplitudes[sel])
+            expected[0] += np.convolve(train, hrirs.left[h])
+            expected[1] += np.convolve(train, hrirs.right[h])
+        assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert truncated > 0
+        assert str(caught[0].message).startswith(f"{truncated} image arrivals")
+
+    def test_dense_hrir_set_memory_bounded(self):
+        """12,000 HRIR directions, 1,400 of them used: trains are built for at
+        most 64 directions at a time, far below one train per direction
+        (12,000 x 4,800 samples, 461 MB)."""
+        hrirs = spherical_head_hrir_set(fibonacci_grid(12000).directions, sample_rate=FS)
+        images = enumerate_images(_scene(max_order=10))
+        tracemalloc.start()
+        try:
+            with pytest.warns(TruncatedResponseWarning):
+                brir = render_reference_brir(images, hrirs, FS, 4800)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(brir.samples)
+        assert peak < 50e6
 
 
 class TestFoaRender:

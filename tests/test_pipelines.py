@@ -284,7 +284,7 @@ def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
 
 def test_rendering_never_densifies_an_assignment(small_setup, monkeypatch):
     """On the canonical 240-direction grid with 128-tap HRIRs, the standard
-    (k=1) SDM conditions are scattered straight to the ears."""
+    (k=1) SDM conditions are convolved straight from their samples."""
     from srirkit.presets import standard_conditions
     from srirkit.synthesis import SampleAssignment
 

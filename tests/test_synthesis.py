@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from srirkit import synthesis
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
 from srirkit.errors import MissingHrirError
@@ -300,10 +299,10 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31), speakers=st.integers(8, 60), k=st.integers(1, 4),
-       taps=st.integers(8, 64))
+       taps=st.one_of(st.integers(8, 64), st.integers(240, 300)))
 def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
-    """An SDM assignment, scattered or summed in the frequency domain over its
-    rows, and the frequency-domain sum of its dense signals all equal a
+    """An SDM assignment, on both sides of the gather limit, and its dense
+    signals, on both sides of the time-domain taps limit, all equal a
     per-loudspeaker np.convolve sum; HRIRs are listed in shuffled order, so
     each loudspeaker must find its own pair."""
     gen = np.random.default_rng(seed)
@@ -320,14 +319,9 @@ def test_binaural_render_forms_match_direct_convolution_property(seed, speakers,
     for s in range(speakers):
         for e in range(2):
             expected[e] += np.convolve(signals[s], ears[e, s])
-    renders = [binaural_render(VirtualLoudspeakerSignals(grid, signals, FS), hrirs).samples]
-    for ratio in (np.inf, 0.0):  # always scatter, never scatter
-        with mock.patch.object(synthesis, "_SCATTER_TAPS_PER_SPEAKER", ratio):
-            renders.append(binaural_render(assignment, hrirs).samples)
     tol = 1e-12 * np.abs(expected).max()
-    for render in renders:
-        assert np.abs(render - expected).max() <= tol
-    assert np.abs(renders[1] - renders[2]).max() <= tol
+    for vls in (VirtualLoudspeakerSignals(grid, signals, FS), assignment):
+        assert np.abs(binaural_render(vls, hrirs).samples - expected).max() <= tol
 
 
 @settings(max_examples=30, deadline=None)
@@ -467,14 +461,15 @@ class TestBinauralRender:
 
     def test_dense_memory_bounded(self, rng):
         """240 SIRR-length signals: 119 MB when every loudspeaker's spectrum
-        was live at once. A k=3 assignment over 19,200 samples takes the same
-        blocked sum: 50 MB when it was densified whole first."""
+        was live at once. A k=3 assignment over 19,200 samples is convolved
+        from its samples, and a k=8 one, past the gather limit, takes the
+        blocked sum: 50 MB when an assignment was densified whole first."""
         grid = fibonacci_grid(240)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-        n, k = 19200, 3
+        n = 19200
         for vls in (VirtualLoudspeakerSignals(grid, rng.normal(size=(240, 20223)), FS),
-                    SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
-                                     rng.normal(size=(n, k)), FS)):
+                    *(SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
+                                       rng.normal(size=(n, k)), FS) for k in (3, 8))):
             tracemalloc.start()
             try:
                 binaural_render(vls, hrirs)
@@ -483,11 +478,11 @@ class TestBinauralRender:
                 tracemalloc.stop()
             assert peak < 20e6, type(vls).__name__
 
-    def test_scatter_memory_bounded(self, rng, monkeypatch):
-        """The k=8 scatter over 19,200 samples works tap by tap; a gathered
-        (2, n, k, taps) block of HRIR rows would need about 350 MB."""
-        monkeypatch.setattr(synthesis, "_SCATTER_TAPS_PER_SPEAKER", np.inf)  # scatter k=8
-        grid = fibonacci_grid(240)
+    def test_scatter_memory_bounded(self, rng):
+        """A k=8 assignment over 19,200 samples on 960 loudspeakers gathers
+        its HRIR rows one time block at a time; gathered whole, the
+        (n, k, 2 * taps) rows would take 315 MB."""
+        grid = fibonacci_grid(960)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n, k = 19200, 8
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
@@ -500,15 +495,33 @@ class TestBinauralRender:
             tracemalloc.stop()
         assert peak < 50e6
 
-    @pytest.mark.parametrize("speakers, k, densified", [(240, 1, False), (240, 3, True),
-                                                        (960, 8, False), (64, 1, True)])
+    @pytest.mark.parametrize("speakers, k, densified", [(240, 1, False), (240, 3, False),
+                                                        (960, 8, False), (48, 1, True),
+                                                        (240, 8, True)])
     def test_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers, k,
                                                   densified):
-        """128-tap HRIRs: an assignment is scattered while k * 128 is at most
-        1.5 x the loudspeaker count, and summed over its rows past it."""
+        """128-tap HRIRs: an assignment is convolved from its samples while
+        k * 128 is at most 2 x the loudspeaker count, and summed over its rows
+        past it; both equal the render of its dense signals."""
         grid = fibonacci_grid(speakers)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-        n = 500
+        self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
+
+    @pytest.mark.parametrize("speakers, k, densified", [(960, 1, False), (960, 3, False),
+                                                        (240, 1, True)])
+    def test_long_hrir_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers,
+                                                            k, densified):
+        """512-tap HRIRs follow the same rule: on a dense grid an assignment is
+        still convolved from its samples, never densified loudspeaker by
+        loudspeaker."""
+        grid = fibonacci_grid(speakers)
+        hrirs = HrirSet(grid.directions, rng.normal(size=(speakers, 512)),
+                        rng.normal(size=(speakers, 512)), FS)
+        self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
+
+    @staticmethod
+    def _check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified):
+        n = 2500  # several time blocks for every k
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
         calls = []
