@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .arrays import MicArrayGeometry
 from .dsp import SPEED_OF_SOUND, refine_peaks
-from .filterbanks import bandpass_sos
+from .filterbanks import _sosfiltfilt, bandpass_sos
 from .grids import _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
@@ -189,8 +188,7 @@ def piv_broadband_doa(foa: FoaSignal, window_size: int, band_low: float,
     normalized into a toward-source direction. Zero-intensity samples are
     masked invalid.
     """
-    sos = bandpass_sos(band_low, band_high, foa.sample_rate)
-    filtered = sps.sosfiltfilt(sos, foa.samples, axis=-1)
+    filtered = _sosfiltfilt(bandpass_sos(band_low, band_high, foa.sample_rate), foa.samples)
     velocity = -filtered[1:]  # particle velocity is the negated x, y, z
 
     intensity = filtered[0] * velocity  # (3, n), points away from source

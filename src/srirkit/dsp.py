@@ -5,7 +5,6 @@ detection, fractional-delay impulses and direct-sound energy normalization.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames
@@ -101,9 +100,7 @@ def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(f"need two 1-D arrays of one length, got {a.shape} and {b.shape}")
     if not 0 <= max_lag < a.size:
         raise ValueError(f"max_lag must be in [0, {a.size - 1}], got {max_lag}")
-    full = sps.correlate(b, a, mode="full", method="auto")
-    center = a.size - 1
-    return full[center - max_lag : center + max_lag + 1]
+    return np.correlate(np.pad(b, max_lag), a, mode="valid")
 
 
 def refine_peaks(corr: np.ndarray) -> np.ndarray:

@@ -160,11 +160,12 @@ def iacc(left: MonoIr, right: MonoIr) -> float:
     return _iacf_peak(left.samples, right.samples, left.sample_rate, refine=False)[0]
 
 
-def iacc_e3_l3(brir: BinauralIr) -> tuple[float, float]:
+def iacc_e3_l3(brir: BinauralIr, *, _bands=None) -> tuple[float, float]:
     """(1 - IACC_E3, 1 - IACC_L3): octave-band-averaged early/late coherence.
 
     Early covers onset..onset+80 ms, late the remaining tail; the IACC of
     each window is averaged over the 500 Hz, 1 kHz, and 2 kHz octave bands.
+    ``_bands`` maps a centre to its octave band of ``brir``, shared with T30.
     """
     onset = dsp.detect_onset(brir)
     rate = brir.sample_rate
@@ -179,9 +180,10 @@ def iacc_e3_l3(brir: BinauralIr) -> tuple[float, float]:
 
     ears = brir.samples
     floor = IACF_ENERGY_FLOOR * float(np.sqrt(np.prod(np.sum(ears**2, axis=-1))))
+    bands = _bands or {center: octave_band(ears, rate, center) for center in IACC_BANDS_HZ}
     early_vals, late_vals = [], []
-    for band in IACC_BANDS_HZ:
-        left, right = octave_band(ears, rate, band)
+    for center in IACC_BANDS_HZ:
+        left, right = bands[center]
         early_vals.append(_iacf_peak(left[onset:split], right[onset:split], rate, False, floor)[0])
         late_vals.append(_iacf_peak(left[split:], right[split:], rate, False, floor)[0])
     e3 = float(np.clip(1.0 - np.mean(early_vals), 0.0, 1.0))
@@ -217,17 +219,15 @@ def _t30_one_band(filtered: np.ndarray, rate: float, band_hz: float) -> float:
     return -60.0 / float(slope)
 
 
-def t30_mid(ir: MonoIr | BinauralIr) -> float:
+def t30_mid(ir: MonoIr | BinauralIr, *, _bands=None) -> float:
     """Reverberation time from a 30 dB Schroeder decay fit, extrapolated to
     60 dB and averaged over the 500 Hz and 1 kHz octave bands (and both
-    channels for a BRIR).
+    channels for a BRIR). ``_bands`` is as in :func:`iacc_e3_l3`.
     """
     channels = np.atleast_2d(ir.samples)
-    per_band = [octave_band(channels, ir.sample_rate, band) for band in T30_BANDS_HZ]
-    values = [
-        _t30_one_band(per_band[b][ch], ir.sample_rate, band)
-        for ch in range(len(channels)) for b, band in enumerate(T30_BANDS_HZ)
-    ]
+    bands = _bands or {c: octave_band(channels, ir.sample_rate, c) for c in T30_BANDS_HZ}
+    values = [_t30_one_band(bands[center][ch], ir.sample_rate, center)
+              for ch in range(len(channels)) for center in T30_BANDS_HZ]
     return float(np.mean(values))
 
 
@@ -235,12 +235,14 @@ def measure_brir(brir: BinauralIr) -> MetricReport:
     """The full metric set of a BRIR. Every metric is invariant to a gain
     common to both channels, so the BRIR needs no normalization first."""
     low, high = ild_avg(brir)
-    e3, l3 = iacc_e3_l3(brir)
+    bands = {center: octave_band(brir.samples, brir.sample_rate, center)
+             for center in {*IACC_BANDS_HZ, *T30_BANDS_HZ}}
+    e3, l3 = iacc_e3_l3(brir, _bands=bands)
     return MetricReport(
         ild_low_db=low,
         ild_high_db=high,
         itd_us=itd(brir),
-        t30_mid_s=t30_mid(brir),
+        t30_mid_s=t30_mid(brir, _bands=bands),
         one_minus_iacc_e3=e3,
         one_minus_iacc_l3=l3,
     )

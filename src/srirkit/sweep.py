@@ -9,7 +9,7 @@ filter is the time-reversed sweep with an exp(-t/L) amplitude envelope
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
+from scipy import fft as sp_fft
 
 from .signals import MonoIr
 
@@ -31,7 +31,7 @@ def generate_ess(sample_rate: float, f_start: float, f_end: float,
     Returns
     -------
     (sweep, inverse) : tuple of MonoIr
-        ``scipy.signal.fftconvolve(sweep.samples, inverse.samples)``
+        The full convolution of ``sweep.samples`` with ``inverse.samples``
         approximates a band-limited unit impulse centered at index
         ``len(sweep) - 1``.
     """
@@ -56,7 +56,7 @@ def generate_ess(sample_rate: float, f_start: float, f_end: float,
         sweep[-n_fade:] *= ramp[::-1]
 
     inverse = sweep[::-1] * np.exp(-t / length_const)
-    pulse = sps.fftconvolve(sweep, inverse, mode="full")
+    pulse = _fft_convolve(sweep, inverse)
     inverse /= np.abs(pulse).max()
 
     return MonoIr(sweep, sample_rate), MonoIr(inverse, sample_rate)
@@ -74,7 +74,13 @@ def deconvolve_ess(recorded: MonoIr, inverse: MonoIr, trim_distortion: bool = Tr
         raise ValueError(
             f"sample-rate mismatch: {recorded.sample_rate} vs {inverse.sample_rate}"
         )
-    full = sps.fftconvolve(recorded.samples, inverse.samples, mode="full")
+    full = _fft_convolve(recorded.samples, inverse.samples)
     if trim_distortion:
         full = full[len(inverse) - 1 :]
     return MonoIr(full, recorded.sample_rate)
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution through real FFTs: SciPy's ``fftconvolve(a, b)``, bit for bit."""
+    nfft = sp_fft.next_fast_len(a.size + b.size - 1, real=True)
+    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft), nfft)[: a.size + b.size - 1]

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import signal as sps
 
 from .doa import DoaTrajectory, TfDoaField
 from .dsp import istft, stft
@@ -181,6 +180,8 @@ def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
     diffuse_td = istft(StftFrames(diffuse_tf, *layout))
     has_diffuse = np.any(diffuse_td)
     out = np.zeros((len(grid), diffuse_td.size + DECORRELATOR_TAPS - 1))
+    nfft = sp_fft.next_fast_len(out.shape[1], real=True)  # SciPy fftconvolve's bits
+    diffuse_spectrum = sp_fft.rfft(diffuse_td, nfft)
     for start in range(0, len(grid), _SPEAKER_BLOCK):
         rows = np.zeros((min(_SPEAKER_BLOCK, len(grid) - start), *diffuse_tf.shape), complex)
         hit = (speakers >= start) & (speakers < start + len(rows))
@@ -191,7 +192,8 @@ def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
         if has_diffuse:
             kernels = np.stack([decorrelation_kernel(seed, ls)
                                 for ls in range(start, start + len(rows))])
-            block += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
+            spectra = diffuse_spectrum * sp_fft.rfft(kernels, nfft)  # one diffuse rfft per call
+            block += sp_fft.irfft(spectra, nfft)[:, : out.shape[1]]
     return VirtualLoudspeakerSignals(grid, out, field.sample_rate)
 
 

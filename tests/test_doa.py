@@ -234,6 +234,13 @@ class TestPivBroadbandDoa:
         assert np.array_equal(a.valid, b.valid)
         assert np.allclose(a.directions[a.valid], b.directions[b.valid], atol=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 15])
+    def test_fifteen_samples_or_fewer_rejected(self, n):
+        foa = FoaSignal(np.ones((4, n)), FS)
+        with pytest.raises(ValueError, match="more than 15 samples"):
+            piv_broadband_doa(foa, 4, *BAND)
+        assert len(piv_broadband_doa(FoaSignal(np.ones((4, 16)), FS), 4, *BAND)) == 16
+
     def test_band_above_nyquist_rejected(self):
         foa = _plane_wave_foa(direction_from_azel(0, 0))
         with pytest.raises(ValueError):

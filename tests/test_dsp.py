@@ -139,6 +139,18 @@ class TestCrossCorrelate:
         lag = dsp.refine_peaks(corr) - 10
         assert lag == pytest.approx(0.5, abs=0.05)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 300), lag_frac=st.floats(0.0, 1.0))
+    def test_equals_brute_force_sum_property(self, seed, n, lag_frac):
+        """Lag tau holds sum_n a[n] * b[n + tau], for every returned lag."""
+        a, b = np.random.default_rng(seed).normal(size=(2, n))
+        max_lag = int(lag_frac * (n - 1))
+        expected = [sum(a[i] * b[i + tau] for i in range(n) if 0 <= i + tau < n)
+                    for tau in range(-max_lag, max_lag + 1)]
+        corr = dsp.cross_correlate(a, b, max_lag)
+        assert corr.shape == (2 * max_lag + 1,)
+        assert np.abs(corr - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
     def test_invalid_arguments(self):
         x = np.ones(10)
         with pytest.raises(ValueError):

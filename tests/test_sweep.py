@@ -32,6 +32,13 @@ def test_sweep_amplitude_bounded(short_sweep):
     assert np.abs(sweep.samples).max() <= 1.0 + 1e-12
 
 
+def test_deconvolution_is_scipy_fftconvolve_bit_for_bit(short_sweep):
+    sweep, inverse = short_sweep
+    recorded = MonoIr(sweep.samples[: len(sweep) // 3], FS)
+    full = deconvolve_ess(recorded, inverse, trim_distortion=False)
+    np.testing.assert_array_equal(full.samples, sps.fftconvolve(recorded.samples, inverse.samples))
+
+
 def test_main_to_sidelobe_ratio(short_sweep):
     sweep, inverse = short_sweep
     pulse = sps.fftconvolve(sweep.samples, inverse.samples)
