@@ -192,7 +192,7 @@ def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
         if has_diffuse:
             kernels = np.stack([decorrelation_kernel(seed, ls)
                                 for ls in range(start, start + len(rows))])
-            spectra = diffuse_spectrum * sp_fft.rfft(kernels, nfft)  # one diffuse rfft per call
+            spectra = diffuse_spectrum * sp_fft.rfft(kernels, nfft)  # a shared diffuse rfft
             block += sp_fft.irfft(spectra, nfft)[:, : out.shape[1]]
     return VirtualLoudspeakerSignals(grid, out, field.sample_rate)
 
