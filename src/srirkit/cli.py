@@ -11,8 +11,10 @@ Commands (all driven by a JSON config):
 - ``metrics``: metric report for a single BRIR.
 - ``ess``: generate an exponential sweep pair or deconvolve a recording.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error. Outputs
-are byte-identical for identical config and seed.
+Exit codes: 0 success, 1 runtime failure, 2 configuration error: a config
+file that cannot be read or used, or a value of the wrong JSON shape, exits
+2 naming its key, as does a ``--threads`` below 1. Outputs are
+byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -52,19 +54,14 @@ from .sweep import deconvolve_ess, generate_ess
 
 
 def _check_keys(cfg: dict, where: str, required: set, optional: set = frozenset()) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"{where}: must be a JSON object, got {cfg!r}")
     unknown = set(cfg) - required - set(optional)
     if unknown:
         raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
     missing = required - set(cfg)
     if missing:
         raise ConfigurationError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _existing(path_str: str, where: str) -> Path:
-    path = Path(path_str)
-    if not path.exists():
-        raise ConfigurationError(f"{where}: file not found: {path}")
-    return path
 
 
 def _write_manifest(out_dir: Path, command: str, seed: int, files: list) -> Path:
@@ -78,17 +75,10 @@ def _write_manifest(out_dir: Path, command: str, seed: int, files: list) -> Path
     return path
 
 
-def _read_brir(path, where: str) -> BinauralIr:
-    data, rate = wavio.read_wav(_existing(path, where))
-    if data.shape[0] != 2:
-        raise ConfigurationError(f"{where}: {path} must be a stereo WAV")
-    return BinauralIr(data, rate)
-
-
 def _config_value(cfg: dict, key: str, cast, where: str, default=None):
     """``cast`` of ``cfg[key]``, or of ``default`` when the key is absent; a
     value the cast rejects, or a file it cannot read, is a ConfigurationError
-    naming the key."""
+    naming the key. Commands read every config value, files included, through it."""
     try:
         return cast(cfg.get(key, default))
     except (KeyError, OSError, TypeError, ValueError) as exc:
@@ -109,6 +99,18 @@ def _json_int(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"must be a whole number, got {value!r}")
     return int(value)
+
+
+def _json_list(value) -> list:
+    """A JSON array as it is; anything else, such as an object, raises."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    return value
+
+
+def _wav(signal_type):
+    """A cast reading a WAV file into ``signal_type``, which checks its channel count."""
+    return lambda path: signal_type(*wavio.read_wav(path))
 
 
 def _length_samples(cfg: dict, where: str, rate: float) -> int:
@@ -133,7 +135,7 @@ def _load_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
         sc = _config_value(cfg, "scene_preset", preset_scene, where)
         scene_rate, length = DEFAULT_SAMPLE_RATE, round(0.4 * DEFAULT_SAMPLE_RATE)
     else:
-        sc, scene_rate, length = scene_from_json(_existing(cfg["scene_json"], where))
+        sc, scene_rate, length = _config_value(cfg, "scene_json", scene_from_json, where)
     if "array" in cfg:
         sc = replace(sc, receiver=_config_value(cfg, "array", builtin_array, where))
     if "max_order" in cfg:
@@ -203,7 +205,7 @@ _CONDITION_CASTS = {"window_size": _json_int, "band_low": float, "band_high": fl
 
 
 def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
-    where = f"condition {entry.get('id', '?')!r}"
+    where = f"condition {entry.get('id', '?')!r}" if isinstance(entry, dict) else "condition"
     _check_keys(entry, where, {"id", "analysis", "pressure_source"}, set(_CONDITION_CASTS))
     return SystemCondition(
         id=str(entry["id"]),
@@ -222,14 +224,15 @@ def _load_analysis_input(cfg: dict, where: str) -> AnalysisInput:
     srir = geometry = foa = None
     if "srir_wav" in cfg:
         geometry = _config_value(cfg, "array", builtin_array, where, "om6")
-        data, rate = wavio.read_wav(_existing(cfg["srir_wav"], where))
-        srir = MultichannelIr(data, rate)
+        srir = _config_value(cfg, "srir_wav", _wav(MultichannelIr), where)
+    elif "array" in cfg:
+        raise ConfigurationError(f"{where}: array needs srir_wav")
     if "foa_wav" in cfg:
-        data, rate = wavio.read_wav(_existing(cfg["foa_wav"], where))
-        if data.shape[0] != 4:
-            raise ConfigurationError(f"{where}: FOA WAV must have 4 channels (w,x,y,z)")
-        foa = FoaSignal(data, rate)
-    return AnalysisInput(srir=srir, geometry=geometry, foa=foa)
+        foa = _config_value(cfg, "foa_wav", _wav(FoaSignal), where)
+    try:
+        return AnalysisInput(srir=srir, geometry=geometry, foa=foa)
+    except ConfigurationError as exc:  # no input, or inputs that do not match
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def cmd_render(cfg: dict, out_dir: Path, args) -> int:
@@ -244,7 +247,8 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
         inputs = None  # simulated below, once the conditions are checked
 
     grid, hrirs = _grid_and_hrirs(cfg, "render", rate)
-    conditions = [_build_condition(e, grid, hrirs, args.seed) for e in cfg["conditions"]]
+    conditions = [_build_condition(e, grid, hrirs, args.seed)
+                  for e in _config_value(cfg, "conditions", _json_list, "render")]
     check_condition_ids(conditions)
     if inputs is None:
         for cond in conditions:
@@ -291,39 +295,38 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
 def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
     if "batch" in cfg:
         _check_keys(cfg, "compare", {"batch"})
-        batch = cfg["batch"]
+        batch = _config_value(cfg, "batch", _json_list, "compare")
     else:
         _check_keys(cfg, "compare", {"reference_wav", "systems"})
         batch = [cfg]
 
-    system_wavs = {}  # (condition, scene) -> system WAV, in batch order
+    systems = {}  # (condition, scene) -> system BRIR, in batch order
     reference_paths = {}  # scene -> resolved reference WAV path
+    read = {}  # resolved reference WAV path -> its BRIR, so each file is read once
     for i, entry in enumerate(batch):
         where = f"compare.batch[{i}]"
         _check_keys(entry, where, {"reference_wav", "systems"}, {"scene"})
-        if not entry["systems"]:
+        if not _config_value(entry, "systems", _json_list, where):
             raise ConfigurationError(f"{where}: at least one system is required")
         scene = str(entry.get("scene", i))
-        path = _existing(entry["reference_wav"], where).resolve()
+        path = _config_value(entry, "reference_wav", lambda p: Path(p).resolve(), where)
         if reference_paths.setdefault(scene, path) != path:
             raise ConfigurationError(f"{where}: scene {scene!r} has two reference_wav "
                                      f"files, {reference_paths[scene]} and {path}")
+        if path not in read:
+            read[path] = _config_value(entry, "reference_wav", _wav(BinauralIr), where)
         for sys_entry in entry["systems"]:
             _check_keys(sys_entry, f"{where}.systems", {"id", "brir_wav"})
             pair = (str(sys_entry["id"]), scene)
-            if pair in system_wavs:
+            if pair in systems:
                 raise ConfigurationError(f"{where}: system {pair[0]!r} on scene {scene!r} "
                                          "is given twice")
-            system_wavs[pair] = sys_entry["brir_wav"]
-    if not system_wavs:
+            systems[pair] = _config_value(sys_entry, "brir_wav", _wav(BinauralIr),
+                                          f"{where}.systems")
+    if not systems:
         raise ConfigurationError("compare: at least one system is required")
 
-    read = {path: _read_brir(path, "compare.batch")  # each reference file once
-            for path in dict.fromkeys(reference_paths[scene] for _, scene in system_wavs)}
-    result = score(
-        {pair: _read_brir(wav, "compare.batch") for pair, wav in system_wavs.items()},
-        {scene: read[reference_paths[scene]] for _, scene in system_wavs},
-    )
+    result = score(systems, {scene: read[reference_paths[scene]] for _, scene in systems})
     (out_dir / "report.json").write_text(result.to_json() + "\n")
     metric_names = MetricReport.metric_names()
     with (out_dir / "report.csv").open("w", newline="") as fh:
@@ -334,7 +337,7 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
             + [f"err_{m}" for m in metric_names]
             + [f"jnd_pass_{m}" for m in metric_names]
         )
-        for cond_id, scene in system_wavs:
+        for cond_id, scene in systems:
             sys_report = result.condition_reports[cond_id][scene]
             # A one-pair summary: its MSD is the signed error, its flags the row's.
             pair = error_summary_paired([sys_report], [result.reference_reports[scene]])
@@ -352,7 +355,7 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
 def cmd_metrics(cfg: dict, out_dir: Path, args) -> int:
     _check_keys(cfg, "metrics", {"brir_wav"}, {"include_full_itd"})
     full_itd = _config_value(cfg, "include_full_itd", _json_bool, "metrics", False)
-    brir = _read_brir(cfg["brir_wav"], "metrics")
+    brir = _config_value(cfg, "brir_wav", _wav(BinauralIr), "metrics")
     payload = {"metrics": measure_brir(brir).to_dict(), "jnd": JND}
     if full_itd:
         payload["itd_full_us"] = itd(brir, segment_s=None)
@@ -388,8 +391,8 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
         for key in ("recorded_wav", "inverse_wav"):
             if key not in cfg:
                 raise ConfigurationError(f"ess deconvolve: missing {key}")
-        rec_data, rate = wavio.read_wav(_existing(cfg["recorded_wav"], "ess"))
-        inv_data, inv_rate = wavio.read_wav(_existing(cfg["inverse_wav"], "ess"))
+        rec_data, rate = _config_value(cfg, "recorded_wav", wavio.read_wav, "ess")
+        inv_data, inv_rate = _config_value(cfg, "inverse_wav", wavio.read_wav, "ess")
         if inv_data.shape[0] != 1:
             raise ConfigurationError("ess: inverse_wav must be mono")
         inverse = MonoIr(inv_data[0], inv_rate)
@@ -430,15 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise ConfigurationError(f"config not found: {config_path}")
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         try:
-            cfg = json.loads(config_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{config_path}: invalid JSON ({exc})") from exc
+            cfg = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise ConfigurationError(f"{args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise ConfigurationError(f"{config_path}: top level must be an object")
+            raise ConfigurationError(f"{args.config}: top level must be an object")
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir, args)

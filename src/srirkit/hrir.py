@@ -123,19 +123,12 @@ def interleaved_hrir_set(index_path, data: np.ndarray, sample_rate: float) -> Hr
     return HrirSet(directions, data[0::2], data[1::2], sample_rate)
 
 
-def load_hrir_set(index_path, wav_path=None) -> HrirSet:
-    """Load HRIRs described by an index CSV of (azimuth_deg, elevation_deg, ...).
-
-    Two layouts are supported:
-
-    - per-direction stereo WAVs: rows ``azimuth,elevation,filename`` with
-      filenames relative to the index file's directory;
-    - one interleaved multichannel WAV (``wav_path``): rows
-      ``azimuth,elevation`` in channel order, direction i occupying
-      channels 2i (left) and 2i+1 (right); see :func:`interleaved_hrir_set`.
+def load_hrir_set(index_path) -> HrirSet:
+    """Load HRIRs from an index CSV of ``azimuth,elevation,filename`` rows,
+    one per-direction stereo WAV each, with filenames relative to the index
+    file's directory. For one interleaved multichannel WAV, see
+    :func:`interleaved_hrir_set`.
     """
-    if wav_path is not None:
-        return interleaved_hrir_set(index_path, *wavio.read_wav(wav_path))
     index_path, rows, directions = _read_index(index_path)
     lefts, rights, rate = [], [], None
     for r in rows:

@@ -38,6 +38,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8 : pos + 8 + size]
         if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise ValueError(f"{path}: fmt chunk of {len(body)} bytes, need 16")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             data = body

@@ -382,6 +382,23 @@ class TestRender:
         err = capsys.readouterr().err
         assert "array" in err and "scene_preset" in err
 
+    def test_input_array_without_srir_exits_2(self, tmp_path, capsys):
+        wavio.write_wav(tmp_path / "foa.wav", np.ones((4, 64)), FS)
+        cfg = _write_config(tmp_path, "render.json", {
+            "input": {"foa_wav": str(tmp_path / "foa.wav"), "array": "sphere32"},
+            "grid_size": 32, "conditions": [_SIRR],
+        })
+        assert main(["render", "--config", cfg, "--output", str(tmp_path / "r")]) == 2
+        assert "array needs srir_wav" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setattr(cli, "simulate", _no_simulation)
+        cfg = _write_config(tmp_path, "render.json", {**_sim_config(), "conditions": [_SDM]})
+        assert main(["render", "--config", cfg, "--output", str(tmp_path / "r"),
+                     "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         conditions = [
             {"id": "a", "analysis": "tdoa", "pressure_source": "channel-average"},
@@ -547,8 +564,9 @@ class TestCompare:
             "systems": [{"id": "x", "brir_wav": str(bad)}],
         })
         code = main(["compare", "--config", cfg, "--output", str(tmp_path / "c")])
-        assert code != 0
-        assert "bad.wav" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.wav" in err and "reference_wav" in err
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, "cmp.json", {
@@ -656,6 +674,13 @@ def test_invalid_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--config", str(bad), "--output", str(tmp_path)]) == 2
+
+
+def test_config_that_is_a_directory_or_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    for config in (tmp_path, bad):
+        assert main(["simulate", "--config", str(config), "--output", str(tmp_path / "o")]) == 2
 
 
 def test_condition_entry_defaults_come_from_the_dataclasses():
@@ -797,3 +822,65 @@ def test_grid_and_hrir_keys_that_would_be_ignored_exit_2(tmp_path, capsys, monke
     assert main([command, "--config", path, "--output", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert all(key in err for key in named)
+
+
+# In these configs "BAD" stands for the file under test, "STEREO" and "MONO"
+# for valid WAVs of those channel counts, and "INDEX" for a valid two-column
+# HRIR index.
+_FILE_KEYS = [
+    ("simulate", {"scene_json": "BAD", "grid_size": 32}, "scene_json"),
+    ("render", {"input": {"srir_wav": "BAD"}, "conditions": [_SDM]}, "srir_wav"),
+    ("render", {"input": {"foa_wav": "BAD"}, "conditions": [_SIRR]}, "foa_wav"),
+    ("compare", {"reference_wav": "BAD", "systems": [{"id": "x", "brir_wav": "STEREO"}]},
+     "reference_wav"),
+    ("compare", {"reference_wav": "STEREO", "systems": [{"id": "x", "brir_wav": "BAD"}]},
+     "brir_wav"),
+    ("metrics", {"brir_wav": "BAD"}, "brir_wav"),
+    ("ess", {"mode": "deconvolve", "recorded_wav": "BAD", "inverse_wav": "MONO"},
+     "recorded_wav"),
+    ("ess", {"mode": "deconvolve", "recorded_wav": "MONO", "inverse_wav": "BAD"},
+     "inverse_wav"),
+    ("simulate", {"scene_preset": "front_left", "grid_csv": "BAD"}, "grid_csv"),
+    ("simulate", _sim_config(hrir_index="BAD"), "hrir_index"),
+    ("simulate", _sim_config(hrir_index="INDEX", hrir_wav="BAD"), "hrir_wav"),
+]
+# Values of the wrong JSON shape, and an input block whose files do not fit.
+_BAD_VALUES = [
+    ("render", {**_sim_config(), "conditions": {"a": _SDM}}, "conditions"),
+    ("render", {**_sim_config(), "conditions": [5]}, "condition"),
+    ("render", {"input": 5, "conditions": [_SDM]}, "render.input"),
+    ("compare", {"batch": {"a": 1}}, "batch"),
+    ("compare", {"batch": [5]}, "compare.batch[0]"),
+    ("compare", {"reference_wav": "STEREO", "systems": {"id": "x"}}, "systems"),
+    ("compare", {"reference_wav": "STEREO", "systems": [5]}, "compare.batch[0].systems"),
+    ("render", {"input": {"srir_wav": "STEREO"}, "conditions": [_SDM]}, "render.input"),
+    ("render", {"input": {}, "conditions": [_SDM]}, "render.input"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, key, bad", [
+    pytest.param(command, cfg, key, bad, id=f"{command}-{key}-{bad}")
+    for command, cfg, key in _FILE_KEYS
+    for bad in ("missing", "directory", "garbage")
+] + [
+    pytest.param(command, cfg, key, None, id=f"value-{i}")
+    for i, (command, cfg, key) in enumerate(_BAD_VALUES)
+])
+def test_unreadable_file_or_misshapen_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch,
+                                                                   command, cfg, key, bad):
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    wavio.write_wav(tmp_path / "stereo.wav", np.ones((2, 8)), FS)
+    wavio.write_wav(tmp_path / "mono.wav", np.ones((1, 8)), FS)
+    (tmp_path / "index.csv").write_text("0,0\n")
+    (tmp_path / "garbage").write_text("no, 1\n")  # neither a WAV, nor JSON, nor a grid
+    files = {"BAD": {"missing": tmp_path / "absent", "directory": tmp_path,
+                     "garbage": tmp_path / "garbage"}.get(bad),
+             "STEREO": tmp_path / "stereo.wav", "MONO": tmp_path / "mono.wav",
+             "INDEX": tmp_path / "index.csv"}
+    text = json.dumps(cfg)
+    for name, path in files.items():
+        text = text.replace(f'"{name}"', json.dumps(str(path)))
+    (tmp_path / "cfg.json").write_text(text)
+    assert main([command, "--config", str(tmp_path / "cfg.json"),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert f"{key}:" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from srirkit import hrir as hrir_module
 from srirkit import wavio
 from srirkit.dsp import place_fractional_impulses
 from srirkit.grids import fibonacci_grid, nearest_directions
-from srirkit.hrir import HrirSet, load_hrir_set, spherical_head_hrir_set
+from srirkit.hrir import HrirSet, interleaved_hrir_set, load_hrir_set, spherical_head_hrir_set
 
 FS = 48000.0
 
@@ -165,7 +165,7 @@ class TestLoaders:
         index = tmp_path / "index.csv"
         index.write_text("\n".join(f"{a},{e}" for a, e in rows) + "\n")
 
-        loaded = load_hrir_set(index, wav_path)
+        loaded = interleaved_hrir_set(index, *wavio.read_wav(wav_path))
         assert len(loaded) == len(rows)
         assert np.abs(loaded.right - hrirs.right).max() < 1e-6
 
@@ -176,7 +176,7 @@ class TestLoaders:
         index = tmp_path / "index.csv"
         index.write_text("\n".join(f"{a},{e}" for a, e in rows) + "\n")
         with pytest.raises(ValueError):
-            load_hrir_set(index, wav_path)
+            interleaved_hrir_set(index, *wavio.read_wav(wav_path))
 
     def test_empty_index_rejected(self, tmp_path):
         index = tmp_path / "index.csv"

@@ -124,6 +124,14 @@ def test_wav_rejects_garbage(tmp_path):
         wavio.read_wav(bad)
 
 
+def test_wav_rejects_short_fmt_chunk(tmp_path):
+    bad = tmp_path / "short.wav"
+    bad.write_bytes(b"RIFF\x1a\x00\x00\x00WAVEfmt \x02\x00\x00\x00\x03\x00"
+                    b"data\x04\x00\x00\x00\x00\x00\x00\x00")
+    with pytest.raises(ValueError, match="short.wav"):
+        wavio.read_wav(bad)
+
+
 @pytest.mark.parametrize("rate", [44100.5, 0, -48000, float("nan"), float("inf")])
 def test_wav_write_rejects_rate_that_is_not_a_positive_integer(tmp_path, rate):
     path = tmp_path / "x.wav"
