@@ -3,7 +3,9 @@
 Commands (all driven by a JSON config):
 
 - ``simulate``: render a scene's SRIR, FOA, and reference BRIR plus an
-  image list CSV and a checksum manifest.
+  image list CSV, a ``scene.json`` scene file and a checksum manifest.
+  Only this module reads and writes scene files; a value in a
+  ``scene_json`` file is read as the config value of the same name.
 - ``render``: run system conditions on a scene or imported signals, one
   BRIR per condition (``--dump-intermediates`` adds trajectory/field CSVs
   and loudspeaker-signal WAVs).
@@ -33,10 +35,11 @@ import numpy as np
 from . import wavio
 from .arrays import builtin_array
 from .doa import DoaTrajectory
+from .dsp import SPEED_OF_SOUND
 from .errors import ConfigurationError
 from .grids import fibonacci_grid, load_grid_csv, save_grid_csv
 from .hrir import interleaved_hrir_set, load_hrir_set, spherical_head_hrir_set
-from .ism import Scene, scene_from_json, scene_to_json_dict
+from .ism import Scene, ShoeboxRoom
 from .metrics import JND, MetricReport, error_summary_paired, itd, measure_brir
 from .pipelines import (
     AnalysisInput,
@@ -108,6 +111,20 @@ def _json_list(value) -> list:
     return value
 
 
+def _json_rate(value) -> int:
+    """A sample rate as a JSON number of whole hertz; a string or a boolean raises."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"must be a JSON number, got {value!r}")
+    return wavio.check_sample_rate(value)
+
+
+def _file_name(value) -> str:
+    """A plain file name, such as "sdm-tdoa"; a path, "", "." or ".." raises."""
+    if not isinstance(value, str) or value in ("", ".", "..") or Path(value).name != value:
+        raise ValueError(f"must be a plain file name, got {value!r}")
+    return value
+
+
 def _wav(signal_type):
     """A cast reading a WAV file into ``signal_type``, which checks its channel count."""
     return lambda path: signal_type(*wavio.read_wav(path))
@@ -124,6 +141,52 @@ def _length_samples(cfg: dict, where: str, rate: float) -> int:
     return int(round(samples))
 
 
+def _scene_text(sc: Scene, rate: float, length: int) -> str:
+    """The ``scene.json`` that ``simulate`` writes, in the form ``scene_json`` reads."""
+    room = {"dimensions": sc.room.dimensions.tolist(), "max_order": sc.room.max_order,
+            "reflection_coefficients": sc.room.reflection_coefficients.tolist(),
+            "speed_of_sound": SPEED_OF_SOUND}
+    return json.dumps({"room": room, "source": sc.source.tolist(),
+                       "receiver_origin": sc.receiver_origin.tolist(),
+                       "receiver": {"kind": "array", "name": sc.receiver.name},
+                       "sample_rate": float(rate), "length": length},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def _read_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
+    """The scene, rate and length of the config's ``scene_json`` file. A file
+    value is read as the config value of the same name; the room's
+    ``speed_of_sound`` must be ``SPEED_OF_SOUND``, and a file without a
+    ``receiver`` gets om6."""
+    data = _config_value(cfg, "scene_json", lambda path: json.loads(Path(path).read_text()),
+                         where)
+    where = f"{where}: scene_json"
+    _check_keys(data, where, {"room", "source", "receiver_origin"},
+                {"receiver", "sample_rate", "length"})
+    room, receiver = data["room"], data.get("receiver", {"kind": "array"})
+    _check_keys(room, f"{where}.room", {"dimensions", "reflection_coefficients"},
+                {"speed_of_sound", "max_order"})
+    _check_keys(receiver, f"{where}.receiver", {"kind"}, {"name"})
+    if room.get("speed_of_sound", SPEED_OF_SOUND) != SPEED_OF_SOUND:
+        raise ConfigurationError(f"{where}.room: speed_of_sound must be {SPEED_OF_SOUND} m/s, "
+                                 f"got {room['speed_of_sound']!r}")
+    if receiver["kind"] != "array":
+        raise ConfigurationError(f"{where}.receiver: kind must be 'array', "
+                                 f"got {receiver['kind']!r}")
+    order = _config_value(room, "max_order", _json_int, f"{where}.room", 10)
+    array = _config_value(receiver, "name", builtin_array, f"{where}.receiver", "om6")
+    shoebox = _config_value(data, "room", lambda r: ShoeboxRoom(
+        r["dimensions"], r["reflection_coefficients"], order), where)
+    try:
+        sc = Scene(shoebox, data["source"], data["receiver_origin"], array)
+    except ValueError as exc:  # the message names the field
+        raise ConfigurationError(f"{where}: {exc}") from exc
+    length = _config_value(data, "length", _json_int, where, 14400)
+    if length < 1:
+        raise ConfigurationError(f"{where}: length must be at least 1 sample, got {length}")
+    return sc, _config_value(data, "sample_rate", _json_rate, where, DEFAULT_SAMPLE_RATE), length
+
+
 def _load_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
     """The config's scene, rate and length. A ``scene_preset`` is the preset
     scene at 48 kHz and 0.4 s; on it or a ``scene_json`` file, the config's
@@ -135,13 +198,13 @@ def _load_scene(cfg: dict, where: str) -> tuple[Scene, float, int]:
         sc = _config_value(cfg, "scene_preset", preset_scene, where)
         scene_rate, length = DEFAULT_SAMPLE_RATE, round(0.4 * DEFAULT_SAMPLE_RATE)
     else:
-        sc, scene_rate, length = _config_value(cfg, "scene_json", scene_from_json, where)
+        sc, scene_rate, length = _read_scene(cfg, where)
     if "array" in cfg:
         sc = replace(sc, receiver=_config_value(cfg, "array", builtin_array, where))
     if "max_order" in cfg:
         sc = replace(sc, room=_config_value(
             cfg, "max_order", lambda v: replace(sc.room, max_order=_json_int(v)), where))
-    rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, where, scene_rate))
+    rate = float(_config_value(cfg, "sample_rate", _json_rate, where, scene_rate))
     if "length_s" in cfg:
         return sc, rate, _length_samples(cfg, where, rate)
     length = int(round(length * rate / scene_rate))  # the scene's duration at the new rate
@@ -188,9 +251,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.samples, rate)
     wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.samples, rate)
     rendering.images.to_csv(out_dir / "images.csv")
-    (out_dir / "scene.json").write_text(
-        json.dumps(scene_to_json_dict(sc, rate, length), indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "scene.json").write_text(_scene_text(sc, rate, length))
     files = ["srir.wav", "foa.wav", "reference_brir.wav", "images.csv", "scene.json"]
     _write_manifest(out_dir, "simulate", args.seed, files)
     print(f"simulate: wrote {len(files)} files to {out_dir}")
@@ -208,7 +269,7 @@ def _build_condition(entry: dict, grid, hrirs, seed: int) -> SystemCondition:
     where = f"condition {entry.get('id', '?')!r}" if isinstance(entry, dict) else "condition"
     _check_keys(entry, where, {"id", "analysis", "pressure_source"}, set(_CONDITION_CASTS))
     return SystemCondition(
-        id=str(entry["id"]),
+        id=_config_value(entry, "id", _file_name, where),
         analysis=entry["analysis"],
         pressure_source=entry["pressure_source"],
         grid=grid,
@@ -372,15 +433,14 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
                  "recorded_wav", "inverse_wav", "trim_distortion"})
     mode = cfg["mode"]
     if mode == "generate":
-        rate = float(_config_value(cfg, "sample_rate", wavio.check_sample_rate, "ess",
-                                   DEFAULT_SAMPLE_RATE))
-        sweep, inverse = generate_ess(
-            rate,
-            _config_value(cfg, "f_start", float, "ess", 20.0),
-            _config_value(cfg, "f_end", float, "ess", 20000.0),
-            _config_value(cfg, "duration_s", float, "ess", 20.0),
-            _config_value(cfg, "fade_s", float, "ess", 0.01),
-        )
+        rate = float(_config_value(cfg, "sample_rate", _json_rate, "ess", DEFAULT_SAMPLE_RATE))
+        sweep_args = [_config_value(cfg, key, float, "ess", default) for key, default in
+                      (("f_start", 20.0), ("f_end", 20000.0), ("duration_s", 20.0),
+                       ("fade_s", 0.01))]
+        try:
+            sweep, inverse = generate_ess(rate, *sweep_args)
+        except ValueError as exc:  # a range generate_ess rejects; the message names the keys
+            raise ConfigurationError(f"ess: {exc}") from exc
         wavio.write_wav(out_dir / "sweep.wav", sweep.samples[None, :], rate)
         wavio.write_wav(out_dir / "inverse.wav", inverse.samples[None, :], rate)
         _write_manifest(out_dir, "ess", args.seed, ["sweep.wav", "inverse.wav"])
@@ -391,14 +451,16 @@ def cmd_ess(cfg: dict, out_dir: Path, args) -> int:
         for key in ("recorded_wav", "inverse_wav"):
             if key not in cfg:
                 raise ConfigurationError(f"ess deconvolve: missing {key}")
-        rec_data, rate = _config_value(cfg, "recorded_wav", wavio.read_wav, "ess")
-        inv_data, inv_rate = _config_value(cfg, "inverse_wav", wavio.read_wav, "ess")
-        if inv_data.shape[0] != 1:
+        recorded = _config_value(cfg, "recorded_wav", _wav(MultichannelIr), "ess")
+        inverse = _config_value(cfg, "inverse_wav", _wav(MultichannelIr), "ess")
+        rate = recorded.sample_rate
+        if inverse.channel_count != 1:
             raise ConfigurationError("ess: inverse_wav must be mono")
-        inverse = MonoIr(inv_data[0], inv_rate)
-        channels = [
-            deconvolve_ess(MonoIr(ch, rate), inverse, trim).samples for ch in rec_data
-        ]
+        if inverse.sample_rate != rate:
+            raise ConfigurationError(f"ess: recorded_wav is at {rate} Hz but inverse_wav "
+                                     f"at {inverse.sample_rate} Hz")
+        channels = [deconvolve_ess(MonoIr(ch, rate), MonoIr(inverse.samples[0], rate),
+                                   trim).samples for ch in recorded.samples]
         wavio.write_wav(out_dir / "ir.wav", np.stack(channels), rate)
         _write_manifest(out_dir, "ess", args.seed, ["ir.wav"])
         print(f"ess: wrote ir.wav to {out_dir}")

@@ -6,13 +6,14 @@ synthesis stages scenes with exactly known geometry, not to be a room
 acoustics product. Arrival times are sub-sample exact via windowed-sinc
 fractional delays. A render whose direct (order-0) arrival does not fit
 raises :class:`~srirkit.errors.LostDirectPathError`; later arrivals that do
-not fit are dropped and counted in a ``TruncatedResponseWarning``.
+not fit are dropped and counted in a ``TruncatedResponseWarning``. Scene
+files belong to :mod:`srirkit.cli`, which reads and writes them.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .arrays import MicArrayGeometry, builtin_array
 from .dsp import SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
-from .errors import ConfigurationError, LostDirectPathError, TruncatedResponseWarning
+from .errors import LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, FoaSignal, MultichannelIr
@@ -49,8 +50,11 @@ class ShoeboxRoom:
             raise ValueError("dimensions must be three positive lengths")
         if coeffs.shape != (6,) or np.any(coeffs < 0) or np.any(coeffs > 1):
             raise ValueError("need six wall coefficients in [0, 1]")
-        if self.max_order < 0:
-            raise ValueError("max_order must be >= 0")
+        order = self.max_order
+        if not (isinstance(order, numbers.Real) and not isinstance(order, bool)
+                and float(order).is_integer() and order >= 0):
+            raise ValueError(f"max_order must be a whole number >= 0, got {order!r}")
+        object.__setattr__(self, "max_order", int(order))
         object.__setattr__(self, "dimensions", dims)
         object.__setattr__(self, "reflection_coefficients", coeffs)
 
@@ -263,83 +267,3 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
         ears += hrir_sum(np.stack([hrirs.left[block], hrirs.right[block]]), trains)
     _warn_truncated(truncated, "reference BRIR")
     return BinauralIr(ears, sample_rate)
-
-
-def scene_to_json_dict(scene: Scene, sample_rate: float, length: int) -> dict:
-    """JSON-serializable description of a scene plus render settings. A file
-    names its receiver, so a receiver that is not a built-in array raises
-    ``ValueError``."""
-    try:
-        builtin = np.array_equal(builtin_array(scene.receiver.name).positions,
-                                 scene.receiver.positions)
-    except KeyError:
-        builtin = False
-    if not builtin:
-        raise ValueError(f"receiver {scene.receiver.name!r} is not a built-in array")
-    return {
-        "room": {
-            "dimensions": [float(v) for v in scene.room.dimensions],
-            "reflection_coefficients": [
-                float(v) for v in scene.room.reflection_coefficients
-            ],
-            "speed_of_sound": SPEED_OF_SOUND,
-            "max_order": int(scene.room.max_order),
-        },
-        "source": [float(v) for v in scene.source],
-        "receiver_origin": [float(v) for v in scene.receiver_origin],
-        "receiver": {"kind": "array", "name": scene.receiver.name},
-        "sample_rate": float(sample_rate),
-        "length": int(length),
-    }
-
-
-def scene_from_json(path) -> tuple[Scene, float, int]:
-    """Load a scene description file in the form :func:`scene_to_json_dict` returns.
-
-    The ``receiver`` block names a built-in array (``{"kind": "array",
-    "name": "om6"}``); a file without one gets om6. Returns (scene,
-    sample_rate, length). A missing or invalid ``room``, ``source`` or
-    ``receiver_origin``, a room ``speed_of_sound`` other than
-    ``SPEED_OF_SOUND``, a receiver that is not a built-in array, and a
-    ``length`` or ``sample_rate`` that is not a positive whole number, is a
-    ConfigurationError naming the field.
-    """
-    data = json.loads(Path(path).read_text())
-    missing = [key for key in ("room", "source", "receiver_origin") if key not in data]
-    if missing:
-        raise ConfigurationError(f"scene file lacks {', '.join(missing)}")
-    try:
-        room = ShoeboxRoom(
-            dimensions=data["room"]["dimensions"],
-            reflection_coefficients=data["room"]["reflection_coefficients"],
-            max_order=data["room"].get("max_order", 10),
-        )
-        speed = data["room"].get("speed_of_sound", SPEED_OF_SOUND)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"room: {exc}") from exc
-    if speed != SPEED_OF_SOUND:
-        raise ConfigurationError(
-            f"room: speed_of_sound must be {SPEED_OF_SOUND} m/s, got {speed!r}"
-        )
-    block = data.get("receiver", {"kind": "array"})
-    kind = block.get("kind") if isinstance(block, dict) else None
-    if kind != "array":
-        raise ConfigurationError(f"receiver: kind must be 'array', got {kind!r}")
-    try:
-        receiver = builtin_array(block.get("name", "om6"))
-    except KeyError as exc:
-        raise ConfigurationError(f"receiver: {exc.args[0]}") from exc
-    try:
-        scene = Scene(
-            room=room,
-            source=data["source"],
-            receiver_origin=data["receiver_origin"],
-            receiver=receiver,
-        )
-    except (TypeError, ValueError) as exc:  # the message names the field
-        raise ConfigurationError(str(exc)) from exc
-    length, rate = data.get("length", 14400), data.get("sample_rate", 48000.0)
-    for name, value in (("length", length), ("sample_rate", rate)):
-        if type(value) not in (int, float) or not (value >= 1 and float(value).is_integer()):
-            raise ConfigurationError(f"{name} must be a positive whole number, got {value!r}")
-    return scene, float(rate), int(length)

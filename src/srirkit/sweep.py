@@ -24,7 +24,7 @@ def generate_ess(sample_rate: float, f_start: float, f_end: float,
     f_start, f_end : float
         Sweep range; 0 < f_start < f_end <= Nyquist.
     duration_s : float
-        Sweep length in seconds; must exceed 2 * fade_s.
+        Sweep length in seconds; finite, and must exceed 2 * fade_s.
     fade_s : float
         Raised-cosine fade-in/out length in seconds.
 
@@ -40,8 +40,8 @@ def generate_ess(sample_rate: float, f_start: float, f_end: float,
         raise ValueError(
             f"need 0 < f_start < f_end <= Nyquist; got {f_start}, {f_end} at fs {sample_rate}"
         )
-    if fade_s < 0 or duration_s <= 2.0 * fade_s:
-        raise ValueError(f"duration {duration_s}s must exceed twice the fade {fade_s}s")
+    if not (fade_s >= 0 and 2.0 * fade_s < duration_s < np.inf):
+        raise ValueError(f"duration_s {duration_s} must be finite and above twice fade_s {fade_s}")
 
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate

@@ -204,10 +204,19 @@ class TestSimulate:
         ("receiver", lambda s: s.update(receiver={"kind": "ideal-foa"})),
         # the image sources, the TDOA lag bound and the head model share one speed
         ("speed_of_sound", lambda s: s["room"].update(speed_of_sound=300.0)),
+        # the message names the receiver kind it rejects
+        ("'hrir'", lambda s: s.update(receiver={"kind": "hrir"})),
+        # a file value is read as the config value of the same name
+        ("max_order", lambda s: s["room"].update(max_order=2.5)),
+        ("max_order", lambda s: s["room"].update(max_order=True)),
+        # and unknown keys are rejected as they are in a config
+        ("lenght", lambda s: s.update(lenght=4800)),
+        ("absorption", lambda s: s["room"].update(absorption=0.2)),
     ], ids=["no-room", "no-source", "no-receiver_origin", "no-dimensions",
             "negative-dimension", "five-coefficients", "room-list", "source-outside",
             "origin-2d", "source-text", "receiver-no-kind", "receiver-unknown-array",
-            "receiver-ideal-foa", "speed-of-sound-300"])
+            "receiver-ideal-foa", "speed-of-sound-300", "receiver-kind-hrir",
+            "max_order-2.5", "max_order-true", "unknown-key", "unknown-room-key"])
     def test_invalid_scene_file_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          monkeypatch, field, edit):
         monkeypatch.setattr(cli, "simulate", _no_simulation)
@@ -246,6 +255,14 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
         assert len((out / "images.csv").read_text().splitlines()) == 2  # header, direct
         assert json.loads((out / "scene.json").read_text())["room"]["max_order"] == 0
+
+    def test_scene_json_round_trip(self, tmp_path, sim_dir):
+        """The scene.json that simulate writes simulates the same outputs again."""
+        cfg = _write_config(tmp_path, "again.json",
+                            {"scene_json": str(sim_dir / "scene.json"), "grid_size": 32})
+        out = tmp_path / "again"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        assert (out / "manifest.json").read_bytes() == (sim_dir / "manifest.json").read_bytes()
 
     def test_scene_preset_and_scene_json_together_exit_2(self, tmp_path, capsys,
                                                          monkeypatch):
@@ -414,6 +431,18 @@ class TestRender:
                      "--threads", "4"]) == 0
         for name in ("a.wav", "b.wav", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("cond_id", ["../escaped", "a/b", "", ".", "..", [1], 5],
+                             ids=["parent-path", "sub-path", "empty", "dot", "dot-dot", "list",
+                                  "number"])
+    def test_condition_id_must_be_a_plain_file_name(self, tmp_path, capsys, cond_id):
+        cfg = _write_config(tmp_path, "render.json",
+                            {**_sim_config(), "conditions": [{**_SDM, "id": cond_id}]})
+        out = tmp_path / "out" / "r"
+        assert main(["render", "--config", cfg, "--output", str(out)]) == 2
+        assert "id:" in capsys.readouterr().err
+        assert {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")} <= {
+            "render.json", "out", "out/r"}
 
 
 class TestCompare:
@@ -621,6 +650,22 @@ class TestEss:
         ir, _ = wavio.read_wav(dec_out / "ir.wav")
         assert int(np.argmax(np.abs(ir[0]))) == 0  # self-deconvolution delta
 
+    @pytest.mark.parametrize("samples, rate, keys", [
+        (np.ones((1, 8)), 44100, ("recorded_wav", "inverse_wav")),
+        (np.full((1, 8), np.nan), FS, ("recorded_wav",)),
+    ], ids=["rate-mismatch", "nan-samples"])
+    def test_deconvolve_bad_recording_exits_2_naming_the_keys(self, tmp_path, capsys,
+                                                              samples, rate, keys):
+        wavio.write_wav(tmp_path / "rec.wav", samples, rate)
+        wavio.write_wav(tmp_path / "inv.wav", np.ones((1, 8)), FS)
+        cfg = _write_config(tmp_path, "e.json", {
+            "mode": "deconvolve", "recorded_wav": str(tmp_path / "rec.wav"),
+            "inverse_wav": str(tmp_path / "inv.wav"),
+        })
+        assert main(["ess", "--config", cfg, "--output", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+
     def test_unknown_mode_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path, "e.json", {"mode": "explode"})
         assert main(["ess", "--config", cfg, "--output", str(tmp_path / "e")]) == 2
@@ -733,6 +778,12 @@ _SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zero
     ("render", {**_sim_config(), "conditions": [{**_SDM, "knn": 1.5}]}, "knn"),
     # the analysis decides the synthesis, so naming it is an unknown key
     ("render", {**_sim_config(), "conditions": [{**_SDM, "synthesis": "sdm"}]}, "synthesis"),
+    # a sample rate is a JSON number, as it is in a scene_json file
+    ("simulate", _sim_config(sample_rate="48000"), "sample_rate"),
+    ("simulate", _sim_config(sample_rate=True), "sample_rate"),
+    # a sweep range generate_ess rejects
+    ("ess", {"mode": "generate", "duration_s": -1}, "duration_s"),
+    ("ess", {"mode": "generate", "f_start": 30000}, "f_start"),
 ])
 def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, cfg,
                                                         key):

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 import warnings
 
@@ -8,7 +7,6 @@ import pytest
 from srirkit.arrays import MicArrayGeometry, builtin_array
 from srirkit import dsp, presets
 from srirkit.errors import (
-    ConfigurationError,
     DegenerateInputError,
     LostDirectPathError,
     TruncatedResponseWarning,
@@ -23,8 +21,6 @@ from srirkit.ism import (
     render_array_srir,
     render_foa_srir,
     render_reference_brir,
-    scene_from_json,
-    scene_to_json_dict,
 )
 from srirkit.metrics import t30_mid
 
@@ -379,30 +375,14 @@ def test_decay_monotone_in_wall_reflection():
     assert t30s[0] < t30s[1] < t30s[2]
 
 
-def test_scene_json_round_trip(tmp_path):
-    scene = _scene(max_order=2)
-    data = scene_to_json_dict(scene, FS, 4800)
-    path = tmp_path / "scene.json"
-    path.write_text(json.dumps(data))
-    loaded, rate, length = scene_from_json(path)
-    assert rate == FS
-    assert length == 4800
-    assert np.allclose(loaded.source, scene.source)
-    assert np.allclose(loaded.room.dimensions, scene.room.dimensions)
-    assert loaded.room.max_order == scene.room.max_order
-    assert loaded.receiver.name == scene.receiver.name
+@pytest.mark.parametrize("max_order", [2.5, True, float("nan"), "3"])
+def test_room_order_must_be_a_whole_number(max_order):
+    with pytest.raises(ValueError, match="max_order"):
+        _room(max_order=max_order)
 
 
-def test_scene_json_needs_a_builtin_receiver():
-    om6 = builtin_array("om6")
-    with_origin = np.vstack([om6.positions, np.zeros(3)])
-    for receiver in (MicArrayGeometry(with_origin),  # "custom"
-                     MicArrayGeometry(with_origin, name="om6"),
-                     MicArrayGeometry(1.5 * om6.positions, name="om6")):
-        scene = Scene(room=_room(), source=np.array([3.0, 2.0, 1.5]),
-                      receiver_origin=np.array([1.5, 1.7, 1.2]), receiver=receiver)
-        with pytest.raises(ValueError, match=f"receiver {receiver.name!r}"):
-            scene_to_json_dict(scene, FS, 4800)
+def test_room_order_is_stored_as_an_int():
+    assert type(_room(max_order=3.0).max_order) is int
 
 
 def test_receiver_is_an_array():
@@ -425,15 +405,6 @@ def test_center_capsule_is_the_ideal_w():
         center = render_array_srir(images, om6_and_center, FS, 4800).samples[6]
         w = render_foa_srir(images, FS, 4800).w.samples
     assert np.abs(center - w).max() <= 1e-15 * np.abs(w).max()
-
-
-def test_unknown_receiver_kind_in_scene_file_names_it(tmp_path):
-    data = scene_to_json_dict(_scene(), FS, 4800)
-    data["receiver"] = {"kind": "hrir"}
-    path = tmp_path / "scene.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ConfigurationError, match="'hrir'"):
-        scene_from_json(path)
 
 
 def test_images_csv_export(tmp_path):

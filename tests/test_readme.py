@@ -1,7 +1,8 @@
 """The README's library quick start runs as written, its render example's
-conditions build, and it names every scene, grid and condition key the CLI
+conditions build, and it names every config and scene-file key the CLI
 takes."""
 
+import ast
 import json
 import re
 import warnings
@@ -24,9 +25,19 @@ def test_quick_start_runs(capsys):
     assert "MetricReport(" in capsys.readouterr().out
 
 
+def _checked_keys() -> set:
+    """Every string key in a ``_check_keys`` call in ``cli.py``, past its ``where``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    return {node.value
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_keys"
+            for arg in call.args[2:] for node in ast.walk(arg)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
 def test_every_config_key_is_named():
     text = README.read_text()
-    keys = {*cli._SCENE_KEYS, *cli._GRID_KEYS, *cli._CONDITION_CASTS}
+    keys = {*cli._SCENE_KEYS, *cli._GRID_KEYS, *cli._CONDITION_CASTS, *_checked_keys()}
     unnamed = sorted(key for key in keys if f"`{key}`" not in text and f'"{key}":' not in text)
     assert not unnamed, f"config keys the README never names: {unnamed}"
 
@@ -38,3 +49,11 @@ def test_render_example_conditions_build():
     hrirs = spherical_head_hrir_set(grid.directions)
     for entry in json.loads(block)["conditions"]:
         cli._build_condition(entry, grid, hrirs, 0)
+
+
+def test_scene_file_example_is_what_simulate_writes(tmp_path):
+    (block,) = [b for b in re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+                if '"receiver_origin"' in b]
+    (tmp_path / "scene.json").write_text(block)
+    scene = cli._load_scene({"scene_json": str(tmp_path / "scene.json")}, "README")
+    assert cli._scene_text(*scene) == block
