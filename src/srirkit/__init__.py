@@ -56,7 +56,7 @@ from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr, StftFrames
 from .sweep import deconvolve_ess, generate_ess
 from .synthesis import (
     SampleAssignment,
-    VirtualLoudspeakerSignals,
+    SirrStreams,
     binaural_render,
     sdm_synthesize,
     sirr_synthesize,

@@ -24,6 +24,8 @@ from .grids import _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
+#: Windowed samples (channels x window x time) one TDOA energy pass holds: 2 MB.
+_ENERGY_CHUNK = 250_000
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     taper = np.hanning(window_size)
 
     energies = np.empty(n)
-    chunk = max(1, int(2_000_000 / (n_ch * window_size)))
+    chunk = max(1, _ENERGY_CHUNK // (n_ch * window_size))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         frames = np.lib.stride_tricks.sliding_window_view(

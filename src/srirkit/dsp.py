@@ -70,22 +70,32 @@ def istft(frames: StftFrames) -> np.ndarray:
     window_size, hop = frames.window_size, frames.hop
     if hop <= 0 or window_size % hop != 0 or window_size // hop < 2:
         raise ValueError("frames carry a non-COLA window/hop combination")
+    return _istft_span(lambda f0, f1: frames.values[..., f0:f1, :], frames.frame_count,
+                       window_size, hop, 0, (frames.frame_count - 1) * hop + window_size)
 
-    window = _hann_periodic(window_size)
-    n_frames, overlap = frames.frame_count, window_size // hop
-    chunks = np.fft.irfft(frames.values, n=window_size, axis=-1)
+
+def _istft_span(values, n_frames: int, window_size: int, hop: int, start: int,
+                stop: int) -> np.ndarray:
+    """Samples ``start:stop`` of the :func:`istft` of ``n_frames`` frames (zero
+    past its end), bit for bit, from the frames f0:f1 ``values(f0, f1)`` gives."""
+    window, overlap = _hann_periodic(window_size), window_size // hop
+    b0, b1 = start // hop, -(-stop // hop)  # the hop-sized output blocks spanned
+    f0, f1 = max(0, b0 - overlap + 1), min(n_frames, b1)
+    chunks = np.fft.irfft(values(f0, f1), n=window_size, axis=-1)
     chunks *= window
     # Frame i's sub-block j lands on output block i + j; running j downwards
     # adds each output block's frames in ascending order.
     sub_blocks = chunks.reshape(*chunks.shape[:-1], overlap, hop)
-    acc = np.zeros((*chunks.shape[:-2], n_frames + overlap - 1, hop))
+    acc = np.zeros((*chunks.shape[:-2], b1 - b0, hop))
     wsum = np.zeros(acc.shape[-2:])
     window_sq = (window * window).reshape(overlap, hop)
     for j in range(overlap - 1, -1, -1):
-        acc[..., j : j + n_frames, :] += sub_blocks[..., j, :]
-        wsum[j : j + n_frames] += window_sq[j]
+        lo = max(f0 + j, b0)
+        hi = max(lo, min(f1 + j, b1))  # frames lo - j:hi - j land in range
+        acc[..., lo - b0 : hi - b0, :] += sub_blocks[..., lo - j - f0 : hi - j - f0, j, :]
+        wsum[lo - b0 : hi - b0] += window_sq[j]
     np.divide(acc, wsum, out=acc, where=wsum > 1e-12)
-    return acc.reshape(*acc.shape[:-2], -1)
+    return acc.reshape(*acc.shape[:-2], -1)[..., start - b0 * hop : stop - b0 * hop]
 
 
 def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:

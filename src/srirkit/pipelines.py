@@ -42,7 +42,7 @@ from .metrics import error_summary_paired, measure_brir
 from .signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr
 from .synthesis import (
     SampleAssignment,
-    VirtualLoudspeakerSignals,
+    SirrStreams,
     binaural_render,
     sdm_synthesize,
     sirr_synthesize,
@@ -229,7 +229,7 @@ class ConditionResult:
     """One condition run end to end on one input."""
 
     analysis: DoaTrajectory | TfDoaField
-    vls: VirtualLoudspeakerSignals | SampleAssignment
+    vls: SirrStreams | SampleAssignment
     brir: BinauralIr  # direct-energy normalized
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .doa import DoaTrajectory, TfDoaField
-from .dsp import istft, stft
+from .dsp import _istft_span, istft, stft
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
@@ -38,29 +38,6 @@ _GATHER_TAPS_PER_SPEAKER = 2.0
 _TIME_BLOCK_BYTES = 4 * 2**20
 #: Loudspeakers that SIRR and the frequency-domain binaural sum transform at once.
 _SPEAKER_BLOCK = 16
-
-
-@dataclass(frozen=True)
-class VirtualLoudspeakerSignals:
-    """One signal per grid direction, channel-major (n_speakers, n_samples)."""
-
-    grid: LoudspeakerGrid
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[0] != len(self.grid):
-            raise ValueError(f"samples must be ({len(self.grid)}, n), got {samples.shape}")
-        check_sample_rate(self.sample_rate)
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.shape[1]
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The signals of loudspeakers ``start:stop``."""
-        return self.samples[start:stop]
 
 
 @dataclass(frozen=True)
@@ -163,51 +140,91 @@ def sirr_tf_streams(pressure: MonoIr, field: TfDoaField,
     return speakers.reshape(*values.shape, 3), direct, diffuse_tf
 
 
+@dataclass(frozen=True)
+class SirrStreams:
+    """SIRR output as streams: per STFT bin, the VBAP triangle ``speakers`` and
+    its complex direct amplitudes ``samples``, both (frames, bins, 3), and the
+    diffuse time signal loudspeaker l plays through ``decorrelation_kernel(seed, l)``."""
+
+    grid: LoudspeakerGrid
+    speakers: np.ndarray
+    samples: np.ndarray
+    diffuse: np.ndarray
+    seed: int
+    window_size: int
+    hop: int
+    sample_rate: float
+
+    def __post_init__(self):
+        n = (len(self.samples) - 1) * self.hop + self.window_size
+        if self.speakers.shape != self.samples.shape or self.diffuse.shape != (n,):
+            raise ValueError(f"streams do not fit one {n}-sample STFT")
+        check_sample_rate(self.sample_rate)
+
+    def __len__(self) -> int:
+        return self.diffuse.size + DECORRELATOR_TAPS - 1
+
+    def direct(self, start: int, stop: int, t0: int, t1: int) -> np.ndarray:
+        """Samples t0:t1 of the direct signals of loudspeakers ``start:stop``,
+        ``_SPEAKER_BLOCK`` loudspeakers at a time from the frames that touch them."""
+        stop = min(stop, len(self.grid))
+        out = np.empty((stop - start, t1 - t0))
+        for first in range(start, stop, _SPEAKER_BLOCK):
+            last = min(first + _SPEAKER_BLOCK, stop)
+
+            def values(f0, f1):
+                speakers = self.speakers[f0:f1]
+                rows = np.zeros((last - first, *speakers.shape[:2]), complex)
+                hit = (speakers >= first) & (speakers < last)
+                # A grid triangle has three distinct loudspeakers, so each cell is set once.
+                rows[(speakers[hit] - first, *np.nonzero(hit)[:2])] = self.samples[f0:f1][hit]
+                return rows
+            out[first - start : last - start] = _istft_span(
+                values, len(self.samples), self.window_size, self.hop, t0, t1)
+        return out
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The signals of loudspeakers ``start:stop``, (speakers, len(self))."""
+        n = len(self)
+        out = self.direct(start, stop, 0, n)
+        nfft = sp_fft.next_fast_len(n, real=True)  # SciPy fftconvolve's bits
+        diffuse_spectrum = sp_fft.rfft(self.diffuse, nfft)
+        for first in range(start, start + len(out), _SPEAKER_BLOCK):
+            block = out[first - start : first - start + _SPEAKER_BLOCK]
+            kernels = np.stack([decorrelation_kernel(self.seed, ls)
+                                for ls in range(first, first + len(block))])
+            block += sp_fft.irfft(diffuse_spectrum * sp_fft.rfft(kernels, nfft), nfft)[:, :n]
+        return out
+
+
 def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
-                    grid: LoudspeakerGrid, seed: int = 0) -> VirtualLoudspeakerSignals:
+                    grid: LoudspeakerGrid, seed: int = 0) -> SirrStreams:
     """Direct/diffuse time-frequency synthesis.
 
     Per bin, an amplitude sqrt(1 - psi) * P is panned with VBAP at the bin
     direction and sqrt(psi) * P is spread to all loudspeakers with equal
     energy weights (1/sqrt(L)). Each loudspeaker's diffuse stream runs
-    through its own energy-preserving decorrelator before the streams are
-    summed and inverse-transformed; per-bin direct plus diffuse energy
-    equals the input bin energy exactly before decorrelation. Both streams
-    are rendered a block of loudspeakers at a time.
+    through its own energy-preserving decorrelator; per-bin direct plus
+    diffuse energy equals the input bin energy exactly before decorrelation.
     """
     speakers, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
-    layout = (field.window_size, field.hop, field.sample_rate)
-    diffuse_td = istft(StftFrames(diffuse_tf, *layout))
-    has_diffuse = np.any(diffuse_td)
-    out = np.zeros((len(grid), diffuse_td.size + DECORRELATOR_TAPS - 1))
-    nfft = sp_fft.next_fast_len(out.shape[1], real=True)  # SciPy fftconvolve's bits
-    diffuse_spectrum = sp_fft.rfft(diffuse_td, nfft)
-    for start in range(0, len(grid), _SPEAKER_BLOCK):
-        rows = np.zeros((min(_SPEAKER_BLOCK, len(grid) - start), *diffuse_tf.shape), complex)
-        hit = (speakers >= start) & (speakers < start + len(rows))
-        # A grid triangle has three distinct loudspeakers, so each cell is set once.
-        rows[(speakers[hit] - start, *np.nonzero(hit)[:2])] = direct[hit]
-        block = out[start : start + len(rows)]
-        block[:, : diffuse_td.size] = istft(StftFrames(rows, *layout))
-        if has_diffuse:
-            kernels = np.stack([decorrelation_kernel(seed, ls)
-                                for ls in range(start, start + len(rows))])
-            spectra = diffuse_spectrum * sp_fft.rfft(kernels, nfft)  # a shared diffuse rfft
-            block += sp_fft.irfft(spectra, nfft)[:, : out.shape[1]]
-    return VirtualLoudspeakerSignals(grid, out, field.sample_rate)
+    diffuse = istft(StftFrames(diffuse_tf, field.window_size, field.hop, field.sample_rate))
+    return SirrStreams(grid, speakers, direct, diffuse, seed, field.window_size, field.hop,
+                       field.sample_rate)
 
 
-def binaural_render(vls: VirtualLoudspeakerSignals | SampleAssignment,
-                    hrirs: HrirSet) -> BinauralIr:
+def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> BinauralIr:
     """Convolve every loudspeaker signal with its matching HRIR pair and sum.
 
     Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
-    offenders are reported together. Dense signals go through
-    :func:`hrir_sum`. A ``SampleAssignment`` with k * taps of at most
-    ``_GATHER_TAPS_PER_SPEAKER`` x its loudspeaker count is convolved in the
-    time domain from its k samples and their gathered HRIR rows, whose cost
-    does not grow with the loudspeaker count; past that it is densified a
-    block of loudspeakers at a time into the frequency-domain sum.
+    offenders are reported together. SIRR's direct stream goes through
+    :func:`hrir_sum` a block at a time, its diffuse signal through one
+    filter per ear: each HRIR convolved with its decorrelator, summed. A
+    ``SampleAssignment`` with k * taps of at most ``_GATHER_TAPS_PER_SPEAKER``
+    x its loudspeaker count is convolved in the time domain from its k
+    samples and their gathered HRIR rows, whose cost does not grow with the
+    loudspeaker count; past that it is densified a block of loudspeakers at
+    a time into the frequency-domain sum.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -219,8 +236,13 @@ def binaural_render(vls: VirtualLoudspeakerSignals | SampleAssignment,
 
     ears = np.stack([hrirs.left[matches], hrirs.right[matches]])  # (2, speakers, taps)
     taps = ears.shape[2]
-    if isinstance(vls, VirtualLoudspeakerSignals):
-        out = hrir_sum(ears, vls.samples)
+    if isinstance(vls, SirrStreams):
+        out = _hrir_sum(ears, vls.direct, len(vls))
+        if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
+            kernels = np.stack([decorrelation_kernel(vls.seed, ls) for ls in range(len(vls.grid))])
+            nfft = sp_fft.next_fast_len(out.shape[1], real=True)
+            spectra = sp_fft.rfft(vls.diffuse, nfft) * sp_fft.rfft(hrir_sum(ears, kernels), nfft)
+            out += sp_fft.irfft(spectra, nfft)[:, : out.shape[1]]
     elif vls.samples.shape[1] * taps <= _GATHER_TAPS_PER_SPEAKER * len(vls.grid):
         pairs = ears.transpose(1, 0, 2).reshape(len(vls.grid), 2 * taps)  # (speakers, 2 * taps)
         out = _overlap_add(
@@ -239,11 +261,17 @@ def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:
     ``_TIME_DOMAIN_TAPS`` taps are applied as one (2 * taps, rows) matrix
     product per time block; longer ones are summed in the frequency domain.
     """
-    taps, n = ears.shape[2], signals.shape[1]
+    return _hrir_sum(ears, lambda start, stop, t0, t1: signals[start:stop, t0:t1],
+                     signals.shape[1])
+
+
+def _hrir_sum(ears: np.ndarray, signals, n: int) -> np.ndarray:
+    """:func:`hrir_sum` of the n-sample rows ``signals(start, stop, t0, t1)`` gives."""
+    taps = ears.shape[2]
     if taps > _TIME_DOMAIN_TAPS:
-        return _frequency_sum(ears, lambda start, stop: signals[start:stop], n)
+        return _frequency_sum(ears, lambda start, stop: signals(start, stop, 0, n), n)
     by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
-    return _overlap_add(lambda t0, t1: by_tap @ signals[:, t0:t1], n, taps, 1)
+    return _overlap_add(lambda t0, t1: by_tap @ signals(0, ears.shape[1], t0, t1), n, taps, 1)
 
 
 def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:

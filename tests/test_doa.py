@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from srirkit import doa
 from srirkit.arrays import builtin_array
 from srirkit.doa import (
     DoaTrajectory,
@@ -110,6 +111,19 @@ class TestTdoaLsDoa:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    def test_energy_chunk_leaves_the_trajectory_bytes(self, front_left_srir, monkeypatch):
+        """The energy pass one sample at a time and over the whole signal at
+        once gives the trajectory of the default chunk, byte for byte; the
+        silence before the direct sound keeps some samples invalid."""
+        srir = MultichannelIr(front_left_srir.samples[:, :3000], FS)
+        base = tdoa_ls_doa(srir, om6(), WINDOW)
+        assert not base.valid.all()
+        for elements in (1, srir.samples.size * WINDOW):
+            monkeypatch.setattr(doa, "_ENERGY_CHUNK", elements)
+            traj = tdoa_ls_doa(srir, om6(), WINDOW)
+            assert traj.directions.tobytes() == base.directions.tobytes()
+            assert traj.valid.tobytes() == base.valid.tobytes()
 
     def test_identical_channels_masked_invalid(self, rng):
         sig = rng.normal(size=2000)

@@ -302,6 +302,27 @@ def test_rendering_never_densifies_an_assignment(small_setup, monkeypatch):
     assert set(result.summaries) == {c.id for c in conditions}
 
 
+def test_rendering_never_writes_out_sirr_signals(small_setup, monkeypatch):
+    """On the canonical 240-direction grid with 128-tap HRIRs, the standard
+    SIRR condition is rendered from its streams, never from loudspeaker
+    signals."""
+    from srirkit.presets import standard_conditions
+    from srirkit.synthesis import SirrStreams
+
+    def refuse(self, start, stop):
+        raise AssertionError("SIRR loudspeaker signals were written out while rendering")
+
+    monkeypatch.setattr(SirrStreams, "rows", refuse)
+    _, _, rendering = small_setup
+    grid = fibonacci_grid(240)
+    hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+    conditions = [c for c in standard_conditions(grid, hrirs) if c.analysis == "tf-piv"]
+    result = run_comparison(
+        ComparisonRun(inputs={"front_left": rendering}, conditions=conditions, sample_rate=FS)
+    )
+    assert set(result.summaries) == {"sirr"}
+
+
 def test_standard_conditions_run(small_setup):
     from srirkit.presets import standard_conditions
 

@@ -16,9 +16,10 @@ from srirkit.signals import MonoIr, StftFrames
 from srirkit.synthesis import (
     DECORRELATOR_TAPS,
     SampleAssignment,
-    VirtualLoudspeakerSignals,
+    SirrStreams,
     binaural_render,
     decorrelation_kernel,
+    hrir_sum,
     sdm_synthesize,
     sirr_synthesize,
     sirr_tf_streams,
@@ -130,11 +131,14 @@ class TestSirrSynthesize:
 
     def test_loudspeaker_signals_validated(self):
         grid = fibonacci_grid(8)
-        with pytest.raises(ValueError, match="samples must be"):
-            VirtualLoudspeakerSignals(grid, np.zeros((7, 4)), FS)
+        speakers, direct = np.zeros((5, 33, 3), np.intp), np.zeros((5, 33, 3), complex)
+        for bad in ((speakers[:, :, :2], direct, np.zeros(192)),
+                    (speakers, direct, np.zeros(191))):
+            with pytest.raises(ValueError, match="do not fit one 192-sample STFT"):
+                SirrStreams(grid, *bad, 0, 64, 32, FS)
         for rate in (0.0, 44100.5):
             with pytest.raises(ValueError, match="sample rate"):
-                VirtualLoudspeakerSignals(grid, np.zeros((8, 4)), rate)
+                SirrStreams(grid, speakers, direct, np.zeros(192), 0, 64, 32, rate)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -143,11 +147,11 @@ class TestSirrSynthesize:
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, np.zeros((t, f)), 128, 64, FS)
-        vls = sirr_synthesize(pressure, field, grid, seed=3)
+        signals = sirr_synthesize(pressure, field, grid, seed=3).rows(0, len(grid))
 
         # no diffuse tail beyond the istft length
         time_len = (t - 1) * 64 + 128
-        assert np.all(vls.samples[:, time_len:] == 0.0)
+        assert np.all(signals[:, time_len:] == 0.0)
 
         # expected: per-bin VBAP pan, one gain-table row per bin
         idx, gains = vbap_gain_table(dirs.reshape(-1, 3), grid)
@@ -159,7 +163,7 @@ class TestSirrSynthesize:
                     expected_tf[s, ti, fi] += g * frames.values[ti, fi]
         for s in range(len(grid)):
             expected = istft(StftFrames(expected_tf[s], 128, 64, FS))
-            assert np.abs(vls.samples[s, :time_len] - expected).max() < 1e-6
+            assert np.abs(signals[s, :time_len] - expected).max() < 1e-6
 
     def test_uncovered_grid_raises_instead_of_silence(self, rng):
         # An octahedron's four upper faces leave the lower hemisphere bare;
@@ -193,25 +197,28 @@ class TestSirrSynthesize:
         kernels = np.stack([decorrelation_kernel(5, ls) for ls in range(len(grid))])
         diffuse_td = istft(StftFrames(diffuse_tf, 128, 64, FS))
         expected += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
-        assert np.array_equal(sirr_synthesize(pressure, field, grid, seed=5).samples, expected)
+        vls = sirr_synthesize(pressure, field, grid, seed=5)
+        assert np.array_equal(vls.rows(0, len(grid)), expected)
 
     def test_decorrelation_memory_is_bounded_by_the_output(self, rng):
-        """240 loudspeakers x 19,200 samples with a diffuse stream: the
-        decorrelators run one loudspeaker block at a time, so the peak stays
-        below twice the output (one (240, ~20k) spectrum alone is as large)."""
+        """240 loudspeakers x 19,200 samples with a diffuse stream: writing
+        the signals out runs the decorrelators one loudspeaker block at a
+        time, so the peak stays below twice the output (one (240, ~20k)
+        spectrum alone is as large)."""
         grid = fibonacci_grid(240)
         pressure = MonoIr(rng.normal(size=19200), FS)
         t, f = stft(pressure.samples, FS, 64, 32).values.shape
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, rng.uniform(size=(t, f)), 64, 32, FS)
+        vls = sirr_synthesize(pressure, field, grid, seed=0)
         tracemalloc.start()
         try:
-            vls = sirr_synthesize(pressure, field, grid, seed=0)
+            signals = vls.rows(0, len(grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * vls.samples.nbytes
+        assert peak < 2 * signals.nbytes
 
     def test_psi_one_output_ignores_directions(self, rng):
         grid = fibonacci_grid(12)
@@ -224,7 +231,7 @@ class TestSirrSynthesize:
         dirs_b /= np.linalg.norm(dirs_b, axis=2, keepdims=True)
         a = sirr_synthesize(pressure, TfDoaField(dirs_a, ones, 128, 64, FS), grid, seed=1)
         b = sirr_synthesize(pressure, TfDoaField(dirs_b, ones, 128, 64, FS), grid, seed=1)
-        assert np.array_equal(a.samples, b.samples)  # direct stream is zero
+        assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))  # no direct stream
 
     def test_per_bin_energy_split_exact(self, rng):
         grid = fibonacci_grid(20)
@@ -246,7 +253,8 @@ class TestSirrSynthesize:
         t, f = frames.values.shape
         field = _smooth_field(rng, t, f, frames.window_size, frames.hop)
         vls = sirr_synthesize(pressure, field, grid, seed=9)
-        ratio_db = 10 * np.log10(np.sum(vls.samples**2) / np.sum(pressure.samples**2))
+        signals = vls.rows(0, len(grid))
+        ratio_db = 10 * np.log10(np.sum(signals**2) / np.sum(pressure.samples**2))
         assert abs(ratio_db) < 0.5
 
     def test_metadata_mismatch_rejected(self, rng):
@@ -272,8 +280,8 @@ class TestSirrSynthesize:
         a = sirr_synthesize(pressure, field, grid, seed=42)
         b = sirr_synthesize(pressure, field, grid, seed=42)
         c = sirr_synthesize(pressure, field, grid, seed=43)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))
+        assert not np.array_equal(a.rows(0, len(grid)), c.rows(0, len(grid)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,10 +309,10 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
 @given(seed=st.integers(0, 2**31), speakers=st.integers(8, 60), k=st.integers(1, 4),
        taps=st.one_of(st.integers(8, 64), st.integers(240, 300)))
 def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
-    """An SDM assignment, on both sides of the gather limit, and its dense
-    signals, on both sides of the time-domain taps limit, all equal a
-    per-loudspeaker np.convolve sum; HRIRs are listed in shuffled order, so
-    each loudspeaker must find its own pair."""
+    """An SDM assignment's render, on both sides of the gather limit, and
+    hrir_sum of its dense signals, on both sides of the time-domain taps
+    limit, all equal a per-loudspeaker np.convolve sum; HRIRs are listed in
+    shuffled order, so each loudspeaker must find its own pair."""
     gen = np.random.default_rng(seed)
     grid = fibonacci_grid(speakers)
     n = int(gen.integers(1, 300))
@@ -320,8 +328,8 @@ def test_binaural_render_forms_match_direct_convolution_property(seed, speakers,
         for e in range(2):
             expected[e] += np.convolve(signals[s], ears[e, s])
     tol = 1e-12 * np.abs(expected).max()
-    for vls in (VirtualLoudspeakerSignals(grid, signals, FS), assignment):
-        assert np.abs(binaural_render(vls, hrirs).samples - expected).max() <= tol
+    assert np.abs(hrir_sum(ears, signals) - expected).max() <= tol
+    assert np.abs(binaural_render(assignment, hrirs).samples - expected).max() <= tol
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,7 +359,7 @@ class TestDecorrelate:
         t, f = stft(pressure.samples, FS, 128, 64).values.shape
         field = _smooth_field(rng, t, f, 128, 64)
         vls = sirr_synthesize(pressure, field, fibonacci_grid(8), seed=0)
-        assert np.all(vls.samples == 0.0)
+        assert np.all(vls.rows(0, 8) == 0.0)
 
     def test_energy_preserved_on_white_noise(self, rng):
         from scipy import signal as sps
@@ -381,6 +389,25 @@ class TestDecorrelate:
         assert not np.array_equal(a, decorrelation_kernel(seed=8, channel_index=2))
 
 
+def _sirr_inputs(rng, n=19200, psi=None):
+    """A noise pressure signal and a random field over its 64-sample frames at
+    a 32-sample hop; 19,200 samples give the canonical SIRR size, 599 x 33
+    bins. ``psi`` is random unless given."""
+    pressure = MonoIr(rng.normal(size=n), FS)
+    t, f = stft(pressure.samples, FS, 64, 32).values.shape
+    dirs = rng.normal(size=(t, f, 3))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    psi = rng.uniform(size=(t, f)) if psi is None else np.full((t, f), psi)
+    return pressure, TfDoaField(dirs, psi, 64, 32, FS)
+
+
+def _every_speaker(grid, signals):
+    """An assignment that plays the (speakers, n) ``signals``: every sample
+    on every loudspeaker, so rendering it densifies the signals as given."""
+    n = signals.shape[1]
+    return SampleAssignment(grid, np.tile(np.arange(len(grid)), (n, 1)), signals.T, FS)
+
+
 class TestBinauralRender:
     def _setup(self, n_speakers=16, n=256):
         grid = fibonacci_grid(n_speakers)
@@ -391,8 +418,7 @@ class TestBinauralRender:
         grid, hrirs = self._setup()
         samples = np.zeros((len(grid), 64))
         samples[3, 0] = 1.0
-        vls = VirtualLoudspeakerSignals(grid, samples, FS)
-        brir = binaural_render(vls, hrirs)
+        brir = binaural_render(_every_speaker(grid, samples), hrirs)
         assert np.allclose(brir.left.samples[:128], hrirs.left[3], atol=1e-12)
         assert np.allclose(brir.right.samples[:128], hrirs.right[3], atol=1e-12)
 
@@ -400,7 +426,7 @@ class TestBinauralRender:
         grid, hrirs = self._setup()
         a = rng.normal(size=(len(grid), 100))
         b = rng.normal(size=(len(grid), 100))
-        render = lambda s: binaural_render(VirtualLoudspeakerSignals(grid, s, FS), hrirs)
+        render = lambda s: binaural_render(_every_speaker(grid, s), hrirs)
         out_ab = render(a + b)
         out_a, out_b = render(a), render(b)
         assert np.abs(
@@ -412,8 +438,7 @@ class TestBinauralRender:
         samples = np.zeros((len(grid), 64))
         samples[2, 5] = 1.0
         samples[9, 11] = -0.5
-        vls = VirtualLoudspeakerSignals(grid, samples, FS)
-        brir = binaural_render(vls, hrirs)
+        brir = binaural_render(_every_speaker(grid, samples), hrirs)
         expected_l = np.zeros(64 + 128 - 1)
         expected_l[5 : 5 + 128] += hrirs.left[2]
         expected_l[11 : 11 + 128] += -0.5 * hrirs.left[9]
@@ -423,7 +448,7 @@ class TestBinauralRender:
         grid, hrirs = self._setup()
         sig = rng.normal(size=(len(grid), 80))
         shifted = np.concatenate([np.zeros((len(grid), 7)), sig], axis=1)
-        render = lambda s: binaural_render(VirtualLoudspeakerSignals(grid, s, FS), hrirs)
+        render = lambda s: binaural_render(_every_speaker(grid, s), hrirs)
         base = render(sig)
         moved = render(shifted)
         # FFT-based convolution at the longer length rounds differently, so
@@ -436,7 +461,7 @@ class TestBinauralRender:
     def test_missing_hrir_reported(self):
         grid = fibonacci_grid(32)
         sparse = spherical_head_hrir_set(fibonacci_grid(6).directions, sample_rate=FS)
-        vls = VirtualLoudspeakerSignals(grid, np.zeros((32, 16)), FS)
+        vls = _every_speaker(grid, np.zeros((32, 16)))
         with pytest.raises(MissingHrirError) as info:
             binaural_render(vls, sparse)
         assert len(info.value.offenders) > 0
@@ -444,7 +469,7 @@ class TestBinauralRender:
     def test_rate_mismatch_rejected(self):
         grid, _ = self._setup()
         hrirs44 = spherical_head_hrir_set(grid.directions, sample_rate=44100.0)
-        vls = VirtualLoudspeakerSignals(grid, np.zeros((len(grid), 16)), FS)
+        vls = _every_speaker(grid, np.zeros((len(grid), 16)))
         with pytest.raises(ValueError):
             binaural_render(vls, hrirs44)
 
@@ -456,18 +481,20 @@ class TestBinauralRender:
         spectrum = np.einsum("sf,esf->ef", np.fft.rfft(signals, nfft),
                              np.fft.rfft(np.stack([hrirs.left, hrirs.right]), nfft))
         expected = np.fft.irfft(spectrum, nfft)
-        brir = binaural_render(VirtualLoudspeakerSignals(grid, signals, FS), hrirs).samples
+        brir = binaural_render(_every_speaker(grid, signals), hrirs).samples
         assert np.abs(brir - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_dense_memory_bounded(self, rng):
-        """240 SIRR-length signals: 119 MB when every loudspeaker's spectrum
-        was live at once. A k=3 assignment over 19,200 samples is convolved
-        from its samples, and a k=8 one, past the gather limit, takes the
-        blocked sum: 50 MB when an assignment was densified whole first."""
+        """SIRR at canonical size is rendered from its streams: its 240
+        signals of 20,223 samples took 119 MB when every loudspeaker's
+        spectrum was live at once. A k=3 assignment over 19,200 samples is
+        convolved from its samples, and a k=8 one, past the gather limit,
+        takes the blocked sum: 50 MB when an assignment was densified whole
+        first."""
         grid = fibonacci_grid(240)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n = 19200
-        for vls in (VirtualLoudspeakerSignals(grid, rng.normal(size=(240, 20223)), FS),
+        for vls in (sirr_synthesize(*_sirr_inputs(rng), grid, seed=0),
                     *(SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                        rng.normal(size=(n, k)), FS) for k in (3, 8))):
             tracemalloc.start()
@@ -532,5 +559,63 @@ class TestBinauralRender:
         assert bool(calls) == densified
         monkeypatch.setattr(SampleAssignment, "rows", rows)
         dense = assignment.rows(0, len(grid))
-        other = binaural_render(VirtualLoudspeakerSignals(grid, dense, FS), hrirs)
-        assert np.abs(brir - other.samples).max() <= 1e-12 * np.abs(brir).max()
+        other = hrir_sum(np.stack([hrirs.left, hrirs.right]), dense)
+        assert np.abs(brir - other).max() <= 1e-12 * np.abs(brir).max()
+
+
+class TestSirrRender:
+    """binaural_render of SIRR streams against hrir_sum of the signals they
+    write out."""
+
+    @pytest.mark.parametrize("psi", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("taps", [128, 300])
+    def test_render_matches_hrir_sum_of_the_written_signals(self, rng, taps, psi):
+        """40 loudspeakers (a partial loudspeaker block), 6,000 samples
+        (several time blocks): the streams' render agrees with the dense sum
+        to 1e-13 of its peak on both sides of the time-domain taps limit, and
+        without a diffuse stream it is the same bytes."""
+        grid = fibonacci_grid(40)
+        pressure, field = _sirr_inputs(rng, 6000, psi)
+        vls = sirr_synthesize(pressure, field, grid, seed=7)
+        ears = rng.normal(size=(2, len(grid), taps))
+        brir = binaural_render(vls, HrirSet(grid.directions, ears[0], ears[1], FS)).samples
+        expected = hrir_sum(ears, vls.rows(0, len(grid)))
+        assert brir.shape == expected.shape == (2, len(vls) + taps - 1)
+        if psi == 0.0:
+            assert np.array_equal(brir, expected)
+        else:
+            assert np.abs(brir - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_direct_rows_are_slices_of_the_full_istft(self, rng):
+        """Time blocks of 2048, 1000, 96, 32 and 7 samples (hop 32), from the
+        first, where the window sum is partial, to the last, which runs past
+        the inverse transform into zeros: each equals its slice of one
+        full-length istft of the dense direct stream, byte for byte, for all
+        loudspeakers and for a range that starts inside a loudspeaker block."""
+        grid = fibonacci_grid(37)
+        vls = sirr_synthesize(*_sirr_inputs(rng, 4000), grid)
+        t, f = vls.samples.shape[:2]
+        dense = np.zeros((len(grid), t, f), dtype=complex)
+        dense[vls.speakers, np.arange(t)[:, None, None], np.arange(f)[:, None]] = vls.samples
+        full = np.pad(istft(StftFrames(dense, 64, 32, FS)), ((0, 0), (0, DECORRELATOR_TAPS - 1)))
+        assert full.shape[1] == len(vls)
+        for block in (2048, 1000, 96, 32, 7):
+            for t0 in range(0, len(vls), block):
+                t1 = min(t0 + block, len(vls))
+                assert np.array_equal(vls.direct(0, len(grid), t0, t1), full[:, t0:t1])
+                assert np.array_equal(vls.direct(5, 23, t0, t1), full[5:23, t0:t1])
+
+    def test_synthesis_and_render_memory_bounded(self, rng):
+        """Canonical size (240 loudspeakers, 599 x 33 bins): SIRR keeps its
+        streams and the render never writes out the 240 x 20,223 signals
+        (38.8 MB alone)."""
+        grid = fibonacci_grid(240)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+        pressure, field = _sirr_inputs(rng)
+        tracemalloc.start()
+        try:
+            binaural_render(sirr_synthesize(pressure, field, grid, seed=0), hrirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
