@@ -45,6 +45,7 @@ from .pipelines import (
     AnalysisInput,
     SystemCondition,
     check_condition_ids,
+    check_window_fits,
     ordered_map,
     run_condition,
     score,
@@ -313,9 +314,7 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
     check_condition_ids(conditions)
     if inputs is None:
         for cond in conditions:
-            if cond.analysis == "tdoa" and cond.window_size >= length:
-                raise ConfigurationError(f"{cond.id}: window_size {cond.window_size} must be "
-                                         f"smaller than the render ({length} samples)")
+            check_window_fits(cond, length)
         inputs = simulate(sc, rate, length, hrirs=hrirs).analysis_input
     for cond in conditions:
         validate_condition_inputs(inputs, cond)

@@ -1,10 +1,11 @@
-"""Foundational DSP primitives: STFT/ISTFT, cross-correlation, onset
+"""DSP primitives: STFT/ISTFT, FFT convolution, cross-correlation, onset
 detection, fractional-delay impulses and direct-sound energy normalization.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames
@@ -96,6 +97,14 @@ def _istft_span(values, n_frames: int, window_size: int, hop: int, start: int,
         wsum[lo - b0 : hi - b0] += window_sq[j]
     np.divide(acc, wsum, out=acc, where=wsum > 1e-12)
     return acc.reshape(*acc.shape[:-2], -1)[..., start - b0 * hop : stop - b0 * hop]
+
+
+def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution along the last axis through real FFTs, leading axes
+    broadcast: for 1-D inputs SciPy's ``fftconvolve(a, b)``, bit for bit."""
+    n = a.shape[-1] + b.shape[-1] - 1
+    nfft = sp_fft.next_fast_len(n, real=True)
+    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft), nfft)[..., :n]
 
 
 def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:

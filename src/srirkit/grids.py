@@ -156,6 +156,7 @@ def nearest_directions(queries: np.ndarray, table: np.ndarray,
             idx = np.take_along_axis(idx, np.lexsort((idx, -top)), axis=1)
         indices[start : start + rows] = idx
         dots[start : start + rows] = np.take_along_axis(block, idx, axis=1)
+        del block  # else it stays alive while the next block is formed
     return indices, np.arccos(np.clip(dots, -1.0, 1.0))
 
 

@@ -33,6 +33,8 @@ class HrirSet:
         right = np.asarray(self.right, dtype=np.float64)
         if left.shape != right.shape or left.shape[0] != dirs.shape[0]:
             raise ValueError("left/right arrays must be (n, taps) matching directions")
+        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+            raise ValueError("HRIR taps must be finite")
         wavio.check_sample_rate(self.sample_rate)
         # Duplicate directions would make nearest-direction lookups ambiguous;
         # each direction's second-nearest is its closest other direction.

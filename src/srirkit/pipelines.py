@@ -192,12 +192,27 @@ def check_condition_ids(conditions) -> None:
 
 def validate_condition_inputs(inputs: AnalysisInput, condition: SystemCondition) -> None:
     """Raise ConfigurationError (naming the condition and the gap) when the
-    inputs lack one that the condition's pressure source or analysis reads.
-    Cheap; also used for pre-flight validation before any rendering starts."""
+    inputs lack one that the condition's pressure source or analysis reads,
+    or its window does not fit them (:func:`check_window_fits`). Cheap; also
+    used for pre-flight validation before any rendering starts."""
     for stage in (condition.pressure_source, condition.analysis):
         for need in _NEEDS[stage]:
             if getattr(inputs, need) is None:
                 raise ConfigurationError(f"{condition.id}: {stage} needs {_NEED_NAMES[need]}")
+    check_window_fits(condition, len(inputs.srir if inputs.srir is not None else inputs.foa))
+
+
+def check_window_fits(condition: SystemCondition, length: int) -> None:
+    """Raise ConfigurationError unless the condition's analysis window fits a
+    ``length``-sample input: ``tdoa`` needs a shorter one, ``tf-piv`` one no
+    longer."""
+    window = condition.window_size
+    if condition.analysis == "tdoa" and window >= length:
+        raise ConfigurationError(f"{condition.id}: window_size {window} must be smaller "
+                                 f"than the input ({length} samples)")
+    if condition.analysis == "tf-piv" and window > length:
+        raise ConfigurationError(f"{condition.id}: window_size {window} must not exceed "
+                                 f"the input ({length} samples)")
 
 
 def _pressure_signal(inputs: AnalysisInput, condition: SystemCondition) -> MonoIr:

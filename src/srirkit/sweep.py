@@ -3,14 +3,15 @@
 The sweep is x(t) = sin(2*pi*f1*L*(exp(t/L) - 1)) with L = T / ln(f2/f1),
 giving an instantaneous frequency f(t) = f1 * (f2/f1)^(t/T). The inverse
 filter is the time-reversed sweep with an exp(-t/L) amplitude envelope
-(+6 dB/octave compensation), scaled so sweep * inverse peaks at 1.
+(+6 dB/octave compensation), scaled so sweep * inverse peaks at 1. Both
+convolve through :func:`dsp.fft_convolve`, SciPy's ``fftconvolve`` bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 
+from .dsp import fft_convolve
 from .signals import MonoIr
 
 
@@ -56,7 +57,7 @@ def generate_ess(sample_rate: float, f_start: float, f_end: float,
         sweep[-n_fade:] *= ramp[::-1]
 
     inverse = sweep[::-1] * np.exp(-t / length_const)
-    pulse = _fft_convolve(sweep, inverse)
+    pulse = fft_convolve(sweep, inverse)
     inverse /= np.abs(pulse).max()
 
     return MonoIr(sweep, sample_rate), MonoIr(inverse, sample_rate)
@@ -74,13 +75,7 @@ def deconvolve_ess(recorded: MonoIr, inverse: MonoIr, trim_distortion: bool = Tr
         raise ValueError(
             f"sample-rate mismatch: {recorded.sample_rate} vs {inverse.sample_rate}"
         )
-    full = _fft_convolve(recorded.samples, inverse.samples)
+    full = fft_convolve(recorded.samples, inverse.samples)
     if trim_distortion:
         full = full[len(inverse) - 1 :]
     return MonoIr(full, recorded.sample_rate)
-
-
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full convolution through real FFTs: SciPy's ``fftconvolve(a, b)``, bit for bit."""
-    nfft = sp_fft.next_fast_len(a.size + b.size - 1, real=True)
-    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft), nfft)[: a.size + b.size - 1]

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .doa import DoaTrajectory, TfDoaField
-from .dsp import _istft_span, istft, stft
+from .dsp import _istft_span, fft_convolve, istft, stft
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
@@ -27,16 +27,16 @@ _FRONTAL = np.array([1.0, 0.0, 0.0])
 #: signals of 20,223 samples the time-domain product took 0.14 s against
 #: 0.22 s at 256 taps, and 0.32 s against 0.22 s at 512.
 _TIME_DOMAIN_TAPS = 256
-#: An SDM assignment is convolved in the time domain while k * taps is at most
-#: this x its loudspeaker count, and in the frequency domain past it. The
-#: gather's cost grows with taps and k, the frequency-domain sum's with the
-#: count; over 128-512 taps, 30-960 loudspeakers and k = 1, 3, 8 (19,200
-#: samples) the gather was the faster side at every measured point up to 2.
+#: An SDM assignment is gathered while k * taps is at most this x its
+#: loudspeaker count, and summed as dense rows past it. The gather's cost
+#: grows with taps and k, the dense sum's with the count; over 128-512 taps,
+#: 30-960 loudspeakers and k = 1, 3, 8 (19,200 samples) the gather beat the
+#: frequency-domain sum at every measured point up to 2.
 _GATHER_TAPS_PER_SPEAKER = 2.0
 #: Bytes of gathered HRIR rows, or of per-tap contributions, that one time
 #: block of the time-domain product holds.
 _TIME_BLOCK_BYTES = 4 * 2**20
-#: Loudspeakers that SIRR and the frequency-domain binaural sum transform at once.
+#: Loudspeakers that SIRR and the frequency-domain HRIR sum transform at once.
 _SPEAKER_BLOCK = 16
 
 
@@ -66,11 +66,12 @@ class SampleAssignment:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The dense signals of loudspeakers ``start:stop``, (speakers, n)."""
-        hit = (self.speakers >= start) & (self.speakers < stop)
-        out = np.zeros((min(stop, len(self.grid)) - start, len(self)))
-        np.add.at(out, (self.speakers[hit] - start, np.nonzero(hit)[0]), self.samples[hit])
+    def rows(self, start: int, stop: int, t0: int = 0, t1: int | None = None) -> np.ndarray:
+        """Samples t0:t1 of loudspeakers ``start:stop``' dense signals, (speakers, t1 - t0)."""
+        speakers, samples = self.speakers[t0:t1], self.samples[t0:t1]
+        hit = (speakers >= start) & (speakers < stop)
+        out = np.zeros((min(stop, len(self.grid)) - start, len(samples)))
+        np.add.at(out, (speakers[hit] - start, np.nonzero(hit)[0]), samples[hit])
         return out
 
 
@@ -159,6 +160,11 @@ class SirrStreams:
         n = (len(self.samples) - 1) * self.hop + self.window_size
         if self.speakers.shape != self.samples.shape or self.diffuse.shape != (n,):
             raise ValueError(f"streams do not fit one {n}-sample STFT")
+        speakers = self.speakers
+        if speakers.size and not 0 <= speakers.min() <= speakers.max() < len(self.grid):
+            raise ValueError("speaker indices out of range")
+        if not (np.all(np.isfinite(self.samples)) and np.all(np.isfinite(self.diffuse))):
+            raise ValueError("direct amplitudes and diffuse samples must be finite")
         check_sample_rate(self.sample_rate)
 
     def __len__(self) -> int:
@@ -185,15 +191,12 @@ class SirrStreams:
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """The signals of loudspeakers ``start:stop``, (speakers, len(self))."""
-        n = len(self)
-        out = self.direct(start, stop, 0, n)
-        nfft = sp_fft.next_fast_len(n, real=True)  # SciPy fftconvolve's bits
-        diffuse_spectrum = sp_fft.rfft(self.diffuse, nfft)
+        out = self.direct(start, stop, 0, len(self))
         for first in range(start, start + len(out), _SPEAKER_BLOCK):
             block = out[first - start : first - start + _SPEAKER_BLOCK]
             kernels = np.stack([decorrelation_kernel(self.seed, ls)
                                 for ls in range(first, first + len(block))])
-            block += sp_fft.irfft(diffuse_spectrum * sp_fft.rfft(kernels, nfft), nfft)[:, :n]
+            block += fft_convolve(self.diffuse, kernels)
         return out
 
 
@@ -217,14 +220,14 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     """Convolve every loudspeaker signal with its matching HRIR pair and sum.
 
     Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
-    offenders are reported together. SIRR's direct stream goes through
-    :func:`hrir_sum` a block at a time, its diffuse signal through one
-    filter per ear: each HRIR convolved with its decorrelator, summed. A
+    offenders are reported together. The render is one of two sums. A
     ``SampleAssignment`` with k * taps of at most ``_GATHER_TAPS_PER_SPEAKER``
-    x its loudspeaker count is convolved in the time domain from its k
-    samples and their gathered HRIR rows, whose cost does not grow with the
-    loudspeaker count; past that it is densified a block of loudspeakers at
-    a time into the frequency-domain sum.
+    x its loudspeaker count is gathered: convolved from its k samples and
+    their HRIR rows, whose cost does not grow with the loudspeaker count.
+    Anything else is a dense row source that :func:`hrir_sum` sums: SIRR's
+    direct stream, or the assignment's rows, densified only over the span
+    asked for. SIRR's diffuse signal then goes through one filter per ear:
+    each HRIR convolved with its decorrelator, summed.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -240,16 +243,14 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
         out = _hrir_sum(ears, vls.direct, len(vls))
         if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
             kernels = np.stack([decorrelation_kernel(vls.seed, ls) for ls in range(len(vls.grid))])
-            nfft = sp_fft.next_fast_len(out.shape[1], real=True)
-            spectra = sp_fft.rfft(vls.diffuse, nfft) * sp_fft.rfft(hrir_sum(ears, kernels), nfft)
-            out += sp_fft.irfft(spectra, nfft)[:, : out.shape[1]]
+            out += fft_convolve(vls.diffuse, hrir_sum(ears, kernels))
     elif vls.samples.shape[1] * taps <= _GATHER_TAPS_PER_SPEAKER * len(vls.grid):
         pairs = ears.transpose(1, 0, 2).reshape(len(vls.grid), 2 * taps)  # (speakers, 2 * taps)
         out = _overlap_add(
             lambda t0, t1: np.einsum("nk,nkf->fn", vls.samples[t0:t1], pairs[vls.speakers[t0:t1]]),
             len(vls), taps, vls.samples.shape[1])
     else:
-        out = _frequency_sum(ears, vls.rows, len(vls))
+        out = _hrir_sum(ears, vls.rows, len(vls))
     return BinauralIr(out, vls.sample_rate)
 
 
@@ -266,12 +267,19 @@ def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:
 
 
 def _hrir_sum(ears: np.ndarray, signals, n: int) -> np.ndarray:
-    """:func:`hrir_sum` of the n-sample rows ``signals(start, stop, t0, t1)`` gives."""
+    """:func:`hrir_sum` of the n-sample rows ``signals(start, stop, t0, t1)``
+    gives: all rows a time block at a time, or ``_SPEAKER_BLOCK`` whole ones."""
     taps = ears.shape[2]
-    if taps > _TIME_DOMAIN_TAPS:
-        return _frequency_sum(ears, lambda start, stop: signals(start, stop, 0, n), n)
-    by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
-    return _overlap_add(lambda t0, t1: by_tap @ signals(0, ears.shape[1], t0, t1), n, taps, 1)
+    if taps <= _TIME_DOMAIN_TAPS:
+        by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
+        return _overlap_add(lambda t0, t1: by_tap @ signals(0, ears.shape[1], t0, t1), n, taps, 1)
+    nfft = sp_fft.next_fast_len(n + taps - 1, real=True)
+    spectrum = np.zeros((2, nfft // 2 + 1), complex)
+    for start in range(0, ears.shape[1], _SPEAKER_BLOCK):
+        stop = start + _SPEAKER_BLOCK
+        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(signals(start, stop, 0, n), nfft),
+                              sp_fft.rfft(ears[:, start:stop], nfft))
+    return sp_fft.irfft(spectrum, nfft)[:, : n + taps - 1]
 
 
 def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:
@@ -290,17 +298,3 @@ def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:
         for j in range(taps):
             out[:, t0 + j : t1 + j] += part[:, j]
     return out
-
-
-def _frequency_sum(ears: np.ndarray, rows, n: int) -> np.ndarray:
-    """:func:`hrir_sum` in the frequency domain, ``_SPEAKER_BLOCK`` rows at a
-    time; ``rows(start, stop)`` gives the (stop - start, n) signals of rows
-    start:stop."""
-    taps = ears.shape[2]
-    nfft = sp_fft.next_fast_len(n + taps - 1, real=True)
-    spectrum = np.zeros((2, nfft // 2 + 1), complex)
-    for start in range(0, ears.shape[1], _SPEAKER_BLOCK):
-        stop = start + _SPEAKER_BLOCK
-        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(rows(start, stop), nfft),
-                              sp_fft.rfft(ears[:, start:stop], nfft))
-    return sp_fft.irfft(spectrum, nfft)[:, : n + taps - 1]

@@ -37,6 +37,10 @@ def _sim_config(**overrides):
     return cfg
 
 
+_SDM = {"id": "sdm-under-test", "analysis": "tdoa", "pressure_source": "channel-average"}
+_SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zeroth-order"}
+
+
 @pytest.fixture()
 def sim_dir(tmp_path):
     cfg = _write_config(tmp_path, "sim.json", _sim_config())
@@ -399,6 +403,21 @@ class TestRender:
         err = capsys.readouterr().err
         assert "array" in err and "scene_preset" in err
 
+    @pytest.mark.parametrize("key, channels, condition", [("srir_wav", 6, _SDM),
+                                                         ("foa_wav", 4, _SIRR)])
+    def test_window_longer_than_input_wavs_exits_2(self, tmp_path, capsys, rng, key, channels,
+                                                   condition):
+        """A 4,096-sample window on 2,400-sample input WAVs is a config error
+        naming the condition and window_size, not a failed render."""
+        wavio.write_wav(tmp_path / "in.wav", rng.normal(size=(channels, 2400)) * 0.1, FS)
+        cfg = _write_config(tmp_path, "render.json", {
+            "input": {key: str(tmp_path / "in.wav")}, "grid_size": 32,
+            "conditions": [{**condition, "window_size": 4096}],
+        })
+        assert main(["render", "--config", cfg, "--output", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert condition["id"] in err and "window_size" in err
+
     def test_input_array_without_srir_exits_2(self, tmp_path, capsys):
         wavio.write_wav(tmp_path / "foa.wav", np.ones((4, 64)), FS)
         cfg = _write_config(tmp_path, "render.json", {
@@ -750,10 +769,6 @@ def test_every_condition_setting_is_a_config_key():
     assert set(cli._CONDITION_CASTS) == fields - set_elsewhere
 
 
-_SDM = {"id": "sdm-under-test", "analysis": "tdoa", "pressure_source": "channel-average"}
-_SIRR = {"id": "sirr-under-test", "analysis": "tf-piv", "pressure_source": "zeroth-order"}
-
-
 @pytest.mark.parametrize("command, cfg, key", [
     ("simulate", _sim_config(length_s="abc"), "length_s"),
     ("simulate", _sim_config(max_order="x"), "max_order"),
@@ -813,6 +828,8 @@ def test_wrong_typed_config_value_exits_2_naming_the_key(tmp_path, capsys, comma
     [{**_SDM, "analysis": "piv-broadband", "band_high": 30000}],
     # a TDOA window no shorter than the 7,200-sample render
     [{**_SDM, "window_size": 8192}],
+    # an STFT window longer than the render
+    [{**_SIRR, "window_size": 8192}],
 ])
 def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatch,
                                                     conditions):
@@ -829,6 +846,20 @@ def test_render_without_conditions_exits_2(tmp_path, capsys, monkeypatch):
     path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": []})
     assert main(["render", "--config", path, "--output", str(tmp_path / "o")]) == 2
     assert "at least one condition" in capsys.readouterr().err
+
+
+def test_non_finite_hrir_tap_exits_2_naming_hrir_index(tmp_path, capsys, monkeypatch):
+    """A float32 interleaved HRIR WAV with one NaN tap is rejected with the
+    HRIRs, before anything is simulated."""
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    (tmp_path / "index.csv").write_text("0,0\n")
+    taps = np.zeros((2, 8))
+    taps[1, 3] = np.nan
+    wavio.write_wav(tmp_path / "hrirs.wav", taps, FS)
+    path = _write_config(tmp_path, "cfg.json", _sim_config(
+        hrir_index=str(tmp_path / "index.csv"), hrir_wav=str(tmp_path / "hrirs.wav")))
+    assert main(["simulate", "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert "hrir_index" in capsys.readouterr().err
 
 
 _FIBONACCI_8 = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in fibonacci_grid(8).directions.tolist())

@@ -120,6 +120,20 @@ def test_batched_stft_round_trip_matches_single_rows(seed, channels, n, window_l
         np.testing.assert_array_equal(y[row], _frame_by_frame_istft(single))
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [((300,), (41,)), ((4, 300), (4, 41)),
+                                              ((300,), (4, 41))])
+def test_fft_convolve_matches_direct_convolution(rng, a_shape, b_shape):
+    """Leading axes broadcast; each row is the full convolution of its pair."""
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    out = dsp.fft_convolve(a, b)
+    lead = np.broadcast_shapes(a_shape[:-1], b_shape[:-1])
+    pairs = zip(np.broadcast_to(a, (*lead, 300)).reshape(-1, 300),
+                np.broadcast_to(b, (*lead, 41)).reshape(-1, 41))
+    expected = np.stack([np.convolve(x, y) for x, y in pairs]).reshape(*lead, 340)
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestCrossCorrelate:
     def test_autocorrelation_peaks_at_zero(self, rng):
         x = rng.normal(size=500)

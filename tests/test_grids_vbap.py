@@ -384,6 +384,22 @@ class TestNearestDirections:
         )
 
 
+    def test_k1_holds_one_block_at_a_time(self, rng):
+        """19,767 queries on 240 directions: about 8 MB of dot products per
+        block, and the previous block is freed before the next is formed."""
+        table = fibonacci_grid(240).directions
+        queries = rng.normal(size=(19767, 3))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        block_bytes = grids._NEAREST_BLOCK_ENTRIES // len(table) * len(table) * 8
+        tracemalloc.start()
+        try:
+            nearest_directions(queries, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
+
+
 class TestGridIo:
     def test_csv_round_trip_xyz(self, tmp_path):
         grid = fibonacci_grid(12)

@@ -1,11 +1,12 @@
-"""Every public name in the library has a caller.
+"""Every public name in the library has a caller, and so does every private one.
 
 A public top-level function, class or constant, or a public method or
 property of a top-level class, in a ``src/srirkit`` module counts as called
 when some ``src/srirkit`` module other than ``__init__``, or a ``perfbench``
 script, mentions its name as a ``Name`` it reads or an ``Attribute`` node.
 Tests, the README and ``__init__``'s re-exports do not count: a name only
-they reach is code that nothing the package runs needs.
+they reach is code that nothing the package runs needs. A single-underscore
+top-level name must be read the same way, its own module included.
 """
 
 import ast
@@ -25,18 +26,24 @@ def _trees(directory: Path) -> dict:
             for path in sorted(directory.glob("*.py")) if path.name != "__init__.py"}
 
 
-def _public_definitions(tree: ast.Module):
+def _top_level(tree: ast.Module):
+    """(name, node) of every top-level function, class and assigned name."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((target.id, node) for target in targets if isinstance(target, ast.Name))
+
+
+def _public_definitions(tree: ast.Module):
+    for name, node in _top_level(tree):
+        if not name.startswith("_"):
+            yield name
             if isinstance(node, ast.ClassDef):
                 yield from (member.name for member in node.body
                             if isinstance(member, ast.FunctionDef)
                             and not member.name.startswith("_"))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (target.id for target in targets
-                        if isinstance(target, ast.Name) and not target.id.startswith("_"))
 
 
 def _mentioned(tree: ast.Module) -> set:
@@ -51,10 +58,24 @@ def _mentioned(tree: ast.Module) -> set:
 
 def test_every_public_name_is_referenced():
     library = _trees(ROOT / "src" / "srirkit")
-    referenced = set()
-    for tree in [*library.values(), *_trees(ROOT / "perfbench").values()]:
-        referenced |= _mentioned(tree)
+    referenced = _referenced(library)
     uncalled = [f"{path.stem}.{name}"
                 for path, tree in library.items() for name in _public_definitions(tree)
                 if name not in referenced and f"{path.stem}.{name}" not in EXEMPT]
     assert not uncalled, f"public names nothing in src/srirkit or perfbench calls: {uncalled}"
+
+
+def _referenced(library: dict) -> set:
+    referenced = set()
+    for tree in [*library.values(), *_trees(ROOT / "perfbench").values()]:
+        referenced |= _mentioned(tree)
+    return referenced
+
+
+def test_every_private_top_level_name_is_read():
+    library = _trees(ROOT / "src" / "srirkit")
+    referenced = _referenced(library)
+    orphans = [f"{path.stem}.{name}"
+               for path, tree in library.items() for name, _ in _top_level(tree)
+               if name.startswith("_") and not name.startswith("__") and name not in referenced]
+    assert not orphans, f"private names nothing in src/srirkit or perfbench reads: {orphans}"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from srirkit import synthesis
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
 from srirkit.errors import MissingHrirError
@@ -112,6 +113,22 @@ class TestSdmSynthesize:
         b = sdm_synthesize(pressure, traj, grid, k=2)
         assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))
 
+    def test_row_spans_are_slices_of_the_dense_rows(self, rng):
+        """Time blocks of 2048, 1000 and 7 samples, from the first to the last
+        (partial) one, for all loudspeakers, a range that starts inside a
+        loudspeaker block and one that runs past the grid: each equals its
+        slice of the dense rows, byte for byte."""
+        grid = fibonacci_grid(40)
+        n = 2500
+        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, 3)),
+                                      rng.normal(size=(n, 3)), FS)
+        for start, stop in ((0, len(grid)), (5, 37), (32, 48)):
+            dense = assignment.rows(start, stop)
+            for block in (2048, 1000, 7):
+                for t0 in range(0, n, block):
+                    t1 = min(t0 + block, n)
+                    assert np.array_equal(assignment.rows(start, stop, t0, t1), dense[:, t0:t1])
+
 
 def _smooth_field(rng, frames, bins, window_size, hop):
     """Direction field varying slowly over time, random psi."""
@@ -139,6 +156,24 @@ class TestSirrSynthesize:
         for rate in (0.0, 44100.5):
             with pytest.raises(ValueError, match="sample rate"):
                 SirrStreams(grid, speakers, direct, np.zeros(192), 0, 64, 32, rate)
+
+    def test_stream_indices_and_values_validated(self):
+        """As a SampleAssignment's: a loudspeaker outside the grid, or a
+        non-finite amplitude or diffuse sample, is rejected."""
+        grid = fibonacci_grid(24)
+        speakers, direct = np.zeros((5, 33, 3), np.intp), np.ones((5, 33, 3), complex)
+        diffuse = np.zeros(192)
+        for index in (99, 24, -1):
+            bad = speakers.copy()
+            bad[2, 7, 1] = index
+            with pytest.raises(ValueError, match="out of range"):
+                SirrStreams(grid, bad, direct, diffuse, 0, 64, 32, FS)
+        for value in (np.nan, np.inf):
+            bad_direct, bad_diffuse = direct.copy(), diffuse.copy()
+            bad_direct[1, 3, 0], bad_diffuse[50] = value, value
+            for args in ((bad_direct, diffuse), (direct, bad_diffuse)):
+                with pytest.raises(ValueError, match="finite"):
+                    SirrStreams(grid, speakers, *args, 0, 64, 32, FS)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -529,9 +564,11 @@ class TestBinauralRender:
                                                   densified):
         """128-tap HRIRs: an assignment is convolved from its samples while
         k * 128 is at most 2 x the loudspeaker count, and summed over its rows
-        past it; both equal the render of its dense signals."""
+        past it; both equal the render of its dense signals, and neither
+        path transforms (128 taps are within the time-domain limit)."""
         grid = fibonacci_grid(speakers)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+        monkeypatch.setattr(synthesis, "sp_fft", mock.NonCallableMock(spec=[]))
         self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
 
     @pytest.mark.parametrize("speakers, k, densified", [(960, 1, False), (960, 3, False),
@@ -554,7 +591,7 @@ class TestBinauralRender:
         calls = []
         rows = SampleAssignment.rows
         monkeypatch.setattr(SampleAssignment, "rows",
-                            lambda a, start, stop: calls.append(1) or rows(a, start, stop))
+                            lambda a, *span: calls.append(1) or rows(a, *span))
         brir = binaural_render(assignment, hrirs).samples
         assert bool(calls) == densified
         monkeypatch.setattr(SampleAssignment, "rows", rows)
