@@ -5,7 +5,6 @@ detection, fractional-delay impulses and direct-sound energy normalization.
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames
@@ -99,12 +98,26 @@ def _istft_span(values, n_frames: int, window_size: int, hop: int, start: int,
     return acc.reshape(*acc.shape[:-2], -1)[..., start - b0 * hop : stop - b0 * hop]
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth length (2**i 3**j 5**k) at least n >= 1: SciPy's
+    ``next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:  # odd is 3**j 5**k; pad it with the fewest twos
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
 def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full convolution along the last axis through real FFTs, leading axes
     broadcast: for 1-D inputs SciPy's ``fftconvolve(a, b)``, bit for bit."""
     n = a.shape[-1] + b.shape[-1] - 1
-    nfft = sp_fft.next_fast_len(n, real=True)
-    return sp_fft.irfft(sp_fft.rfft(a, nfft) * sp_fft.rfft(b, nfft), nfft)[..., :n]
+    nfft = _next_fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[..., :n]
 
 
 def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:

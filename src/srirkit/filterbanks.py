@@ -4,18 +4,18 @@ ERB bands sit at integer points 1..39 of the Glasberg-Moore ERB-rate scale
 (roughly 26 Hz to 15 kHz), each one ERB wide. Octave filters are applied
 forward-backward, so decay fits see no group-delay bias. Every band is the
 4th-order Butterworth band-pass of :func:`bandpass_sos`, and every filter
-works along the last axis, so stacked channels share one call per band.
-SciPy's signal package takes about a second to import, so the design (its
-``butter``, bit for bit) and the filters (its SOS filters, to rounding) are here.
+works along the last axis, so stacked channels and bands share one call.
+The package imports no SciPy, so the design (SciPy's ``butter``, bit for
+bit) and the filters (its SOS filters, to rounding) are here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import lapack
 
 
 def hz_to_erb_number(freq_hz) -> np.ndarray:
@@ -84,50 +84,126 @@ def erb_bands(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     Shape ``(k, *samples.shape)``, band i centred on ``ERB_CENTERS_HZ[i]``:
     k is 36 at 24 kHz, 35 at 22.05 kHz and all 39 from 32 kHz up.
     """
-    return np.stack([
-        _sosfilt(_bandpass_design(low, high, sample_rate), samples)
-        for low, high in _ERB_EDGES_HZ if high < sample_rate / 2.0
-    ])
+    samples = np.asarray(samples, dtype=np.float64)
+    sos = np.stack([_bandpass_design(low, high, sample_rate)
+                    for low, high in _ERB_EDGES_HZ if high < sample_rate / 2.0])
+    return _sosfilt(sos.reshape(len(sos), *[1] * (samples.ndim - 1), 2, 6), samples)
 
 
 def octave_band(samples: np.ndarray, sample_rate: float, center_hz: float) -> np.ndarray:
     """Octave band-pass (center/sqrt(2) .. center*sqrt(2)), zero phase."""
-    sos = _bandpass_design(center_hz / np.sqrt(2.0), center_hz * np.sqrt(2.0), sample_rate)
-    return _sosfiltfilt(sos, samples)
+    return octave_bands(samples, sample_rate, (center_hz,))[0]
+
+
+def octave_bands(samples: np.ndarray, sample_rate: float, centers_hz) -> np.ndarray:
+    """:func:`octave_band` at each of ``centers_hz``, filtered together:
+    shape ``(len(centers_hz), *samples.shape)``, each band bit for bit as alone."""
+    samples = np.asarray(samples, dtype=np.float64)
+    sos = np.stack([_bandpass_design(c / np.sqrt(2.0), c * np.sqrt(2.0), sample_rate)
+                    for c in centers_hz])
+    return _sosfiltfilt(sos.reshape(len(sos), *[1] * (samples.ndim - 1), 2, 6), samples)
+
+
+#: Samples per block of :func:`_sosfilt`'s recursion, which is fastest near 32.
+_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=512)
+def _section_blocks(b0: float, b1: float, b2: float, a1: float, a2: float):
+    """One biquad section, with poles p and conj(p), as block products.
+
+    Its output is y = Re(alpha v), alpha = 2p / (p - conj(p)), where
+    v[n] = p v[n-1] + b0 x[n] + b1 x[n-1] + b2 x[n-2]. Let V be v at a
+    block's end with the taps still due from its last inputs folded in, so
+    that Re(alpha p**(i+1) V) follows at sample i. A row ``[x[0:_BLOCK],
+    Re V, Im V]``, V the block before's, times ``outputs`` is the block's
+    output; its inputs times ``state`` give its own V, to which p**_BLOCK
+    times the V before adds. Returns ``(outputs, state, p, p**_BLOCK)``.
+    """
+    # Exact rationals keep every digit of a discriminant near 0, and so of p.
+    discriminant = float(Fraction(a2) - Fraction(a1) ** 2 / 4)
+    if discriminant <= 0.0:
+        raise ValueError(f"section with a1={a1}, a2={a2} has real poles")
+    p = complex(-a1 / 2.0, math.sqrt(discriminant))
+    powers = p ** np.arange(-2, _BLOCK + 1)  # powers[k + 2] is p**k
+    alpha = 2.0 * p / (p - p.conjugate())
+    h = np.concatenate(((alpha * powers[2 : _BLOCK + 2]).real, [0.0, 0.0]))  # h[-1] = h[-2] = 0
+    lag = np.arange(_BLOCK)[None, :] - np.arange(_BLOCK)[:, None]  # output i minus input j
+    fir = b0 * h[lag] + b1 * h[lag - 1] + b2 * h[lag - 2]
+    fir[lag < 0] = 0.0
+    free = alpha * powers[3:]  # p**(i+1)
+    outputs = np.vstack((fir, free.real, -free.imag))
+    own = b0 * powers[_BLOCK + 1 : 1 : -1] + b1 * powers[_BLOCK : 0 : -1] + b2 * powers[_BLOCK - 1 :: -1]
+    state = np.stack((own.real, own.imag), axis=1)  # x[m] adds p**(B-1-m) (b0 + b1/p + b2/p**2)
+    for array in (outputs, state):
+        array.flags.writeable = False
+    return outputs, state, p, powers[_BLOCK + 2]
 
 
 def _sosfilt(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray | None = None) -> np.ndarray:
-    """SciPy's ``sosfilt(sos, samples, axis=-1, zi=zi)[0]``, to rounding. Each
-    section adds its state ``zi[..., s, :]`` to its FIR part and solves its
-    recursion as one banded triangular system with a right-hand side per row,
-    so a row's bits do not depend on the rows stacked with it."""
-    y = np.array(samples, dtype=np.float64)
-    n = y.shape[-1]
-    for s, (b0, b1, b2, _, a1, a2) in enumerate(sos):
-        w = b0 * y
-        w[..., 1:] += b1 * y[..., :-1]
-        w[..., 2:] += b2 * y[..., :-2]
+    """SciPy's ``sosfilt(sos, samples, axis=-1, zi=zi)[0]``, to rounding, for
+    sections with complex poles. ``sos`` is (..., sections, 6), its leading axes
+    broadcast against those of ``samples`` and ``zi`` (..., sections, 2).
+
+    Each section runs on ``_BLOCK``-sample blocks: one matrix product for
+    every block's own end state, a doubling scan that carries the states
+    from block to block, and one matrix product for the outputs. Every
+    row's products have the same shape however many rows are stacked, so a
+    row's bits do not depend on the rows stacked with it.
+    """
+    sos = np.asarray(sos, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.shape[-1]
+    blocks = max(1, -(-n // _BLOCK))
+    full = (blocks - 1) * _BLOCK
+    lead = np.broadcast_shapes(sos.shape[:-2], x.shape[:-1])
+    sections = [[_section_blocks(*row[[0, 1, 2, 4, 5]].tolist()) for row in stack]
+                for stack in sos.reshape(-1, *sos.shape[-2:])]
+    here = np.empty((*lead, blocks, _BLOCK + 2))  # [x[0:B], Re V, Im V] a block
+    here[..., :-1, :_BLOCK] = x[..., :full].reshape(*x.shape[:-1], -1, _BLOCK)
+    here[..., -1, : n - full] = x[..., full:]
+    here[..., -1, n - full : _BLOCK] = 0.0  # no input past the end
+    for s in range(sos.shape[-2]):
+        outputs, state, p, decay = (np.reshape(part, (*sos.shape[:-2], *np.shape(part[0])))
+                                    for part in zip(*(stack[s] for stack in sections)))
+        carry = (here[..., :_BLOCK] @ state).view(complex)[..., 0]  # each block's own V
+        start = 0.0  # the state before block 0
         if zi is not None:
-            w[..., :2] += zi[..., s, :]
-        band = np.tile([1.0, a1, a2], (n, 1)).T  # unit diagonal, then a1 and a2 below it
-        rhs = w.reshape(math.prod(w.shape[:-1]), n).T  # a column per row
-        y = lapack.dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)[0].T.reshape(y.shape)
-    return y
+            z = np.asarray(zi, dtype=np.float64)[..., s, :]
+            start = z[..., 0] / p + z[..., 1] / (p * p)
+            carry[..., 0] += decay * start
+        step, factor = 1, decay[..., None]
+        while step < blocks:  # carry[k] = sum over j <= k of decay**(k - j) own[j]
+            carry[..., step:] += factor * carry[..., :-step]
+            step, factor = 2 * step, factor * factor
+        here[..., 0, _BLOCK], here[..., 0, _BLOCK + 1] = np.real(start), np.imag(start)
+        here[..., 1:, _BLOCK], here[..., 1:, _BLOCK + 1] = carry[..., :-1].real, carry[..., :-1].imag
+        if s + 1 < sos.shape[-2]:  # outputs past n reach no output before n
+            after = np.empty_like(here)
+            np.matmul(here, outputs, out=after[..., :_BLOCK])
+            here = after  # frees this section's rows before the next section's are made
+        else:
+            y = here @ outputs
+    return y.reshape(*lead, blocks * _BLOCK)[..., :n]
 
 
 def _sosfiltfilt(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """SciPy's ``sosfiltfilt(sos, samples, axis=-1)``, to rounding: odd extension,
-    then forward and backward passes from ``sosfilt_zi`` steady states."""
+    then forward and backward passes from ``sosfilt_zi`` steady states. ``sos``
+    broadcasts as in :func:`_sosfilt`."""
     pad = 15  # SciPy's default: three times the 5 taps of two sections
+    sos = np.asarray(sos, dtype=np.float64)
     x = np.asarray(samples, dtype=np.float64)
     if x.shape[-1] <= pad:
         raise ValueError(f"need more than {pad} samples to filter, got {x.shape[-1]}")
     ext = np.concatenate((2 * x[..., :1] - x[..., pad:0:-1], x,
                           2 * x[..., -1:] - x[..., -2 : -pad - 2 : -1]), axis=-1)
-    zi, scale = np.empty((len(sos), 2)), 1.0
-    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):  # SciPy's lfilter_zi per section
-        zi[s] = scale * np.linalg.solve([[1.0 + a[1], -1.0], [a[2], 1.0]], b[1:] - a[1:] * b[0])
-        scale *= np.sum(b) / np.sum(a)
+    # SciPy's lfilter_zi per section, scaled by the DC gain of the sections before it.
+    b, a = sos[..., :3], sos[..., 3:]
+    one = np.ones_like(a[..., 0])
+    system = np.stack((1.0 + a[..., 1], -one, a[..., 2], one), axis=-1).reshape(*a.shape[:-1], 2, 2)
+    zi = np.linalg.solve(system, (b[..., 1:] - a[..., 1:] * b[..., :1])[..., None])[..., 0]
+    zi[..., 1:, :] *= np.cumprod(np.sum(b, axis=-1) / np.sum(a, axis=-1), axis=-1)[..., :-1, None]
     y = _sosfilt(sos, ext, zi * ext[..., :1, None])
     y = _sosfilt(sos, y[..., ::-1], zi * y[..., -1:, None])
     return y[..., ::-1][..., pad:-pad]

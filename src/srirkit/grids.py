@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 #: Smallest oriented plane offset, i.e. |det| of the VBAP basis, of a triangle.
 _DEGENERATE_DET = 1e-9
+#: Distance past a hull facet's plane up to which a direction counts as on it.
+_HULL_TOL = 1e-12
 
 #: Dot products per block in :func:`nearest_directions` (8 MB). Blocks near
 #: 32 MiB would raise glibc's mmap threshold when freed, keeping later arrays
@@ -105,13 +107,97 @@ class LoudspeakerGrid:
 
 
 def grid_from_directions(directions: np.ndarray) -> LoudspeakerGrid:
-    """Triangulate arbitrary unit directions by their convex hull."""
+    """Triangulate arbitrary unit directions by their convex hull. The
+    triangles come in one canonical order: each one's vertices ascending,
+    then the triangles ascending."""
     dirs = _unit_rows(directions)
-    try:
-        hull = ConvexHull(dirs)
-    except QhullError as exc:  # fewer than 4 directions, or all on one plane
-        raise ValueError(f"cannot triangulate: {str(exc).strip().splitlines()[0]}") from exc
-    return LoudspeakerGrid(dirs, hull.simplices)
+    triangles = np.sort(_hull_triangles(dirs), axis=1)
+    return LoudspeakerGrid(dirs, triangles[np.lexsort(triangles.T[::-1])])
+
+
+def _hull_triangles(points: np.ndarray) -> np.ndarray:
+    """The convex hull facets of ``points`` (n, 3), as (m, 3) vertex indices.
+
+    Quickhull (Barber et al. 1996): from a tetrahedron of extreme points,
+    the farthest point beyond a facet replaces every facet it sees by a fan
+    from it to their horizon, and the points beyond those facets go to the
+    new ones. A point within ``_HULL_TOL`` of the hull, a repeat say, is
+    left out.
+    """
+    n = len(points)
+    if n < 4:
+        raise ValueError(f"cannot triangulate: need at least 4 directions, got {n}")
+    a, b = 0, int(np.argmax(np.linalg.norm(points - points[0], axis=1)))
+    c = int(np.argmax(np.linalg.norm(np.cross(points - points[a], points[b] - points[a]), axis=1)))
+    normal = np.cross(points[b] - points[a], points[c] - points[a])
+    height = (points - points[a]) @ normal / max(np.linalg.norm(normal), 1e-300)
+    d = int(np.argmax(np.abs(height)))
+    if abs(height[d]) <= _HULL_TOL:
+        raise ValueError("cannot triangulate: the directions lie on one plane")
+    xyz, none = points.tolist(), np.empty(0, dtype=np.intp)
+    verts, planes, links, beyond, pending = [], [], [], [], []  # links[f][e]: across edge e
+
+    def fan(tail, head, apexes, candidates):
+        """New facets (i, j, k), counterclockwise seen from outside. Each
+        candidate goes to the one it lies farthest beyond, farthest last."""
+        first = len(verts)
+        for i, j, k in zip(tail, head, apexes):
+            (ix, iy, iz), (jx, jy, jz), (kx, ky, kz) = xyz[i], xyz[j], xyz[k]
+            ux, uy, uz, vx, vy, vz = jx - ix, jy - iy, jz - iz, kx - ix, ky - iy, kz - iz
+            nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            norm = math.sqrt(nx * nx + ny * ny + nz * nz) or 1.0  # degenerate: beyond no point
+            planes.append((nx / norm, ny / norm, nz / norm, (nx * ix + ny * iy + nz * iz) / norm))
+            verts.append((i, j, k))
+            links.append([-1, -1, -1])
+            beyond.append(none)
+        new = list(range(first, len(verts)))
+        if not candidates.size:
+            return new
+        eq = np.array(planes[first:])
+        dist = points[candidates] @ eq[:, :3].T - eq[:, 3]
+        best = np.argmax(dist, axis=1)
+        reach = dist[np.arange(len(best)), best]
+        keep = reach > _HULL_TOL
+        order = np.lexsort((reach[keep], best[keep]))  # by facet, then nearest to farthest
+        kept = candidates[keep][order]
+        ends = np.cumsum(np.bincount(best[keep], minlength=len(new))).tolist()
+        for f, lo, hi in zip(new, [0] + ends, ends):
+            if hi > lo:
+                beyond[f] = kept[lo:hi]
+                pending.append(f)
+        return new
+
+    first, second = (c, b) if height[d] > 0 else (b, c)  # facet a, first, second faces away from d
+    tetra = fan([a, first, second, a], [first, a, first, second], [second, d, d, d],
+                np.setdiff1d(np.arange(n), (a, b, c, d)))
+    edges = {(verts[f][e], verts[f][e - 2]): f for f in tetra for e in range(3)}
+    for f in tetra:
+        links[f] = [edges[verts[f][e - 2], verts[f][e]] for e in range(3)]
+    while pending:
+        f = pending.pop()
+        if planes[f] is None:  # seen by an earlier apex
+            continue
+        apex = int(beyond[f][-1])
+        px, py, pz = xyz[apex]
+        visible, seen, horizon = [f], {f: True}, []
+        for g in visible:  # grows while it is walked: the facets apex sees
+            planes[g] = None
+            for e, h in enumerate(links[g]):
+                if h not in seen:
+                    nx, ny, nz, off = planes[h]
+                    seen[h] = nx * px + ny * py + nz * pz - off > _HULL_TOL
+                    if seen[h]:
+                        visible.append(h)
+                if not seen[h]:
+                    horizon.append((verts[g][e], verts[g][e - 2], h))
+        tail, head, across = zip(*horizon)
+        rest = np.concatenate([beyond[g] for g in visible])
+        new = fan(tail, head, [apex] * len(tail), rest[rest != apex])
+        starts, ends = dict(zip(tail, new)), dict(zip(head, new))
+        for g, i, j, h in zip(new, tail, head, across):
+            links[g][:] = h, starts[j], ends[i]
+            links[h][verts[h].index(j)] = g  # h's edge j -> i
+    return np.array([v for v, plane in zip(verts, planes) if plane is not None], dtype=np.intp)
 
 
 def fibonacci_grid(n: int) -> LoudspeakerGrid:

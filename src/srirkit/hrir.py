@@ -100,9 +100,13 @@ def _read_index(index_path) -> tuple[Path, list[list[str]], np.ndarray]:
     index_path = Path(index_path)
     rows = []
     with index_path.open(newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{index_path}: line {reader.line_num}: need azimuth and "
+                                 f"elevation columns, got {row}")
             rows.append([cell.strip() for cell in row])
     if not rows:
         raise ValueError(f"{index_path}: empty HRIR index")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dsp
 from .errors import DegenerateBandError, DegenerateInputError, InsufficientDecayError
-from .filterbanks import ERB_CENTERS_HZ, erb_bands, octave_band
+from .filterbanks import ERB_CENTERS_HZ, erb_bands, octave_band, octave_bands
 from .signals import BinauralIr, MonoIr
 
 #: Just-noticeable differences used for pass/fail flags in reports.
@@ -235,8 +235,8 @@ def measure_brir(brir: BinauralIr) -> MetricReport:
     """The full metric set of a BRIR. Every metric is invariant to a gain
     common to both channels, so the BRIR needs no normalization first."""
     low, high = ild_avg(brir)
-    bands = {center: octave_band(brir.samples, brir.sample_rate, center)
-             for center in {*IACC_BANDS_HZ, *T30_BANDS_HZ}}
+    centers = tuple(dict.fromkeys((*IACC_BANDS_HZ, *T30_BANDS_HZ)))
+    bands = dict(zip(centers, octave_bands(brir.samples, brir.sample_rate, centers)))
     e3, l3 = iacc_e3_l3(brir, _bands=bands)
     return MetricReport(
         ild_low_db=low,

@@ -7,10 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .doa import DoaTrajectory, TfDoaField
-from .dsp import _istft_span, fft_convolve, istft, stft
+from .dsp import _istft_span, _next_fast_len, fft_convolve, istft, stft
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
@@ -273,13 +272,13 @@ def _hrir_sum(ears: np.ndarray, signals, n: int) -> np.ndarray:
     if taps <= _TIME_DOMAIN_TAPS:
         by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
         return _overlap_add(lambda t0, t1: by_tap @ signals(0, ears.shape[1], t0, t1), n, taps, 1)
-    nfft = sp_fft.next_fast_len(n + taps - 1, real=True)
+    nfft = _next_fast_len(n + taps - 1)
     spectrum = np.zeros((2, nfft // 2 + 1), complex)
     for start in range(0, ears.shape[1], _SPEAKER_BLOCK):
         stop = start + _SPEAKER_BLOCK
-        spectrum += np.einsum("sf,esf->ef", sp_fft.rfft(signals(start, stop, 0, n), nfft),
-                              sp_fft.rfft(ears[:, start:stop], nfft))
-    return sp_fft.irfft(spectrum, nfft)[:, : n + taps - 1]
+        spectrum += np.einsum("sf,esf->ef", np.fft.rfft(signals(start, stop, 0, n), nfft),
+                              np.fft.rfft(ears[:, start:stop], nfft))
+    return np.fft.irfft(spectrum, nfft)[:, : n + taps - 1]
 
 
 def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:

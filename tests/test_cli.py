@@ -871,9 +871,10 @@ _FIBONACCI_8 = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in fibonacci_grid(8).d
     ("grid_csv", _FIBONACCI_8 + "a,b,c\n"),
     ("grid_csv", "0,10\n90,10\n180,10\n270,10\n45,60\n0,90\n"),
     ("hrir_index", "0,0,missing.wav\n"),
+    ("hrir_index", "0,0,a.wav\n90\n"),  # a row without its elevation
     ("hrir_wav", "0,0\n"),  # a valid index beside an interleaved WAV that is not there
 ], ids=["three-rows", "repeated-row", "not-a-number", "upper-hemisphere", "missing-wav",
-        "missing-hrir-wav"])
+        "one-column-row", "missing-hrir-wav"])
 def test_bad_grid_or_hrir_file_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, text):
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     (tmp_path / "file.csv").write_text(text)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 
 from srirkit import dsp
 from srirkit.errors import NoOnsetError
@@ -118,6 +119,13 @@ def test_batched_stft_round_trip_matches_single_rows(seed, channels, n, window_l
         single = dsp.stft(x[row], FS, window, window >> overlap_log2)
         np.testing.assert_array_equal(frames.values[row], single.values)
         np.testing.assert_array_equal(y[row], _frame_by_frame_istft(single))
+
+
+def test_next_fast_len_is_scipys_real_length():
+    """The smallest 5-smooth length at least n, which SciPy picks for real
+    transforms, at every n up to 60,000."""
+    ours = [dsp._next_fast_len(n) for n in range(1, 60001)]
+    assert ours == [sp_fft.next_fast_len(n, real=True) for n in range(1, 60001)]
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [((300,), (41,)), ((4, 300), (4, 41)),

@@ -102,6 +102,49 @@ class TestFibonacciGrid:
             LoudspeakerGrid(dirs, grid.triangles)
 
 
+def _canonical(triangles):
+    """Triangles with ascending vertices, in ascending order."""
+    triangles = np.sort(np.asarray(triangles), axis=1)
+    return triangles[np.lexsort(triangles.T[::-1])]
+
+
+def _random_directions(seed, n):
+    dirs = np.random.default_rng(seed).normal(size=(n, 3))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+class TestHull:
+    @pytest.mark.parametrize("n", [8, 12, 33, 240, 2000])
+    def test_fibonacci_grid_is_qhulls_triangulation(self, n):
+        grid = fibonacci_grid(n)
+        assert np.array_equal(grid.triangles, _canonical(ConvexHull(grid.directions).simplices))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_directions_give_qhulls_triangles(self, seed):
+        dirs = _random_directions(seed, 5 + 37 * seed)
+        assert np.array_equal(_canonical(grids._hull_triangles(dirs)),
+                              _canonical(ConvexHull(dirs).simplices))
+
+    def test_triangles_do_not_depend_on_the_order_of_the_directions(self):
+        dirs = _random_directions(7, 300)
+        perm = np.random.default_rng(8).permutation(len(dirs))
+        relabelled = perm[grid_from_directions(dirs[perm]).triangles]  # back to dirs' indices
+        assert np.array_equal(_canonical(relabelled), grid_from_directions(dirs).triangles)
+
+    @pytest.mark.parametrize("dirs", [
+        np.vstack([np.eye(3), -np.eye(3)]),
+        np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]) / np.sqrt(3.0),
+        np.array([direction_from_azel(az, el) for el in (-45.0, 0.0, 45.0)
+                  for az in range(0, 360, 30)] + [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+    ], ids=["octahedron", "cube", "rings"])
+    def test_cocircular_directions_triangulate(self, dirs):
+        """Four or more directions on one circle leave a choice of diagonals;
+        any choice makes a valid grid that uses every direction."""
+        grid = grid_from_directions(dirs)
+        assert len(grid.triangles) == 2 * len(dirs) - 4
+        assert np.unique(grid.triangles).size == len(dirs)
+
+
 # +x, +y, +z, -x, -y, -z
 _OCTAHEDRON = np.vstack([np.eye(3), -np.eye(3)])
 _OCTAHEDRON_FACES = [[0, 1, 2], [1, 3, 2], [3, 4, 2], [4, 0, 2],

@@ -184,6 +184,12 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_hrir_set(index)
 
+    def test_index_row_without_elevation_rejected_naming_its_line(self, tmp_path):
+        index = tmp_path / "index.csv"
+        index.write_text("# azimuth,elevation\n0,0\n90\n")
+        with pytest.raises(ValueError, match=r"index.csv: line 3: need azimuth and elevation"):
+            interleaved_hrir_set(index, np.zeros((4, 8)), FS)
+
     def test_non_stereo_file_rejected(self, tmp_path):
         wavio.write_wav(tmp_path / "mono.wav", np.zeros((1, 32)), int(FS))
         index = tmp_path / "index.csv"

@@ -568,7 +568,7 @@ class TestBinauralRender:
         path transforms (128 taps are within the time-domain limit)."""
         grid = fibonacci_grid(speakers)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-        monkeypatch.setattr(synthesis, "sp_fft", mock.NonCallableMock(spec=[]))
+        monkeypatch.setattr(synthesis, "_next_fast_len", mock.NonCallableMock(spec=[]))
         self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
 
     @pytest.mark.parametrize("speakers, k, densified", [(960, 1, False), (960, 3, False),
