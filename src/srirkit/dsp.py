@@ -158,6 +158,15 @@ def refine_peaks(corr: np.ndarray) -> np.ndarray:
 FRACTIONAL_DELAY_HALF = 16
 _KAISER_BETA = 8.6
 _KAISER_NORM = np.i0(_KAISER_BETA)
+#: The window I0(beta * sqrt(1 - s)) / I0(beta), s = (v / half)**2 < 1, in powers of s
+#: from 0 to 14: a least-squares Chebyshev fit to np.i0 at 2001 even steps of s, as
+#: monomials (within 2.3e-15), with the constant term pinned to exactly 1.
+_KAISER_POLY = (
+    1.0, -4.041678130541782, 7.22416093473313, -7.63899748256192, 5.401979862861271,
+    -2.7406692907407315, 1.045529217893317, -0.31037924005183287, 0.07362972305196107,
+    -0.014258692270521485, 0.002293977641374266, -0.0003108766064380617,
+    3.5617860775620725e-05, -3.2999382060502746e-06, 1.9266750542801239e-07,
+)
 #: Arrivals whose kernels are built at once: about 34k taps, which fit a 2 MB L2 cache.
 _IMPULSE_BLOCK = 1024
 
@@ -169,8 +178,29 @@ def impulse_fits(delays_samples, length: int) -> np.ndarray:
     return (base >= FRACTIONAL_DELAY_HALF) & (base + FRACTIONAL_DELAY_HALF < length)
 
 
+def _windowed_sincs(frac: np.ndarray, polynomial: bool) -> np.ndarray:
+    """(arrivals, 2 * half + 1) kernels of arrivals ``frac`` past their base sample."""
+    v = np.arange(-FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 1) - frac[:, None]
+    s = (v / FRACTIONAL_DELAY_HALF) ** 2
+    if not polynomial:
+        window = np.where(s < 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - s, 0.0))), 0.0)
+        return np.sinc(v) * (window / _KAISER_NORM)
+    window = np.full_like(s, _KAISER_POLY[-1])
+    for coefficient in _KAISER_POLY[-2::-1]:
+        window *= s
+        window += coefficient
+    window[s >= 1.0] = 0.0
+    # sin(pi * (k - f)) = (-1)**(k + 1) * sin(pi * f) at tap offsets k; above
+    # f = 0.5, sin(pi * f) is taken as sin(pi * (1 - f)), where 1 - f is exact.
+    signs = (-1.0) ** np.arange(1 - FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 2)
+    sines = np.sin(np.pi * np.minimum(frac, 1.0 - frac))
+    with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 is set by the caller
+        return (sines[:, None] * signs) / (np.pi * v) * window
+
+
 def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
-                              amplitudes: np.ndarray, rows: np.ndarray | None = None) -> int:
+                              amplitudes: np.ndarray, rows: np.ndarray | None = None,
+                              *, _polynomial: bool = False) -> int:
     """Accumulate band-limited impulses at fractional sample positions.
 
     Each impulse is a Kaiser-windowed sinc with the window tracking the sinc
@@ -185,6 +215,10 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     Arrivals that do not fit (:func:`impulse_fits`) are dropped before any
     kernel is built; the return value counts them. Kernels are built in
     bounded blocks of arrivals; each output sample sums them in order.
+    The window comes from ``np.i0``, or with ``_polynomial`` from
+    ``_KAISER_POLY`` and one sine per arrival (within 1e-13). The array and
+    reference renders take the polynomial; the FOA render keeps ``np.i0``,
+    whose bits the SIRR golden record depends on (ROADMAP item 4).
     """
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
@@ -202,10 +236,9 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     for first in range(0, delays.size, _IMPULSE_BLOCK):
         block = slice(first, first + _IMPULSE_BLOCK)
         base = np.floor(delays[block]).astype(np.int64)
-        v = offsets[None, :] - (delays[block] - base)[:, None]
-        arg = 1.0 - (v / half) ** 2
-        window = np.where(arg > 0.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(arg, 0.0))), 0.0)
-        kernels = np.sinc(v) * (window / _KAISER_NORM)
+        frac = delays[block] - base
+        kernels = _windowed_sincs(frac, _polynomial)
+        kernels[frac == 0.0] = offsets == 0  # an integer delay: an exact unit impulse
         # One flat index: np.add.at runs 5x faster on it than on (row, column) pairs.
         idx = starts[..., block, None] + base[:, None] + offsets
         np.add.at(out.reshape(-1), idx.ravel(), (kernels * amps[..., block, None]).ravel())

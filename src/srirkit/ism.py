@@ -216,7 +216,8 @@ def render_array_srir(images: ImageSourceList, geometry: MicArrayGeometry,
     delays = dist / SPEED_OF_SOUND * sample_rate
     _require_direct(images, delays, length, "array SRIR capsule {}")
     out = np.zeros((geometry.capsule_count, length))
-    truncated = place_fractional_impulses(out, delays, images.wall_products / dist)
+    truncated = place_fractional_impulses(out, delays, images.wall_products / dist,
+                                          _polynomial=True)
     _warn_truncated(truncated, "array SRIR")
     return MultichannelIr(out, sample_rate)
 
@@ -263,7 +264,7 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
         sel = (row >= start) & (row < start + block.size)
         trains = np.zeros((block.size, length))  # one impulse train per HRIR direction
         truncated += place_fractional_impulses(trains, delays[sel], images.amplitudes[sel],
-                                               rows=row[sel] - start)
+                                               rows=row[sel] - start, _polynomial=True)
         ears += hrir_sum(np.stack([hrirs.left[block], hrirs.right[block]]), trains)
     _warn_truncated(truncated, "reference BRIR")
     return BinauralIr(ears, sample_rate)

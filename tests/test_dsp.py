@@ -250,11 +250,43 @@ class TestNormalizeDirectEnergy:
 
 
 def test_place_fractional_impulses_integer_delay_is_exact():
-    out = np.zeros(64)
-    dsp.place_fractional_impulses(out, np.array([30.0]), np.array([1.5]))
-    assert out[30] == pytest.approx(1.5, abs=0.0)
-    out[30] = 0.0
-    assert np.abs(out).max() < 1e-12
+    """With either window an integer delay is the amplitude at its sample
+    and exactly 0.0 at every other."""
+    for polynomial in (False, True):
+        out = np.zeros(64)
+        dsp.place_fractional_impulses(out, np.array([30.0]), np.array([1.5]),
+                                      _polynomial=polynomial)
+        assert out[30] == pytest.approx(1.5, abs=0.0)
+        out[30] = 0.0
+        assert np.all(out == 0.0)
+
+
+def test_polynomial_window_matches_the_i0_window(rng):
+    """5,000 unit impulses, each in its own row, agree within 1e-13 between
+    the two windows, with fractions next to 0 and 1 and so taps at |v| -> 16."""
+    edges = [40.0, np.nextafter(40.0, 41.0), 40.0 + 1e-12, 40.0 + 1e-8, 40.5,
+             41.0 - 1e-8, 41.0 - 1e-12, np.nextafter(41.0, 40.0)]
+    delays = np.concatenate([40.0 + rng.uniform(size=5_000 - len(edges)), edges])
+    rows = np.arange(delays.size)
+    outs = []
+    for polynomial in (False, True):
+        out = np.zeros((delays.size, 80))
+        dsp.place_fractional_impulses(out, delays, np.ones(delays.size), rows=rows,
+                                      _polynomial=polynomial)
+        outs.append(out)
+    assert np.abs(outs[1] - outs[0]).max() < 1e-13
+
+
+def test_polynomial_window_is_a_fresh_chebyshev_fit():
+    """The module's coefficients are the fit its comment names, refitted
+    against np.i0; the constant term is exactly 1 and the fit's within 1e-15."""
+    from numpy.polynomial import Chebyshev, Polynomial
+
+    s = np.linspace(0.0, 1.0, 2001)
+    window = np.i0(dsp._KAISER_BETA * np.sqrt(1.0 - s)) / np.i0(dsp._KAISER_BETA)
+    fit = Chebyshev.fit(s, window, 14, domain=[0.0, 1.0]).convert(kind=Polynomial).coef
+    assert dsp._KAISER_POLY[0] == 1.0
+    np.testing.assert_allclose(dsp._KAISER_POLY, fit, rtol=0.0, atol=1e-15)
 
 
 def test_place_fractional_impulses_counts_truncated():
@@ -318,27 +350,31 @@ def test_place_fractional_impulses_block_size_keeps_bits(rng, monkeypatch, form)
     n, k = 256, 60
     delays = rng.uniform(-20.0, n + 20.0, size=(3, k) if form == "per-row delays" else k)
     amps = rng.normal(size=k if form == "(n,) out" else (3, k))
-    results = []
-    for block in (dsp._IMPULSE_BLOCK, 7):
-        monkeypatch.setattr(dsp, "_IMPULSE_BLOCK", block)
-        out = np.zeros(n if form == "(n,) out" else (3, n))
-        results.append((dsp.place_fractional_impulses(out, delays, amps), out))
-    (count, out), (count_7, out_7) = results
-    assert count == count_7 > 0
-    assert np.any(out) and np.array_equal(out, out_7)
+    default = dsp._IMPULSE_BLOCK
+    for polynomial in (False, True):
+        results = []
+        for block in (default, 7):
+            monkeypatch.setattr(dsp, "_IMPULSE_BLOCK", block)
+            out = np.zeros(n if form == "(n,) out" else (3, n))
+            results.append((dsp.place_fractional_impulses(out, delays, amps,
+                                                          _polynomial=polynomial), out))
+        (count, out), (count_7, out_7) = results
+        assert count == count_7 > 0
+        assert np.any(out) and np.array_equal(out, out_7)
 
 
 def test_place_fractional_impulses_memory_is_bounded(rng):
     """6 x 200,000 arrivals peak below a quarter of one unbounded
-    (6 * 200,000, 33) float64 kernel array (317 MB)."""
+    (6 * 200,000, 33) float64 kernel array (317 MB), with either window."""
     delays = rng.uniform(0.0, 200_000.0, size=(6, 200_000))
     amps = rng.normal(size=(6, 200_000))
-    out = np.zeros((6, 200_000))
-    tracemalloc.start()
-    try:
-        dsp.place_fractional_impulses(out, delays, amps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.any(out)
-    assert peak < 6 * 200_000 * 33 * 8 / 4
+    for polynomial in (False, True):
+        out = np.zeros((6, 200_000))
+        tracemalloc.start()
+        try:
+            dsp.place_fractional_impulses(out, delays, amps, _polynomial=polynomial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(out)
+        assert peak < 6 * 200_000 * 33 * 8 / 4

@@ -179,7 +179,8 @@ class TestRenderArraySrir:
 
     def test_one_call_equals_per_capsule_placement(self):
         """All capsules placed in one call (several kernel blocks, arrivals
-        past the end) equal one placement per capsule, bit for bit."""
+        past the end) equal one placement per capsule with the render's
+        polynomial window, bit for bit."""
         geom = builtin_array("om6")
         images = enumerate_images(_scene(max_order=12))
         with pytest.warns(TruncatedResponseWarning):
@@ -189,7 +190,8 @@ class TestRenderArraySrir:
             dist = np.linalg.norm(images.positions - (images.receiver_origin + cap), axis=1)
             single = np.zeros(1500)
             delays = dist / dsp.SPEED_OF_SOUND * FS
-            dsp.place_fractional_impulses(single, delays, images.wall_products / dist)
+            dsp.place_fractional_impulses(single, delays, images.wall_products / dist,
+                                          _polynomial=True)
             assert np.array_equal(channel, single)
 
     def test_truncation_warns(self):
@@ -315,7 +317,8 @@ class TestRenderReferenceBrir:
         for h in np.unique(matches):
             train = np.zeros(length)
             sel = matches == h
-            truncated += dsp.place_fractional_impulses(train, delays[sel], images.amplitudes[sel])
+            truncated += dsp.place_fractional_impulses(train, delays[sel], images.amplitudes[sel],
+                                                       _polynomial=True)
             expected[0] += np.convolve(train, hrirs.left[h])
             expected[1] += np.convolve(train, hrirs.right[h])
         assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -350,6 +353,19 @@ class TestFoaRender:
         assert foa.x.samples[peak] / w == pytest.approx(u[0], abs=1e-6)
         assert foa.y.samples[peak] / w == pytest.approx(u[1], abs=1e-6)
         assert foa.z.samples[peak] / w == pytest.approx(u[2], abs=1e-6)
+
+    def test_keeps_the_i0_window(self):
+        """The FOA render places its arrivals with the np.i0 window, byte for
+        byte. SIRR reads the FOA and amplifies its rounding (ROADMAP item 4):
+        with the polynomial window here the seed-0 golden record fails. The
+        FOA takes the polynomial window only after item 4's re-record."""
+        images = enumerate_images(_scene(max_order=6))
+        with pytest.warns(TruncatedResponseWarning):
+            foa = render_foa_srir(images, FS, 1500)
+        amps = images.amplitudes * np.vstack([np.ones(len(images)), images.directions.T])
+        expected = np.zeros((4, 1500))
+        dsp.place_fractional_impulses(expected, images.delays * FS, amps, _polynomial=False)
+        assert foa.samples.tobytes() == expected.tobytes()
 
 
 def test_decay_monotone_in_wall_reflection():
