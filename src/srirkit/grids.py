@@ -218,7 +218,9 @@ def nearest_directions(queries: np.ndarray, table: np.ndarray,
     radians. Closeness is the largest dot product; ties go to the lower
     table index, so symmetric layouts resolve deterministically. Inputs are
     taken as unit vectors unchecked; dot products are formed in row blocks,
-    so memory stays bounded for dense tables.
+    so memory stays bounded for dense tables. Each block takes k argmax
+    passes, masking every pick with -inf, so the cost grows with k: on 240
+    directions an argpartition would win past about k = 40.
     """
     queries = np.asarray(queries, dtype=np.float64)
     table = np.asarray(table, dtype=np.float64)
@@ -229,19 +231,11 @@ def nearest_directions(queries: np.ndarray, table: np.ndarray,
     rows = max(1, _NEAREST_BLOCK_ENTRIES // table.shape[0])
     for start in range(0, queries.shape[0], rows):
         block = queries[start : start + rows] @ table.T
-        if k == 1:
-            idx = np.argmax(block, axis=1)[:, None]
-        else:
-            idx = np.argpartition(block, -k, axis=1)[:, -k:]
-            # argpartition splits a tie at the k-th largest dot arbitrarily;
-            # rows with such a tie are redone by a stable sort.
-            kth = np.take_along_axis(block, idx, axis=1).min(axis=1, keepdims=True)
-            tied = np.count_nonzero(block >= kth, axis=1) > k
-            idx[tied] = np.argsort(-block[tied], axis=1, kind="stable")[:, :k]
-            top = np.take_along_axis(block, idx, axis=1)
-            idx = np.take_along_axis(idx, np.lexsort((idx, -top)), axis=1)
-        indices[start : start + rows] = idx
-        dots[start : start + rows] = np.take_along_axis(block, idx, axis=1)
+        picked = np.arange(len(block))
+        for j in range(k):  # argmax takes the lowest index of a tie: a stable order
+            idx = indices[start : start + rows, j] = np.argmax(block, axis=1)
+            dots[start : start + rows, j] = block[picked, idx]
+            block[picked, idx] = -np.inf
         del block  # else it stays alive while the next block is formed
     return indices, np.arccos(np.clip(dots, -1.0, 1.0))
 

@@ -28,10 +28,13 @@ _FRONTAL = np.array([1.0, 0.0, 0.0])
 _TIME_DOMAIN_TAPS = 256
 #: An SDM assignment is gathered while k * taps is at most this x its
 #: loudspeaker count, and summed as dense rows past it. The gather's cost
-#: grows with taps and k, the dense sum's with the count; over 128-512 taps,
+#: grows with taps and k, the dense sum's with the count. Over 128-512 taps,
 #: 30-960 loudspeakers and k = 1, 3, 8 (19,200 samples) the gather beat the
-#: frequency-domain sum at every measured point up to 2.
-_GATHER_TAPS_PER_SPEAKER = 2.0
+#: dense rows at every measured point up to 2.13, and at every k = 1 and
+#: k = 8 point up to 3; with 128-tap HRIRs at k = 3 it tied at 2.4 and lost
+#: by 8-12 % at 2.67-3. Past 3 each side won some points up to 4.27, and the
+#: dense rows every point from 6.4 on.
+_GATHER_TAPS_PER_SPEAKER = 3.0
 #: Bytes of gathered HRIR rows, or of per-tap contributions, that one time
 #: block of the time-domain product holds.
 _TIME_BLOCK_BYTES = 4 * 2**20
@@ -244,10 +247,19 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
             kernels = np.stack([decorrelation_kernel(vls.seed, ls) for ls in range(len(vls.grid))])
             out += fft_convolve(vls.diffuse, hrir_sum(ears, kernels))
     elif vls.samples.shape[1] * taps <= _GATHER_TAPS_PER_SPEAKER * len(vls.grid):
-        pairs = ears.transpose(1, 0, 2).reshape(len(vls.grid), 2 * taps)  # (speakers, 2 * taps)
-        out = _overlap_add(
-            lambda t0, t1: np.einsum("nk,nkf->fn", vls.samples[t0:t1], pairs[vls.speakers[t0:t1]]),
-            len(vls), taps, vls.samples.shape[1])
+        k = vls.samples.shape[1]
+        if k == 1:  # columns of the tap-major table: C-contiguous contributions
+            by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)
+
+            def gather(s, w):
+                part = np.take(by_tap, s[:, 0], axis=1)
+                part *= w[:, 0]  # in place: a second 4 MB block cost 1.7 ms of 2.9
+                return part
+        else:  # one einsum sums the k picks; its transposed blocks fit L2
+            pairs = ears.transpose(1, 0, 2).reshape(len(vls.grid), 2 * taps)
+            gather = lambda s, w: np.einsum("nk,nkf->fn", w, pairs[s])
+        out = _overlap_add(lambda t0, t1: gather(vls.speakers[t0:t1], vls.samples[t0:t1]),
+                           len(vls), taps, k)
     else:
         out = _hrir_sum(ears, vls.rows, len(vls))
     return BinauralIr(out, vls.sample_rate)
@@ -288,6 +300,10 @@ def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:
     holds what input samples t0:t1 add to ear e through tap j, and lands on
     ``out[e, t0 + j : t1 + j]``, in ascending j. A block is sized so that
     k gathered HRIR rows per sample fill about ``_TIME_BLOCK_BYTES``.
+    Contributions should be C-contiguous tap rows: a transposed block is read
+    a tap row at a time at a 16 * taps-byte stride, and once the block
+    outgrows L2 (k = 1, 128 taps: 4 MB) the loop took 3.8 ms a block
+    against 0.7 ms on C-contiguous rows.
     """
     block = max(1, _TIME_BLOCK_BYTES // (16 * taps * k))
     out = np.zeros((2, n + taps - 1))

@@ -403,6 +403,25 @@ class TestNearestDirections:
         idx, _ = nearest_directions(np.array([[0.0, 0.0, 1.0]]), self.RING, k=3)
         assert idx.tolist() == [[4, 0, 1]]
 
+    def test_zero_queries_and_grid_hits_on_a_dense_grid(self):
+        """k = 3 on 240 directions: a zero query (an invalid DOA sample) ties
+        every direction and takes the first three, a query on a grid
+        direction takes it first, and both follow the stable order. Only the
+        dot block is masked; neither input is written."""
+        table = fibonacci_grid(240).directions
+        queries = np.concatenate([np.zeros((2, 3)), table[::7], -table[5:6]])
+        unchanged = queries.copy(), table.copy()
+        idx, angles = nearest_directions(queries, table, k=3)
+        dots = queries @ table.T
+        expected = np.argsort(-dots, axis=1, kind="stable")[:, :3]
+        np.testing.assert_array_equal(idx, expected)
+        np.testing.assert_array_equal(
+            angles, np.arccos(np.clip(np.take_along_axis(dots, expected, 1), -1.0, 1.0)))
+        assert idx[:2].tolist() == [[0, 1, 2]] * 2
+        np.testing.assert_array_equal(idx[2:-1, 0], np.arange(0, 240, 7))
+        np.testing.assert_array_equal(queries, unchanged[0])
+        np.testing.assert_array_equal(table, unchanged[1])
+
     @settings(max_examples=200, deadline=None)
     @given(
         data=st.data(),

@@ -557,13 +557,34 @@ class TestBinauralRender:
             tracemalloc.stop()
         assert peak < 50e6
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gather_keeps_the_bytes_of_one_einsum_per_block(self, rng, k):
+        """240 loudspeakers, 128 taps, 5,000 samples (three time blocks at
+        k = 1, eight at k = 3): the gather is the same bytes as one einsum
+        of the gathered HRIR rows per block, added tap by tap."""
+        grid, n, taps = fibonacci_grid(240), 5000, 128
+        ears = rng.normal(size=(2, len(grid), taps))
+        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
+                                      rng.normal(size=(n, k)), FS)
+        pairs = ears.transpose(1, 0, 2).reshape(len(grid), 2 * taps)
+        block = synthesis._TIME_BLOCK_BYTES // (16 * taps * k)
+        expected = np.zeros((2, n + taps - 1))
+        for t0 in range(0, n, block):
+            t1 = min(t0 + block, n)
+            part = np.einsum("nk,nkf->fn", assignment.samples[t0:t1],
+                             pairs[assignment.speakers[t0:t1]]).reshape(2, taps, t1 - t0)
+            for j in range(taps):
+                expected[:, t0 + j : t1 + j] += part[:, j]
+        brir = binaural_render(assignment, HrirSet(grid.directions, ears[0], ears[1], FS))
+        assert np.array_equal(brir.samples, expected)
+
     @pytest.mark.parametrize("speakers, k, densified", [(240, 1, False), (240, 3, False),
-                                                        (960, 8, False), (48, 1, True),
+                                                        (960, 8, False), (40, 1, True),
                                                         (240, 8, True)])
     def test_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers, k,
                                                   densified):
         """128-tap HRIRs: an assignment is convolved from its samples while
-        k * 128 is at most 2 x the loudspeaker count, and summed over its rows
+        k * 128 is at most 3 x the loudspeaker count, and summed over its rows
         past it; both equal the render of its dense signals, and neither
         path transforms (128 taps are within the time-domain limit)."""
         grid = fibonacci_grid(speakers)
@@ -572,7 +593,7 @@ class TestBinauralRender:
         self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
 
     @pytest.mark.parametrize("speakers, k, densified", [(960, 1, False), (960, 3, False),
-                                                        (240, 1, True)])
+                                                        (160, 1, True)])
     def test_long_hrir_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers,
                                                             k, densified):
         """512-tap HRIRs follow the same rule: on a dense grid an assignment is
