@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .arrays import MicArrayGeometry
 from .dsp import SPEED_OF_SOUND, refine_peaks
@@ -24,8 +26,9 @@ from .grids import _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
-#: Windowed samples (channels x window x time) one TDOA energy pass holds: 2 MB.
-_ENERGY_CHUNK = 250_000
+#: Frame samples one TDOA window-energy or lag-product pass holds: 2 MB.
+_FRAME_CHUNK = 250_000
+_LAG_BLOCK = 32  # outputs per block of the TDOA lag product
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,9 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
 
     A ``window_size``-sample Hann window centered on each sample
     (zero-padded at the edges) windows plain (unweighted) cross-correlations
-    for every capsule pair. Only the lags a pair can reach are computed, each
-    as a direct FIR over the product series ``x_i(t) x_j(t + tau)``; the peak
+    for every capsule pair. Only the lags a pair can reach are computed: the
+    blocked product series ``x_i(t) x_j(t + tau)`` times banded Toeplitz
+    matrices of the lag FIRs, one batched matrix product per pair; the peak
     lags are parabolic-refined and the overdetermined system
     ``(r_i - r_j) . u = c * tau_ij`` is solved for the direction ``u``.
     Samples whose solution norm is degenerate (all-zero TDOAs, silent
@@ -111,6 +115,8 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
             f"SRIR channel count {srir.channel_count} does not match geometry "
             f"({geometry.capsule_count} capsules)"
         )
+    if not isinstance(window_size, numbers.Integral) or window_size < 2:
+        raise ValueError(f"window_size must be an integer >= 2, got {window_size!r}")
     n = len(srir)
     if window_size >= n:
         raise ValueError(f"window_size {window_size} must be smaller than the SRIR ({n})")
@@ -134,35 +140,49 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     max_lags = np.minimum(max_lags, window_size - 1)
 
     half = window_size // 2
-    # Sample s's window covers padded[:, s : s + window_size].
-    padded = np.pad(data, ((0, 0), (half, window_size - half - 1)), mode="constant")
+    block, reach = _LAG_BLOCK, int(max_lags.max())
+    n_blocks, span = -(-n // block), block + window_size - 1
+    # Sample s's window covers padded[:, s : s + window_size]; the rows run on
+    # to the last block's end, with `reach` zeros more on both sides for lags.
+    rows = np.pad(data, ((0, 0), (half + reach,
+                                  n_blocks * block - n + window_size - half - 1 + reach)))
+    padded = rows[:, reach:]
     taper = np.hanning(window_size)
 
     energies = np.empty(n)
-    chunk = max(1, _ENERGY_CHUNK // (n_ch * window_size))
+    chunk = max(1, _FRAME_CHUNK // (n_ch * window_size))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        frames = np.lib.stride_tricks.sliding_window_view(
-            padded[:, start : stop + window_size - 1], window_size, axis=1
-        ) * taper
+        frames = sliding_window_view(padded[:, start : stop + window_size - 1], window_size,
+                                     axis=1) * taper
         energies[start:stop] = np.sum(frames * frames, axis=(0, 2))
 
     # The windowed correlation at lag tau is the product series
-    # x_i(t) x_j(t + tau) through the FIR taper[m] * taper[m + |tau|].
-    width = padded.shape[1]
-    tdoas = np.empty((n, len(pairs)))
+    # x_i(t) x_j(t + tau) through the FIR taper[m] * taper[m + tau]; on blocks
+    # of outputs it is the banded Toeplitz matrix toeplitz[reach + tau, r + m, r],
+    # and lagged[c, reach + tau, b] is capsule c's block b shifted by tau.
+    firs = taper * sliding_window_view(np.pad(taper, reach), window_size)
+    r = np.arange(block)[:, None]
+    toeplitz = np.zeros((2 * reach + 1, span, block))
+    toeplitz[:, r + np.arange(window_size), r] = firs[:, None, :]
+    size = rows.itemsize
+    lagged = as_strided(rows, (n_ch, 2 * reach + 1, n_blocks, span),
+                        (rows.strides[0], size, block * size, size), writeable=False)
+
+    tdoas = np.empty((n_blocks * block, len(pairs)))
     for p, (i, j) in enumerate(pairs):
         ml = max_lags[p]
-        lags = np.empty((n, 2 * ml + 1))
-        for lag in range(-ml, ml + 1):
-            k = abs(lag)
-            lo, hi = (k, 0) if lag < 0 else (0, k)
-            product = padded[i, lo : width - hi] * padded[j, hi : width - lo]
-            fir = (taper[: window_size - k] * taper[k:])[::-1]
-            lags[:, lag + ml] = np.convolve(product, fir, mode="valid")
-        tdoas[:, p] = (refine_peaks(lags) - ml) / rate
+        kept = slice(reach - ml, reach + ml + 1)
+        # Two blocks or more: one is a matrix-vector product, summed in another order.
+        per_chunk = max(2, _FRAME_CHUNK // ((2 * ml + 1) * span))
+        edges = np.linspace(0, n_blocks, max(1, n_blocks // per_chunk) + 1).astype(int)
+        for start, stop in zip(edges[:-1], edges[1:]):
+            lags = np.matmul(lagged[i, reach, start:stop] * lagged[j, kept, start:stop],
+                             toeplitz[kept])
+            lags = np.ascontiguousarray(lags.transpose(1, 2, 0)).reshape(-1, 2 * ml + 1)
+            tdoas[start * block : stop * block, p] = (refine_peaks(lags) - ml) / rate
 
-    slowness = (solver @ (c * tdoas.T)).T  # (n, 3)
+    slowness = (solver @ (c * tdoas[:n].T)).T  # (n, 3)
     norms = np.linalg.norm(slowness, axis=1)
     valid = (norms > _DEGENERATE_NORM) & (energies > 0.0)
     directions = np.zeros((n, 3))

@@ -12,6 +12,7 @@ bit-identical BRIRs.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -156,6 +157,8 @@ class SystemCondition:
         if self.tf_averaging_frames < 1:
             raise ConfigurationError(f"{self.id}: tf_averaging_frames must be >= 1")
         window = self.window_size
+        if not isinstance(window, numbers.Integral):
+            raise ConfigurationError(f"{self.id}: window_size must be an integer, got {window!r}")
         if window < 8:
             raise ConfigurationError(f"{self.id}: window_size must be >= 8, got {window}")
         if self.analysis == "tf-piv" and window & (window - 1):

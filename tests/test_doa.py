@@ -1,4 +1,8 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -16,7 +20,7 @@ from srirkit.doa import (
 )
 from srirkit.dsp import refine_peaks, stft
 from srirkit.errors import TruncatedResponseWarning
-from srirkit.grids import direction_from_azel
+from srirkit.grids import direction_from_azel, fibonacci_grid, nearest_directions
 from srirkit.ism import enumerate_images, render_array_srir
 from srirkit.presets import om6, scene
 from srirkit.signals import FoaSignal, MultichannelIr
@@ -83,27 +87,108 @@ def _frame_fft_tdoa_doa(srir, geometry, window_size):
             ml = max_lags[p]
             lags = np.concatenate([corr[:, nfft - ml :], corr[:, : ml + 1]], axis=1)
             tdoas[start:stop, p] = (refine_peaks(lags) - ml) / rate
+    return _solve(baselines, tdoas, energies)
+
+
+def _fir_tdoa_doa(srir, geometry, window_size):
+    """The per-lag form of tdoa_ls_doa: each kept lag's product series
+    x_i(t) x_j(t + tau) through its taper FIR by one np.convolve."""
+    n, rate = len(srir), srir.sample_rate
+    data = srir.samples / np.abs(srir.samples).max()
+    pairs = list(itertools.combinations(range(data.shape[0]), 2))
+    baselines = np.array([geometry.positions[i] - geometry.positions[j] for i, j in pairs])
+    max_lags = np.ceil(np.linalg.norm(baselines, axis=1) / C * rate).astype(int) + 2
+    max_lags = np.minimum(max_lags, window_size - 1)
+    half = window_size // 2
+    padded = np.pad(data, ((0, 0), (half, window_size - half - 1)))
+    taper = np.hanning(window_size)
+    energies = np.empty(n)
+    for start in range(0, n, 512):
+        frames = np.lib.stride_tricks.sliding_window_view(
+            padded[:, start : start + 512 + window_size - 1], window_size, axis=1
+        ) * taper
+        energies[start : start + 512] = np.sum(frames * frames, axis=(0, 2))
+    width = padded.shape[1]
+    tdoas = np.empty((n, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        ml = max_lags[p]
+        lags = np.empty((n, 2 * ml + 1))
+        for lag in range(-ml, ml + 1):
+            k = abs(lag)
+            lo, hi = (k, 0) if lag < 0 else (0, k)
+            product = padded[i, lo : width - hi] * padded[j, hi : width - lo]
+            fir = (taper[: window_size - k] * taper[k:])[::-1]
+            lags[:, lag + ml] = np.convolve(product, fir, mode="valid")
+        tdoas[:, p] = (refine_peaks(lags) - ml) / rate
+    return _solve(baselines, tdoas, energies)
+
+
+def _solve(baselines, tdoas, energies):
     slowness = (np.linalg.pinv(baselines) @ (C * tdoas.T)).T
     norms = np.linalg.norm(slowness, axis=1)
     valid = (norms > 1e-9) & (energies > 0.0)
-    directions = np.zeros((n, 3))
+    directions = np.zeros((len(tdoas), 3))
     directions[valid] = slowness[valid] / norms[valid, None]
     return directions, valid
 
 
+#: (samples of the canonical SRIR, array, window) for the oracle comparison;
+#: None takes them all, "plane-wave" is a sphere32 plane wave instead. The
+#: direct sound reaches the canonical array at sample 258.
+_FIR_CASES = {
+    "canonical": (None, "om6", WINDOW),
+    "window-31": ((0, 3000), "om6", 31),
+    "window-33": ((0, 3000), "om6", 33),
+    "window-65": ((0, 3000), "om6", 65),
+    "window-8-clips-max-lags": ((0, 3000), "om6", 8),
+    "n-70": ((250, 320), "om6", WINDOW),
+    "n-not-a-block-multiple": ((0, 2017), "om6", WINDOW),
+    "sphere32-plane-wave": ("plane-wave", "sphere32", 32),
+}
+
+
 class TestTdoaLsDoa:
     def test_matches_the_frame_fft_form(self, front_left_srir):
-        """Only the kept lags, each as a direct FIR, give the frame-FFT
-        result: the same valid mask, and the same directions wherever the
-        channel-average pressure that SDM plays them on is non-zero."""
+        """Only the kept lags, as blocked Toeplitz products, give the
+        frame-FFT result: the same valid mask, and the same directions
+        wherever the channel-average pressure that SDM plays them on is
+        non-zero."""
         traj = tdoa_ls_doa(front_left_srir, om6(), WINDOW)
         directions, valid = _frame_fft_tdoa_doa(front_left_srir, om6(), WINDOW)
         assert np.array_equal(traj.valid, valid)
         heard = front_left_srir.samples.mean(axis=0) != 0.0
         assert np.abs(traj.directions - directions)[heard].max() <= 1e-12
 
+    @pytest.mark.parametrize("case", list(_FIR_CASES))
+    def test_matches_the_per_lag_fir_form(self, front_left_srir, case):
+        """The blocked Toeplitz product sums each window in another order
+        than one np.convolve per lag: the same valid mask, the same
+        directions to 1e-12 wherever the channel-average pressure is
+        non-zero, and the same nearest of 240 directions at every sample."""
+        cut, array, window = _FIR_CASES[case]
+        geometry = builtin_array(array)
+        if cut is None:
+            srir = front_left_srir
+        elif cut == "plane-wave":
+            srir = _plane_wave_srir(geometry, direction_from_azel(30.0, 20.0), n=1600,
+                                    base_s=0.01)
+        else:
+            srir = MultichannelIr(front_left_srir.samples[:, slice(*cut)], FS)
+        traj = tdoa_ls_doa(srir, geometry, window)
+        directions, valid = _fir_tdoa_doa(srir, geometry, window)
+        assert valid.any()
+        assert np.array_equal(traj.valid, valid)
+        heard = srir.samples.mean(axis=0) != 0.0
+        assert np.abs(traj.directions - directions)[heard].max() <= 1e-12
+        table = fibonacci_grid(240).directions
+        assert np.array_equal(nearest_directions(traj.directions, table)[0],
+                              nearest_directions(directions, table)[0])
+
     def test_memory_is_bounded(self, front_left_srir):
-        """6 x 19,200 samples: 97 MB when every frame was transformed."""
+        """6 x 19,200 samples: 97 MB when every frame was transformed, and
+        14.4 MB with one np.convolve per lag into a pair's whole (n, lags)
+        array; a chunk's lag products held beside that array read about
+        20 MB."""
         tracemalloc.start()
         try:
             tdoa_ls_doa(front_left_srir, om6(), WINDOW)
@@ -111,19 +196,55 @@ class TestTdoaLsDoa:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+        assert peak < 16e6
 
     def test_energy_chunk_leaves_the_trajectory_bytes(self, front_left_srir, monkeypatch):
-        """The energy pass one sample at a time and over the whole signal at
-        once gives the trajectory of the default chunk, byte for byte; the
+        """The energy pass and the lag products one sample or two blocks at a
+        time, in uneven chunks, and over the whole signal at once give the
+        trajectory of the default chunk, byte for byte (a one-block chunk
+        would be a matrix-vector product, summed in another order); the
         silence before the direct sound keeps some samples invalid."""
         srir = MultichannelIr(front_left_srir.samples[:, :3000], FS)
         base = tdoa_ls_doa(srir, om6(), WINDOW)
         assert not base.valid.all()
-        for elements in (1, srir.samples.size * WINDOW):
-            monkeypatch.setattr(doa, "_ENERGY_CHUNK", elements)
+        for elements in (1, 3 * 33 * 95, 11 * 25 * 95, srir.samples.size * WINDOW):
+            monkeypatch.setattr(doa, "_FRAME_CHUNK", elements)
             traj = tdoa_ls_doa(srir, om6(), WINDOW)
             assert traj.directions.tobytes() == base.directions.tobytes()
             assert traj.valid.tobytes() == base.valid.tobytes()
+
+    def test_trajectory_bytes_do_not_depend_on_blas_threads(self, front_left_srir, tmp_path):
+        """The lag products run through BLAS; one thread and two give the
+        canonical trajectory the same bytes."""
+        path = tmp_path / "srir.npy"
+        np.save(path, front_left_srir.samples)
+        script = (
+            "import hashlib, sys, numpy as np\n"
+            "from srirkit.doa import tdoa_ls_doa\n"
+            "from srirkit.presets import om6\n"
+            "from srirkit.signals import MultichannelIr\n"
+            f"traj = tdoa_ls_doa(MultichannelIr(np.load(sys.argv[1]), {FS}), om6(), {WINDOW})\n"
+            "print(hashlib.sha256(traj.directions.tobytes() + traj.valid.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            digests.append(run.stdout.strip())
+        traj = tdoa_ls_doa(front_left_srir, om6(), WINDOW)
+        here = hashlib.sha256(traj.directions.tobytes() + traj.valid.tobytes()).hexdigest()
+        assert digests == [here, here]
+
+    @pytest.mark.parametrize("window_size", [0, -3, 1, 3.5])
+    def test_window_must_be_an_integer_of_at_least_2(self, window_size):
+        """These died inside numpy: a negative index (0, -3), an IndexError
+        in refine_peaks (1) and a TypeError from np.pad (3.5)."""
+        srir = MultichannelIr(np.ones((6, 200)), FS)
+        with pytest.raises(ValueError, match=f"window_size must be an integer >= 2, "
+                                             f"got {window_size}"):
+            tdoa_ls_doa(srir, om6(), window_size)
 
     def test_identical_channels_masked_invalid(self, rng):
         sig = rng.normal(size=2000)

@@ -85,6 +85,15 @@ class TestSystemCondition:
         with pytest.raises(ConfigurationError, match="cond: window_size must be >= 8, got 4"):
             _condition(grid, hrirs, analysis=analysis, window_size=4)
 
+    @pytest.mark.parametrize("analysis", ["tdoa", "piv-broadband", "tf-piv"])
+    def test_non_integer_window_rejected(self, small_setup, analysis):
+        """64.5 used to pass for tdoa and piv-broadband and fail only when
+        analysed; tf-piv raised a bare TypeError."""
+        grid, hrirs, _ = small_setup
+        with pytest.raises(ConfigurationError,
+                           match="cond: window_size must be an integer, got 64.5"):
+            _condition(grid, hrirs, analysis=analysis, window_size=64.5)
+
     @pytest.mark.parametrize("band_low, band_high", [
         (500.0, 100.0),  # not below band_high
         (0.0, 2400.0),  # not above zero
