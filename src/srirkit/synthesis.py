@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doa import DoaTrajectory, TfDoaField
-from .dsp import _istft_span, _next_fast_len, fft_convolve, istft, stft
+from .dsp import _hann_periodic, _next_fast_len, _window_sum, fft_convolve, istft, stft
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
@@ -35,8 +35,8 @@ _TIME_DOMAIN_TAPS = 256
 #: by 8-12 % at 2.67-3. Past 3 each side won some points up to 4.27, and the
 #: dense rows every point from 6.4 on.
 _GATHER_TAPS_PER_SPEAKER = 3.0
-#: Bytes of gathered HRIR rows, or of per-tap contributions, that one time
-#: block of the time-domain product holds.
+#: Bytes of gathered HRIR rows or per-tap contributions that one time block of
+#: a product holds, or of SIRR's per-(frame, loudspeaker) spectra one chunk does.
 _TIME_BLOCK_BYTES = 4 * 2**20
 #: Loudspeakers that SIRR and the frequency-domain HRIR sum transform at once.
 _SPEAKER_BLOCK = 16
@@ -110,15 +110,15 @@ def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
     return SampleAssignment(grid, top, weights * pressure.samples[:, None], pressure.sample_rate)
 
 
-def decorrelation_kernel(seed: int, channel_index: int) -> np.ndarray:
+def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
     """Deterministic unit-magnitude random-phase FIR of ``DECORRELATOR_TAPS``
-    taps, unit tap energy."""
-    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, int(channel_index)])
-    bins = DECORRELATOR_TAPS // 2 + 1
-    phases = rng.uniform(0.0, 2.0 * np.pi, bins)
-    phases[0] = 0.0  # DC and Nyquist must stay real
-    phases[-1] = 0.0
-    return np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
+    taps, unit tap energy. A sequence of channel indices gives their kernels,
+    (channels, taps), through one batched transform: each with its own bytes."""
+    phases = np.stack([np.random.default_rng([int(seed) & 0xFFFFFFFF, int(ls)]).uniform(
+        0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1) for ls in np.atleast_1d(channel_index)])
+    phases[:, [0, -1]] = 0.0  # DC and Nyquist must stay real
+    kernels = np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
+    return kernels.reshape(*np.shape(channel_index), DECORRELATOR_TAPS)
 
 
 def sirr_tf_streams(pressure: MonoIr, field: TfDoaField,
@@ -159,7 +159,12 @@ class SirrStreams:
     sample_rate: float
 
     def __post_init__(self):
-        n = (len(self.samples) - 1) * self.hop + self.window_size
+        window, hop = self.window_size, self.hop
+        if hop <= 0 or window % hop or window // hop < 2:
+            raise ValueError(f"hop {hop} must divide window_size {window} at least twice")
+        if self.samples.shape[1:2] != (window // 2 + 1,):
+            raise ValueError(f"samples must have window_size // 2 + 1 = {window // 2 + 1} bins")
+        n = (len(self.samples) - 1) * hop + window
         if self.speakers.shape != self.samples.shape or self.diffuse.shape != (n,):
             raise ValueError(f"streams do not fit one {n}-sample STFT")
         speakers = self.speakers
@@ -172,33 +177,21 @@ class SirrStreams:
     def __len__(self) -> int:
         return self.diffuse.size + DECORRELATOR_TAPS - 1
 
-    def direct(self, start: int, stop: int, t0: int, t1: int) -> np.ndarray:
-        """Samples t0:t1 of the direct signals of loudspeakers ``start:stop``,
-        ``_SPEAKER_BLOCK`` loudspeakers at a time from the frames that touch them."""
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The signals of loudspeakers ``start:stop``, (speakers, len(self)),
+        written ``_SPEAKER_BLOCK`` loudspeakers at a time."""
         stop = min(stop, len(self.grid))
-        out = np.empty((stop - start, t1 - t0))
+        out = np.zeros((stop - start, len(self)))
         for first in range(start, stop, _SPEAKER_BLOCK):
             last = min(first + _SPEAKER_BLOCK, stop)
-
-            def values(f0, f1):
-                speakers = self.speakers[f0:f1]
-                rows = np.zeros((last - first, *speakers.shape[:2]), complex)
-                hit = (speakers >= first) & (speakers < last)
-                # A grid triangle has three distinct loudspeakers, so each cell is set once.
-                rows[(speakers[hit] - first, *np.nonzero(hit)[:2])] = self.samples[f0:f1][hit]
-                return rows
-            out[first - start : last - start] = _istft_span(
-                values, len(self.samples), self.window_size, self.hop, t0, t1)
-        return out
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The signals of loudspeakers ``start:stop``, (speakers, len(self))."""
-        out = self.direct(start, stop, 0, len(self))
-        for first in range(start, start + len(out), _SPEAKER_BLOCK):
-            block = out[first - start : first - start + _SPEAKER_BLOCK]
-            kernels = np.stack([decorrelation_kernel(self.seed, ls)
-                                for ls in range(first, first + len(block))])
-            block += fft_convolve(self.diffuse, kernels)
+            values = np.zeros((last - first, *self.speakers.shape[:2]), complex)
+            hit = (self.speakers >= first) & (self.speakers < last)
+            # A grid triangle has three distinct loudspeakers, so each cell is set once.
+            values[(self.speakers[hit] - first, *np.nonzero(hit)[:2])] = self.samples[hit]
+            out[first - start : last - start, : self.diffuse.size] = istft(
+                StftFrames(values, self.window_size, self.hop, self.sample_rate))
+            out[first - start : last - start] += fft_convolve(
+                self.diffuse, decorrelation_kernel(self.seed, range(first, last)))
         return out
 
 
@@ -222,14 +215,13 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     """Convolve every loudspeaker signal with its matching HRIR pair and sum.
 
     Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
-    offenders are reported together. The render is one of two sums. A
-    ``SampleAssignment`` with k * taps of at most ``_GATHER_TAPS_PER_SPEAKER``
-    x its loudspeaker count is gathered: convolved from its k samples and
-    their HRIR rows, whose cost does not grow with the loudspeaker count.
-    Anything else is a dense row source that :func:`hrir_sum` sums: SIRR's
-    direct stream, or the assignment's rows, densified only over the span
-    asked for. SIRR's diffuse signal then goes through one filter per ear:
-    each HRIR convolved with its decorrelator, summed.
+    offenders are reported together. SIRR's direct stream is rendered one
+    STFT frame at a time, and its diffuse signal through one filter per ear:
+    each HRIR convolved with its decorrelator, summed. A ``SampleAssignment``
+    with k * taps of at most ``_GATHER_TAPS_PER_SPEAKER`` x its loudspeaker
+    count is gathered: convolved from its k samples and their HRIR rows,
+    whose cost does not grow with the loudspeaker count. Past that,
+    :func:`hrir_sum` sums its rows, densified only over the span asked for.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -242,9 +234,9 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     ears = np.stack([hrirs.left[matches], hrirs.right[matches]])  # (2, speakers, taps)
     taps = ears.shape[2]
     if isinstance(vls, SirrStreams):
-        out = _hrir_sum(ears, vls.direct, len(vls))
+        out = _sirr_direct_render(vls, ears)
         if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
-            kernels = np.stack([decorrelation_kernel(vls.seed, ls) for ls in range(len(vls.grid))])
+            kernels = decorrelation_kernel(vls.seed, range(len(vls.grid)))
             out += fft_convolve(vls.diffuse, hrir_sum(ears, kernels))
     elif vls.samples.shape[1] * taps <= _GATHER_TAPS_PER_SPEAKER * len(vls.grid):
         k = vls.samples.shape[1]
@@ -263,6 +255,37 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     else:
         out = _hrir_sum(ears, vls.rows, len(vls))
     return BinauralIr(out, vls.sample_rate)
+
+
+def _sirr_direct_render(vls: SirrStreams, ears: np.ndarray) -> np.ndarray:
+    """Both ears' sum of SIRR's direct signals through their HRIRs, by linearity a frame
+    at a time: each frame's loudspeakers' inverse transforms, times the Hann window
+    over :func:`istft`'s window sum, convolved and overlap-added at the hop."""
+    frames, bins, size, hop = *vls.samples.shape[:2], vls.window_size, vls.hop
+    span, n, count = size + ears.shape[2] - 1, len(vls) + ears.shape[2] - 1, len(vls.grid)
+    nfft, blocks = _next_fast_len(span), -(-span // hop)  # span: one frame's output
+    spectra = np.fft.rfft(ears, nfft).transpose(1, 0, 2)  # (speakers, 2, nfft // 2 + 1)
+    window, divisor = _hann_periodic(size), _window_sum(size, hop, frames)
+    out = np.zeros((-(-n // hop), 2, hop))  # n runs DECORRELATOR_TAPS - 1 past the last frame
+    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * min(count, 3 * bins)))
+    for f0 in range(0, frames, step):
+        f1 = min(f0 + step, frames)
+        keys = vls.speakers[f0:f1] + count * np.arange(f0, f1)[:, None, None]
+        pairs, cell = np.unique(keys.ravel(), return_inverse=True)
+        values = np.zeros((len(pairs), bins), complex)
+        # A grid triangle has three distinct loudspeakers, so each cell is set once.
+        values[cell.reshape(keys.shape), np.arange(bins)[:, None]] = vls.samples[f0:f1]
+        frame, speaker = np.divmod(pairs, count)
+        signals = np.fft.irfft(values, size)
+        signals *= window / divisor[frame[:, None] * hop + np.arange(size)]
+        mixed = spectra[speaker]
+        mixed *= np.fft.rfft(signals, nfft)[:, None]
+        summed = np.add.reduceat(mixed, np.searchsorted(frame, np.arange(f0, f1)))
+        framed = np.zeros((f1 - f0, 2, blocks * hop))
+        framed[..., :span] = np.fft.irfft(summed, nfft)[..., :span]
+        for j in range(blocks - 1, -1, -1):  # each block adds its frames in ascending order
+            out[f0 + j : f1 + j] += framed[..., j * hop : (j + 1) * hop]
+    return out.transpose(1, 0, 2).reshape(2, -1)[:, :n]
 
 
 def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:

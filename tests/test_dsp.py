@@ -161,6 +161,40 @@ class TestCrossCorrelate:
         lag = dsp.refine_peaks(corr) - 10
         assert lag == pytest.approx(0.5, abs=0.05)
 
+    @pytest.mark.parametrize("kind", ["random", "edge", "flat", "nan"])
+    def test_refine_peaks_keeps_the_bytes_of_the_indexed_gather(self, rng, kind):
+        """Against the neighbours gathered through np.indices and three
+        fancy-index gathers: random rows, peaks at either end, flat rows and
+        flat peak neighbourhoods, and rows bearing NaN, also through a
+        non-contiguous view and one 1-D row."""
+        def indexed(corr):
+            peaks = np.argmax(corr, axis=-1)
+            idx = np.indices(peaks.shape)
+            interior = (peaks > 0) & (peaks < corr.shape[-1] - 1)
+            safe = np.where(interior, peaks, 1)
+            y0, y1, y2 = (corr[(*idx, safe + d)] for d in (-1, 0, 1))
+            denom = y0 - 2.0 * y1 + y2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                delta = np.where(np.abs(denom) > 0.0, 0.5 * (y0 - y2) / denom, 0.0)
+            delta = np.clip(np.nan_to_num(delta), -1.0, 1.0)
+            return peaks + np.where(interior, delta, 0.0)
+
+        corr = rng.normal(size=(3, 40, 17))
+        rows = rng.uniform(size=corr.shape[:2]) < 0.5
+        if kind == "edge":
+            corr[rows, 0] += 10.0
+            corr[~rows, -1] += 10.0
+        elif kind == "flat":
+            corr[rows] = 0.25
+            peak = np.argmax(corr[~rows], axis=-1)
+            corr[~rows, np.maximum(peak - 1, 0)] = corr[~rows].max(axis=-1)
+        elif kind == "nan":
+            corr[rows, rng.integers(17, size=rows.sum())] = np.nan
+        for view in (corr, corr.transpose(1, 0, 2), corr[1, 2]):
+            expected = indexed(view)
+            assert np.shape(dsp.refine_peaks(view)) == np.shape(expected)
+            assert np.array_equal(dsp.refine_peaks(view), expected)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 300), lag_frac=st.floats(0.0, 1.0))
     def test_equals_brute_force_sum_property(self, seed, n, lag_frac):

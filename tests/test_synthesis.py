@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -156,6 +160,24 @@ class TestSirrSynthesize:
         for rate in (0.0, 44100.5):
             with pytest.raises(ValueError, match="sample rate"):
                 SirrStreams(grid, speakers, direct, np.zeros(192), 0, 64, 32, rate)
+
+    @pytest.mark.parametrize("window, hop, bins, match", [
+        (64, 48, 33, "hop 48 must divide window_size 64 at least twice"),
+        (64, 0, 33, "hop 0 must divide window_size 64"),
+        (64, 64, 33, "hop 64 must divide window_size 64 at least twice"),
+        (48, 24, 33, r"samples must have window_size // 2 \+ 1 = 25 bins"),
+    ])
+    def test_stft_layout_validated(self, window, hop, bins, match):
+        """Layouts the render cannot take are refused when built: (64, 48)
+        and hop 0 failed only in the render (a reshape ValueError, a
+        ZeroDivisionError), (64, 64) rendered although istft refuses it, and
+        33 bins rendered silently with a 48-sample window."""
+        frames = 5
+        speakers = np.zeros((frames, bins, 3), np.intp)
+        direct = np.zeros((frames, bins, 3), complex)
+        diffuse = np.zeros((frames - 1) * hop + window)
+        with pytest.raises(ValueError, match=match):
+            SirrStreams(fibonacci_grid(8), speakers, direct, diffuse, 0, window, hop, FS)
 
     def test_stream_indices_and_values_validated(self):
         """As a SampleAssignment's: a loudspeaker outside the grid, or a
@@ -416,6 +438,21 @@ class TestDecorrelate:
         peak = np.abs(sps.correlate(a, b, mode="full")).max()
         assert peak / energy < 0.3
 
+    @pytest.mark.parametrize("start, stop", [(0, 240), (224, 237)])
+    def test_batched_kernels_keep_the_bytes_of_one_kernel_each(self, start, stop):
+        """All 240 of a render's kernels, and a partial 16-loudspeaker block:
+        one batched transform gives the bytes each kernel built alone had."""
+        def alone(seed, channel):
+            rng = np.random.default_rng([seed, channel])
+            phases = rng.uniform(0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1)
+            phases[0] = phases[-1] = 0.0
+            return np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
+
+        expected = np.stack([alone(11, ls) for ls in range(start, stop)])
+        assert np.array_equal(decorrelation_kernel(11, range(start, stop)), expected)
+        assert np.array_equal(np.stack([decorrelation_kernel(11, ls)
+                                        for ls in range(start, stop)]), expected)
+
     def test_deterministic_in_seed_and_channel(self):
         a = decorrelation_kernel(seed=7, channel_index=2)
         b = decorrelation_kernel(seed=7, channel_index=2)
@@ -424,16 +461,16 @@ class TestDecorrelate:
         assert not np.array_equal(a, decorrelation_kernel(seed=8, channel_index=2))
 
 
-def _sirr_inputs(rng, n=19200, psi=None):
-    """A noise pressure signal and a random field over its 64-sample frames at
-    a 32-sample hop; 19,200 samples give the canonical SIRR size, 599 x 33
-    bins. ``psi`` is random unless given."""
+def _sirr_inputs(rng, n=19200, psi=None, window=64):
+    """A noise pressure signal and a random field over its frames at a hop of
+    half the window; 19,200 samples and 64-sample windows give the canonical
+    SIRR size, 599 x 33 bins. ``psi`` is random unless given."""
     pressure = MonoIr(rng.normal(size=n), FS)
-    t, f = stft(pressure.samples, FS, 64, 32).values.shape
+    t, f = stft(pressure.samples, FS, window, window // 2).values.shape
     dirs = rng.normal(size=(t, f, 3))
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
     psi = rng.uniform(size=(t, f)) if psi is None else np.full((t, f), psi)
-    return pressure, TfDoaField(dirs, psi, 64, 32, FS)
+    return pressure, TfDoaField(dirs, psi, window, window // 2, FS)
 
 
 def _every_speaker(grid, signals):
@@ -626,42 +663,80 @@ class TestSirrRender:
     write out."""
 
     @pytest.mark.parametrize("psi", [None, 0.0, 1.0])
-    @pytest.mark.parametrize("taps", [128, 300])
+    @pytest.mark.parametrize("taps", [1, 128, 300])
     def test_render_matches_hrir_sum_of_the_written_signals(self, rng, taps, psi):
-        """40 loudspeakers (a partial loudspeaker block), 6,000 samples
-        (several time blocks): the streams' render agrees with the dense sum
-        to 1e-13 of its peak on both sides of the time-domain taps limit, and
-        without a diffuse stream it is the same bytes."""
-        grid = fibonacci_grid(40)
-        pressure, field = _sirr_inputs(rng, 6000, psi)
-        vls = sirr_synthesize(pressure, field, grid, seed=7)
-        ears = rng.normal(size=(2, len(grid), taps))
-        brir = binaural_render(vls, HrirSet(grid.directions, ears[0], ears[1], FS)).samples
-        expected = hrir_sum(ears, vls.rows(0, len(grid)))
-        assert brir.shape == expected.shape == (2, len(vls) + taps - 1)
-        if psi == 0.0:
-            assert np.array_equal(brir, expected)
-        else:
-            assert np.abs(brir - expected).max() <= 1e-13 * np.abs(expected).max()
+        """6,000 samples through windows of 8, 64 and 256 samples (hop W/2)
+        on 40 and 240 loudspeakers (a partial and a whole loudspeaker block),
+        with HRIRs on both sides of hrir_sum's time-domain taps limit: the
+        frame-by-frame render agrees with the sum of the written-out signals
+        to 1e-14 of its peak."""
+        for window in (8, 64, 256):
+            for speakers in (40, 240):
+                grid = fibonacci_grid(speakers)
+                vls = sirr_synthesize(*_sirr_inputs(rng, 6000, psi, window), grid, seed=7)
+                ears = rng.normal(size=(2, len(grid), taps))
+                hrirs = HrirSet(grid.directions, ears[0], ears[1], FS)
+                brir = binaural_render(vls, hrirs).samples
+                expected = hrir_sum(ears, vls.rows(0, len(grid)))
+                assert brir.shape == expected.shape == (2, len(vls) + taps - 1)
+                assert np.abs(brir - expected).max() <= 1e-14 * np.abs(expected).max(), \
+                    (window, speakers)
+
+    @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-frame", "all-frames"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, rng, monkeypatch, budget):
+        """One frame per chunk, and every frame in one, give the bytes of the
+        default chunks. Without a diffuse stream (psi = 0) the budget, which
+        the time blocks of the diffuse filter's sum share, sizes only the
+        frame chunks."""
+        grid = fibonacci_grid(240)
+        vls = sirr_synthesize(*_sirr_inputs(rng, 6000, 0.0), grid, seed=7)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+        expected = binaural_render(vls, hrirs).samples
+        monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+        assert np.array_equal(binaural_render(vls, hrirs).samples, expected)
+
+    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
+        """The render, diffuse filter included, in fresh interpreters with
+        OPENBLAS_NUM_THREADS 1 and 2: the bytes of this process's render."""
+        grid = fibonacci_grid(240)
+        vls = sirr_synthesize(*_sirr_inputs(rng, 6000), grid, seed=7)
+        path = tmp_path / "streams.npz"
+        np.savez(path, speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse)
+        script = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from srirkit.grids import fibonacci_grid\n"
+            "from srirkit.hrir import spherical_head_hrir_set\n"
+            "from srirkit.synthesis import SirrStreams, binaural_render\n"
+            "grid, d = fibonacci_grid(240), np.load(sys.argv[1])\n"
+            f"vls = SirrStreams(grid, d['speakers'], d['samples'], d['diffuse'], 7, 64, 32, {FS})\n"
+            f"hrirs = spherical_head_hrir_set(grid.directions, sample_rate={FS})\n"
+            "print(hashlib.sha256(binaural_render(vls, hrirs).samples.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 capture_output=True, text=True, timeout=120, check=True)
+            digests.append(run.stdout.strip())
+        brir = binaural_render(vls, spherical_head_hrir_set(grid.directions, sample_rate=FS))
+        here = hashlib.sha256(brir.samples.tobytes()).hexdigest()
+        assert digests == [here, here]
 
     def test_direct_rows_are_slices_of_the_full_istft(self, rng):
-        """Time blocks of 2048, 1000, 96, 32 and 7 samples (hop 32), from the
-        first, where the window sum is partial, to the last, which runs past
-        the inverse transform into zeros: each equals its slice of one
+        """Without a diffuse stream (psi = 0) the written-out signals are one
         full-length istft of the dense direct stream, byte for byte, for all
         loudspeakers and for a range that starts inside a loudspeaker block."""
         grid = fibonacci_grid(37)
-        vls = sirr_synthesize(*_sirr_inputs(rng, 4000), grid)
+        vls = sirr_synthesize(*_sirr_inputs(rng, 4000, 0.0), grid)
         t, f = vls.samples.shape[:2]
         dense = np.zeros((len(grid), t, f), dtype=complex)
         dense[vls.speakers, np.arange(t)[:, None, None], np.arange(f)[:, None]] = vls.samples
         full = np.pad(istft(StftFrames(dense, 64, 32, FS)), ((0, 0), (0, DECORRELATOR_TAPS - 1)))
         assert full.shape[1] == len(vls)
-        for block in (2048, 1000, 96, 32, 7):
-            for t0 in range(0, len(vls), block):
-                t1 = min(t0 + block, len(vls))
-                assert np.array_equal(vls.direct(0, len(grid), t0, t1), full[:, t0:t1])
-                assert np.array_equal(vls.direct(5, 23, t0, t1), full[5:23, t0:t1])
+        assert np.array_equal(vls.rows(0, len(grid)), full)
+        assert np.array_equal(vls.rows(5, 23), full[5:23])
 
     def test_synthesis_and_render_memory_bounded(self, rng):
         """Canonical size (240 loudspeakers, 599 x 33 bins): SIRR keeps its
