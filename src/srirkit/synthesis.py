@@ -26,17 +26,8 @@ _FRONTAL = np.array([1.0, 0.0, 0.0])
 #: signals of 20,223 samples the time-domain product took 0.14 s against
 #: 0.22 s at 256 taps, and 0.32 s against 0.22 s at 512.
 _TIME_DOMAIN_TAPS = 256
-#: An SDM assignment is gathered while k * taps is at most this x its
-#: loudspeaker count, and summed as dense rows past it. The gather's cost
-#: grows with taps and k, the dense sum's with the count. Over 128-512 taps,
-#: 30-960 loudspeakers and k = 1, 3, 8 (19,200 samples) the gather beat the
-#: dense rows at every measured point up to 2.13, and at every k = 1 and
-#: k = 8 point up to 3; with 128-tap HRIRs at k = 3 it tied at 2.4 and lost
-#: by 8-12 % at 2.67-3. Past 3 each side won some points up to 4.27, and the
-#: dense rows every point from 6.4 on.
-_GATHER_TAPS_PER_SPEAKER = 3.0
-#: Bytes of gathered HRIR rows or per-tap contributions that one time block of
-#: a product holds, or of SIRR's per-(frame, loudspeaker) spectra one chunk does.
+#: Bytes of per-tap contributions in one time block of :func:`hrir_sum`, or of
+#: per-(frame, loudspeaker) HRIR-pair spectra in one chunk of :func:`_frame_render`.
 _TIME_BLOCK_BYTES = 4 * 2**20
 #: Loudspeakers that SIRR and the frequency-domain HRIR sum transform at once.
 _SPEAKER_BLOCK = 16
@@ -53,12 +44,11 @@ class SampleAssignment:
     sample_rate: float
 
     def __post_init__(self):
-        speakers = np.asarray(self.speakers, dtype=np.intp)
+        speakers = _speaker_indices(self.speakers, self.grid)
         samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2 or speakers.shape != samples.shape:
-            raise ValueError(f"speakers/samples must be (n, k): {speakers.shape}/{samples.shape}")
-        if speakers.size and not 0 <= speakers.min() <= speakers.max() < len(self.grid):
-            raise ValueError("speaker indices out of range")
+        if samples.ndim != 2 or speakers.shape != samples.shape or not samples.shape[1]:
+            raise ValueError(f"speakers/samples must be (n, k), k >= 1: "
+                             f"{speakers.shape}/{samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         check_sample_rate(self.sample_rate)
@@ -68,13 +58,33 @@ class SampleAssignment:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def rows(self, start: int, stop: int, t0: int = 0, t1: int | None = None) -> np.ndarray:
-        """Samples t0:t1 of loudspeakers ``start:stop``' dense signals, (speakers, t1 - t0)."""
-        speakers, samples = self.speakers[t0:t1], self.samples[t0:t1]
-        hit = (speakers >= start) & (speakers < stop)
-        out = np.zeros((min(stop, len(self.grid)) - start, len(samples)))
-        np.add.at(out, (speakers[hit] - start, np.nonzero(hit)[0]), samples[hit])
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The dense signals of loudspeakers ``start:stop``, (speakers, n)."""
+        hit = (self.speakers >= start) & (self.speakers < stop)
+        out = np.zeros((min(stop, len(self.grid)) - start, len(self)))
+        np.add.at(out, (self.speakers[hit] - start, np.nonzero(hit)[0]), self.samples[hit])
         return out
+
+    def _segments(self, f0: int, f1: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_frame_render`'s keys and segments of blocks f0:f1 of ``size`` samples."""
+        t0, t1 = f0 * size, min(f1 * size, len(self))
+        block, offset = np.divmod(np.arange(t0, t1), size)
+        keys = self.speakers[t0:t1] + len(self.grid) * block[:, None]
+        pairs, cell = np.unique(keys.ravel(), return_inverse=True)
+        signals = np.zeros((len(pairs), size))
+        # A sample may pick a loudspeaker twice; its picks add up, as in rows.
+        np.add.at(signals, (cell.reshape(keys.shape), offset[:, None]), self.samples[t0:t1])
+        return pairs, signals
+
+
+def _speaker_indices(speakers, grid: LoudspeakerGrid) -> np.ndarray:
+    """``speakers`` as intp indices into ``grid``, which they must be already."""
+    speakers = np.asarray(speakers)
+    if speakers.dtype.kind not in "iu":
+        raise ValueError(f"speakers must be integer indices, not {speakers.dtype}")
+    if speakers.size and not 0 <= speakers.min() <= speakers.max() < len(grid):
+        raise ValueError("speaker indices out of range")
+    return speakers.astype(np.intp, copy=False)
 
 
 def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
@@ -167,12 +177,12 @@ class SirrStreams:
         n = (len(self.samples) - 1) * hop + window
         if self.speakers.shape != self.samples.shape or self.diffuse.shape != (n,):
             raise ValueError(f"streams do not fit one {n}-sample STFT")
-        speakers = self.speakers
-        if speakers.size and not 0 <= speakers.min() <= speakers.max() < len(self.grid):
-            raise ValueError("speaker indices out of range")
+        object.__setattr__(self, "speakers", _speaker_indices(self.speakers, self.grid))
         if not (np.all(np.isfinite(self.samples)) and np.all(np.isfinite(self.diffuse))):
             raise ValueError("direct amplitudes and diffuse samples must be finite")
         check_sample_rate(self.sample_rate)
+        if np.any(np.diff(np.sort(self.speakers, axis=-1)) == 0):  # each bin's cells are set once
+            raise ValueError("speakers must be three distinct loudspeakers per bin")
 
     def __len__(self) -> int:
         return self.diffuse.size + DECORRELATOR_TAPS - 1
@@ -186,13 +196,24 @@ class SirrStreams:
             last = min(first + _SPEAKER_BLOCK, stop)
             values = np.zeros((last - first, *self.speakers.shape[:2]), complex)
             hit = (self.speakers >= first) & (self.speakers < last)
-            # A grid triangle has three distinct loudspeakers, so each cell is set once.
             values[(self.speakers[hit] - first, *np.nonzero(hit)[:2])] = self.samples[hit]
             out[first - start : last - start, : self.diffuse.size] = istft(
                 StftFrames(values, self.window_size, self.hop, self.sample_rate))
             out[first - start : last - start] += fft_convolve(
                 self.diffuse, decorrelation_kernel(self.seed, range(first, last)))
         return out
+
+    def _segments(self, f0: int, f1: int, divisor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_frame_render`'s keys and segments of STFT frames f0:f1: each pair's
+        inverse transform times the Hann window over :func:`istft`'s ``divisor``."""
+        bins, size, hop, count = self.samples.shape[1], self.window_size, self.hop, len(self.grid)
+        keys = self.speakers[f0:f1] + count * np.arange(f0, f1)[:, None, None]
+        pairs, cell = np.unique(keys.ravel(), return_inverse=True)
+        values = np.zeros((len(pairs), bins), complex)
+        values[cell.reshape(keys.shape), np.arange(bins)[:, None]] = self.samples[f0:f1]
+        signals = np.fft.irfft(values, size)
+        signals *= _hann_periodic(size) / divisor[pairs[:, None] // count * hop + np.arange(size)]
+        return pairs, signals
 
 
 def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
@@ -215,13 +236,10 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     """Convolve every loudspeaker signal with its matching HRIR pair and sum.
 
     Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
-    offenders are reported together. SIRR's direct stream is rendered one
-    STFT frame at a time, and its diffuse signal through one filter per ear:
-    each HRIR convolved with its decorrelator, summed. A ``SampleAssignment``
-    with k * taps of at most ``_GATHER_TAPS_PER_SPEAKER`` x its loudspeaker
-    count is gathered: convolved from its k samples and their HRIR rows,
-    whose cost does not grow with the loudspeaker count. Past that,
-    :func:`hrir_sum` sums its rows, densified only over the span asked for.
+    offenders are reported together. :func:`_frame_render` renders SIRR's
+    direct stream in its STFT frames and an assignment in blocks of half the
+    HRIR length; SIRR's diffuse signal goes through one filter per ear, each
+    HRIR convolved with its decorrelator, summed.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -232,55 +250,45 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
         raise MissingHrirError(offenders.tolist())
 
     ears = np.stack([hrirs.left[matches], hrirs.right[matches]])  # (2, speakers, taps)
-    taps = ears.shape[2]
+    n = len(vls) + ears.shape[2] - 1
     if isinstance(vls, SirrStreams):
-        out = _sirr_direct_render(vls, ears)
+        (frames, bins), size, hop = vls.samples.shape[:2], vls.window_size, vls.hop
+        divisor = _window_sum(size, hop, frames)
+        out = _frame_render(lambda f0, f1: vls._segments(f0, f1, divisor), ears, frames, size,
+                            hop, 3 * bins, n)
         if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
             kernels = decorrelation_kernel(vls.seed, range(len(vls.grid)))
             out += fft_convolve(vls.diffuse, hrir_sum(ears, kernels))
-    elif vls.samples.shape[1] * taps <= _GATHER_TAPS_PER_SPEAKER * len(vls.grid):
-        k = vls.samples.shape[1]
-        if k == 1:  # columns of the tap-major table: C-contiguous contributions
-            by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)
-
-            def gather(s, w):
-                part = np.take(by_tap, s[:, 0], axis=1)
-                part *= w[:, 0]  # in place: a second 4 MB block cost 1.7 ms of 2.9
-                return part
-        else:  # one einsum sums the k picks; its transposed blocks fit L2
-            pairs = ears.transpose(1, 0, 2).reshape(len(vls.grid), 2 * taps)
-            gather = lambda s, w: np.einsum("nk,nkf->fn", w, pairs[s])
-        out = _overlap_add(lambda t0, t1: gather(vls.speakers[t0:t1], vls.samples[t0:t1]),
-                           len(vls), taps, k)
     else:
-        out = _hrir_sum(ears, vls.rows, len(vls))
+        # A block's pairs grow with its size up to L, each pair's transform with size
+        # + taps. At 128 taps 32-64 tied as the fastest of 16-128 on the benchmark's
+        # SDM; at 512 taps on 20-60 loudspeakers 256 took a third of 64's time.
+        size = -(-ears.shape[2] // 2)
+        out = _frame_render(lambda f0, f1: vls._segments(f0, f1, size), ears,
+                            -(-len(vls) // size), size, size, vls.samples.shape[1] * size, n)
     return BinauralIr(out, vls.sample_rate)
 
 
-def _sirr_direct_render(vls: SirrStreams, ears: np.ndarray) -> np.ndarray:
-    """Both ears' sum of SIRR's direct signals through their HRIRs, by linearity a frame
-    at a time: each frame's loudspeakers' inverse transforms, times the Hann window
-    over :func:`istft`'s window sum, convolved and overlap-added at the hop."""
-    frames, bins, size, hop = *vls.samples.shape[:2], vls.window_size, vls.hop
-    span, n, count = size + ears.shape[2] - 1, len(vls) + ears.shape[2] - 1, len(vls.grid)
-    nfft, blocks = _next_fast_len(span), -(-span // hop)  # span: one frame's output
+def _frame_render(segments, ears: np.ndarray, frames: int, size: int, hop: int,
+                  most: int, n: int) -> np.ndarray:
+    """Both ears' (2, n) sum of loudspeaker segments through their HRIRs.
+
+    ``segments(f0, f1)`` gives frames f0:f1's sorted keys frame * L + loudspeaker,
+    1 to ``most`` a frame, and each key's ``size``-sample segment from sample
+    frame * hop. Each is multiplied by its HRIR pair in the frequency domain, each
+    frame's sum is transformed back once per ear and overlap-added at the hop.
+    """
+    count, span = ears.shape[1], size + ears.shape[2] - 1  # span: one frame's output
+    nfft, blocks = _next_fast_len(span), -(-span // hop)
     spectra = np.fft.rfft(ears, nfft).transpose(1, 0, 2)  # (speakers, 2, nfft // 2 + 1)
-    window, divisor = _hann_periodic(size), _window_sum(size, hop, frames)
-    out = np.zeros((-(-n // hop), 2, hop))  # n runs DECORRELATOR_TAPS - 1 past the last frame
-    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * min(count, 3 * bins)))
+    out = np.zeros((max(-(-n // hop), frames - 1 + blocks), 2, hop))
+    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * min(count, most)))
     for f0 in range(0, frames, step):
         f1 = min(f0 + step, frames)
-        keys = vls.speakers[f0:f1] + count * np.arange(f0, f1)[:, None, None]
-        pairs, cell = np.unique(keys.ravel(), return_inverse=True)
-        values = np.zeros((len(pairs), bins), complex)
-        # A grid triangle has three distinct loudspeakers, so each cell is set once.
-        values[cell.reshape(keys.shape), np.arange(bins)[:, None]] = vls.samples[f0:f1]
-        frame, speaker = np.divmod(pairs, count)
-        signals = np.fft.irfft(values, size)
-        signals *= window / divisor[frame[:, None] * hop + np.arange(size)]
-        mixed = spectra[speaker]
+        keys, signals = segments(f0, f1)
+        mixed = spectra[keys % count]
         mixed *= np.fft.rfft(signals, nfft)[:, None]
-        summed = np.add.reduceat(mixed, np.searchsorted(frame, np.arange(f0, f1)))
+        summed = np.add.reduceat(mixed, np.searchsorted(keys, count * np.arange(f0, f1)))
         framed = np.zeros((f1 - f0, 2, blocks * hop))
         framed[..., :span] = np.fft.irfft(summed, nfft)[..., :span]
         for j in range(blocks - 1, -1, -1):  # each block adds its frames in ascending order
@@ -292,47 +300,25 @@ def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """Both ears' sum of every signal row convolved with its HRIR pair.
 
     ``ears`` is (2, rows, taps) and ``signals`` (rows, n); the result is the
-    full convolution, (2, n + taps - 1). HRIRs of up to
-    ``_TIME_DOMAIN_TAPS`` taps are applied as one (2 * taps, rows) matrix
-    product per time block; longer ones are summed in the frequency domain.
+    full convolution, (2, n + taps - 1). HRIRs of up to ``_TIME_DOMAIN_TAPS``
+    taps are applied as one (2 * taps, rows) matrix product per time block of
+    ``_TIME_BLOCK_BYTES`` contributions, added tap by tap in ascending order;
+    longer ones are summed in the frequency domain, ``_SPEAKER_BLOCK`` rows at a time.
     """
-    return _hrir_sum(ears, lambda start, stop, t0, t1: signals[start:stop, t0:t1],
-                     signals.shape[1])
-
-
-def _hrir_sum(ears: np.ndarray, signals, n: int) -> np.ndarray:
-    """:func:`hrir_sum` of the n-sample rows ``signals(start, stop, t0, t1)``
-    gives: all rows a time block at a time, or ``_SPEAKER_BLOCK`` whole ones."""
-    taps = ears.shape[2]
+    taps, n = ears.shape[2], signals.shape[1]
     if taps <= _TIME_DOMAIN_TAPS:
         by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
-        return _overlap_add(lambda t0, t1: by_tap @ signals(0, ears.shape[1], t0, t1), n, taps, 1)
+        block = max(1, _TIME_BLOCK_BYTES // (16 * taps))
+        out = np.zeros((2, n + taps - 1))
+        for t0 in range(0, n, block):
+            part = (by_tap @ signals[:, t0 : t0 + block]).reshape(2, taps, -1)
+            for j in range(taps):
+                out[:, t0 + j : t0 + j + part.shape[2]] += part[:, j]
+        return out
     nfft = _next_fast_len(n + taps - 1)
     spectrum = np.zeros((2, nfft // 2 + 1), complex)
     for start in range(0, ears.shape[1], _SPEAKER_BLOCK):
         stop = start + _SPEAKER_BLOCK
-        spectrum += np.einsum("sf,esf->ef", np.fft.rfft(signals(start, stop, 0, n), nfft),
+        spectrum += np.einsum("sf,esf->ef", np.fft.rfft(signals[start:stop], nfft),
                               np.fft.rfft(ears[:, start:stop], nfft))
     return np.fft.irfft(spectrum, nfft)[:, : n + taps - 1]
-
-
-def _overlap_add(contributions, n: int, taps: int, k: int) -> np.ndarray:
-    """The (2, n + taps - 1) sum of per-tap contributions, one time block at a time.
-
-    ``contributions(t0, t1)`` is (2 * taps, t1 - t0): row ``e * taps + j``
-    holds what input samples t0:t1 add to ear e through tap j, and lands on
-    ``out[e, t0 + j : t1 + j]``, in ascending j. A block is sized so that
-    k gathered HRIR rows per sample fill about ``_TIME_BLOCK_BYTES``.
-    Contributions should be C-contiguous tap rows: a transposed block is read
-    a tap row at a time at a 16 * taps-byte stride, and once the block
-    outgrows L2 (k = 1, 128 taps: 4 MB) the loop took 3.8 ms a block
-    against 0.7 ms on C-contiguous rows.
-    """
-    block = max(1, _TIME_BLOCK_BYTES // (16 * taps * k))
-    out = np.zeros((2, n + taps - 1))
-    for t0 in range(0, n, block):
-        t1 = min(t0 + block, n)
-        part = contributions(t0, t1).reshape(2, taps, t1 - t0)
-        for j in range(taps):
-            out[:, t0 + j : t1 + j] += part[:, j]
-    return out

@@ -451,12 +451,23 @@ def test_canonical_benchmark_pass_matches_the_golden():
     48 kHz, 0.4 s, max_order 30, the four standard conditions) reproduces
     every MetricReport and MAE/MSD in perfbench/golden.json within its
     stated tolerance."""
+    _assert_benchmark_pass_matches_the_golden("canonical")
+
+
+def test_rerender_benchmark_pass_matches_the_golden():
+    """The same for the rerender workload: two scenes simulated in set-up,
+    and a k = 3 SDM condition besides the four standard ones."""
+    _assert_benchmark_pass_matches_the_golden("rerender")
+
+
+def _assert_benchmark_pass_matches_the_golden(workload):
     import srirkit
     import srirkit.presets  # noqa: F401  (set_up reads srirkit.presets)
 
     run = _import_perfbench("run")
-    setup = run.set_up(srirkit, "canonical", 0)
+    with run.TruncationLog(srirkit):  # rerender simulates its scenes in set-up
+        setup = run.set_up(srirkit, workload, 0)
     record, _, _ = run.run_pass(srirkit, setup)
     assert record is not None, "the benchmark pass raised"
-    failed = run.failed_pairs(record, setup.pairs, run.load_golden("canonical", 0), None)
+    failed = run.failed_pairs(record, setup.pairs, run.load_golden(workload, 0), None)
     assert not failed

@@ -108,6 +108,17 @@ class TestSdmSynthesize:
             with pytest.raises(ValueError, match="sample rate"):
                 SampleAssignment(grid, speakers, np.zeros((4, 2)), rate)
 
+    def test_speaker_columns_validated(self):
+        """No picks (k = 0) used to pass and end in a ZeroDivisionError in the
+        render, and a non-integer index was truncated (1.7 played on
+        loudspeaker 1): both are refused, naming the field."""
+        grid = fibonacci_grid(8)
+        with pytest.raises(ValueError, match=r"speakers/samples must be \(n, k\), k >= 1"):
+            SampleAssignment(grid, np.zeros((4, 0), np.intp), np.zeros((4, 0)), FS)
+        for index in (1.7, 2.0):
+            with pytest.raises(ValueError, match="speakers must be integer indices"):
+                SampleAssignment(grid, np.full((4, 1), index), np.ones((4, 1)), FS)
+
     def test_deterministic(self, rng):
         grid = fibonacci_grid(16)
         n = 200
@@ -116,22 +127,6 @@ class TestSdmSynthesize:
         a = sdm_synthesize(pressure, traj, grid, k=2)
         b = sdm_synthesize(pressure, traj, grid, k=2)
         assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))
-
-    def test_row_spans_are_slices_of_the_dense_rows(self, rng):
-        """Time blocks of 2048, 1000 and 7 samples, from the first to the last
-        (partial) one, for all loudspeakers, a range that starts inside a
-        loudspeaker block and one that runs past the grid: each equals its
-        slice of the dense rows, byte for byte."""
-        grid = fibonacci_grid(40)
-        n = 2500
-        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, 3)),
-                                      rng.normal(size=(n, 3)), FS)
-        for start, stop in ((0, len(grid)), (5, 37), (32, 48)):
-            dense = assignment.rows(start, stop)
-            for block in (2048, 1000, 7):
-                for t0 in range(0, n, block):
-                    t1 = min(t0 + block, n)
-                    assert np.array_equal(assignment.rows(start, stop, t0, t1), dense[:, t0:t1])
 
 
 def _smooth_field(rng, frames, bins, window_size, hop):
@@ -196,6 +191,22 @@ class TestSirrSynthesize:
             for args in ((bad_direct, diffuse), (direct, bad_diffuse)):
                 with pytest.raises(ValueError, match="finite"):
                     SirrStreams(grid, speakers, *args, 0, 64, 32, FS)
+        with pytest.raises(ValueError, match="speakers must be integer indices"):
+            SirrStreams(grid, speakers + 0.5, direct, diffuse, 0, 64, 32, FS)
+
+    def test_repeated_bin_speakers_rejected(self, rng):
+        """A bin's loudspeakers (0, 0, 0) with random amplitudes used to render
+        as the third amplitude alone: a VBAP triangle's three loudspeakers are
+        distinct, so a repeat in any bin is refused."""
+        grid = fibonacci_grid(24)
+        speakers = np.broadcast_to(np.arange(3), (5, 33, 3)).copy()
+        direct = rng.normal(size=(5, 33, 3)) + 1j * rng.normal(size=(5, 33, 3))
+        SirrStreams(grid, speakers, direct, np.zeros(192), 0, 64, 32, FS)
+        for repeat in ((0, 0, 0), (4, 9, 4)):
+            bad = speakers.copy()
+            bad[3, 20] = repeat
+            with pytest.raises(ValueError, match="speakers must be three distinct"):
+                SirrStreams(grid, bad, direct, np.zeros(192), 0, 64, 32, FS)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -366,10 +377,10 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
 @given(seed=st.integers(0, 2**31), speakers=st.integers(8, 60), k=st.integers(1, 4),
        taps=st.one_of(st.integers(8, 64), st.integers(240, 300)))
 def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
-    """An SDM assignment's render, on both sides of the gather limit, and
-    hrir_sum of its dense signals, on both sides of the time-domain taps
-    limit, all equal a per-loudspeaker np.convolve sum; HRIRs are listed in
-    shuffled order, so each loudspeaker must find its own pair."""
+    """An SDM assignment's render, and hrir_sum of its dense signals on both
+    sides of the time-domain taps limit, equal a per-loudspeaker np.convolve
+    sum; HRIRs are listed in shuffled order, so each loudspeaker must find
+    its own pair."""
     gen = np.random.default_rng(seed)
     grid = fibonacci_grid(speakers)
     n = int(gen.integers(1, 300))
@@ -559,10 +570,9 @@ class TestBinauralRender:
     def test_dense_memory_bounded(self, rng):
         """SIRR at canonical size is rendered from its streams: its 240
         signals of 20,223 samples took 119 MB when every loudspeaker's
-        spectrum was live at once. A k=3 assignment over 19,200 samples is
-        convolved from its samples, and a k=8 one, past the gather limit,
-        takes the blocked sum: 50 MB when an assignment was densified whole
-        first."""
+        spectrum was live at once. k=3 and k=8 assignments over 19,200
+        samples are rendered a chunk of sample blocks at a time: 50 MB when
+        an assignment was densified whole first."""
         grid = fibonacci_grid(240)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n = 19200
@@ -578,9 +588,9 @@ class TestBinauralRender:
             assert peak < 20e6, type(vls).__name__
 
     def test_scatter_memory_bounded(self, rng):
-        """A k=8 assignment over 19,200 samples on 960 loudspeakers gathers
-        its HRIR rows one time block at a time; gathered whole, the
-        (n, k, 2 * taps) rows would take 315 MB."""
+        """A k=8 assignment over 19,200 samples on 960 loudspeakers is scattered
+        into its (block, loudspeaker) pairs one chunk of blocks at a time;
+        gathered whole, its (n, k, 2 * taps) HRIR rows would take 315 MB."""
         grid = fibonacci_grid(960)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         n, k = 19200, 8
@@ -594,56 +604,33 @@ class TestBinauralRender:
             tracemalloc.stop()
         assert peak < 50e6
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_gather_keeps_the_bytes_of_one_einsum_per_block(self, rng, k):
-        """240 loudspeakers, 128 taps, 5,000 samples (three time blocks at
-        k = 1, eight at k = 3): the gather is the same bytes as one einsum
-        of the gathered HRIR rows per block, added tap by tap."""
-        grid, n, taps = fibonacci_grid(240), 5000, 128
-        ears = rng.normal(size=(2, len(grid), taps))
+    @pytest.mark.parametrize("speakers, taps, k", [(20, 512, 1), (40, 128, 1), (60, 1, 3),
+                                                   (160, 512, 1), (240, 128, 8),
+                                                   (240, 300, 2), (960, 128, 8)])
+    def test_assignment_render_matches_hrir_sum_of_its_rows(self, rng, speakers, taps, k):
+        """2,500 samples, several chunks of blocks for every k, with HRIRs on
+        both sides of hrir_sum's time-domain taps limit: the render equals
+        hrir_sum of the assignment's dense signals to 1e-12 of its peak."""
+        grid = fibonacci_grid(speakers)
+        n = 2500
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
-        pairs = ears.transpose(1, 0, 2).reshape(len(grid), 2 * taps)
-        block = synthesis._TIME_BLOCK_BYTES // (16 * taps * k)
-        expected = np.zeros((2, n + taps - 1))
-        for t0 in range(0, n, block):
-            t1 = min(t0 + block, n)
-            part = np.einsum("nk,nkf->fn", assignment.samples[t0:t1],
-                             pairs[assignment.speakers[t0:t1]]).reshape(2, taps, t1 - t0)
-            for j in range(taps):
-                expected[:, t0 + j : t1 + j] += part[:, j]
+        ears = rng.normal(size=(2, speakers, taps))
         brir = binaural_render(assignment, HrirSet(grid.directions, ears[0], ears[1], FS))
-        assert np.array_equal(brir.samples, expected)
+        expected = hrir_sum(ears, assignment.rows(0, len(grid)))
+        assert brir.samples.shape == expected.shape == (2, n + taps - 1)
+        assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("speakers, k, densified", [(240, 1, False), (240, 3, False),
-                                                        (960, 8, False), (40, 1, True),
-                                                        (240, 8, True)])
-    def test_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers, k,
-                                                  densified):
-        """128-tap HRIRs: an assignment is convolved from its samples while
-        k * 128 is at most 3 x the loudspeaker count, and summed over its rows
-        past it; both equal the render of its dense signals, and neither
-        path transforms (128 taps are within the time-domain limit)."""
-        grid = fibonacci_grid(speakers)
-        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-        monkeypatch.setattr(synthesis, "_next_fast_len", mock.NonCallableMock(spec=[]))
-        self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
-
-    @pytest.mark.parametrize("speakers, k, densified", [(960, 1, False), (960, 3, False),
-                                                        (160, 1, True)])
+    @pytest.mark.parametrize("speakers, k, densified", [(960, 1, False), (960, 3, False)])
     def test_long_hrir_assignment_path_follows_k_times_taps(self, rng, monkeypatch, speakers,
                                                             k, densified):
-        """512-tap HRIRs follow the same rule: on a dense grid an assignment is
-        still convolved from its samples, never densified loudspeaker by
-        loudspeaker."""
+        """512-tap HRIRs on a dense grid: an assignment is rendered from its
+        samples, never densified loudspeaker by loudspeaker, and equals
+        hrir_sum of its dense signals."""
         grid = fibonacci_grid(speakers)
         hrirs = HrirSet(grid.directions, rng.normal(size=(speakers, 512)),
                         rng.normal(size=(speakers, 512)), FS)
-        self._check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified)
-
-    @staticmethod
-    def _check_assignment_path(rng, monkeypatch, grid, hrirs, k, densified):
-        n = 2500  # several time blocks for every k
+        n = 2500
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
         calls = []
@@ -656,6 +643,70 @@ class TestBinauralRender:
         dense = assignment.rows(0, len(grid))
         other = hrir_sum(np.stack([hrirs.left, hrirs.right]), dense)
         assert np.abs(brir - other).max() <= 1e-12 * np.abs(brir).max()
+
+    def test_repeated_picks_add_up(self, rng):
+        """Every sample picks one loudspeaker twice (k = 2): the render plays
+        both picks, the bytes of a k = 1 assignment of their sums."""
+        grid, hrirs = self._setup()
+        n = 500
+        speakers = np.repeat(rng.integers(len(grid), size=(n, 1)), 2, axis=1)
+        samples = rng.normal(size=(n, 2))
+        twice = SampleAssignment(grid, speakers, samples, FS)
+        once = SampleAssignment(grid, speakers[:, :1], samples.sum(axis=1, keepdims=True), FS)
+        assert np.array_equal(binaural_render(twice, hrirs).samples,
+                              binaural_render(once, hrirs).samples)
+
+    @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-block", "all-blocks"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, rng, monkeypatch, budget):
+        """A k = 3 assignment rendered one sample block per chunk, and every
+        block in one, gives the bytes of the default chunks."""
+        grid = fibonacci_grid(240)
+        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(6000, 3)),
+                                      rng.normal(size=(6000, 3)), FS)
+        hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
+        expected = binaural_render(assignment, hrirs).samples
+        monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+        assert np.array_equal(binaural_render(assignment, hrirs).samples, expected)
+
+    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
+        """A k = 3 assignment's render in fresh interpreters with
+        OPENBLAS_NUM_THREADS 1 and 2: the bytes of this process's render."""
+        grid = fibonacci_grid(240)
+        assignment = SampleAssignment(grid, rng.integers(len(grid), size=(6000, 3)),
+                                      rng.normal(size=(6000, 3)), FS)
+        _assert_render_bytes_across_blas_threads(
+            tmp_path, assignment, dict(speakers=assignment.speakers, samples=assignment.samples),
+            f"SampleAssignment(grid, d['speakers'], d['samples'], {FS})")
+
+
+def _assert_render_bytes_across_blas_threads(tmp_path, vls, arrays, build):
+    """The render of ``vls`` on a 240-loudspeaker grid, rebuilt as the source
+    ``build`` from the saved ``arrays`` in fresh interpreters with
+    OPENBLAS_NUM_THREADS 1 and 2, has the bytes of this process's render."""
+    path = tmp_path / "vls.npz"
+    np.savez(path, **arrays)
+    script = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from srirkit.grids import fibonacci_grid\n"
+        "from srirkit.hrir import spherical_head_hrir_set\n"
+        "from srirkit.synthesis import SampleAssignment, SirrStreams, binaural_render\n"
+        "grid, d = fibonacci_grid(240), np.load(sys.argv[1])\n"
+        f"vls = {build}\n"
+        f"hrirs = spherical_head_hrir_set(grid.directions, sample_rate={FS})\n"
+        "print(hashlib.sha256(binaural_render(vls, hrirs).samples.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(run.stdout.strip())
+    grid = fibonacci_grid(240)
+    brir = binaural_render(vls, spherical_head_hrir_set(grid.directions, sample_rate=FS))
+    here = hashlib.sha256(brir.samples.tobytes()).hexdigest()
+    assert digests == [here, here]
 
 
 class TestSirrRender:
@@ -700,29 +751,9 @@ class TestSirrRender:
         OPENBLAS_NUM_THREADS 1 and 2: the bytes of this process's render."""
         grid = fibonacci_grid(240)
         vls = sirr_synthesize(*_sirr_inputs(rng, 6000), grid, seed=7)
-        path = tmp_path / "streams.npz"
-        np.savez(path, speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse)
-        script = (
-            "import hashlib, sys\n"
-            "import numpy as np\n"
-            "from srirkit.grids import fibonacci_grid\n"
-            "from srirkit.hrir import spherical_head_hrir_set\n"
-            "from srirkit.synthesis import SirrStreams, binaural_render\n"
-            "grid, d = fibonacci_grid(240), np.load(sys.argv[1])\n"
-            f"vls = SirrStreams(grid, d['speakers'], d['samples'], d['diffuse'], 7, 64, 32, {FS})\n"
-            f"hrirs = spherical_head_hrir_set(grid.directions, sample_rate={FS})\n"
-            "print(hashlib.sha256(binaural_render(vls, hrirs).samples.tobytes()).hexdigest())\n"
-        )
-        digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(sys.path)}
-            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                                 capture_output=True, text=True, timeout=120, check=True)
-            digests.append(run.stdout.strip())
-        brir = binaural_render(vls, spherical_head_hrir_set(grid.directions, sample_rate=FS))
-        here = hashlib.sha256(brir.samples.tobytes()).hexdigest()
-        assert digests == [here, here]
+        _assert_render_bytes_across_blas_threads(
+            tmp_path, vls, dict(speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse),
+            f"SirrStreams(grid, d['speakers'], d['samples'], d['diffuse'], 7, 64, 32, {FS})")
 
     def test_direct_rows_are_slices_of_the_full_istft(self, rng):
         """Without a diffuse stream (psi = 0) the written-out signals are one
