@@ -60,7 +60,6 @@ from .synthesis import (
     binaural_render,
     sdm_synthesize,
     sirr_synthesize,
-    sirr_tf_streams,
 )
 from .vbap import vbap_gain_table
 

@@ -331,7 +331,7 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
             kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
             names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]
             result.analysis.to_csv(out_dir / names[1])
-            wavio.write_wav(out_dir / names[2], result.vls.rows(0, len(result.vls.grid)), rate)
+            wavio.write_wav(out_dir / names[2], result.vls.rows(), rate)
             save_grid_csv(result.vls.grid, out_dir / names[3])
         return names
 

@@ -299,10 +299,11 @@ class ComparisonRun:
                     f"differs from the run rate {self.sample_rate}"
                 )
         for name, rendering in self.inputs.items():
-            if rendering.reference.sample_rate != self.sample_rate:
-                raise ConfigurationError(
-                    f"scene {name!r}: reference rate differs from the run rate"
-                )
+            for what in ("reference", "analysis_input"):
+                if getattr(rendering, what).sample_rate != self.sample_rate:
+                    raise ConfigurationError(
+                        f"scene {name!r}: {what} rate differs from the run rate"
+                    )
         object.__setattr__(self, "conditions", tuple(self.conditions))
 
 

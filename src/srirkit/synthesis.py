@@ -58,11 +58,10 @@ class SampleAssignment:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The dense signals of loudspeakers ``start:stop``, (speakers, n)."""
-        hit = (self.speakers >= start) & (self.speakers < stop)
-        out = np.zeros((min(stop, len(self.grid)) - start, len(self)))
-        np.add.at(out, (self.speakers[hit] - start, np.nonzero(hit)[0]), self.samples[hit])
+    def rows(self) -> np.ndarray:
+        """Every loudspeaker's dense signal, (speakers, n); repeated picks add up."""
+        out = np.zeros((len(self.grid), len(self)))
+        np.add.at(out, (self.speakers, np.arange(len(self))[:, None]), self.samples)
         return out
 
     def _segments(self, f0: int, f1: int, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,33 +130,12 @@ def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
     return kernels.reshape(*np.shape(channel_index), DECORRELATOR_TAPS)
 
 
-def sirr_tf_streams(pressure: MonoIr, field: TfDoaField,
-                    grid: LoudspeakerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-decorrelation direct and diffuse streams in the TF domain.
-
-    ``pressure`` is transformed with the field's own STFT layout; its rate
-    and its (frames, bins) must match the field's. Returns ``(speakers,
-    direct, diffuse_tf)``: each bin's VBAP triangle and its complex direct
-    amplitudes, both (frames, bins, 3), and the diffuse stream every speaker
-    shares (scaled by 1/sqrt(L)), shape (frames, bins). Per bin,
-    ``sum |direct|^2 + L * |diffuse_tf|^2 == |P|^2``.
-    """
-    if pressure.sample_rate != field.sample_rate:
-        raise ValueError(f"sample-rate mismatch: {pressure.sample_rate} vs {field.sample_rate}")
-    values = stft(pressure.samples, pressure.sample_rate, field.window_size, field.hop).values
-    if values.shape != field.psi.shape:
-        raise ValueError(f"pressure frames {values.shape} do not match field {field.psi.shape}")
-    speakers, gains = vbap_gain_table(field.directions.reshape(-1, 3), grid)  # (tf, 3) each
-    direct = gains.reshape(*values.shape, 3) * (np.sqrt(1.0 - field.psi) * values)[..., None]
-    diffuse_tf = np.sqrt(field.psi) * values / np.sqrt(len(grid))
-    return speakers.reshape(*values.shape, 3), direct, diffuse_tf
-
-
 @dataclass(frozen=True)
 class SirrStreams:
-    """SIRR output as streams: per STFT bin, the VBAP triangle ``speakers`` and
-    its complex direct amplitudes ``samples``, both (frames, bins, 3), and the
-    diffuse time signal loudspeaker l plays through ``decorrelation_kernel(seed, l)``."""
+    """SIRR output in one STFT layout: per bin, the VBAP triangle ``speakers``
+    and its complex direct amplitudes ``samples``, both (frames, bins, 3), and
+    the (frames, bins) ``diffuse`` bins, played by loudspeaker l through
+    ``decorrelation_kernel(seed, l)``."""
 
     grid: LoudspeakerGrid
     speakers: np.ndarray
@@ -172,35 +150,41 @@ class SirrStreams:
         window, hop = self.window_size, self.hop
         if hop <= 0 or window % hop or window // hop < 2:
             raise ValueError(f"hop {hop} must divide window_size {window} at least twice")
-        if self.samples.shape[1:2] != (window // 2 + 1,):
-            raise ValueError(f"samples must have window_size // 2 + 1 = {window // 2 + 1} bins")
-        n = (len(self.samples) - 1) * hop + window
-        if self.speakers.shape != self.samples.shape or self.diffuse.shape != (n,):
-            raise ValueError(f"streams do not fit one {n}-sample STFT")
-        object.__setattr__(self, "speakers", _speaker_indices(self.speakers, self.grid))
-        if not (np.all(np.isfinite(self.samples)) and np.all(np.isfinite(self.diffuse))):
-            raise ValueError("direct amplitudes and diffuse samples must be finite")
+        speakers = _speaker_indices(self.speakers, self.grid)
+        samples = np.asarray(self.samples, dtype=np.complex128)
+        diffuse = np.asarray(self.diffuse, dtype=np.complex128)
+        if samples.shape[1:] != (window // 2 + 1, 3):
+            raise ValueError(f"samples must have window_size // 2 + 1 = "
+                             f"{window // 2 + 1} bins of 3 amplitudes, shape "
+                             f"(frames, {window // 2 + 1}, 3), not {samples.shape}")
+        if speakers.shape != samples.shape or diffuse.shape != samples.shape[:2]:
+            raise ValueError("speakers, samples and diffuse do not share one STFT layout")
+        if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(diffuse))):
+            raise ValueError("direct amplitudes and diffuse bins must be finite")
         check_sample_rate(self.sample_rate)
-        if np.any(np.diff(np.sort(self.speakers, axis=-1)) == 0):  # each bin's cells are set once
+        if np.any(np.diff(np.sort(speakers, axis=-1)) == 0):  # each bin's cells are set once
             raise ValueError("speakers must be three distinct loudspeakers per bin")
+        object.__setattr__(self, "speakers", speakers)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "diffuse", diffuse)
 
     def __len__(self) -> int:
-        return self.diffuse.size + DECORRELATOR_TAPS - 1
+        return (len(self.samples) - 1) * self.hop + self.window_size + DECORRELATOR_TAPS - 1
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The signals of loudspeakers ``start:stop``, (speakers, len(self)),
-        written ``_SPEAKER_BLOCK`` loudspeakers at a time."""
-        stop = min(stop, len(self.grid))
-        out = np.zeros((stop - start, len(self)))
-        for first in range(start, stop, _SPEAKER_BLOCK):
-            last = min(first + _SPEAKER_BLOCK, stop)
-            values = np.zeros((last - first, *self.speakers.shape[:2]), complex)
+    def rows(self) -> np.ndarray:
+        """Every loudspeaker's signal, (speakers, len(self)), written
+        ``_SPEAKER_BLOCK`` loudspeakers at a time."""
+        count, layout = len(self.grid), (self.window_size, self.hop, self.sample_rate)
+        diffuse = istft(StftFrames(self.diffuse, *layout))
+        out = np.zeros((count, len(self)))
+        for first in range(0, count, _SPEAKER_BLOCK):
+            last = min(first + _SPEAKER_BLOCK, count)
+            values = np.zeros((last - first, *self.diffuse.shape), complex)
             hit = (self.speakers >= first) & (self.speakers < last)
             values[(self.speakers[hit] - first, *np.nonzero(hit)[:2])] = self.samples[hit]
-            out[first - start : last - start, : self.diffuse.size] = istft(
-                StftFrames(values, self.window_size, self.hop, self.sample_rate))
-            out[first - start : last - start] += fft_convolve(
-                self.diffuse, decorrelation_kernel(self.seed, range(first, last)))
+            out[first:last, : diffuse.size] = istft(StftFrames(values, *layout))
+            out[first:last] += fft_convolve(diffuse,
+                                            decorrelation_kernel(self.seed, range(first, last)))
         return out
 
     def _segments(self, f0: int, f1: int, divisor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,16 +204,22 @@ def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
                     grid: LoudspeakerGrid, seed: int = 0) -> SirrStreams:
     """Direct/diffuse time-frequency synthesis.
 
-    Per bin, an amplitude sqrt(1 - psi) * P is panned with VBAP at the bin
-    direction and sqrt(psi) * P is spread to all loudspeakers with equal
-    energy weights (1/sqrt(L)). Each loudspeaker's diffuse stream runs
-    through its own energy-preserving decorrelator; per-bin direct plus
-    diffuse energy equals the input bin energy exactly before decorrelation.
+    ``pressure`` is transformed in the field's STFT layout, whose rate and
+    (frames, bins) it must match. Per bin, sqrt(1 - psi) * P is panned with
+    VBAP at the bin direction and sqrt(psi) * P / sqrt(L) is the diffuse bin
+    every loudspeaker plays through its own energy-preserving decorrelator:
+    ``sum |samples|^2 + L * |diffuse|^2 == |P|^2`` per bin before decorrelation.
     """
-    speakers, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
-    diffuse = istft(StftFrames(diffuse_tf, field.window_size, field.hop, field.sample_rate))
-    return SirrStreams(grid, speakers, direct, diffuse, seed, field.window_size, field.hop,
-                       field.sample_rate)
+    if pressure.sample_rate != field.sample_rate:
+        raise ValueError(f"sample-rate mismatch: {pressure.sample_rate} vs {field.sample_rate}")
+    values = stft(pressure.samples, pressure.sample_rate, field.window_size, field.hop).values
+    if values.shape != field.psi.shape:
+        raise ValueError(f"pressure frames {values.shape} do not match field {field.psi.shape}")
+    speakers, gains = vbap_gain_table(field.directions.reshape(-1, 3), grid)  # (tf, 3) each
+    direct = gains.reshape(*values.shape, 3) * (np.sqrt(1.0 - field.psi) * values)[..., None]
+    diffuse = np.sqrt(field.psi) * values / np.sqrt(len(grid))
+    return SirrStreams(grid, speakers.reshape(*values.shape, 3), direct, diffuse, seed,
+                       field.window_size, field.hop, field.sample_rate)
 
 
 def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> BinauralIr:
@@ -238,8 +228,8 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     Every grid direction must have an HRIR within ``MAX_HRIR_ANGLE_DEG``;
     offenders are reported together. :func:`_frame_render` renders SIRR's
     direct stream in its STFT frames and an assignment in blocks of half the
-    HRIR length; SIRR's diffuse signal goes through one filter per ear, each
-    HRIR convolved with its decorrelator, summed.
+    HRIR length; SIRR's diffuse bins are transformed back once and go through
+    one filter per ear, each HRIR convolved with its decorrelator, summed.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -258,7 +248,8 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
                             hop, 3 * bins, n)
         if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
             kernels = decorrelation_kernel(vls.seed, range(len(vls.grid)))
-            out += fft_convolve(vls.diffuse, hrir_sum(ears, kernels))
+            diffuse = istft(StftFrames(vls.diffuse, size, hop, vls.sample_rate))
+            out += fft_convolve(diffuse, hrir_sum(ears, kernels))
     else:
         # A block's pairs grow with its size up to L, each pair's transform with size
         # + taps. At 128 taps 32-64 tied as the fastest of 16-128 on the benchmark's

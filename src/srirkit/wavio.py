@@ -1,5 +1,5 @@
 """Minimal RIFF/WAVE codec, any channel count: reads PCM 16/24/32-bit and
-IEEE float32, writes float32.
+IEEE float32, plain or WAVE_FORMAT_EXTENSIBLE, writes float32.
 
 The stdlib ``wave`` module cannot read or write float data, so the few
 chunk layouts this package needs are handled directly. Writing is fully
@@ -16,6 +16,7 @@ import numpy as np
 
 _FMT_PCM = 1
 _FMT_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -41,6 +42,10 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             if len(body) < 16:
                 raise ValueError(f"{path}: fmt chunk of {len(body)} bytes, need 16")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _FMT_EXTENSIBLE:  # the SubFormat GUID opens with the real code
+                if len(body) < 40:
+                    raise ValueError(f"{path}: extensible fmt chunk of {len(body)} bytes, need 40")
+                fmt = struct.unpack_from("<H", body, 24) + fmt[1:]
         elif chunk_id == b"data":
             data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned

@@ -297,6 +297,26 @@ class TestSimulate:
         assert "44100.5" in capsys.readouterr().err
 
 
+def _assert_vls_dump_is_rows(tmp_path, monkeypatch, condition):
+    """Rendering ``condition`` with --dump-intermediates writes its
+    loudspeaker signals, ``rows()`` of the run's result as float32."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(run_condition(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_condition", recorded)
+    cfg = _write_config(tmp_path, "render.json", {**_sim_config(), "conditions": [condition]})
+    out = tmp_path / "r"
+    assert main(["render", "--config", cfg, "--output", str(out),
+                 "--dump-intermediates"]) == 0
+    data, _ = wavio.read_wav(out / f"{condition['id']}_vls.wav")
+    (result,) = results
+    assert data.shape[0] == len(result.vls.grid) == 32
+    assert np.array_equal(data, result.vls.rows().astype(np.float32))
+
+
 class TestRender:
     def test_single_condition_produces_stereo_wav(self, tmp_path):
         cfg = _write_config(tmp_path, "render.json", {
@@ -332,27 +352,14 @@ class TestRender:
     def test_dump_intermediates_sdm_signals_are_dense(self, tmp_path, monkeypatch):
         """The SDM dump holds one channel per grid direction, the dense
         form of the assignment the render used."""
-        results = []
-
-        def recorded(*args, **kwargs):
-            results.append(run_condition(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "run_condition", recorded)
-        cfg = _write_config(tmp_path, "render.json", {
-            **_sim_config(),
-            "conditions": [{
-                "id": "sdm-tdoa", "analysis": "tdoa",
-                "pressure_source": "channel-average",
-            }],
+        _assert_vls_dump_is_rows(tmp_path, monkeypatch, {
+            "id": "sdm-tdoa", "analysis": "tdoa", "pressure_source": "channel-average",
         })
-        out = tmp_path / "r"
-        assert main(["render", "--config", cfg, "--output", str(out),
-                     "--dump-intermediates"]) == 0
-        data, _ = wavio.read_wav(out / "sdm-tdoa_vls.wav")
-        (result,) = results
-        assert data.shape[0] == len(result.vls.grid) == 32
-        assert np.array_equal(data, result.vls.rows(0, 32).astype(np.float32))
+
+    def test_dump_intermediates_sirr_signals_are_its_rows(self, tmp_path, monkeypatch):
+        """The SIRR dump holds one channel per grid direction: the direct and
+        decorrelated diffuse signals the streams write out."""
+        _assert_vls_dump_is_rows(tmp_path, monkeypatch, _SIRR)
 
     def test_dump_intermediates_renders_each_condition_once(self, tmp_path, monkeypatch):
         from srirkit import pipelines

@@ -268,6 +268,22 @@ class TestRunComparison:
                 sample_rate=44100.0,
             )
 
+    def test_rate_mismatch_with_analysis_input_rejected(self, small_setup):
+        """A scene whose array and FOA signals are at another rate than its
+        reference and the run is refused when the run is built, naming the
+        scene; it used to fail only when that scene was rendered, after the
+        others had been."""
+        grid, hrirs, rendering = small_setup
+        foa = rendering.analysis_input.foa
+        other = replace(rendering, analysis_input=AnalysisInput(
+            srir=None, foa=type(foa)(foa.samples, 44100.0)))
+        with pytest.raises(ConfigurationError, match="scene 'b': analysis_input rate"):
+            ComparisonRun(
+                inputs={"a": rendering, "b": other},
+                conditions=(_condition(grid, hrirs, id="c"),),
+                sample_rate=FS,
+            )
+
 
 def test_simulate_needs_hrirs():
     with pytest.raises(TypeError):
@@ -282,7 +298,7 @@ def test_ism_direct_sound_lands_in_nearest_loudspeaker(small_setup):
     cond = _condition(grid, hrirs, id="sdm")
     trajectory = analyze(rendering.analysis_input, cond)
     pressure = rendering.analysis_input.foa.w
-    signals = sdm_synthesize(pressure, trajectory, grid, k=1).rows(0, len(grid))
+    signals = sdm_synthesize(pressure, trajectory, grid, k=1).rows()
 
     az, el, _ = SCENE_POSITIONS["front_left"]
     expected = nearest_directions(direction_from_azel(az, el)[None, :], grid.directions)[0][0, 0]
@@ -297,7 +313,7 @@ def test_rendering_never_densifies_an_assignment(small_setup, monkeypatch):
     from srirkit.presets import standard_conditions
     from srirkit.synthesis import SampleAssignment
 
-    def refuse(self, start, stop):
+    def refuse(self):
         raise AssertionError("an SDM assignment was densified while rendering")
 
     monkeypatch.setattr(SampleAssignment, "rows", refuse)
@@ -318,7 +334,7 @@ def test_rendering_never_writes_out_sirr_signals(small_setup, monkeypatch):
     from srirkit.presets import standard_conditions
     from srirkit.synthesis import SirrStreams
 
-    def refuse(self, start, stop):
+    def refuse(self):
         raise AssertionError("SIRR loudspeaker signals were written out while rendering")
 
     monkeypatch.setattr(SirrStreams, "rows", refuse)

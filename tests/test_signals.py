@@ -1,3 +1,4 @@
+import struct
 import wave
 
 import numpy as np
@@ -130,6 +131,51 @@ def test_wav_rejects_short_fmt_chunk(tmp_path):
                     b"data\x04\x00\x00\x00\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="short.wav"):
         wavio.read_wav(bad)
+
+
+def _write_extensible_wav(path, subformat, bits, payload, channels=3, fmt_size=40):
+    """A WAVE_FORMAT_EXTENSIBLE file at 48 kHz: the fmt chunk's first
+    ``fmt_size`` bytes, with ``subformat`` in the KSDATAFORMAT GUID."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, 48000, 48000 * block, block, bits,
+                      22, bits, (1 << channels) - 1)
+    fmt += struct.pack("<H", subformat) + bytes.fromhex("000000001000800000aa00389b71")
+    fmt = fmt[:fmt_size]
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+@pytest.mark.parametrize("encoding, tol", [("pcm24", 2.0 / (1 << 23)), ("float32", 1e-7)])
+def test_wav_reads_extensible_format(tmp_path, rng, encoding, tol):
+    """Multichannel and 24-bit files are commonly written as
+    WAVE_FORMAT_EXTENSIBLE (code 0xFFFE); the SubFormat GUID carries the
+    real format code. They used to fail as 'unsupported format (code 65534)'."""
+    data = np.clip(rng.normal(scale=0.2, size=(3, 500)), -0.99, 0.99)
+    if encoding == "pcm24":
+        ints = np.round(data.T * 2.0**23).astype("<i4", order="C")
+        payload = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        subformat, bits = 1, 24
+    else:
+        payload, subformat, bits = data.T.astype("<f4").tobytes(), 3, 32
+    path = tmp_path / f"x_{encoding}.wav"
+    _write_extensible_wav(path, subformat, bits, payload)
+    back, rate = wavio.read_wav(path)
+    assert rate == 48000
+    assert back.shape == (3, 500)
+    assert np.abs(back - data).max() < tol
+
+
+def test_wav_extensible_needs_a_known_subformat_and_the_whole_fmt_chunk(tmp_path):
+    payload = bytes(3 * 2 * 10)
+    path = tmp_path / "adpcm.wav"
+    _write_extensible_wav(path, 2, 16, payload)
+    with pytest.raises(ValueError, match=r"unsupported format \(code 2, 16-bit\)"):
+        wavio.read_wav(path)
+    path = tmp_path / "short.wav"
+    _write_extensible_wav(path, 1, 16, payload, fmt_size=18)
+    with pytest.raises(ValueError, match="short.wav: extensible fmt chunk of 18 bytes, need 40"):
+        wavio.read_wav(path)
 
 
 @pytest.mark.parametrize("rate", [44100.5, 0, -48000, float("nan"), float("inf")])

@@ -27,7 +27,6 @@ from srirkit.synthesis import (
     hrir_sum,
     sdm_synthesize,
     sirr_synthesize,
-    sirr_tf_streams,
 )
 from srirkit.vbap import vbap_gain_table
 
@@ -49,7 +48,7 @@ class TestSdmSynthesize:
         pressure = MonoIr(np.zeros(n) + np.eye(1, n, 10)[0], FS)
         dirs = np.tile(grid.directions[5], (n, 1))
         traj = DoaTrajectory(dirs, np.ones(n, bool))
-        signals = sdm_synthesize(pressure, traj, grid, k=1).rows(0, len(grid))
+        signals = sdm_synthesize(pressure, traj, grid, k=1).rows()
         assert signals[5, 10] == 1.0
         total = signals.copy()
         total[5, 10] = 0.0
@@ -60,7 +59,7 @@ class TestSdmSynthesize:
         n = 500
         pressure = MonoIr(rng.normal(size=n), FS)
         traj = _random_trajectory(rng, n, invalid_fraction=0.2)
-        signals = sdm_synthesize(pressure, traj, grid, k=1).rows(0, len(grid))
+        signals = sdm_synthesize(pressure, traj, grid, k=1).rows()
         # bit-level: each sample appears verbatim on exactly one speaker
         nonzero_counts = np.count_nonzero(signals, axis=0)
         assert np.all(nonzero_counts <= 1)
@@ -79,7 +78,7 @@ class TestSdmSynthesize:
         valid[4] = True
         traj = DoaTrajectory(dirs, valid)
         pressure = MonoIr(np.ones(n), FS)
-        signals = sdm_synthesize(pressure, traj, grid, k=1).rows(0, len(grid))
+        signals = sdm_synthesize(pressure, traj, grid, k=1).rows()
         # after sample 4 everything inherits speaker 9
         assert np.all(signals[9, 4:] == 1.0)
         # before the first valid sample, the frontal speaker carries it
@@ -126,7 +125,7 @@ class TestSdmSynthesize:
         traj = _random_trajectory(rng, n, invalid_fraction=0.1)
         a = sdm_synthesize(pressure, traj, grid, k=2)
         b = sdm_synthesize(pressure, traj, grid, k=2)
-        assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))
+        assert np.array_equal(a.rows(), b.rows())
 
 
 def _smooth_field(rng, frames, bins, window_size, hop):
@@ -148,13 +147,32 @@ class TestSirrSynthesize:
     def test_loudspeaker_signals_validated(self):
         grid = fibonacci_grid(8)
         speakers, direct = np.zeros((5, 33, 3), np.intp), np.zeros((5, 33, 3), complex)
-        for bad in ((speakers[:, :, :2], direct, np.zeros(192)),
-                    (speakers, direct, np.zeros(191))):
-            with pytest.raises(ValueError, match="do not fit one 192-sample STFT"):
+        for bad in ((speakers[:, :, :2], direct, np.zeros((5, 33))),
+                    (speakers, direct, np.zeros((5, 32))),
+                    (speakers, direct, np.zeros((4, 33))),
+                    (speakers, direct, np.zeros(192))):
+            with pytest.raises(ValueError, match="do not share one STFT layout"):
                 SirrStreams(grid, *bad, 0, 64, 32, FS)
         for rate in (0.0, 44100.5):
             with pytest.raises(ValueError, match="sample rate"):
-                SirrStreams(grid, speakers, direct, np.zeros(192), 0, 64, 32, rate)
+                SirrStreams(grid, speakers, direct, np.zeros((5, 33)), 0, 64, 32, rate)
+
+    def test_streams_accept_array_likes_and_need_three_amplitudes_per_bin(self, rng):
+        """Nested lists are converted as a SampleAssignment's are (they raised
+        AttributeError on ``.shape``), and (frames, bins) direct amplitudes are
+        refused for their shape, not as repeated loudspeakers."""
+        grid = fibonacci_grid(8)
+        speakers = np.broadcast_to(np.arange(3), (5, 33, 3))
+        direct = rng.normal(size=(5, 33, 3)) + 1j * rng.normal(size=(5, 33, 3))
+        diffuse = rng.normal(size=(5, 33)) + 1j * rng.normal(size=(5, 33))
+        vls = SirrStreams(grid, speakers.tolist(), direct.tolist(), diffuse.tolist(),
+                          0, 64, 32, FS)
+        assert vls.speakers.dtype == np.intp and vls.samples.shape == (5, 33, 3)
+        assert np.array_equal(vls.samples, direct) and np.array_equal(vls.diffuse, diffuse)
+        assert np.array_equal(vls.rows(), SirrStreams(grid, speakers, direct, diffuse,
+                                                       0, 64, 32, FS).rows())
+        with pytest.raises(ValueError, match=r"samples must have window_size // 2 \+ 1 = 33 bins of 3"):
+            SirrStreams(grid, speakers[..., 0], direct[..., 0], diffuse, 0, 64, 32, FS)
 
     @pytest.mark.parametrize("window, hop, bins, match", [
         (64, 48, 33, "hop 48 must divide window_size 64 at least twice"),
@@ -170,16 +188,16 @@ class TestSirrSynthesize:
         frames = 5
         speakers = np.zeros((frames, bins, 3), np.intp)
         direct = np.zeros((frames, bins, 3), complex)
-        diffuse = np.zeros((frames - 1) * hop + window)
+        diffuse = np.zeros((frames, bins), complex)
         with pytest.raises(ValueError, match=match):
             SirrStreams(fibonacci_grid(8), speakers, direct, diffuse, 0, window, hop, FS)
 
     def test_stream_indices_and_values_validated(self):
         """As a SampleAssignment's: a loudspeaker outside the grid, or a
-        non-finite amplitude or diffuse sample, is rejected."""
+        non-finite amplitude or diffuse bin, is rejected."""
         grid = fibonacci_grid(24)
         speakers, direct = np.zeros((5, 33, 3), np.intp), np.ones((5, 33, 3), complex)
-        diffuse = np.zeros(192)
+        diffuse = np.zeros((5, 33), complex)
         for index in (99, 24, -1):
             bad = speakers.copy()
             bad[2, 7, 1] = index
@@ -187,7 +205,7 @@ class TestSirrSynthesize:
                 SirrStreams(grid, bad, direct, diffuse, 0, 64, 32, FS)
         for value in (np.nan, np.inf):
             bad_direct, bad_diffuse = direct.copy(), diffuse.copy()
-            bad_direct[1, 3, 0], bad_diffuse[50] = value, value
+            bad_direct[1, 3, 0], bad_diffuse[2, 7] = value, value
             for args in ((bad_direct, diffuse), (direct, bad_diffuse)):
                 with pytest.raises(ValueError, match="finite"):
                     SirrStreams(grid, speakers, *args, 0, 64, 32, FS)
@@ -201,12 +219,12 @@ class TestSirrSynthesize:
         grid = fibonacci_grid(24)
         speakers = np.broadcast_to(np.arange(3), (5, 33, 3)).copy()
         direct = rng.normal(size=(5, 33, 3)) + 1j * rng.normal(size=(5, 33, 3))
-        SirrStreams(grid, speakers, direct, np.zeros(192), 0, 64, 32, FS)
+        SirrStreams(grid, speakers, direct, np.zeros((5, 33)), 0, 64, 32, FS)
         for repeat in ((0, 0, 0), (4, 9, 4)):
             bad = speakers.copy()
             bad[3, 20] = repeat
             with pytest.raises(ValueError, match="speakers must be three distinct"):
-                SirrStreams(grid, bad, direct, np.zeros(192), 0, 64, 32, FS)
+                SirrStreams(grid, bad, direct, np.zeros((5, 33)), 0, 64, 32, FS)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -215,7 +233,7 @@ class TestSirrSynthesize:
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, np.zeros((t, f)), 128, 64, FS)
-        signals = sirr_synthesize(pressure, field, grid, seed=3).rows(0, len(grid))
+        signals = sirr_synthesize(pressure, field, grid, seed=3).rows()
 
         # no diffuse tail beyond the istft length
         time_len = (t - 1) * 64 + 128
@@ -256,7 +274,8 @@ class TestSirrSynthesize:
         dirs = rng.normal(size=(t, f, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         field = TfDoaField(dirs, rng.uniform(size=(t, f)), 128, 64, FS)
-        speakers, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
+        vls = sirr_synthesize(pressure, field, grid, seed=5)
+        speakers, direct, diffuse_tf = vls.speakers, vls.samples, vls.diffuse
         dense = np.zeros((len(grid), t, f), dtype=complex)
         dense[speakers, np.arange(t)[:, None, None], np.arange(f)[:, None]] = direct
         assert len(np.unique(speakers)) == len(grid)
@@ -265,8 +284,7 @@ class TestSirrSynthesize:
         kernels = np.stack([decorrelation_kernel(5, ls) for ls in range(len(grid))])
         diffuse_td = istft(StftFrames(diffuse_tf, 128, 64, FS))
         expected += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
-        vls = sirr_synthesize(pressure, field, grid, seed=5)
-        assert np.array_equal(vls.rows(0, len(grid)), expected)
+        assert np.array_equal(vls.rows(), expected)
 
     def test_decorrelation_memory_is_bounded_by_the_output(self, rng):
         """240 loudspeakers x 19,200 samples with a diffuse stream: writing
@@ -282,7 +300,7 @@ class TestSirrSynthesize:
         vls = sirr_synthesize(pressure, field, grid, seed=0)
         tracemalloc.start()
         try:
-            signals = vls.rows(0, len(grid))
+            signals = vls.rows()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -299,7 +317,7 @@ class TestSirrSynthesize:
         dirs_b /= np.linalg.norm(dirs_b, axis=2, keepdims=True)
         a = sirr_synthesize(pressure, TfDoaField(dirs_a, ones, 128, 64, FS), grid, seed=1)
         b = sirr_synthesize(pressure, TfDoaField(dirs_b, ones, 128, 64, FS), grid, seed=1)
-        assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))  # no direct stream
+        assert np.array_equal(a.rows(), b.rows())  # no direct stream
 
     def test_per_bin_energy_split_exact(self, rng):
         grid = fibonacci_grid(20)
@@ -309,8 +327,8 @@ class TestSirrSynthesize:
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         psi = np.clip(rng.uniform(size=(t, f)), 0, 1)
         field = TfDoaField(dirs, psi, frames.window_size, frames.hop, FS)
-        _, direct, diffuse_tf = sirr_tf_streams(pressure, field, grid)
-        total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
+        vls = sirr_synthesize(pressure, field, grid)
+        total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse) ** 2
         reference = np.abs(frames.values) ** 2
         scale = reference.max()
         assert np.abs(total - reference).max() / scale < 1e-6
@@ -321,7 +339,7 @@ class TestSirrSynthesize:
         t, f = frames.values.shape
         field = _smooth_field(rng, t, f, frames.window_size, frames.hop)
         vls = sirr_synthesize(pressure, field, grid, seed=9)
-        signals = vls.rows(0, len(grid))
+        signals = vls.rows()
         ratio_db = 10 * np.log10(np.sum(signals**2) / np.sum(pressure.samples**2))
         assert abs(ratio_db) < 0.5
 
@@ -348,8 +366,8 @@ class TestSirrSynthesize:
         a = sirr_synthesize(pressure, field, grid, seed=42)
         b = sirr_synthesize(pressure, field, grid, seed=42)
         c = sirr_synthesize(pressure, field, grid, seed=43)
-        assert np.array_equal(a.rows(0, len(grid)), b.rows(0, len(grid)))
-        assert not np.array_equal(a.rows(0, len(grid)), c.rows(0, len(grid)))
+        assert np.array_equal(a.rows(), b.rows())
+        assert not np.array_equal(a.rows(), c.rows())
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,7 +386,7 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
     dirs[on_grid] = grid.directions[gen.integers(len(grid), size=on_grid.sum())]
     traj = DoaTrajectory(dirs, traj.valid | on_grid)
     pressure = MonoIr(gen.normal(size=n), FS)
-    signals = sdm_synthesize(pressure, traj, grid, k=k).rows(0, len(grid))
+    signals = sdm_synthesize(pressure, traj, grid, k=k).rows()
     energy = np.sum(signals**2, axis=0)
     assert np.abs(energy - pressure.samples**2).max() <= 1e-12
 
@@ -390,7 +408,7 @@ def test_binaural_render_forms_match_direct_convolution_property(seed, speakers,
     order = gen.permutation(speakers)
     hrirs = HrirSet(grid.directions[order], ears[0, order], ears[1, order], FS)
 
-    signals = assignment.rows(0, len(grid))
+    signals = assignment.rows()
     expected = np.zeros((2, n + taps - 1))
     for s in range(speakers):
         for e in range(2):
@@ -415,8 +433,8 @@ def test_sirr_per_bin_energy_split_property(seed, speakers):
     psi[gen.uniform(size=(t, f)) < 0.2] = 0.0
     psi[gen.uniform(size=(t, f)) < 0.2] = 1.0
     grid = fibonacci_grid(speakers)
-    _, direct, diffuse_tf = sirr_tf_streams(pressure, TfDoaField(dirs, psi, 64, 32, FS), grid)
-    total = np.sum(np.abs(direct) ** 2, axis=-1) + len(grid) * np.abs(diffuse_tf) ** 2
+    vls = sirr_synthesize(pressure, TfDoaField(dirs, psi, 64, 32, FS), grid)
+    total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse) ** 2
     reference = np.abs(frames.values) ** 2
     assert np.abs(total - reference).max() <= 1e-12 * reference.max()
 
@@ -427,7 +445,7 @@ class TestDecorrelate:
         t, f = stft(pressure.samples, FS, 128, 64).values.shape
         field = _smooth_field(rng, t, f, 128, 64)
         vls = sirr_synthesize(pressure, field, fibonacci_grid(8), seed=0)
-        assert np.all(vls.rows(0, 8) == 0.0)
+        assert np.all(vls.rows() == 0.0)
 
     def test_energy_preserved_on_white_noise(self, rng):
         from scipy import signal as sps
@@ -617,7 +635,7 @@ class TestBinauralRender:
                                       rng.normal(size=(n, k)), FS)
         ears = rng.normal(size=(2, speakers, taps))
         brir = binaural_render(assignment, HrirSet(grid.directions, ears[0], ears[1], FS))
-        expected = hrir_sum(ears, assignment.rows(0, len(grid)))
+        expected = hrir_sum(ears, assignment.rows())
         assert brir.samples.shape == expected.shape == (2, n + taps - 1)
         assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -636,11 +654,11 @@ class TestBinauralRender:
         calls = []
         rows = SampleAssignment.rows
         monkeypatch.setattr(SampleAssignment, "rows",
-                            lambda a, *span: calls.append(1) or rows(a, *span))
+                            lambda a: calls.append(1) or rows(a))
         brir = binaural_render(assignment, hrirs).samples
         assert bool(calls) == densified
         monkeypatch.setattr(SampleAssignment, "rows", rows)
-        dense = assignment.rows(0, len(grid))
+        dense = assignment.rows()
         other = hrir_sum(np.stack([hrirs.left, hrirs.right]), dense)
         assert np.abs(brir - other).max() <= 1e-12 * np.abs(brir).max()
 
@@ -728,7 +746,7 @@ class TestSirrRender:
                 ears = rng.normal(size=(2, len(grid), taps))
                 hrirs = HrirSet(grid.directions, ears[0], ears[1], FS)
                 brir = binaural_render(vls, hrirs).samples
-                expected = hrir_sum(ears, vls.rows(0, len(grid)))
+                expected = hrir_sum(ears, vls.rows())
                 assert brir.shape == expected.shape == (2, len(vls) + taps - 1)
                 assert np.abs(brir - expected).max() <= 1e-14 * np.abs(expected).max(), \
                     (window, speakers)
@@ -757,8 +775,7 @@ class TestSirrRender:
 
     def test_direct_rows_are_slices_of_the_full_istft(self, rng):
         """Without a diffuse stream (psi = 0) the written-out signals are one
-        full-length istft of the dense direct stream, byte for byte, for all
-        loudspeakers and for a range that starts inside a loudspeaker block."""
+        full-length istft of the dense direct stream, byte for byte."""
         grid = fibonacci_grid(37)
         vls = sirr_synthesize(*_sirr_inputs(rng, 4000, 0.0), grid)
         t, f = vls.samples.shape[:2]
@@ -766,8 +783,7 @@ class TestSirrRender:
         dense[vls.speakers, np.arange(t)[:, None, None], np.arange(f)[:, None]] = vls.samples
         full = np.pad(istft(StftFrames(dense, 64, 32, FS)), ((0, 0), (0, DECORRELATOR_TAPS - 1)))
         assert full.shape[1] == len(vls)
-        assert np.array_equal(vls.rows(0, len(grid)), full)
-        assert np.array_equal(vls.rows(5, 23), full[5:23])
+        assert np.array_equal(vls.rows(), full)
 
     def test_synthesis_and_render_memory_bounded(self, rng):
         """Canonical size (240 loudspeakers, 599 x 33 bins): SIRR keeps its
