@@ -79,6 +79,15 @@ def _write_manifest(out_dir: Path, command: str, seed: int, files: list) -> Path
     return path
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Every CSV the CLI writes: ``header``, then ``rows``, in the csv
+    module's default dialect (CRLF line ends)."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _config_value(cfg: dict, key: str, cast, where: str, default=None):
     """``cast`` of ``cfg[key]``, or of ``default`` when the key is absent; a
     value the cast rejects, or a file it cannot read, is a ConfigurationError
@@ -251,7 +260,11 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     wavio.write_wav(out_dir / "srir.wav", rendering.analysis_input.srir.samples, rate)
     wavio.write_wav(out_dir / "foa.wav", rendering.analysis_input.foa.samples, rate)
     wavio.write_wav(out_dir / "reference_brir.wav", rendering.reference.samples, rate)
-    rendering.images.to_csv(out_dir / "images.csv")
+    images = rendering.images
+    _write_csv(out_dir / "images.csv", ["order", "x", "y", "z", "delay_s", "amplitude"],
+               ([int(order), *(f"{c:.9f}" for c in position), f"{delay:.9f}", f"{amp:.9g}"]
+                for order, position, delay, amp in zip(images.orders, images.positions,
+                                                       images.delays, images.amplitudes)))
     (out_dir / "scene.json").write_text(_scene_text(sc, rate, length))
     files = ["srir.wav", "foa.wav", "reference_brir.wav", "images.csv", "scene.json"]
     _write_manifest(out_dir, "simulate", args.seed, files)
@@ -328,9 +341,17 @@ def cmd_render(cfg: dict, out_dir: Path, args) -> int:
         names = [f"{cond.id}.wav"]
         wavio.write_wav(out_dir / names[0], result.brir.samples, rate)
         if args.dump_intermediates:
-            kind = "trajectory" if isinstance(result.analysis, DoaTrajectory) else "tf_field"
+            found = result.analysis
+            if isinstance(found, DoaTrajectory):
+                kind, header = "trajectory", ["sample", "x", "y", "z", "valid"]
+                rows = ([i, *(f"{c:.9f}" for c in direction), int(valid)]
+                        for i, (direction, valid) in enumerate(zip(found.directions, found.valid)))
+            else:
+                kind, header = "tf_field", ["frame", "bin", "x", "y", "z", "psi"]
+                rows = ([t, b, *(f"{c:.9f}" for c in found.directions[t, b]),
+                         f"{found.psi[t, b]:.9f}"] for t, b in np.ndindex(found.psi.shape))
             names += [f"{cond.id}_{kind}.csv", f"{cond.id}_vls.wav", f"{cond.id}_grid.csv"]
-            result.analysis.to_csv(out_dir / names[1])
+            _write_csv(out_dir / names[1], header, rows)
             wavio.write_wav(out_dir / names[2], result.vls.rows(), rate)
             save_grid_csv(result.vls.grid, out_dir / names[3])
         return names
@@ -389,24 +410,18 @@ def cmd_compare(cfg: dict, out_dir: Path, args) -> int:
     result = score(systems, {scene: read[reference_paths[scene]] for _, scene in systems})
     (out_dir / "report.json").write_text(result.to_json() + "\n")
     metric_names = MetricReport.metric_names()
-    with (out_dir / "report.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["condition", "scene"]
-            + metric_names
-            + [f"err_{m}" for m in metric_names]
-            + [f"jnd_pass_{m}" for m in metric_names]
-        )
-        for cond_id, scene in systems:
-            sys_report = result.condition_reports[cond_id][scene]
-            # A one-pair summary: its MSD is the signed error, its flags the row's.
-            pair = error_summary_paired([sys_report], [result.reference_reports[scene]])
-            writer.writerow(
-                [cond_id, scene]
-                + [f"{getattr(sys_report, m):.9g}" for m in metric_names]
-                + [f"{pair.msd[m]:.9g}" for m in metric_names]
-                + [int(pair.jnd_pass[m]) for m in metric_names]
-            )
+    rows = []
+    for cond_id, scene in systems:
+        sys_report = result.condition_reports[cond_id][scene]
+        # A one-pair summary: its MSD is the signed error, its flags the row's.
+        pair = error_summary_paired([sys_report], [result.reference_reports[scene]])
+        rows.append([cond_id, scene]
+                    + [f"{getattr(sys_report, m):.9g}" for m in metric_names]
+                    + [f"{pair.msd[m]:.9g}" for m in metric_names]
+                    + [int(pair.jnd_pass[m]) for m in metric_names])
+    _write_csv(out_dir / "report.csv",
+               ["condition", "scene"] + metric_names + [f"err_{m}" for m in metric_names]
+               + [f"jnd_pass_{m}" for m in metric_names], rows)
     _write_manifest(out_dir, "compare", args.seed, ["report.json", "report.csv"])
     print(f"compare: wrote report.json and report.csv to {out_dir}")
     return 0

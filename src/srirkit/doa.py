@@ -10,11 +10,9 @@ points along propagation and the DOA is its negation.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -52,14 +50,6 @@ class DoaTrajectory:
     def __len__(self) -> int:
         return int(self.directions.shape[0])
 
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "x", "y", "z", "valid"])
-            for i in range(len(self)):
-                x, y, z = self.directions[i]
-                writer.writerow([i, f"{x:.9f}", f"{y:.9f}", f"{z:.9f}", int(self.valid[i])])
-
 
 @dataclass(frozen=True)
 class TfDoaField:
@@ -83,17 +73,6 @@ class TfDoaField:
         _check_unit(dirs.reshape(-1, 3))
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "psi", psi)
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame", "bin", "x", "y", "z", "psi"])
-            for t in range(self.directions.shape[0]):
-                for b in range(self.directions.shape[1]):
-                    x, y, z = self.directions[t, b]
-                    writer.writerow(
-                        [t, b, f"{x:.9f}", f"{y:.9f}", f"{z:.9f}", f"{self.psi[t, b]:.9f}"]
-                    )
 
 
 def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,

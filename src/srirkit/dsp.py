@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, NoOnsetError
-from .signals import BinauralIr, StftFrames
+from .signals import BinauralIr, StftFrames, _check_stft_layout
 
 #: Speed of sound in air (m/s), shared by the simulator, the DOA estimators
 #: and the spherical-head model.
@@ -44,11 +44,7 @@ def stft(samples: np.ndarray, sample_rate: float, window_size: int, hop: int) ->
         raise ValueError(f"window_size must be a power of two, got {window_size}")
     if window_size > n:
         raise ValueError(f"window_size {window_size} exceeds signal length {n}")
-    if hop <= 0 or window_size % hop != 0 or window_size // hop < 2:
-        raise ValueError(
-            f"hop {hop} is not COLA-valid for window {window_size}"
-            " (must divide it with at least 2x overlap)"
-        )
+    _check_stft_layout(window_size, hop)
 
     window = _hann_periodic(window_size)
     n_frames = 1 + (n - window_size) // hop
@@ -68,8 +64,6 @@ def istft(frames: StftFrames) -> np.ndarray:
     sums its frames in ascending frame order.
     """
     window_size, hop = frames.window_size, frames.hop
-    if hop <= 0 or window_size % hop != 0 or window_size // hop < 2:
-        raise ValueError("frames carry a non-COLA window/hop combination")
     overlap, n_frames = window_size // hop, frames.frame_count
     chunks = np.fft.irfft(frames.values, n=window_size, axis=-1)
     chunks *= _hann_periodic(window_size)

@@ -31,8 +31,10 @@ class HrirSet:
         dirs = _unit_rows(self.directions)
         left = np.asarray(self.left, dtype=np.float64)
         right = np.asarray(self.right, dtype=np.float64)
-        if left.shape != right.shape or left.shape[0] != dirs.shape[0]:
-            raise ValueError("left/right arrays must be (n, taps) matching directions")
+        n = len(dirs)
+        if left.shape != right.shape or left.ndim != 2 or left.shape[0] != n or left.shape[1] < 1:
+            raise ValueError(f"left/right arrays must be (n, taps) with n = {n} "
+                             f"directions and taps >= 1, got {left.shape} and {right.shape}")
         if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
             raise ValueError("HRIR taps must be finite")
         wavio.check_sample_rate(self.sample_rate)

@@ -6,17 +6,16 @@ synthesis stages scenes with exactly known geometry, not to be a room
 acoustics product. Arrival times are sub-sample exact via windowed-sinc
 fractional delays. A render whose direct (order-0) arrival does not fit
 raises :class:`~srirkit.errors.LostDirectPathError`; later arrivals that do
-not fit are dropped and counted in a ``TruncatedResponseWarning``. Scene
-files belong to :mod:`srirkit.cli`, which reads and writes them.
+not fit are dropped and counted in a ``TruncatedResponseWarning``. Files
+belong to :mod:`srirkit.cli`: it reads and writes scene files and writes
+the image list as CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -113,17 +112,6 @@ class ImageSourceList:
     def wall_products(self) -> np.ndarray:
         """Accumulated wall coefficients (amplitude with the 1/r removed)."""
         return self.amplitudes * self.delays * SPEED_OF_SOUND
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["order", "x", "y", "z", "delay_s", "amplitude"])
-            for i in range(len(self)):
-                x, y, z = self.positions[i]
-                writer.writerow(
-                    [int(self.orders[i]), f"{x:.9f}", f"{y:.9f}", f"{z:.9f}",
-                     f"{self.delays[i]:.9f}", f"{self.amplitudes[i]:.9g}"]
-                )
 
 
 def _axis_images(source_coord: float, length: float, max_order: int) -> tuple:

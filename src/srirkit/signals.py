@@ -83,13 +83,21 @@ class FoaSignal(MultichannelIr):
     w, x, y, z = _row(0), _row(1), _row(2), _row(3)
 
 
+def _check_stft_layout(window_size: int, hop: int) -> None:
+    """The layout rule of every STFT here: ``hop`` divides ``window_size`` at
+    least twice, so the periodic Hann window overlap-adds to a constant."""
+    if hop <= 0 or window_size % hop or window_size // hop < 2:
+        raise ValueError(f"hop {hop} must divide window_size {window_size} at least twice")
+
+
 @dataclass(frozen=True)
 class StftFrames:
     """Complex STFT frames, shape (..., n_frames, n_bins).
 
     Leading axes index channels that share one layout. ``n_bins`` equals
     ``window_size // 2 + 1`` (one-sided spectrum); frame i covers samples
-    ``[i * hop, i * hop + window_size)`` of the source signal.
+    ``[i * hop, i * hop + window_size)`` of the source signal; ``hop`` divides
+    ``window_size`` at least twice.
     """
 
     values: np.ndarray
@@ -106,8 +114,7 @@ class StftFrames:
                 f"bin count {vals.shape[-1]} does not match window size "
                 f"{self.window_size} (expected {self.window_size // 2 + 1})"
             )
-        if not (0 < self.hop <= self.window_size):
-            raise ValueError("hop must satisfy 0 < hop <= window_size")
+        _check_stft_layout(self.window_size, self.hop)
         check_sample_rate(self.sample_rate)
         object.__setattr__(self, "values", vals)
 

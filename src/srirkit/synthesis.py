@@ -13,7 +13,7 @@ from .dsp import _hann_periodic, _next_fast_len, _window_sum, fft_convolve, istf
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, nearest_directions
 from .hrir import HrirSet
-from .signals import BinauralIr, MonoIr, StftFrames
+from .signals import BinauralIr, MonoIr, StftFrames, _check_stft_layout
 from .vbap import vbap_gain_table
 from .wavio import check_sample_rate
 
@@ -147,9 +147,8 @@ class SirrStreams:
     sample_rate: float
 
     def __post_init__(self):
-        window, hop = self.window_size, self.hop
-        if hop <= 0 or window % hop or window // hop < 2:
-            raise ValueError(f"hop {hop} must divide window_size {window} at least twice")
+        window = self.window_size
+        _check_stft_layout(window, self.hop)
         speakers = _speaker_indices(self.speakers, self.grid)
         samples = np.asarray(self.samples, dtype=np.complex128)
         diffuse = np.asarray(self.diffuse, dtype=np.complex128)

@@ -47,6 +47,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
                     raise ValueError(f"{path}: extensible fmt chunk of {len(body)} bytes, need 40")
                 fmt = struct.unpack_from("<H", body, 24) + fmt[1:]
         elif chunk_id == b"data":
+            if len(body) < size:
+                raise ValueError(f"{path}: data chunk declares {size} bytes, "
+                                 f"but {len(body)} follow it")
             data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
@@ -56,13 +59,18 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     if n_channels < 1:
         raise ValueError(f"{path}: invalid channel count {n_channels}")
 
-    if audio_format == _FMT_FLOAT and bits == 32:
+    if (audio_format, bits) not in {(_FMT_FLOAT, 32), (_FMT_PCM, 16), (_FMT_PCM, 24),
+                                    (_FMT_PCM, 32)}:
+        raise ValueError(f"{path}: unsupported format (code {audio_format}, {bits}-bit)")
+    frame_bytes = n_channels * bits // 8
+    if len(data) % frame_bytes:
+        raise ValueError(f"{path}: data chunk of {len(data)} bytes is not a whole number "
+                         f"of {frame_bytes}-byte frames")
+
+    if audio_format == _FMT_FLOAT:
         flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    elif audio_format == _FMT_PCM and bits == 16:
-        flat = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _FMT_PCM and bits == 24:
-        b = np.frombuffer(data, dtype=np.uint8)
-        b = b[: (b.size // 3) * 3].reshape(-1, 3)
+    elif bits == 24:
+        b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
         ints = (
             b[:, 0].astype(np.int32)
             | (b[:, 1].astype(np.int32) << 8)
@@ -70,13 +78,10 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         )
         ints = np.where(ints >= 1 << 23, ints - (1 << 24), ints)
         flat = ints.astype(np.float64) / float(1 << 23)
-    elif audio_format == _FMT_PCM and bits == 32:
-        flat = np.frombuffer(data, dtype="<i4").astype(np.float64) / float(1 << 31)
-    else:
-        raise ValueError(f"{path}: unsupported format (code {audio_format}, {bits}-bit)")
-
-    frames = flat.size // n_channels
-    return flat[: frames * n_channels].reshape(frames, n_channels).T.copy(), int(sample_rate)
+    else:  # 16- or 32-bit PCM
+        ints = np.frombuffer(data, dtype=f"<i{bits // 8}")
+        flat = ints.astype(np.float64) / float(1 << (bits - 1))
+    return flat.reshape(-1, n_channels).T.copy(), int(sample_rate)
 
 
 def check_sample_rate(sample_rate) -> int:

@@ -260,6 +260,24 @@ class TestSimulate:
         assert len((out / "images.csv").read_text().splitlines()) == 2  # header, direct
         assert json.loads((out / "scene.json").read_text())["room"]["max_order"] == 0
 
+    def test_images_csv_export(self, tmp_path, monkeypatch):
+        """images.csv holds the run's images in arrival order: the integer
+        order, position and delay to %.9f and amplitude to %.9g."""
+        renderings = _recording(monkeypatch, "simulate", pipelines.simulate)
+        cfg = _write_config(tmp_path, "sim.json", _sim_config(max_order=1))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        header, *rows = _read_csv(out / "images.csv")
+        assert header == ["order", "x", "y", "z", "delay_s", "amplitude"]
+        assert len(rows) == 7  # the direct sound and six first-order images
+        images = renderings[0].images
+        values = np.array(rows, dtype=float)
+        assert np.array_equal(values[:, 0], images.orders)
+        np.testing.assert_allclose(values[:, 1:5], np.column_stack([images.positions,
+                                                                    images.delays]),
+                                   rtol=0, atol=5e-10)
+        np.testing.assert_allclose(values[:, 5], images.amplitudes, rtol=5e-9, atol=0)
+
     def test_scene_json_round_trip(self, tmp_path, sim_dir):
         """The scene.json that simulate writes simulates the same outputs again."""
         cfg = _write_config(tmp_path, "again.json",
@@ -297,22 +315,44 @@ class TestSimulate:
         assert "44100.5" in capsys.readouterr().err
 
 
-def _assert_vls_dump_is_rows(tmp_path, monkeypatch, condition):
-    """Rendering ``condition`` with --dump-intermediates writes its
-    loudspeaker signals, ``rows()`` of the run's result as float32."""
+def _read_csv(path):
+    """Header and rows of a CLI CSV, after checking that every line ends in CRLF."""
+    text = path.read_bytes()
+    assert text.count(b"\r\n") == text.count(b"\n") > 0
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _recording(monkeypatch, name, function):
+    """Patch ``cli.<name>`` to call ``function``; the list it returns
+    collects the results, in call order."""
     results = []
 
     def recorded(*args, **kwargs):
-        results.append(run_condition(*args, **kwargs))
+        results.append(function(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli, "run_condition", recorded)
+    monkeypatch.setattr(cli, name, recorded)
+    return results
+
+
+def _dump(tmp_path, monkeypatch, condition):
+    """Render ``condition`` with --dump-intermediates: the output directory
+    and the run's ``ConditionResult``."""
+    results = _recording(monkeypatch, "run_condition", run_condition)
     cfg = _write_config(tmp_path, "render.json", {**_sim_config(), "conditions": [condition]})
     out = tmp_path / "r"
     assert main(["render", "--config", cfg, "--output", str(out),
                  "--dump-intermediates"]) == 0
-    data, _ = wavio.read_wav(out / f"{condition['id']}_vls.wav")
     (result,) = results
+    return out, result
+
+
+def _assert_vls_dump_is_rows(tmp_path, monkeypatch, condition):
+    """Rendering ``condition`` with --dump-intermediates writes its
+    loudspeaker signals, ``rows()`` of the run's result as float32."""
+    out, result = _dump(tmp_path, monkeypatch, condition)
+    data, _ = wavio.read_wav(out / f"{condition['id']}_vls.wav")
     assert data.shape[0] == len(result.vls.grid) == 32
     assert np.array_equal(data, result.vls.rows().astype(np.float32))
 
@@ -348,6 +388,34 @@ class TestRender:
         assert len(rows) - 1 == int(length_s * FS)
         assert (out / "sdm-tdoa_vls.wav").exists()
         assert (out / "sdm-tdoa_grid.csv").exists()
+
+    def test_trajectory_csv_round_trip(self, tmp_path, monkeypatch):
+        """The trajectory CSV holds one row per sample: its index, the
+        direction to %.9f (zeros where invalid) and the 0/1 valid flag."""
+        out, result = _dump(tmp_path, monkeypatch, _SDM)
+        header, *rows = _read_csv(out / "sdm-under-test_trajectory.csv")
+        assert header == ["sample", "x", "y", "z", "valid"]
+        traj = result.analysis
+        assert len(rows) == len(traj) == int(0.15 * FS)
+        values = np.array(rows, dtype=float)
+        assert np.array_equal(values[:, 0], np.arange(len(traj)))
+        np.testing.assert_allclose(values[:, 1:4], traj.directions, rtol=0, atol=5e-10)
+        assert np.array_equal(values[:, 4], traj.valid) and 0 < traj.valid.sum() < len(traj)
+
+    def test_tf_field_csv_round_trip(self, tmp_path, monkeypatch):
+        """The TF field CSV holds one row per (frame, bin), frame-major: the
+        indices, the direction and the diffuseness psi, each to %.9f."""
+        out, result = _dump(tmp_path, monkeypatch, _SIRR)
+        header, *rows = _read_csv(out / "sirr-under-test_tf_field.csv")
+        assert header == ["frame", "bin", "x", "y", "z", "psi"]
+        field = result.analysis
+        frames, bins = field.psi.shape
+        assert len(rows) == frames * bins and bins == 33
+        values = np.array(rows, dtype=float)
+        assert np.array_equal(values[:, :2], np.indices((frames, bins)).reshape(2, -1).T)
+        np.testing.assert_allclose(values[:, 2:5], field.directions.reshape(-1, 3),
+                                   rtol=0, atol=5e-10)
+        np.testing.assert_allclose(values[:, 5], field.psi.reshape(-1), rtol=0, atol=5e-10)
 
     def test_dump_intermediates_sdm_signals_are_dense(self, tmp_path, monkeypatch):
         """The SDM dump holds one channel per grid direction, the dense
@@ -732,8 +800,8 @@ def test_full_workflow_simulate_render_compare(tmp_path):
     # the rendered systems track the reference within loose sanity bounds
     for cond in ("sdm-tdoa", "sirr"):
         assert report["conditions"][cond]["summary"]["mae"]["itd_us"] < 200.0
-    rows = (cmp_out / "report.csv").read_text().strip().splitlines()
-    assert len(rows) == 3  # header + one row per system
+    header, *rows = _read_csv(cmp_out / "report.csv")
+    assert len(rows) == 2  # one row per system
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

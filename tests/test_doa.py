@@ -492,19 +492,6 @@ class TestTfPivAnalysis:
         assert np.abs(norms - 1.0).max() < 1e-9
 
 
-def test_trajectory_csv_round_trip(tmp_path, rng):
-    dirs = rng.normal(size=(20, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    valid = rng.uniform(size=20) > 0.3
-    dirs[~valid] = 0.0
-    traj = DoaTrajectory(dirs, valid)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "sample,x,y,z,valid"
-    assert len(rows) == 21
-
-
 def test_field_validation():
     with pytest.raises(ValueError):
         TfDoaField(np.zeros((2, 3, 3)), np.zeros((2, 3)), 64, 32, FS)  # zero dirs

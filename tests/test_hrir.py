@@ -116,6 +116,14 @@ class TestHrirSetValidation:
         with pytest.raises(ValueError):
             HrirSet(dirs, np.zeros((2, 8)), np.zeros((3, 8)), FS)
 
+    @pytest.mark.parametrize("taps", [np.zeros(2), np.zeros((2, 0))])
+    def test_taps_must_be_a_nonempty_n_by_taps_array(self, taps):
+        """A 1-D or a 0-tap set was accepted, and binaural_render then failed
+        with an IndexError or a ZeroDivisionError."""
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\(n, taps\) with n = 2 directions and taps >= 1"):
+            HrirSet(dirs, taps, taps, FS)
+
     @pytest.mark.parametrize("rate", [44100.5, 0.0, float("nan")])
     def test_rate_must_be_a_positive_whole_number(self, rate):
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

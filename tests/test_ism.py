@@ -422,11 +422,3 @@ def test_center_capsule_is_the_ideal_w():
         w = render_foa_srir(images, FS, 4800).w.samples
     assert np.abs(center - w).max() <= 1e-15 * np.abs(w).max()
 
-
-def test_images_csv_export(tmp_path):
-    images = enumerate_images(_scene(max_order=1))
-    path = tmp_path / "images.csv"
-    images.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "order,x,y,z,delay_s,amplitude"
-    assert len(lines) == 8

@@ -79,3 +79,18 @@ def test_every_private_top_level_name_is_read():
                for path, tree in library.items() for name, _ in _top_level(tree)
                if name.startswith("_") and not name.startswith("__") and name not in referenced]
     assert not orphans, f"private names nothing in src/srirkit or perfbench reads: {orphans}"
+
+
+def test_only_cli_writes_csv():
+    """The CLI owns every CSV it writes: no other library module calls
+    ``csv.writer`` or imports from ``csv``, so the records carry no file format."""
+    writers = []
+    for path, tree in _trees(ROOT / "src" / "srirkit").items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv") \
+                    or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                writers.append(f"{path.stem}:{node.lineno}")
+    assert writers, "the check no longer finds cli's own csv.writer"
+    elsewhere = [where for where in writers if not where.startswith("cli:")]
+    assert not elsewhere, f"csv writers outside cli: {elsewhere}"

@@ -79,6 +79,10 @@ def test_stft_frames_bin_count_checked():
         StftFrames(np.zeros((4, 32), complex), 64, 32, FS)
     with pytest.raises(ValueError):
         StftFrames(np.zeros((4, 33), complex), 64, 0, FS)
+    # Layouts istft cannot invert are refused when built, not when inverted.
+    for hop in (24, 64):
+        with pytest.raises(ValueError, match=f"hop {hop} must divide window_size 64 at least"):
+            StftFrames(np.zeros((4, 33), complex), 64, hop, FS)
 
 
 @pytest.mark.parametrize("encoding,tol", [
@@ -131,6 +135,25 @@ def test_wav_rejects_short_fmt_chunk(tmp_path):
                     b"data\x04\x00\x00\x00\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="short.wav"):
         wavio.read_wav(bad)
+
+
+def test_wav_refuses_data_it_cannot_read_whole(tmp_path):
+    """A data chunk cut short by the end of the file, or one that ends in a
+    partial frame, is refused naming both sizes: a stereo float file cut to
+    10.5 of its 1,000 frames read as 10 frames, and 24-bit stray bytes were
+    dropped, without an error."""
+    path = tmp_path / "cut.wav"
+    wavio.write_wav(path, np.zeros((2, 1000)), 48000)
+    path.write_bytes(path.read_bytes()[: 44 + 84])
+    with pytest.raises(ValueError, match="cut.wav: data chunk declares 8000 bytes, but 84 follow"):
+        wavio.read_wav(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:40] + struct.pack("<I", 84) + raw[44:])
+    with pytest.raises(ValueError, match="84 bytes is not a whole number of 8-byte frames"):
+        wavio.read_wav(path)
+    _write_extensible_wav(path, 1, 24, bytes(3 * 3 * 10 + 2))
+    with pytest.raises(ValueError, match="92 bytes is not a whole number of 9-byte frames"):
+        wavio.read_wav(path)
 
 
 def _write_extensible_wav(path, subformat, bits, payload, channels=3, fmt_size=40):
