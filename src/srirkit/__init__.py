@@ -17,7 +17,7 @@ from .dsp import (
     normalize_direct_energy,
     stft,
 )
-from .filterbanks import ERB_CENTERS_HZ, bandpass_sos, erb_bands, octave_band
+from .filterbanks import ERB_CENTERS_HZ, bandpass_sos, erb_bands, octave_bands
 from .grids import LoudspeakerGrid, fibonacci_grid, load_grid_csv
 from .hrir import HrirSet, load_hrir_set, spherical_head_hrir_set
 from .ism import (

@@ -43,18 +43,9 @@ class MicArrayGeometry:
         return int(self.positions.shape[0])
 
 
-def _om6_positions(spacing: float = 0.1) -> np.ndarray:
-    half = spacing / 2.0
-    return np.array(
-        [
-            [half, 0.0, 0.0],
-            [-half, 0.0, 0.0],
-            [0.0, half, 0.0],
-            [0.0, -half, 0.0],
-            [0.0, 0.0, half],
-            [0.0, 0.0, -half],
-        ]
-    )
+#: om6's capsules, +/-50 mm on each axis; a tuple, so each geometry gets its own array.
+_OM6_POSITIONS = ((0.05, 0.0, 0.0), (-0.05, 0.0, 0.0), (0.0, 0.05, 0.0),
+                  (0.0, -0.05, 0.0), (0.0, 0.0, 0.05), (0.0, 0.0, -0.05))
 
 
 def _pentakis_dodecahedron(radius: float) -> np.ndarray:
@@ -82,10 +73,7 @@ def builtin_array(name: str) -> MicArrayGeometry:
     an open array (no scattering model).
     """
     if name == "om6":
-        return MicArrayGeometry(
-            positions=_om6_positions(),
-            name="om6",
-        )
+        return MicArrayGeometry(positions=_OM6_POSITIONS, name="om6")
     if name == "sphere32":
         pos = _pentakis_dodecahedron(0.042)
         return MicArrayGeometry(

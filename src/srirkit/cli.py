@@ -433,7 +433,7 @@ def cmd_metrics(cfg: dict, out_dir: Path, args) -> int:
     brir = _config_value(cfg, "brir_wav", _wav(BinauralIr), "metrics")
     payload = {"metrics": measure_brir(brir).to_dict(), "jnd": JND}
     if full_itd:
-        payload["itd_full_us"] = itd(brir, segment_s=None)
+        payload["itd_full_us"] = itd(brir, whole=True)
     text = json.dumps(payload, indent=2, sort_keys=True)
     (out_dir / "metrics.json").write_text(text + "\n")
     _write_manifest(out_dir, "metrics", args.seed, ["metrics.json"])

@@ -15,6 +15,8 @@ SPEED_OF_SOUND = 343.0
 #: Onset threshold relative to the global peak, in dB. A common
 #: room-acoustics convention that tolerates measurement noise floors.
 ONSET_THRESHOLD_DB = -20.0
+#: Length of the direct-sound segment after onset, in seconds.
+DIRECT_SEGMENT_S = 2.5e-3
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -247,10 +249,10 @@ def detect_onset(brir: BinauralIr) -> int:
     return int(hits[0])
 
 
-def direct_segment(brir: BinauralIr, duration_s: float = 2.5e-3) -> tuple[int, int]:
-    """Onset index and exclusive end of the direct-sound segment."""
+def direct_segment(brir: BinauralIr) -> tuple[int, int]:
+    """Onset index and exclusive end of the ``DIRECT_SEGMENT_S`` direct-sound segment."""
     onset = detect_onset(brir)
-    seg_len = int(round(duration_s * brir.sample_rate))
+    seg_len = int(round(DIRECT_SEGMENT_S * brir.sample_rate))
     if onset + seg_len > len(brir):
         raise ValueError(
             f"signal too short: need {seg_len} samples after onset {onset}, "

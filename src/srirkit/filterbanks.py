@@ -90,14 +90,10 @@ def erb_bands(samples: np.ndarray, sample_rate: float) -> np.ndarray:
     return _sosfilt(sos.reshape(len(sos), *[1] * (samples.ndim - 1), 2, 6), samples)
 
 
-def octave_band(samples: np.ndarray, sample_rate: float, center_hz: float) -> np.ndarray:
-    """Octave band-pass (center/sqrt(2) .. center*sqrt(2)), zero phase."""
-    return octave_bands(samples, sample_rate, (center_hz,))[0]
-
-
 def octave_bands(samples: np.ndarray, sample_rate: float, centers_hz) -> np.ndarray:
-    """:func:`octave_band` at each of ``centers_hz``, filtered together:
-    shape ``(len(centers_hz), *samples.shape)``, each band bit for bit as alone."""
+    """Zero-phase octave band-passes (center/sqrt(2) .. center*sqrt(2)) at each
+    of ``centers_hz``, filtered together: shape ``(len(centers_hz),
+    *samples.shape)``, each band bit for bit as alone."""
     samples = np.asarray(samples, dtype=np.float64)
     sos = np.stack([_bandpass_design(c / np.sqrt(2.0), c * np.sqrt(2.0), sample_rate)
                     for c in centers_hz])

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dsp
 from .errors import DegenerateBandError, DegenerateInputError, InsufficientDecayError
-from .filterbanks import ERB_CENTERS_HZ, erb_bands, octave_band, octave_bands
+from .filterbanks import ERB_CENTERS_HZ, erb_bands, octave_bands
 from .signals import BinauralIr, MonoIr
 
 #: Just-noticeable differences used for pass/fail flags in reports.
@@ -121,34 +121,29 @@ def ild_avg(brir: BinauralIr) -> tuple[float, float]:
     return float(low.mean()), float(high.mean())
 
 
-def _iacf_peak(left: np.ndarray, right: np.ndarray, rate: float, refine: bool,
-               floor: float = 0.0) -> tuple[float, float]:
-    """(peak |IACF| coefficient, lag in seconds) over +/-1 ms; a window whose
-    energy is not above ``floor`` raises DegenerateInputError."""
+def _iacf(left: np.ndarray, right: np.ndarray, rate: float, floor: float = 0.0) -> np.ndarray:
+    """Normalized |IACF| over lags -1..+1 ms; a window whose energy is not
+    above ``floor`` raises DegenerateInputError."""
     energy = float(np.sqrt(np.sum(left**2) * np.sum(right**2)))
     if energy <= floor:
         raise DegenerateInputError("IACF analysis window holds no energy above rounding noise")
-    max_lag = int(round(IACC_MAX_LAG_S * rate))
-    corr = np.abs(dsp.cross_correlate(left, right, max_lag)) / energy
-    peak = int(np.argmax(corr))
-    lag = (float(dsp.refine_peaks(corr)) if refine else float(peak)) - max_lag
-    return float(min(corr[peak], 1.0)), lag / rate
+    return np.abs(dsp.cross_correlate(left, right, int(round(IACC_MAX_LAG_S * rate)))) / energy
 
 
-def itd(brir: BinauralIr, segment_s: float | None = 2.5e-3) -> float:
+def itd(brir: BinauralIr, whole: bool = False) -> float:
     """Peak lag of the interaural cross-correlation, in microseconds.
 
     Searched over +/-1 ms with parabolic sub-sample refinement; positive
-    when the left channel leads. By default the analysis covers the 2.5 ms
-    direct-sound segment after onset; ``segment_s=None`` analyzes the whole
-    BRIR instead.
+    when the left channel leads. The analysis covers the 2.5 ms
+    direct-sound segment after onset (``dsp.DIRECT_SEGMENT_S``), or the
+    whole BRIR when ``whole`` is true.
     """
     if len(brir) <= int(2e-3 * brir.sample_rate):
         raise ValueError("BRIR must be longer than 2 ms")
-    start, stop = (0, len(brir)) if segment_s is None else dsp.direct_segment(brir, segment_s)
-    left, right = brir.samples[:, start:stop]
-    _, lag_s = _iacf_peak(left, right, brir.sample_rate, refine=True)
-    return float(np.clip(lag_s * 1e6, -1000.0, 1000.0))
+    start, stop = (0, len(brir)) if whole else dsp.direct_segment(brir)
+    corr = _iacf(*brir.samples[:, start:stop], brir.sample_rate)
+    lag = float(dsp.refine_peaks(corr)) - len(corr) // 2
+    return float(np.clip(lag / brir.sample_rate * 1e6, -1000.0, 1000.0))
 
 
 def iacc(left: MonoIr, right: MonoIr) -> float:
@@ -157,7 +152,7 @@ def iacc(left: MonoIr, right: MonoIr) -> float:
         raise ValueError("sample-rate mismatch")
     if len(left) <= int(2e-3 * left.sample_rate):
         raise ValueError("segments must be longer than 2 ms")
-    return _iacf_peak(left.samples, right.samples, left.sample_rate, refine=False)[0]
+    return float(min(_iacf(left.samples, right.samples, left.sample_rate).max(), 1.0))
 
 
 def iacc_e3_l3(brir: BinauralIr, *, _bands=None) -> tuple[float, float]:
@@ -180,12 +175,12 @@ def iacc_e3_l3(brir: BinauralIr, *, _bands=None) -> tuple[float, float]:
 
     ears = brir.samples
     floor = IACF_ENERGY_FLOOR * float(np.sqrt(np.prod(np.sum(ears**2, axis=-1))))
-    bands = _bands or {center: octave_band(ears, rate, center) for center in IACC_BANDS_HZ}
+    bands = _bands or dict(zip(IACC_BANDS_HZ, octave_bands(ears, rate, IACC_BANDS_HZ)))
     early_vals, late_vals = [], []
     for center in IACC_BANDS_HZ:
         left, right = bands[center]
-        early_vals.append(_iacf_peak(left[onset:split], right[onset:split], rate, False, floor)[0])
-        late_vals.append(_iacf_peak(left[split:], right[split:], rate, False, floor)[0])
+        early_vals.append(min(_iacf(left[onset:split], right[onset:split], rate, floor).max(), 1.0))
+        late_vals.append(min(_iacf(left[split:], right[split:], rate, floor).max(), 1.0))
     e3 = float(np.clip(1.0 - np.mean(early_vals), 0.0, 1.0))
     l3 = float(np.clip(1.0 - np.mean(late_vals), 0.0, 1.0))
     return e3, l3
@@ -225,7 +220,7 @@ def t30_mid(ir: MonoIr | BinauralIr, *, _bands=None) -> float:
     channels for a BRIR). ``_bands`` is as in :func:`iacc_e3_l3`.
     """
     channels = np.atleast_2d(ir.samples)
-    bands = _bands or {c: octave_band(channels, ir.sample_rate, c) for c in T30_BANDS_HZ}
+    bands = _bands or dict(zip(T30_BANDS_HZ, octave_bands(channels, ir.sample_rate, T30_BANDS_HZ)))
     values = [_t30_one_band(bands[center][ch], ir.sample_rate, center)
               for ch in range(len(channels)) for center in T30_BANDS_HZ]
     return float(np.mean(values))

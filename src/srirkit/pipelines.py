@@ -145,6 +145,12 @@ class SystemCondition:
             raise ConfigurationError(f"{self.id}: unknown analysis {self.analysis!r}")
         if self.pressure_source not in PRESSURE_SOURCES:
             raise ConfigurationError(f"{self.id}: unknown pressure_source {self.pressure_source!r}")
+        for name in ("window_size", "knn", "tf_averaging_frames", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigurationError(f"{self.id}: {name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**32:
+            raise ConfigurationError(f"{self.id}: seed must lie in [0, 2**32), got {self.seed}")
         for name, readers in _READ_BY.items():
             if self.analysis not in readers and getattr(self, name) != getattr(type(self), name):
                 raise ConfigurationError(f"{self.id}: {self.analysis} does not read {name}")
@@ -157,8 +163,6 @@ class SystemCondition:
         if self.tf_averaging_frames < 1:
             raise ConfigurationError(f"{self.id}: tf_averaging_frames must be >= 1")
         window = self.window_size
-        if not isinstance(window, numbers.Integral):
-            raise ConfigurationError(f"{self.id}: window_size must be an integer, got {window!r}")
         if window < 8:
             raise ConfigurationError(f"{self.id}: window_size must be >= 8, got {window}")
         if self.analysis == "tf-piv" and window & (window - 1):

@@ -38,19 +38,6 @@ DEFAULT_SAMPLE_RATE = 48000.0
 DEFAULT_GRID_SIZE = 240
 
 
-def apl_room(max_order: int = 30) -> ShoeboxRoom:
-    return ShoeboxRoom(
-        dimensions=np.array(APL_ROOM_DIMENSIONS),
-        reflection_coefficients=np.full(6, APL_ROOM_REFLECTION),
-        max_order=max_order,
-    )
-
-
-def source_position(name: str) -> np.ndarray:
-    az, el, dist = SCENE_POSITIONS[name]
-    return np.asarray(APL_RECEIVER_ORIGIN) + dist * direction_from_azel(az, el)
-
-
 def scene(name: str, receiver: MicArrayGeometry | None = None, max_order: int = 30) -> Scene:
     """One of the six preset source positions in the preset room, heard by
     ``receiver`` (om6 unless given)."""
@@ -58,10 +45,14 @@ def scene(name: str, receiver: MicArrayGeometry | None = None, max_order: int = 
         raise KeyError(
             f"unknown scene {name!r} (available: {', '.join(SCENE_POSITIONS)})"
         )
+    az, el, dist = SCENE_POSITIONS[name]
+    origin = np.asarray(APL_RECEIVER_ORIGIN)
     return Scene(
-        room=apl_room(max_order=max_order),
-        source=source_position(name),
-        receiver_origin=np.asarray(APL_RECEIVER_ORIGIN),
+        room=ShoeboxRoom(dimensions=np.array(APL_ROOM_DIMENSIONS),
+                         reflection_coefficients=np.full(6, APL_ROOM_REFLECTION),
+                         max_order=max_order),
+        source=origin + dist * direction_from_azel(az, el),
+        receiver_origin=origin,
         receiver=om6() if receiver is None else receiver,
     )
 

@@ -122,8 +122,11 @@ def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
 def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
     """Deterministic unit-magnitude random-phase FIR of ``DECORRELATOR_TAPS``
     taps, unit tap energy. A sequence of channel indices gives their kernels,
-    (channels, taps), through one batched transform: each with its own bytes."""
-    phases = np.stack([np.random.default_rng([int(seed) & 0xFFFFFFFF, int(ls)]).uniform(
+    (channels, taps), through one batched transform: each with its own bytes.
+    ``seed`` must lie in [0, 2**32)."""
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
+    phases = np.stack([np.random.default_rng([int(seed), int(ls)]).uniform(
         0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1) for ls in np.atleast_1d(channel_index)])
     phases[:, [0, -1]] = 0.0  # DC and Nyquist must stay real
     kernels = np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)

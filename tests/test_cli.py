@@ -916,6 +916,17 @@ def test_render_checks_conditions_before_simulating(tmp_path, capsys, monkeypatc
     assert all(key in err for key in conditions[0].keys() - _SDM.keys())  # the key at fault
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_render_seed_outside_32_bits_exits_2(tmp_path, capsys, monkeypatch, seed):
+    """Seeds were masked to 32 bits, so --seed 4294967296 rendered seed 0's
+    bytes under another seed in manifest.json."""
+    monkeypatch.setattr(cli, "simulate", _no_simulation)
+    path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": [_SIRR]})
+    assert main(["render", "--config", path, "--seed", seed,
+                 "--output", str(tmp_path / "o")]) == 2
+    assert "seed must lie in [0, 2**32)" in capsys.readouterr().err
+
+
 def test_render_without_conditions_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "simulate", _no_simulation)
     path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": []})

@@ -103,7 +103,7 @@ class TestErbFilterbank:
 class TestOctaveFilter:
     def test_passband_center_unity(self):
         sine = _sine(1000.0)
-        out = fb.octave_band(sine, FS, 1000.0)
+        out = fb.octave_bands(sine, FS, (1000.0,))[0]
         assert abs(20 * np.log10(_steady_rms(out) / _steady_rms(sine))) < 1.0
 
     def test_two_octaves_above_attenuated_40_db(self):
@@ -112,7 +112,7 @@ class TestOctaveFilter:
         # the passband and mask the true stopband level.
         t = np.arange(int(FS)) / FS
         tone = np.sin(2 * np.pi * 4.0 * center * t) * np.hanning(t.size)
-        out = fb.octave_band(tone, FS, center)
+        out = fb.octave_bands(tone, FS, (center,))[0]
         mid = slice(t.size // 4, 3 * t.size // 4)
         measured_db = 20 * np.log10(
             np.sqrt(np.mean(out[mid] ** 2)) / np.sqrt(np.mean(tone[mid] ** 2))
@@ -130,7 +130,7 @@ class TestOctaveFilter:
         assert measured_db == pytest.approx(oracle_db, abs=1.0)
 
     def test_zero_in_zero_out(self):
-        out = fb.octave_band(np.zeros(512), FS, 500.0)
+        out = fb.octave_bands(np.zeros(512), FS, (500.0,))[0]
         assert np.all(out == 0)
 
     @pytest.mark.parametrize("n", [1, 2, 15])
@@ -138,14 +138,14 @@ class TestOctaveFilter:
         """Zero-phase filtering pads 15 samples at each end, as SciPy's
         sosfiltfilt does, and needs more samples than that."""
         with pytest.raises(ValueError, match="more than 15 samples"):
-            fb.octave_band(np.ones((2, n)), FS, 1000.0)
-        assert fb.octave_band(np.ones((2, 16)), FS, 1000.0).shape == (2, 16)
+            fb.octave_bands(np.ones((2, n)), FS, (1000.0,))[0]
+        assert fb.octave_bands(np.ones((2, 16)), FS, (1000.0,))[0].shape == (2, 16)
 
     def test_invalid_center_rejected(self):
         with pytest.raises(ValueError):
-            fb.octave_band(np.zeros(512), FS, 20000.0)  # c*sqrt2 > Nyquist
+            fb.octave_bands(np.zeros(512), FS, (20000.0,))[0]  # c*sqrt2 > Nyquist
         with pytest.raises(ValueError):
-            fb.octave_band(np.zeros(512), FS, -100.0)
+            fb.octave_bands(np.zeros(512), FS, (-100.0,))[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,13 +156,13 @@ def test_stacked_rows_filter_like_single_rows(seed, n, center):
     bands filtered together equal each band alone, bit for bit."""
     x = np.random.default_rng(seed).normal(size=(2, n))
     erb = fb.erb_bands(x, FS)
-    octave = fb.octave_band(x, FS, center)
+    octave = fb.octave_bands(x, FS, (center,))[0]
     for row in range(2):
         np.testing.assert_array_equal(erb[:, row], fb.erb_bands(x[row], FS))
-        np.testing.assert_array_equal(octave[row], fb.octave_band(x[row], FS, center))
+        np.testing.assert_array_equal(octave[row], fb.octave_bands(x[row], FS, (center,))[0])
     together = fb.octave_bands(x, FS, (center, 250.0, center / 2.0))
     np.testing.assert_array_equal(together[0], octave)
-    np.testing.assert_array_equal(together[2], fb.octave_band(x, FS, center / 2.0))
+    np.testing.assert_array_equal(together[2], fb.octave_bands(x, FS, (center / 2.0,))[0])
 
 
 def test_long_signals_match_scipy():

@@ -210,8 +210,9 @@ class TestLostDirectPath:
     @pytest.fixture(scope="class")
     def images(self):
         origin = np.array(presets.APL_RECEIVER_ORIGIN)
-        scene = Scene(room=presets.apl_room(max_order=2), source=origin + [0.08, 0.0, 0.0],
-                      receiver_origin=origin, receiver=presets.om6())
+        scene = Scene(room=presets.scene("front_left", max_order=2).room,
+                      source=origin + [0.08, 0.0, 0.0], receiver_origin=origin,
+                      receiver=presets.om6())
         return enumerate_images(scene)
 
     @pytest.mark.parametrize("render", ["array", "foa", "reference"])

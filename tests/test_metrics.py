@@ -100,6 +100,18 @@ class TestItd:
         brir = _impulse_brir(rng, itd_samples=7, tail_scale=0.0)
         assert metrics.itd(_swap(brir)) == pytest.approx(-metrics.itd(brir), abs=2.0)
 
+    def test_whole_brir_reads_the_stronger_late_pair(self):
+        """A direct pair with the left ear 10 samples ahead, then a pair three
+        times stronger 1,600 samples later with the right ear ahead: the
+        direct segment reads the first lag, the whole BRIR the second."""
+        ears = np.zeros((2, 4000))
+        ears[0, 400] = ears[1, 410] = 1.0
+        ears[1, 2000] = ears[0, 2010] = 3.0
+        brir = BinauralIr(ears, FS)
+        lag_us = 10 / FS * 1e6
+        assert metrics.itd(brir) == pytest.approx(lag_us, abs=1e-9)
+        assert metrics.itd(brir, whole=True) == pytest.approx(-lag_us, abs=1e-9)
+
     def test_silent_segment_degenerate(self):
         silent = BinauralIr(np.zeros((2, 4000)), FS)
         # all-zero input fails at onset detection, a DegenerateInputError kind

@@ -94,6 +94,31 @@ class TestSystemCondition:
                            match="cond: window_size must be an integer, got 64.5"):
             _condition(grid, hrirs, analysis=analysis, window_size=64.5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("knn", 2.5), ("knn", True), ("tf_averaging_frames", 2.5),
+        ("tf_averaging_frames", True), ("seed", 1.5), ("seed", True), ("window_size", True),
+    ])
+    def test_integer_settings_must_be_integers(self, small_setup, name, value):
+        """knn=2.5 used to fail inside nearest_directions with a bare TypeError,
+        tf_averaging_frames=2.5 rendered with an EMA weight of 0.4, and True
+        counted as 1."""
+        grid, hrirs, _ = small_setup
+        analysis = "tf-piv" if name == "tf_averaging_frames" else "tdoa"
+        with pytest.raises(ConfigurationError,
+                           match=f"cond: {name} must be an integer, got {value!r}"):
+            _condition(grid, hrirs, analysis=analysis, **{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**40])
+    def test_seed_outside_32_bits_rejected(self, small_setup, seed):
+        """Seeds were masked to 32 bits: 2**32 rendered seed 0's bytes and -1
+        those of 2**32 - 1."""
+        grid, hrirs, _ = small_setup
+        with pytest.raises(ConfigurationError,
+                           match=rf"cond: seed must lie in \[0, 2\*\*32\), got {seed}"):
+            _condition(grid, hrirs, seed=seed)
+        _condition(grid, hrirs, seed=2**32 - 1)
+        _condition(grid, hrirs, knn=np.int64(2), seed=np.uint32(7))
+
     @pytest.mark.parametrize("band_low, band_high", [
         (500.0, 100.0),  # not below band_high
         (0.0, 2400.0),  # not above zero

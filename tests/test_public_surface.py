@@ -72,6 +72,18 @@ def _referenced(library: dict) -> set:
     return referenced
 
 
+def test_no_exemption_is_stale():
+    """An exempt name must still be defined and still lack a caller: one that
+    gains a caller leaves ``EXEMPT``."""
+    library = _trees(ROOT / "src" / "srirkit")
+    referenced = _referenced(library)
+    defined = {f"{path.stem}.{name}" for path, tree in library.items()
+               for name in _public_definitions(tree)}
+    stale = [entry for entry in sorted(EXEMPT)
+             if entry not in defined or entry.split(".")[-1] in referenced]
+    assert not stale, f"exempt names that are gone or now have a caller: {stale}"
+
+
 def test_every_private_top_level_name_is_read():
     library = _trees(ROOT / "src" / "srirkit")
     referenced = _referenced(library)

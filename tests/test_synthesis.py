@@ -482,6 +482,12 @@ class TestDecorrelate:
         assert np.array_equal(np.stack([decorrelation_kernel(11, ls)
                                         for ls in range(start, stop)]), expected)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        """The seed was masked to 32 bits, so 2**32 gave seed 0's kernels."""
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*32\)"):
+            decorrelation_kernel(seed, 0)
+
     def test_deterministic_in_seed_and_channel(self):
         a = decorrelation_kernel(seed=7, channel_index=2)
         b = decorrelation_kernel(seed=7, channel_index=2)
