@@ -11,7 +11,6 @@ points along propagation and the DOA is its negation.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .arrays import MicArrayGeometry
 from .dsp import SPEED_OF_SOUND, refine_peaks
 from .filterbanks import _sosfiltfilt, bandpass_sos
-from .grids import _check_unit
+from .grids import _check_count, _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
@@ -94,8 +93,7 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
             f"SRIR channel count {srir.channel_count} does not match geometry "
             f"({geometry.capsule_count} capsules)"
         )
-    if not isinstance(window_size, numbers.Integral) or window_size < 2:
-        raise ValueError(f"window_size must be an integer >= 2, got {window_size!r}")
+    _check_count("window_size", window_size, 2)
     n = len(srir)
     if window_size >= n:
         raise ValueError(f"window_size {window_size} must be smaller than the SRIR ({n})")
@@ -189,6 +187,7 @@ def piv_broadband_doa(foa: FoaSignal, window_size: int, band_low: float,
     normalized into a toward-source direction. Zero-intensity samples are
     masked invalid.
     """
+    _check_count("window_size", window_size)
     filtered = _sosfiltfilt(bandpass_sos(band_low, band_high, foa.sample_rate), foa.samples)
     velocity = -filtered[1:]  # particle velocity is the negated x, y, z
 
@@ -216,8 +215,7 @@ def tf_piv_analysis(frames: StftFrames, averaging_frames: int = 8) -> TfDoaField
     """
     if frames.values.shape[:-2] != (4,):
         raise ValueError(f"need (4, frames, bins) w, x, y, z frames, got {frames.values.shape}")
-    if averaging_frames < 1:
-        raise ValueError("averaging_frames must be >= 1")
+    _check_count("averaging_frames", averaging_frames)
 
     wv = frames.values[0]
     xyz = np.stack(frames.values[1:], axis=2)  # (t, f, 3)
@@ -226,11 +224,8 @@ def tf_piv_analysis(frames: StftFrames, averaging_frames: int = 8) -> TfDoaField
     intensity = np.real(np.conj(wv)[:, :, None] * xyz)
     energy = 0.5 * (np.abs(wv) ** 2 + np.sum(np.abs(xyz) ** 2, axis=2))
 
-    alpha = 1.0 / float(averaging_frames)
-    avg_i = np.empty_like(intensity)
-    avg_e = np.empty_like(energy)
-    avg_i[0] = intensity[0]
-    avg_e[0] = energy[0]
+    alpha = 1.0 / averaging_frames
+    avg_i, avg_e = intensity.copy(), energy.copy()
     for t in range(1, intensity.shape[0]):
         avg_i[t] = alpha * intensity[t] + (1.0 - alpha) * avg_i[t - 1]
         avg_e[t] = alpha * energy[t] + (1.0 - alpha) * avg_e[t - 1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -19,6 +20,14 @@ _HULL_TOL = 1e-12
 #: 32 MiB would raise glibc's mmap threshold when freed, keeping later arrays
 #: on the heap (about 38 MB more peak RSS on the canonical scene).
 _NEAREST_BLOCK_ENTRIES = 1_000_000
+
+
+def _check_count(name: str, value, least: int = 1, most: float = math.inf) -> None:
+    """Raises unless ``value`` is an integer, not a bool, in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not least <= value <= most:
+        bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def _check_unit(directions, tol: float = 1e-9) -> np.ndarray:
@@ -224,8 +233,7 @@ def nearest_directions(queries: np.ndarray, table: np.ndarray,
     """
     queries = np.asarray(queries, dtype=np.float64)
     table = np.asarray(table, dtype=np.float64)
-    if not 1 <= k <= table.shape[0]:
-        raise ValueError(f"k must be in [1, {table.shape[0]}], got {k}")
+    _check_count("k", k, 1, table.shape[0])
     indices = np.empty((queries.shape[0], k), dtype=np.intp)
     dots = np.empty((queries.shape[0], k))
     rows = max(1, _NEAREST_BLOCK_ENTRIES // table.shape[0])

@@ -234,8 +234,8 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
     HRIR pair closest to its direction; the result is the sum, with length
     ``length + hrir_taps - 1``. The images of up to ``_DIRECTION_BLOCK``
     HRIR directions are placed into one impulse train per direction at
-    once, and the trains summed through their HRIRs by
-    :func:`~srirkit.synthesis.hrir_sum`.
+    once, and :func:`~srirkit.synthesis.hrir_sum` sums the trains through
+    their HRIRs on the frame renderer that ``binaural_render`` uses.
     """
     if hrirs.sample_rate != sample_rate:
         raise ValueError(

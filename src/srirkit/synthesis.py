@@ -4,6 +4,7 @@ time-frequency synthesis (SIRR), decorrelation, and binaural rendering.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +22,9 @@ DECORRELATOR_TAPS = 1024
 #: Largest angle between a loudspeaker and the HRIR that renders it.
 MAX_HRIR_ANGLE_DEG = 1.0
 _FRONTAL = np.array([1.0, 0.0, 0.0])
-#: Dense signals with HRIRs of up to this many taps are convolved in the time
-#: domain, longer ones in the frequency domain. On 240 dense loudspeaker
-#: signals of 20,223 samples the time-domain product took 0.14 s against
-#: 0.22 s at 256 taps, and 0.32 s against 0.22 s at 512.
-_TIME_DOMAIN_TAPS = 256
-#: Bytes of per-tap contributions in one time block of :func:`hrir_sum`, or of
-#: per-(frame, loudspeaker) HRIR-pair spectra in one chunk of :func:`_frame_render`.
+#: Bytes of per-(frame, loudspeaker) HRIR-pair spectra in one chunk of :func:`_frame_render`.
 _TIME_BLOCK_BYTES = 4 * 2**20
-#: Loudspeakers that SIRR and the frequency-domain HRIR sum transform at once.
+#: Loudspeakers that :meth:`SirrStreams.rows` and :func:`hrir_sum` take at once.
 _SPEAKER_BLOCK = 16
 
 
@@ -124,13 +119,18 @@ def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
     taps, unit tap energy. A sequence of channel indices gives their kernels,
     (channels, taps), through one batched transform: each with its own bytes.
     ``seed`` must lie in [0, 2**32)."""
-    if not 0 <= seed < 2**32:
-        raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
+    _check_seed(seed)
     phases = np.stack([np.random.default_rng([int(seed), int(ls)]).uniform(
         0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1) for ls in np.atleast_1d(channel_index)])
     phases[:, [0, -1]] = 0.0  # DC and Nyquist must stay real
     kernels = np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
     return kernels.reshape(*np.shape(channel_index), DECORRELATOR_TAPS)
+
+
+def _check_seed(seed) -> None:
+    """Raises unless ``seed`` is an integer, not a bool, in [0, 2**32)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**32:
+        raise ValueError(f"seed must lie in [0, 2**32) as an integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,7 @@ class SirrStreams:
         if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(diffuse))):
             raise ValueError("direct amplitudes and diffuse bins must be finite")
         check_sample_rate(self.sample_rate)
+        _check_seed(self.seed)
         if np.any(np.diff(np.sort(speakers, axis=-1)) == 0):  # each bin's cells are set once
             raise ValueError("speakers must be three distinct loudspeakers per bin")
         object.__setattr__(self, "speakers", speakers)
@@ -293,25 +294,21 @@ def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """Both ears' sum of every signal row convolved with its HRIR pair.
 
     ``ears`` is (2, rows, taps) and ``signals`` (rows, n); the result is the
-    full convolution, (2, n + taps - 1). HRIRs of up to ``_TIME_DOMAIN_TAPS``
-    taps are applied as one (2 * taps, rows) matrix product per time block of
-    ``_TIME_BLOCK_BYTES`` contributions, added tap by tap in ascending order;
-    longer ones are summed in the frequency domain, ``_SPEAKER_BLOCK`` rows at a time.
+    full convolution, (2, n + taps - 1). :func:`_frame_render` sums
+    ``_SPEAKER_BLOCK`` rows at a time, each row a key of every frame of 4 * taps samples.
     """
-    taps, n = ears.shape[2], signals.shape[1]
-    if taps <= _TIME_DOMAIN_TAPS:
-        by_tap = ears.transpose(0, 2, 1).reshape(2 * taps, -1)  # row e * taps + j: tap j of ear e
-        block = max(1, _TIME_BLOCK_BYTES // (16 * taps))
-        out = np.zeros((2, n + taps - 1))
-        for t0 in range(0, n, block):
-            part = (by_tap @ signals[:, t0 : t0 + block]).reshape(2, taps, -1)
-            for j in range(taps):
-                out[:, t0 + j : t0 + j + part.shape[2]] += part[:, j]
-        return out
-    nfft = _next_fast_len(n + taps - 1)
-    spectrum = np.zeros((2, nfft // 2 + 1), complex)
-    for start in range(0, ears.shape[1], _SPEAKER_BLOCK):
-        stop = start + _SPEAKER_BLOCK
-        spectrum += np.einsum("sf,esf->ef", np.fft.rfft(signals[start:stop], nfft),
-                              np.fft.rfft(ears[:, start:stop], nfft))
-    return np.fft.irfft(spectrum, nfft)[:, : n + taps - 1]
+    size, n = 4 * ears.shape[2], signals.shape[1]
+    out = np.zeros((2, n + ears.shape[2] - 1))
+    for first in range(0, len(signals), _SPEAKER_BLOCK):
+        block = signals[first : first + _SPEAKER_BLOCK]
+        count = len(block)
+
+        def segments(f0, f1):  # frames f0:f1 of every row, frame-major, zeros past n
+            part = np.zeros((count, (f1 - f0) * size))
+            part[:, : n - f0 * size] = block[:, f0 * size : f1 * size]
+            return (np.arange(f0 * count, f1 * count),
+                    part.reshape(count, f1 - f0, size).transpose(1, 0, 2).reshape(-1, size))
+
+        out += _frame_render(segments, ears[:, first : first + count], -(-n // size), size,
+                             size, count, out.shape[1])
+    return out

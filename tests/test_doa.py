@@ -381,6 +381,15 @@ class TestPivBroadbandDoa:
         with pytest.raises(ValueError):
             piv_broadband_doa(foa, WINDOW, 200.0, 30000.0)
 
+    @pytest.mark.parametrize("window_size", [2.5, True, 0, -1])
+    def test_window_must_be_an_integer_of_at_least_1(self, window_size):
+        """2.5 and 0 died inside numpy (pad_width's type, a negative index),
+        and True smoothed over one sample."""
+        foa = _plane_wave_foa(direction_from_azel(0, 0))
+        with pytest.raises(ValueError, match=f"window_size must be an integer >= 1, "
+                                             f"got {window_size!r}"):
+            piv_broadband_doa(foa, window_size, *BAND)
+
 
 def _stationary_plane_wave_frames(direction, rng, n=8192, window=256):
     sig = rng.normal(size=n)
@@ -479,6 +488,14 @@ class TestTfPivAnalysis:
             psi_est = np.median(field.psi[64:], axis=0)
             assert np.median(np.abs(psi_est - psi_theory)) < 0.05
             assert abs(np.median(psi_est) - np.median(psi_theory)) < 0.03
+
+    @pytest.mark.parametrize("averaging_frames", [2.5, True, 0])
+    def test_averaging_frames_must_be_an_integer_of_at_least_1(self, rng, averaging_frames):
+        """2.5 averaged with an EMA weight of 0.4, and True counted as 1."""
+        frames = _stationary_plane_wave_frames(direction_from_azel(0, 0), rng, n=2048)
+        with pytest.raises(ValueError, match=f"averaging_frames must be an integer >= 1, "
+                                             f"got {averaging_frames!r}"):
+            tf_piv_analysis(frames, averaging_frames)
 
     def test_metadata_mismatch_rejected(self, rng):
         for shape in ((4096,), (3, 4096), (5, 4096), (2, 4, 4096)):

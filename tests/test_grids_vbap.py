@@ -403,6 +403,12 @@ class TestNearestDirections:
         idx, _ = nearest_directions(np.array([[0.0, 0.0, 1.0]]), self.RING, k=3)
         assert idx.tolist() == [[4, 0, 1]]
 
+    @pytest.mark.parametrize("k", [2.5, True, 0, 7])
+    def test_k_must_be_an_integer_within_the_table(self, k):
+        """2.5 raised a bare TypeError from np.empty, and True counted as 1."""
+        with pytest.raises(ValueError, match=rf"k must be an integer in \[1, 6\], got {k!r}"):
+            nearest_directions(np.array([[1.0, 0.0, 0.0]]), self.RING, k)
+
     def test_zero_queries_and_grid_hits_on_a_dense_grid(self):
         """k = 3 on 240 directions: a zero query (an invalid DOA sample) ties
         every direction and takes the first three, a query on a grid

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srirkit.arrays import MicArrayGeometry, builtin_array
-from srirkit import dsp, presets
+from srirkit import dsp, presets, synthesis
 from srirkit.errors import (
     DegenerateInputError,
     LostDirectPathError,
@@ -301,7 +301,7 @@ class TestRenderReferenceBrir:
 
     def test_matches_per_direction_convolution(self, rng):
         """Over 64 used HRIR directions (more than one direction block) and a
-        length that no time block divides, the BRIR equals each direction's
+        length that no frame divides, the BRIR equals each direction's
         impulse train convolved with its HRIR pair by np.convolve, and every
         truncated arrival is counted."""
         hrirs = HrirSet(fibonacci_grid(300).directions, rng.normal(size=(300, 128)),
@@ -325,6 +325,18 @@ class TestRenderReferenceBrir:
         assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
         assert truncated > 0
         assert str(caught[0].message).startswith(f"{truncated} image arrivals")
+
+    @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-frame", "all-frames"])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, monkeypatch, budget):
+        """277 used HRIR directions (five direction blocks, the last ending in
+        a partial row block): one frame per chunk and every frame in one give
+        the bytes of the default chunks."""
+        hrirs = spherical_head_hrir_set(fibonacci_grid(300).directions, sample_rate=FS)
+        images = enumerate_images(_scene(max_order=8))
+        with pytest.warns(TruncatedResponseWarning):
+            expected = render_reference_brir(images, hrirs, FS, 3001).samples
+            monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+            assert np.array_equal(render_reference_brir(images, hrirs, FS, 3001).samples, expected)
 
     def test_dense_hrir_set_memory_bounded(self):
         """12,000 HRIR directions, 1,400 of them used: trains are built for at

@@ -106,3 +106,22 @@ def test_only_cli_writes_csv():
     assert writers, "the check no longer finds cli's own csv.writer"
     elsewhere = [where for where in writers if not where.startswith("cli:")]
     assert not elsewhere, f"csv writers outside cli: {elsewhere}"
+
+
+def test_one_hrir_convolution():
+    """Only ``dsp.fft_convolve`` and ``synthesis._frame_render`` call
+    ``np.fft.rfft`` with a transform length (a second positional argument or
+    ``n=``): a second HRIR convolution cannot come back unnoticed."""
+    callers = set()
+    for path, tree in _trees(ROOT / "src" / "srirkit").items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.fft.rfft" \
+                        and (len(node.args) > 1 or any(k.arg == "n" for k in node.keywords)):
+                    callers.add(f"{path.stem}.{function.name}")
+    assert {"dsp.fft_convolve", "synthesis._frame_render"} <= callers, \
+        "the check no longer finds the two owners' transforms"
+    others = callers - {"dsp.fft_convolve", "synthesis._frame_render"}
+    assert not others, f"sized rfft calls outside the two owners: {sorted(others)}"

@@ -33,6 +33,13 @@ from srirkit.vbap import vbap_gain_table
 FS = 48000.0
 
 
+def _fftconvolve_sum(ears, signals):
+    """The (2, n + taps - 1) oracle of an HRIR sum: SciPy's fftconvolve of
+    every (rows, n) signal row with its ear's HRIR of the (2, rows, taps)
+    ``ears``, summed over the rows."""
+    return np.stack([sps.fftconvolve(signals, ear, axes=-1).sum(axis=0) for ear in ears])
+
+
 def _random_trajectory(rng, n, invalid_fraction=0.0):
     dirs = rng.normal(size=(n, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -84,6 +91,14 @@ class TestSdmSynthesize:
         # before the first valid sample, the frontal speaker carries it
         frontal = int(np.argmax(grid.directions @ np.array([1.0, 0.0, 0.0])))
         assert np.all(signals[frontal, :4] == 1.0)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_must_be_an_integer(self, rng, k):
+        """k = 2.5 raised a bare TypeError inside nearest_directions, and True
+        counted as 1."""
+        traj = _random_trajectory(rng, 50)
+        with pytest.raises(ValueError, match=rf"k must be an integer in \[1, 16\], got {k!r}"):
+            sdm_synthesize(MonoIr(rng.normal(size=50), FS), traj, fibonacci_grid(16), k=k)
 
     def test_length_mismatch_rejected(self, rng):
         grid = fibonacci_grid(8)
@@ -211,6 +226,15 @@ class TestSirrSynthesize:
                     SirrStreams(grid, speakers, *args, 0, 64, 32, FS)
         with pytest.raises(ValueError, match="speakers must be integer indices"):
             SirrStreams(grid, speakers + 0.5, direct, diffuse, 0, 64, 32, FS)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2.5, True])
+    def test_seed_checked_when_the_streams_are_built(self, seed):
+        """These seeds built streams and failed only when rendered, or (2.5,
+        True) played the kernels of a truncated seed."""
+        grid, shape = fibonacci_grid(8), (5, 33)
+        speakers = np.broadcast_to(np.arange(3), (*shape, 3))
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*32\) as an integer"):
+            SirrStreams(grid, speakers, np.ones((*shape, 3)), np.ones(shape), seed, 64, 32, FS)
 
     def test_repeated_bin_speakers_rejected(self, rng):
         """A bin's loudspeakers (0, 0, 0) with random amplitudes used to render
@@ -395,10 +419,10 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
 @given(seed=st.integers(0, 2**31), speakers=st.integers(8, 60), k=st.integers(1, 4),
        taps=st.one_of(st.integers(8, 64), st.integers(240, 300)))
 def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
-    """An SDM assignment's render, and hrir_sum of its dense signals on both
-    sides of the time-domain taps limit, equal a per-loudspeaker np.convolve
-    sum; HRIRs are listed in shuffled order, so each loudspeaker must find
-    its own pair."""
+    """An SDM assignment's render, and hrir_sum of its dense signals, equal a
+    per-loudspeaker np.convolve sum, with HRIRs of 8-64 and 240-300 taps;
+    HRIRs are listed in shuffled order, so each loudspeaker must find its
+    own pair."""
     gen = np.random.default_rng(seed)
     grid = fibonacci_grid(speakers)
     n = int(gen.integers(1, 300))
@@ -416,6 +440,25 @@ def test_binaural_render_forms_match_direct_convolution_property(seed, speakers,
     tol = 1e-12 * np.abs(expected).max()
     assert np.abs(hrir_sum(ears, signals) - expected).max() <= tol
     assert np.abs(binaural_render(assignment, hrirs).samples - expected).max() <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), taps=st.sampled_from([1, 127, 128, 129, 255, 256, 257, 512]),
+       rows=st.sampled_from([1, 15, 16, 17, 40]), frames=st.integers(0, 2),
+       rest=st.floats(0.0, 1.0, exclude_max=True))
+def test_hrir_sum_matches_per_row_convolution_property(seed, taps, rows, frames, rest):
+    """hrir_sum equals the per-row np.convolve sum to 1e-12 of its peak, with
+    row counts around the 16-row block and signal lengths that no frame of
+    4 * taps samples divides."""
+    n = frames * 4 * taps + 1 + int(rest * (4 * taps - 1))
+    assert n % (4 * taps)
+    gen = np.random.default_rng(seed)
+    ears, signals = gen.normal(size=(2, rows, taps)), gen.normal(size=(rows, n))
+    expected = np.stack([sum(np.convolve(row, ear) for row, ear in zip(signals, ear_rows))
+                         for ear_rows in ears])
+    got = hrir_sum(ears, signals)
+    assert got.shape == (2, n + taps - 1)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -487,6 +530,18 @@ class TestDecorrelate:
         """The seed was masked to 32 bits, so 2**32 gave seed 0's kernels."""
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*32\)"):
             decorrelation_kernel(seed, 0)
+
+    @pytest.mark.parametrize("seed", [2.7, True, np.True_, "3"],
+                             ids=["2.7", "True", "np.True_", "str"])
+    def test_seed_must_be_an_integer(self, seed):
+        """int() truncated 2.7 to seed 2's kernel, and True played seed 1's."""
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*32\) as an integer"):
+            decorrelation_kernel(seed, 3)
+
+    def test_numpy_integer_seeds_keep_the_bytes(self):
+        expected = decorrelation_kernel(2**32 - 1, range(3))
+        for seed in (np.uint32(2**32 - 1), np.int64(2**32 - 1)):
+            assert np.array_equal(decorrelation_kernel(seed, range(3)), expected)
 
     def test_deterministic_in_seed_and_channel(self):
         a = decorrelation_kernel(seed=7, channel_index=2)
@@ -632,16 +687,16 @@ class TestBinauralRender:
                                                    (160, 512, 1), (240, 128, 8),
                                                    (240, 300, 2), (960, 128, 8)])
     def test_assignment_render_matches_hrir_sum_of_its_rows(self, rng, speakers, taps, k):
-        """2,500 samples, several chunks of blocks for every k, with HRIRs on
-        both sides of hrir_sum's time-domain taps limit: the render equals
-        hrir_sum of the assignment's dense signals to 1e-12 of its peak."""
+        """2,500 samples, several chunks of blocks for every k, with HRIRs of
+        1-512 taps: the render equals SciPy's fftconvolve of the assignment's
+        dense signals, summed, to 1e-12 of its peak."""
         grid = fibonacci_grid(speakers)
         n = 2500
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(n, k)),
                                       rng.normal(size=(n, k)), FS)
         ears = rng.normal(size=(2, speakers, taps))
         brir = binaural_render(assignment, HrirSet(grid.directions, ears[0], ears[1], FS))
-        expected = hrir_sum(ears, assignment.rows())
+        expected = _fftconvolve_sum(ears, assignment.rows())
         assert brir.samples.shape == expected.shape == (2, n + taps - 1)
         assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -650,7 +705,7 @@ class TestBinauralRender:
                                                             k, densified):
         """512-tap HRIRs on a dense grid: an assignment is rendered from its
         samples, never densified loudspeaker by loudspeaker, and equals
-        hrir_sum of its dense signals."""
+        SciPy's fftconvolve of its dense signals, summed."""
         grid = fibonacci_grid(speakers)
         hrirs = HrirSet(grid.directions, rng.normal(size=(speakers, 512)),
                         rng.normal(size=(speakers, 512)), FS)
@@ -665,7 +720,7 @@ class TestBinauralRender:
         assert bool(calls) == densified
         monkeypatch.setattr(SampleAssignment, "rows", rows)
         dense = assignment.rows()
-        other = hrir_sum(np.stack([hrirs.left, hrirs.right]), dense)
+        other = _fftconvolve_sum(np.stack([hrirs.left, hrirs.right]), dense)
         assert np.abs(brir - other).max() <= 1e-12 * np.abs(brir).max()
 
     def test_repeated_picks_add_up(self, rng):
@@ -734,17 +789,17 @@ def _assert_render_bytes_across_blas_threads(tmp_path, vls, arrays, build):
 
 
 class TestSirrRender:
-    """binaural_render of SIRR streams against hrir_sum of the signals they
-    write out."""
+    """binaural_render of SIRR streams against the HRIR sum of the signals
+    they write out."""
 
     @pytest.mark.parametrize("psi", [None, 0.0, 1.0])
     @pytest.mark.parametrize("taps", [1, 128, 300])
     def test_render_matches_hrir_sum_of_the_written_signals(self, rng, taps, psi):
         """6,000 samples through windows of 8, 64 and 256 samples (hop W/2)
         on 40 and 240 loudspeakers (a partial and a whole loudspeaker block),
-        with HRIRs on both sides of hrir_sum's time-domain taps limit: the
-        frame-by-frame render agrees with the sum of the written-out signals
-        to 1e-14 of its peak."""
+        with HRIRs of 1-300 taps: the frame-by-frame render agrees with
+        SciPy's fftconvolve of the written-out signals, summed, to 1e-14 of
+        its peak."""
         for window in (8, 64, 256):
             for speakers in (40, 240):
                 grid = fibonacci_grid(speakers)
@@ -752,7 +807,7 @@ class TestSirrRender:
                 ears = rng.normal(size=(2, len(grid), taps))
                 hrirs = HrirSet(grid.directions, ears[0], ears[1], FS)
                 brir = binaural_render(vls, hrirs).samples
-                expected = hrir_sum(ears, vls.rows())
+                expected = _fftconvolve_sum(ears, vls.rows())
                 assert brir.shape == expected.shape == (2, len(vls) + taps - 1)
                 assert np.abs(brir - expected).max() <= 1e-14 * np.abs(expected).max(), \
                     (window, speakers)
@@ -760,15 +815,16 @@ class TestSirrRender:
     @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-frame", "all-frames"])
     def test_bytes_do_not_depend_on_the_chunk_size(self, rng, monkeypatch, budget):
         """One frame per chunk, and every frame in one, give the bytes of the
-        default chunks. Without a diffuse stream (psi = 0) the budget, which
-        the time blocks of the diffuse filter's sum share, sizes only the
-        frame chunks."""
+        default chunks, with the direct stream alone (psi = 0) and with a
+        diffuse stream, whose filter hrir_sum renders in the same chunks."""
         grid = fibonacci_grid(240)
-        vls = sirr_synthesize(*_sirr_inputs(rng, 6000, 0.0), grid, seed=7)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
-        expected = binaural_render(vls, hrirs).samples
-        monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
-        assert np.array_equal(binaural_render(vls, hrirs).samples, expected)
+        for psi in (0.0, None):
+            vls = sirr_synthesize(*_sirr_inputs(rng, 6000, psi), grid, seed=7)
+            expected = binaural_render(vls, hrirs).samples
+            with monkeypatch.context() as patch:
+                patch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+                assert np.array_equal(binaural_render(vls, hrirs).samples, expected), psi
 
     def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
         """The render, diffuse filter included, in fresh interpreters with
