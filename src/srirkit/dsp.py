@@ -4,6 +4,8 @@ detection, fractional-delay impulses and direct-sound energy normalization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInputError, NoOnsetError
@@ -147,15 +149,6 @@ def refine_peaks(corr: np.ndarray) -> np.ndarray:
 FRACTIONAL_DELAY_HALF = 16
 _KAISER_BETA = 8.6
 _KAISER_NORM = np.i0(_KAISER_BETA)
-#: The window I0(beta * sqrt(1 - s)) / I0(beta), s = (v / half)**2 < 1, in powers of s
-#: from 0 to 14: a least-squares Chebyshev fit to np.i0 at 2001 even steps of s, as
-#: monomials (within 2.3e-15), with the constant term pinned to exactly 1.
-_KAISER_POLY = (
-    1.0, -4.041678130541782, 7.22416093473313, -7.63899748256192, 5.401979862861271,
-    -2.7406692907407315, 1.045529217893317, -0.31037924005183287, 0.07362972305196107,
-    -0.014258692270521485, 0.002293977641374266, -0.0003108766064380617,
-    3.5617860775620725e-05, -3.2999382060502746e-06, 1.9266750542801239e-07,
-)
 #: Arrivals whose kernels are built at once: about 34k taps, which fit a 2 MB L2 cache.
 _IMPULSE_BLOCK = 1024
 
@@ -167,24 +160,48 @@ def impulse_fits(delays_samples, length: int) -> np.ndarray:
     return (base >= FRACTIONAL_DELAY_HALF) & (base + FRACTIONAL_DELAY_HALF < length)
 
 
-def _windowed_sincs(frac: np.ndarray, polynomial: bool) -> np.ndarray:
-    """(arrivals, 2 * half + 1) kernels of arrivals ``frac`` past their base sample."""
-    v = np.arange(-FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 1) - frac[:, None]
+def _kaiser_window(v: np.ndarray) -> np.ndarray:
+    """I0(beta * sqrt(1 - s)) / I0(beta) at s = (v / half)**2, and 0 where s >= 1."""
     s = (v / FRACTIONAL_DELAY_HALF) ** 2
-    if not polynomial:
-        window = np.where(s < 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - s, 0.0))), 0.0)
-        return np.sinc(v) * (window / _KAISER_NORM)
-    window = np.full_like(s, _KAISER_POLY[-1])
-    for coefficient in _KAISER_POLY[-2::-1]:
-        window *= s
-        window += coefficient
-    window[s >= 1.0] = 0.0
+    window = np.where(s < 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - s, 0.0))), 0.0)
+    return window / _KAISER_NORM
+
+
+def _farrow_table() -> np.ndarray:
+    """Farrow's structure: row j holds every tap's coefficient of T_j(2f - 1),
+    the degree-18 Chebyshev interpolant of its kernel at 19 nodes of f."""
+    nodes = 19
+    odd = 2 * np.arange(nodes) + 1  # node i sits at angle pi * (2i + 1) / (2 * nodes)
+    frac = 0.5 + 0.5 * np.cos(np.pi * odd / (2 * nodes))
+    v = np.arange(-FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 1) - frac[:, None]
     # sin(pi * (k - f)) = (-1)**(k + 1) * sin(pi * f) at tap offsets k; above
     # f = 0.5, sin(pi * f) is taken as sin(pi * (1 - f)), where 1 - f is exact.
     signs = (-1.0) ** np.arange(1 - FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 2)
     sines = np.sin(np.pi * np.minimum(frac, 1.0 - frac))
-    with np.errstate(divide="ignore", invalid="ignore"):  # v = 0 is set by the caller
-        return (sines[:, None] * signs) / (np.pi * v) * window
+    values = (sines[:, None] * signs) / (np.pi * v) * _kaiser_window(v)
+    # Angle j * theta_i, reduced modulo 2 pi in integers so that cos sees it exactly.
+    angles = np.pi * (np.outer(np.arange(nodes), odd) % (4 * nodes)) / (2 * nodes)
+    table = (2.0 / nodes) * (np.cos(angles) @ values)
+    table[0] /= 2.0
+    return table
+
+
+_FARROW = _farrow_table()  # a block's kernels are one basis-times-table product
+
+
+def _windowed_sincs(frac: np.ndarray, polynomial: bool) -> np.ndarray:
+    """(arrivals, 2 * half + 1) kernels of arrivals ``frac`` past their base sample."""
+    if not polynomial:
+        v = np.arange(-FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 1) - frac[:, None]
+        return np.sinc(v) * _kaiser_window(v)
+    # Rows padded to a multiple of 8, so every block keeps the bits: numpy sends one row
+    # to gemv, and OpenBLAS kernels sum a row tail (odd on Haswell and Zen) in another order.
+    x = np.pad(2.0 * frac - 1.0, (0, -frac.size % 8))
+    basis = np.empty((len(_FARROW), x.size))
+    basis[0], basis[1], twice = 1.0, x, 2.0 * x
+    for j in range(2, len(_FARROW)):  # T_j = 2x T_(j-1) - T_(j-2)
+        basis[j] = twice * basis[j - 1] - basis[j - 2]
+    return (basis.T @ _FARROW)[: frac.size]
 
 
 def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
@@ -200,14 +217,15 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     built once, or (channels, k), one set of arrival times per channel.
     Given ``rows`` (k,), arrival i lands in row ``rows[i]`` of a (channels,
     n) ``out`` alone, and ``delays`` and ``amplitudes`` are (k,); each row
-    then holds the bits that placing its own arrivals alone would give.
+    then holds the bits that placing its own arrivals alone would give, and
+    a row outside [0, channels) raises ``ValueError``.
     Arrivals that do not fit (:func:`impulse_fits`) are dropped before any
     kernel is built; the return value counts them. Kernels are built in
     bounded blocks of arrivals; each output sample sums them in order.
-    The window comes from ``np.i0``, or with ``_polynomial`` from
-    ``_KAISER_POLY`` and one sine per arrival (within 1e-13). The array and
-    reference renders take the polynomial; the FOA render keeps ``np.i0``,
-    whose bits the SIRR golden record depends on (ROADMAP item 4).
+    The window comes from ``np.i0``, or with ``_polynomial`` each kernel
+    comes from the ``_FARROW`` table (within 1e-13). The array and reference
+    renders take the table; the FOA render keeps ``np.i0``, whose bits the
+    SIRR golden record depends on (ROADMAP item 4).
     """
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
@@ -219,7 +237,11 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     if rows is None:
         starts = np.broadcast_to(np.arange(0, out.size, n).reshape(*out.shape[:-1], 1), amps.shape)
     else:
-        starts = np.asarray(rows, dtype=np.int64) * n
+        rows, channels = np.asarray(rows, dtype=np.int64), math.prod(out.shape[:-1])
+        outside = (rows < 0) | (rows >= channels)
+        if outside.any():
+            raise ValueError(f"rows must lie in [0, {channels}), got {rows[outside][0]}")
+        starts = rows * n
     delays, amps, starts = delays[fits], amps[..., fits], starts[..., fits]
     offsets = np.arange(-half, half + 1)
     for first in range(0, delays.size, _IMPULSE_BLOCK):

@@ -45,10 +45,11 @@ class ShoeboxRoom:
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=np.float64)
         coeffs = np.asarray(self.reflection_coefficients, dtype=np.float64)
-        if dims.shape != (3,) or np.any(dims <= 0):
-            raise ValueError("dimensions must be three positive lengths")
-        if coeffs.shape != (6,) or np.any(coeffs < 0) or np.any(coeffs > 1):
-            raise ValueError("need six wall coefficients in [0, 1]")
+        # Positive tests throughout: NaN fails every comparison, so it cannot pass.
+        if dims.shape != (3,) or not np.all((dims > 0) & np.isfinite(dims)):
+            raise ValueError(f"dimensions must be three positive finite lengths, got {dims}")
+        if coeffs.shape != (6,) or not np.all((coeffs >= 0) & (coeffs <= 1)):
+            raise ValueError(f"reflection_coefficients must be six values in [0, 1], got {coeffs}")
         order = self.max_order
         if not (isinstance(order, numbers.Real) and not isinstance(order, bool)
                 and float(order).is_integer() and order >= 0):
@@ -80,8 +81,8 @@ class Scene:
                 raise ValueError(f"{name}: {exc}") from exc
             if p.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector, got shape {p.shape}")
-            if np.any(p <= 0) or np.any(p >= self.room.dimensions):
-                raise ValueError(f"{name} must lie strictly inside the room")
+            if not np.all((p > 0) & (p < self.room.dimensions)):
+                raise ValueError(f"{name} must lie strictly inside the room, got {p}")
             points.append(p)
         src, origin = points
         if np.allclose(src, origin):

@@ -12,7 +12,6 @@ bit-identical BRIRs.
 from __future__ import annotations
 
 import json
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -29,7 +28,7 @@ from .doa import (
 from .dsp import normalize_direct_energy, stft
 from .errors import ConfigurationError
 from .filterbanks import bandpass_sos
-from .grids import LoudspeakerGrid
+from .grids import LoudspeakerGrid, _check_count
 from .hrir import HrirSet
 from .ism import (
     ImageSourceList,
@@ -145,29 +144,20 @@ class SystemCondition:
             raise ConfigurationError(f"{self.id}: unknown analysis {self.analysis!r}")
         if self.pressure_source not in PRESSURE_SOURCES:
             raise ConfigurationError(f"{self.id}: unknown pressure_source {self.pressure_source!r}")
-        for name in ("window_size", "knn", "tf_averaging_frames", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigurationError(f"{self.id}: {name} must be an integer, got {value!r}")
-        if not 0 <= self.seed < 2**32:
-            raise ConfigurationError(f"{self.id}: seed must lie in [0, 2**32), got {self.seed}")
+        for name, *bounds in (("window_size", 8), ("knn", 1, len(self.grid)),
+                              ("tf_averaging_frames",), ("seed", 0, 2**32 - 1)):
+            try:
+                _check_count(name, getattr(self, name), *bounds)
+            except ValueError as exc:
+                raise ConfigurationError(f"{self.id}: {exc}") from exc
         for name, readers in _READ_BY.items():
             if self.analysis not in readers and getattr(self, name) != getattr(type(self), name):
                 raise ConfigurationError(f"{self.id}: {self.analysis} does not read {name}")
         if self.psi_override is not None and not 0.0 <= self.psi_override <= 1.0:
             raise ConfigurationError(f"{self.id}: psi_override must lie in [0, 1]")
-        if not 1 <= self.knn <= len(self.grid):
+        if self.analysis == "tf-piv" and self.window_size & (self.window_size - 1):
             raise ConfigurationError(
-                f"{self.id}: knn must be in [1, {len(self.grid)}], got {self.knn}"
-            )
-        if self.tf_averaging_frames < 1:
-            raise ConfigurationError(f"{self.id}: tf_averaging_frames must be >= 1")
-        window = self.window_size
-        if window < 8:
-            raise ConfigurationError(f"{self.id}: window_size must be >= 8, got {window}")
-        if self.analysis == "tf-piv" and window & (window - 1):
-            raise ConfigurationError(
-                f"{self.id}: tf-piv needs a power-of-two window_size, got {window}"
+                f"{self.id}: tf-piv needs a power-of-two window_size, got {self.window_size}"
             )
         if self.analysis == "piv-broadband":
             try:  # the HRIRs' rate is the rate the condition renders at

@@ -4,7 +4,6 @@ time-frequency synthesis (SIRR), decorrelation, and binaural rendering.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from .doa import DoaTrajectory, TfDoaField
 from .dsp import _hann_periodic, _next_fast_len, _window_sum, fft_convolve, istft, stft
 from .errors import MissingHrirError
-from .grids import LoudspeakerGrid, nearest_directions
+from .grids import LoudspeakerGrid, _check_count, nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, MonoIr, StftFrames, _check_stft_layout
 from .vbap import vbap_gain_table
@@ -119,18 +118,12 @@ def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
     taps, unit tap energy. A sequence of channel indices gives their kernels,
     (channels, taps), through one batched transform: each with its own bytes.
     ``seed`` must lie in [0, 2**32)."""
-    _check_seed(seed)
+    _check_count("seed", seed, 0, 2**32 - 1)
     phases = np.stack([np.random.default_rng([int(seed), int(ls)]).uniform(
         0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1) for ls in np.atleast_1d(channel_index)])
     phases[:, [0, -1]] = 0.0  # DC and Nyquist must stay real
     kernels = np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
     return kernels.reshape(*np.shape(channel_index), DECORRELATOR_TAPS)
-
-
-def _check_seed(seed) -> None:
-    """Raises unless ``seed`` is an integer, not a bool, in [0, 2**32)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**32:
-        raise ValueError(f"seed must lie in [0, 2**32) as an integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class SirrStreams:
         if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(diffuse))):
             raise ValueError("direct amplitudes and diffuse bins must be finite")
         check_sample_rate(self.sample_rate)
-        _check_seed(self.seed)
+        _check_count("seed", self.seed, 0, 2**32 - 1)
         if np.any(np.diff(np.sort(speakers, axis=-1)) == 0):  # each bin's cells are set once
             raise ValueError("speakers must be three distinct loudspeakers per bin")
         object.__setattr__(self, "speakers", speakers)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +217,18 @@ class TestSimulate:
         # and unknown keys are rejected as they are in a config
         ("lenght", lambda s: s.update(lenght=4800)),
         ("absorption", lambda s: s["room"].update(absorption=0.2)),
+        # json reads NaN and Infinity, and NaN fails every comparison
+        ("dimensions", lambda s: s["room"].update(dimensions=[6.0, math.nan, 3.2])),
+        ("dimensions", lambda s: s["room"].update(dimensions=[6.0, math.inf, 3.2])),
+        ("reflection_coefficients",
+         lambda s: s["room"].update(reflection_coefficients=[0.8] * 5 + [math.nan])),
+        ("source", lambda s: s.update(source=[math.nan, 2.5, 1.5])),
     ], ids=["no-room", "no-source", "no-receiver_origin", "no-dimensions",
             "negative-dimension", "five-coefficients", "room-list", "source-outside",
             "origin-2d", "source-text", "receiver-no-kind", "receiver-unknown-array",
             "receiver-ideal-foa", "speed-of-sound-300", "receiver-kind-hrir",
-            "max_order-2.5", "max_order-true", "unknown-key", "unknown-room-key"])
+            "max_order-2.5", "max_order-true", "unknown-key", "unknown-room-key",
+            "nan-dimension", "infinite-dimension", "nan-coefficient", "nan-source"])
     def test_invalid_scene_file_exits_2_naming_the_field(self, tmp_path, capsys,
                                                          monkeypatch, field, edit):
         monkeypatch.setattr(cli, "simulate", _no_simulation)
@@ -924,7 +932,7 @@ def test_render_seed_outside_32_bits_exits_2(tmp_path, capsys, monkeypatch, seed
     path = _write_config(tmp_path, "cfg.json", {**_sim_config(), "conditions": [_SIRR]})
     assert main(["render", "--config", path, "--seed", seed,
                  "--output", str(tmp_path / "o")]) == 2
-    assert "seed must lie in [0, 2**32)" in capsys.readouterr().err
+    assert "seed must be an integer in [0, 4294967295]" in capsys.readouterr().err
 
 
 def test_render_without_conditions_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -133,6 +137,25 @@ class TestEnumerateImages:
             Scene(room=_room(), source=np.array([0.0, 2.0, 1.5]),
                   receiver_origin=np.array([1.5, 1.7, 1.2]))
 
+    @pytest.mark.parametrize("field, dims, coeffs", [
+        ("dimensions", (5.0, np.nan, 3.0), [0.8] * 6),
+        ("dimensions", (5.0, np.inf, 3.0), [0.8] * 6),
+        ("reflection_coefficients", (5.0, 4.0, 3.0), [0.8] * 5 + [np.nan]),
+    ], ids=["nan-dimension", "infinite-dimension", "nan-coefficient"])
+    def test_non_finite_room_rejected_naming_the_field(self, field, dims, coeffs):
+        """NaN fails every comparison, so negative range tests let it through."""
+        with pytest.raises(ValueError, match=field):
+            ShoeboxRoom(dimensions=np.array(dims), reflection_coefficients=np.array(coeffs))
+
+    @pytest.mark.parametrize("field", ["source", "receiver_origin"])
+    def test_non_finite_point_rejected_naming_the_field(self, field):
+        """A NaN source used to end in "direct path lost ... arrives at sample nan"."""
+        points = {"source": np.array([3.0, 2.0, 1.5]),
+                  "receiver_origin": np.array([1.5, 1.7, 1.2])}
+        points[field][0] = np.nan
+        with pytest.raises(ValueError, match=field):
+            Scene(room=_room(), **points)
+
     def test_source_at_receiver_rejected(self):
         with pytest.raises(ValueError):
             Scene(room=_room(), source=np.array([1.5, 1.7, 1.2]),
@@ -180,7 +203,7 @@ class TestRenderArraySrir:
     def test_one_call_equals_per_capsule_placement(self):
         """All capsules placed in one call (several kernel blocks, arrivals
         past the end) equal one placement per capsule with the render's
-        polynomial window, bit for bit."""
+        Farrow kernels, bit for bit."""
         geom = builtin_array("om6")
         images = enumerate_images(_scene(max_order=12))
         with pytest.warns(TruncatedResponseWarning):
@@ -435,3 +458,36 @@ def test_center_capsule_is_the_ideal_w():
         w = render_foa_srir(images, FS, 4800).w.samples
     assert np.abs(center - w).max() <= 1e-15 * np.abs(w).max()
 
+
+
+def test_array_and_reference_bytes_do_not_depend_on_blas_threads():
+    """The array and reference renders build their kernels as BLAS products
+    of the Farrow table; one thread and two give both renders the same bytes."""
+    script = (
+        "import hashlib, warnings\n"
+        "from srirkit import presets\n"
+        "from srirkit.grids import fibonacci_grid\n"
+        "from srirkit.hrir import spherical_head_hrir_set\n"
+        "from srirkit.ism import enumerate_images, render_array_srir, render_reference_brir\n"
+        "warnings.simplefilter('ignore')\n"
+        "images = enumerate_images(presets.scene('front_left', max_order=12))\n"
+        f"hrirs = spherical_head_hrir_set(fibonacci_grid(240).directions, sample_rate={FS})\n"
+        f"srir = render_array_srir(images, presets.om6(), {FS}, 9600)\n"
+        f"brir = render_reference_brir(images, hrirs, {FS}, 9600)\n"
+        "print(hashlib.sha256(srir.samples.tobytes() + brir.samples.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests.append(run.stdout.strip())
+    images = enumerate_images(presets.scene("front_left", max_order=12))
+    hrirs = spherical_head_hrir_set(fibonacci_grid(240).directions, sample_rate=FS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncatedResponseWarning)
+        srir = render_array_srir(images, presets.om6(), FS, 9600)
+        brir = render_reference_brir(images, hrirs, FS, 9600)
+    here = hashlib.sha256(srir.samples.tobytes() + brir.samples.tobytes()).hexdigest()
+    assert digests == [here, here]
