@@ -23,7 +23,7 @@ from .grids import _check_count, _check_unit
 from .signals import FoaSignal, MultichannelIr, StftFrames
 
 _DEGENERATE_NORM = 1e-9
-#: Frame samples one TDOA window-energy or lag-product pass holds: 2 MB.
+#: Product frames one TDOA lag chunk holds: 2 MB, in whole groups of 8 blocks.
 _FRAME_CHUNK = 250_000
 _LAG_BLOCK = 32  # outputs per block of the TDOA lag product
 
@@ -118,21 +118,13 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
 
     half = window_size // 2
     block, reach = _LAG_BLOCK, int(max_lags.max())
-    n_blocks, span = -(-n // block), block + window_size - 1
-    # Sample s's window covers padded[:, s : s + window_size]; the rows run on
-    # to the last block's end, with `reach` zeros more on both sides for lags.
+    # Whole groups of 8 blocks: OpenBLAS sums a product's row tail in another order.
+    n_blocks, span = 8 * -(-n // (8 * block)), block + window_size - 1
+    # Sample s's window covers rows[:, reach + s : reach + s + window_size]; the
+    # rows run on to the last block's end, with `reach` zeros more on both sides.
     rows = np.pad(data, ((0, 0), (half + reach,
                                   n_blocks * block - n + window_size - half - 1 + reach)))
-    padded = rows[:, reach:]
     taper = np.hanning(window_size)
-
-    energies = np.empty(n)
-    chunk = max(1, _FRAME_CHUNK // (n_ch * window_size))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        frames = sliding_window_view(padded[:, start : stop + window_size - 1], window_size,
-                                     axis=1) * taper
-        energies[start:stop] = np.sum(frames * frames, axis=(0, 2))
 
     # The windowed correlation at lag tau is the product series
     # x_i(t) x_j(t + tau) through the FIR taper[m] * taper[m + tau]; on blocks
@@ -145,21 +137,23 @@ def tdoa_ls_doa(srir: MultichannelIr, geometry: MicArrayGeometry,
     size = rows.itemsize
     lagged = as_strided(rows, (n_ch, 2 * reach + 1, n_blocks, span),
                         (rows.strides[0], size, block * size, size), writeable=False)
+    # Window energies: the capsules' squares through the lag-0 FIR; zero only if every term is.
+    energies = (as_strided(np.sum(rows[:, reach:] ** 2, axis=0), (n_blocks, span),
+                           (block * size, size)) @ toeplitz[reach]).reshape(-1)[:n]
 
     tdoas = np.empty((n_blocks * block, len(pairs)))
     for p, (i, j) in enumerate(pairs):
         ml = max_lags[p]
         kept = slice(reach - ml, reach + ml + 1)
-        # Two blocks or more: one is a matrix-vector product, summed in another order.
-        per_chunk = max(2, _FRAME_CHUNK // ((2 * ml + 1) * span))
-        edges = np.linspace(0, n_blocks, max(1, n_blocks // per_chunk) + 1).astype(int)
-        for start, stop in zip(edges[:-1], edges[1:]):
+        per_chunk = 8 * max(1, _FRAME_CHUNK // (8 * (2 * ml + 1) * span))
+        for start in range(0, n_blocks, per_chunk):
+            stop = start + per_chunk
             lags = np.matmul(lagged[i, reach, start:stop] * lagged[j, kept, start:stop],
                              toeplitz[kept])
             lags = np.ascontiguousarray(lags.transpose(1, 2, 0)).reshape(-1, 2 * ml + 1)
             tdoas[start * block : stop * block, p] = (refine_peaks(lags) - ml) / rate
 
-    slowness = (solver @ (c * tdoas[:n].T)).T  # (n, 3)
+    slowness = (c * tdoas @ solver.T)[:n]  # (n, 3)
     norms = np.linalg.norm(slowness, axis=1)
     valid = (norms > _DEGENERATE_NORM) & (energies > 0.0)
     directions = np.zeros((n, 3))

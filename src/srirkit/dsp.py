@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, NoOnsetError
 from .signals import BinauralIr, StftFrames, _check_stft_layout
@@ -125,7 +126,8 @@ def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(f"need two 1-D arrays of one length, got {a.shape} and {b.shape}")
     if not 0 <= max_lag < a.size:
         raise ValueError(f"max_lag must be in [0, {a.size - 1}], got {max_lag}")
-    return np.correlate(np.pad(b, max_lag), a, mode="valid")
+    # einsum's own loop: np.correlate's BLAS ddot splits long vectors across threads.
+    return np.einsum("i,ji->j", a, sliding_window_view(np.pad(b, max_lag), a.size))
 
 
 def refine_peaks(corr: np.ndarray) -> np.ndarray:
@@ -194,9 +196,9 @@ def _windowed_sincs(frac: np.ndarray, polynomial: bool) -> np.ndarray:
     if not polynomial:
         v = np.arange(-FRACTIONAL_DELAY_HALF, FRACTIONAL_DELAY_HALF + 1) - frac[:, None]
         return np.sinc(v) * _kaiser_window(v)
-    # Rows padded to a multiple of 8, so every block keeps the bits: numpy sends one row
-    # to gemv, and OpenBLAS kernels sum a row tail (odd on Haswell and Zen) in another order.
-    x = np.pad(2.0 * frac - 1.0, (0, -frac.size % 8))
+    # Rows padded to 1,024, one shape for every block: OpenBLAS sums a row tail in another
+    # order, and pre-AVX kernels split some row counts across threads in another order.
+    x = np.pad(2.0 * frac - 1.0, (0, max(0, 1024 - frac.size)))
     basis = np.empty((len(_FARROW), x.size))
     basis[0], basis[1], twice = 1.0, x, 2.0 * x
     for j in range(2, len(_FARROW)):  # T_j = 2x T_(j-1) - T_(j-2)

@@ -6,6 +6,9 @@ built once per session, on first use by the acceptance tests.
 
 from __future__ import annotations
 
+import os
+import platform
+import sys
 import warnings
 
 import numpy as np
@@ -29,6 +32,45 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+#: CPU flags that each OpenBLAS kernel a test forces needs.
+_BLAS_KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Nehalem": {"sse4_2"}}
+
+
+def _require_blas_kernel(coretype):
+    """Skip unless numpy's BLAS is a DYNAMIC_ARCH OpenBLAS on an x86-64 CPU
+    that can run ``coretype``'s kernel."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not report its BLAS build")
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS core types are x86-64 kernels")
+    try:
+        with open("/proc/cpuinfo") as info:
+            flags = next(line for line in info if line.startswith("flags")).split()
+    except (OSError, StopIteration):
+        pytest.skip("no CPU flags to check the kernel against")
+    if not _BLAS_KERNEL_FLAGS[coretype] <= set(flags):
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernel")
+
+
+@pytest.fixture(scope="session")
+def blas_env():
+    """``env(threads, coretype=None)``: the environment of a child Python
+    that imports this checkout with ``threads`` BLAS threads, on OpenBLAS's
+    ``coretype`` kernel if one is named (skipping where it cannot run)."""
+    def env(threads, coretype=None):
+        child = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                 "OMP_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(sys.path)}
+        if coretype is not None:
+            _require_blas_kernel(coretype)
+            child["OPENBLAS_CORETYPE"] = coretype
+        return child
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -199,11 +198,11 @@ class TestTdoaLsDoa:
         assert peak < 16e6
 
     def test_energy_chunk_leaves_the_trajectory_bytes(self, front_left_srir, monkeypatch):
-        """The energy pass and the lag products one sample or two blocks at a
-        time, in uneven chunks, and over the whole signal at once give the
-        trajectory of the default chunk, byte for byte (a one-block chunk
-        would be a matrix-vector product, summed in another order); the
-        silence before the direct sound keeps some samples invalid."""
+        """The lag products eight blocks at a time (the least chunk, which
+        1, 9,405 and 26,125 elements all give) and over the whole signal at
+        once give the trajectory of the default chunks (72 and 24 of the 96
+        blocks for the widest pairs), byte for byte; the silence before the
+        direct sound keeps some samples invalid."""
         srir = MultichannelIr(front_left_srir.samples[:, :3000], FS)
         base = tdoa_ls_doa(srir, om6(), WINDOW)
         assert not base.valid.all()
@@ -213,7 +212,8 @@ class TestTdoaLsDoa:
             assert traj.directions.tobytes() == base.directions.tobytes()
             assert traj.valid.tobytes() == base.valid.tobytes()
 
-    def test_trajectory_bytes_do_not_depend_on_blas_threads(self, front_left_srir, tmp_path):
+    def test_trajectory_bytes_do_not_depend_on_blas_threads(self, front_left_srir, tmp_path,
+                                                            blas_env):
         """The lag products run through BLAS; one thread and two give the
         canonical trajectory the same bytes."""
         path = tmp_path / "srir.npy"
@@ -227,15 +227,25 @@ class TestTdoaLsDoa:
             "print(hashlib.sha256(traj.directions.tobytes() + traj.valid.tobytes()).hexdigest())\n"
         )
         digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(sys.path)}
-            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+        for threads in (1, 2):
+            run = subprocess.run([sys.executable, "-c", script, str(path)], env=blas_env(threads),
                                  capture_output=True, text=True, timeout=120, check=True)
             digests.append(run.stdout.strip())
         traj = tdoa_ls_doa(front_left_srir, om6(), WINDOW)
         here = hashlib.sha256(traj.directions.tobytes() + traj.valid.tobytes()).hexdigest()
         assert digests == [here, here]
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Nehalem"])
+    def test_byte_checks_hold_on_forced_blas_kernels(self, coretype, blas_env):
+        """OpenBLAS's Haswell kernel (also taken on Zen) and its pre-AVX
+        Nehalem one sum a product's row tail in another order: the chunk and
+        thread byte checks above, rerun in a child forced onto each kernel."""
+        checks = [f"{__file__}::TestTdoaLsDoa::test_energy_chunk_leaves_the_trajectory_bytes",
+                  f"{__file__}::TestTdoaLsDoa::test_trajectory_bytes_do_not_depend_on_blas_threads"]
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              *checks], env=blas_env(1, coretype), capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stdout[-3000:]
 
     @pytest.mark.parametrize("window_size", [0, -3, 1, 3.5])
     def test_window_must_be_an_integer_of_at_least_2(self, window_size):

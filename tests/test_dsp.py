@@ -1,3 +1,6 @@
+import hashlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -207,6 +210,23 @@ class TestCrossCorrelate:
         assert corr.shape == (2 * max_lag + 1,)
         assert np.abs(corr - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
+    def test_bytes_do_not_depend_on_blas_threads(self, blas_env):
+        """15,000 samples, about a late IACC window: np.correlate's ddot split
+        vectors of over 10,000 across threads, which read other bytes on two
+        than on one, and this process's bytes on both."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from srirkit.dsp import cross_correlate\n"
+            "a, b = np.random.default_rng(3).normal(size=(2, 15_000))\n"
+            "print(hashlib.sha256(cross_correlate(a, b, 48).tobytes()).hexdigest())\n"
+        )
+        digests = [subprocess.run([sys.executable, "-c", script], env=blas_env(threads),
+                                  capture_output=True, text=True, timeout=120,
+                                  check=True).stdout.strip() for threads in (1, 2)]
+        a, b = np.random.default_rng(3).normal(size=(2, 15_000))
+        here = hashlib.sha256(dsp.cross_correlate(a, b, 48).tobytes()).hexdigest()
+        assert digests == [here, here]
+
     def test_invalid_arguments(self):
         x = np.ones(10)
         with pytest.raises(ValueError):
@@ -415,6 +435,25 @@ def test_place_fractional_impulses_block_size_keeps_bits(rng, monkeypatch, form)
         assert count > 0 and np.any(out)
         for count_block, out_block in others:
             assert count_block == count and np.array_equal(out_block, out)
+
+
+def test_polynomial_kernel_bytes_do_not_depend_on_blas_threads_before_avx(blas_env):
+    """OpenBLAS's pre-AVX Nehalem kernel split some row counts between about
+    830 and 3,000 across two threads in another order: a last block of 900
+    arrivals placed other bytes on two threads than on one."""
+    script = (
+        "import hashlib, numpy as np\n"
+        "from srirkit.dsp import _IMPULSE_BLOCK, place_fractional_impulses\n"
+        "rng = np.random.default_rng(11)\n"
+        "delays = rng.uniform(20.0, 4000.0, size=_IMPULSE_BLOCK + 900)\n"
+        "out = np.zeros(4096)\n"
+        "place_fractional_impulses(out, delays, rng.normal(size=delays.size), _polynomial=True)\n"
+        "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+    )
+    digests = [subprocess.run([sys.executable, "-c", script], env=blas_env(threads, "Nehalem"),
+                              capture_output=True, text=True, timeout=120,
+                              check=True).stdout.strip() for threads in (1, 2)]
+    assert digests[0] == digests[1]
 
 
 def test_place_fractional_impulses_memory_is_bounded(rng):

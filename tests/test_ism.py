@@ -1,5 +1,4 @@
 import hashlib
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -460,7 +459,7 @@ def test_center_capsule_is_the_ideal_w():
 
 
 
-def test_array_and_reference_bytes_do_not_depend_on_blas_threads():
+def test_array_and_reference_bytes_do_not_depend_on_blas_threads(blas_env):
     """The array and reference renders build their kernels as BLAS products
     of the Farrow table; one thread and two give both renders the same bytes."""
     script = (
@@ -477,10 +476,8 @@ def test_array_and_reference_bytes_do_not_depend_on_blas_threads():
         "print(hashlib.sha256(srir.samples.tobytes() + brir.samples.tobytes()).hexdigest())\n"
     )
     digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(sys.path)}
-        run = subprocess.run([sys.executable, "-c", script], env=env,
+    for threads in (1, 2):
+        run = subprocess.run([sys.executable, "-c", script], env=blas_env(threads),
                              capture_output=True, text=True, timeout=120, check=True)
         digests.append(run.stdout.strip())
     images = enumerate_images(presets.scene("front_left", max_order=12))

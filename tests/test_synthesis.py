@@ -1,5 +1,4 @@
 import hashlib
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -747,21 +746,22 @@ class TestBinauralRender:
         monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
         assert np.array_equal(binaural_render(assignment, hrirs).samples, expected)
 
-    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
+    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path, blas_env):
         """A k = 3 assignment's render in fresh interpreters with
         OPENBLAS_NUM_THREADS 1 and 2: the bytes of this process's render."""
         grid = fibonacci_grid(240)
         assignment = SampleAssignment(grid, rng.integers(len(grid), size=(6000, 3)),
                                       rng.normal(size=(6000, 3)), FS)
         _assert_render_bytes_across_blas_threads(
-            tmp_path, assignment, dict(speakers=assignment.speakers, samples=assignment.samples),
+            blas_env, tmp_path, assignment,
+            dict(speakers=assignment.speakers, samples=assignment.samples),
             f"SampleAssignment(grid, d['speakers'], d['samples'], {FS})")
 
 
-def _assert_render_bytes_across_blas_threads(tmp_path, vls, arrays, build):
+def _assert_render_bytes_across_blas_threads(blas_env, tmp_path, vls, arrays, build):
     """The render of ``vls`` on a 240-loudspeaker grid, rebuilt as the source
-    ``build`` from the saved ``arrays`` in fresh interpreters with
-    OPENBLAS_NUM_THREADS 1 and 2, has the bytes of this process's render."""
+    ``build`` from the saved ``arrays`` in fresh interpreters on 1 and 2 BLAS
+    threads (``blas_env``), has the bytes of this process's render."""
     path = tmp_path / "vls.npz"
     np.savez(path, **arrays)
     script = (
@@ -776,10 +776,8 @@ def _assert_render_bytes_across_blas_threads(tmp_path, vls, arrays, build):
         "print(hashlib.sha256(binaural_render(vls, hrirs).samples.tobytes()).hexdigest())\n"
     )
     digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(sys.path)}
-        run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+    for threads in (1, 2):
+        run = subprocess.run([sys.executable, "-c", script, str(path)], env=blas_env(threads),
                              capture_output=True, text=True, timeout=120, check=True)
         digests.append(run.stdout.strip())
     grid = fibonacci_grid(240)
@@ -826,13 +824,14 @@ class TestSirrRender:
                 patch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
                 assert np.array_equal(binaural_render(vls, hrirs).samples, expected), psi
 
-    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path):
+    def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path, blas_env):
         """The render, diffuse filter included, in fresh interpreters with
         OPENBLAS_NUM_THREADS 1 and 2: the bytes of this process's render."""
         grid = fibonacci_grid(240)
         vls = sirr_synthesize(*_sirr_inputs(rng, 6000), grid, seed=7)
         _assert_render_bytes_across_blas_threads(
-            tmp_path, vls, dict(speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse),
+            blas_env, tmp_path, vls,
+            dict(speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse),
             f"SirrStreams(grid, d['speakers'], d['samples'], d['diffuse'], 7, 64, 32, {FS})")
 
     def test_direct_rows_are_slices_of_the_full_istft(self, rng):
