@@ -102,6 +102,9 @@ def octave_bands(samples: np.ndarray, sample_rate: float, centers_hz) -> np.ndar
 
 #: Samples per block of :func:`_sosfilt`'s recursion, which is fastest near 32.
 _BLOCK = 32
+#: Most blocks in one of its products. OpenBLAS sums a row tail in another order, and on
+#: pre-AVX kernels 488 rows or more, in an odd number of 8s, changed bits on 2-4 threads.
+_PRODUCT_BLOCKS = 1024
 
 
 @functools.lru_cache(maxsize=512)
@@ -145,24 +148,29 @@ def _sosfilt(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray | None = None)
     every block's own end state, a doubling scan that carries the states
     from block to block, and one matrix product for the outputs. Every
     row's products have the same shape however many rows are stacked, so a
-    row's bits do not depend on the rows stacked with it.
+    row's bits do not depend on the rows stacked with it, nor on the BLAS
+    thread count: the products take equal chunks of at most
+    ``_PRODUCT_BLOCKS`` blocks, zero-padded to whole groups of 16.
     """
     sos = np.asarray(sos, dtype=np.float64)
     x = np.asarray(samples, dtype=np.float64)
     n = x.shape[-1]
-    blocks = max(1, -(-n // _BLOCK))
-    full = (blocks - 1) * _BLOCK
+    chunks = max(1, -(-n // (_BLOCK * _PRODUCT_BLOCKS)))
+    rows = 16 * max(1, -(-n // (16 * _BLOCK * chunks)))  # blocks a chunk
+    blocks = chunks * rows
     lead = np.broadcast_shapes(sos.shape[:-2], x.shape[:-1])
     sections = [[_section_blocks(*row[[0, 1, 2, 4, 5]].tolist()) for row in stack]
                 for stack in sos.reshape(-1, *sos.shape[-2:])]
-    here = np.empty((*lead, blocks, _BLOCK + 2))  # [x[0:B], Re V, Im V] a block
-    here[..., :-1, :_BLOCK] = x[..., :full].reshape(*x.shape[:-1], -1, _BLOCK)
-    here[..., -1, : n - full] = x[..., full:]
-    here[..., -1, n - full : _BLOCK] = 0.0  # no input past the end
+    here = np.zeros((*lead, blocks, _BLOCK + 2))  # [x[0:B], Re V, Im V] a block; 0 past the end
+    full = n - n % _BLOCK  # the samples of x's whole blocks
+    here[..., : full // _BLOCK, :_BLOCK] = x[..., :full].reshape(*x.shape[:-1], -1, _BLOCK)
+    here[..., full // _BLOCK : full // _BLOCK + 1, : n - full] = x[..., None, full:]
+    split = (*lead, chunks, rows, _BLOCK + 2)  # the blocks as the products take them
     for s in range(sos.shape[-2]):
         outputs, state, p, decay = (np.reshape(part, (*sos.shape[:-2], *np.shape(part[0])))
                                     for part in zip(*(stack[s] for stack in sections)))
-        carry = (here[..., :_BLOCK] @ state).view(complex)[..., 0]  # each block's own V
+        outputs, state = outputs[..., None, :, :], state[..., None, :, :]  # the same each chunk
+        carry = (here.reshape(split)[..., :_BLOCK] @ state).view(complex).reshape(*lead, blocks)
         start = 0.0  # the state before block 0
         if zi is not None:
             z = np.asarray(zi, dtype=np.float64)[..., s, :]
@@ -176,10 +184,10 @@ def _sosfilt(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray | None = None)
         here[..., 1:, _BLOCK], here[..., 1:, _BLOCK + 1] = carry[..., :-1].real, carry[..., :-1].imag
         if s + 1 < sos.shape[-2]:  # outputs past n reach no output before n
             after = np.empty_like(here)
-            np.matmul(here, outputs, out=after[..., :_BLOCK])
+            np.matmul(here.reshape(split), outputs, out=after.reshape(split)[..., :_BLOCK])
             here = after  # frees this section's rows before the next section's are made
         else:
-            y = here @ outputs
+            y = here.reshape(split) @ outputs
     return y.reshape(*lead, blocks * _BLOCK)[..., :n]
 
 

@@ -210,7 +210,8 @@ def _hull_triangles(points: np.ndarray) -> np.ndarray:
 
 
 def fibonacci_grid(n: int) -> LoudspeakerGrid:
-    """Near-uniform grid of n directions on the golden-angle spiral."""
+    """Near-uniform grid of n >= 4 directions on the golden-angle spiral."""
+    _check_count("n", n, 4)
     i = np.arange(n)
     z = (2.0 * i + 1.0) / n - 1.0
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

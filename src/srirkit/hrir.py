@@ -81,6 +81,7 @@ def spherical_head_hrir_set(directions: np.ndarray, sample_rate: float = 48000.0
     validating pipelines, not for listening.
     """
     dirs = _unit_rows(directions)
+    wavio.check_sample_rate(sample_rate)
     # The ipsilateral ear leads the head centre by up to _HEAD_TRANSIT_S;
     # at low rates the base delay grows so that arrival stays a sample clear
     # of the interpolator's half-width instead of being dropped.

@@ -20,15 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import MicArrayGeometry, builtin_array
-from .dsp import SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
+from .dsp import FRACTIONAL_DELAY_HALF, SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
 from .errors import LostDirectPathError, TruncatedResponseWarning
 from .grids import nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, FoaSignal, MultichannelIr
-from .synthesis import hrir_sum
-
-#: HRIR directions whose impulse trains the reference BRIR builds at once.
-_DIRECTION_BLOCK = 64
+from .synthesis import _frame_render
 
 
 @dataclass(frozen=True)
@@ -233,10 +230,10 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
 
     Each image contributes its amplitude at its fractional delay through the
     HRIR pair closest to its direction; the result is the sum, with length
-    ``length + hrir_taps - 1``. The images of up to ``_DIRECTION_BLOCK``
-    HRIR directions are placed into one impulse train per direction at
-    once, and :func:`~srirkit.synthesis.hrir_sum` sums the trains through
-    their HRIRs on the frame renderer that ``binaural_render`` uses.
+    ``length + hrir_taps - 1``. It is rendered on the frame renderer that
+    ``binaural_render`` uses, at a hop of 4 * taps samples: an arrival goes
+    whole into the segment of its HRIR direction in the frame where its
+    support starts, at its delay less the frame's start, which is exact.
     """
     if hrirs.sample_rate != sample_rate:
         raise ValueError(
@@ -245,15 +242,23 @@ def render_reference_brir(images: ImageSourceList, hrirs: HrirSet,
     matches = nearest_directions(images.directions, hrirs.directions)[0][:, 0]
     delays = images.delays * sample_rate
     _require_direct(images, delays, length, "reference BRIR")
-    used, row = np.unique(matches, return_inverse=True)
-    ears = np.zeros((2, length + hrirs.length - 1))
-    truncated = 0
-    for start in range(0, used.size, _DIRECTION_BLOCK):
-        block = used[start : start + _DIRECTION_BLOCK]
-        sel = (row >= start) & (row < start + block.size)
-        trains = np.zeros((block.size, length))  # one impulse train per HRIR direction
-        truncated += place_fractional_impulses(trains, delays[sel], images.amplitudes[sel],
-                                               rows=row[sel] - start, _polynomial=True)
-        ears += hrir_sum(np.stack([hrirs.left[block], hrirs.right[block]]), trains)
-    _warn_truncated(truncated, "reference BRIR")
+    fits = impulse_fits(delays, length)
+    used, row = np.unique(matches[fits], return_inverse=True)
+    hop = 4 * hrirs.length
+    size = hop + 2 * FRACTIONAL_DELAY_HALF + 1  # a frame's arrivals' whole support
+    frame = (np.floor(delays[fits]).astype(np.int64) - FRACTIONAL_DELAY_HALF) // hop
+    order = np.argsort(frame, kind="stable")
+    frame, row = frame[order], row[order]
+    delays, amplitudes = delays[fits][order] - frame * hop, images.amplitudes[fits][order]
+
+    def segments(f0, f1):  # each (frame, direction) key's arrivals, placed at once
+        sel = slice(*np.searchsorted(frame, (f0, f1)))
+        keys, cell = np.unique(frame[sel] * used.size + row[sel], return_inverse=True)
+        signals = np.zeros((keys.size, size))
+        place_fractional_impulses(signals, delays[sel], amplitudes[sel], rows=cell, _polynomial=True)
+        return keys, signals
+
+    ears = _frame_render(segments, np.stack([hrirs.left[used], hrirs.right[used]]),
+                         -(-length // hop), size, hop, used.size, length + hrirs.length - 1)
+    _warn_truncated(fits.size - np.count_nonzero(fits), "reference BRIR")
     return BinauralIr(ears, sample_rate)

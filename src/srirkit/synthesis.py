@@ -23,7 +23,7 @@ MAX_HRIR_ANGLE_DEG = 1.0
 _FRONTAL = np.array([1.0, 0.0, 0.0])
 #: Bytes of per-(frame, loudspeaker) HRIR-pair spectra in one chunk of :func:`_frame_render`.
 _TIME_BLOCK_BYTES = 4 * 2**20
-#: Loudspeakers that :meth:`SirrStreams.rows` and :func:`hrir_sum` take at once.
+#: Loudspeakers that :meth:`SirrStreams.rows` takes at once.
 _SPEAKER_BLOCK = 16
 
 
@@ -225,7 +225,8 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     offenders are reported together. :func:`_frame_render` renders SIRR's
     direct stream in its STFT frames and an assignment in blocks of half the
     HRIR length; SIRR's diffuse bins are transformed back once and go through
-    one filter per ear, each HRIR convolved with its decorrelator, summed.
+    one filter per ear, each HRIR convolved with its decorrelator, summed:
+    one frame whose keys are the loudspeakers and whose segments their kernels.
     """
     if vls.sample_rate != hrirs.sample_rate:
         raise ValueError(f"sample-rate mismatch: {vls.sample_rate} vs HRIRs {hrirs.sample_rate}")
@@ -243,9 +244,12 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
         out = _frame_render(lambda f0, f1: vls._segments(f0, f1, divisor), ears, frames, size,
                             hop, 3 * bins, n)
         if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
-            kernels = decorrelation_kernel(vls.seed, range(len(vls.grid)))
-            diffuse = istft(StftFrames(vls.diffuse, size, hop, vls.sample_rate))
-            out += fft_convolve(diffuse, hrir_sum(ears, kernels))
+            count = len(vls.grid)
+            kernels = decorrelation_kernel(vls.seed, range(count))
+            filters = _frame_render(lambda f0, f1: (np.arange(count), kernels), ears, 1,
+                                    DECORRELATOR_TAPS, DECORRELATOR_TAPS, count,
+                                    DECORRELATOR_TAPS + ears.shape[2] - 1)
+            out += fft_convolve(istft(StftFrames(vls.diffuse, size, hop, vls.sample_rate)), filters)
     else:
         # A block's pairs grow with its size up to L, each pair's transform with size
         # + taps. At 128 taps 32-64 tied as the fastest of 16-128 on the benchmark's
@@ -261,47 +265,26 @@ def _frame_render(segments, ears: np.ndarray, frames: int, size: int, hop: int,
     """Both ears' (2, n) sum of loudspeaker segments through their HRIRs.
 
     ``segments(f0, f1)`` gives frames f0:f1's sorted keys frame * L + loudspeaker,
-    1 to ``most`` a frame, and each key's ``size``-sample segment from sample
+    at most ``most`` a frame, and each key's ``size``-sample segment from sample
     frame * hop. Each is multiplied by its HRIR pair in the frequency domain, each
-    frame's sum is transformed back once per ear and overlap-added at the hop.
+    keyed frame's sum is transformed back once per ear and overlap-added at the
+    hop; a frame with no key is silence.
     """
     count, span = ears.shape[1], size + ears.shape[2] - 1  # span: one frame's output
     nfft, blocks = _next_fast_len(span), -(-span // hop)
     spectra = np.fft.rfft(ears, nfft).transpose(1, 0, 2)  # (speakers, 2, nfft // 2 + 1)
     out = np.zeros((max(-(-n // hop), frames - 1 + blocks), 2, hop))
-    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * min(count, most)))
+    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * max(1, min(count, most))))
     for f0 in range(0, frames, step):
         f1 = min(f0 + step, frames)
         keys, signals = segments(f0, f1)
         mixed = spectra[keys % count]
         mixed *= np.fft.rfft(signals, nfft)[:, None]
-        summed = np.add.reduceat(mixed, np.searchsorted(keys, count * np.arange(f0, f1)))
+        starts = np.flatnonzero(np.diff(keys // count, prepend=-1))  # each keyed frame's first
         framed = np.zeros((f1 - f0, 2, blocks * hop))
-        framed[..., :span] = np.fft.irfft(summed, nfft)[..., :span]
+        framed[keys[starts] // count - f0, :, :span] = \
+            np.fft.irfft(np.add.reduceat(mixed, starts), nfft)[..., :span]
         for j in range(blocks - 1, -1, -1):  # each block adds its frames in ascending order
             out[f0 + j : f1 + j] += framed[..., j * hop : (j + 1) * hop]
     return out.transpose(1, 0, 2).reshape(2, -1)[:, :n]
 
-
-def hrir_sum(ears: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """Both ears' sum of every signal row convolved with its HRIR pair.
-
-    ``ears`` is (2, rows, taps) and ``signals`` (rows, n); the result is the
-    full convolution, (2, n + taps - 1). :func:`_frame_render` sums
-    ``_SPEAKER_BLOCK`` rows at a time, each row a key of every frame of 4 * taps samples.
-    """
-    size, n = 4 * ears.shape[2], signals.shape[1]
-    out = np.zeros((2, n + ears.shape[2] - 1))
-    for first in range(0, len(signals), _SPEAKER_BLOCK):
-        block = signals[first : first + _SPEAKER_BLOCK]
-        count = len(block)
-
-        def segments(f0, f1):  # frames f0:f1 of every row, frame-major, zeros past n
-            part = np.zeros((count, (f1 - f0) * size))
-            part[:, : n - f0 * size] = block[:, f0 * size : f1 * size]
-            return (np.arange(f0 * count, f1 * count),
-                    part.reshape(count, f1 - f0, size).transpose(1, 0, 2).reshape(-1, size))
-
-        out += _frame_render(segments, ears[:, first : first + count], -(-n // size), size,
-                             size, count, out.shape[1])
-    return out

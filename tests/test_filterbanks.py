@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -236,3 +238,31 @@ def test_filters_match_scipy_property(seed, rows, extra, rate, pick, offset):
         assert ours.shape == expected.shape
         scale = max(np.abs(x).max(), np.abs(expected).max())
         assert np.abs(ours - expected).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Nehalem"])
+def test_band_and_piv_bytes_do_not_depend_on_blas_threads(coretype, blas_env):
+    """octave_bands, erb_bands and piv_broadband_doa give the same bytes on 1
+    and 2 BLAS threads, on the default kernel and forced onto OpenBLAS's
+    Haswell one (also taken on Zen) and its pre-AVX Nehalem one, at the
+    reference BRIR's 19,327 samples and at 60,000, 77,777 and 100,000
+    (a product of 488 blocks in groups of 8 changed bits on Nehalem)."""
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from srirkit.doa import piv_broadband_doa\n"
+        "from srirkit.filterbanks import erb_bands, octave_bands\n"
+        "from srirkit.signals import FoaSignal\n"
+        "x = np.random.default_rng(0).normal(size=(4, 100000))\n"
+        "digest = hashlib.sha256()\n"
+        "for n in (19327, 60000, 77777, 100000):\n"
+        f"    digest.update(octave_bands(x[:2, :n], {FS}, (500.0, 1000.0, 2000.0)).tobytes())\n"
+        f"    digest.update(erb_bands(x[:2, :n], {FS}).tobytes())\n"
+        f"    trajectory = piv_broadband_doa(FoaSignal(x[:, :n], {FS}), 64, 200.0, 2400.0)\n"
+        "    digest.update(trajectory.directions.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    digests = [subprocess.run([sys.executable, "-c", script], env=blas_env(threads, coretype),
+                              capture_output=True, text=True, timeout=120, check=True).stdout
+               for threads in (1, 2)]
+    assert digests[0] == digests[1]

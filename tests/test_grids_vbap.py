@@ -76,6 +76,12 @@ class TestFibonacciGrid:
         with pytest.raises(ValueError):
             fibonacci_grid(3)
 
+    @pytest.mark.parametrize("n", [10.5, True])
+    def test_count_must_be_an_integer(self, n):
+        """10.5 built an 11-direction grid from a 10.5-point spiral."""
+        with pytest.raises(ValueError, match=f"n must be an integer >= 4, got {n}"):
+            fibonacci_grid(n)
+
     @pytest.mark.parametrize("dirs", [np.eye(3), np.vstack([np.eye(2, 3), -np.eye(2, 3)])],
                              ids=["three", "one-plane"])
     def test_directions_qhull_cannot_triangulate_rejected(self, dirs):

@@ -87,6 +87,11 @@ class TestSphericalHeadModel:
         assert np.all(np.abs(hrirs.right).max(axis=1) > 0)
         assert (hrirs.length == 128) == (rate == FS)
 
+    def test_rate_checked_before_it_is_used(self):
+        """A rate of 0 raised ZeroDivisionError from the base-delay formula."""
+        with pytest.raises(ValueError, match="whole number"):
+            spherical_head_hrir_set(np.eye(3), sample_rate=0.0)
+
 
 class TestHrirSetValidation:
     def test_duplicate_directions_rejected(self):
@@ -129,6 +134,7 @@ class TestHrirSetValidation:
         dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="whole number"):
             HrirSet(dirs, np.zeros((2, 8)), np.zeros((2, 8)), rate)
+
 
 
 class TestLoaders:

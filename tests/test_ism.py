@@ -321,21 +321,13 @@ class TestRenderReferenceBrir:
         total = singles[0].left.samples + singles[1].left.samples
         assert np.abs(combined.left.samples - total).max() < 1e-12
 
-    def test_matches_per_direction_convolution(self, rng):
-        """Over 64 used HRIR directions (more than one direction block) and a
-        length that no frame divides, the BRIR equals each direction's
-        impulse train convolved with its HRIR pair by np.convolve, and every
-        truncated arrival is counted."""
-        hrirs = HrirSet(fibonacci_grid(300).directions, rng.normal(size=(300, 128)),
-                        rng.normal(size=(300, 128)), FS)
-        images = enumerate_images(_scene(max_order=8))
-        length = 3001
-        with pytest.warns(TruncatedResponseWarning) as caught:
-            brir = render_reference_brir(images, hrirs, FS, length)
+    @staticmethod
+    def _per_direction_convolution(images, hrirs, length):
+        """Each used direction's impulse train convolved with its HRIR pair by
+        np.convolve, summed, and the count of arrivals that do not fit."""
         matches = np.argmax(images.directions @ hrirs.directions.T, axis=1)
-        assert np.unique(matches).size > 64
         delays = images.delays * FS
-        expected = np.zeros((2, length + 127))
+        expected = np.zeros((2, length + hrirs.length - 1))
         truncated = 0
         for h in np.unique(matches):
             train = np.zeros(length)
@@ -344,15 +336,60 @@ class TestRenderReferenceBrir:
                                                        _polynomial=True)
             expected[0] += np.convolve(train, hrirs.left[h])
             expected[1] += np.convolve(train, hrirs.right[h])
+        return expected, truncated
+
+    @pytest.mark.parametrize("taps", [1, 128, 300])
+    def test_matches_per_direction_convolution(self, rng, taps):
+        """Over more than 64 used HRIR directions of 1-300 taps and a length
+        that no frame divides, the BRIR equals each direction's impulse train
+        convolved with its HRIR pair by np.convolve, and every truncated
+        arrival is counted."""
+        hrirs = HrirSet(fibonacci_grid(300).directions, rng.normal(size=(300, taps)),
+                        rng.normal(size=(300, taps)), FS)
+        images = enumerate_images(_scene(max_order=8))
+        length = 3001
+        with pytest.warns(TruncatedResponseWarning) as caught:
+            brir = render_reference_brir(images, hrirs, FS, length)
+        matches = np.argmax(images.directions @ hrirs.directions.T, axis=1)
+        assert np.unique(matches).size > 64
+        expected, truncated = self._per_direction_convolution(images, hrirs, length)
         assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
         assert truncated > 0
         assert str(caught[0].message).startswith(f"{truncated} image arrivals")
 
+    def test_sparse_scene_matches_per_direction_convolution(self, rng):
+        """A first-order scene's seven arrivals in 19,200 samples: most of the
+        512-sample frames hold no arrival, and those are silence."""
+        hrirs = HrirSet(fibonacci_grid(300).directions, rng.normal(size=(300, 128)),
+                        rng.normal(size=(300, 128)), FS)
+        images = enumerate_images(_scene(max_order=1))
+        brir = render_reference_brir(images, hrirs, FS, 19200)
+        frames = np.unique((np.floor(images.delays * FS).astype(int) - dsp.FRACTIONAL_DELAY_HALF)
+                           // 512)
+        assert frames.size < 19200 // 512 // 2
+        expected, truncated = self._per_direction_convolution(images, hrirs, 19200)
+        assert truncated == 0
+        assert np.abs(brir.samples - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_no_arrival_that_fits_renders_silence(self):
+        """An image list without its direct image whose arrivals all miss a
+        300-sample buffer: no direction is used, every frame is empty, and the
+        BRIR is silence of the full length."""
+        images = enumerate_images(_scene(max_order=3))
+        late = images.orders > 0
+        images = ImageSourceList(images.positions[late], images.amplitudes[late],
+                                 images.delays[late], images.directions[late],
+                                 images.orders[late], images.receiver_origin)
+        hrirs = spherical_head_hrir_set(fibonacci_grid(40).directions, sample_rate=FS)
+        with pytest.warns(TruncatedResponseWarning, match=f"^{late.sum()} image arrivals"):
+            brir = render_reference_brir(images, hrirs, FS, 300)
+        assert brir.samples.shape == (2, 300 + hrirs.length - 1)
+        assert not brir.samples.any()
+
     @pytest.mark.parametrize("budget", [1, 2**62], ids=["one-frame", "all-frames"])
     def test_bytes_do_not_depend_on_the_chunk_size(self, monkeypatch, budget):
-        """277 used HRIR directions (five direction blocks, the last ending in
-        a partial row block): one frame per chunk and every frame in one give
-        the bytes of the default chunks."""
+        """277 used HRIR directions: one frame per chunk and every frame in
+        one give the bytes of the default chunks."""
         hrirs = spherical_head_hrir_set(fibonacci_grid(300).directions, sample_rate=FS)
         images = enumerate_images(_scene(max_order=8))
         with pytest.warns(TruncatedResponseWarning):
@@ -361,9 +398,9 @@ class TestRenderReferenceBrir:
             assert np.array_equal(render_reference_brir(images, hrirs, FS, 3001).samples, expected)
 
     def test_dense_hrir_set_memory_bounded(self):
-        """12,000 HRIR directions, 1,400 of them used: trains are built for at
-        most 64 directions at a time, far below one train per direction
-        (12,000 x 4,800 samples, 461 MB)."""
+        """12,000 HRIR directions, 1,400 of them used: only one chunk of
+        frames' (frame, direction) segments is built at a time, far below one
+        impulse train per direction (12,000 x 4,800 samples, 461 MB)."""
         hrirs = spherical_head_hrir_set(fibonacci_grid(12000).directions, sample_rate=FS)
         images = enumerate_images(_scene(max_order=10))
         tracemalloc.start()

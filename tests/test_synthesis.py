@@ -23,7 +23,6 @@ from srirkit.synthesis import (
     SirrStreams,
     binaural_render,
     decorrelation_kernel,
-    hrir_sum,
     sdm_synthesize,
     sirr_synthesize,
 )
@@ -418,8 +417,8 @@ def test_sdm_per_sample_energy_property(seed, k, speakers):
 @given(seed=st.integers(0, 2**31), speakers=st.integers(8, 60), k=st.integers(1, 4),
        taps=st.one_of(st.integers(8, 64), st.integers(240, 300)))
 def test_binaural_render_forms_match_direct_convolution_property(seed, speakers, k, taps):
-    """An SDM assignment's render, and hrir_sum of its dense signals, equal a
-    per-loudspeaker np.convolve sum, with HRIRs of 8-64 and 240-300 taps;
+    """An SDM assignment's render equals a per-loudspeaker np.convolve sum
+    of its dense signals, with HRIRs of 8-64 and 240-300 taps;
     HRIRs are listed in shuffled order, so each loudspeaker must find its
     own pair."""
     gen = np.random.default_rng(seed)
@@ -437,27 +436,7 @@ def test_binaural_render_forms_match_direct_convolution_property(seed, speakers,
         for e in range(2):
             expected[e] += np.convolve(signals[s], ears[e, s])
     tol = 1e-12 * np.abs(expected).max()
-    assert np.abs(hrir_sum(ears, signals) - expected).max() <= tol
     assert np.abs(binaural_render(assignment, hrirs).samples - expected).max() <= tol
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31), taps=st.sampled_from([1, 127, 128, 129, 255, 256, 257, 512]),
-       rows=st.sampled_from([1, 15, 16, 17, 40]), frames=st.integers(0, 2),
-       rest=st.floats(0.0, 1.0, exclude_max=True))
-def test_hrir_sum_matches_per_row_convolution_property(seed, taps, rows, frames, rest):
-    """hrir_sum equals the per-row np.convolve sum to 1e-12 of its peak, with
-    row counts around the 16-row block and signal lengths that no frame of
-    4 * taps samples divides."""
-    n = frames * 4 * taps + 1 + int(rest * (4 * taps - 1))
-    assert n % (4 * taps)
-    gen = np.random.default_rng(seed)
-    ears, signals = gen.normal(size=(2, rows, taps)), gen.normal(size=(rows, n))
-    expected = np.stack([sum(np.convolve(row, ear) for row, ear in zip(signals, ear_rows))
-                         for ear_rows in ears])
-    got = hrir_sum(ears, signals)
-    assert got.shape == (2, n + taps - 1)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -814,7 +793,7 @@ class TestSirrRender:
     def test_bytes_do_not_depend_on_the_chunk_size(self, rng, monkeypatch, budget):
         """One frame per chunk, and every frame in one, give the bytes of the
         default chunks, with the direct stream alone (psi = 0) and with a
-        diffuse stream, whose filter hrir_sum renders in the same chunks."""
+        diffuse stream, whose filter is one frame in any chunk size."""
         grid = fibonacci_grid(240)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         for psi in (0.0, None):
