@@ -45,11 +45,11 @@ def stft(samples: np.ndarray, sample_rate: float, window_size: int, hop: int) ->
     """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]
+    _check_stft_layout(window_size, hop)
     if window_size < 2 or (window_size & (window_size - 1)) != 0:
         raise ValueError(f"window_size must be a power of two, got {window_size}")
     if window_size > n:
         raise ValueError(f"window_size {window_size} exceeds signal length {n}")
-    _check_stft_layout(window_size, hop)
 
     window = _hann_periodic(window_size)
     n_frames = 1 + (n - window_size) // hop

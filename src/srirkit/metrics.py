@@ -122,8 +122,10 @@ def ild_avg(brir: BinauralIr) -> tuple[float, float]:
 
 
 def _iacf(left: np.ndarray, right: np.ndarray, rate: float, floor: float = 0.0) -> np.ndarray:
-    """Normalized |IACF| over lags -1..+1 ms; a window whose energy is not
-    above ``floor`` raises DegenerateInputError."""
+    """Normalized |IACF| over lags -1..+1 ms of a window longer than 2 ms; a
+    window whose energy is not above ``floor`` raises DegenerateInputError."""
+    if len(left) <= int(2 * IACC_MAX_LAG_S * rate):
+        raise ValueError(f"IACF window of {len(left)} samples is not longer than 2 ms")
     energy = float(np.sqrt(np.sum(left**2) * np.sum(right**2)))
     if energy <= floor:
         raise DegenerateInputError("IACF analysis window holds no energy above rounding noise")
@@ -138,8 +140,6 @@ def itd(brir: BinauralIr, whole: bool = False) -> float:
     direct-sound segment after onset (``dsp.DIRECT_SEGMENT_S``), or the
     whole BRIR when ``whole`` is true.
     """
-    if len(brir) <= int(2e-3 * brir.sample_rate):
-        raise ValueError("BRIR must be longer than 2 ms")
     start, stop = (0, len(brir)) if whole else dsp.direct_segment(brir)
     corr = _iacf(*brir.samples[:, start:stop], brir.sample_rate)
     lag = float(dsp.refine_peaks(corr)) - len(corr) // 2
@@ -150,8 +150,6 @@ def iacc(left: MonoIr, right: MonoIr) -> float:
     """Maximum |normalized interaural cross-correlation| over +/-1 ms."""
     if left.sample_rate != right.sample_rate:
         raise ValueError("sample-rate mismatch")
-    if len(left) <= int(2e-3 * left.sample_rate):
-        raise ValueError("segments must be longer than 2 ms")
     return float(min(_iacf(left.samples, right.samples, left.sample_rate).max(), 1.0))
 
 
@@ -165,13 +163,10 @@ def iacc_e3_l3(brir: BinauralIr, *, _bands=None) -> tuple[float, float]:
     onset = dsp.detect_onset(brir)
     rate = brir.sample_rate
     split = onset + int(round(EARLY_WINDOW_S * rate))
-    min_window = int(2e-3 * rate) + 1
     if split > len(brir):
         raise ValueError(
             f"BRIR too short for the early window: need {split} samples, have {len(brir)}"
         )
-    if len(brir) - split < min_window:
-        raise ValueError("late window shorter than 2 ms")
 
     ears = brir.samples
     floor = IACF_ENERGY_FLOOR * float(np.sqrt(np.prod(np.sum(ears**2, axis=-1))))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import _check_count
 from .wavio import check_sample_rate
 
 
@@ -84,8 +85,11 @@ class FoaSignal(MultichannelIr):
 
 
 def _check_stft_layout(window_size: int, hop: int) -> None:
-    """The layout rule of every STFT here: ``hop`` divides ``window_size`` at
-    least twice, so the periodic Hann window overlap-adds to a constant."""
+    """The layout rule of every STFT here: ``window_size`` and ``hop`` are
+    integers and ``hop`` divides ``window_size`` at least twice, so the
+    periodic Hann window overlap-adds to a constant."""
+    _check_count("window_size", window_size, 0)
+    _check_count("hop", hop, 0)
     if hop <= 0 or window_size % hop or window_size // hop < 2:
         raise ValueError(f"hop {hop} must divide window_size {window_size} at least twice")
 
@@ -109,12 +113,12 @@ class StftFrames:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim < 2:
             raise ValueError(f"frames must be at least 2-D, got shape {vals.shape}")
+        _check_stft_layout(self.window_size, self.hop)
         if vals.shape[-1] != self.window_size // 2 + 1:
             raise ValueError(
                 f"bin count {vals.shape[-1]} does not match window size "
                 f"{self.window_size} (expected {self.window_size // 2 + 1})"
             )
-        _check_stft_layout(self.window_size, self.hop)
         check_sample_rate(self.sample_rate)
         object.__setattr__(self, "values", vals)
 

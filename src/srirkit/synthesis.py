@@ -4,7 +4,7 @@ time-frequency synthesis (SIRR), decorrelation, and binaural rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from .dsp import _hann_periodic, _next_fast_len, _window_sum, fft_convolve, istf
 from .errors import MissingHrirError
 from .grids import LoudspeakerGrid, _check_count, nearest_directions
 from .hrir import HrirSet
-from .signals import BinauralIr, MonoIr, StftFrames, _check_stft_layout
+from .signals import BinauralIr, MonoIr, StftFrames
 from .vbap import vbap_gain_table
 from .wavio import check_sample_rate
 
@@ -128,57 +128,50 @@ def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SirrStreams:
-    """SIRR output in one STFT layout: per bin, the VBAP triangle ``speakers``
-    and its complex direct amplitudes ``samples``, both (frames, bins, 3), and
-    the (frames, bins) ``diffuse`` bins, played by loudspeaker l through
-    ``decorrelation_kernel(seed, l)``."""
+    """SIRR output in the STFT layout of its (frames, bins) ``diffuse`` bins:
+    per bin, the VBAP triangle ``speakers`` and its complex direct amplitudes
+    ``samples``, both (frames, bins, 3), and the diffuse bin, played by
+    loudspeaker l through ``decorrelation_kernel(seed, l)``."""
 
     grid: LoudspeakerGrid
     speakers: np.ndarray
     samples: np.ndarray
-    diffuse: np.ndarray
+    diffuse: StftFrames
     seed: int
-    window_size: int
-    hop: int
-    sample_rate: float
 
     def __post_init__(self):
-        window = self.window_size
-        _check_stft_layout(window, self.hop)
         speakers = _speaker_indices(self.speakers, self.grid)
         samples = np.asarray(self.samples, dtype=np.complex128)
-        diffuse = np.asarray(self.diffuse, dtype=np.complex128)
-        if samples.shape[1:] != (window // 2 + 1, 3):
-            raise ValueError(f"samples must have window_size // 2 + 1 = "
-                             f"{window // 2 + 1} bins of 3 amplitudes, shape "
-                             f"(frames, {window // 2 + 1}, 3), not {samples.shape}")
-        if speakers.shape != samples.shape or diffuse.shape != samples.shape[:2]:
+        shape = self.diffuse.values.shape
+        if len(shape) != 2 or not speakers.shape == samples.shape == (*shape, 3):
             raise ValueError("speakers, samples and diffuse do not share one STFT layout")
-        if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(diffuse))):
+        if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(self.diffuse.values))):
             raise ValueError("direct amplitudes and diffuse bins must be finite")
-        check_sample_rate(self.sample_rate)
         _check_count("seed", self.seed, 0, 2**32 - 1)
         if np.any(np.diff(np.sort(speakers, axis=-1)) == 0):  # each bin's cells are set once
             raise ValueError("speakers must be three distinct loudspeakers per bin")
         object.__setattr__(self, "speakers", speakers)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "diffuse", diffuse)
+
+    @property
+    def sample_rate(self) -> float:
+        return self.diffuse.sample_rate
 
     def __len__(self) -> int:
-        return (len(self.samples) - 1) * self.hop + self.window_size + DECORRELATOR_TAPS - 1
+        layout = self.diffuse
+        return (layout.frame_count - 1) * layout.hop + layout.window_size + DECORRELATOR_TAPS - 1
 
     def rows(self) -> np.ndarray:
         """Every loudspeaker's signal, (speakers, len(self)), written
         ``_SPEAKER_BLOCK`` loudspeakers at a time."""
-        count, layout = len(self.grid), (self.window_size, self.hop, self.sample_rate)
-        diffuse = istft(StftFrames(self.diffuse, *layout))
+        count, diffuse = len(self.grid), istft(self.diffuse)
         out = np.zeros((count, len(self)))
         for first in range(0, count, _SPEAKER_BLOCK):
             last = min(first + _SPEAKER_BLOCK, count)
-            values = np.zeros((last - first, *self.diffuse.shape), complex)
+            values = np.zeros((last - first, *self.diffuse.values.shape), complex)
             hit = (self.speakers >= first) & (self.speakers < last)
             values[(self.speakers[hit] - first, *np.nonzero(hit)[:2])] = self.samples[hit]
-            out[first:last, : diffuse.size] = istft(StftFrames(values, *layout))
+            out[first:last, : diffuse.size] = istft(replace(self.diffuse, values=values))
             out[first:last] += fft_convolve(diffuse,
                                             decorrelation_kernel(self.seed, range(first, last)))
         return out
@@ -186,7 +179,8 @@ class SirrStreams:
     def _segments(self, f0: int, f1: int, divisor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_frame_render`'s keys and segments of STFT frames f0:f1: each pair's
         inverse transform times the Hann window over :func:`istft`'s ``divisor``."""
-        bins, size, hop, count = self.samples.shape[1], self.window_size, self.hop, len(self.grid)
+        bins, size, hop = self.samples.shape[1], self.diffuse.window_size, self.diffuse.hop
+        count = len(self.grid)
         keys = self.speakers[f0:f1] + count * np.arange(f0, f1)[:, None, None]
         pairs, cell = np.unique(keys.ravel(), return_inverse=True)
         values = np.zeros((len(pairs), bins), complex)
@@ -208,14 +202,14 @@ def sirr_synthesize(pressure: MonoIr, field: TfDoaField,
     """
     if pressure.sample_rate != field.sample_rate:
         raise ValueError(f"sample-rate mismatch: {pressure.sample_rate} vs {field.sample_rate}")
-    values = stft(pressure.samples, pressure.sample_rate, field.window_size, field.hop).values
+    frames = stft(pressure.samples, pressure.sample_rate, field.window_size, field.hop)
+    values = frames.values
     if values.shape != field.psi.shape:
         raise ValueError(f"pressure frames {values.shape} do not match field {field.psi.shape}")
     speakers, gains = vbap_gain_table(field.directions.reshape(-1, 3), grid)  # (tf, 3) each
     direct = gains.reshape(*values.shape, 3) * (np.sqrt(1.0 - field.psi) * values)[..., None]
-    diffuse = np.sqrt(field.psi) * values / np.sqrt(len(grid))
-    return SirrStreams(grid, speakers.reshape(*values.shape, 3), direct, diffuse, seed,
-                       field.window_size, field.hop, field.sample_rate)
+    diffuse = replace(frames, values=np.sqrt(field.psi) * values / np.sqrt(len(grid)))
+    return SirrStreams(grid, speakers.reshape(*values.shape, 3), direct, diffuse, seed)
 
 
 def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> BinauralIr:
@@ -239,17 +233,17 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
     ears = np.stack([hrirs.left[matches], hrirs.right[matches]])  # (2, speakers, taps)
     n = len(vls) + ears.shape[2] - 1
     if isinstance(vls, SirrStreams):
-        (frames, bins), size, hop = vls.samples.shape[:2], vls.window_size, vls.hop
+        (frames, bins), size, hop = vls.samples.shape[:2], vls.diffuse.window_size, vls.diffuse.hop
         divisor = _window_sum(size, hop, frames)
         out = _frame_render(lambda f0, f1: vls._segments(f0, f1, divisor), ears, frames, size,
                             hop, 3 * bins, n)
-        if np.any(vls.diffuse):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
+        if np.any(vls.diffuse.values):  # sum_l h_l * (x * d_l) == x * (sum_l h_l * d_l)
             count = len(vls.grid)
             kernels = decorrelation_kernel(vls.seed, range(count))
             filters = _frame_render(lambda f0, f1: (np.arange(count), kernels), ears, 1,
                                     DECORRELATOR_TAPS, DECORRELATOR_TAPS, count,
                                     DECORRELATOR_TAPS + ears.shape[2] - 1)
-            out += fft_convolve(istft(StftFrames(vls.diffuse, size, hop, vls.sample_rate)), filters)
+            out += fft_convolve(istft(vls.diffuse), filters)
     else:
         # A block's pairs grow with its size up to L, each pair's transform with size
         # + taps. At 128 taps 32-64 tied as the fastest of 16-128 on the benchmark's

@@ -134,7 +134,7 @@ def test_criterion_3_sirr_energy_split():
     psi = np.clip(gen.uniform(size=(t, f)), 0.0, 1.0)
     field = TfDoaField(dirs, psi, 256, 128, FS)
     vls = sirr_synthesize(MonoIr(sig, FS), field, grid)
-    total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse) ** 2
+    total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse.values) ** 2
     per_bin_err = np.abs(total - np.abs(frames.values) ** 2).max() / (
         np.abs(frames.values) ** 2
     ).max()

@@ -150,6 +150,23 @@ class TestIacc:
             metrics.iacc(a, a)
 
 
+_IACF_ENTRIES = {
+    "itd": lambda rng, n: metrics.itd(BinauralIr(rng.normal(size=(2, n)), FS), whole=True),
+    "iacc": lambda rng, n: metrics.iacc(*(MonoIr(ear, FS) for ear in rng.normal(size=(2, n)))),
+    "iacc_e3_l3": lambda rng, n: metrics.iacc_e3_l3(
+        _impulse_brir(rng, n=200 + int(round(metrics.EARLY_WINDOW_S * FS)) + n, tail_scale=0.01)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_IACF_ENTRIES))
+def test_iacf_window_must_be_longer_than_2_ms(rng, entry):
+    """At 48 kHz a 96-sample window is refused and 97 samples are measured,
+    whether the window is the whole BRIR, the segments or the late window."""
+    with pytest.raises(ValueError, match="IACF window of 96 samples is not longer than 2 ms"):
+        _IACF_ENTRIES[entry](rng, 96)
+    assert np.isfinite(_IACF_ENTRIES[entry](rng, 97)).all()
+
+
 class TestIaccE3L3:
     def test_identical_channels_zero(self, rng):
         brir = _impulse_brir(rng)

@@ -125,3 +125,21 @@ def test_one_hrir_convolution():
         "the check no longer finds the two owners' transforms"
     others = callers - {"dsp.fft_convolve", "synthesis._frame_render"}
     assert not others, f"sized rfft calls outside the two owners: {sorted(others)}"
+
+
+def test_one_stft_layout_carrier():
+    """Only ``signals.StftFrames`` and ``doa.TfDoaField`` are dataclasses that
+    declare a ``hop`` field: every other record takes its STFT layout from an
+    ``StftFrames``. The field is the layout ``sirr_synthesize`` transforms the
+    pressure in, so it carries its own."""
+    carriers = set()
+    for path, tree in _trees(ROOT / "src" / "srirkit").items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+                if any(isinstance(field, ast.AnnAssign) and ast.unparse(field.target) == "hop"
+                       for field in node.body):
+                    carriers.add(f"{path.stem}.{node.name}")
+    owners = {"signals.StftFrames", "doa.TfDoaField"}
+    assert owners <= carriers, "the check no longer finds the two layout carriers"
+    assert carriers == owners, f"dataclasses with their own hop: {sorted(carriers - owners)}"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from srirkit import wavio
+from srirkit.dsp import stft
 from srirkit.signals import BinauralIr, FoaSignal, MonoIr, MultichannelIr, StftFrames
 
 FS = 48000.0
@@ -79,10 +80,20 @@ def test_stft_frames_bin_count_checked():
         StftFrames(np.zeros((4, 32), complex), 64, 32, FS)
     with pytest.raises(ValueError):
         StftFrames(np.zeros((4, 33), complex), 64, 0, FS)
-    # Layouts istft cannot invert are refused when built, not when inverted.
-    for hop in (24, 64):
+    # Layouts istft cannot invert are refused when built, not when inverted:
+    # (64, 48) failed in a reshape, and 33 bins rendered with a 48-sample window.
+    for hop in (24, 48, 64):
         with pytest.raises(ValueError, match=f"hop {hop} must divide window_size 64 at least"):
             StftFrames(np.zeros((4, 33), complex), 64, hop, FS)
+    with pytest.raises(ValueError, match="bin count 33 does not match window size 48"):
+        StftFrames(np.zeros((4, 33), complex), 48, 24, FS)
+    # Non-integer layouts were accepted and istft raised TypeError; dsp.stft
+    # raised IndexError on a float hop and TypeError on a float window.
+    for window, hop in ((64, 32.0), (64.0, 32), (64, True), (True, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StftFrames(np.zeros((4, 33), complex), window, hop, FS)
+        with pytest.raises(ValueError, match="must be an integer"):
+            stft(np.zeros(256), FS, window, hop)
 
 
 @pytest.mark.parametrize("encoding,tol", [

@@ -2,6 +2,7 @@ import hashlib
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -158,17 +159,20 @@ class TestSirrSynthesize:
         return MonoIr(sig, FS), stft(sig, FS, window, window // 2)
 
     def test_loudspeaker_signals_validated(self):
+        """Direct streams whose (frames, bins) differ from the diffuse bins',
+        or whose bins lack three loudspeakers, and a 3-D ``diffuse``, are
+        refused; the diffuse bins' layout and rate are StftFrames'."""
         grid = fibonacci_grid(8)
         speakers, direct = np.zeros((5, 33, 3), np.intp), np.zeros((5, 33, 3), complex)
         for bad in ((speakers[:, :, :2], direct, np.zeros((5, 33))),
-                    (speakers, direct, np.zeros((5, 32))),
-                    (speakers, direct, np.zeros((4, 33))),
-                    (speakers, direct, np.zeros(192))):
+                    (speakers[:4], direct[:4], np.zeros((5, 33))),
+                    (speakers[:, :17], direct[:, :17], np.zeros((5, 33))),
+                    (speakers[None], direct[None], np.zeros((1, 5, 33)))):
             with pytest.raises(ValueError, match="do not share one STFT layout"):
-                SirrStreams(grid, *bad, 0, 64, 32, FS)
+                SirrStreams(grid, *bad[:2], StftFrames(bad[2], 64, 32, FS), 0)
         for rate in (0.0, 44100.5):
             with pytest.raises(ValueError, match="sample rate"):
-                SirrStreams(grid, speakers, direct, np.zeros((5, 33)), 0, 64, 32, rate)
+                SirrStreams(grid, speakers, direct, StftFrames(np.zeros((5, 33)), 64, 32, rate), 0)
 
     def test_streams_accept_array_likes_and_need_three_amplitudes_per_bin(self, rng):
         """Nested lists are converted as a SampleAssignment's are (they raised
@@ -178,52 +182,34 @@ class TestSirrSynthesize:
         speakers = np.broadcast_to(np.arange(3), (5, 33, 3))
         direct = rng.normal(size=(5, 33, 3)) + 1j * rng.normal(size=(5, 33, 3))
         diffuse = rng.normal(size=(5, 33)) + 1j * rng.normal(size=(5, 33))
-        vls = SirrStreams(grid, speakers.tolist(), direct.tolist(), diffuse.tolist(),
-                          0, 64, 32, FS)
+        vls = SirrStreams(grid, speakers.tolist(), direct.tolist(),
+                          StftFrames(diffuse.tolist(), 64, 32, FS), 0)
         assert vls.speakers.dtype == np.intp and vls.samples.shape == (5, 33, 3)
-        assert np.array_equal(vls.samples, direct) and np.array_equal(vls.diffuse, diffuse)
-        assert np.array_equal(vls.rows(), SirrStreams(grid, speakers, direct, diffuse,
-                                                       0, 64, 32, FS).rows())
-        with pytest.raises(ValueError, match=r"samples must have window_size // 2 \+ 1 = 33 bins of 3"):
-            SirrStreams(grid, speakers[..., 0], direct[..., 0], diffuse, 0, 64, 32, FS)
-
-    @pytest.mark.parametrize("window, hop, bins, match", [
-        (64, 48, 33, "hop 48 must divide window_size 64 at least twice"),
-        (64, 0, 33, "hop 0 must divide window_size 64"),
-        (64, 64, 33, "hop 64 must divide window_size 64 at least twice"),
-        (48, 24, 33, r"samples must have window_size // 2 \+ 1 = 25 bins"),
-    ])
-    def test_stft_layout_validated(self, window, hop, bins, match):
-        """Layouts the render cannot take are refused when built: (64, 48)
-        and hop 0 failed only in the render (a reshape ValueError, a
-        ZeroDivisionError), (64, 64) rendered although istft refuses it, and
-        33 bins rendered silently with a 48-sample window."""
-        frames = 5
-        speakers = np.zeros((frames, bins, 3), np.intp)
-        direct = np.zeros((frames, bins, 3), complex)
-        diffuse = np.zeros((frames, bins), complex)
-        with pytest.raises(ValueError, match=match):
-            SirrStreams(fibonacci_grid(8), speakers, direct, diffuse, 0, window, hop, FS)
+        assert np.array_equal(vls.samples, direct) and np.array_equal(vls.diffuse.values, diffuse)
+        assert np.array_equal(vls.rows(), SirrStreams(grid, speakers, direct,
+                                                       StftFrames(diffuse, 64, 32, FS), 0).rows())
+        with pytest.raises(ValueError, match="do not share one STFT layout"):
+            SirrStreams(grid, speakers[..., 0], direct[..., 0], StftFrames(diffuse, 64, 32, FS), 0)
 
     def test_stream_indices_and_values_validated(self):
         """As a SampleAssignment's: a loudspeaker outside the grid, or a
         non-finite amplitude or diffuse bin, is rejected."""
         grid = fibonacci_grid(24)
         speakers, direct = np.zeros((5, 33, 3), np.intp), np.ones((5, 33, 3), complex)
-        diffuse = np.zeros((5, 33), complex)
+        diffuse = StftFrames(np.zeros((5, 33), complex), 64, 32, FS)
         for index in (99, 24, -1):
             bad = speakers.copy()
             bad[2, 7, 1] = index
             with pytest.raises(ValueError, match="out of range"):
-                SirrStreams(grid, bad, direct, diffuse, 0, 64, 32, FS)
+                SirrStreams(grid, bad, direct, diffuse, 0)
         for value in (np.nan, np.inf):
-            bad_direct, bad_diffuse = direct.copy(), diffuse.copy()
+            bad_direct, bad_diffuse = direct.copy(), diffuse.values.copy()
             bad_direct[1, 3, 0], bad_diffuse[2, 7] = value, value
-            for args in ((bad_direct, diffuse), (direct, bad_diffuse)):
+            for args in ((bad_direct, diffuse), (direct, replace(diffuse, values=bad_diffuse))):
                 with pytest.raises(ValueError, match="finite"):
-                    SirrStreams(grid, speakers, *args, 0, 64, 32, FS)
+                    SirrStreams(grid, speakers, *args, 0)
         with pytest.raises(ValueError, match="speakers must be integer indices"):
-            SirrStreams(grid, speakers + 0.5, direct, diffuse, 0, 64, 32, FS)
+            SirrStreams(grid, speakers + 0.5, direct, diffuse, 0)
 
     @pytest.mark.parametrize("seed", [-1, 2**32, 2.5, True])
     def test_seed_checked_when_the_streams_are_built(self, seed):
@@ -232,7 +218,8 @@ class TestSirrSynthesize:
         grid, shape = fibonacci_grid(8), (5, 33)
         speakers = np.broadcast_to(np.arange(3), (*shape, 3))
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 4294967295\]"):
-            SirrStreams(grid, speakers, np.ones((*shape, 3)), np.ones(shape), seed, 64, 32, FS)
+            SirrStreams(grid, speakers, np.ones((*shape, 3)),
+                        StftFrames(np.ones(shape), 64, 32, FS), seed)
 
     def test_repeated_bin_speakers_rejected(self, rng):
         """A bin's loudspeakers (0, 0, 0) with random amplitudes used to render
@@ -241,12 +228,13 @@ class TestSirrSynthesize:
         grid = fibonacci_grid(24)
         speakers = np.broadcast_to(np.arange(3), (5, 33, 3)).copy()
         direct = rng.normal(size=(5, 33, 3)) + 1j * rng.normal(size=(5, 33, 3))
-        SirrStreams(grid, speakers, direct, np.zeros((5, 33)), 0, 64, 32, FS)
+        diffuse = StftFrames(np.zeros((5, 33)), 64, 32, FS)
+        SirrStreams(grid, speakers, direct, diffuse, 0)
         for repeat in ((0, 0, 0), (4, 9, 4)):
             bad = speakers.copy()
             bad[3, 20] = repeat
             with pytest.raises(ValueError, match="speakers must be three distinct"):
-                SirrStreams(grid, bad, direct, np.zeros((5, 33)), 0, 64, 32, FS)
+                SirrStreams(grid, bad, direct, diffuse, 0)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -304,7 +292,7 @@ class TestSirrSynthesize:
         expected = np.pad(istft(StftFrames(dense, 128, 64, FS)),
                           ((0, 0), (0, DECORRELATOR_TAPS - 1)))
         kernels = np.stack([decorrelation_kernel(5, ls) for ls in range(len(grid))])
-        diffuse_td = istft(StftFrames(diffuse_tf, 128, 64, FS))
+        diffuse_td = istft(StftFrames(diffuse_tf.values, 128, 64, FS))
         expected += sps.fftconvolve(diffuse_td[None, :], kernels, mode="full", axes=-1)
         assert np.array_equal(vls.rows(), expected)
 
@@ -350,7 +338,8 @@ class TestSirrSynthesize:
         psi = np.clip(rng.uniform(size=(t, f)), 0, 1)
         field = TfDoaField(dirs, psi, frames.window_size, frames.hop, FS)
         vls = sirr_synthesize(pressure, field, grid)
-        total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse) ** 2
+        total = np.sum(np.abs(vls.samples) ** 2, axis=-1) \
+            + len(grid) * np.abs(vls.diffuse.values) ** 2
         reference = np.abs(frames.values) ** 2
         scale = reference.max()
         assert np.abs(total - reference).max() / scale < 1e-6
@@ -371,6 +360,13 @@ class TestSirrSynthesize:
         bad = _smooth_field(rng, 3, 5, 64, 32)
         with pytest.raises(ValueError, match="do not match field"):
             sirr_synthesize(pressure, bad, grid, seed=0)
+
+    def test_field_layout_must_be_integers(self, rng):
+        """A field with a float hop reached numpy's indexing (IndexError)."""
+        pressure, frames = self._framed_noise(rng, n=2048, window=128)
+        field = _smooth_field(rng, *frames.values.shape, 128, 64.0)
+        with pytest.raises(ValueError, match="hop must be an integer"):
+            sirr_synthesize(pressure, field, fibonacci_grid(8))
 
     def test_rate_mismatch_rejected(self, rng):
         grid = fibonacci_grid(8)
@@ -455,7 +451,7 @@ def test_sirr_per_bin_energy_split_property(seed, speakers):
     psi[gen.uniform(size=(t, f)) < 0.2] = 1.0
     grid = fibonacci_grid(speakers)
     vls = sirr_synthesize(pressure, TfDoaField(dirs, psi, 64, 32, FS), grid)
-    total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse) ** 2
+    total = np.sum(np.abs(vls.samples) ** 2, axis=-1) + len(grid) * np.abs(vls.diffuse.values) ** 2
     reference = np.abs(frames.values) ** 2
     assert np.abs(total - reference).max() <= 1e-12 * reference.max()
 
@@ -748,6 +744,7 @@ def _assert_render_bytes_across_blas_threads(blas_env, tmp_path, vls, arrays, bu
         "import numpy as np\n"
         "from srirkit.grids import fibonacci_grid\n"
         "from srirkit.hrir import spherical_head_hrir_set\n"
+        "from srirkit.signals import StftFrames\n"
         "from srirkit.synthesis import SampleAssignment, SirrStreams, binaural_render\n"
         "grid, d = fibonacci_grid(240), np.load(sys.argv[1])\n"
         f"vls = {build}\n"
@@ -810,8 +807,9 @@ class TestSirrRender:
         vls = sirr_synthesize(*_sirr_inputs(rng, 6000), grid, seed=7)
         _assert_render_bytes_across_blas_threads(
             blas_env, tmp_path, vls,
-            dict(speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse),
-            f"SirrStreams(grid, d['speakers'], d['samples'], d['diffuse'], 7, 64, 32, {FS})")
+            dict(speakers=vls.speakers, samples=vls.samples, diffuse=vls.diffuse.values),
+            "SirrStreams(grid, d['speakers'], d['samples'], "
+            f"StftFrames(d['diffuse'], 64, 32, {FS}), 7)")
 
     def test_direct_rows_are_slices_of_the_full_istft(self, rng):
         """Without a diffuse stream (psi = 0) the written-out signals are one
