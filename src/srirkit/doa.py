@@ -189,8 +189,7 @@ def piv_broadband_doa(foa: FoaSignal, window_size: int, band_low: float,
     intensity = _smooth(intensity, window_size)
 
     norms = np.linalg.norm(intensity, axis=0)
-    scale = norms.max()
-    valid = norms > max(_DEGENERATE_NORM * scale, 0.0) if scale > 0 else np.zeros(norms.shape, bool)
+    valid = norms > _DEGENERATE_NORM * norms.max()
     directions = np.zeros((len(foa), 3))
     directions[valid] = (-intensity[:, valid] / norms[valid]).T
     return DoaTrajectory(directions, valid)

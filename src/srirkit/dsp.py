@@ -1,5 +1,6 @@
-"""DSP primitives: STFT/ISTFT, FFT convolution, cross-correlation, onset
-detection, fractional-delay impulses and direct-sound energy normalization.
+"""DSP primitives: STFT/ISTFT, FFT convolution, the frame renderer that every
+HRIR convolution runs on, cross-correlation, onset detection, fractional-delay
+impulses and direct-sound energy normalization.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, NoOnsetError
+from .grids import _check_indices
 from .signals import BinauralIr, StftFrames, _check_stft_layout
 
 #: Speed of sound in air (m/s), shared by the simulator, the DOA estimators
@@ -46,7 +48,7 @@ def stft(samples: np.ndarray, sample_rate: float, window_size: int, hop: int) ->
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]
     _check_stft_layout(window_size, hop)
-    if window_size < 2 or (window_size & (window_size - 1)) != 0:
+    if window_size & (window_size - 1):
         raise ValueError(f"window_size must be a power of two, got {window_size}")
     if window_size > n:
         raise ValueError(f"window_size {window_size} exceeds signal length {n}")
@@ -69,27 +71,29 @@ def istft(frames: StftFrames) -> np.ndarray:
     sums its frames in ascending frame order.
     """
     window_size, hop = frames.window_size, frames.hop
-    overlap, n_frames = window_size // hop, frames.frame_count
     chunks = np.fft.irfft(frames.values, n=window_size, axis=-1)
     chunks *= _hann_periodic(window_size)
-    # Frame i's sub-block j lands on output block i + j; running j downwards
-    # adds each output block's frames in ascending order.
-    sub_blocks = chunks.reshape(*chunks.shape[:-1], overlap, hop)
-    acc = np.zeros((*chunks.shape[:-2], n_frames + overlap - 1, hop))
-    for j in range(overlap - 1, -1, -1):
-        acc[..., j : j + n_frames, :] += sub_blocks[..., j, :]
-    return acc.reshape(*acc.shape[:-2], -1) / _window_sum(window_size, hop, n_frames)
+    acc = np.zeros((*chunks.shape[:-2], frames.frame_count + window_size // hop - 1, hop))
+    _overlap_add(acc, chunks)
+    return acc.reshape(*acc.shape[:-2], -1) / _window_sum(window_size, hop, frames.frame_count)
 
 
 def _window_sum(window_size: int, hop: int, n_frames: int) -> np.ndarray:
     """What :func:`istft` of ``n_frames`` frames divides by: their squared Hann
     windows summed in frame order, or 1 where that is at most 1e-12."""
-    window_sq = (_hann_periodic(window_size) ** 2).reshape(window_size // hop, hop)
-    wsum = np.zeros((n_frames + len(window_sq) - 1, hop))
-    for j in range(len(window_sq) - 1, -1, -1):
-        wsum[j : j + n_frames] += window_sq[j]
+    wsum = np.zeros((n_frames + window_size // hop - 1, hop))
+    _overlap_add(wsum, np.broadcast_to(_hann_periodic(window_size) ** 2, (n_frames, window_size)))
     wsum[wsum <= 1e-12] = 1.0
     return wsum.reshape(-1)
+
+
+def _overlap_add(out: np.ndarray, frames: np.ndarray, first: int = 0) -> None:
+    """Add (..., k, m * hop) ``frames`` into (..., blocks, hop) ``out`` in place,
+    frame i from block ``first + i``. Frame i's part j lands on block first + i
+    + j; running j downwards adds each block's frames in ascending order."""
+    count, hop = frames.shape[-2], out.shape[-1]
+    for j in range(frames.shape[-1] // hop - 1, -1, -1):
+        out[..., first + j : first + j + count, :] += frames[..., j * hop : (j + 1) * hop]
 
 
 def _next_fast_len(n: int) -> int:
@@ -112,6 +116,38 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[-1] + b.shape[-1] - 1
     nfft = _next_fast_len(n)
     return np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[..., :n]
+
+
+#: Bytes of per-(frame, loudspeaker) HRIR-pair spectra in one chunk of :func:`_frame_render`.
+_TIME_BLOCK_BYTES = 4 * 2**20
+
+
+def _frame_render(segments, ears: np.ndarray, frames: int, size: int, hop: int,
+                  most: int, n: int) -> np.ndarray:
+    """Both ears' (2, n) sum of loudspeaker segments through their HRIRs.
+
+    ``segments(f0, f1)`` gives frames f0:f1's sorted keys frame * L + loudspeaker,
+    at most ``most`` a frame, and each key's ``size``-sample segment from sample
+    frame * hop. Each is multiplied by its HRIR pair in the frequency domain, each
+    keyed frame's sum is transformed back once per ear and overlap-added at the
+    hop; a frame with no key is silence.
+    """
+    count, span = ears.shape[1], size + ears.shape[2] - 1  # span: one frame's output
+    nfft, blocks = _next_fast_len(span), -(-span // hop)
+    spectra = np.fft.rfft(ears, nfft).transpose(1, 0, 2)  # (speakers, 2, nfft // 2 + 1)
+    out = np.zeros((max(-(-n // hop), frames - 1 + blocks), 2, hop))
+    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * max(1, min(count, most))))
+    for f0 in range(0, frames, step):
+        f1 = min(f0 + step, frames)
+        keys, signals = segments(f0, f1)
+        mixed = spectra[keys % count]
+        mixed *= np.fft.rfft(signals, nfft)[:, None]
+        starts = np.flatnonzero(np.diff(keys // count, prepend=-1))  # each keyed frame's first
+        framed = np.zeros((f1 - f0, 2, blocks * hop))
+        framed[keys[starts] // count - f0, :, :span] = \
+            np.fft.irfft(np.add.reduceat(mixed, starts), nfft)[..., :span]
+        _overlap_add(out.transpose(1, 0, 2), framed.transpose(1, 0, 2), f0)
+    return out.transpose(1, 0, 2).reshape(2, -1)[:, :n]
 
 
 def cross_correlate(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
@@ -239,11 +275,7 @@ def place_fractional_impulses(out: np.ndarray, delays_samples: np.ndarray,
     if rows is None:
         starts = np.broadcast_to(np.arange(0, out.size, n).reshape(*out.shape[:-1], 1), amps.shape)
     else:
-        rows, channels = np.asarray(rows, dtype=np.int64), math.prod(out.shape[:-1])
-        outside = (rows < 0) | (rows >= channels)
-        if outside.any():
-            raise ValueError(f"rows must lie in [0, {channels}), got {rows[outside][0]}")
-        starts = rows * n
+        starts = _check_indices("rows", rows, math.prod(out.shape[:-1])) * n
     delays, amps, starts = delays[fits], amps[..., fits], starts[..., fits]
     offsets = np.arange(-half, half + 1)
     for first in range(0, delays.size, _IMPULSE_BLOCK):

@@ -30,6 +30,21 @@ def _check_count(name: str, value, least: int = 1, most: float = math.inf) -> No
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _check_indices(name: str, values, count: float = math.inf) -> np.ndarray:
+    """``values`` as intp indices; raises unless their dtype is an integer one
+    (not a float or bool) and each lies in [0, count)."""
+    array = np.asarray(values)
+    # A bool among ints converts to an int, so a sequence's own items are read.
+    items = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+    dtype = "bool" if any(isinstance(v, (bool, np.bool_)) for v in items) else array.dtype
+    if dtype == "bool" or array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integer indices, not {dtype}")
+    outside = (array < 0) | (array >= count)
+    if outside.any():
+        raise ValueError(f"{name} must lie in [0, {count}), got {array[outside][0]}")
+    return array.astype(np.intp, copy=False)
+
+
 def _check_unit(directions, tol: float = 1e-9) -> np.ndarray:
     """``directions`` as a float (n, 3) array; raises unless every row has a
     finite norm within ``tol`` of 1."""

@@ -13,19 +13,18 @@ the image list as CSV.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arrays import MicArrayGeometry, builtin_array
-from .dsp import FRACTIONAL_DELAY_HALF, SPEED_OF_SOUND, impulse_fits, place_fractional_impulses
+from .dsp import (FRACTIONAL_DELAY_HALF, SPEED_OF_SOUND, _frame_render, impulse_fits,
+                  place_fractional_impulses)
 from .errors import LostDirectPathError, TruncatedResponseWarning
-from .grids import nearest_directions
+from .grids import _check_count, nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, FoaSignal, MultichannelIr
-from .synthesis import _frame_render
 
 
 @dataclass(frozen=True)
@@ -47,11 +46,8 @@ class ShoeboxRoom:
             raise ValueError(f"dimensions must be three positive finite lengths, got {dims}")
         if coeffs.shape != (6,) or not np.all((coeffs >= 0) & (coeffs <= 1)):
             raise ValueError(f"reflection_coefficients must be six values in [0, 1], got {coeffs}")
-        order = self.max_order
-        if not (isinstance(order, numbers.Real) and not isinstance(order, bool)
-                and float(order).is_integer() and order >= 0):
-            raise ValueError(f"max_order must be a whole number >= 0, got {order!r}")
-        object.__setattr__(self, "max_order", int(order))
+        _check_count("max_order", self.max_order, 0)
+        object.__setattr__(self, "max_order", int(self.max_order))
         object.__setattr__(self, "dimensions", dims)
         object.__setattr__(self, "reflection_coefficients", coeffs)
 

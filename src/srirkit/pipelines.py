@@ -48,16 +48,15 @@ from .synthesis import (
     sirr_synthesize,
 )
 
-ANALYSES = ("tdoa", "piv-broadband", "tf-piv")
-PRESSURE_SOURCES = ("zeroth-order", "channel-average")
-#: The analyses that read each condition setting; on any other analysis the
-#: setting keeps its default. ``seed`` is left out: every condition carries one.
-_READ_BY = {
-    "knn": ("tdoa", "piv-broadband"),
-    "band_low": ("piv-broadband",),
-    "band_high": ("piv-broadband",),
-    "tf_averaging_frames": ("tf-piv",),
-    "psi_override": ("tf-piv",),
+#: The AnalysisInput fields each pressure source reads.
+_PRESSURE_SOURCES = {"zeroth-order": ("foa",), "channel-average": ("srir",)}
+#: Each analysis's (AnalysisInput fields it reads, condition settings it reads
+#: besides ``window_size`` and ``seed``); on any other analysis a setting keeps
+#: its default.
+_ANALYSES = {
+    "tdoa": (("srir", "geometry"), ("knn",)),
+    "piv-broadband": (("foa",), ("knn", "band_low", "band_high")),
+    "tf-piv": (("foa",), ("tf_averaging_frames", "psi_override")),
 }
 
 
@@ -140,9 +139,9 @@ class SystemCondition:
     psi_override: float | None = None
 
     def __post_init__(self):
-        if self.analysis not in ANALYSES:
+        if self.analysis not in tuple(_ANALYSES):  # a tuple: an unhashable value is unknown
             raise ConfigurationError(f"{self.id}: unknown analysis {self.analysis!r}")
-        if self.pressure_source not in PRESSURE_SOURCES:
+        if self.pressure_source not in tuple(_PRESSURE_SOURCES):
             raise ConfigurationError(f"{self.id}: unknown pressure_source {self.pressure_source!r}")
         for name, *bounds in (("window_size", 8), ("knn", 1, len(self.grid)),
                               ("tf_averaging_frames",), ("seed", 0, 2**32 - 1)):
@@ -150,8 +149,9 @@ class SystemCondition:
                 _check_count(name, getattr(self, name), *bounds)
             except ValueError as exc:
                 raise ConfigurationError(f"{self.id}: {exc}") from exc
-        for name, readers in _READ_BY.items():
-            if self.analysis not in readers and getattr(self, name) != getattr(type(self), name):
+        reads = _ANALYSES[self.analysis][1]
+        for name in dict.fromkeys(s for _, settings in _ANALYSES.values() for s in settings):
+            if name not in reads and getattr(self, name) != getattr(type(self), name):
                 raise ConfigurationError(f"{self.id}: {self.analysis} does not read {name}")
         if self.psi_override is not None and not 0.0 <= self.psi_override <= 1.0:
             raise ConfigurationError(f"{self.id}: psi_override must lie in [0, 1]")
@@ -166,14 +166,6 @@ class SystemCondition:
                 raise ConfigurationError(f"{self.id}: band_low, band_high: {exc}") from exc
 
 
-#: What each pressure source and each analysis reads from an AnalysisInput.
-_NEEDS = {
-    "zeroth-order": ("foa",),
-    "channel-average": ("srir",),
-    "tdoa": ("srir", "geometry"),
-    "piv-broadband": ("foa",),
-    "tf-piv": ("foa",),
-}
 _NEED_NAMES = {"srir": "an SRIR", "geometry": "an array geometry",
                "foa": "a FOA signal"}
 
@@ -192,8 +184,9 @@ def validate_condition_inputs(inputs: AnalysisInput, condition: SystemCondition)
     inputs lack one that the condition's pressure source or analysis reads,
     or its window does not fit them (:func:`check_window_fits`). Cheap; also
     used for pre-flight validation before any rendering starts."""
-    for stage in (condition.pressure_source, condition.analysis):
-        for need in _NEEDS[stage]:
+    for stage, needs in ((condition.pressure_source, _PRESSURE_SOURCES[condition.pressure_source]),
+                         (condition.analysis, _ANALYSES[condition.analysis][0])):
+        for need in needs:
             if getattr(inputs, need) is None:
                 raise ConfigurationError(f"{condition.id}: {stage} needs {_NEED_NAMES[need]}")
     check_window_fits(condition, len(inputs.srir if inputs.srir is not None else inputs.foa))

@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .doa import DoaTrajectory, TfDoaField
-from .dsp import _hann_periodic, _next_fast_len, _window_sum, fft_convolve, istft, stft
+from .dsp import _frame_render, _hann_periodic, _window_sum, fft_convolve, istft, stft
 from .errors import MissingHrirError
-from .grids import LoudspeakerGrid, _check_count, nearest_directions
+from .grids import LoudspeakerGrid, _check_count, _check_indices, nearest_directions
 from .hrir import HrirSet
 from .signals import BinauralIr, MonoIr, StftFrames
 from .vbap import vbap_gain_table
@@ -21,8 +21,6 @@ DECORRELATOR_TAPS = 1024
 #: Largest angle between a loudspeaker and the HRIR that renders it.
 MAX_HRIR_ANGLE_DEG = 1.0
 _FRONTAL = np.array([1.0, 0.0, 0.0])
-#: Bytes of per-(frame, loudspeaker) HRIR-pair spectra in one chunk of :func:`_frame_render`.
-_TIME_BLOCK_BYTES = 4 * 2**20
 #: Loudspeakers that :meth:`SirrStreams.rows` takes at once.
 _SPEAKER_BLOCK = 16
 
@@ -38,7 +36,7 @@ class SampleAssignment:
     sample_rate: float
 
     def __post_init__(self):
-        speakers = _speaker_indices(self.speakers, self.grid)
+        speakers = _check_indices("speakers", self.speakers, len(self.grid))
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or speakers.shape != samples.shape or not samples.shape[1]:
             raise ValueError(f"speakers/samples must be (n, k), k >= 1: "
@@ -68,16 +66,6 @@ class SampleAssignment:
         # A sample may pick a loudspeaker twice; its picks add up, as in rows.
         np.add.at(signals, (cell.reshape(keys.shape), offset[:, None]), self.samples[t0:t1])
         return pairs, signals
-
-
-def _speaker_indices(speakers, grid: LoudspeakerGrid) -> np.ndarray:
-    """``speakers`` as intp indices into ``grid``, which they must be already."""
-    speakers = np.asarray(speakers)
-    if speakers.dtype.kind not in "iu":
-        raise ValueError(f"speakers must be integer indices, not {speakers.dtype}")
-    if speakers.size and not 0 <= speakers.min() <= speakers.max() < len(grid):
-        raise ValueError("speaker indices out of range")
-    return speakers.astype(np.intp, copy=False)
 
 
 def sdm_synthesize(pressure: MonoIr, trajectory: DoaTrajectory,
@@ -117,13 +105,14 @@ def decorrelation_kernel(seed: int, channel_index: int | range) -> np.ndarray:
     """Deterministic unit-magnitude random-phase FIR of ``DECORRELATOR_TAPS``
     taps, unit tap energy. A sequence of channel indices gives their kernels,
     (channels, taps), through one batched transform: each with its own bytes.
-    ``seed`` must lie in [0, 2**32)."""
+    ``seed`` must lie in [0, 2**32), and channel indices be integers >= 0."""
     _check_count("seed", seed, 0, 2**32 - 1)
+    channels = _check_indices("channel_index", channel_index)
     phases = np.stack([np.random.default_rng([int(seed), int(ls)]).uniform(
-        0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1) for ls in np.atleast_1d(channel_index)])
+        0.0, 2.0 * np.pi, DECORRELATOR_TAPS // 2 + 1) for ls in channels.reshape(-1)])
     phases[:, [0, -1]] = 0.0  # DC and Nyquist must stay real
     kernels = np.fft.irfft(np.exp(1j * phases), n=DECORRELATOR_TAPS)
-    return kernels.reshape(*np.shape(channel_index), DECORRELATOR_TAPS)
+    return kernels.reshape(*channels.shape, DECORRELATOR_TAPS)
 
 
 @dataclass(frozen=True)
@@ -140,7 +129,9 @@ class SirrStreams:
     seed: int
 
     def __post_init__(self):
-        speakers = _speaker_indices(self.speakers, self.grid)
+        if not isinstance(self.diffuse, StftFrames):
+            raise ValueError(f"diffuse must be an StftFrames, got {type(self.diffuse).__name__}")
+        speakers = _check_indices("speakers", self.speakers, len(self.grid))
         samples = np.asarray(self.samples, dtype=np.complex128)
         shape = self.diffuse.values.shape
         if len(shape) != 2 or not speakers.shape == samples.shape == (*shape, 3):
@@ -252,33 +243,4 @@ def binaural_render(vls: SirrStreams | SampleAssignment, hrirs: HrirSet) -> Bina
         out = _frame_render(lambda f0, f1: vls._segments(f0, f1, size), ears,
                             -(-len(vls) // size), size, size, vls.samples.shape[1] * size, n)
     return BinauralIr(out, vls.sample_rate)
-
-
-def _frame_render(segments, ears: np.ndarray, frames: int, size: int, hop: int,
-                  most: int, n: int) -> np.ndarray:
-    """Both ears' (2, n) sum of loudspeaker segments through their HRIRs.
-
-    ``segments(f0, f1)`` gives frames f0:f1's sorted keys frame * L + loudspeaker,
-    at most ``most`` a frame, and each key's ``size``-sample segment from sample
-    frame * hop. Each is multiplied by its HRIR pair in the frequency domain, each
-    keyed frame's sum is transformed back once per ear and overlap-added at the
-    hop; a frame with no key is silence.
-    """
-    count, span = ears.shape[1], size + ears.shape[2] - 1  # span: one frame's output
-    nfft, blocks = _next_fast_len(span), -(-span // hop)
-    spectra = np.fft.rfft(ears, nfft).transpose(1, 0, 2)  # (speakers, 2, nfft // 2 + 1)
-    out = np.zeros((max(-(-n // hop), frames - 1 + blocks), 2, hop))
-    step = max(1, _TIME_BLOCK_BYTES // (32 * spectra.shape[2] * max(1, min(count, most))))
-    for f0 in range(0, frames, step):
-        f1 = min(f0 + step, frames)
-        keys, signals = segments(f0, f1)
-        mixed = spectra[keys % count]
-        mixed *= np.fft.rfft(signals, nfft)[:, None]
-        starts = np.flatnonzero(np.diff(keys // count, prepend=-1))  # each keyed frame's first
-        framed = np.zeros((f1 - f0, 2, blocks * hop))
-        framed[keys[starts] // count - f0, :, :span] = \
-            np.fft.irfft(np.add.reduceat(mixed, starts), nfft)[..., :span]
-        for j in range(blocks - 1, -1, -1):  # each block adds its frames in ascending order
-            out[f0 + j : f1 + j] += framed[..., j * hop : (j + 1) * hop]
-    return out.transpose(1, 0, 2).reshape(2, -1)[:, :n]
 

@@ -387,6 +387,16 @@ def test_place_fractional_impulses_rows_must_be_in_range(shape, row):
     assert not np.any(out)
 
 
+@pytest.mark.parametrize("rows", [[0.5, 1.7], [0.0, 1.0], [True, False], [0, True]],
+                         ids=["fractional", "whole-floats", "bools", "int-and-bool"])
+def test_place_fractional_impulses_rows_must_be_integers(rows):
+    """[0.5, 1.7] landed in rows 0 and 1 and [True] in row 1."""
+    out = np.zeros((4, 64))
+    with pytest.raises(ValueError, match="rows must be integer indices"):
+        dsp.place_fractional_impulses(out, np.array([30.5, 20.0]), np.ones(2), rows=rows)
+    assert not np.any(out)
+
+
 def test_place_fractional_impulses_per_row_delays_match_single_calls(rng):
     delays = np.array([[3.0, 20.25, 40.7], [30.5, 60.0, 17.0]])  # 3.0 and 60.0 do not fit
     amps = rng.normal(size=(2, 3))

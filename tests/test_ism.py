@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from srirkit.arrays import MicArrayGeometry, builtin_array
-from srirkit import dsp, presets, synthesis
+from srirkit import dsp, presets
 from srirkit.errors import (
     DegenerateInputError,
     LostDirectPathError,
@@ -394,7 +394,7 @@ class TestRenderReferenceBrir:
         images = enumerate_images(_scene(max_order=8))
         with pytest.warns(TruncatedResponseWarning):
             expected = render_reference_brir(images, hrirs, FS, 3001).samples
-            monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+            monkeypatch.setattr(dsp, "_TIME_BLOCK_BYTES", budget)
             assert np.array_equal(render_reference_brir(images, hrirs, FS, 3001).samples, expected)
 
     def test_dense_hrir_set_memory_bounded(self):
@@ -463,14 +463,16 @@ def test_decay_monotone_in_wall_reflection():
     assert t30s[0] < t30s[1] < t30s[2]
 
 
-@pytest.mark.parametrize("max_order", [2.5, True, float("nan"), "3"])
+@pytest.mark.parametrize("max_order", [2.5, True, float("nan"), "3", 3.0, -1])
 def test_room_order_must_be_a_whole_number(max_order):
+    """The library's one integer rule: 3.0 is refused as in ``fibonacci_grid``;
+    the CLI casts a whole JSON number before it builds the room."""
     with pytest.raises(ValueError, match="max_order"):
         _room(max_order=max_order)
 
 
 def test_room_order_is_stored_as_an_int():
-    assert type(_room(max_order=3.0).max_order) is int
+    assert type(_room(max_order=np.int64(3)).max_order) is int
 
 
 def test_receiver_is_an_array():

@@ -109,7 +109,7 @@ def test_only_cli_writes_csv():
 
 
 def test_one_hrir_convolution():
-    """Only ``dsp.fft_convolve`` and ``synthesis._frame_render`` call
+    """Only ``dsp.fft_convolve`` and ``dsp._frame_render`` call
     ``np.fft.rfft`` with a transform length (a second positional argument or
     ``n=``): a second HRIR convolution cannot come back unnoticed."""
     callers = set()
@@ -121,10 +121,32 @@ def test_one_hrir_convolution():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.fft.rfft" \
                         and (len(node.args) > 1 or any(k.arg == "n" for k in node.keywords)):
                     callers.add(f"{path.stem}.{function.name}")
-    assert {"dsp.fft_convolve", "synthesis._frame_render"} <= callers, \
+    assert {"dsp.fft_convolve", "dsp._frame_render"} <= callers, \
         "the check no longer finds the two owners' transforms"
-    others = callers - {"dsp.fft_convolve", "synthesis._frame_render"}
+    others = callers - {"dsp.fft_convolve", "dsp._frame_render"}
     assert not others, f"sized rfft calls outside the two owners: {sorted(others)}"
+
+
+def _imports(tree: ast.Module) -> set:
+    """The package modules that ``tree`` imports by ``from .x import`` or
+    ``from . import x``."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [alias.name for alias in node.names])}
+
+
+def test_oracle_imports_no_system_under_test():
+    """The image-source simulator renders the reference every system is scored
+    against: walking the package's ``from .x import`` edges from ``ism`` reaches
+    no analysis, synthesis, scoring or pipeline module."""
+    edges = {path.stem: _imports(tree) for path, tree in _trees(ROOT / "src" / "srirkit").items()}
+    reached, todo = set(), ["ism"]
+    while todo:
+        for module in edges[todo.pop()] - reached:
+            reached.add(module)
+            todo.append(module)
+    assert {"dsp", "grids", "hrir"} <= reached, "the walk no longer finds ism's own imports"
+    judged = reached & {"synthesis", "doa", "vbap", "filterbanks", "metrics", "pipelines"}
+    assert not judged, f"ism reaches the code it judges: {sorted(judged)}"
 
 
 def test_one_stft_layout_carrier():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from srirkit import synthesis
+from srirkit import dsp, synthesis
 from srirkit.doa import DoaTrajectory, TfDoaField
 from srirkit.dsp import istft, stft
 from srirkit.errors import MissingHrirError
@@ -111,9 +111,9 @@ class TestSdmSynthesize:
         speakers = np.zeros((4, 2), dtype=np.intp)
         with pytest.raises(ValueError, match="must be \\(n, k\\)"):
             SampleAssignment(grid, speakers, np.zeros((4, 3)), FS)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"speakers must lie in \[0, 8\), got 8"):
             SampleAssignment(grid, speakers + 8, np.zeros((4, 2)), FS)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"speakers must lie in \[0, 8\), got -1"):
             SampleAssignment(grid, speakers - 1, np.zeros((4, 2)), FS)
         with pytest.raises(ValueError, match="finite"):
             SampleAssignment(grid, speakers, np.full((4, 2), np.nan), FS)
@@ -200,7 +200,7 @@ class TestSirrSynthesize:
         for index in (99, 24, -1):
             bad = speakers.copy()
             bad[2, 7, 1] = index
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=rf"speakers must lie in \[0, 24\), got {index}"):
                 SirrStreams(grid, bad, direct, diffuse, 0)
         for value in (np.nan, np.inf):
             bad_direct, bad_diffuse = direct.copy(), diffuse.values.copy()
@@ -235,6 +235,14 @@ class TestSirrSynthesize:
             bad[3, 20] = repeat
             with pytest.raises(ValueError, match="speakers must be three distinct"):
                 SirrStreams(grid, bad, direct, diffuse, 0)
+
+    def test_diffuse_must_be_stft_frames(self):
+        """A plain (frames, bins) array, the form ``diffuse`` took before it
+        carried its layout, raised AttributeError on ``.values``."""
+        grid, shape = fibonacci_grid(8), (5, 33)
+        for diffuse in (np.zeros(shape), None):
+            with pytest.raises(ValueError, match="diffuse must be an StftFrames, got"):
+                SirrStreams(grid, np.zeros((*shape, 3), int), np.zeros((*shape, 3)), diffuse, 0)
 
     def test_psi_zero_matches_pure_vbap_pan(self, rng):
         grid = fibonacci_grid(12)
@@ -517,6 +525,22 @@ class TestDecorrelate:
         for seed in (np.uint32(2**32 - 1), np.int64(2**32 - 1)):
             assert np.array_equal(decorrelation_kernel(seed, range(3)), expected)
 
+    @pytest.mark.parametrize("channels, message", [
+        ((0, 2.7), "be integer indices"), ((0, True), "be integer indices"),
+        (np.array([0.5, 1.5]), "be integer indices"), (True, "be integer indices"),
+        (-1, r"lie in \[0, inf\), got -1")], ids=["2.7", "True", "float-array", "bool", "-1"])
+    def test_channel_indices_must_be_integers(self, channels, message):
+        """(0, 2.7) played channel 2's kernel, (0, True) channel 1's, a float
+        array was truncated, and -1 died in numpy naming no argument."""
+        with pytest.raises(ValueError, match=f"channel_index must {message}"):
+            decorrelation_kernel(3, channels)
+
+    def test_integer_channel_indices_keep_the_bytes(self):
+        expected = decorrelation_kernel(3, range(2, 5))
+        for channels in ([2, 3, 4], np.array([2, 3, 4], np.uint16), (np.int64(2), 3, 4)):
+            assert np.array_equal(decorrelation_kernel(3, channels), expected)
+        assert np.array_equal(decorrelation_kernel(3, np.int32(4)), expected[2])
+
     def test_deterministic_in_seed_and_channel(self):
         a = decorrelation_kernel(seed=7, channel_index=2)
         b = decorrelation_kernel(seed=7, channel_index=2)
@@ -718,7 +742,7 @@ class TestBinauralRender:
                                       rng.normal(size=(6000, 3)), FS)
         hrirs = spherical_head_hrir_set(grid.directions, sample_rate=FS)
         expected = binaural_render(assignment, hrirs).samples
-        monkeypatch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+        monkeypatch.setattr(dsp, "_TIME_BLOCK_BYTES", budget)
         assert np.array_equal(binaural_render(assignment, hrirs).samples, expected)
 
     def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path, blas_env):
@@ -797,7 +821,7 @@ class TestSirrRender:
             vls = sirr_synthesize(*_sirr_inputs(rng, 6000, psi), grid, seed=7)
             expected = binaural_render(vls, hrirs).samples
             with monkeypatch.context() as patch:
-                patch.setattr(synthesis, "_TIME_BLOCK_BYTES", budget)
+                patch.setattr(dsp, "_TIME_BLOCK_BYTES", budget)
                 assert np.array_equal(binaural_render(vls, hrirs).samples, expected), psi
 
     def test_bytes_do_not_depend_on_blas_threads(self, rng, tmp_path, blas_env):
